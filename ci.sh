@@ -1,11 +1,25 @@
 #!/usr/bin/env bash
 # CI gate: build, test, format, lint, repo-specific static analysis. Run
 # locally before pushing; .github/workflows/ci.yml runs the same sequence
-# plus the hardening lane (Miri, cargo-deny) with the tools installed.
+# plus the hardening lane (Miri) with the tools installed.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo build --release"
+# The workspace has no registry dependencies; everything below must pass
+# with the network off.
+export CARGO_NET_OFFLINE=true
+
+echo "==> registry-free gate (every package is a path package)"
+cargo metadata --offline --format-version 1 | python3 -c '
+import json, sys
+bad = [p["id"] for p in json.load(sys.stdin)["packages"] if p["source"] is not None]
+sys.exit("registry packages in the workspace: %s" % bad if bad else 0)'
+
+echo "==> tier-1: cargo build --release && cargo test -q"
+cargo build --release
+cargo test -q
+
+echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
 echo "==> cargo test"
@@ -31,22 +45,17 @@ echo "==> serial/parallel equivalence gate"
 RAYON_NUM_THREADS=2 cargo test -q --release --test parallel_equivalence
 
 # Kernel lane: the equivalence gate re-run with the process-wide Dijkstra
-# kernel pinned each way (the global pool reads COMM_KERNEL at first use),
-# then a quick kernel_bench smoke — the bench certifies heap/bucket/batched
-# bit-identity on every workload before timing anything. --force because
-# the committed BENCH_kernel.json may carry better machine provenance.
-echo "==> kernel lane (equivalence gate under each kernel + bench smoke)"
+# kernel pinned each way (the global pool reads COMM_KERNEL at first use).
+echo "==> kernel lane (equivalence gate under each kernel)"
 COMM_KERNEL=heap cargo test -q --release --test parallel_equivalence
 COMM_KERNEL=bucket cargo test -q --release --test parallel_equivalence
-cargo run --quiet --release -p comm-bench --bin kernel_bench -- \
-    --quick --force --out /tmp/BENCH_kernel_ci.json
 
 # Serve smoke lane: chaos-load the daemon (fault injection armed), then a
 # CLI round trip. chaos_load exits non-zero unless every request
 # terminated in a declared state with zero protocol errors and sheds got
 # explicit Overloaded replies.
 echo "==> serve smoke (chaos load + CLI round trip)"
-cargo run --quiet --release -p comm-serve --example chaos_load -- /tmp/BENCH_serve_ci.json
+cargo run --quiet --release -p comm-serve --example chaos_load -- /tmp/chaos_load_ci.json
 EXPLORE=(cargo run --quiet --release -p comm-cli --bin comm-explore --)
 "${EXPLORE[@]}" serve --addr 127.0.0.1:0 --side 8 >/tmp/serve_smoke.out 2>/dev/null &
 SERVE_PID=$!
@@ -65,8 +74,7 @@ wait "$SERVE_PID"
 
 # Warm-start lane: persist the engine as a CGPH v2 container, restart the
 # daemon against it (no rebuild — the container's keyword map becomes the
-# vocabulary), and query it; then the io lane asserts mmap-loaded and
-# heap-built graphs answer bit-identically (exit non-zero otherwise).
+# vocabulary), and query it.
 echo "==> warm-start lane (save container, serve from it, query)"
 cargo run --quiet --release -p comm-serve --example warm_bundle -- 8 /tmp/warm_ci.cgph
 "${EXPLORE[@]}" serve --addr 127.0.0.1:0 --graph /tmp/warm_ci.cgph >/tmp/serve_warm.out 2>/dev/null &
@@ -81,8 +89,11 @@ test -n "$WARM_ADDR" || { echo "warm daemon never bound"; kill "$WARM_PID"; exit
 "${EXPLORE[@]}" client --addr "$WARM_ADDR" shutdown >/dev/null
 wait "$WARM_PID"
 
-echo "==> io lane (cold build vs v1 load vs v2 mmap, bit-identical answers)"
-cargo run --quiet --release -p comm-serve --example io_bench -- --side 64 /tmp/BENCH_io_ci.json
+# Benchmark lane: the end-to-end ledger's own tests, then one smoke round
+# of every workload (answers are verified inside the command).
+echo "==> benchmark lane (benchmark/ tests + smoke run)"
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
 
 echo "==> xtask self-tests"
 cargo test -q --release --manifest-path xtask/Cargo.toml
@@ -107,28 +118,23 @@ if rustc +nightly --version >/dev/null 2>&1 \
     && rustc +nightly --print sysroot 2>/dev/null \
         | xargs -I{} test -d {}/lib/rustlib/src/rust/library; then
     HOST_TARGET=$(rustc -vV | sed -n 's/^host: //p')
-    RUSTFLAGS="-Zsanitizer=thread" RAYON_NUM_THREADS=2 \
+    # -Zbuild-std (like Miri's sysroot build below) may fetch std's own
+    # dependencies, so these two lanes run with the network allowed.
+    CARGO_NET_OFFLINE=false RUSTFLAGS="-Zsanitizer=thread" RAYON_NUM_THREADS=2 \
         cargo +nightly test -q --release -Zbuild-std \
         --target "$HOST_TARGET" -p comm-serve --lib
-    RUSTFLAGS="-Zsanitizer=thread" RAYON_NUM_THREADS=2 \
+    CARGO_NET_OFFLINE=false RUSTFLAGS="-Zsanitizer=thread" RAYON_NUM_THREADS=2 \
         cargo +nightly test -q --release -Zbuild-std \
         --target "$HOST_TARGET" --test parallel_equivalence
 else
     echo "    nightly rust-src not installed; skipped (CI concurrency lane runs it)"
 fi
 
-# Hardening lane: skipped gracefully where the tools are absent; the
-# GitHub workflow installs and runs both unconditionally.
-echo "==> cargo deny"
-if command -v cargo-deny >/dev/null 2>&1; then
-    cargo deny check
-else
-    echo "    cargo-deny not installed; skipped (CI hardening lane runs it)"
-fi
-
+# Hardening lane: skipped gracefully where the tool is absent; the
+# GitHub workflow installs and runs it unconditionally.
 echo "==> miri (fibheap + graph unit tests)"
 if cargo miri --version >/dev/null 2>&1; then
-    MIRIFLAGS="-Zmiri-strict-provenance" cargo miri test -p comm-fibheap -p comm-graph --lib
+    CARGO_NET_OFFLINE=false MIRIFLAGS="-Zmiri-strict-provenance" cargo miri test -p comm-fibheap -p comm-graph --lib
 else
     echo "    miri not installed; skipped (CI hardening lane runs it)"
 fi

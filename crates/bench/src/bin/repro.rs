@@ -18,9 +18,7 @@ fn emit(tables: &[Table]) {
         println!("{}", t.to_markdown());
         let md = std::fs::File::create(format!("results/{}.md", t.id))
             .and_then(|mut f| f.write_all(t.to_markdown().as_bytes()));
-        let json = serde_json::to_string_pretty(t)
-            .map_err(std::io::Error::other)
-            .and_then(|s| std::fs::write(format!("results/{}.json", t.id), s));
+        let json = std::fs::write(format!("results/{}.json", t.id), t.to_json());
         if let Err(e) = md.and(json) {
             eprintln!("warning: could not write results for {}: {e}", t.id);
         }

@@ -5,13 +5,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod artifact;
 pub mod experiments;
 pub mod parallel;
 pub mod setup;
 pub mod table;
 
-pub use artifact::{write_artifact, ArtifactWrite};
-pub use parallel::{BatchQuery, BatchReport, BatchRunner, LatencyStats, MachineInfo};
+pub use parallel::{BatchQuery, BatchReport, BatchRunner};
 pub use setup::{IndexSource, Prepared, Scale};
 pub use table::Table;

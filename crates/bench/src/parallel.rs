@@ -1,4 +1,4 @@
-//! Concurrent batch-query driver and the `BENCH_parallel.json` report.
+//! Concurrent batch-query driver behind `comm-explore batch`.
 //!
 //! [`BatchRunner`] executes a workload of top-k community queries across a
 //! [`Parallelism`] thread pool. Every in-flight query shares one cancel
@@ -8,10 +8,10 @@
 
 use comm_core::{comm_k_guarded, Outcome, Parallelism, QuerySpec, RunGuard};
 use comm_graph::{Graph, NodeId};
-use serde::Serialize;
+use comm_serve::{json, LatencySummary};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 /// One query of a batch workload.
 #[derive(Clone, Debug)]
@@ -27,8 +27,7 @@ pub struct BatchQuery {
 }
 
 /// What happened to one query of the batch.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
-#[serde(tag = "status", rename_all = "snake_case")]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum QueryStatus {
     /// Ran to completion.
     Complete {
@@ -50,56 +49,45 @@ pub enum QueryStatus {
 }
 
 /// Per-query result: label, latency, and outcome.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct QueryResult {
     /// The query's label.
     pub label: String,
     /// Wall-clock latency in microseconds.
     pub latency_us: f64,
     /// Completion status.
-    #[serde(flatten)]
     pub status: QueryStatus,
 }
 
-/// Latency percentiles over a batch, in microseconds.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
-pub struct LatencyStats {
-    /// Median latency.
-    pub p50_us: f64,
-    /// 95th-percentile latency.
-    pub p95_us: f64,
-    /// 99th-percentile latency.
-    pub p99_us: f64,
-    /// Slowest query.
-    pub max_us: f64,
-    /// Arithmetic mean.
-    pub mean_us: f64,
-}
-
-impl LatencyStats {
-    /// Computes percentiles from raw per-query latencies (any order).
-    pub fn from_latencies(latencies: &[Duration]) -> LatencyStats {
-        if latencies.is_empty() {
-            return LatencyStats::default();
+impl QueryResult {
+    /// One flat JSON object: label, latency, a `status` tag and the
+    /// status's own fields.
+    fn to_json(&self) -> String {
+        let mut fields = vec![
+            ("label", json::string(&self.label)),
+            ("latency_us", json::number(self.latency_us)),
+        ];
+        match &self.status {
+            QueryStatus::Complete { communities } => {
+                fields.push(("status", json::string("complete")));
+                fields.push(("communities", communities.to_string()));
+            }
+            QueryStatus::Interrupted { reason, partial } => {
+                fields.push(("status", json::string("interrupted")));
+                fields.push(("reason", json::string(reason)));
+                fields.push(("partial", partial.to_string()));
+            }
+            QueryStatus::Invalid { error } => {
+                fields.push(("status", json::string("invalid")));
+                fields.push(("error", json::string(error)));
+            }
         }
-        let mut us: Vec<f64> = latencies.iter().map(|d| d.as_secs_f64() * 1e6).collect();
-        us.sort_by(f64::total_cmp);
-        let pick = |p: f64| -> f64 {
-            let idx = ((p * us.len() as f64).ceil() as usize).clamp(1, us.len()) - 1;
-            us[idx]
-        };
-        LatencyStats {
-            p50_us: pick(0.50),
-            p95_us: pick(0.95),
-            p99_us: pick(0.99),
-            max_us: us[us.len() - 1],
-            mean_us: us.iter().sum::<f64>() / us.len() as f64,
-        }
+        json::object(fields)
     }
 }
 
 /// The aggregate outcome of one batch run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BatchReport {
     /// Worker threads used.
     pub threads: usize,
@@ -115,17 +103,29 @@ pub struct BatchReport {
     pub wall_ms: f64,
     /// Aggregate throughput: queries / wall-clock seconds.
     pub qps: f64,
-    /// Latency percentiles across all queries.
-    pub latency: LatencyStats,
+    /// Latency percentiles across all queries, milliseconds.
+    pub latency_ms: LatencySummary,
     /// Per-query results, in submission order.
     pub results: Vec<QueryResult>,
 }
 
 impl BatchReport {
-    /// Pretty-printed JSON (these types cannot fail to serialize; a
-    /// hypothetical failure is reported inside the returned JSON).
-    pub fn to_json_pretty(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
+    /// Renders the report as a JSON object (stable key order).
+    pub fn to_json(&self) -> String {
+        json::object([
+            ("threads", self.threads.to_string()),
+            ("queries", self.queries.to_string()),
+            ("completed", self.completed.to_string()),
+            ("interrupted", self.interrupted.to_string()),
+            ("invalid", self.invalid.to_string()),
+            ("wall_ms", json::number(self.wall_ms)),
+            ("qps", json::number(self.qps)),
+            ("latency_ms", self.latency_ms.to_json()),
+            (
+                "results",
+                json::array(self.results.iter().map(QueryResult::to_json)),
+            ),
+        ])
     }
 }
 
@@ -219,10 +219,6 @@ impl BatchRunner {
             .collect();
         let results = self.parallelism.map(tasks);
         let wall = t0.elapsed();
-        let latencies: Vec<Duration> = results
-            .iter()
-            .map(|r| Duration::from_secs_f64(r.latency_us / 1e6))
-            .collect();
         let completed = results
             .iter()
             .filter(|r| matches!(r.status, QueryStatus::Complete { .. }))
@@ -244,67 +240,12 @@ impl BatchRunner {
             } else {
                 0.0
             },
-            latency: LatencyStats::from_latencies(&latencies),
+            latency_ms: LatencySummary::from_latencies(
+                results.iter().map(|r| r.latency_us / 1e3).collect(),
+            ),
             results,
         }
     }
-}
-
-/// Machine metadata recorded next to every timing (so numbers are never
-/// read out of context).
-#[derive(Clone, Debug, Serialize)]
-pub struct MachineInfo {
-    /// `std::env::consts::OS`.
-    pub os: &'static str,
-    /// `std::env::consts::ARCH`.
-    pub arch: &'static str,
-    /// Available hardware parallelism.
-    pub cpus: usize,
-    /// The thread-count override env var, if set.
-    pub threads_env: Option<String>,
-    /// Seconds since the Unix epoch when the report was generated.
-    pub generated_unix: u64,
-}
-
-impl MachineInfo {
-    /// Snapshot of the current machine.
-    pub fn capture() -> MachineInfo {
-        MachineInfo {
-            os: std::env::consts::OS,
-            arch: std::env::consts::ARCH,
-            cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            threads_env: std::env::var(comm_graph::parallel::THREADS_ENV).ok(),
-            generated_unix: SystemTime::now()
-                .duration_since(SystemTime::UNIX_EPOCH)
-                .map_or(0, |d| d.as_secs()),
-        }
-    }
-}
-
-/// One serial-vs-parallel micro-benchmark sample.
-#[derive(Clone, Debug, Serialize)]
-pub struct SpeedupSample {
-    /// What was measured (e.g. `"neighbor_sets_init"`).
-    pub name: String,
-    /// Worker threads.
-    pub threads: usize,
-    /// Wall-clock milliseconds (best of the measured repetitions).
-    pub best_ms: f64,
-    /// Speedup over the 1-thread sample of the same `name`.
-    pub speedup: f64,
-}
-
-/// The full `BENCH_parallel.json` document.
-#[derive(Clone, Debug, Serialize)]
-pub struct ParallelBenchReport {
-    /// Machine metadata.
-    pub machine: MachineInfo,
-    /// Dataset description (name + node/edge counts).
-    pub dataset: String,
-    /// Serial-vs-parallel micro-benchmarks at 1/2/4/8 threads.
-    pub microbench: Vec<SpeedupSample>,
-    /// Batch-driver runs at each thread count.
-    pub batches: Vec<BatchReport>,
 }
 
 #[cfg(test)]
@@ -403,15 +344,29 @@ mod tests {
     }
 
     #[test]
-    fn latency_percentiles() {
-        let ds: Vec<Duration> = (1..=100).map(Duration::from_micros).collect();
-        let s = LatencyStats::from_latencies(&ds);
-        assert!((s.p50_us - 50.0).abs() < 1e-6);
-        assert!((s.p95_us - 95.0).abs() < 1e-6);
-        assert!((s.p99_us - 99.0).abs() < 1e-6);
-        assert!((s.max_us - 100.0).abs() < 1e-6);
-        assert!((s.mean_us - 50.5).abs() < 1e-6);
-        let empty = LatencyStats::from_latencies(&[]);
-        assert_eq!(empty.p50_us, 0.0);
+    fn report_json_carries_every_status_shape() {
+        let g = fig4_graph();
+        let mut queries = paper_batch(1);
+        queries.push(BatchQuery {
+            label: "bad \"quoted\"".into(),
+            keyword_nodes: vec![],
+            rmax: FIG4_RMAX,
+            k: 3,
+        });
+        let json = BatchRunner::new(Parallelism::serial())
+            .run(&g, &queries)
+            .to_json();
+        for key in [
+            "\"threads\": 1",
+            "\"queries\": 2",
+            "\"latency_ms\": {",
+            "\"p90\":",
+            "\"status\": \"complete\"",
+            "\"communities\": 5",
+            "\"label\": \"bad \\\"quoted\\\"\"",
+            "\"status\": \"invalid\"",
+        ] {
+            assert!(json.contains(key), "missing {key} in {json}");
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! Result tables: the harness's output unit, printable as markdown and
 //! serializable to JSON for EXPERIMENTS.md regeneration.
 
-use serde::Serialize;
+use comm_serve::json;
 use std::fmt::Write as _;
 
 /// One regenerated table or figure series.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table {
     /// Stable id, e.g. `"fig9a"`.
     pub id: String,
@@ -40,6 +40,18 @@ impl Table {
     /// Appends a note shown under the table.
     pub fn note(&mut self, note: impl Into<String>) {
         self.notes.push(note.into());
+    }
+
+    /// Renders the table as a JSON object (stable key order).
+    pub fn to_json(&self) -> String {
+        let strings = |v: &[String]| json::array(v.iter().map(|s| json::string(s)));
+        json::object([
+            ("id", json::string(&self.id)),
+            ("title", json::string(&self.title)),
+            ("header", strings(&self.header)),
+            ("rows", json::array(self.rows.iter().map(|r| strings(r)))),
+            ("notes", strings(&self.notes)),
+        ])
     }
 
     /// Renders as a GitHub-flavored markdown table.
@@ -119,6 +131,17 @@ mod tests {
         assert!(md.contains("### t1 — demo"));
         assert!(md.contains("| 1 | 2 |"));
         assert!(md.contains("> a note"));
+    }
+
+    #[test]
+    fn json_rendering() {
+        let mut t = Table::new("t1", "a \"demo\"", &["x", "y"]);
+        t.push_row(vec!["1".into(), "2 µs".into()]);
+        let json = t.to_json();
+        assert!(json.contains("\"id\": \"t1\""), "{json}");
+        assert!(json.contains("\"title\": \"a \\\"demo\\\"\""), "{json}");
+        assert!(json.contains("\"2 µs\""), "{json}");
+        assert!(json.contains("\"notes\": []"), "{json}");
     }
 
     #[test]

@@ -25,8 +25,6 @@ options:
   --k N                 top-k per query (default: grid default)
   --repeat N            workload replicas (default 2)
   --deadline SECS       per-query deadline (default 30)
-  --kernel K            Dijkstra kernel: heap | bucket | auto (default
-                        auto; all kernels are bit-identical)
   --out PATH            also write the report as JSON
   --help                this text";
 
@@ -38,7 +36,6 @@ struct Options {
     k: Option<usize>,
     repeat: usize,
     deadline: u64,
-    kernel: comm_graph::Kernel,
     out: Option<String>,
 }
 
@@ -51,7 +48,6 @@ fn parse_options(args: &[String]) -> Result<Option<Options>, String> {
         k: None,
         repeat: 2,
         deadline: 30,
-        kernel: comm_graph::Kernel::Auto,
         out: None,
     };
     let mut it = args.iter();
@@ -73,9 +69,6 @@ fn parse_options(args: &[String]) -> Result<Option<Options>, String> {
             "--repeat" => opts.repeat = parse_num(&value("--repeat")?, "--repeat")?,
             "--deadline" => {
                 opts.deadline = parse_num(&value("--deadline")?, "--deadline")? as u64;
-            }
-            "--kernel" => {
-                opts.kernel = value("--kernel")?.parse().map_err(|e| format!("{e}"))?;
             }
             "--out" => opts.out = Some(value("--out")?),
             other => return Err(format!("unknown option '{other}' (try --help)")),
@@ -136,9 +129,6 @@ pub fn run(args: &[String], cancel: std::sync::Arc<std::sync::atomic::AtomicBool
         }
     }
 
-    // Worker threads check out pooled engines, so stamping the shared
-    // pool routes the kernel choice into every sweep of the run.
-    comm_graph::EnginePool::global().set_kernel(opts.kernel);
     let parallelism = opts
         .threads
         .map_or_else(Parallelism::auto, Parallelism::new);
@@ -166,19 +156,16 @@ pub fn run(args: &[String], cancel: std::sync::Arc<std::sync::atomic::AtomicBool
         "wall {:.2} ms — {:.2} queries/s — {} completed, {} interrupted, {} invalid",
         report.wall_ms, report.qps, report.completed, report.interrupted, report.invalid
     );
+    let lat = report.latency_ms;
     println!(
-        "latency µs: p50 {:.0}, p95 {:.0}, p99 {:.0}, max {:.0}, mean {:.0}",
-        report.latency.p50_us,
-        report.latency.p95_us,
-        report.latency.p99_us,
-        report.latency.max_us,
-        report.latency.mean_us
+        "latency ms: p50 {:.3}, p90 {:.3}, p99 {:.3}, max {:.3}, mean {:.3}",
+        lat.p50, lat.p90, lat.p99, lat.max, lat.mean
     );
     for r in &report.results {
         println!("  {:40} {:10.0} µs  {:?}", r.label, r.latency_us, r.status);
     }
     if let Some(path) = &opts.out {
-        match std::fs::write(path, report.to_json_pretty()) {
+        match std::fs::write(path, report.to_json() + "\n") {
             Ok(()) => println!("wrote {path}"),
             Err(e) => {
                 eprintln!("error: could not write {path}: {e}");

@@ -36,8 +36,6 @@ options:
                         becomes the vocabulary; --side is ignored)
   --side N              torus side; the graph has N*N nodes (default 16)
   --threads N           engine worker threads (default 2)
-  --kernel K            Dijkstra kernel: heap | bucket | auto (default
-                        auto; all kernels are bit-identical)
   --max-inflight N      queries executing concurrently (default 2)
   --max-queue N         admission queue depth beyond that (default 8)
   --deadline-ms MS      normal-priority deadline (default 2000)
@@ -79,7 +77,6 @@ struct ServeOptions {
     graph: Option<String>,
     side: usize,
     threads: usize,
-    kernel: comm_graph::Kernel,
     max_inflight: usize,
     max_queue: usize,
     deadline_ms: u64,
@@ -94,7 +91,6 @@ fn parse_serve(args: &[String]) -> Result<Option<ServeOptions>, String> {
         graph: None,
         side: 16,
         threads: 2,
-        kernel: comm_graph::Kernel::Auto,
         max_inflight: 2,
         max_queue: 8,
         deadline_ms: 2_000,
@@ -115,9 +111,6 @@ fn parse_serve(args: &[String]) -> Result<Option<ServeOptions>, String> {
             "--graph" => opts.graph = Some(value("--graph")?),
             "--side" => opts.side = parse_num(&value("--side")?, "--side")?,
             "--threads" => opts.threads = parse_num(&value("--threads")?, "--threads")?,
-            "--kernel" => {
-                opts.kernel = value("--kernel")?.parse().map_err(|e| format!("{e}"))?;
-            }
             "--max-inflight" => {
                 opts.max_inflight = parse_num(&value("--max-inflight")?, "--max-inflight")?;
             }
@@ -186,7 +179,6 @@ pub fn run_serve(args: &[String], cancel: Arc<AtomicBool>) -> i32 {
 
     let cfg = EngineConfig {
         parallelism: comm_graph::Parallelism::new(opts.threads),
-        kernel: opts.kernel,
         ..EngineConfig::default()
     };
     let engine = match &opts.graph {

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// What the session serves queries from: a full generated dataset (graph
-/// + relational database, so answers carry tuple labels), or a warm
+/// and relational database, so answers carry tuple labels), or a warm
 /// graph bundle mapped back from the `COMM_BENCH_CACHE` directory — the
 /// database is not persisted, so labels degrade to node ids, but loading
 /// skips generation entirely.

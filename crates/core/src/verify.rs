@@ -520,7 +520,7 @@ mod tests {
         let g = fig4_graph();
         let spec = fig4_spec();
         let mut c = comm_all(&g, &spec).remove(0);
-        c.cost = c.cost + Weight::new(1.0);
+        c.cost += Weight::new(1.0);
         assert!(matches!(
             check_community(&g, &spec, &c),
             Err(CertificationError::CostMismatch { .. })
@@ -612,7 +612,7 @@ mod tests {
         let spec = fig4_spec();
         let all = comm_all(&g, &spec);
         let mut topk = comm_k(&g, &spec, 1);
-        topk[0].cost = topk[0].cost + Weight::new(0.5);
+        topk[0].cost += Weight::new(0.5);
         assert!(matches!(
             check_topk_prefix(&topk, &all),
             Err(CertificationError::TopKNotPrefix { index: 0, .. })

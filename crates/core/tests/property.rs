@@ -1,6 +1,7 @@
 //! Property tests: the polynomial-delay enumerators must agree with the
 //! exponential naive oracle on random graphs — completeness,
 //! duplication-freeness, cost correctness, rank order, and resumability.
+//! Each property runs over [`CASES`] seeded random scenarios.
 
 use comm_core::naive::{naive_all_cores, naive_community_nodes};
 use comm_core::{
@@ -8,47 +9,44 @@ use comm_core::{
     CommK, Community, Core, CostFn, EnginePool, InterruptReason, LawlerK, NeighborSets, Outcome,
     Parallelism, ProjectionIndex, QuerySpec, RunGuard,
 };
-use comm_graph::{DijkstraEngine, Graph, GraphBuilder, Kernel, NodeId, Weight};
-use proptest::prelude::*;
+use comm_graph::{DijkstraEngine, Graph, GraphBuilder, Kernel, NodeId, SplitMix64, Weight};
 
-/// A random sparse weighted digraph plus keyword sets and a radius.
-#[derive(Debug, Clone)]
-struct Scenario {
-    n: usize,
-    edges: Vec<(u32, u32, u32)>,
-    keyword_nodes: Vec<Vec<u32>>,
-    rmax: u32,
+const CASES: u64 = 96;
+
+/// A draw from `0..n` as a `u32` (every bound here is tiny).
+fn below(rng: &mut SplitMix64, n: usize) -> u32 {
+    rng.index(n) as u32
 }
 
-fn scenario() -> impl Strategy<Value = Scenario> {
-    (4usize..18, 1usize..4)
-        .prop_flat_map(|(n, l)| {
-            let edges = proptest::collection::vec((0..n as u32, 0..n as u32, 1u32..6), 0..(n * 3));
-            let keywords =
-                proptest::collection::vec(proptest::collection::vec(0..n as u32, 1..4), l..=l);
-            (Just(n), edges, keywords, 2u32..14)
-        })
-        .prop_map(|(n, edges, keyword_nodes, rmax)| Scenario {
-            n,
-            edges,
-            keyword_nodes,
-            rmax,
-        })
-}
-
-fn build(s: &Scenario) -> (Graph, QuerySpec) {
-    let mut b = GraphBuilder::new(s.n);
-    for &(u, v, w) in &s.edges {
+/// A random sparse weighted digraph plus keyword sets and a radius: 4–17
+/// nodes, up to `3n` edges of weight `1..6`, 1–3 keyword sets of 1–3 nodes
+/// each, radius `2..14`.
+fn scenario(rng: &mut SplitMix64) -> (Graph, QuerySpec) {
+    let n = 4 + rng.index(14);
+    let l = 1 + rng.index(3);
+    let mut b = GraphBuilder::new(n);
+    for _ in 0..rng.index(n * 3) {
+        let (u, v, w) = (below(rng, n), below(rng, n), 1 + below(rng, 5));
         b.add_edge(NodeId(u), NodeId(v), Weight::from(w));
     }
-    let spec = QuerySpec::new(
-        s.keyword_nodes
-            .iter()
-            .map(|set| set.iter().map(|&v| NodeId(v)).collect())
-            .collect(),
-        Weight::from(s.rmax),
-    );
-    (b.build(), spec)
+    let keyword_nodes = (0..l)
+        .map(|_| {
+            (0..1 + rng.index(3))
+                .map(|_| NodeId(below(rng, n)))
+                .collect()
+        })
+        .collect();
+    let rmax = Weight::from(2 + below(rng, 12));
+    (b.build(), QuerySpec::new(keyword_nodes, rmax))
+}
+
+/// Runs `body` on [`CASES`] scenarios; extra per-case parameters are drawn
+/// from the same stream inside `body`.
+fn for_each_scenario(mut body: impl FnMut(&mut SplitMix64, Graph, QuerySpec)) {
+    SplitMix64::for_each_case(CASES, |rng| {
+        let (g, spec) = scenario(rng);
+        body(rng, g, spec);
+    });
 }
 
 fn sorted_cores(cores: impl IntoIterator<Item = Core>) -> Vec<Core> {
@@ -60,35 +58,29 @@ fn sorted_cores(cores: impl IntoIterator<Item = Core>) -> Vec<Core> {
 /// Structural invariants every emitted community must satisfy, on complete
 /// *and* partial (guard-interrupted) output: at least one center, strictly
 /// sorted role lists, and the core contained in the knodes.
-fn check_partial_invariants(
-    communities: &[Community],
-) -> Result<(), proptest::test_runner::TestCaseError> {
+fn check_partial_invariants(communities: &[Community]) {
     for c in communities {
-        prop_assert!(!c.centers.is_empty(), "community without a center");
-        prop_assert!(
+        assert!(!c.centers.is_empty(), "community without a center");
+        assert!(
             c.centers.windows(2).all(|w| w[0] < w[1]),
             "centers unsorted"
         );
-        prop_assert!(c.knodes.windows(2).all(|w| w[0] < w[1]), "knodes unsorted");
-        prop_assert!(
+        assert!(c.knodes.windows(2).all(|w| w[0] < w[1]), "knodes unsorted");
+        assert!(
             c.path_nodes.windows(2).all(|w| w[0] < w[1]),
             "path nodes unsorted"
         );
         for n in &c.core.0 {
-            prop_assert!(c.knodes.contains(n), "core node missing from knodes");
+            assert!(c.knodes.contains(n), "core node missing from knodes");
         }
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// COMM-all is complete and duplication-free: its core set equals the
-    /// naive oracle's exactly.
-    #[test]
-    fn comm_all_equals_naive(s in scenario()) {
-        let (g, spec) = build(&s);
+/// COMM-all is complete and duplication-free: its core set equals the
+/// naive oracle's exactly.
+#[test]
+fn comm_all_equals_naive() {
+    for_each_scenario(|_rng, g, spec| {
         let expect = sorted_cores(naive_all_cores(&g, &spec).into_iter().map(|(c, _)| c));
         let got_list: Vec<Core> = comm_all(&g, &spec).into_iter().map(|c| c.core).collect();
         let deduped = {
@@ -96,122 +88,161 @@ proptest! {
             v.sort();
             let before = v.len();
             v.dedup();
-            prop_assert_eq!(before, v.len(), "COMM-all emitted a duplicate core");
+            assert_eq!(before, v.len(), "COMM-all emitted a duplicate core");
             v
         };
-        prop_assert_eq!(deduped, expect);
-    }
+        assert_eq!(deduped, expect);
+    });
+}
 
-    /// COMM-k emits the same core set, in non-decreasing true-cost order,
-    /// with per-community costs matching the oracle.
-    #[test]
-    fn comm_k_equals_naive_in_rank_order(s in scenario()) {
-        let (g, spec) = build(&s);
+/// COMM-k emits the same core set, in non-decreasing true-cost order,
+/// with per-community costs matching the oracle.
+#[test]
+fn comm_k_equals_naive_in_rank_order() {
+    for_each_scenario(|_rng, g, spec| {
         let expect = naive_all_cores(&g, &spec);
         let got: Vec<(Core, Weight)> = CommK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
-        prop_assert_eq!(got.len(), expect.len());
+        assert_eq!(got.len(), expect.len());
         // Cost sequence identical (ties may order differently, so compare
         // the cost vectors and the core sets separately).
         let costs_got: Vec<Weight> = got.iter().map(|&(_, w)| w).collect();
         let costs_expect: Vec<Weight> = expect.iter().map(|&(_, w)| w).collect();
-        prop_assert_eq!(costs_got, costs_expect);
+        assert_eq!(costs_got, costs_expect);
         let a = sorted_cores(got.into_iter().map(|(c, _)| c));
         let b = sorted_cores(expect.into_iter().map(|(c, _)| c));
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
+}
 
-    /// Stopping and resuming CommK at an arbitrary point changes nothing.
-    #[test]
-    fn comm_k_resume_invariance(s in scenario(), split in 0usize..6) {
-        let (g, spec) = build(&s);
+/// Stopping and resuming CommK at an arbitrary point changes nothing.
+#[test]
+fn comm_k_resume_invariance() {
+    for_each_scenario(|rng, g, spec| {
+        let split = rng.index(6);
         let oneshot: Vec<Core> = CommK::new(&g, &spec).map(|c| c.core).collect();
         let mut it = CommK::new(&g, &spec);
         let mut resumed: Vec<Core> = it.by_ref().take(split).map(|c| c.core).collect();
         resumed.extend(it.map(|c| c.core));
-        prop_assert_eq!(resumed, oneshot);
-    }
+        assert_eq!(resumed, oneshot);
+    });
+}
 
-    /// GetCommunity's role assignment matches the brute-force definition.
-    #[test]
-    fn get_community_matches_definition(s in scenario()) {
-        let (g, spec) = build(&s);
+/// GetCommunity's role assignment matches the brute-force definition.
+#[test]
+fn get_community_matches_definition() {
+    for_each_scenario(|_rng, g, spec| {
         let mut engine = DijkstraEngine::new(g.node_count());
         for (core, cost) in naive_all_cores(&g, &spec).into_iter().take(8) {
-            let c = get_community(&g, &mut engine, &core, spec.rmax)
-                .expect("oracle core has a center");
-            prop_assert_eq!(c.cost, cost, "cost mismatch for {:?}", &c.core);
+            let c =
+                get_community(&g, &mut engine, &core, spec.rmax).expect("oracle core has a center");
+            assert_eq!(c.cost, cost, "cost mismatch for {:?}", &c.core);
             let (centers, members) = naive_community_nodes(&g, &core, spec.rmax);
-            prop_assert_eq!(&c.centers, &centers);
-            prop_assert_eq!(c.nodes(), &members[..]);
+            assert_eq!(&c.centers, &centers);
+            assert_eq!(c.nodes(), &members[..]);
             // Role partition: knodes ∪ centers ∪ pnodes = members.
             let mut roles: Vec<NodeId> = c
-                .knodes.iter().chain(&c.centers).chain(&c.path_nodes).copied().collect();
+                .knodes
+                .iter()
+                .chain(&c.centers)
+                .chain(&c.path_nodes)
+                .copied()
+                .collect();
             roles.sort_unstable();
             roles.dedup();
-            prop_assert_eq!(roles, members);
+            assert_eq!(roles, members);
         }
-    }
+    });
+}
 
-    /// Both expanding baselines agree with the oracle on the core set.
-    #[test]
-    fn baselines_equal_naive(s in scenario()) {
-        let (g, spec) = build(&s);
+/// Both expanding baselines agree with the oracle on the core set.
+#[test]
+fn baselines_equal_naive() {
+    for_each_scenario(|_rng, g, spec| {
         let expect = sorted_cores(naive_all_cores(&g, &spec).into_iter().map(|(c, _)| c));
-        let bu = sorted_cores(bu_all(&g, &spec, None).communities.into_iter().map(|c| c.core));
-        let td = sorted_cores(td_all(&g, &spec, None).communities.into_iter().map(|c| c.core));
-        prop_assert_eq!(&bu, &expect, "bottom-up disagrees with oracle");
-        prop_assert_eq!(&td, &expect, "top-down disagrees with oracle");
-    }
+        let bu = sorted_cores(
+            bu_all(&g, &spec, None)
+                .communities
+                .into_iter()
+                .map(|c| c.core),
+        );
+        let td = sorted_cores(
+            td_all(&g, &spec, None)
+                .communities
+                .into_iter()
+                .map(|c| c.core),
+        );
+        assert_eq!(&bu, &expect, "bottom-up disagrees with oracle");
+        assert_eq!(&td, &expect, "top-down disagrees with oracle");
+    });
+}
 
-    /// The baselines' top-k cost sequences match the polynomial-delay one.
-    #[test]
-    fn baseline_topk_order_matches_pdk(s in scenario(), k in 1usize..8) {
-        let (g, spec) = build(&s);
+/// The baselines' top-k cost sequences match the polynomial-delay one.
+#[test]
+fn baseline_topk_order_matches_pdk() {
+    for_each_scenario(|rng, g, spec| {
+        let k = 1 + rng.index(7);
         let pd: Vec<Weight> = CommK::new(&g, &spec).take(k).map(|c| c.cost).collect();
-        let bu: Vec<Weight> = bu_topk(&g, &spec, k, None).communities.iter().map(|c| c.cost).collect();
-        let td: Vec<Weight> = td_topk(&g, &spec, k, None).communities.iter().map(|c| c.cost).collect();
-        prop_assert_eq!(&bu, &pd);
-        prop_assert_eq!(&td, &pd);
-    }
+        let bu: Vec<Weight> = bu_topk(&g, &spec, k, None)
+            .communities
+            .iter()
+            .map(|c| c.cost)
+            .collect();
+        let td: Vec<Weight> = td_topk(&g, &spec, k, None)
+            .communities
+            .iter()
+            .map(|c| c.cost)
+            .collect();
+        assert_eq!(&bu, &pd);
+        assert_eq!(&td, &pd);
+    });
+}
 
-    /// The naive Lawler procedure produces the exact same enumeration as
-    /// COMM-k (it only lacks the sweep sharing).
-    #[test]
-    fn lawler_equals_comm_k(s in scenario()) {
-        let (g, spec) = build(&s);
+/// The naive Lawler procedure produces the exact same enumeration as
+/// COMM-k (it only lacks the sweep sharing).
+#[test]
+fn lawler_equals_comm_k() {
+    for_each_scenario(|_rng, g, spec| {
         let ours: Vec<(Core, Weight)> = CommK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
-        let lawler: Vec<(Core, Weight)> = LawlerK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
-        prop_assert_eq!(ours, lawler);
-    }
+        let lawler: Vec<(Core, Weight)> =
+            LawlerK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
+        assert_eq!(ours, lawler);
+    });
+}
 
-    /// The MaxDistance cost function: same result set, correct ordering,
-    /// across enumerators and the oracle.
-    #[test]
-    fn max_distance_cost_agrees_with_oracle(s in scenario()) {
-        let (g, spec) = build(&s);
+/// The MaxDistance cost function: same result set, correct ordering,
+/// across enumerators and the oracle.
+#[test]
+fn max_distance_cost_agrees_with_oracle() {
+    for_each_scenario(|_rng, g, spec| {
         let spec = spec.with_cost(CostFn::MaxDistance);
         let expect = naive_all_cores(&g, &spec);
         let got: Vec<(Core, Weight)> = CommK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
-        prop_assert_eq!(got.len(), expect.len());
+        assert_eq!(got.len(), expect.len());
         let costs_got: Vec<Weight> = got.iter().map(|&(_, w)| w).collect();
         let costs_expect: Vec<Weight> = expect.iter().map(|&(_, w)| w).collect();
-        prop_assert_eq!(costs_got, costs_expect);
-        prop_assert_eq!(
+        assert_eq!(costs_got, costs_expect);
+        assert_eq!(
             sorted_cores(got.into_iter().map(|(c, _)| c)),
             sorted_cores(expect.into_iter().map(|(c, _)| c))
         );
         // Baselines under the same cost function agree too.
         let k = 6;
         let pd: Vec<Weight> = CommK::new(&g, &spec).take(k).map(|c| c.cost).collect();
-        let bu: Vec<Weight> = bu_topk(&g, &spec, k, None).communities.iter().map(|c| c.cost).collect();
-        prop_assert_eq!(bu, pd);
-    }
+        let bu: Vec<Weight> = bu_topk(&g, &spec, k, None)
+            .communities
+            .iter()
+            .map(|c| c.cost)
+            .collect();
+        assert_eq!(bu, pd);
+    });
+}
 
-    /// Projection (Sec. VI): enumerating on the projected graph yields
-    /// exactly the communities of the full graph, including costs.
-    #[test]
-    fn projection_preserves_results(s in scenario(), slack in 0u32..4) {
-        let (g, spec) = build(&s);
+/// Projection (Sec. VI): enumerating on the projected graph yields
+/// exactly the communities of the full graph, including costs.
+#[test]
+fn projection_preserves_results() {
+    for_each_scenario(|rng, g, spec| {
+        let slack = below(rng, 4);
         let index_radius = spec.rmax + Weight::from(slack);
         let names: Vec<String> = (0..spec.l()).map(|i| format!("kw{i}")).collect();
         let idx = ProjectionIndex::build(
@@ -223,88 +254,106 @@ proptest! {
             index_radius,
         );
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let pq = idx.project(&name_refs, spec.rmax).expect("all keywords indexed");
+        let pq = idx
+            .project(&name_refs, spec.rmax)
+            .expect("all keywords indexed");
         let full: Vec<(Core, Weight)> = naive_all_cores(&g, &spec);
         let mut projected: Vec<(Core, Weight)> = comm_all(&pq.projected.graph, &pq.spec)
             .into_iter()
             .map(|c| {
                 (
-                    Core(c.core.0.iter().map(|&n| pq.projected.to_original(n)).collect()),
+                    Core(
+                        c.core
+                            .0
+                            .iter()
+                            .map(|&n| pq.projected.to_original(n))
+                            .collect(),
+                    ),
                     c.cost,
                 )
             })
             .collect();
         projected.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        prop_assert_eq!(projected, full);
-    }
+        assert_eq!(projected, full);
+    });
+}
 
-    /// A guarded COMM-all tripped at any fault-injection point emits an
-    /// exact prefix of the unguarded enumeration, and every partial
-    /// community still satisfies the structural invariants.
-    #[test]
-    fn guarded_comm_all_is_prefix_of_unguarded(s in scenario(), trip in 0u64..600) {
-        let (g, spec) = build(&s);
-        let full: Vec<(Core, Weight)> =
-            comm_all(&g, &spec).into_iter().map(|c| (c.core, c.cost)).collect();
+/// A guarded COMM-all tripped at any fault-injection point emits an
+/// exact prefix of the unguarded enumeration, and every partial
+/// community still satisfies the structural invariants.
+#[test]
+fn guarded_comm_all_is_prefix_of_unguarded() {
+    for_each_scenario(|rng, g, spec| {
+        let trip = rng.below(600);
+        let full: Vec<(Core, Weight)> = comm_all(&g, &spec)
+            .into_iter()
+            .map(|c| (c.core, c.cost))
+            .collect();
         let out = comm_all_guarded(&g, &spec, RunGuard::new().with_trip_after(trip)).unwrap();
         let (partial, interrupted) = match out {
             Outcome::Complete(v) => (v, false),
             Outcome::Interrupted { reason, partial } => {
-                prop_assert_eq!(reason, InterruptReason::Injected);
+                assert_eq!(reason, InterruptReason::Injected);
                 (partial, true)
             }
         };
-        prop_assert!(partial.len() <= full.len());
+        assert!(partial.len() <= full.len());
         for (got, want) in partial.iter().zip(&full) {
-            prop_assert_eq!(&got.core, &want.0, "guarded output diverged from prefix");
-            prop_assert_eq!(got.cost, want.1);
+            assert_eq!(&got.core, &want.0, "guarded output diverged from prefix");
+            assert_eq!(got.cost, want.1);
         }
         if !interrupted {
-            prop_assert_eq!(partial.len(), full.len(), "untripped run must be complete");
+            assert_eq!(partial.len(), full.len(), "untripped run must be complete");
         }
-        check_partial_invariants(&partial)?;
-    }
+        check_partial_invariants(&partial);
+    });
+}
 
-    /// Same prefix guarantee for COMM-k, plus rank order: costs on the
-    /// partial output are non-decreasing.
-    #[test]
-    fn guarded_comm_k_is_ranked_prefix_of_unguarded(s in scenario(), trip in 0u64..600) {
-        let (g, spec) = build(&s);
-        let full: Vec<(Core, Weight)> =
-            CommK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
+/// Same prefix guarantee for COMM-k, plus rank order: costs on the
+/// partial output are non-decreasing.
+#[test]
+fn guarded_comm_k_is_ranked_prefix_of_unguarded() {
+    for_each_scenario(|rng, g, spec| {
+        let trip = rng.below(600);
+        let full: Vec<(Core, Weight)> = CommK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
         let out =
             comm_k_guarded(&g, &spec, usize::MAX, RunGuard::new().with_trip_after(trip)).unwrap();
         let partial = out.into_value();
-        prop_assert!(partial.len() <= full.len());
+        assert!(partial.len() <= full.len());
         for (got, want) in partial.iter().zip(&full) {
-            prop_assert_eq!(&got.core, &want.0, "guarded output diverged from prefix");
-            prop_assert_eq!(got.cost, want.1);
+            assert_eq!(&got.core, &want.0, "guarded output diverged from prefix");
+            assert_eq!(got.cost, want.1);
         }
         for w in partial.windows(2) {
-            prop_assert!(w[0].cost <= w[1].cost, "partial ranking out of order");
+            assert!(w[0].cost <= w[1].cost, "partial ranking out of order");
         }
-        check_partial_invariants(&partial)?;
-    }
+        check_partial_invariants(&partial);
+    });
+}
 
-    /// Monotonicity: growing the radius can only add communities.
-    #[test]
-    fn radius_monotonicity(s in scenario()) {
-        let (g, spec) = build(&s);
+/// Monotonicity: growing the radius can only add communities.
+#[test]
+fn radius_monotonicity() {
+    for_each_scenario(|_rng, g, spec| {
         let small = sorted_cores(naive_all_cores(&g, &spec).into_iter().map(|(c, _)| c));
         let mut bigger = spec.clone();
         bigger.rmax = spec.rmax + Weight::from(3u32);
         let large = sorted_cores(comm_all(&g, &bigger).into_iter().map(|c| c.core));
         for c in &small {
-            prop_assert!(large.binary_search(c).is_ok(), "lost {c:?} when radius grew");
+            assert!(
+                large.binary_search(c).is_ok(),
+                "lost {c:?} when radius grew"
+            );
         }
-    }
+    });
+}
 
-    /// Parallel `NeighborSets` refill is bit-identical to the serial
-    /// per-dimension loop: same dist/src per dimension and node, same
-    /// sum/count accumulators, for every thread count.
-    #[test]
-    fn parallel_neighbor_sets_match_serial(s in scenario()) {
-        let (g, spec) = build(&s);
+/// Parallel `NeighborSets` refill is bit-identical to the serial
+/// per-dimension loop: same dist/src per dimension and node, same
+/// sum/count accumulators, for every thread count.
+#[test]
+fn parallel_neighbor_sets_match_serial() {
+    for_each_scenario(|_rng, g, spec| {
         let l = spec.l();
         let n = g.node_count();
         let mut serial = NeighborSets::new(l, n);
@@ -315,32 +364,60 @@ proptest! {
         let pool = EnginePool::new();
         for threads in [1usize, 2, 4, 8] {
             let mut par = NeighborSets::new(l, n);
-            par.recompute_all(&g, &pool, &spec.keyword_nodes, spec.rmax,
-                Parallelism::new(threads));
+            par.recompute_all(
+                &g,
+                &pool,
+                &spec.keyword_nodes,
+                spec.rmax,
+                Parallelism::new(threads),
+            );
             for u in (0..n as u32).map(NodeId) {
                 for i in 0..l {
-                    prop_assert_eq!(par.dist(i, u), serial.dist(i, u),
-                        "dist dim {} node {} at {} threads", i, u, threads);
-                    prop_assert_eq!(par.src(i, u), serial.src(i, u),
-                        "src dim {} node {} at {} threads", i, u, threads);
+                    assert_eq!(
+                        par.dist(i, u),
+                        serial.dist(i, u),
+                        "dist dim {} node {} at {} threads",
+                        i,
+                        u,
+                        threads
+                    );
+                    assert_eq!(
+                        par.src(i, u),
+                        serial.src(i, u),
+                        "src dim {} node {} at {} threads",
+                        i,
+                        u,
+                        threads
+                    );
                 }
-                prop_assert_eq!(par.sum(u), serial.sum(u),
-                    "sum at node {} at {} threads", u, threads);
-                prop_assert_eq!(par.count(u), serial.count(u),
-                    "count at node {} at {} threads", u, threads);
+                assert_eq!(
+                    par.sum(u),
+                    serial.sum(u),
+                    "sum at node {} at {} threads",
+                    u,
+                    threads
+                );
+                assert_eq!(
+                    par.count(u),
+                    serial.count(u),
+                    "count at node {} at {} threads",
+                    u,
+                    threads
+                );
             }
-            prop_assert_eq!(par.best_core(), serial.best_core());
+            assert_eq!(par.best_core(), serial.best_core());
         }
-    }
+    });
+}
 
-    /// The fused batched refill is bit-identical to the serial
-    /// per-dimension loop under every kernel: same dist/src per dimension
-    /// and node, same sum/count accumulators, same best core. (Calling
-    /// `recompute_all_batched_guarded` directly bypasses the seed-mass
-    /// gate, so the fused pass itself is exercised even on tiny inputs.)
-    #[test]
-    fn batched_neighbor_sets_match_serial(s in scenario()) {
-        let (g, spec) = build(&s);
+/// The fused batched refill is bit-identical to the serial
+/// per-dimension loop under every kernel: same dist/src per dimension
+/// and node, same sum/count accumulators, same best core. (Calling
+/// `recompute_all_batched_guarded` directly bypasses the seed-mass
+/// gate, so the fused pass itself is exercised even on tiny inputs.)
+#[test]
+fn batched_neighbor_sets_match_serial() {
+    for_each_scenario(|_rng, g, spec| {
         let l = spec.l();
         let n = g.node_count();
         let mut serial = NeighborSets::new(l, n);
@@ -354,49 +431,82 @@ proptest! {
             let mut batched = NeighborSets::new(l, n);
             batched
                 .recompute_all_batched_guarded(
-                    &g, &pool, &spec.keyword_nodes, spec.rmax, &RunGuard::unlimited())
+                    &g,
+                    &pool,
+                    &spec.keyword_nodes,
+                    spec.rmax,
+                    &RunGuard::unlimited(),
+                )
                 .expect("unlimited guard never trips");
             for u in (0..n as u32).map(NodeId) {
                 for i in 0..l {
-                    prop_assert_eq!(batched.dist(i, u), serial.dist(i, u),
-                        "dist dim {} node {} kernel {}", i, u, kernel);
-                    prop_assert_eq!(batched.src(i, u), serial.src(i, u),
-                        "src dim {} node {} kernel {}", i, u, kernel);
+                    assert_eq!(
+                        batched.dist(i, u),
+                        serial.dist(i, u),
+                        "dist dim {} node {} kernel {}",
+                        i,
+                        u,
+                        kernel
+                    );
+                    assert_eq!(
+                        batched.src(i, u),
+                        serial.src(i, u),
+                        "src dim {} node {} kernel {}",
+                        i,
+                        u,
+                        kernel
+                    );
                 }
-                prop_assert_eq!(batched.sum(u), serial.sum(u),
-                    "sum at node {} kernel {}", u, kernel);
-                prop_assert_eq!(batched.count(u), serial.count(u),
-                    "count at node {} kernel {}", u, kernel);
+                assert_eq!(
+                    batched.sum(u),
+                    serial.sum(u),
+                    "sum at node {} kernel {}",
+                    u,
+                    kernel
+                );
+                assert_eq!(
+                    batched.count(u),
+                    serial.count(u),
+                    "count at node {} kernel {}",
+                    u,
+                    kernel
+                );
             }
-            prop_assert_eq!(batched.best_core(), serial.best_core());
+            assert_eq!(batched.best_core(), serial.best_core());
         }
-    }
+    });
+}
 
-    /// Tripping one shared cancel flag interrupts every in-flight query of
-    /// a concurrent batch: each returns `Outcome::Interrupted` with the
-    /// cancellation reason and a valid (possibly empty) prefix.
-    #[test]
-    fn shared_guard_trip_interrupts_every_inflight_query(s in scenario(), batch in 2usize..6) {
-        let (g, spec) = build(&s);
+/// Tripping one shared cancel flag interrupts every in-flight query of
+/// a concurrent batch: each returns `Outcome::Interrupted` with the
+/// cancellation reason and a valid (possibly empty) prefix.
+#[test]
+fn shared_guard_trip_interrupts_every_inflight_query() {
+    for_each_scenario(|rng, g, spec| {
+        let batch = 2 + rng.index(4);
         let flag = RunGuard::new().cancel_flag();
         flag.store(true, std::sync::atomic::Ordering::SeqCst);
         let tasks: Vec<_> = (0..batch)
             .map(|_| {
                 let (g, spec, flag) = (&g, &spec, &flag);
                 move || {
-                    comm_k_guarded(g, spec, usize::MAX,
-                        RunGuard::new().with_cancel_flag(std::sync::Arc::clone(flag)))
+                    comm_k_guarded(
+                        g,
+                        spec,
+                        usize::MAX,
+                        RunGuard::new().with_cancel_flag(std::sync::Arc::clone(flag)),
+                    )
                 }
             })
             .collect();
         for out in Parallelism::new(4).map(tasks) {
             match out.unwrap() {
                 Outcome::Interrupted { reason, partial } => {
-                    prop_assert_eq!(reason, InterruptReason::Cancelled);
-                    check_partial_invariants(&partial)?;
+                    assert_eq!(reason, InterruptReason::Cancelled);
+                    check_partial_invariants(&partial);
                 }
-                Outcome::Complete(_) => prop_assert!(false, "tripped guard ran to completion"),
+                Outcome::Complete(_) => panic!("tripped guard ran to completion"),
             }
         }
-    }
+    });
 }

@@ -9,25 +9,17 @@
 //! environment variable — see [`load_or_generate`]. Unset means caching
 //! is disabled and every load generates from scratch.
 //!
-//! New bundles are written as CGPH v2 containers
-//! ([`comm_graph::container`]): the CSR arrays land as fixed-width
-//! checksummed sections that load by `mmap` without a parse step, the
-//! keyword map rides in the keywords section, and the index blob in the
-//! extra section. The legacy CBDL v1 edge-list format is still readable
-//! for migration ([`load_bundle`] dispatches on the magic), but saves
-//! always produce v2.
+//! Bundles are CGPH v2 containers ([`comm_graph::container`]): the CSR
+//! arrays land as fixed-width checksummed sections that load by `mmap`
+//! without a parse step, the keyword map rides in the keywords section,
+//! and the index blob in the extra section. Any other file (a legacy
+//! `CBDL` bundle included) fails to load and is regenerated over.
 
 use comm_graph::container::{load_container, save_container};
-use comm_graph::io::{read_graph, PREALLOC_CAP};
 use comm_graph::{Graph, NodeId};
 use std::collections::HashMap;
-use std::io::{self, BufReader, Read};
+use std::io;
 use std::path::{Path, PathBuf};
-
-/// Magic of the legacy CBDL v1 bundle format (little-endian edge lists).
-const V1_MAGIC: [u8; 4] = *b"CBDL";
-/// The only CBDL version ever written.
-const V1_VERSION: u32 = 1;
 
 /// The environment variable naming the bundle cache directory.
 ///
@@ -58,10 +50,6 @@ impl GraphBundle {
     }
 }
 
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
 /// Saves a bundle: the graph and the given `(keyword, nodes)` pairs.
 ///
 /// Writes a CGPH v2 container atomically (temp file + fsync + rename);
@@ -85,84 +73,13 @@ pub fn save_bundle_with_index<'a>(
     save_container(path, graph, keywords, index_blob)
 }
 
-/// Loads a bundle written by [`save_bundle`] (CGPH v2, zero-copy on unix)
-/// or by the pre-v2 cache layer (CBDL v1 edge lists, parsed and checked).
+/// Loads a bundle written by [`save_bundle`] (zero-copy on unix).
 pub fn load_bundle(path: impl AsRef<Path>) -> io::Result<GraphBundle> {
-    let path = path.as_ref();
-    let mut head = [0u8; 4];
-    std::fs::File::open(path)?.read_exact(&mut head)?;
-    if head == V1_MAGIC {
-        return load_bundle_v1(path);
-    }
     let c = load_container(path)?;
     Ok(GraphBundle {
         graph: c.graph,
         keyword_nodes: c.keyword_nodes,
         index_blob: c.extra,
-    })
-}
-
-/// Reader for the legacy CBDL v1 bundle format. Enforces the same
-/// contract the v2 container does: lowercase keys, sorted-distinct
-/// in-range node lists, bounded preallocation, and no trailing bytes.
-fn load_bundle_v1(path: &Path) -> io::Result<GraphBundle> {
-    let mut r = BufReader::new(std::fs::File::open(path)?);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if magic != V1_MAGIC {
-        return Err(bad("not a CBDL bundle file"));
-    }
-    let mut v4 = [0u8; 4];
-    r.read_exact(&mut v4)?;
-    if u32::from_le_bytes(v4) != V1_VERSION {
-        return Err(bad("unsupported CBDL version"));
-    }
-    r.read_exact(&mut v4)?;
-    let count = u32::from_le_bytes(v4) as usize;
-    let mut keyword_nodes = HashMap::with_capacity(count.min(PREALLOC_CAP));
-    for _ in 0..count {
-        r.read_exact(&mut v4)?;
-        let len = u32::from_le_bytes(v4) as usize;
-        if len > 1 << 20 {
-            return Err(bad("implausible keyword length"));
-        }
-        let mut buf = vec![0u8; len];
-        r.read_exact(&mut buf)?;
-        let kw = String::from_utf8(buf).map_err(|_| bad("keyword is not UTF-8"))?;
-        // Old writers emitted keys as-given; the lookup side lowercases, so
-        // an uppercase key on disk used to be silently unreachable. Fold
-        // here and reject collisions instead.
-        let kw = kw.to_lowercase();
-        r.read_exact(&mut v4)?;
-        let n = u32::from_le_bytes(v4) as usize;
-        let mut nodes = Vec::with_capacity(n.min(PREALLOC_CAP));
-        for _ in 0..n {
-            r.read_exact(&mut v4)?;
-            nodes.push(NodeId(u32::from_le_bytes(v4)));
-        }
-        if !nodes.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err(bad(format!(
-                "node list for keyword '{kw}' is not sorted and distinct"
-            )));
-        }
-        if keyword_nodes.insert(kw.clone(), nodes).is_some() {
-            return Err(bad(format!("duplicate keyword '{kw}' in bundle")));
-        }
-    }
-    let graph = read_graph(&mut r)?;
-    let mut trailing = [0u8; 1];
-    if r.read(&mut trailing)? != 0 {
-        return Err(bad("trailing bytes after bundle payload"));
-    }
-    for nodes in keyword_nodes.values() {
-        if nodes.iter().any(|n| n.index() >= graph.node_count()) {
-            return Err(bad("keyword node out of graph range"));
-        }
-    }
-    Ok(GraphBundle {
-        graph,
-        keyword_nodes,
-        index_blob: None,
     })
 }
 
@@ -261,8 +178,6 @@ pub fn load_or_generate_in(
 mod tests {
     use super::*;
     use comm_graph::graph_from_edges;
-    use comm_graph::io::write_graph;
-    use std::io::Write;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A fresh directory per test invocation — fixed names collide when
@@ -280,25 +195,6 @@ mod tests {
 
     fn sample() -> Graph {
         graph_from_edges(4, &[(0, 1, 1.0), (1, 2, 2.5), (3, 0, 4.0)])
-    }
-
-    /// Writes a legacy CBDL v1 bundle exactly as the old cache layer did
-    /// (keys as-given, no sortedness checks, graph appended last).
-    fn write_v1(path: &Path, entries: &[(&str, &[NodeId])], graph: &Graph) {
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path).unwrap());
-        w.write_all(&V1_MAGIC).unwrap();
-        w.write_all(&V1_VERSION.to_le_bytes()).unwrap();
-        w.write_all(&(entries.len() as u32).to_le_bytes()).unwrap();
-        for (kw, nodes) in entries {
-            w.write_all(&(kw.len() as u32).to_le_bytes()).unwrap();
-            w.write_all(kw.as_bytes()).unwrap();
-            w.write_all(&(nodes.len() as u32).to_le_bytes()).unwrap();
-            for n in *nodes {
-                w.write_all(&n.0.to_le_bytes()).unwrap();
-            }
-        }
-        write_graph(graph, &mut w).unwrap();
-        w.flush().unwrap();
     }
 
     #[test]
@@ -345,102 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_bundles_still_load() {
-        let g = sample();
-        let dir = unique_dir("v1");
-        let path = dir.join("b.cbdl");
-        write_v1(
-            &path,
-            &[
-                ("alpha", [NodeId(0), NodeId(2)].as_slice()),
-                ("beta", [NodeId(3)].as_slice()),
-            ],
-            &g,
-        );
-        let b = load_bundle(&path).unwrap();
-        assert_eq!(b.graph.edge_count(), 3);
-        assert_eq!(b.keyword_nodes("alpha"), &[NodeId(0), NodeId(2)]);
-        assert!(b.index_blob.is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_rejects_trailing_bytes() {
-        let g = sample();
-        let dir = unique_dir("v1trail");
-        let path = dir.join("b.cbdl");
-        write_v1(&path, &[("alpha", [NodeId(0)].as_slice())], &g);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.push(0);
-        std::fs::write(&path, &bytes).unwrap();
-        let err = load_bundle(&path).unwrap_err();
-        assert!(err.to_string().contains("trailing"), "got: {err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_rejects_unsorted_or_duplicate_nodes() {
-        let g = sample();
-        let dir = unique_dir("v1sort");
-        for nodes in [
-            [NodeId(2), NodeId(0)].as_slice(),
-            [NodeId(1), NodeId(1)].as_slice(),
-        ] {
-            let path = dir.join("b.cbdl");
-            write_v1(&path, &[("alpha", nodes)], &g);
-            let err = load_bundle(&path).unwrap_err();
-            assert!(err.to_string().contains("sorted"), "got: {err}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_uppercase_keywords_become_reachable() {
-        // Regression: the lookup side lowercases, so a v1 bundle with an
-        // uppercase key on disk used to load into an unreachable entry.
-        let g = sample();
-        let dir = unique_dir("v1case");
-        let path = dir.join("b.cbdl");
-        write_v1(&path, &[("Alpha", [NodeId(0), NodeId(2)].as_slice())], &g);
-        let b = load_bundle(&path).unwrap();
-        assert_eq!(b.keyword_nodes("alpha"), &[NodeId(0), NodeId(2)]);
-        assert_eq!(b.keyword_nodes("Alpha"), &[NodeId(0), NodeId(2)]);
-        assert!(b.keyword_nodes.contains_key("alpha"));
-
-        // ...and two keys that collide after folding are a corrupt bundle,
-        // not a silent last-writer-wins.
-        write_v1(
-            &path,
-            &[
-                ("Alpha", [NodeId(0)].as_slice()),
-                ("alpha", [NodeId(2)].as_slice()),
-            ],
-            &g,
-        );
-        let err = load_bundle(&path).unwrap_err();
-        assert!(err.to_string().contains("duplicate"), "got: {err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_hostile_node_count_cannot_preallocate() {
-        // A four-byte header field claiming u32::MAX nodes must fail on
-        // the missing bytes, not allocate 16 GiB up front.
-        let dir = unique_dir("v1alloc");
-        let path = dir.join("b.cbdl");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&V1_MAGIC);
-        bytes.extend_from_slice(&V1_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(b"kw");
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(load_bundle(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn load_or_generate_disabled_miss_then_hit() {
         let make = || GraphBundle {
             graph: sample(),
@@ -470,16 +270,26 @@ mod tests {
     fn load_or_generate_self_heals_corrupt_cache() {
         let dir = unique_dir("heal");
         let key = "dataset";
-        std::fs::write(bundle_path(&dir, key), b"not a container").unwrap();
-        let (b, outcome) = load_or_generate_in(Some(&dir), key, || GraphBundle {
-            graph: sample(),
-            keyword_nodes: HashMap::new(),
-            index_blob: None,
-        });
-        assert_eq!(outcome, CacheOutcome::Miss { saved: true });
-        assert_eq!(b.graph.node_count(), 4);
-        // The corrupt file was overwritten with a loadable bundle.
-        assert!(load_bundle(bundle_path(&dir, key)).is_ok());
+        // A legacy CBDL v1 header whose keyword count claims u32::MAX
+        // entries: named by its magic and rejected before any count is read.
+        let mut cbdl = b"CBDL".to_vec();
+        cbdl.extend_from_slice(&1u32.to_le_bytes());
+        cbdl.extend_from_slice(&u32::MAX.to_le_bytes());
+        for stale in [b"not a container".as_slice(), &cbdl] {
+            std::fs::write(bundle_path(&dir, key), stale).unwrap();
+            let err = load_bundle(bundle_path(&dir, key)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("magic"), "got: {err}");
+            let (b, outcome) = load_or_generate_in(Some(&dir), key, || GraphBundle {
+                graph: sample(),
+                keyword_nodes: HashMap::new(),
+                index_blob: None,
+            });
+            assert_eq!(outcome, CacheOutcome::Miss { saved: true });
+            assert_eq!(b.graph.node_count(), 4);
+            // The stale file was overwritten with a loadable bundle.
+            assert!(load_bundle(bundle_path(&dir, key)).is_ok());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

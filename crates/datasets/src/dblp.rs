@@ -15,11 +15,10 @@
 use crate::keywords::{filler_title, plant_keywords, PlantSpec};
 use crate::sampling::WeightedSampler;
 use crate::workload::{topical_plant_specs, DBLP_KEYWORD_GROUPS};
+use comm_graph::SplitMix64;
 use comm_rdb::{
     ColumnDef, ColumnType, Database, DatabaseGraph, EdgeMode, TableSchema, Value, WeightScheme,
 };
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Configuration for the DBLP-like generator.
 #[derive(Clone, Debug)]
@@ -70,21 +69,6 @@ impl DblpConfig {
         self
     }
 
-    /// The large I/O-benchmark scale: ≈1M tuples, ≈2.6M directed edges —
-    /// big enough that a CGPH v2 container clears the page-cache noise
-    /// floor, small enough to regenerate in seconds. This is the setting
-    /// `comm-bench`'s `io_bench` binary uses with `--large` for the
-    /// `BENCH_io.json` cold-build vs v1-load vs v2-mmap comparison.
-    pub fn large_scale() -> DblpConfig {
-        let mut c = DblpConfig {
-            authors: 150_000,
-            papers: 250_000,
-            ..DblpConfig::default()
-        };
-        c.topics = 40;
-        c
-    }
-
     /// The paper's full DBLP 2008 scale: 597K authors, 986K papers
     /// (≈ 4.1M tuples, ≈ 10.2M directed edges). Generates in ~20 s.
     pub fn paper_scale() -> DblpConfig {
@@ -111,7 +95,7 @@ pub struct GeneratedDataset {
 
 /// Generates the DBLP-like database and materializes its graph.
 pub fn generate_dblp(config: &DblpConfig) -> GeneratedDataset {
-    let mut rng = SmallRng::seed_from_u64(config.seed);
+    let mut rng = SplitMix64::new(config.seed);
 
     // Every author belongs to one research topic; papers inherit the first
     // author's topic, and co-authors / citations stay in-topic with
@@ -137,7 +121,7 @@ pub fn generate_dblp(config: &DblpConfig) -> GeneratedDataset {
         chosen.push(first);
         author_sampler.add(first, 1);
         while chosen.len() < count {
-            let want_in_topic = rng.gen::<f64>() < config.topic_bias;
+            let want_in_topic = rng.unit_f64() < config.topic_bias;
             // Rejection-sample a preferential pick until the topic matches
             // (bounded: fall back to any author after a few tries).
             let mut a = author_sampler.sample(&mut rng);
@@ -165,12 +149,12 @@ pub fn generate_dblp(config: &DblpConfig) -> GeneratedDataset {
     let cite_count = ((config.papers as f64) * config.cite_ratio).round() as usize;
     let mut cites: Vec<(usize, usize)> = Vec::with_capacity(cite_count);
     while cites.len() < cite_count && config.papers > 1 {
-        let a = rng.gen_range(0..config.papers);
-        let b = rng.gen_range(0..config.papers);
+        let a = rng.index(config.papers);
+        let b = rng.index(config.papers);
         if a == b {
             continue;
         }
-        if rng.gen::<f64>() < config.topic_bias && paper_topic[a] != paper_topic[b] {
+        if rng.unit_f64() < config.topic_bias && paper_topic[a] != paper_topic[b] {
             continue;
         }
         cites.push((a, b));
@@ -280,7 +264,7 @@ pub fn generate_dblp(config: &DblpConfig) -> GeneratedDataset {
 }
 
 /// Small-mean Poisson sampler (Knuth's method; mean ≤ ~10 in practice).
-fn sample_poisson(rng: &mut SmallRng, mean: f64) -> usize {
+fn sample_poisson(rng: &mut SplitMix64, mean: f64) -> usize {
     if mean <= 0.0 {
         return 0;
     }
@@ -288,7 +272,7 @@ fn sample_poisson(rng: &mut SmallRng, mean: f64) -> usize {
     let mut k = 0usize;
     let mut p = 1.0f64;
     loop {
-        p *= rng.gen::<f64>();
+        p *= rng.unit_f64();
         if p <= limit {
             return k;
         }
@@ -306,15 +290,6 @@ mod tests {
 
     fn small() -> DblpConfig {
         DblpConfig::default().scaled(0.1)
-    }
-
-    #[test]
-    fn large_scale_sits_between_default_and_paper() {
-        let d = DblpConfig::default();
-        let l = DblpConfig::large_scale();
-        let p = DblpConfig::paper_scale();
-        assert!(d.authors < l.authors && l.authors < p.authors);
-        assert!(d.papers < l.papers && l.papers < p.papers);
     }
 
     #[test]

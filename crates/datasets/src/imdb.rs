@@ -14,11 +14,10 @@ use crate::dblp::GeneratedDataset;
 use crate::keywords::{filler_title, plant_keywords, PlantSpec};
 use crate::sampling::WeightedSampler;
 use crate::workload::{all_plant_specs, IMDB_KEYWORD_GROUPS};
+use comm_graph::SplitMix64;
 use comm_rdb::{
     ColumnDef, ColumnType, Database, DatabaseGraph, EdgeMode, TableSchema, Value, WeightScheme,
 };
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Configuration for the IMDB-like generator.
 #[derive(Clone, Debug)]
@@ -84,7 +83,7 @@ const OCCUPATIONS: [&str; 6] = [
 
 /// Generates the IMDB-like database and materializes its graph.
 pub fn generate_imdb(config: &ImdbConfig) -> GeneratedDataset {
-    let mut rng = SmallRng::seed_from_u64(config.seed);
+    let mut rng = SplitMix64::new(config.seed);
 
     // Ratings: per user, a long-tailed count (exponential-ish around the
     // mean); movies chosen preferentially (hits get most ratings).
@@ -208,11 +207,11 @@ pub fn generate_imdb(config: &ImdbConfig) -> GeneratedDataset {
 }
 
 /// Samples `floor(Exp(mean))` (long-tailed, mean ≈ `mean`).
-fn sample_exponential(rng: &mut SmallRng, mean: f64) -> usize {
+fn sample_exponential(rng: &mut SplitMix64, mean: f64) -> usize {
     if mean <= 0.0 {
         return 0;
     }
-    let u: f64 = rng.gen::<f64>().max(1e-12);
+    let u: f64 = rng.unit_f64().max(1e-12);
     (-u.ln() * mean).floor() as usize
 }
 
@@ -267,7 +266,9 @@ mod tests {
 
     #[test]
     fn movie_popularity_long_tailed() {
-        let d = generate_imdb(&small());
+        // Default scale: at `small()` the per-user rating count is capped by
+        // the movie count and the spread shrinks to sampling noise.
+        let d = generate_imdb(&ImdbConfig::default());
         let movies = d.db.table(TableId(1)).len();
         let mut pop = vec![0usize; movies];
         let ratings = d.db.table(TableId(2));
@@ -278,10 +279,8 @@ mod tests {
         let max = *pop.iter().max().unwrap();
         let min = *pop.iter().min().unwrap();
         let mean = pop.iter().sum::<usize>() as f64 / movies as f64;
-        // The graph is so dense that popular movies saturate (every user
-        // rated them); skew shows up as a wide min–max spread instead.
-        assert!(max as f64 > mean * 1.3, "max {max}, mean {mean}");
-        assert!((min as f64) < mean * 0.7, "min {min}, mean {mean}");
+        assert!(max as f64 > mean * 1.8, "max {max}, mean {mean}");
+        assert!((min as f64) < mean * 0.2, "min {min}, mean {mean}");
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! benchmark keyword into exactly `round(kwf · total_tuples)` title-bearing
 //! tuples, so the KWF axis of Figs. 9–11 is exact rather than approximate.
 
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use comm_graph::SplitMix64;
 
 /// A keyword to plant and its target frequency.
 #[derive(Clone, Debug)]
@@ -48,7 +46,7 @@ pub fn plant_keywords(
     seed: u64,
 ) {
     assert!(title_topics.is_empty() || title_topics.len() == titles.len());
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut rng = SplitMix64::new(seed ^ 0x9e37_79b9_7f4a_7c15);
     // Titles already hosting some keyword, per topic cluster.
     let mut hosts_by_topic: std::collections::HashMap<usize, Vec<usize>> =
         std::collections::HashMap::new();
@@ -77,7 +75,7 @@ pub fn plant_keywords(
             if let Some(prior) = hosts_by_topic.get(&topic) {
                 let co_n = ((want as f64) * co_bias).round() as usize;
                 let mut order = prior.clone();
-                order.shuffle(&mut rng);
+                rng.shuffle(&mut order);
                 for i in order {
                     if chosen.len() >= co_n {
                         break;
@@ -91,7 +89,7 @@ pub fn plant_keywords(
                 .collect();
             let topical = (((want as f64) * topic_bias).round() as usize).min(want);
             let mut order = in_topic;
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             for i in order {
                 if chosen.len() >= topical {
                     break;
@@ -101,7 +99,7 @@ pub fn plant_keywords(
         }
         // 3. Uniform remainder.
         let mut order: Vec<usize> = (0..titles.len()).collect();
-        order.shuffle(&mut rng);
+        rng.shuffle(&mut order);
         for &i in &order {
             if chosen.len() >= want {
                 break;
@@ -148,23 +146,23 @@ pub const FILLER_WORDS: [&str; 24] = [
 ];
 
 /// Generates a filler title of 2–6 words.
-pub fn filler_title(rng: &mut SmallRng) -> String {
-    let len = rng.gen_range(2..=6);
+pub fn filler_title(rng: &mut SplitMix64) -> String {
+    let len = 2 + rng.index(5);
     let mut out = String::new();
     for i in 0..len {
         if i > 0 {
             out.push(' ');
         }
-        out.push_str(FILLER_WORDS[rng.gen_range(0..FILLER_WORDS.len())]);
+        out.push_str(FILLER_WORDS[rng.index(FILLER_WORDS.len())]);
     }
     out
 }
 
 /// Samples an index in `0..weights.len()` proportional to `weights + 1`
 /// (preferential attachment with add-one smoothing).
-pub fn preferential_pick(rng: &mut SmallRng, weights: &[u32], total_plus_n: u64) -> usize {
+pub fn preferential_pick(rng: &mut SplitMix64, weights: &[u32], total_plus_n: u64) -> usize {
     debug_assert!(total_plus_n >= weights.len() as u64);
-    let mut t = rng.gen_range(0..total_plus_n);
+    let mut t = rng.below(total_plus_n);
     for (i, &w) in weights.iter().enumerate() {
         let slot = u64::from(w) + 1;
         if t < slot {
@@ -316,7 +314,7 @@ mod tests {
 
     #[test]
     fn preferential_pick_in_range() {
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = SplitMix64::new(1);
         let weights = [0, 5, 1];
         let total: u64 = weights.iter().map(|&w| u64::from(w) + 1).sum();
         let mut histogram = [0usize; 3];
@@ -330,7 +328,7 @@ mod tests {
 
     #[test]
     fn filler_title_shape() {
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = SplitMix64::new(3);
         for _ in 0..100 {
             let t = filler_title(&mut rng);
             let words = t.split(' ').count();

@@ -9,8 +9,7 @@
 //! linear scan (one draw in `[0, total)` mapped through the cumulative
 //! weights), so swapping it in does not change any generated dataset.
 
-use rand::rngs::SmallRng;
-use rand::Rng;
+use comm_graph::SplitMix64;
 
 /// Fenwick-tree sampler over integer weights.
 pub struct WeightedSampler {
@@ -93,9 +92,9 @@ impl WeightedSampler {
     }
 
     /// Samples an item proportional to its weight — randomness-compatible
-    /// with `preferential_pick` (one `gen_range(0..total)` draw).
-    pub fn sample(&self, rng: &mut SmallRng) -> usize {
-        self.find(rng.gen_range(0..self.total))
+    /// with `preferential_pick` (one `below(total)` draw).
+    pub fn sample(&self, rng: &mut SplitMix64) -> usize {
+        self.find(rng.below(self.total))
     }
 }
 
@@ -103,7 +102,6 @@ impl WeightedSampler {
 mod tests {
     use super::*;
     use crate::keywords::preferential_pick;
-    use rand::SeedableRng;
 
     #[test]
     fn prefix_search_exact() {
@@ -125,8 +123,8 @@ mod tests {
         // item as the linear walk, so generators stay deterministic.
         let mut weights = vec![0u32; 50];
         let mut sampler = WeightedSampler::new(50);
-        let mut rng_a = SmallRng::seed_from_u64(7);
-        let mut rng_b = SmallRng::seed_from_u64(7);
+        let mut rng_a = SplitMix64::new(7);
+        let mut rng_b = SplitMix64::new(7);
         for step in 0..5_000 {
             let total: u64 = weights.iter().map(|&w| u64::from(w) + 1).sum();
             let a = preferential_pick(&mut rng_a, &weights, total);
@@ -150,7 +148,7 @@ mod tests {
     fn heavy_tail_sampling_is_fast_and_skewed() {
         let mut s = WeightedSampler::new(10_000);
         s.add(42, 1_000_000);
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = SplitMix64::new(3);
         let hits = (0..2_000).filter(|_| s.sample(&mut rng) == 42).count();
         assert!(hits > 1_900, "heavy item sampled {hits}/2000");
     }

@@ -1096,7 +1096,9 @@ mod tests {
             .nodes
             .iter()
             .enumerate()
-            .find_map(|(i, n)| (n.data.is_some() && n.parent != NIL).then(|| (n.parent, i as u32)))
+            .find_map(|(i, n)| {
+                (n.data.is_some() && n.parent != NIL).then_some((n.parent, i as u32))
+            })
             .expect("consolidated heap has at least one child");
         let parent_key = h.key_of(p).to_owned();
         h.nodes[c as usize].data.as_mut().unwrap().0 = parent_key - 1;

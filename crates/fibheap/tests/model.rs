@@ -1,8 +1,52 @@
 //! Model-based property test: the Fibonacci heap must behave exactly like
-//! a reference priority queue under arbitrary operation sequences.
+//! a reference priority queue under arbitrary operation sequences, drawn
+//! from [`CASES`] seeded streams.
 
 use comm_fibheap::{FibHeap, HeapError, NodeRef};
-use proptest::prelude::*;
+
+const CASES: u64 = 256;
+
+/// A private copy of `comm_graph::SplitMix64` (this crate sits below
+/// `comm-graph`, so it cannot borrow the shared one).
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        ((u128::from(self.next_u64()) * n as u128) >> 64) as usize
+    }
+}
+
+/// Runs `body` on the streams seeded `0..CASES`, printing the seed of a
+/// case that panics.
+fn for_each_case(mut body: impl FnMut(&mut SplitMix64)) {
+    struct Case(u64);
+    impl Drop for Case {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("property failed on the case seeded {}", self.0);
+            }
+        }
+    }
+    for seed in 0..CASES {
+        let _case = Case(seed);
+        body(&mut SplitMix64(seed));
+    }
+}
+
+fn keys(rng: &mut SplitMix64, max_key: usize, max_len: usize) -> Vec<u32> {
+    (0..rng.below(max_len))
+        .map(|_| rng.below(max_key) as u32)
+        .collect()
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -13,24 +57,26 @@ enum Op {
     Meld(Vec<u32>),
 }
 
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (0u32..10_000).prop_map(Op::Push),
-            Just(Op::PopMin),
-            (0usize..64, 1u32..500).prop_map(|(live_idx, by)| Op::DecreaseKey { live_idx, by }),
-            Just(Op::Peek),
-            proptest::collection::vec(0u32..10_000, 0..8).prop_map(Op::Meld),
-        ],
-        1..200,
-    )
+/// 1–199 operations, the five kinds equally likely.
+fn ops(rng: &mut SplitMix64) -> Vec<Op> {
+    (0..1 + rng.below(199))
+        .map(|_| match rng.below(5) {
+            0 => Op::Push(rng.below(10_000) as u32),
+            1 => Op::PopMin,
+            2 => Op::DecreaseKey {
+                live_idx: rng.below(64),
+                by: 1 + rng.below(499) as u32,
+            },
+            3 => Op::Peek,
+            _ => Op::Meld(keys(rng, 10_000, 8)),
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn matches_reference_model(ops in ops()) {
+#[test]
+fn matches_reference_model() {
+    for_each_case(|rng| {
+        let ops = ops(rng);
         // Model: a Vec of (key, id) kept unsorted; min extracted by scan.
         // Ids make entries distinguishable so decrease-key tracks exactly.
         let mut heap: FibHeap<(u32, u64), u64> = FibHeap::new();
@@ -53,13 +99,11 @@ proptest! {
                     match (heap.pop_min(), expect) {
                         (None, None) => {}
                         (Some(((k, id), v)), Some((i, ek, eid))) => {
-                            prop_assert_eq!((k, id, v), (ek, eid, eid));
+                            assert_eq!((k, id, v), (ek, eid, eid));
                             live.swap_remove(i);
                         }
                         (got, want) => {
-                            return Err(TestCaseError::fail(format!(
-                                "pop mismatch: got {got:?}, want {want:?}"
-                            )))
+                            panic!("pop mismatch: got {got:?}, want {want:?}")
                         }
                     }
                 }
@@ -75,7 +119,7 @@ proptest! {
                 }
                 Op::Peek => {
                     let expect = live.iter().map(|&(_, k, id)| (k, id)).min();
-                    prop_assert_eq!(heap.peek_min().map(|(&(k, id), _)| (k, id)), expect);
+                    assert_eq!(heap.peek_min().map(|(&(k, id), _)| (k, id)), expect);
                 }
                 Op::Meld(keys) => {
                     // Build a side heap, meld it in, and rebase its handles
@@ -98,7 +142,7 @@ proptest! {
             }
             // The deep structural validator must hold after *every* op.
             heap.validate().unwrap();
-            prop_assert_eq!(heap.len(), live.len());
+            assert_eq!(heap.len(), live.len());
         }
         // Drain and verify global order.
         let mut rest: Vec<(u32, u64)> = live.iter().map(|&(_, k, id)| (k, id)).collect();
@@ -107,13 +151,16 @@ proptest! {
         while let Some((key, _)) = heap.pop_min() {
             drained.push(key);
         }
-        prop_assert_eq!(drained, rest);
-    }
+        assert_eq!(drained, rest);
+    });
+}
 
-    #[test]
-    fn meld_heapsort_matches_binaryheap(
-        chunks in proptest::collection::vec(proptest::collection::vec(0u32..10_000, 0..50), 1..8),
-    ) {
+#[test]
+fn meld_heapsort_matches_binaryheap() {
+    for_each_case(|rng| {
+        let chunks: Vec<Vec<u32>> = (0..1 + rng.below(7))
+            .map(|_| keys(rng, 10_000, 50))
+            .collect();
         // Meld chunk-heaps together and heapsort; a std::BinaryHeap fed the
         // same keys is the oracle.
         let mut reference = std::collections::BinaryHeap::new();
@@ -128,19 +175,24 @@ proptest! {
             heap.validate().unwrap();
         }
         while let Some((k, _)) = heap.pop_min() {
-            prop_assert_eq!(Some(std::cmp::Reverse(k)), reference.pop());
+            assert_eq!(Some(std::cmp::Reverse(k)), reference.pop());
             heap.validate().unwrap();
         }
-        prop_assert!(reference.is_empty());
-    }
+        assert!(reference.is_empty());
+    });
+}
 
-    #[test]
-    fn stale_handles_always_detected(keys in proptest::collection::vec(0u32..100, 1..40)) {
+#[test]
+fn stale_handles_always_detected() {
+    for_each_case(|rng| {
+        let keys: Vec<u32> = (0..1 + rng.below(39))
+            .map(|_| rng.below(100) as u32)
+            .collect();
         let mut heap = FibHeap::new();
         let handles: Vec<NodeRef> = keys.iter().map(|&k| heap.push(k, k)).collect();
         while heap.pop_min().is_some() {}
         for r in handles {
-            prop_assert_eq!(heap.decrease_key(r, 0), Err(HeapError::StaleHandle));
+            assert_eq!(heap.decrease_key(r, 0), Err(HeapError::StaleHandle));
         }
-    }
+    });
 }

@@ -1,14 +1,13 @@
 //! CGPH v2: a sectioned, checksummed, mmap-ready on-disk container.
 //!
-//! The v1 format ([`crate::io`]) stores an *edge list* — loading it
-//! re-runs the full `GraphBuilder` sort, `O(m log m)`. v2 instead stores
-//! the **built CSR arrays** (forward and reverse offsets/targets/weights)
-//! as fixed-width little-endian sections, so a warm load is one `mmap`
-//! plus linear validation: zero parsing, zero rebuilding, and the arrays
-//! are used in place ([`crate::storage`]). The keyword → nodes map (the
-//! paper's `invertedN`) and an opaque *extra* payload (`comm-core`'s
-//! serialized projection indexes) ride in the same file, which is what
-//! lets the serving daemon restart without touching the relational layer.
+//! The container stores the **built CSR arrays** (forward and reverse
+//! offsets/targets/weights) as fixed-width little-endian sections, so a
+//! warm load is one `mmap` plus linear validation: zero parsing, zero
+//! rebuilding, and the arrays are used in place ([`crate::storage`]). The
+//! keyword → nodes map (the paper's `invertedN`) and an opaque *extra*
+//! payload (`comm-core`'s serialized projection indexes) ride in the same
+//! file, which is what lets the serving daemon restart without touching
+//! the relational layer.
 //!
 //! # Layout
 //!
@@ -24,8 +23,7 @@
 //! Section ids 1–6 are the six CSR arrays (required), 7 the keyword map,
 //! 8 the extra payload (both optional). TOC entries must be strictly
 //! ordered and non-overlapping; the file must end exactly at the last
-//! section — trailing bytes are rejected, mirroring
-//! `read_graph_limited`'s length discipline.
+//! section — trailing bytes are rejected.
 //!
 //! # Validation
 //!
@@ -44,12 +42,11 @@
 //! the [`RunGuard`] byte budget, so an out-of-core graph counts against
 //! the same memory regime as every in-memory sweep.
 //!
-//! # Migration
+//! # Versions
 //!
-//! v1 files keep loading through [`crate::io::load_graph`];
-//! [`load_graph_any`] dispatches on the version field and
-//! [`migrate_graph_v1`] rewrites a v1 edge list as a v2 container. The v1
-//! writer is retained only for tests and interop; new caches are v2.
+//! v2 is the only format read or written. The v1 edge-list format (same
+//! magic, `version = 1`) is rejected by its version field; caches
+//! regenerate over any file that fails to load.
 
 use crate::csr::{Csr, Graph, NodeId};
 use crate::guard::{InterruptReason, RunGuard};
@@ -64,7 +61,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: [u8; 4] = *b"CGPH";
-/// Container format version (v1 is the edge-list format in [`crate::io`]).
+/// Container format version.
 pub const VERSION: u32 = 2;
 const HEADER_BYTES: usize = 40;
 const TOC_ENTRY_BYTES: usize = 32;
@@ -338,17 +335,26 @@ fn read_u64(bytes: &[u8], pos: usize) -> u64 {
 /// 8-aligned and non-overlapping, the first section right after the TOC,
 /// and the file ending exactly at the last section's end.
 fn parse_toc(bytes: &[u8]) -> io::Result<(u64, u64, Vec<Section>)> {
-    if bytes.len() < HEADER_BYTES {
+    // Magic and version come first so a file of another format (or a v1
+    // edge list, whose whole header is shorter than ours) is named for
+    // what it is before any count is read.
+    if bytes.len() < 8 {
         return Err(bad("container shorter than its header"));
     }
     if bytes[0..4] != MAGIC {
-        return Err(bad("not a CGPH file"));
+        return Err(bad(format!(
+            "not a CGPH file (magic {:?})",
+            String::from_utf8_lossy(&bytes[0..4])
+        )));
     }
     let version = read_u32(bytes, 4);
     if version != VERSION {
         return Err(bad(format!(
             "unsupported CGPH version {version} (container reader supports v2)"
         )));
+    }
+    if bytes.len() < HEADER_BYTES {
+        return Err(bad("container shorter than its header"));
     }
     let n64 = read_u64(bytes, 8);
     let m64 = read_u64(bytes, 16);
@@ -602,36 +608,6 @@ pub fn load_container_guarded(path: impl AsRef<Path>, guard: &RunGuard) -> io::R
     })
 }
 
-/// Reads the 4-byte version field of a CGPH file (v1 or v2).
-pub fn peek_version(path: impl AsRef<Path>) -> io::Result<u32> {
-    use std::io::Read;
-    let mut head = [0u8; 8];
-    let mut f = std::fs::File::open(path)?;
-    f.read_exact(&mut head)?;
-    if head[0..4] != MAGIC {
-        return Err(bad("not a CGPH file"));
-    }
-    Ok(read_u32(&head, 4))
-}
-
-/// Loads a graph from either format: v1 edge lists go through the
-/// parsing [`crate::io::load_graph`] path, v2 containers through the
-/// zero-copy [`load_container`] path.
-pub fn load_graph_any(path: impl AsRef<Path>) -> io::Result<Graph> {
-    let path = path.as_ref();
-    match peek_version(path)? {
-        1 => crate::io::load_graph(path),
-        2 => Ok(load_container(path)?.graph),
-        v => Err(bad(format!("unsupported CGPH version {v}"))),
-    }
-}
-
-/// Rewrites a v1 edge-list graph file as a v2 container (no keyword map).
-pub fn migrate_graph_v1(src: impl AsRef<Path>, dst: impl AsRef<Path>) -> io::Result<()> {
-    let g = crate::io::load_graph(src)?;
-    save_container(dst, &g, std::iter::empty::<(&str, &[NodeId])>(), None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,23 +723,20 @@ mod tests {
     }
 
     #[test]
-    fn migration_v1_to_v2_preserves_the_graph() {
-        let dir = unique_dir("mig");
-        let v1 = dir.join("g.cgph");
-        let v2 = dir.join("g.cgph2");
-        let g = sample();
-        crate::io::save_graph(&g, &v1).unwrap();
-        assert_eq!(peek_version(&v1).unwrap(), 1);
-        migrate_graph_v1(&v1, &v2).unwrap();
-        assert_eq!(peek_version(&v2).unwrap(), 2);
-        let h = load_graph_any(&v2).unwrap();
-        assert_eq!(g.edges().collect::<Vec<_>>(), h.edges().collect::<Vec<_>>());
-        // And the dispatching loader still reads v1 directly.
-        let h1 = load_graph_any(&v1).unwrap();
-        assert_eq!(
-            g.edges().collect::<Vec<_>>(),
-            h1.edges().collect::<Vec<_>>()
-        );
+    fn v1_header_is_rejected_by_its_version_field() {
+        let dir = unique_dir("ver");
+        // A complete CGPH v1 header (magic, version, n, m) claiming 2^60
+        // edges: rejected on the version field, before any count is read.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(b"CGPH");
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&3u64.to_le_bytes());
+        v1.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        let p = dir.join("v1.cgph");
+        std::fs::write(&p, &v1).unwrap();
+        let err = load_container(&p).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 1"), "got: {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -815,8 +788,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Mirrors `truncated_frame_corpus_every_prefix_is_a_clean_error` for
-    /// the mapped format: every proper prefix must be a clean error.
+    /// Every proper prefix of a valid container must be a clean error.
     #[test]
     fn truncation_corpus_every_prefix_is_a_clean_error() {
         let dir = unique_dir("trunc");

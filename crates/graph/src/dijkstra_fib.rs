@@ -4,9 +4,8 @@
 //! assume a Fibonacci-heap priority queue with `O(1)` decrease-key. In
 //! practice a binary heap with lazy deletion (`O((n + m) log n)`) usually
 //! wins on constants; this module provides the textbook variant so the two
-//! can be compared head-to-head (see the `primitives` criterion bench and
-//! the `heap` ablation), and so the asymptotic claim is actually
-//! implemented rather than only cited.
+//! can be compared head-to-head (see `repro`'s `heap` ablation), and so
+//! the asymptotic claim is actually implemented rather than only cited.
 
 use crate::csr::{Direction, Graph, NodeId};
 use crate::dijkstra::Settled;

@@ -1,114 +1,17 @@
-//! Binary persistence for graphs.
-//!
-//! Paper-scale graphs take ~a minute to regenerate from the relational
-//! layer; this compact little-endian format lets harness runs cache the
-//! materialized `G_D` (and, one level up, the keyword map) on disk.
-//!
-//! Layout: magic `CGPH`, format version, `n`, `m`, then `m` records of
-//! `(u: u32, v: u32, w: f64)`.
+//! File-writing discipline shared by every on-disk format in the
+//! workspace: atomic replacement and a cap on speculative preallocation.
+//! The format itself lives in [`crate::container`].
 
-use crate::csr::{Graph, GraphBuilder, NodeId};
-use crate::weight::{try_u64_to_usize, Weight};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-const MAGIC: [u8; 4] = *b"CGPH";
-const VERSION: u32 = 1;
-/// Header bytes: magic (4) + version (4) + n (8) + m (8).
-const HEADER_BYTES: u64 = 24;
-/// Bytes per edge record: u (4) + v (4) + w (8).
-const EDGE_BYTES: u64 = 16;
 /// Upper bound on speculative preallocation from header counts. Larger
 /// (legitimate) inputs still load fine — collections just grow as records
 /// actually arrive instead of trusting the header up front. Shared by
 /// every on-disk reader in the workspace (`crate::container`,
-/// `comm-datasets`' bundle cache) so a hostile count can never reserve
-/// more than ~16 MiB before real bytes back it.
+/// `comm-core`'s projection-index blob) so a hostile count can never
+/// reserve more than ~16 MiB before real bytes back it.
 pub const PREALLOC_CAP: usize = 1 << 20;
-
-/// Writes `graph` to `w` in the binary format.
-pub fn write_graph<W: Write>(graph: &Graph, w: &mut W) -> io::Result<()> {
-    w.write_all(&MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(graph.node_count() as u64).to_le_bytes())?;
-    w.write_all(&(graph.edge_count() as u64).to_le_bytes())?;
-    for (u, v, weight) in graph.edges() {
-        w.write_all(&u.0.to_le_bytes())?;
-        w.write_all(&v.0.to_le_bytes())?;
-        w.write_all(&weight.get().to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn read_exact<const N: usize, R: Read>(r: &mut R) -> io::Result<[u8; N]> {
-    let mut buf = [0u8; N];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// Reads a graph previously written by [`write_graph`].
-///
-/// Header counts are treated as *claims*, not facts: `n` is range-checked
-/// against the `u32` node-id space, and every edge record is read and
-/// validated (with preallocation capped) **before** any `O(n)`/`O(m)`
-/// structure is built, so a corrupted or truncated header cannot trigger a
-/// multi-GB allocation.
-pub fn read_graph<R: Read>(r: &mut R) -> io::Result<Graph> {
-    read_graph_limited(r, None)
-}
-
-fn read_graph_limited<R: Read>(r: &mut R, stream_len: Option<u64>) -> io::Result<Graph> {
-    if read_exact::<4, _>(r)? != MAGIC {
-        return Err(bad("not a CGPH graph file"));
-    }
-    let version = u32::from_le_bytes(read_exact::<4, _>(r)?);
-    if version != VERSION {
-        return Err(bad("unsupported CGPH version"));
-    }
-    let n64 = u64::from_le_bytes(read_exact::<8, _>(r)?);
-    let m64 = u64::from_le_bytes(read_exact::<8, _>(r)?);
-    if n64 > u64::from(u32::MAX) + 1 {
-        return Err(bad("node count exceeds the u32 node-id space"));
-    }
-    if let Some(len) = stream_len {
-        // Where the stream length is knowable (files), the header's edge
-        // count must agree with it exactly.
-        let expected = m64
-            .checked_mul(EDGE_BYTES)
-            .and_then(|body| body.checked_add(HEADER_BYTES));
-        if expected != Some(len) {
-            return Err(bad("edge count disagrees with stream length"));
-        }
-    }
-    // Checked on 32-bit hosts too: a count that fits u32 ids may still
-    // exceed the host's address width.
-    let n = try_u64_to_usize(n64).ok_or_else(|| bad("node count exceeds host address width"))?;
-    let m = try_u64_to_usize(m64).ok_or_else(|| bad("edge count exceeds host address width"))?;
-    // Read and validate every record before building the graph; capacity
-    // grows with the bytes actually read, never with the claimed count.
-    let mut edges = Vec::with_capacity(m.min(PREALLOC_CAP));
-    for _ in 0..m {
-        let u = u32::from_le_bytes(read_exact::<4, _>(r)?);
-        let v = u32::from_le_bytes(read_exact::<4, _>(r)?);
-        let w = f64::from_le_bytes(read_exact::<8, _>(r)?);
-        if u as usize >= n || v as usize >= n {
-            return Err(bad("edge endpoint out of range"));
-        }
-        if !(w.is_finite() && w >= 0.0) {
-            return Err(bad("invalid edge weight"));
-        }
-        edges.push((NodeId(u), NodeId(v), Weight::new(w)));
-    }
-    let mut b = GraphBuilder::new(n);
-    for (u, v, w) in edges {
-        b.add_edge(u, v, w);
-    }
-    Ok(b.build())
-}
 
 /// Writes a file atomically: the payload goes to a unique temp file in the
 /// same directory, is flushed and `fsync`ed, and only then renamed over
@@ -140,251 +43,4 @@ pub fn atomic_write(
         std::fs::remove_file(&tmp).ok();
     }
     result
-}
-
-/// Saves a graph to a file (buffered, atomic: temp file + fsync + rename).
-pub fn save_graph(graph: &Graph, path: impl AsRef<Path>) -> io::Result<()> {
-    atomic_write(path, |w| write_graph(graph, w))
-}
-
-/// Loads a graph from a file (buffered). The header's edge count is
-/// checked against the file's actual length before any record is parsed.
-pub fn load_graph(path: impl AsRef<Path>) -> io::Result<Graph> {
-    let file = std::fs::File::open(path)?;
-    let len = file.metadata()?.len();
-    read_graph_limited(&mut BufReader::new(file), Some(len))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::csr::graph_from_edges;
-
-    /// A per-test temp dir unique across processes and within a process,
-    /// so parallel test runs (and stale dirs from killed runs) can never
-    /// collide on fixed names.
-    fn unique_dir(tag: &str) -> std::path::PathBuf {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "comm_graph_io_{tag}_{}_{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn sample() -> Graph {
-        graph_from_edges(
-            5,
-            &[
-                (0, 1, 1.5),
-                (1, 2, 0.0),
-                (4, 0, 2.25),
-                (2, 2, 3.0),
-                (0, 1, 7.0),
-            ],
-        )
-    }
-
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let g = sample();
-        let mut buf = Vec::new();
-        write_graph(&g, &mut buf).unwrap();
-        let h = read_graph(&mut buf.as_slice()).unwrap();
-        assert_eq!(h.node_count(), g.node_count());
-        assert_eq!(h.edge_count(), g.edge_count());
-        assert_eq!(g.edges().collect::<Vec<_>>(), h.edges().collect::<Vec<_>>());
-        // Reverse adjacency rebuilt identically.
-        for u in g.nodes() {
-            assert_eq!(
-                g.in_neighbors(u).collect::<Vec<_>>(),
-                h.in_neighbors(u).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = unique_dir("roundtrip");
-        let path = dir.join("g.cgph");
-        let g = sample();
-        save_graph(&g, &path).unwrap();
-        let h = load_graph(&path).unwrap();
-        assert_eq!(h.edge_count(), g.edge_count());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn interrupted_save_leaves_previous_file_intact() {
-        // A writer that dies mid-stream (crash, guard trip, full disk)
-        // must neither clobber the existing file nor leave temp litter.
-        let dir = unique_dir("atomic");
-        let path = dir.join("g.cgph");
-        let g = sample();
-        save_graph(&g, &path).unwrap();
-        let before = std::fs::read(&path).unwrap();
-        let err = atomic_write(&path, |w| {
-            w.write_all(b"half a header")?;
-            Err(io::Error::other("simulated crash mid-write"))
-        });
-        assert!(err.is_err());
-        assert_eq!(std::fs::read(&path).unwrap(), before, "old file clobbered");
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .filter(|f| f.to_string_lossy().contains(".tmp."))
-            .collect();
-        assert!(leftovers.is_empty(), "temp litter: {leftovers:?}");
-        assert!(load_graph(&path).is_ok());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let err = read_graph(&mut &b"NOPE\0\0\0\0"[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn rejects_truncated_input() {
-        let g = sample();
-        let mut buf = Vec::new();
-        write_graph(&g, &mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(read_graph(&mut buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn rejects_out_of_range_edge() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"CGPH");
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&2u64.to_le_bytes()); // n = 2
-        buf.extend_from_slice(&1u64.to_le_bytes()); // m = 1
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&9u32.to_le_bytes()); // v = 9 out of range
-        buf.extend_from_slice(&1.0f64.to_le_bytes());
-        assert!(read_graph(&mut buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn rejects_nan_weight() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"CGPH");
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&2u64.to_le_bytes());
-        buf.extend_from_slice(&1u64.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&f64::NAN.to_le_bytes());
-        assert!(read_graph(&mut buf.as_slice()).is_err());
-    }
-
-    fn header(n: u64, m: u64) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"CGPH");
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&n.to_le_bytes());
-        buf.extend_from_slice(&m.to_le_bytes());
-        buf
-    }
-
-    #[test]
-    fn corrupted_edge_count_fails_without_huge_allocation() {
-        // Header claims ~1.1e18 edges but carries a single record; the
-        // reader must fail at the truncation, not preallocate for m.
-        let mut buf = header(2, u64::MAX / EDGE_BYTES);
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&1.0f64.to_le_bytes());
-        let err = read_graph(&mut buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn corrupted_node_count_fails_before_preallocation() {
-        // Header claims more nodes than the u32 id space can address; the
-        // reader must reject it before any O(n) structure exists.
-        let buf = header(u64::MAX, 0);
-        let err = read_graph(&mut buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn load_graph_rejects_edge_count_disagreeing_with_file_length() {
-        let dir = unique_dir("corrupt");
-        let path = dir.join("corrupt.cgph");
-        let g = sample();
-        save_graph(&g, &path).unwrap();
-        // Inflate the header's m without appending records.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let m = (g.edge_count() as u64) + 7;
-        bytes[16..24].copy_from_slice(&m.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = load_graph(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // And a truncated body is caught by the same length check.
-        bytes[16..24].copy_from_slice(&(g.edge_count() as u64).to_le_bytes());
-        bytes.truncate(bytes.len() - 5);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(load_graph(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn truncated_frame_corpus_every_prefix_is_a_clean_error() {
-        // Fuzz-gap regression: for EVERY proper prefix of a valid frame —
-        // including "header fully valid, body short" cuts inside an edge
-        // record — the reader must return a clean `Err`, never a partial
-        // parse and never a panic. Only the full frame parses.
-        let g = sample();
-        let mut buf = Vec::new();
-        write_graph(&g, &mut buf).unwrap();
-        assert_eq!(
-            buf.len() as u64,
-            HEADER_BYTES + g.edge_count() as u64 * EDGE_BYTES
-        );
-        for cut in 0..buf.len() {
-            let prefix = &buf[..cut];
-            match read_graph(&mut &prefix[..]) {
-                Err(e) => assert!(
-                    matches!(
-                        e.kind(),
-                        io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData
-                    ),
-                    "cut {cut}: unexpected error kind {:?}",
-                    e.kind()
-                ),
-                Ok(h) => panic!(
-                    "cut {cut}/{} parsed as a {}-node/{}-edge graph instead of erroring",
-                    buf.len(),
-                    h.node_count(),
-                    h.edge_count()
-                ),
-            }
-        }
-        assert!(read_graph(&mut buf.as_slice()).is_ok());
-        // The same holds through the file path, where the length pre-check
-        // fires before any record is parsed.
-        let dir = unique_dir("corpus");
-        let path = dir.join("prefix.cgph");
-        let body_short = HEADER_BYTES as usize + EDGE_BYTES as usize / 2;
-        std::fs::write(&path, &buf[..body_short]).unwrap();
-        let err = load_graph(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn empty_graph_roundtrip() {
-        let g = graph_from_edges(0, &[]);
-        let mut buf = Vec::new();
-        write_graph(&g, &mut buf).unwrap();
-        let h = read_graph(&mut buf.as_slice()).unwrap();
-        assert_eq!(h.node_count(), 0);
-        assert_eq!(h.edge_count(), 0);
-    }
 }

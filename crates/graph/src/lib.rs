@@ -17,6 +17,8 @@
 //!   parallel sweep paths in `comm-core` and the batch driver in
 //!   `comm-bench`;
 //! * [`InducedGraph`]: induced-subgraph extraction with id mapping;
+//! * [`SplitMix64`]: the one seeded PRNG behind the dataset generators and
+//!   the property loops in the test tree;
 //! * [`mod@reference`]: brute-force oracles for tests.
 //!
 //! # Example
@@ -46,6 +48,7 @@ pub mod kernel;
 pub mod parallel;
 pub mod pool;
 pub mod reference;
+pub mod rng;
 pub mod storage;
 pub mod verify;
 pub mod weight;
@@ -58,5 +61,6 @@ pub use guard::{InterruptReason, Outcome, RunGuard};
 pub use kernel::{Kernel, UnknownKernel};
 pub use parallel::Parallelism;
 pub use pool::{EnginePool, PooledEngine, KERNEL_ENV};
+pub use rng::SplitMix64;
 pub use verify::GraphInvariantError;
 pub use weight::Weight;

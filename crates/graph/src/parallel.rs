@@ -197,7 +197,7 @@ mod tests {
     fn map_init_builds_one_state_per_worker() {
         let builds = AtomicU64::new(0);
         let par = Parallelism::new(3);
-        let tasks: Vec<_> = (0..64u64).map(|i| move |s: &mut u64| i + *s * 0).collect();
+        let tasks: Vec<_> = (0..64u64).map(|i| move |s: &mut u64| i + *s).collect();
         let out = par.map_init(
             || {
                 builds.fetch_add(1, Ordering::Relaxed);

@@ -10,7 +10,6 @@
 
 use crate::error::RdbError;
 use crate::value::Value;
-use bytes::{BufMut, BytesMut};
 
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -21,7 +20,7 @@ const TAG_FLOAT: u8 = 3;
 ///
 /// Fails with [`RdbError::OversizedText`] — before writing anything — when a
 /// text cell exceeds the `u32` length prefix.
-pub fn encode_row(values: &[Value], buf: &mut BytesMut) -> Result<(), RdbError> {
+pub fn encode_row(values: &[Value], buf: &mut Vec<u8>) -> Result<(), RdbError> {
     for v in values {
         if let Value::Text(s) = v {
             if u32::try_from(s.len()).is_err() {
@@ -31,21 +30,21 @@ pub fn encode_row(values: &[Value], buf: &mut BytesMut) -> Result<(), RdbError> 
     }
     for v in values {
         match v {
-            Value::Null => buf.put_u8(TAG_NULL),
+            Value::Null => buf.push(TAG_NULL),
             Value::Int(i) => {
-                buf.put_u8(TAG_INT);
-                buf.put_i64_le(*i);
+                buf.push(TAG_INT);
+                buf.extend_from_slice(&i.to_le_bytes());
             }
             Value::Text(s) => {
-                buf.put_u8(TAG_TEXT);
+                buf.push(TAG_TEXT);
                 // Validated above; `as`-free thanks to the pre-scan.
                 let len = u32::try_from(s.len()).unwrap_or_default();
-                buf.put_u32_le(len);
-                buf.put_slice(s.as_bytes());
+                buf.extend_from_slice(&len.to_le_bytes());
+                buf.extend_from_slice(s.as_bytes());
             }
             Value::Float(x) => {
-                buf.put_u8(TAG_FLOAT);
-                buf.put_f64_le(*x);
+                buf.push(TAG_FLOAT);
+                buf.extend_from_slice(&x.to_le_bytes());
             }
         }
     }
@@ -146,7 +145,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(vals: Vec<Value>) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_row(&vals, &mut buf).unwrap();
         let decoded = decode_row(&buf, vals.len()).unwrap();
         assert_eq!(decoded, vals);
@@ -175,7 +174,7 @@ mod tests {
     #[test]
     fn decode_single_cell() {
         let vals = vec![Value::Int(1), Value::Text("skip me".into()), Value::Int(99)];
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_row(&vals, &mut buf).unwrap();
         assert_eq!(decode_cell(&buf, 0).unwrap(), Value::Int(1));
         assert_eq!(decode_cell(&buf, 1).unwrap(), Value::Text("skip me".into()));
@@ -222,9 +221,9 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_an_error() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_row(&[Value::Int(1)], &mut buf).unwrap();
-        buf.put_u8(0);
+        buf.push(0);
         assert!(decode_row(&buf, 1).is_err());
     }
 }

@@ -5,7 +5,6 @@ use crate::codec::{decode_cell, decode_row, encode_row};
 use crate::error::RdbError;
 use crate::schema::{ColumnId, TableSchema};
 use crate::value::Value;
-use bytes::BytesMut;
 use comm_graph::weight::index_to_u32;
 use std::collections::HashMap;
 
@@ -16,7 +15,7 @@ pub struct RowId(pub u32);
 /// A table: schema + encoded row arena + primary-key index.
 pub struct Table {
     schema: TableSchema,
-    arena: BytesMut,
+    arena: Vec<u8>,
     /// `offsets[i]..offsets[i+1]` is row `i`'s byte range.
     offsets: Vec<u32>,
     pk_index: HashMap<i64, RowId>,
@@ -27,7 +26,7 @@ impl Table {
     pub fn new(schema: TableSchema) -> Table {
         Table {
             schema,
-            arena: BytesMut::new(),
+            arena: Vec::new(),
             offsets: vec![0],
             pk_index: HashMap::new(),
         }

@@ -1,17 +1,16 @@
-//! Generates `BENCH_serve.json`: spins up the daemon on a loopback port,
-//! drives it with the open-loop load generator under fault injection, and
-//! writes the latency/outcome breakdown.
-//!
-//! Std-only on purpose — it runs in the offline container the same way
-//! the CI smoke lane does:
+//! Chaos classification lane: spins up the daemon on a loopback port,
+//! drives it with the open-loop load generator under fault injection,
+//! prints the latency/outcome breakdown as JSON (and writes it to
+//! `OUT.json` when given), and exits non-zero unless every request
+//! reached a declared terminal state.
 //!
 //! ```text
 //! cargo run --release -p comm-serve --example chaos_load [OUT.json]
 //! ```
 
 use comm_serve::{
-    counter, run_load, spawn, AdmissionConfig, ChaosConfig, ClientConfig, EngineConfig, LoadConfig,
-    QueryEngine, ServerConfig,
+    counter, json, run_load, spawn, AdmissionConfig, ChaosConfig, ClientConfig, EngineConfig,
+    LoadConfig, QueryEngine, ServerConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,9 +32,7 @@ fn engine() -> Arc<QueryEngine> {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let out_path = std::env::args().nth(1);
 
     let handle = match spawn(
         engine(),
@@ -83,11 +80,7 @@ fn main() {
     let counters = handle.counters();
     handle.shutdown();
 
-    // Fold the server-side counters into the report JSON so the bench
-    // artifact records both sides of the run.
-    let mut json = report.to_json();
-    json.pop(); // strip the closing brace
-    json.push_str(",\n  \"server\": {\n");
+    // Both sides of the run in one document.
     let picks = [
         "requests",
         "completed",
@@ -106,23 +99,24 @@ fn main() {
         "chaos_poisons",
         "pool_poison_recoveries",
     ];
-    for (i, name) in picks.iter().enumerate() {
-        let sep = if i + 1 == picks.len() { "\n" } else { ",\n" };
-        json.push_str(&format!(
-            "    \"{name}\": {}{sep}",
-            counter(&counters, name)
-        ));
-    }
-    json.push_str("  }\n}");
+    let server = json::object(
+        picks
+            .iter()
+            .map(|name| (name, counter(&counters, name).to_string())),
+    );
+    let doc = json::object([("load", report.to_json()), ("server", server)]);
 
-    eprintln!("{json}");
+    println!("{doc}");
     let healthy = report.fully_classified() && report.protocol_errors == 0;
-    if let Err(e) = std::fs::write(&out_path, json + "\n") {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
+    if let Some(path) = &out_path {
+        if let Err(e) = std::fs::write(path, doc + "\n") {
+            eprintln!("failed to write {path}: {e}");
+            std::process::exit(1);
+        }
+        eprintln!("wrote {path}");
     }
     eprintln!(
-        "wrote {out_path}: {} sent, {} complete, {} degraded, {} overloaded",
+        "{} sent, {} complete, {} degraded, {} overloaded",
         report.sent, report.complete, report.degraded, report.overloaded
     );
     if !healthy {

@@ -8,8 +8,8 @@
 //! explicitly did not execute); backoff honors the server's retry-after
 //! hint when it is longer than the local schedule.
 //!
-//! Jitter is a hand-rolled xorshift PRNG — deterministic per seed, no
-//! external dependency — applied as "equal jitter": each delay is
+//! Jitter comes from the workspace's [`SplitMix64`] — deterministic per
+//! seed — applied as "equal jitter": each delay is
 //! `base/2 + uniform(0, base/2)`, which de-synchronizes retry herds
 //! without ever collapsing the delay to zero.
 
@@ -17,6 +17,7 @@ use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, Priority, ProtocolError, Request,
     Response,
 };
+use comm_graph::SplitMix64;
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -118,8 +119,8 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 static ID_BASE: OnceLock<u64> = OnceLock::new();
 
 /// Allocates a fresh request id: a per-process entropy base (wall clock ⊕
-/// pid, scrambled splitmix-style so consecutive process starts land in
-/// distant ranges of the 64-bit space) plus a process-local counter.
+/// pid, scrambled through [`SplitMix64`] so consecutive process starts land
+/// in distant ranges of the 64-bit space) plus a process-local counter.
 pub fn next_request_id() -> u64 {
     let base = *ID_BASE.get_or_init(|| {
         let nanos = std::time::SystemTime::now()
@@ -127,17 +128,9 @@ pub fn next_request_id() -> u64 {
             .map_or(0, |d| {
                 u64::try_from(d.as_nanos() & u128::from(u64::MAX)).unwrap_or(0)
             });
-        splitmix64(nanos ^ (u64::from(std::process::id()) << 32) ^ 0x9e37_79b9_7f4a_7c15)
+        SplitMix64::new(nanos ^ (u64::from(std::process::id()) << 32)).next_u64()
     });
     base.wrapping_add(NEXT_ID.fetch_add(1, Ordering::Relaxed))
-}
-
-/// SplitMix64 finalizer: every input bit avalanches across the output, so
-/// inputs differing in a single low bit land far apart.
-fn splitmix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A connection-caching client for one server address.
@@ -145,7 +138,7 @@ pub struct Client {
     addr: SocketAddr,
     cfg: ClientConfig,
     conn: Option<TcpStream>,
-    rng: u64,
+    rng: SplitMix64,
     /// Attempts made across all calls (telemetry for the load generator).
     attempts: u64,
     /// Reconnects performed across all calls.
@@ -156,18 +149,13 @@ impl Client {
     /// Builds a client (no connection is made until the first call).
     pub fn new(addr: SocketAddr, cfg: ClientConfig) -> Client {
         // Seed the jitter stream from the address and a fresh id so
-        // concurrent clients de-synchronize. The id is scrambled first:
-        // consecutive ids differ only in low bits, and `| 1` below would
-        // erase a bit-0-only difference, locking two clients in step.
-        // xorshift needs a non-zero seed.
-        let seed = 0x9e37_79b9_7f4a_7c15u64
-            ^ (u64::from(addr.port()) << 32)
-            ^ splitmix64(next_request_id());
+        // concurrent clients de-synchronize.
+        let seed = (u64::from(addr.port()) << 32) ^ next_request_id();
         Client {
             addr,
             cfg,
             conn: None,
-            rng: seed | 1,
+            rng: SplitMix64::new(seed),
             attempts: 0,
             reconnects: 0,
         }
@@ -176,16 +164,6 @@ impl Client {
     /// `(attempts, reconnects)` across the client's lifetime.
     pub fn stats(&self) -> (u64, u64) {
         (self.attempts, self.reconnects)
-    }
-
-    fn rand_u64(&mut self) -> u64 {
-        // xorshift64*: tiny, deterministic, plenty for jitter.
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
     /// Equal-jitter backoff for `attempt` (0-based): half deterministic,
@@ -200,7 +178,8 @@ impl Client {
         let jitter_nanos = if half.is_zero() {
             0
         } else {
-            self.rand_u64() % u64::try_from(half.as_nanos().max(1)).unwrap_or(u64::MAX)
+            self.rng
+                .below(u64::try_from(half.as_nanos().max(1)).unwrap_or(u64::MAX))
         };
         (half + Duration::from_nanos(jitter_nanos)).max(floor)
     }

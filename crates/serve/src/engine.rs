@@ -28,7 +28,7 @@ use crate::cache::{AnswerKey, CachedAnswer, CachedIndex, IndexKey, Lru, Vocabula
 use crate::protocol::CommunitySummary;
 use comm_core::{comm_k_on_index, Community, CostFn, ProjectionIndex, QueryError};
 use comm_graph::weight::index_to_u32;
-use comm_graph::{EnginePool, Graph, Kernel, Outcome, Parallelism, RunGuard, Weight};
+use comm_graph::{EnginePool, Graph, Outcome, Parallelism, RunGuard, Weight};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Engine tunables.
@@ -46,10 +46,6 @@ pub struct EngineConfig {
     /// Fan-out for index builds (per-keyword sweeps borrow engines from
     /// the shared [`EnginePool`]).
     pub parallelism: Parallelism,
-    /// Dijkstra priority-queue kernel for every sweep the engine runs
-    /// (stamped on the shared [`EnginePool`] at construction). All kernels
-    /// are bit-identical; this is a performance knob only.
-    pub kernel: Kernel,
 }
 
 impl Default for EngineConfig {
@@ -60,7 +56,6 @@ impl Default for EngineConfig {
             answer_cache_cap: 256,
             cost: CostFn::SumDistances,
             parallelism: Parallelism::serial(),
-            kernel: Kernel::Auto,
         }
     }
 }
@@ -96,9 +91,6 @@ impl QueryEngine {
     ) -> Result<QueryEngine, QueryError> {
         let index_radius =
             Weight::try_new(cfg.index_radius).ok_or(QueryError::InvalidRadius(cfg.index_radius))?;
-        // The pool is process-wide, so the kernel choice reaches every
-        // sweep (index builds, lifts, baselines) without call-site edits.
-        EnginePool::global().set_kernel(cfg.kernel);
         Ok(QueryEngine {
             graph,
             vocab,

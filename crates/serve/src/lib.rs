@@ -31,6 +31,7 @@ pub mod cache;
 pub mod chaos;
 pub mod client;
 pub mod engine;
+pub mod json;
 pub mod load;
 pub mod protocol;
 pub mod server;

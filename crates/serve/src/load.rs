@@ -11,10 +11,10 @@
 //! exact-prefix `Interrupted`), `overloaded` (explicitly shed), `error`
 //! (request rejected), or `transport_failures` (connection lost after all
 //! retries). The report records the breakdown plus latency percentiles
-//! and renders itself as JSON (hand-rolled — the crate is std-only) for
-//! `BENCH_serve.json`.
+//! and renders itself as JSON through [`crate::json`].
 
 use crate::client::{Client, ClientConfig, ClientError};
+use crate::json;
 use crate::protocol::Response;
 use crate::workload::QueryMix;
 use std::net::SocketAddr;
@@ -107,28 +107,28 @@ impl LatencySummary {
         if ms.is_empty() {
             return LatencySummary::default();
         }
-        ms.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let pick = |q: f64| -> f64 {
-            let idx = ((ms.len() - 1) as f64 * q).round();
-            let idx = usize::try_from(idx.max(0.0).min((ms.len() - 1) as f64) as u64)
-                .unwrap_or(ms.len() - 1);
-            ms[idx.min(ms.len() - 1)]
-        };
+        ms.sort_by(f64::total_cmp);
+        let last = ms.len() - 1;
+        // Rank `round((n − 1)·q)`: the workspace's one percentile rule.
+        let pick = |q: f64| ms[((last as f64 * q).round() as usize).min(last)];
         LatencySummary {
             mean: ms.iter().sum::<f64>() / ms.len() as f64,
             p50: pick(0.50),
             p90: pick(0.90),
             p99: pick(0.99),
-            max: *ms.last().unwrap_or(&0.0),
+            max: ms[last],
         }
     }
-}
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
+    /// Renders the summary as a JSON object.
+    pub fn to_json(&self) -> String {
+        json::object([
+            ("mean", json::number(self.mean)),
+            ("p50", json::number(self.p50)),
+            ("p90", json::number(self.p90)),
+            ("p99", json::number(self.p99)),
+            ("max", json::number(self.max)),
+        ])
     }
 }
 
@@ -137,23 +137,22 @@ fn json_f64(v: f64) -> String {
 fn machine_json() -> String {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads_env = match std::env::var(comm_graph::parallel::THREADS_ENV) {
-        Ok(v) => format!("\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")),
+        Ok(v) => json::string(&v),
         Err(_) => "null".to_string(),
     };
-    format!(
-        "{{ \"os\": \"{}\", \"arch\": \"{}\", \"cpus\": {cpus}, \"threads_env\": {threads_env} }}",
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-    )
+    json::object([
+        ("os", json::string(std::env::consts::OS)),
+        ("arch", json::string(std::env::consts::ARCH)),
+        ("cpus", cpus.to_string()),
+        ("threads_env", threads_env),
+    ])
 }
 
 impl LoadReport {
     /// Renders the report as a JSON object (stable key order).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"machine\": {},\n", machine_json()));
-        let fields: [(&str, String); 11] = [
+        json::object([
+            ("machine", machine_json()),
             ("sent", self.sent.to_string()),
             ("complete", self.complete.to_string()),
             ("degraded", self.degraded.to_string()),
@@ -168,20 +167,8 @@ impl LoadReport {
             ),
             ("attempts", self.attempts.to_string()),
             ("wall_ms", self.wall_ms.to_string()),
-        ];
-        for (k, v) in fields {
-            s.push_str(&format!("  \"{k}\": {v},\n"));
-        }
-        s.push_str(&format!(
-            "  \"latency_ms\": {{ \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {} }}\n",
-            json_f64(self.latency_ms.mean),
-            json_f64(self.latency_ms.p50),
-            json_f64(self.latency_ms.p90),
-            json_f64(self.latency_ms.p99),
-            json_f64(self.latency_ms.max),
-        ));
-        s.push('}');
-        s
+            ("latency_ms", self.latency_ms.to_json()),
+        ])
     }
 
     /// Every logical request reached a terminal state: nothing hung,

@@ -1,7 +1,7 @@
 //! Persistence certification: graphs loaded from CGPH v2 containers by
 //! `mmap` must be indistinguishable from their heap-built originals.
 //!
-//! Three guarantees:
+//! Two guarantees:
 //!
 //! 1. **Bit-identical answers** — `COMM-all` / `COMM-k` over a mapped
 //!    graph produce byte-for-byte the same communities (costs compared as
@@ -9,23 +9,17 @@
 //!    paper's running example and on a sampled synthetic DBLP workload,
 //!    and those answers still certify under the independent
 //!    `comm_core::verify` checker.
-//! 2. **Lossless migration** — for arbitrary graphs, the v1 edge-list
-//!    file migrated through [`migrate_graph_v1`] loads back with exactly
-//!    the original edge triples (weights compared as bits).
-//! 3. **Format dispatch** — [`load_graph_any`] routes v1 and v2 files to
-//!    the right loader.
+//! 2. **Lossless round trip** — for arbitrary graphs, a saved container
+//!    loads back with exactly the original edge triples (weights compared
+//!    as bits).
 
 use communities::datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
 use communities::datasets::workload::{query_keywords, DBLP_KEYWORD_GROUPS};
 use communities::datasets::{generate_dblp, DblpConfig};
-use communities::graph::container::{
-    load_container, load_graph_any, migrate_graph_v1, peek_version, save_container,
-};
-use communities::graph::io::save_graph;
-use communities::graph::{graph_from_edges, Graph, NodeId, Weight};
+use communities::graph::container::{load_container, save_container};
+use communities::graph::{graph_from_edges, Graph, NodeId, SplitMix64, Weight};
 use communities::search::verify::{check_community, check_enumeration, check_ranking};
 use communities::search::{comm_all, comm_k, Community, QuerySpec};
-use proptest::prelude::*;
 use std::path::PathBuf;
 
 /// A fresh scratch directory per call site (pid + line defeat collisions
@@ -155,62 +149,40 @@ fn sampled_dblp_answers_are_bit_identical_on_the_mapped_graph() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn load_graph_any_dispatches_on_the_version_field() {
-    let dir = unique_dir(line!());
-    let g = graph_from_edges(3, &[(0, 1, 1.5), (1, 2, 2.5)]);
-    let v1 = dir.join("g.v1.cgph");
-    let v2 = dir.join("g.v2.cgph");
-    save_graph(&g, &v1).unwrap();
-    save_container(&v2, &g, std::iter::empty::<(&str, &[NodeId])>(), None).unwrap();
-    assert_eq!(peek_version(&v1).unwrap(), 1);
-    assert_eq!(peek_version(&v2).unwrap(), 2);
-    for p in [&v1, &v2] {
-        let loaded = load_graph_any(p).unwrap();
-        assert_eq!(loaded.node_count(), 3);
-        assert_eq!(loaded.edge_count(), 2);
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Arbitrary small graphs: up to 24 nodes, up to 120 distinct directed
+/// Arbitrary small graphs: up to 23 nodes, up to 119 distinct directed
 /// edges with finite positive weights across several orders of magnitude.
-fn arb_graph() -> impl Strategy<Value = Graph> {
-    (1usize..24).prop_flat_map(|n| {
-        let n32 = u32::try_from(n).unwrap();
-        prop::collection::vec((0..n32, 0..n32, 1e-3..1e6f64), 0..120).prop_map(move |mut edges| {
-            edges.sort_by_key(|&(u, v, _)| (u, v));
-            edges.dedup_by_key(|&mut (u, v, _)| (u, v));
-            graph_from_edges(n, &edges)
+fn arb_graph(rng: &mut SplitMix64) -> Graph {
+    let n = 1 + rng.index(23);
+    let mut edges: Vec<(u32, u32, f64)> = (0..rng.index(120))
+        .map(|_| {
+            let (u, v) = (rng.index(n) as u32, rng.index(n) as u32);
+            // Log-uniform over 1e-3..1e6.
+            (u, v, 10f64.powf(rng.unit_f64() * 9.0 - 3.0))
         })
-    })
+        .collect();
+    edges.sort_by_key(|&(u, v, _)| (u, v));
+    edges.dedup_by_key(|&mut (u, v, _)| (u, v));
+    graph_from_edges(n, &edges)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// v1 → v2 migration is lossless: the migrated container loads back
-    /// with exactly the original edge triples, weights compared as bits.
-    #[test]
-    fn migration_preserves_every_edge_bit_for_bit(g in arb_graph(), salt in 0u32..1_000_000) {
-        let dir = std::env::temp_dir().join(format!(
-            "comm_persist_mig_{}_{salt}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        let v1 = dir.join("g.v1.cgph");
-        let v2 = dir.join("g.v2.cgph");
-        save_graph(&g, &v1).expect("v1 save");
-        migrate_graph_v1(&v1, &v2).expect("migrate");
-        prop_assert_eq!(peek_version(&v2).expect("peek"), 2);
-
-        let loaded = load_graph_any(&v2).expect("v2 load");
-        prop_assert_eq!(loaded.node_count(), g.node_count());
-        prop_assert_eq!(loaded.edge_count(), g.edge_count());
+/// The container round trip is lossless: a saved graph loads back with
+/// exactly the original edge triples, weights compared as bits.
+#[test]
+fn container_roundtrip_preserves_every_edge_bit_for_bit() {
+    let dir = unique_dir(line!());
+    let path = dir.join("g.v2.cgph");
+    SplitMix64::for_each_case(48, |rng| {
+        let g = arb_graph(rng);
+        save_container(&path, &g, std::iter::empty::<(&str, &[NodeId])>(), None).expect("save");
+        let loaded = load_container(&path).expect("load").graph;
+        assert_eq!(loaded.node_count(), g.node_count());
+        assert_eq!(loaded.edge_count(), g.edge_count());
         let bits = |g: &Graph| -> Vec<(NodeId, NodeId, u64)> {
-            g.edges().map(|(u, v, w)| (u, v, w.get().to_bits())).collect()
+            g.edges()
+                .map(|(u, v, w)| (u, v, w.get().to_bits()))
+                .collect()
         };
-        prop_assert_eq!(bits(&g), bits(&loaded));
-        std::fs::remove_dir_all(&dir).ok();
-    }
+        assert_eq!(bits(&g), bits(&loaded));
+    });
+    std::fs::remove_dir_all(&dir).ok();
 }

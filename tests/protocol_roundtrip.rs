@@ -10,161 +10,195 @@
 //!    rejected with a `ProtocolError`, never a panic, and the framing
 //!    layer refuses oversized length prefixes before allocating.
 
+use communities::graph::SplitMix64;
 use communities::serve::protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
     CommunitySummary, Priority, Request, Response, MAX_FRAME_BYTES,
 };
-use proptest::prelude::*;
 
-fn arb_priority() -> impl Strategy<Value = Priority> {
-    prop_oneof![
-        Just(Priority::Low),
-        Just(Priority::Normal),
-        Just(Priority::High),
-    ]
+/// Cases per property, each on its own seeded stream.
+const CASES: u64 = 256;
+
+fn arb_u32(rng: &mut SplitMix64) -> u32 {
+    (rng.next_u64() >> 32) as u32
 }
 
-fn arb_request() -> impl Strategy<Value = Request> {
-    prop_oneof![
-        (
-            any::<u64>(),
-            arb_priority(),
-            prop::collection::vec(".{0,24}", 0..6),
-            any::<u64>(),
-            any::<u32>(),
-        )
-            .prop_map(|(id, priority, keywords, rmax_bits, k)| Request::Query {
-                id,
-                priority,
-                keywords,
-                // All 2^64 bit patterns: NaN payloads, infinities, subnormals.
-                rmax: f64::from_bits(rmax_bits),
-                k,
-            }),
-        any::<u64>().prop_map(|id| Request::Ping { id }),
-        any::<u64>().prop_map(|id| Request::Stats { id }),
-        any::<u64>().prop_map(|id| Request::Shutdown { id }),
-    ]
+/// Up to `max_chars` characters: ASCII, Latin-1, CJK and astral-plane
+/// scalars (1- to 4-byte UTF-8), control characters included.
+fn arb_string(rng: &mut SplitMix64, max_chars: usize) -> String {
+    let classes = [
+        '\0'..='\x7f',
+        '\u{a0}'..='\u{ff}',
+        '\u{4e00}'..='\u{9fff}',
+        '\u{1f300}'..='\u{1f5ff}',
+    ];
+    rng.string(&classes, max_chars)
 }
 
-fn arb_summary() -> impl Strategy<Value = CommunitySummary> {
-    (
-        prop::collection::vec(any::<u32>(), 0..5),
-        any::<u64>(),
-        prop::collection::vec(any::<u32>(), 0..5),
-        any::<u32>(),
-        any::<u32>(),
-    )
-        .prop_map(
-            |(core, cost_bits, centers, node_count, edge_count)| CommunitySummary {
-                core,
-                cost_bits,
-                centers,
-                node_count,
-                edge_count,
-            },
-        )
+fn arb_vec<T>(
+    rng: &mut SplitMix64,
+    max_len: usize,
+    mut item: impl FnMut(&mut SplitMix64) -> T,
+) -> Vec<T> {
+    (0..rng.index(max_len + 1)).map(|_| item(rng)).collect()
 }
 
-fn arb_response() -> impl Strategy<Value = Response> {
-    prop_oneof![
-        (any::<u64>(), prop::collection::vec(arb_summary(), 0..4))
-            .prop_map(|(id, communities)| Response::Complete { id, communities }),
-        (
-            any::<u64>(),
-            ".{0,32}",
-            prop::collection::vec(arb_summary(), 0..4),
-        )
-            .prop_map(|(id, reason, communities)| Response::Interrupted {
-                id,
-                reason,
-                communities,
-            }),
-        (any::<u64>(), any::<u32>())
-            .prop_map(|(id, retry_after_ms)| Response::Overloaded { id, retry_after_ms }),
-        (any::<u64>(), ".{0,32}").prop_map(|(id, message)| Response::Error { id, message }),
-        any::<u64>().prop_map(|id| Response::Pong { id }),
-        (
-            any::<u64>(),
-            prop::collection::vec((".{0,16}", any::<u64>()), 0..6),
-        )
-            .prop_map(|(id, counters)| Response::Stats { id, counters }),
-        any::<u64>().prop_map(|id| Response::ShuttingDown { id }),
-    ]
+/// Any 64-bit pattern read as an `f64`, with the special classes (NaN
+/// payloads, infinities, signed zero, subnormals) drawn one time in four
+/// — uniform bits alone would almost never land on them.
+fn arb_f64_bits(rng: &mut SplitMix64) -> f64 {
+    const SPECIAL: [u64; 7] = [
+        0x7ff8_0000_0000_0000, // quiet NaN
+        0x7ff0_0000_dead_beef, // signalling NaN with a payload
+        0x7ff0_0000_0000_0000, // +inf
+        0xfff0_0000_0000_0000, // -inf
+        0x8000_0000_0000_0000, // -0.0
+        0x0000_0000_0000_0001, // smallest subnormal
+        0x000f_ffff_ffff_ffff, // largest subnormal
+    ];
+    f64::from_bits(if rng.index(4) == 0 {
+        SPECIAL[rng.index(SPECIAL.len())]
+    } else {
+        rng.next_u64()
+    })
 }
 
-proptest! {
-    #[test]
-    fn request_roundtrip_is_bit_identical(req in arb_request()) {
-        let bytes = encode_request(&req).expect("encode");
+fn arb_request(rng: &mut SplitMix64) -> Request {
+    let id = rng.next_u64();
+    match rng.index(4) {
+        0 => Request::Query {
+            id,
+            priority: [Priority::Low, Priority::Normal, Priority::High][rng.index(3)],
+            keywords: arb_vec(rng, 5, |r| arb_string(r, 24)),
+            rmax: arb_f64_bits(rng),
+            k: arb_u32(rng),
+        },
+        1 => Request::Ping { id },
+        2 => Request::Stats { id },
+        _ => Request::Shutdown { id },
+    }
+}
+
+fn arb_summary(rng: &mut SplitMix64) -> CommunitySummary {
+    CommunitySummary {
+        core: arb_vec(rng, 4, arb_u32),
+        cost_bits: rng.next_u64(),
+        centers: arb_vec(rng, 4, arb_u32),
+        node_count: arb_u32(rng),
+        edge_count: arb_u32(rng),
+    }
+}
+
+fn arb_response(rng: &mut SplitMix64) -> Response {
+    let id = rng.next_u64();
+    match rng.index(7) {
+        0 => Response::Complete {
+            id,
+            communities: arb_vec(rng, 3, arb_summary),
+        },
+        1 => Response::Interrupted {
+            id,
+            reason: arb_string(rng, 32),
+            communities: arb_vec(rng, 3, arb_summary),
+        },
+        2 => Response::Overloaded {
+            id,
+            retry_after_ms: arb_u32(rng),
+        },
+        3 => Response::Error {
+            id,
+            message: arb_string(rng, 32),
+        },
+        4 => Response::Pong { id },
+        5 => Response::Stats {
+            id,
+            counters: arb_vec(rng, 5, |r| (arb_string(r, 16), r.next_u64())),
+        },
+        _ => Response::ShuttingDown { id },
+    }
+}
+
+#[test]
+fn request_roundtrip_is_bit_identical() {
+    SplitMix64::for_each_case(CASES, |rng| {
+        let bytes = encode_request(&arb_request(rng)).expect("encode");
         let back = decode_request(&bytes).expect("decode");
         let again = encode_request(&back).expect("re-encode");
-        prop_assert_eq!(bytes, again);
-    }
+        assert_eq!(bytes, again);
+    });
+}
 
-    #[test]
-    fn response_roundtrip_is_bit_identical(resp in arb_response()) {
-        let bytes = encode_response(&resp).expect("encode");
+#[test]
+fn response_roundtrip_is_bit_identical() {
+    SplitMix64::for_each_case(CASES, |rng| {
+        let bytes = encode_response(&arb_response(rng)).expect("encode");
         let back = decode_response(&bytes).expect("decode");
         let again = encode_response(&back).expect("re-encode");
-        prop_assert_eq!(bytes, again);
-    }
+        assert_eq!(bytes, again);
+    });
+}
 
-    /// Every field is fixed-size or length-prefixed, so a payload can never
-    /// decode from fewer bytes than it was encoded to: all proper prefixes
-    /// must be rejected — and none may panic.
-    #[test]
-    fn truncated_request_is_rejected(req in arb_request(), cut in any::<prop::sample::Index>()) {
-        let bytes = encode_request(&req).expect("encode");
-        let cut = cut.index(bytes.len());
-        prop_assert!(decode_request(&bytes[..cut]).is_err());
-    }
+/// Every field is fixed-size or length-prefixed, so a payload can never
+/// decode from fewer bytes than it was encoded to: all proper prefixes
+/// must be rejected — and none may panic.
+#[test]
+fn truncated_request_is_rejected() {
+    SplitMix64::for_each_case(CASES, |rng| {
+        let bytes = encode_request(&arb_request(rng)).expect("encode");
+        let cut = rng.index(bytes.len());
+        assert!(decode_request(&bytes[..cut]).is_err());
+    });
+}
 
-    #[test]
-    fn truncated_response_is_rejected(resp in arb_response(), cut in any::<prop::sample::Index>()) {
-        let bytes = encode_response(&resp).expect("encode");
-        let cut = cut.index(bytes.len());
-        prop_assert!(decode_response(&bytes[..cut]).is_err());
-    }
+#[test]
+fn truncated_response_is_rejected() {
+    SplitMix64::for_each_case(CASES, |rng| {
+        let bytes = encode_response(&arb_response(rng)).expect("encode");
+        let cut = rng.index(bytes.len());
+        assert!(decode_response(&bytes[..cut]).is_err());
+    });
+}
 
-    /// A single flipped byte must never cause a panic: either the decoder
-    /// rejects it, or it decodes to some other message that re-encodes
-    /// cleanly (a flip inside string content is still a valid message).
-    #[test]
-    fn corrupted_request_never_panics(
-        req in arb_request(),
-        at in any::<prop::sample::Index>(),
-        flip in 1u8..,
-    ) {
-        let mut bytes = encode_request(&req).expect("encode");
-        let at = at.index(bytes.len());
-        bytes[at] ^= flip;
+/// XORs a non-zero mask into one byte of `bytes`.
+fn flip_one_byte(rng: &mut SplitMix64, bytes: &mut [u8]) {
+    let at = rng.index(bytes.len());
+    bytes[at] ^= 1 + rng.index(255) as u8;
+}
+
+/// A single flipped byte must never cause a panic: either the decoder
+/// rejects it, or it decodes to some other message that re-encodes
+/// cleanly (a flip inside string content is still a valid message).
+#[test]
+fn corrupted_request_never_panics() {
+    SplitMix64::for_each_case(CASES, |rng| {
+        let mut bytes = encode_request(&arb_request(rng)).expect("encode");
+        flip_one_byte(rng, &mut bytes);
         if let Ok(back) = decode_request(&bytes) {
             encode_request(&back).expect("decoded message re-encodes");
         }
-    }
+    });
+}
 
-    #[test]
-    fn corrupted_response_never_panics(
-        resp in arb_response(),
-        at in any::<prop::sample::Index>(),
-        flip in 1u8..,
-    ) {
-        let mut bytes = encode_response(&resp).expect("encode");
-        let at = at.index(bytes.len());
-        bytes[at] ^= flip;
+#[test]
+fn corrupted_response_never_panics() {
+    SplitMix64::for_each_case(CASES, |rng| {
+        let mut bytes = encode_response(&arb_response(rng)).expect("encode");
+        flip_one_byte(rng, &mut bytes);
         if let Ok(back) = decode_response(&bytes) {
             encode_response(&back).expect("decoded message re-encodes");
         }
-    }
+    });
+}
 
-    #[test]
-    fn frame_roundtrip(payload in prop::collection::vec(any::<u8>(), 0..512)) {
+#[test]
+fn frame_roundtrip() {
+    SplitMix64::for_each_case(CASES, |rng| {
+        let payload = arb_vec(rng, 511, |r| (r.next_u64() >> 56) as u8);
         let mut wire = Vec::new();
         write_frame(&mut wire, &payload).expect("write");
         let back = read_frame(&mut wire.as_slice()).expect("read");
-        prop_assert_eq!(payload, back);
-    }
+        assert_eq!(payload, back);
+    });
 }
 
 #[test]
