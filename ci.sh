@@ -36,20 +36,6 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Parallel lane: pin the worker pool to 2 threads so any serial/parallel
-# divergence shows up, then run the dedicated equivalence gate.
-echo "==> cargo test (RAYON_NUM_THREADS=2)"
-RAYON_NUM_THREADS=2 cargo test -q --workspace --release
-
-echo "==> serial/parallel equivalence gate"
-RAYON_NUM_THREADS=2 cargo test -q --release --test parallel_equivalence
-
-# Kernel lane: the equivalence gate re-run with the process-wide Dijkstra
-# kernel pinned each way (the global pool reads COMM_KERNEL at first use).
-echo "==> kernel lane (equivalence gate under each kernel)"
-COMM_KERNEL=heap cargo test -q --release --test parallel_equivalence
-COMM_KERNEL=bucket cargo test -q --release --test parallel_equivalence
-
 # Serve smoke lane: chaos-load the daemon (fault injection armed), then a
 # CLI round trip. chaos_load exits non-zero unless every request
 # terminated in a declared state with zero protocol errors and sheds got
@@ -120,10 +106,10 @@ if rustc +nightly --version >/dev/null 2>&1 \
     HOST_TARGET=$(rustc -vV | sed -n 's/^host: //p')
     # -Zbuild-std (like Miri's sysroot build below) may fetch std's own
     # dependencies, so these two lanes run with the network allowed.
-    CARGO_NET_OFFLINE=false RUSTFLAGS="-Zsanitizer=thread" RAYON_NUM_THREADS=2 \
+    CARGO_NET_OFFLINE=false RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -q --release -Zbuild-std \
         --target "$HOST_TARGET" -p comm-serve --lib
-    CARGO_NET_OFFLINE=false RUSTFLAGS="-Zsanitizer=thread" RAYON_NUM_THREADS=2 \
+    CARGO_NET_OFFLINE=false RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -q --release -Zbuild-std \
         --target "$HOST_TARGET" --test parallel_equivalence
 else

@@ -1,12 +1,15 @@
 //! End-to-end probe at the paper's full DBLP scale: index build time,
 //! projection ratios, and query timings — directly comparable to Sec. VII.
-use comm_core::{bu_all, bu_topk, comm_k, td_all, td_topk, CommAll, ProjectionIndex};
+use comm_core::{
+    bu_all_guarded, bu_topk_guarded, td_all_guarded, td_topk_guarded, CommAll, CommK,
+    ProjectionIndex, QueryError, RunGuard,
+};
 use comm_datasets::workload::{query_keywords, DBLP_GRID, DBLP_KEYWORD_GROUPS};
 use comm_datasets::{generate_dblp, DblpConfig};
-use comm_graph::{NodeId, Weight};
+use comm_graph::{EnginePool, NodeId, Parallelism, Weight};
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), QueryError> {
     let t0 = Instant::now();
     let ds = generate_dblp(&DblpConfig::paper_scale());
     println!(
@@ -28,11 +31,15 @@ fn main() {
         })
         .collect();
     let t0 = Instant::now();
-    let idx = ProjectionIndex::build(
+    let guard = RunGuard::unlimited();
+    let idx = ProjectionIndex::build_par_guarded(
         &ds.graph.graph,
         entries,
         Weight::new(*grid.rmax.last().unwrap()),
-    );
+        &guard,
+        EnginePool::global(),
+        Parallelism::serial(),
+    )?;
     println!(
         "[index] built in {:?}, {:.1} MB",
         t0.elapsed(),
@@ -43,7 +50,7 @@ fn main() {
     for &kwf in grid.kwf {
         for &l in grid.l {
             let kws = query_keywords(DBLP_KEYWORD_GROUPS, kwf, l);
-            let pq = idx.project(&kws, Weight::new(drmax)).unwrap();
+            let pq = idx.try_project(&kws, Weight::new(drmax), &guard)?;
             ratios.push(idx.projection_ratio(&pq));
         }
     }
@@ -58,7 +65,7 @@ fn main() {
     // Default cell head-to-head.
     let kws = query_keywords(DBLP_KEYWORD_GROUPS, dkwf, dl);
     let t0 = Instant::now();
-    let pq = idx.project(&kws, Weight::new(drmax)).unwrap();
+    let pq = idx.try_project(&kws, Weight::new(drmax), &guard)?;
     println!(
         "[proj-default] n={} m={} in {:?}",
         pq.projected.graph.node_count(),
@@ -68,7 +75,7 @@ fn main() {
     let g = &pq.projected.graph;
     let cap = 2000;
     let t0 = Instant::now();
-    let mut it = CommAll::new(g, &pq.spec);
+    let mut it = CommAll::try_new(g, &pq.spec)?;
     let mut n = 0;
     while n < cap && it.next().is_some() {
         n += 1;
@@ -80,7 +87,7 @@ fn main() {
         it.peak_memory_bytes()
     );
     let t0 = Instant::now();
-    let bu = bu_all(g, &pq.spec, Some(cap));
+    let bu = bu_all_guarded(g, &pq.spec, Some(cap), guard.clone())?.into_value();
     println!(
         "[BUall] {} in {:?} cand {} mem {}",
         bu.communities.len(),
@@ -89,7 +96,7 @@ fn main() {
         bu.stats.peak_bytes
     );
     let t0 = Instant::now();
-    let td = td_all(g, &pq.spec, Some(cap));
+    let td = td_all_guarded(g, &pq.spec, Some(cap), guard.clone())?.into_value();
     println!(
         "[TDall] {} in {:?} mem {}",
         td.communities.len(),
@@ -97,10 +104,10 @@ fn main() {
         td.stats.peak_bytes
     );
     let t0 = Instant::now();
-    let pd = comm_k(g, &pq.spec, k);
+    let pd: Vec<_> = CommK::try_new(g, &pq.spec)?.take(k).collect();
     println!("[PDk] top-{} in {:?}", pd.len(), t0.elapsed());
     let t0 = Instant::now();
-    let buk = bu_topk(g, &pq.spec, k, Some(20_000_000));
+    let buk = bu_topk_guarded(g, &pq.spec, k, Some(20_000_000), guard.clone())?.into_value();
     println!(
         "[BUk] done={} cand={} in {:?}",
         buk.stats.completed,
@@ -108,6 +115,7 @@ fn main() {
         t0.elapsed()
     );
     let t0 = Instant::now();
-    let tdk = td_topk(g, &pq.spec, k, Some(20_000_000));
+    let tdk = td_topk_guarded(g, &pq.spec, k, Some(20_000_000), guard)?.into_value();
     println!("[TDk] done={} in {:?}", tdk.stats.completed, t0.elapsed());
+    Ok(())
 }

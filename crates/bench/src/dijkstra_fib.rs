@@ -4,14 +4,12 @@
 //! assume a Fibonacci-heap priority queue with `O(1)` decrease-key. In
 //! practice a binary heap with lazy deletion (`O((n + m) log n)`) usually
 //! wins on constants; this module provides the textbook variant so the two
-//! can be compared head-to-head (see `repro`'s `heap` ablation), and so
-//! the asymptotic claim is actually implemented rather than only cited.
+//! can be compared head-to-head (`repro`'s `heap` ablation, its only
+//! consumer), and so the asymptotic claim is actually implemented rather
+//! than only cited.
 
-use crate::csr::{Direction, Graph, NodeId};
-use crate::dijkstra::Settled;
-use crate::guard::{InterruptReason, RunGuard};
-use crate::weight::Weight;
 use comm_fibheap::{FibHeap, NodeRef};
+use comm_graph::{Direction, Graph, InterruptReason, NodeId, RunGuard, Settled, Weight};
 
 const NO_SOURCE: u32 = u32::MAX;
 
@@ -65,7 +63,7 @@ impl FibDijkstraEngine {
     }
 
     /// Runs a truncated multi-source Dijkstra; identical semantics to
-    /// [`DijkstraEngine::run`](crate::DijkstraEngine::run), including the
+    /// [`DijkstraEngine::run`](comm_graph::DijkstraEngine::run), including the
     /// deterministic `(dist, node)` tie order, but with decrease-key
     /// updates instead of lazy deletion.
     pub fn run<F: FnMut(Settled)>(
@@ -83,7 +81,7 @@ impl FibDijkstraEngine {
 
     /// Like [`run`](Self::run), but consults `guard` once per settled node;
     /// semantics match
-    /// [`DijkstraEngine::run_guarded`](crate::DijkstraEngine::run_guarded).
+    /// [`DijkstraEngine::run_guarded`](comm_graph::DijkstraEngine::run_guarded).
     pub fn run_guarded<F: FnMut(Settled)>(
         &mut self,
         graph: &Graph,
@@ -162,8 +160,7 @@ impl FibDijkstraEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::graph_from_edges;
-    use crate::dijkstra::DijkstraEngine;
+    use comm_graph::{graph_from_edges, DijkstraEngine, SplitMix64};
 
     fn random_graph(n: usize, m: usize, seed: u64) -> Graph {
         let mut state = seed;
@@ -212,6 +209,41 @@ mod tests {
         }
     }
 
+    /// 128 seeded cases: 2–29 nodes, up to `4n` edges of weight `0..9`,
+    /// 1–3 spread seeds, radius `0..30`, both directions — the whole
+    /// settle stream must match the binary-heap engine.
+    #[test]
+    fn fib_engine_equals_binary_engine() {
+        SplitMix64::for_each_case(128, |rng| {
+            let n = 2 + rng.index(28);
+            let edges: Vec<(u32, u32, f64)> = (0..rng.index(n * 4))
+                .map(|_| {
+                    (
+                        rng.index(n) as u32,
+                        rng.index(n) as u32,
+                        rng.index(9) as f64,
+                    )
+                })
+                .collect();
+            let g = graph_from_edges(n, &edges);
+            let mut seeds: Vec<NodeId> = (0..(1 + rng.index(3)).min(n))
+                .map(|i| NodeId((i * 7 % n) as u32))
+                .collect();
+            seeds.sort_unstable();
+            seeds.dedup();
+            let r = Weight::new(rng.index(30) as f64);
+            let mut bin = DijkstraEngine::new(n);
+            let mut fib = FibDijkstraEngine::new(n);
+            for dir in [Direction::Forward, Direction::Reverse] {
+                let mut a = Vec::new();
+                bin.run(&g, dir, seeds.iter().copied(), r, |s| a.push(s));
+                let mut b = Vec::new();
+                fib.run(&g, dir, seeds.iter().copied(), r, |s| b.push(s));
+                assert_eq!(&a, &b);
+            }
+        });
+    }
+
     #[test]
     fn reverse_direction_agrees_too() {
         let g = random_graph(40, 160, 99);
@@ -234,7 +266,6 @@ mod tests {
 
     #[test]
     fn guarded_run_prefix_matches_binary_engine() {
-        use crate::guard::{InterruptReason, RunGuard};
         let g = random_graph(30, 120, 7);
         let mut bin = DijkstraEngine::new(30);
         let mut full = Vec::new();

@@ -15,8 +15,8 @@
 use crate::setup::{imdb_config, Prepared, Scale};
 use crate::table::{fmt_bytes, fmt_ms, Table};
 use comm_core::{
-    bu_all, bu_topk_guarded, comm_k, td_all, td_topk_guarded, BaselineRun, CommAll, CommK, Outcome,
-    QuerySpec, RunGuard,
+    bu_all_guarded, bu_topk_guarded, td_all_guarded, td_topk_guarded, BaselineRun, CommAll, CommK,
+    Community, Outcome, QuerySpec, RunGuard,
 };
 use comm_datasets::generate_imdb;
 use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
@@ -70,6 +70,14 @@ fn deadline_run(out: Result<Outcome<BaselineRun>, comm_core::QueryError>) -> Bas
     }
 }
 
+/// COMM-k's top-`k` on a benchmark cell.
+fn collect_top_k(g: &comm_graph::Graph, spec: &QuerySpec, k: usize) -> Vec<Community> {
+    CommK::try_new(g, spec)
+        .expect("bench query specs are valid")
+        .take(k)
+        .collect()
+}
+
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1000.0
 }
@@ -88,7 +96,7 @@ struct AllCell {
 
 fn run_pd_all(g: &comm_graph::Graph, spec: &QuerySpec, cap: usize) -> AllCell {
     let t0 = Instant::now();
-    let mut it = CommAll::new(g, spec);
+    let mut it = CommAll::try_new(g, spec).expect("bench query specs are valid");
     let mut found = 0;
     while found < cap && it.next().is_some() {
         found += 1;
@@ -150,10 +158,20 @@ pub fn comm_all_figure(p: &Prepared, caps: Caps, fig: &str) -> Vec<Table> {
             let g = &pq.projected.graph;
             let pd = run_pd_all(g, &pq.spec, caps.all_cap);
             let t0 = Instant::now();
-            let bu = bu_all(g, &pq.spec, Some(caps.all_cap));
+            let bu = deadline_run(bu_all_guarded(
+                g,
+                &pq.spec,
+                Some(caps.all_cap),
+                RunGuard::unlimited(),
+            ));
             let bu = baseline_cell(bu, t0.elapsed());
             let t0 = Instant::now();
-            let td = td_all(g, &pq.spec, Some(caps.all_cap));
+            let td = deadline_run(td_all_guarded(
+                g,
+                &pq.spec,
+                Some(caps.all_cap),
+                RunGuard::unlimited(),
+            ));
             let td = baseline_cell(td, t0.elapsed());
             let axis_value = match axis {
                 "KWF" => format!("{kwf:.4}"),
@@ -185,7 +203,7 @@ fn topk_row(p: &Prepared, caps: Caps, kwf: f64, l: usize, rmax: f64, k: usize) -
     let pq = p.project(kwf, l, rmax);
     let g = &pq.projected.graph;
     let t0 = Instant::now();
-    let pd = comm_k(g, &pq.spec, k);
+    let pd = collect_top_k(g, &pq.spec, k);
     let t_pd = t0.elapsed();
     let t0 = Instant::now();
     let bu = deadline_run(bu_topk_guarded(g, &pq.spec, k, None, caps.guard()));
@@ -267,7 +285,7 @@ pub fn comm_k_figure(p: &Prepared, caps: Caps, fig: &str) -> Vec<Table> {
     // 111.2 KB BUk, 91.16 KB PDk at the IMDB defaults).
     let pq = p.project(dkwf, dl, drmax);
     let g = &pq.projected.graph;
-    let mut it = CommK::new(g, &pq.spec);
+    let mut it = CommK::try_new(g, &pq.spec).expect("bench query specs are valid");
     let mut emitted = 0;
     while emitted < dk && it.next().is_some() {
         emitted += 1;
@@ -313,7 +331,7 @@ pub fn interactive_figure(p: &Prepared, caps: Caps) -> Table {
     );
     for &k in p.grid.k {
         // PDk: consume k, then time the 50-community continuation only.
-        let mut it = CommK::new(g, &pq.spec);
+        let mut it = CommK::try_new(g, &pq.spec).expect("bench query specs are valid");
         let mut got = 0;
         while got < k && it.next().is_some() {
             got += 1;
@@ -418,7 +436,10 @@ pub fn table1() -> Table {
         "Fig. 4 example, 3-keyword query {a,b,c}, Rmax=8 — ranking (paper Table I)",
         &["rank", "knodes (a,b,c)", "cost", "centers"],
     );
-    for (rank, c) in CommK::new(&g, &spec).enumerate() {
+    for (rank, c) in CommK::try_new(&g, &spec)
+        .expect("bench query specs are valid")
+        .enumerate()
+    {
         t.push_row(vec![
             (rank + 1).to_string(),
             format!("{:?}", c.core),
@@ -464,13 +485,22 @@ pub fn ablation_density(scale: Scale, caps: Caps) -> Table {
             .iter()
             .map(|&kw| (kw, ds.graph.keyword_nodes(kw)))
             .collect();
-        let idx = comm_core::ProjectionIndex::build(&ds.graph.graph, entries, Weight::new(drmax));
-        let Some(pq) = idx.project(&kws, Weight::new(drmax)) else {
+        let guard = RunGuard::unlimited();
+        let idx = comm_core::ProjectionIndex::build_par_guarded(
+            &ds.graph.graph,
+            entries,
+            Weight::new(drmax),
+            &guard,
+            comm_graph::EnginePool::global(),
+            comm_graph::Parallelism::serial(),
+        )
+        .expect("an unlimited guard never trips");
+        let Ok(pq) = idx.try_project(&kws, Weight::new(drmax), &guard) else {
             continue;
         };
         let g = &pq.projected.graph;
         let t0 = Instant::now();
-        let pd = comm_k(g, &pq.spec, dk);
+        let pd = collect_top_k(g, &pq.spec, dk);
         let t_pd = t0.elapsed();
         let t0 = Instant::now();
         let bu = deadline_run(bu_topk_guarded(g, &pq.spec, dk, None, caps.guard()));
@@ -533,14 +563,14 @@ pub fn ablation_lawler(p: &Prepared, caps: Caps) -> Table {
         let pq = p.project(dkwf, l, drmax);
         let g = &pq.projected.graph;
         let t0 = Instant::now();
-        let mut ours = CommK::new(g, &pq.spec);
+        let mut ours = CommK::try_new(g, &pq.spec).expect("bench query specs are valid");
         let mut got = 0;
         while got < k && ours.next().is_some() {
             got += 1;
         }
         let t_pd = t0.elapsed();
         let t0 = Instant::now();
-        let mut lawler = LawlerK::new(g, &pq.spec);
+        let mut lawler = LawlerK::try_new(g, &pq.spec).expect("bench query specs are valid");
         let mut got_l = 0;
         while got_l < k && lawler.next().is_some() {
             got_l += 1;
@@ -571,7 +601,8 @@ pub fn ablation_lawler(p: &Prepared, caps: Caps) -> Table {
 /// Fibonacci-heap engine against the binary heap with lazy deletion that
 /// the enumerators actually use, over the benchmark `Neighbor()` workload.
 pub fn ablation_heap(p: &Prepared) -> Table {
-    use comm_graph::{DijkstraEngine, Direction, FibDijkstraEngine};
+    use crate::dijkstra_fib::FibDijkstraEngine;
+    use comm_graph::{DijkstraEngine, Direction};
     let (dkwf, dl, drmax, _) = p.grid.defaults;
     let pq = p.project(dkwf, dl, drmax);
     let g = &pq.projected.graph;
@@ -654,7 +685,7 @@ pub fn ablation_projection(p: &Prepared) -> Table {
     let t_proj = t0.elapsed();
     let g = &pq.projected.graph;
     let t0 = Instant::now();
-    let projected = comm_k(g, &pq.spec, dk);
+    let projected = collect_top_k(g, &pq.spec, dk);
     let t_pd = t0.elapsed();
     t.push_row(vec![
         "projected".into(),
@@ -671,7 +702,7 @@ pub fn ablation_projection(p: &Prepared) -> Table {
         Weight::new(drmax),
     );
     let t0 = Instant::now();
-    let full = comm_k(&p.dataset.graph.graph, &full_spec, dk);
+    let full = collect_top_k(&p.dataset.graph.graph, &full_spec, dk);
     let t_full = t0.elapsed();
     t.push_row(vec![
         "full G_D".into(),

@@ -7,14 +7,14 @@
 //! cached) but the index build, the dominant cost at paper scale, is
 //! skipped. [`Prepared::index_source`] records which path ran.
 
-use comm_core::{ProjectedQuery, ProjectionIndex};
+use comm_core::{ProjectedQuery, ProjectionIndex, RunGuard};
 use comm_datasets::cache::{bundle_path, cache_dir, load_bundle, save_bundle_with_index};
 use comm_datasets::workload::{
     query_keywords, KeywordGroup, ParameterGrid, DBLP_GRID, DBLP_KEYWORD_GROUPS, IMDB_GRID,
     IMDB_KEYWORD_GROUPS,
 };
 use comm_datasets::{generate_dblp, generate_imdb, DblpConfig, GeneratedDataset, ImdbConfig};
-use comm_graph::{NodeId, Weight};
+use comm_graph::{EnginePool, NodeId, Parallelism, Weight};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -170,7 +170,15 @@ impl Prepared {
                     .map(|&kw| (kw, dataset.graph.keyword_nodes(kw)))
             })
             .collect();
-        let index = ProjectionIndex::build(&dataset.graph.graph, entries.iter().copied(), rmax);
+        let index = ProjectionIndex::build_par_guarded(
+            &dataset.graph.graph,
+            entries.iter().copied(),
+            rmax,
+            &RunGuard::unlimited(),
+            EnginePool::global(),
+            Parallelism::serial(),
+        )
+        .expect("an unlimited guard never trips");
         let index_build = t0.elapsed();
         if let Some(dir) = cache {
             // Best-effort persistence: an unwritable cache directory
@@ -227,8 +235,8 @@ impl Prepared {
     pub fn project(&self, kwf: f64, l: usize, rmax: f64) -> ProjectedQuery {
         let kws = self.keywords(kwf, l);
         self.index
-            .project(&kws, Weight::new(rmax))
-            .expect("benchmark keywords are always indexed")
+            .try_project(&kws, Weight::new(rmax), &RunGuard::unlimited())
+            .expect("benchmark keywords are always indexed within the grid's radius")
     }
 }
 

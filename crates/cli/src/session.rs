@@ -11,7 +11,7 @@ use comm_core::{CommK, CostFn, ProjectionIndex, QuerySpec, RunGuard};
 use comm_datasets::cache::{bundle_path, cache_dir, load_bundle, save_bundle, GraphBundle};
 use comm_datasets::stats::dataset_stats;
 use comm_datasets::{generate_dblp, generate_imdb, DblpConfig, GeneratedDataset, ImdbConfig};
-use comm_graph::{NodeId, Weight};
+use comm_graph::{EnginePool, NodeId, Parallelism, Weight};
 use comm_rdb::ColumnId;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -217,8 +217,15 @@ impl Session {
             .iter()
             .map(|kw| (kw.as_str(), ds.keyword_nodes(kw)))
             .collect();
-        let index = ProjectionIndex::build_guarded(ds.graph(), entries, Weight::new(rmax), &guard)
-            .map_err(|r| format!("query interrupted while indexing ({r})"))?;
+        let index = ProjectionIndex::build_par_guarded(
+            ds.graph(),
+            entries,
+            Weight::new(rmax),
+            &guard,
+            EnginePool::global(),
+            Parallelism::serial(),
+        )
+        .map_err(|r| format!("query interrupted while indexing ({r})"))?;
         let refs: Vec<&str> = keywords.iter().map(String::as_str).collect();
         let pq = index
             .try_project(&refs, Weight::new(rmax), &guard)
@@ -255,7 +262,9 @@ impl Session {
         // CommK is resumable but borrows the graph; to keep the session
         // simple we re-enumerate up to the high-water mark (communities are
         // deterministic), which is still fast on projected graphs.
-        let mut it = CommK::new(&q.graph, &q.spec).with_guard(guard);
+        let mut it = CommK::try_new(&q.graph, &q.spec)
+            .map_err(|e| e.to_string())?
+            .with_guard(guard);
         let mut skipped = 0;
         while skipped < q.emitted && it.next().is_some() {
             skipped += 1;
@@ -317,7 +326,9 @@ impl Session {
     pub fn dot(&self, rank: usize, path: Option<&str>) -> Result<String, String> {
         let ds = self.dataset.as_ref().ok_or("no dataset loaded")?;
         let q = self.current.as_ref().ok_or("no active query")?;
-        let mut it = CommK::new(&q.graph, &q.spec).with_guard(self.guard());
+        let mut it = CommK::try_new(&q.graph, &q.spec)
+            .map_err(|e| e.to_string())?
+            .with_guard(self.guard());
         let community = it.nth(rank - 1).ok_or_else(|| match it.interrupted() {
             Some(reason) => format!("interrupted: {reason}"),
             None => format!("the query has fewer than {rank} communities"),

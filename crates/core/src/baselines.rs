@@ -59,14 +59,15 @@ pub struct BaselineRun {
 const PAIR_BYTES: usize = std::mem::size_of::<(NodeId, Weight)>();
 
 /// Enumerates the cross product of the per-dimension reach lists at one
-/// center, reporting each core with the center's total distance. The
-/// callback returns `false` to stop early (used by truncated benchmark
-/// runs); the function reports whether enumeration ran to completion.
-fn cross_product<F: FnMut(Core, Weight) -> bool>(
+/// center, offering each core with the center's total distance to `emit`.
+/// `emit` returns `Ok(false)` to stop early (limits and budgets) or the
+/// guard's reason; the function reports whether enumeration ran to
+/// completion.
+fn cross_product(
     sets: &ReachSets,
     cost_fn: CostFn,
-    mut emit: F,
-) -> bool {
+    mut emit: impl FnMut(Core, Weight) -> Result<bool, InterruptReason>,
+) -> Result<bool, InterruptReason> {
     let l = sets.len();
     debug_assert!(sets.iter().all(|s| !s.is_empty()));
     let mut idx = vec![0usize; l];
@@ -78,8 +79,8 @@ fn cross_product<F: FnMut(Core, Weight) -> bool>(
             core.push(v);
             dists[i] = d;
         }
-        if !emit(Core(core), cost_fn.combine(dists.iter().copied())) {
-            return false;
+        if !emit(Core(core), cost_fn.combine(dists.iter().copied()))? {
+            return Ok(false);
         }
         for i in (0..l).rev() {
             idx[i] += 1;
@@ -92,7 +93,7 @@ fn cross_product<F: FnMut(Core, Weight) -> bool>(
             }
         }
     }
-    true
+    Ok(true)
 }
 
 /// Runs the bottom-up expansion, building `u.V_i` for every node.
@@ -117,231 +118,6 @@ fn bottom_up_expand(
         }
     }
     Ok((sets, entries * PAIR_BYTES))
-}
-
-/// Wraps a finished run in the `Outcome` the guarded entry points return.
-fn wrap_run(run: BaselineRun) -> Outcome<BaselineRun> {
-    match run.stats.interrupted {
-        None => Outcome::Complete(run),
-        Some(reason) => Outcome::Interrupted {
-            reason,
-            partial: run,
-        },
-    }
-}
-
-/// `BUall`: bottom-up enumeration of all communities.
-///
-/// `limit` optionally caps the number of communities materialized (the
-/// expansion and candidate generation still run in full).
-pub fn bu_all(graph: &Graph, spec: &QuerySpec, limit: Option<usize>) -> BaselineRun {
-    bu_all_impl(graph, spec, limit, &RunGuard::unlimited())
-}
-
-/// [`bu_all`] validating the spec and running under `guard`. An
-/// interrupted run carries the communities materialized before the trip.
-pub fn bu_all_guarded(
-    graph: &Graph,
-    spec: &QuerySpec,
-    limit: Option<usize>,
-    guard: RunGuard,
-) -> Result<Outcome<BaselineRun>, QueryError> {
-    spec.validate_for(graph)?;
-    Ok(wrap_run(bu_all_impl(graph, spec, limit, &guard)))
-}
-
-fn bu_all_impl(
-    graph: &Graph,
-    spec: &QuerySpec,
-    limit: Option<usize>,
-    guard: &RunGuard,
-) -> BaselineRun {
-    let mut engine = DijkstraEngine::new(graph.node_count());
-    let mut stats = BaselineStats {
-        completed: true,
-        ..BaselineStats::default()
-    };
-    if spec.has_empty_keyword() {
-        return BaselineRun {
-            communities: Vec::new(),
-            stats,
-        };
-    }
-    let (sets, expansion_bytes) = match bottom_up_expand(graph, spec, &mut engine, guard) {
-        Ok(x) => x,
-        Err(reason) => {
-            stats.completed = false;
-            stats.interrupted = Some(reason);
-            return BaselineRun {
-                communities: Vec::new(),
-                stats,
-            };
-        }
-    };
-
-    let mut pool: HashSet<Core> = HashSet::new();
-    let mut communities = Vec::new();
-    let mut trip: Option<InterruptReason> = None;
-    let l = spec.l();
-    'centers: for per_center in &sets {
-        if (0..l).any(|i| per_center[i].is_empty()) {
-            continue;
-        }
-        let done = cross_product(per_center, spec.cost, |core, _| {
-            stats.candidates += 1;
-            if let Err(reason) = guard.note_candidate() {
-                trip = Some(reason);
-                return false;
-            }
-            if pool.insert(core.clone()) {
-                match get_community_guarded(graph, &mut engine, &core, spec.rmax, spec.cost, guard)
-                {
-                    // xtask-allow: no_panics — BestCore only returns cores certified by a center
-                    Ok(c) => communities.push(c.expect("center u certifies the core")),
-                    Err(reason) => {
-                        trip = Some(reason);
-                        return false;
-                    }
-                }
-            } else {
-                stats.duplicates += 1;
-            }
-            limit.is_none_or(|cap| communities.len() < cap)
-        });
-        if !done {
-            stats.completed = false;
-            break 'centers;
-        }
-    }
-    stats.interrupted = trip;
-    stats.communities = communities.len();
-    stats.peak_bytes = expansion_bytes + pool.len() * (l * 4 + 32);
-    BaselineRun { communities, stats }
-}
-
-/// `BUk`: bottom-up top-k. Collects every candidate core with its minimum
-/// center cost, ranks, and materializes the top `k`. Cannot resume — a
-/// larger `k` requires a full re-run (Exp-3).
-///
-/// `candidate_budget` aborts the run (with `stats.completed = false` and no
-/// communities) once that many candidate cores have been generated; the
-/// benchmark harness uses it to keep combinatorially explosive cells from
-/// exhausting memory. `None` never aborts.
-pub fn bu_topk(
-    graph: &Graph,
-    spec: &QuerySpec,
-    k: usize,
-    candidate_budget: Option<usize>,
-) -> BaselineRun {
-    bu_topk_impl(graph, spec, k, candidate_budget, &RunGuard::unlimited())
-}
-
-/// [`bu_topk`] validating the spec and running under `guard`. An aborted
-/// ranking would be wrong, so an interrupted run carries no communities —
-/// only the stats accumulated up to the trip.
-pub fn bu_topk_guarded(
-    graph: &Graph,
-    spec: &QuerySpec,
-    k: usize,
-    candidate_budget: Option<usize>,
-    guard: RunGuard,
-) -> Result<Outcome<BaselineRun>, QueryError> {
-    spec.validate_for(graph)?;
-    Ok(wrap_run(bu_topk_impl(
-        graph,
-        spec,
-        k,
-        candidate_budget,
-        &guard,
-    )))
-}
-
-fn bu_topk_impl(
-    graph: &Graph,
-    spec: &QuerySpec,
-    k: usize,
-    candidate_budget: Option<usize>,
-    guard: &RunGuard,
-) -> BaselineRun {
-    let mut engine = DijkstraEngine::new(graph.node_count());
-    let mut stats = BaselineStats {
-        completed: true,
-        ..BaselineStats::default()
-    };
-    if spec.has_empty_keyword() || k == 0 {
-        return BaselineRun {
-            communities: Vec::new(),
-            stats,
-        };
-    }
-    let (sets, expansion_bytes) = match bottom_up_expand(graph, spec, &mut engine, guard) {
-        Ok(x) => x,
-        Err(reason) => {
-            stats.completed = false;
-            stats.interrupted = Some(reason);
-            return BaselineRun {
-                communities: Vec::new(),
-                stats,
-            };
-        }
-    };
-
-    let l = spec.l();
-    let mut best_cost: HashMap<Core, Weight> = HashMap::new();
-    let mut trip: Option<InterruptReason> = None;
-    'centers: for per_center in &sets {
-        if (0..l).any(|i| per_center[i].is_empty()) {
-            continue;
-        }
-        let done = cross_product(per_center, spec.cost, |core, cost| {
-            stats.candidates += 1;
-            if let Err(reason) = guard.note_candidate() {
-                trip = Some(reason);
-                return false;
-            }
-            best_cost
-                .entry(core)
-                .and_modify(|c| {
-                    stats.duplicates += 1;
-                    if cost < *c {
-                        *c = cost;
-                    }
-                })
-                .or_insert(cost);
-            candidate_budget.is_none_or(|b| stats.candidates < b)
-        });
-        if !done {
-            stats.completed = false;
-            break 'centers;
-        }
-    }
-    stats.interrupted = trip;
-    stats.peak_bytes = expansion_bytes + best_cost.len() * (l * 4 + 8 + 32);
-    if !stats.completed {
-        // An aborted ranking would be wrong; report the abort instead.
-        return BaselineRun {
-            communities: Vec::new(),
-            stats,
-        };
-    }
-
-    let mut ranked: Vec<(Core, Weight)> = best_cost.into_iter().collect();
-    ranked.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-    ranked.truncate(k);
-    let mut communities: Vec<Community> = Vec::with_capacity(ranked.len());
-    for (core, _) in ranked {
-        match get_community_guarded(graph, &mut engine, &core, spec.rmax, spec.cost, guard) {
-            // xtask-allow: no_panics — BestCore only returns cores certified by a center
-            Ok(c) => communities.push(c.expect("core has a center")),
-            Err(reason) => {
-                stats.completed = false;
-                stats.interrupted = Some(reason);
-                break;
-            }
-        }
-    }
-    stats.communities = communities.len();
-    BaselineRun { communities, stats }
 }
 
 /// Per-center forward expansion used by the top-down variants: collects
@@ -379,105 +155,241 @@ fn keyword_membership(spec: &QuerySpec) -> HashMap<NodeId, Vec<u8>> {
     m
 }
 
-/// `TDall`: top-down enumeration of all communities.
-pub fn td_all(graph: &Graph, spec: &QuerySpec, limit: Option<usize>) -> BaselineRun {
-    td_all_impl(graph, spec, limit, &RunGuard::unlimited())
+/// How a baseline finds each center's reach sets.
+#[derive(Clone, Copy)]
+enum Expander {
+    /// One reverse sweep per keyword node into a per-node table that stays
+    /// alive for the whole run.
+    BottomUp,
+    /// One forward sweep per graph node; the per-center sets are dropped
+    /// after each center — the memory advantage of top-down over
+    /// bottom-up the paper points out for Fig. 9(b).
+    TopDown,
 }
 
-/// [`td_all`] validating the spec and running under `guard`. An
-/// interrupted run carries the communities materialized before the trip.
+/// Streams every candidate core of every center to `offer` until it
+/// declines (`Ok(false)`) or the guard trips. Returns the peak bytes of
+/// expansion state and how the stream ended: `Ok(true)` exhausted,
+/// `Ok(false)` declined, `Err` tripped.
+fn expand(
+    expander: Expander,
+    graph: &Graph,
+    spec: &QuerySpec,
+    engine: &mut DijkstraEngine,
+    guard: &RunGuard,
+    mut offer: impl FnMut(&mut DijkstraEngine, Core, Weight) -> Result<bool, InterruptReason>,
+) -> (usize, Result<bool, InterruptReason>) {
+    let mut bytes = 0usize;
+    let mut stream = || -> Result<bool, InterruptReason> {
+        if spec.has_empty_keyword() {
+            return Ok(true);
+        }
+        match expander {
+            Expander::BottomUp => {
+                let (sets, held) = bottom_up_expand(graph, spec, engine, guard)?;
+                bytes = held;
+                for per_center in &sets {
+                    if per_center.iter().any(Vec::is_empty) {
+                        continue;
+                    }
+                    if !cross_product(per_center, spec.cost, |c, w| offer(engine, c, w))? {
+                        return Ok(false);
+                    }
+                }
+            }
+            Expander::TopDown => {
+                let membership = keyword_membership(spec);
+                for u in graph.nodes() {
+                    let Some(sets) = top_down_reach(graph, spec, engine, &membership, u, guard)?
+                    else {
+                        continue;
+                    };
+                    bytes = bytes.max(sets.iter().map(|s| s.len() * PAIR_BYTES).sum());
+                    if !cross_product(&sets, spec.cost, |c, w| offer(engine, c, w))? {
+                        return Ok(false);
+                    }
+                }
+            }
+        }
+        Ok(true)
+    };
+    let ended = stream();
+    (bytes, ended)
+}
+
+fn materialize(
+    graph: &Graph,
+    spec: &QuerySpec,
+    engine: &mut DijkstraEngine,
+    core: &Core,
+    guard: &RunGuard,
+) -> Result<Community, InterruptReason> {
+    Ok(
+        get_community_guarded(graph, engine, core, spec.rmax, spec.cost, guard)?
+            // xtask-allow: no_panics — every candidate core comes from the reach sets of a center
+            .expect("the expanding center certifies the core"),
+    )
+}
+
+/// Wraps a finished run in the `Outcome` the entry points return.
+fn wrap_run(run: BaselineRun) -> Outcome<BaselineRun> {
+    match run.stats.interrupted {
+        None => Outcome::Complete(run),
+        Some(reason) => Outcome::Interrupted {
+            reason,
+            partial: run,
+        },
+    }
+}
+
+/// The `all` sink: a pool of already-output cores keeps the stream
+/// duplication-free, and every new core is materialized at once.
+fn enumerate_all(
+    expander: Expander,
+    graph: &Graph,
+    spec: &QuerySpec,
+    limit: Option<usize>,
+    guard: &RunGuard,
+) -> Result<Outcome<BaselineRun>, QueryError> {
+    spec.validate_for(graph)?;
+    let mut engine = DijkstraEngine::new(graph.node_count());
+    let mut stats = BaselineStats::default();
+    let mut pool: HashSet<Core> = HashSet::new();
+    let mut communities = Vec::new();
+    let (bytes, ended) = expand(
+        expander,
+        graph,
+        spec,
+        &mut engine,
+        guard,
+        |engine, core, _| {
+            stats.candidates += 1;
+            guard.note_candidate()?;
+            if pool.insert(core.clone()) {
+                communities.push(materialize(graph, spec, engine, &core, guard)?);
+            } else {
+                stats.duplicates += 1;
+            }
+            Ok(limit.is_none_or(|cap| communities.len() < cap))
+        },
+    );
+    stats.completed = ended == Ok(true);
+    stats.interrupted = ended.err();
+    stats.communities = communities.len();
+    stats.peak_bytes = bytes + pool.len() * (spec.l() * 4 + 32);
+    Ok(wrap_run(BaselineRun { communities, stats }))
+}
+
+/// The `top-k` sink: collects every candidate core with its minimum
+/// center cost, ranks, and materializes the top `k`.
+fn rank_topk(
+    expander: Expander,
+    graph: &Graph,
+    spec: &QuerySpec,
+    k: usize,
+    candidate_budget: Option<usize>,
+    guard: &RunGuard,
+) -> Result<Outcome<BaselineRun>, QueryError> {
+    spec.validate_for(graph)?;
+    let mut engine = DijkstraEngine::new(graph.node_count());
+    let mut stats = BaselineStats::default();
+    let mut best_cost: HashMap<Core, Weight> = HashMap::new();
+    let (bytes, ended) = if k == 0 {
+        (0, Ok(true))
+    } else {
+        expand(
+            expander,
+            graph,
+            spec,
+            &mut engine,
+            guard,
+            |_, core, cost| {
+                stats.candidates += 1;
+                guard.note_candidate()?;
+                best_cost
+                    .entry(core)
+                    .and_modify(|c| {
+                        stats.duplicates += 1;
+                        if cost < *c {
+                            *c = cost;
+                        }
+                    })
+                    .or_insert(cost);
+                Ok(candidate_budget.is_none_or(|b| stats.candidates < b))
+            },
+        )
+    };
+    stats.completed = ended == Ok(true);
+    stats.interrupted = ended.err();
+    stats.peak_bytes = bytes + best_cost.len() * (spec.l() * 4 + 8 + 32);
+    let mut communities: Vec<Community> = Vec::new();
+    // An aborted ranking would be wrong; it reports the abort instead.
+    if stats.completed {
+        let mut ranked: Vec<(Core, Weight)> = best_cost.into_iter().collect();
+        ranked.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        ranked.truncate(k);
+        for (core, _) in ranked {
+            match materialize(graph, spec, &mut engine, &core, guard) {
+                Ok(c) => communities.push(c),
+                Err(reason) => {
+                    stats.completed = false;
+                    stats.interrupted = Some(reason);
+                    break;
+                }
+            }
+        }
+    }
+    stats.communities = communities.len();
+    Ok(wrap_run(BaselineRun { communities, stats }))
+}
+
+/// `BUall`: bottom-up enumeration of all communities, validated and run
+/// under `guard`. An interrupted run carries the communities materialized
+/// before the trip.
+///
+/// `limit` optionally caps the number of communities materialized.
+pub fn bu_all_guarded(
+    graph: &Graph,
+    spec: &QuerySpec,
+    limit: Option<usize>,
+    guard: RunGuard,
+) -> Result<Outcome<BaselineRun>, QueryError> {
+    enumerate_all(Expander::BottomUp, graph, spec, limit, &guard)
+}
+
+/// `TDall`: top-down enumeration of all communities; see
+/// [`bu_all_guarded`] for `limit` and the interrupted-run contract.
 pub fn td_all_guarded(
     graph: &Graph,
     spec: &QuerySpec,
     limit: Option<usize>,
     guard: RunGuard,
 ) -> Result<Outcome<BaselineRun>, QueryError> {
-    spec.validate_for(graph)?;
-    Ok(wrap_run(td_all_impl(graph, spec, limit, &guard)))
+    enumerate_all(Expander::TopDown, graph, spec, limit, &guard)
 }
 
-fn td_all_impl(
-    graph: &Graph,
-    spec: &QuerySpec,
-    limit: Option<usize>,
-    guard: &RunGuard,
-) -> BaselineRun {
-    let mut engine = DijkstraEngine::new(graph.node_count());
-    let mut stats = BaselineStats {
-        completed: true,
-        ..BaselineStats::default()
-    };
-    if spec.has_empty_keyword() {
-        return BaselineRun {
-            communities: Vec::new(),
-            stats,
-        };
-    }
-    let membership = keyword_membership(spec);
-    let mut pool: HashSet<Core> = HashSet::new();
-    let mut communities = Vec::new();
-    let mut max_transient = 0usize;
-    let mut trip: Option<InterruptReason> = None;
-    let l = spec.l();
-    'centers: for u in graph.nodes() {
-        let sets = match top_down_reach(graph, spec, &mut engine, &membership, u, guard) {
-            Ok(Some(sets)) => sets,
-            Ok(None) => continue,
-            Err(reason) => {
-                trip = Some(reason);
-                stats.completed = false;
-                break 'centers;
-            }
-        };
-        let transient: usize = sets.iter().map(|s| s.len() * PAIR_BYTES).sum();
-        max_transient = max_transient.max(transient);
-        let done = cross_product(&sets, spec.cost, |core, _| {
-            stats.candidates += 1;
-            if let Err(reason) = guard.note_candidate() {
-                trip = Some(reason);
-                return false;
-            }
-            if pool.insert(core.clone()) {
-                match get_community_guarded(graph, &mut engine, &core, spec.rmax, spec.cost, guard)
-                {
-                    // xtask-allow: no_panics — BestCore only returns cores certified by a center
-                    Ok(c) => communities.push(c.expect("center u certifies the core")),
-                    Err(reason) => {
-                        trip = Some(reason);
-                        return false;
-                    }
-                }
-            } else {
-                stats.duplicates += 1;
-            }
-            limit.is_none_or(|cap| communities.len() < cap)
-        });
-        if !done {
-            stats.completed = false;
-            break 'centers;
-        }
-        // The per-center sets are dropped here — the memory advantage of
-        // top-down over bottom-up the paper points out for Fig. 9(b).
-    }
-    stats.interrupted = trip;
-    stats.communities = communities.len();
-    stats.peak_bytes = max_transient + pool.len() * (l * 4 + 32);
-    BaselineRun { communities, stats }
-}
-
-/// `TDk`: top-down top-k (rank at the end; no resume). See [`bu_topk`]
-/// for `candidate_budget`.
-pub fn td_topk(
+/// `BUk`: bottom-up top-k, validated and run under `guard`. Cannot
+/// resume — a larger `k` requires a full re-run (Exp-3). An aborted
+/// ranking would be wrong, so an interrupted run carries no communities —
+/// only the stats accumulated up to the trip.
+///
+/// `candidate_budget` aborts the run (with `stats.completed = false` and no
+/// communities) once that many candidate cores have been generated; the
+/// benchmark harness uses it to keep combinatorially explosive cells from
+/// exhausting memory. `None` never aborts.
+pub fn bu_topk_guarded(
     graph: &Graph,
     spec: &QuerySpec,
     k: usize,
     candidate_budget: Option<usize>,
-) -> BaselineRun {
-    td_topk_impl(graph, spec, k, candidate_budget, &RunGuard::unlimited())
+    guard: RunGuard,
+) -> Result<Outcome<BaselineRun>, QueryError> {
+    rank_topk(Expander::BottomUp, graph, spec, k, candidate_budget, &guard)
 }
 
-/// [`td_topk`] validating the spec and running under `guard`; see
-/// [`bu_topk_guarded`] for the interrupted-run contract.
+/// `TDk`: top-down top-k (rank at the end; no resume); see
+/// [`bu_topk_guarded`] for `candidate_budget` and the interrupted-run
+/// contract.
 pub fn td_topk_guarded(
     graph: &Graph,
     spec: &QuerySpec,
@@ -485,110 +397,38 @@ pub fn td_topk_guarded(
     candidate_budget: Option<usize>,
     guard: RunGuard,
 ) -> Result<Outcome<BaselineRun>, QueryError> {
-    spec.validate_for(graph)?;
-    Ok(wrap_run(td_topk_impl(
-        graph,
-        spec,
-        k,
-        candidate_budget,
-        &guard,
-    )))
-}
-
-fn td_topk_impl(
-    graph: &Graph,
-    spec: &QuerySpec,
-    k: usize,
-    candidate_budget: Option<usize>,
-    guard: &RunGuard,
-) -> BaselineRun {
-    let mut engine = DijkstraEngine::new(graph.node_count());
-    let mut stats = BaselineStats {
-        completed: true,
-        ..BaselineStats::default()
-    };
-    if spec.has_empty_keyword() || k == 0 {
-        return BaselineRun {
-            communities: Vec::new(),
-            stats,
-        };
-    }
-    let membership = keyword_membership(spec);
-    let mut best_cost: HashMap<Core, Weight> = HashMap::new();
-    let mut max_transient = 0usize;
-    let mut trip: Option<InterruptReason> = None;
-    let l = spec.l();
-    'centers: for u in graph.nodes() {
-        let sets = match top_down_reach(graph, spec, &mut engine, &membership, u, guard) {
-            Ok(Some(sets)) => sets,
-            Ok(None) => continue,
-            Err(reason) => {
-                trip = Some(reason);
-                stats.completed = false;
-                break 'centers;
-            }
-        };
-        let transient: usize = sets.iter().map(|s| s.len() * PAIR_BYTES).sum();
-        max_transient = max_transient.max(transient);
-        let done = cross_product(&sets, spec.cost, |core, cost| {
-            stats.candidates += 1;
-            if let Err(reason) = guard.note_candidate() {
-                trip = Some(reason);
-                return false;
-            }
-            best_cost
-                .entry(core)
-                .and_modify(|c| {
-                    stats.duplicates += 1;
-                    if cost < *c {
-                        *c = cost;
-                    }
-                })
-                .or_insert(cost);
-            candidate_budget.is_none_or(|b| stats.candidates < b)
-        });
-        if !done {
-            stats.completed = false;
-            break 'centers;
-        }
-    }
-    stats.interrupted = trip;
-    stats.peak_bytes = max_transient + best_cost.len() * (l * 4 + 8 + 32);
-    if !stats.completed {
-        return BaselineRun {
-            communities: Vec::new(),
-            stats,
-        };
-    }
-
-    let mut ranked: Vec<(Core, Weight)> = best_cost.into_iter().collect();
-    ranked.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-    ranked.truncate(k);
-    let mut communities: Vec<Community> = Vec::with_capacity(ranked.len());
-    for (core, _) in ranked {
-        match get_community_guarded(graph, &mut engine, &core, spec.rmax, spec.cost, guard) {
-            // xtask-allow: no_panics — BestCore only returns cores certified by a center
-            Ok(c) => communities.push(c.expect("core has a center")),
-            Err(reason) => {
-                stats.completed = false;
-                stats.interrupted = Some(reason);
-                break;
-            }
-        }
-    }
-    stats.communities = communities.len();
-    BaselineRun { communities, stats }
+    rank_topk(Expander::TopDown, graph, spec, k, candidate_budget, &guard)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm_all;
+    use crate::testing::collect_all;
     use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, fig4_table1, FIG4_RMAX};
     use std::collections::BTreeSet;
 
     fn fig4_spec() -> QuerySpec {
         QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX))
+    }
+
+    fn unguarded(out: Result<Outcome<BaselineRun>, QueryError>) -> BaselineRun {
+        out.unwrap().into_value()
+    }
+
+    fn run_bu_all(g: &Graph, spec: &QuerySpec, limit: Option<usize>) -> BaselineRun {
+        unguarded(bu_all_guarded(g, spec, limit, RunGuard::unlimited()))
+    }
+
+    fn run_td_all(g: &Graph, spec: &QuerySpec, limit: Option<usize>) -> BaselineRun {
+        unguarded(td_all_guarded(g, spec, limit, RunGuard::unlimited()))
+    }
+
+    fn run_bu_topk(g: &Graph, spec: &QuerySpec, k: usize, budget: Option<usize>) -> BaselineRun {
+        unguarded(bu_topk_guarded(g, spec, k, budget, RunGuard::unlimited()))
+    }
+
+    fn run_td_topk(g: &Graph, spec: &QuerySpec, k: usize, budget: Option<usize>) -> BaselineRun {
+        unguarded(td_topk_guarded(g, spec, k, budget, RunGuard::unlimited()))
     }
 
     fn core_set(cs: &[Community]) -> BTreeSet<Core> {
@@ -599,8 +439,8 @@ mod tests {
     fn bu_all_matches_pd_all() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let pd = comm_all(&g, &spec);
-        let bu = bu_all(&g, &spec, None);
+        let pd = collect_all(&g, &spec);
+        let bu = run_bu_all(&g, &spec, None);
         assert_eq!(core_set(&pd), core_set(&bu.communities));
         assert_eq!(bu.stats.communities, 5);
         assert!(bu.stats.peak_bytes > 0);
@@ -610,8 +450,8 @@ mod tests {
     fn td_all_matches_pd_all() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let pd = comm_all(&g, &spec);
-        let td = td_all(&g, &spec, None);
+        let pd = collect_all(&g, &spec);
+        let td = run_td_all(&g, &spec, None);
         assert_eq!(core_set(&pd), core_set(&td.communities));
     }
 
@@ -620,7 +460,7 @@ mod tests {
         // R3 and R5 have two centers each, so their cores are generated at
         // least twice across centers → duplicates > 0.
         let g = fig4_graph();
-        let run = bu_all(&g, &fig4_spec(), None);
+        let run = run_bu_all(&g, &fig4_spec(), None);
         assert!(run.stats.duplicates >= 2, "{:?}", run.stats);
         assert_eq!(
             run.stats.candidates,
@@ -631,7 +471,7 @@ mod tests {
     #[test]
     fn bu_topk_matches_table1_order() {
         let g = fig4_graph();
-        let run = bu_topk(&g, &fig4_spec(), 3, None);
+        let run = run_bu_topk(&g, &fig4_spec(), 3, None);
         let expect: Vec<Vec<u32>> = fig4_table1()
             .into_iter()
             .take(3)
@@ -648,7 +488,7 @@ mod tests {
     #[test]
     fn td_topk_matches_table1_order() {
         let g = fig4_graph();
-        let run = td_topk(&g, &fig4_spec(), 5, None);
+        let run = run_td_topk(&g, &fig4_spec(), 5, None);
         let costs: Vec<f64> = run.communities.iter().map(|c| c.cost.get()).collect();
         assert_eq!(costs, vec![7.0, 10.0, 11.0, 14.0, 15.0]);
     }
@@ -656,11 +496,11 @@ mod tests {
     #[test]
     fn limit_caps_materialization() {
         let g = fig4_graph();
-        let run = bu_all(&g, &fig4_spec(), Some(2));
+        let run = run_bu_all(&g, &fig4_spec(), Some(2));
         assert_eq!(run.communities.len(), 2);
         // Early exit: enumeration stops once the cap is hit.
         assert!(run.stats.candidates <= 5);
-        let td = td_all(&g, &fig4_spec(), Some(2));
+        let td = run_td_all(&g, &fig4_spec(), Some(2));
         assert_eq!(td.communities.len(), 2);
     }
 
@@ -668,30 +508,34 @@ mod tests {
     fn empty_keyword_short_circuits() {
         let g = fig4_graph();
         let spec = QuerySpec::new(vec![vec![NodeId(4)], vec![]], Weight::new(8.0));
-        assert!(bu_all(&g, &spec, None).communities.is_empty());
-        assert!(td_all(&g, &spec, None).communities.is_empty());
-        assert!(bu_topk(&g, &spec, 3, None).communities.is_empty());
-        assert!(td_topk(&g, &spec, 3, None).communities.is_empty());
+        assert!(run_bu_all(&g, &spec, None).communities.is_empty());
+        assert!(run_td_all(&g, &spec, None).communities.is_empty());
+        assert!(run_bu_topk(&g, &spec, 3, None).communities.is_empty());
+        assert!(run_td_topk(&g, &spec, 3, None).communities.is_empty());
     }
 
     #[test]
     fn k_zero_returns_nothing() {
         let g = fig4_graph();
-        assert!(bu_topk(&g, &fig4_spec(), 0, None).communities.is_empty());
-        assert!(td_topk(&g, &fig4_spec(), 0, None).communities.is_empty());
+        assert!(run_bu_topk(&g, &fig4_spec(), 0, None)
+            .communities
+            .is_empty());
+        assert!(run_td_topk(&g, &fig4_spec(), 0, None)
+            .communities
+            .is_empty());
     }
 
     #[test]
     fn candidate_budget_aborts_cleanly() {
         let g = fig4_graph();
-        let run = bu_topk(&g, &fig4_spec(), 5, Some(2));
+        let run = run_bu_topk(&g, &fig4_spec(), 5, Some(2));
         assert!(!run.stats.completed);
         assert!(run.communities.is_empty());
         assert!(run.stats.candidates >= 2);
-        let run = td_topk(&g, &fig4_spec(), 5, Some(2));
+        let run = run_td_topk(&g, &fig4_spec(), 5, Some(2));
         assert!(!run.stats.completed);
         // And a generous budget completes normally.
-        let ok = bu_topk(&g, &fig4_spec(), 5, Some(1_000_000));
+        let ok = run_bu_topk(&g, &fig4_spec(), 5, Some(1_000_000));
         assert!(ok.stats.completed);
         assert_eq!(ok.communities.len(), 5);
     }
@@ -713,7 +557,7 @@ mod tests {
             assert!(!run.stats.completed);
         }
         // Unlimited guards leave the results untouched.
-        let full = bu_all(&g, &spec, None);
+        let full = run_bu_all(&g, &spec, None);
         let guarded = bu_all_guarded(&g, &spec, None, RunGuard::new()).unwrap();
         assert!(guarded.is_complete());
         assert_eq!(
@@ -741,8 +585,8 @@ mod tests {
         // The paper's Fig. 9(b) observation: BU keeps every node's keyword
         // sets alive, TD frees them per center.
         let g = fig4_graph();
-        let bu = bu_all(&g, &fig4_spec(), None);
-        let td = td_all(&g, &fig4_spec(), None);
+        let bu = run_bu_all(&g, &fig4_spec(), None);
+        let td = run_td_all(&g, &fig4_spec(), None);
         assert!(
             td.stats.peak_bytes <= bu.stats.peak_bytes,
             "TD {} should not exceed BU {}",

@@ -14,14 +14,10 @@
 //! using `O(l·n + m)` space.
 
 use crate::error::QueryError;
-use crate::get_community::get_community_guarded;
-use crate::neighbor::NeighborSets;
-use crate::types::{Community, Core, CostFn, QuerySpec};
-use comm_graph::{
-    DijkstraEngine, EnginePool, Graph, InterruptReason, NodeId, Outcome, Parallelism, RunGuard,
-    Weight,
-};
-use std::collections::BTreeSet;
+use crate::neighbor::BestCore;
+use crate::shell::{Enumerator, Frontier, Shell};
+use crate::types::{Community, Core, QuerySpec};
+use comm_graph::{Graph, InterruptReason, Outcome, RunGuard};
 
 /// Polynomial-delay iterator over all communities of an l-keyword query.
 ///
@@ -32,245 +28,53 @@ use std::collections::BTreeSet;
 ///
 /// let graph = fig4_graph();
 /// let spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-/// let all: Vec<_> = CommAll::new(&graph, &spec).collect();
+/// let all: Vec<_> = CommAll::try_new(&graph, &spec)?.collect();
 /// assert_eq!(all.len(), 5); // the paper's five communities (Fig. 5)
+/// # Ok::<(), comm_core::QueryError>(())
 /// ```
-pub struct CommAll<'g> {
-    graph: &'g Graph,
-    rmax: Weight,
-    cost_fn: CostFn,
-    l: usize,
-    /// `V_i`, immutable.
-    v_sets: Vec<Vec<NodeId>>,
-    /// `S_i`: the currently admissible subset of `V_i` (global DFS state).
-    s_sets: Vec<BTreeSet<NodeId>>,
-    ns: NeighborSets,
-    engine: DijkstraEngine,
-    /// The core to emit on the next `next()` call.
+pub type CommAll<'g> = Enumerator<'g, Dfs>;
+
+/// `COMM-all`'s frontier: the one core to emit next. The rest of the DFS
+/// state is the shell's `S_i` sets, whose removals carry over from one
+/// `Next()` to the following one.
+#[derive(Default)]
+pub struct Dfs {
     pending: Option<Core>,
-    emitted: usize,
-    peak_bytes: usize,
-    started: bool,
-    guard: RunGuard,
-    /// Thread count for the initial keyword sweeps (default: serial).
-    parallelism: Parallelism,
-    /// Set once the guard trips; the iterator then yields `None` forever.
-    interrupted: Option<InterruptReason>,
 }
 
-impl<'g> CommAll<'g> {
-    /// Prepares the enumeration (runs the initial `Neighbor()` sweeps and
-    /// finds the first best core lazily on first `next()`).
-    pub fn new(graph: &'g Graph, spec: &QuerySpec) -> CommAll<'g> {
-        let l = spec.l();
-        assert!(l > 0, "need at least one keyword");
-        CommAll {
-            graph,
-            rmax: spec.rmax,
-            cost_fn: spec.cost,
-            l,
-            v_sets: spec.keyword_nodes.clone(),
-            s_sets: spec
-                .keyword_nodes
-                .iter()
-                .map(|v| v.iter().copied().collect())
-                .collect(),
-            ns: NeighborSets::new(l, graph.node_count()),
-            engine: DijkstraEngine::new(graph.node_count()),
-            pending: None,
-            emitted: 0,
-            peak_bytes: 0,
-            started: false,
-            guard: RunGuard::unlimited(),
-            parallelism: Parallelism::serial(),
-            interrupted: None,
-        }
+impl Frontier for Dfs {
+    fn seed(&mut self, best: BestCore) {
+        self.pending = Some(best.core);
     }
 
-    /// Like [`new`](Self::new), but validates the spec against the graph
-    /// instead of panicking on malformed input.
-    pub fn try_new(graph: &'g Graph, spec: &QuerySpec) -> Result<CommAll<'g>, QueryError> {
-        spec.validate_for(graph)?;
-        Ok(CommAll::new(graph, spec))
-    }
-
-    /// Sets the thread count for the `l` initial `Neighbor(V_i, Rmax)`
-    /// sweeps, which are data-independent. The enumeration output is
-    /// bit-identical for every thread count (see
-    /// [`NeighborSets::recompute_all_guarded`]); the per-community DFS
-    /// recomputations stay sequential because each depends on the previous
-    /// subspace. Default: [`Parallelism::serial`].
-    pub fn with_parallelism(mut self, par: Parallelism) -> CommAll<'g> {
-        self.parallelism = par;
-        self
-    }
-
-    /// Attaches an execution governor. The guard is consulted per settled
-    /// Dijkstra node, per emitted community, and on memory high-water
-    /// marks; when it trips the iterator stops (yielding a prefix of the
-    /// unguarded enumeration) and [`interrupted`](Self::interrupted)
-    /// reports why.
-    pub fn with_guard(mut self, guard: RunGuard) -> CommAll<'g> {
-        self.guard = guard;
-        self
-    }
-
-    /// Why enumeration stopped early, if the guard tripped.
-    pub fn interrupted(&self) -> Option<InterruptReason> {
-        self.interrupted
-    }
-
-    /// Number of communities emitted so far.
-    pub fn emitted(&self) -> usize {
-        self.emitted
-    }
-
-    /// Peak logical bytes held by algorithm-owned structures (the
-    /// `O(l·n)` neighbor table plus the `S_i` sets).
-    pub fn peak_memory_bytes(&self) -> usize {
-        self.peak_bytes
-    }
-
-    /// Total `Neighbor()` sweeps run so far (the paper's per-answer cost
-    /// unit: `O(l)` sweeps per community for this algorithm).
-    pub fn neighbor_sweeps(&self) -> usize {
-        self.ns.sweeps()
-    }
-
-    fn track_memory(&mut self) -> Result<(), InterruptReason> {
-        let s_bytes: usize = self
-            .s_sets
-            .iter()
-            .map(|s| s.len() * std::mem::size_of::<NodeId>() * 2)
-            .sum();
-        let bytes = self.ns.byte_size() + s_bytes;
-        if bytes > self.peak_bytes {
-            self.peak_bytes = bytes;
-        }
-        self.guard.check_bytes(bytes)
-    }
-
-    fn recompute_from_s(&mut self, i: usize) -> Result<(), InterruptReason> {
-        let seeds: Vec<NodeId> = self.s_sets[i].iter().copied().collect();
-        self.ns.recompute_dim_guarded(
-            self.graph,
-            &mut self.engine,
-            i,
-            seeds,
-            self.rmax,
-            &self.guard,
-        )
-    }
-
-    /// Lines 1–5 of Algorithm 1: initialize `S_i = V_i`, compute all
-    /// neighbor sets (fanned out per [`with_parallelism`](Self::with_parallelism)),
-    /// and find the first best core.
-    fn start(&mut self) -> Result<(), InterruptReason> {
-        self.started = true;
-        let seeds: Vec<Vec<NodeId>> = self
-            .s_sets
-            .iter()
-            .map(|s| s.iter().copied().collect())
-            .collect();
-        self.ns.recompute_all_guarded(
-            self.graph,
-            EnginePool::global(),
-            &seeds,
-            self.rmax,
-            &self.guard,
-            self.parallelism,
-        )?;
-        self.pending = self.ns.best_core_with(self.cost_fn).map(|b| b.core);
-        self.track_memory()
+    fn pop(&mut self) -> Option<Core> {
+        self.pending.take()
     }
 
     /// The `Next()` procedure (lines 10–21).
-    fn next_core(&mut self, current: &Core) -> Result<Option<Core>, InterruptReason> {
-        // Preparation: pin every dimension's neighbor set to the current
-        // core node (lines 11–12).
-        for i in 0..self.l {
-            self.ns.recompute_dim_guarded(
-                self.graph,
-                &mut self.engine,
-                i,
-                [current.get(i)],
-                self.rmax,
-                &self.guard,
-            )?;
-        }
+    fn expand(&mut self, shell: &mut Shell<'_>, current: &Core) -> Result<(), InterruptReason> {
+        // Preparation (lines 11–12).
+        shell.pin(current)?;
         // Search: subdivide from the last dimension down (lines 13–20).
-        for i in (0..self.l).rev() {
-            self.s_sets[i].remove(&current.get(i));
-            self.recompute_from_s(i)?;
-            if let Some(best) = self.ns.best_core_with(self.cost_fn) {
-                self.track_memory()?;
-                return Ok(Some(best.core));
+        for i in (0..shell.l()).rev() {
+            shell.exclude(i, current.get(i));
+            shell.recompute_from_s(i)?;
+            if let Some(best) = shell.best_core() {
+                self.pending = Some(best.core);
+                return Ok(());
             }
-            self.s_sets[i] = self.v_sets[i].iter().copied().collect();
-            self.recompute_from_s(i)?;
+            shell.reset(i);
+            shell.recompute_from_s(i)?;
         }
-        self.track_memory()?;
-        Ok(None)
+        Ok(())
     }
 
-    /// Records a guard trip; subsequent `next()` calls yield `None`.
-    fn trip(&mut self, reason: InterruptReason) {
-        self.interrupted = Some(reason);
-        self.pending = None;
+    fn byte_size(&self) -> usize {
+        0
     }
 }
 
-impl<'g> Iterator for CommAll<'g> {
-    type Item = Community;
-
-    fn next(&mut self) -> Option<Community> {
-        if self.interrupted.is_some() {
-            return None;
-        }
-        if !self.started {
-            if let Err(reason) = self.start() {
-                self.trip(reason);
-                return None;
-            }
-        }
-        let core = self.pending.take()?;
-        // Candidate budget k ⇒ exactly k communities emitted.
-        if let Err(reason) = self.guard.note_candidate() {
-            self.trip(reason);
-            return None;
-        }
-        let community = match get_community_guarded(
-            self.graph,
-            &mut self.engine,
-            &core,
-            self.rmax,
-            self.cost_fn,
-            &self.guard,
-        ) {
-            // xtask-allow: no_panics — BestCore only returns cores certified by a center
-            Ok(c) => c.expect("a core returned by BestCore always has a center"),
-            Err(reason) => {
-                self.trip(reason);
-                return None;
-            }
-        };
-        // If the guard trips while advancing the DFS, the community already
-        // materialized is still emitted: output stays an exact prefix.
-        match self.next_core(&core) {
-            Ok(next) => self.pending = next,
-            Err(reason) => self.trip(reason),
-        }
-        self.emitted += 1;
-        Some(community)
-    }
-}
-
-/// Convenience: all communities as a vector.
-pub fn comm_all(graph: &Graph, spec: &QuerySpec) -> Vec<Community> {
-    CommAll::new(graph, spec).collect()
-}
-
-/// [`comm_all`] validating the spec and running under `guard`.
+/// All communities of `spec` on `graph`, validated and run under `guard`.
 ///
 /// An interrupted run returns `Outcome::Interrupted` carrying the
 /// communities emitted before the trip — always an exact prefix of the
@@ -280,32 +84,19 @@ pub fn comm_all_guarded(
     spec: &QuerySpec,
     guard: RunGuard,
 ) -> Result<Outcome<Vec<Community>>, QueryError> {
-    let mut it = CommAll::try_new(graph, spec)?.with_guard(guard);
-    let mut out = Vec::new();
-    for c in &mut it {
-        // xtask-allow: unbounded_alloc — with_guard charges per candidate inside the iterator
-        out.push(c);
-    }
-    Ok(match it.interrupted() {
-        None => Outcome::Complete(out),
-        Some(reason) => Outcome::Interrupted {
-            reason,
-            partial: out,
-        },
-    })
-}
-
-/// [`comm_all`] with up-front validation and no execution limits.
-pub fn try_comm_all(graph: &Graph, spec: &QuerySpec) -> Result<Vec<Community>, QueryError> {
-    Ok(comm_all_guarded(graph, spec, RunGuard::unlimited())?.into_value())
+    Ok(CommAll::try_new(graph, spec)?
+        .with_guard(guard)
+        .into_outcome(usize::MAX))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::collect_all;
     use comm_datasets::paper_example::{
         fig1_graph, fig1_keyword_nodes, fig4_graph, fig4_keyword_nodes, fig4_table1, FIG4_RMAX,
     };
+    use comm_graph::{NodeId, Weight};
     use std::collections::BTreeSet as Set;
 
     fn fig4_spec(rmax: f64) -> QuerySpec {
@@ -315,7 +106,7 @@ mod tests {
     #[test]
     fn finds_exactly_the_five_paper_communities() {
         let g = fig4_graph();
-        let all = comm_all(&g, &fig4_spec(FIG4_RMAX));
+        let all = collect_all(&g, &fig4_spec(FIG4_RMAX));
         assert_eq!(all.len(), 5);
         let got: Set<Vec<u32>> = all
             .iter()
@@ -332,7 +123,10 @@ mod tests {
     fn first_community_is_the_best_one() {
         // Algorithm 1 finds the *best* core first (line 5), then walks DFS.
         let g = fig4_graph();
-        let first = CommAll::new(&g, &fig4_spec(FIG4_RMAX)).next().unwrap();
+        let first = CommAll::try_new(&g, &fig4_spec(FIG4_RMAX))
+            .unwrap()
+            .next()
+            .unwrap();
         assert_eq!(first.core, Core(vec![NodeId(4), NodeId(8), NodeId(6)]));
         assert_eq!(first.cost, Weight::new(7.0));
     }
@@ -340,7 +134,7 @@ mod tests {
     #[test]
     fn costs_and_centers_match_table1() {
         let g = fig4_graph();
-        let all = comm_all(&g, &fig4_spec(FIG4_RMAX));
+        let all = collect_all(&g, &fig4_spec(FIG4_RMAX));
         for (_, core, cost, centers) in fig4_table1() {
             let c = all
                 .iter()
@@ -354,7 +148,7 @@ mod tests {
     #[test]
     fn duplication_free() {
         let g = fig4_graph();
-        let all = comm_all(&g, &fig4_spec(FIG4_RMAX));
+        let all = collect_all(&g, &fig4_spec(FIG4_RMAX));
         let mut seen = Set::new();
         for c in &all {
             assert!(seen.insert(c.core.clone()), "duplicate core {:?}", c.core);
@@ -364,11 +158,11 @@ mod tests {
     #[test]
     fn larger_radius_finds_superset() {
         let g = fig4_graph();
-        let small: Set<Core> = comm_all(&g, &fig4_spec(6.0))
+        let small: Set<Core> = collect_all(&g, &fig4_spec(6.0))
             .into_iter()
             .map(|c| c.core)
             .collect();
-        let large: Set<Core> = comm_all(&g, &fig4_spec(10.0))
+        let large: Set<Core> = collect_all(&g, &fig4_spec(10.0))
             .into_iter()
             .map(|c| c.core)
             .collect();
@@ -380,7 +174,7 @@ mod tests {
     fn empty_keyword_set_yields_nothing() {
         let g = fig4_graph();
         let spec = QuerySpec::new(vec![vec![NodeId(4)], vec![]], Weight::new(8.0));
-        assert_eq!(comm_all(&g, &spec).len(), 0);
+        assert_eq!(collect_all(&g, &spec).len(), 0);
     }
 
     #[test]
@@ -388,7 +182,7 @@ mod tests {
         // l = 1: every keyword node is its own community core.
         let g = fig4_graph();
         let spec = QuerySpec::new(vec![vec![NodeId(4), NodeId(13)]], Weight::new(8.0));
-        let all = comm_all(&g, &spec);
+        let all = collect_all(&g, &spec);
         let cores: Set<Vec<u32>> = all
             .iter()
             .map(|c| c.core.0.iter().map(|n| n.0).collect())
@@ -402,7 +196,7 @@ mod tests {
         // [Kate, JohnSmith] and [Kate, JimSmith].
         let g = fig1_graph();
         let spec = QuerySpec::new(fig1_keyword_nodes(), Weight::new(6.0));
-        let all = comm_all(&g, &spec);
+        let all = collect_all(&g, &spec);
         assert_eq!(all.len(), 2);
         // The John Smith community is the multi-center one from Fig. 3:
         // both papers are centers.
@@ -416,7 +210,7 @@ mod tests {
     #[test]
     fn emitted_counter_and_memory() {
         let g = fig4_graph();
-        let mut it = CommAll::new(&g, &fig4_spec(FIG4_RMAX));
+        let mut it = CommAll::try_new(&g, &fig4_spec(FIG4_RMAX)).unwrap();
         assert_eq!(it.emitted(), 0);
         while it.next().is_some() {}
         assert_eq!(it.emitted(), 5);
@@ -427,7 +221,7 @@ mod tests {
     fn candidate_budget_emits_exact_prefix() {
         let g = fig4_graph();
         let spec = fig4_spec(FIG4_RMAX);
-        let full = comm_all(&g, &spec);
+        let full = collect_all(&g, &spec);
         for k in 0..=full.len() {
             let guard = RunGuard::new().with_candidate_budget(k as u64);
             let out = comm_all_guarded(&g, &spec, guard).unwrap();
@@ -448,15 +242,17 @@ mod tests {
     }
 
     #[test]
-    fn try_comm_all_rejects_bad_specs() {
+    fn bad_specs_are_rejected_before_any_work() {
         let g = fig4_graph();
         let bad = QuerySpec::new(vec![vec![NodeId(999)]], Weight::new(8.0));
         assert!(matches!(
-            try_comm_all(&g, &bad),
+            comm_all_guarded(&g, &bad, RunGuard::unlimited()),
             Err(QueryError::NodeOutOfRange { dim: 0, .. })
         ));
-        let ok = try_comm_all(&g, &fig4_spec(FIG4_RMAX)).unwrap();
-        assert_eq!(ok.len(), 5);
+        assert!(matches!(
+            CommAll::try_new(&g, &QuerySpec::new(Vec::new(), Weight::new(8.0))),
+            Err(QueryError::NoKeywords)
+        ));
     }
 
     #[test]
@@ -467,7 +263,7 @@ mod tests {
             vec![vec![NodeId(4), NodeId(6)], vec![NodeId(6)]],
             Weight::ZERO,
         );
-        let all = comm_all(&g, &spec);
+        let all = collect_all(&g, &spec);
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].core, Core(vec![NodeId(6), NodeId(6)]));
         assert_eq!(all[0].cost, Weight::ZERO);

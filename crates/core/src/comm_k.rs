@@ -22,28 +22,12 @@
 //! cross-check the result against the naive enumerator.
 
 use crate::error::QueryError;
-use crate::get_community::get_community_guarded;
-use crate::neighbor::NeighborSets;
-use crate::types::{Community, Core, CostFn, QuerySpec};
+use crate::neighbor::BestCore;
+use crate::shell::{Enumerator, Frontier, Shell};
+use crate::types::{Community, Core, QuerySpec};
 use comm_fibheap::FibHeap;
 use comm_graph::weight::index_to_u32;
-use comm_graph::{
-    DijkstraEngine, EnginePool, Graph, InterruptReason, NodeId, Outcome, Parallelism, RunGuard,
-    Weight,
-};
-use std::collections::BTreeSet;
-
-/// One entry of the can-list: the paper's can-tuple `(C, cost, pos, prev)`.
-#[derive(Clone, Debug)]
-struct CanTuple {
-    core: Core,
-    cost: Weight,
-    /// The subdivision dimension: this tuple's core agrees with its
-    /// parent's on every dimension `< pos` and differs at `pos`.
-    pos: usize,
-    /// Index of the parent can-tuple on the can-list.
-    prev: Option<u32>,
-}
+use comm_graph::{Graph, InterruptReason, Outcome, RunGuard, Weight};
 
 /// Ordered polynomial-delay enumerator with interactive `k`.
 ///
@@ -54,289 +38,121 @@ struct CanTuple {
 ///
 /// let graph = fig4_graph();
 /// let spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-/// let mut topk = CommK::new(&graph, &spec);
+/// let mut topk = CommK::try_new(&graph, &spec)?;
 /// let top2: Vec<_> = topk.by_ref().take(2).collect();
 /// assert_eq!(top2[0].cost, Weight::new(7.0));
 /// assert_eq!(top2[1].cost, Weight::new(10.0));
 /// // The user enlarges k at run time: enumeration simply continues.
 /// let next = topk.next().unwrap();
 /// assert_eq!(next.cost, Weight::new(11.0));
+/// # Ok::<(), comm_core::QueryError>(())
 /// ```
-pub struct CommK<'g> {
-    graph: &'g Graph,
-    rmax: Weight,
-    cost_fn: CostFn,
-    l: usize,
-    v_sets: Vec<Vec<NodeId>>,
-    /// Scratch `S_i`, rebuilt per `Next()` from `V_i` minus chain removals.
-    s_sets: Vec<BTreeSet<NodeId>>,
-    ns: NeighborSets,
-    engine: DijkstraEngine,
-    can_list: Vec<CanTuple>,
+pub type CommK<'g> = Enumerator<'g, CanList>;
+
+/// One entry of the can-list: the paper's can-tuple `(C, cost, pos, prev)`
+/// (the cost lives in the heap key).
+#[derive(Clone, Debug)]
+struct CanTuple {
+    core: Core,
+    /// The subdivision dimension: this tuple's core agrees with its
+    /// parent's on every dimension `< pos` and differs at `pos`.
+    pos: usize,
+    /// Index of the parent can-tuple on the can-list.
+    prev: Option<u32>,
+}
+
+/// `COMM-k`'s frontier: the can-list plus the Fibonacci heap ordering its
+/// live candidates. [`LawlerK`](crate::LawlerK) keeps the same structure
+/// and differs only in how it solves each child subspace.
+#[derive(Default)]
+pub struct CanList {
+    tuples: Vec<CanTuple>,
     /// Min-heap over `(cost, can-list index)`; the index doubles as a
     /// deterministic tiebreaker (insertion order).
     heap: FibHeap<(Weight, u32), u32>,
-    emitted: usize,
-    peak_bytes: usize,
-    started: bool,
-    guard: RunGuard,
-    /// Thread count for the initial keyword sweeps (default: serial).
-    parallelism: Parallelism,
-    /// Set once the guard trips; the iterator then yields `None` forever.
-    interrupted: Option<InterruptReason>,
+    /// The tuple most recently deheaped — the one `expand` subdivides.
+    deheaped: u32,
 }
 
-impl<'g> CommK<'g> {
-    /// Prepares the enumeration; no work happens until the first `next()`.
-    pub fn new(graph: &'g Graph, spec: &QuerySpec) -> CommK<'g> {
-        let l = spec.l();
-        assert!(l > 0, "need at least one keyword");
-        CommK {
-            graph,
-            rmax: spec.rmax,
-            cost_fn: spec.cost,
-            l,
-            v_sets: spec.keyword_nodes.clone(),
-            s_sets: vec![BTreeSet::new(); l],
-            ns: NeighborSets::new(l, graph.node_count()),
-            engine: DijkstraEngine::new(graph.node_count()),
-            can_list: Vec::new(),
-            heap: FibHeap::new(),
-            emitted: 0,
-            peak_bytes: 0,
-            started: false,
-            guard: RunGuard::unlimited(),
-            parallelism: Parallelism::serial(),
-            interrupted: None,
+impl CanList {
+    pub(crate) fn enheap(&mut self, best: BestCore, pos: usize, prev: Option<u32>) {
+        let idx = index_to_u32(self.tuples.len());
+        self.tuples.push(CanTuple {
+            core: best.core,
+            pos,
+            prev,
+        });
+        self.heap.push((best.cost, idx), idx);
+    }
+
+    /// Rebuilds the deheaped tuple's subspace in the shell's `S_i` sets
+    /// and returns the tuple's index and position. The chain walk (lines
+    /// 19–23, corrected — see the module docs) removes, at each
+    /// ancestor's position, the value the ancestor's *parent* excluded
+    /// when creating it.
+    pub(crate) fn restore_subspace(&self, shell: &mut Shell<'_>) -> (u32, usize) {
+        for i in 0..shell.l() {
+            shell.reset(i);
         }
-    }
-
-    /// Sets the thread count for the `l` initial keyword sweeps; see
-    /// [`CommAll::with_parallelism`] — output is bit-identical for every
-    /// thread count. Default: [`Parallelism::serial`].
-    ///
-    /// [`CommAll::with_parallelism`]: crate::CommAll::with_parallelism
-    pub fn with_parallelism(mut self, par: Parallelism) -> CommK<'g> {
-        self.parallelism = par;
-        self
-    }
-
-    /// Like [`new`](Self::new), but validates the spec against the graph
-    /// instead of panicking on malformed input.
-    pub fn try_new(graph: &'g Graph, spec: &QuerySpec) -> Result<CommK<'g>, QueryError> {
-        spec.validate_for(graph)?;
-        Ok(CommK::new(graph, spec))
-    }
-
-    /// Attaches an execution governor; see [`CommAll::with_guard`] for the
-    /// contract (guarded output is always a prefix of the unguarded order).
-    ///
-    /// [`CommAll::with_guard`]: crate::CommAll::with_guard
-    pub fn with_guard(mut self, guard: RunGuard) -> CommK<'g> {
-        self.guard = guard;
-        self
-    }
-
-    /// Why enumeration stopped early, if the guard tripped.
-    pub fn interrupted(&self) -> Option<InterruptReason> {
-        self.interrupted
-    }
-
-    /// Communities emitted so far (the current `k`).
-    pub fn emitted(&self) -> usize {
-        self.emitted
-    }
-
-    /// Size of the can-list (bounded by `l · k`, Theorem V.1).
-    pub fn can_list_len(&self) -> usize {
-        self.can_list.len()
-    }
-
-    /// Peak logical bytes: neighbor table + can-list + heap + `S_i`.
-    pub fn peak_memory_bytes(&self) -> usize {
-        self.peak_bytes
-    }
-
-    /// Total `Neighbor()` sweeps run so far — `O(l)` per emitted community
-    /// (the paper's `O(c(l))` claim; contrast `lawler::LawlerK`).
-    pub fn neighbor_sweeps(&self) -> usize {
-        self.ns.sweeps()
-    }
-
-    fn track_memory(&mut self) -> Result<(), InterruptReason> {
-        let can_bytes: usize = self.can_list.iter().map(|t| t.core.byte_size() + 24).sum();
-        let heap_bytes = self.heap.len() * 48;
-        let s_bytes: usize = self
-            .s_sets
-            .iter()
-            .map(|s| s.len() * std::mem::size_of::<NodeId>() * 2)
-            .sum();
-        let bytes = self.ns.byte_size() + can_bytes + heap_bytes + s_bytes;
-        if bytes > self.peak_bytes {
-            self.peak_bytes = bytes;
-        }
-        self.guard.check_bytes(bytes)
-    }
-
-    fn recompute_from_s(&mut self, i: usize) -> Result<(), InterruptReason> {
-        let seeds: Vec<NodeId> = self.s_sets[i].iter().copied().collect();
-        self.ns.recompute_dim_guarded(
-            self.graph,
-            &mut self.engine,
-            i,
-            seeds,
-            self.rmax,
-            &self.guard,
-        )
-    }
-
-    fn enheap(&mut self, tuple: CanTuple) {
-        let idx = index_to_u32(self.can_list.len());
-        let key = (tuple.cost, idx);
-        self.can_list.push(tuple);
-        self.heap.push(key, idx);
-    }
-
-    /// Lines 1–6: find the best core of the full space and enheap it. The
-    /// `l` initial sweeps fan out per [`with_parallelism`](Self::with_parallelism).
-    fn start(&mut self) -> Result<(), InterruptReason> {
-        self.started = true;
-        for i in 0..self.l {
-            self.s_sets[i] = self.v_sets[i].iter().copied().collect();
-        }
-        let seeds: Vec<Vec<NodeId>> = self
-            .s_sets
-            .iter()
-            .map(|s| s.iter().copied().collect())
-            .collect();
-        self.ns.recompute_all_guarded(
-            self.graph,
-            EnginePool::global(),
-            &seeds,
-            self.rmax,
-            &self.guard,
-            self.parallelism,
-        )?;
-        if let Some(best) = self.ns.best_core_with(self.cost_fn) {
-            self.enheap(CanTuple {
-                core: best.core,
-                cost: best.cost,
-                pos: 0,
-                prev: None,
-            });
-        }
-        self.track_memory()
-    }
-
-    /// The `Next()` procedure (lines 15–31): subdivide tuple `g`'s subspace
-    /// and enheap the best core of each non-empty part.
-    fn expand(&mut self, g_idx: u32) -> Result<(), InterruptReason> {
-        let (g_core, g_pos) = {
-            let g = &self.can_list[g_idx as usize];
-            (g.core.clone(), g.pos)
-        };
-        // Preparation (lines 16–18): pin every dimension to the deheaped
-        // core's node and reset S_i to the full V_i.
-        for i in 0..self.l {
-            self.ns.recompute_dim_guarded(
-                self.graph,
-                &mut self.engine,
-                i,
-                [g_core.get(i)],
-                self.rmax,
-                &self.guard,
-            )?;
-            self.s_sets[i] = self.v_sets[i].iter().copied().collect();
-        }
-        // Chain walk (lines 19–23, corrected — see module docs): rebuild
-        // g's subspace by removing, at each ancestor's position, the value
-        // the ancestor's *parent* excluded when creating it.
-        let mut h = g_idx;
+        let mut h = self.deheaped;
         loop {
-            let (pos, prev) = {
-                let t = &self.can_list[h as usize];
-                (t.pos, t.prev)
-            };
-            let Some(p) = prev else { break };
-            let removed = self.can_list[p as usize].core.get(pos);
-            self.s_sets[pos].remove(&removed);
+            let t = &self.tuples[h as usize];
+            let Some(p) = t.prev else { break };
+            shell.exclude(t.pos, self.tuples[p as usize].core.get(t.pos));
             h = p;
         }
+        (self.deheaped, self.tuples[self.deheaped as usize].pos)
+    }
+}
+
+impl Frontier for CanList {
+    /// Lines 1–6: the best core of the full space opens the can-list.
+    fn seed(&mut self, best: BestCore) {
+        self.enheap(best, 0, None);
+    }
+
+    fn pop(&mut self) -> Option<Core> {
+        let (_, idx) = self.heap.pop_min()?;
+        self.deheaped = idx;
+        Some(self.tuples[idx as usize].core.clone())
+    }
+
+    /// The `Next()` procedure (lines 15–31): subdivide the deheaped
+    /// tuple's subspace and enheap the best core of each non-empty part.
+    /// Every dimension is pinned once; each child then patches a single
+    /// dimension — `O(l)` sweeps per answer.
+    fn expand(&mut self, shell: &mut Shell<'_>, g_core: &Core) -> Result<(), InterruptReason> {
+        // Preparation (lines 16–23).
+        shell.pin(g_core)?;
+        let (g_idx, g_pos) = self.restore_subspace(shell);
         // Subdivision (lines 24–31), from dimension l−1 down to g.pos.
-        for i in (g_pos..self.l).rev() {
-            self.s_sets[i].remove(&g_core.get(i));
-            self.recompute_from_s(i)?;
-            if let Some(best) = self.ns.best_core_with(self.cost_fn) {
-                self.enheap(CanTuple {
-                    core: best.core,
-                    cost: best.cost,
-                    pos: i,
-                    prev: Some(g_idx),
-                });
+        for i in (g_pos..shell.l()).rev() {
+            shell.exclude(i, g_core.get(i));
+            shell.recompute_from_s(i)?;
+            if let Some(best) = shell.best_core() {
+                self.enheap(best, i, Some(g_idx));
             }
-            self.s_sets[i].insert(g_core.get(i));
-            self.recompute_from_s(i)?;
+            shell.readmit(i, g_core.get(i));
+            shell.recompute_from_s(i)?;
         }
-        self.track_memory()
+        Ok(())
     }
 
-    /// Records a guard trip; subsequent `next()` calls yield `None`.
-    fn trip(&mut self, reason: InterruptReason) {
-        self.interrupted = Some(reason);
+    fn byte_size(&self) -> usize {
+        let can_bytes: usize = self.tuples.iter().map(|t| t.core.byte_size() + 24).sum();
+        can_bytes + self.heap.len() * 48
     }
 }
 
-impl<'g> Iterator for CommK<'g> {
-    type Item = Community;
-
-    fn next(&mut self) -> Option<Community> {
-        if self.interrupted.is_some() {
-            return None;
-        }
-        if !self.started {
-            if let Err(reason) = self.start() {
-                self.trip(reason);
-                return None;
-            }
-        }
-        let (_, g_idx) = self.heap.pop_min()?;
-        // Candidate budget k ⇒ exactly k communities emitted.
-        if let Err(reason) = self.guard.note_candidate() {
-            self.trip(reason);
-            return None;
-        }
-        let core = self.can_list[g_idx as usize].core.clone();
-        let community = match get_community_guarded(
-            self.graph,
-            &mut self.engine,
-            &core,
-            self.rmax,
-            self.cost_fn,
-            &self.guard,
-        ) {
-            // xtask-allow: no_panics — BestCore only returns cores certified by a center
-            Ok(c) => c.expect("a core returned by BestCore always has a center"),
-            Err(reason) => {
-                self.trip(reason);
-                return None;
-            }
-        };
-        // A trip while subdividing still emits the community already
-        // materialized: output stays an exact prefix of the ranked order.
-        if let Err(reason) = self.expand(g_idx) {
-            self.trip(reason);
-        }
-        self.emitted += 1;
-        Some(community)
+impl CommK<'_> {
+    /// Size of the can-list (bounded by `l · k`, Theorem V.1).
+    pub fn can_list_len(&self) -> usize {
+        self.frontier.tuples.len()
     }
 }
 
-/// Convenience: the top-k communities as a vector.
-pub fn comm_k(graph: &Graph, spec: &QuerySpec, k: usize) -> Vec<Community> {
-    CommK::new(graph, spec).take(k).collect()
-}
-
-/// [`comm_k`] validating the spec and running under `guard`.
+/// The top-`k` communities of `spec` on `graph` in rank order, validated
+/// and run under `guard`.
 ///
 /// An interrupted run returns `Outcome::Interrupted` carrying the ranked
 /// prefix emitted before the trip. Pair with
@@ -347,31 +163,19 @@ pub fn comm_k_guarded(
     k: usize,
     guard: RunGuard,
 ) -> Result<Outcome<Vec<Community>>, QueryError> {
-    let mut it = CommK::try_new(graph, spec)?.with_guard(guard);
-    let mut out = Vec::new();
-    for c in it.by_ref().take(k) {
-        // xtask-allow: unbounded_alloc — take(k) bounds output; iterator charges per candidate
-        out.push(c);
-    }
-    Ok(match it.interrupted() {
-        None => Outcome::Complete(out),
-        Some(reason) => Outcome::Interrupted {
-            reason,
-            partial: out,
-        },
-    })
-}
-
-/// [`comm_k`] with up-front validation and no execution limits.
-pub fn try_comm_k(graph: &Graph, spec: &QuerySpec, k: usize) -> Result<Vec<Community>, QueryError> {
-    Ok(comm_k_guarded(graph, spec, k, RunGuard::unlimited())?.into_value())
+    Ok(CommK::try_new(graph, spec)?
+        .with_guard(guard)
+        .into_outcome(k))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::naive_all_cores;
+    use crate::testing::collect_top_k;
     use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, fig4_table1, FIG4_RMAX};
+
+    use comm_graph::NodeId;
 
     fn fig4_spec(rmax: f64) -> QuerySpec {
         QuerySpec::new(fig4_keyword_nodes(), Weight::new(rmax))
@@ -381,7 +185,7 @@ mod tests {
     fn table1_ranking_in_order() {
         // The paper's Table I, in rank order 1..5 with costs 7,10,11,14,15.
         let g = fig4_graph();
-        let top = comm_k(&g, &fig4_spec(FIG4_RMAX), 10);
+        let top = collect_top_k(&g, &fig4_spec(FIG4_RMAX), 10);
         assert_eq!(top.len(), 5);
         for (rank, core, cost, centers) in fig4_table1() {
             let c = &top[rank - 1];
@@ -402,7 +206,7 @@ mod tests {
     #[test]
     fn no_duplicates_beyond_k() {
         let g = fig4_graph();
-        let all: Vec<_> = CommK::new(&g, &fig4_spec(FIG4_RMAX)).collect();
+        let all: Vec<_> = CommK::try_new(&g, &fig4_spec(FIG4_RMAX)).unwrap().collect();
         assert_eq!(all.len(), 5, "exhaustive CommK must terminate at 5");
         let mut cores: Vec<_> = all.iter().map(|c| c.core.clone()).collect();
         cores.sort();
@@ -414,7 +218,7 @@ mod tests {
     fn order_is_nondecreasing() {
         let g = fig4_graph();
         let mut last = Weight::ZERO;
-        for c in CommK::new(&g, &fig4_spec(FIG4_RMAX)) {
+        for c in CommK::try_new(&g, &fig4_spec(FIG4_RMAX)).unwrap() {
             assert!(c.cost >= last);
             last = c.cost;
         }
@@ -425,10 +229,13 @@ mod tests {
         let g = fig4_graph();
         let spec = fig4_spec(FIG4_RMAX);
         // Take 2, then 2 more — must equal taking 4 at once.
-        let mut it = CommK::new(&g, &spec);
+        let mut it = CommK::try_new(&g, &spec).unwrap();
         let mut resumed: Vec<Core> = it.by_ref().take(2).map(|c| c.core).collect();
         resumed.extend(it.by_ref().take(2).map(|c| c.core));
-        let oneshot: Vec<Core> = comm_k(&g, &spec, 4).into_iter().map(|c| c.core).collect();
+        let oneshot: Vec<Core> = collect_top_k(&g, &spec, 4)
+            .into_iter()
+            .map(|c| c.core)
+            .collect();
         assert_eq!(resumed, oneshot);
     }
 
@@ -438,8 +245,10 @@ mod tests {
         for rmax in [4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 12.0] {
             let spec = fig4_spec(rmax);
             let expect = naive_all_cores(&g, &spec);
-            let got: Vec<(Core, Weight)> =
-                CommK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
+            let got: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
+                .unwrap()
+                .map(|c| (c.core, c.cost))
+                .collect();
             // Same multiset of cores…
             let mut a: Vec<_> = got.iter().map(|(c, _)| c.clone()).collect();
             a.sort();
@@ -456,7 +265,7 @@ mod tests {
     #[test]
     fn can_list_bounded_by_l_times_k() {
         let g = fig4_graph();
-        let mut it = CommK::new(&g, &fig4_spec(FIG4_RMAX));
+        let mut it = CommK::try_new(&g, &fig4_spec(FIG4_RMAX)).unwrap();
         let mut emitted = 0;
         while it.next().is_some() {
             emitted += 1;
@@ -475,7 +284,7 @@ mod tests {
         // of itself), so all costs are 0.
         let g = fig4_graph();
         let spec = QuerySpec::new(vec![vec![NodeId(4), NodeId(13)]], Weight::new(8.0));
-        let all: Vec<_> = CommK::new(&g, &spec).collect();
+        let all: Vec<_> = CommK::try_new(&g, &spec).unwrap().collect();
         assert_eq!(all.len(), 2);
         assert!(all.iter().all(|c| c.cost == Weight::ZERO));
     }
@@ -484,7 +293,7 @@ mod tests {
     fn candidate_budget_yields_ranked_prefix() {
         let g = fig4_graph();
         let spec = fig4_spec(FIG4_RMAX);
-        let full: Vec<Core> = CommK::new(&g, &spec).map(|c| c.core).collect();
+        let full: Vec<Core> = CommK::try_new(&g, &spec).unwrap().map(|c| c.core).collect();
         for b in 0..full.len() {
             let guard = RunGuard::new().with_candidate_budget(b as u64);
             let out = comm_k_guarded(&g, &spec, 10, guard).unwrap();
@@ -498,14 +307,16 @@ mod tests {
     }
 
     #[test]
-    fn try_comm_k_rejects_bad_specs() {
+    fn bad_specs_are_rejected_before_any_work() {
         let g = fig4_graph();
         let bad = QuerySpec::new(vec![vec![NodeId(4), NodeId(500)]], Weight::new(8.0));
         assert!(matches!(
-            try_comm_k(&g, &bad, 3),
+            comm_k_guarded(&g, &bad, 3, RunGuard::unlimited()),
             Err(QueryError::NodeOutOfRange { dim: 0, .. })
         ));
-        let top = try_comm_k(&g, &fig4_spec(FIG4_RMAX), 2).unwrap();
+        let top = comm_k_guarded(&g, &fig4_spec(FIG4_RMAX), 2, RunGuard::unlimited())
+            .unwrap()
+            .into_value();
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].cost, Weight::new(7.0));
     }
@@ -514,6 +325,6 @@ mod tests {
     fn empty_result_when_no_center_exists() {
         let g = fig4_graph();
         let spec = QuerySpec::new(vec![vec![NodeId(4)], vec![NodeId(13)]], Weight::new(1.0));
-        assert_eq!(CommK::new(&g, &spec).count(), 0);
+        assert_eq!(CommK::try_new(&g, &spec).unwrap().count(), 0);
     }
 }

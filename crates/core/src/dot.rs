@@ -80,15 +80,16 @@ pub fn tree_to_dot<F: Fn(NodeId) -> String>(tree: &TreeAnswer, label: F) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::collect_top_k;
     use crate::trees::topk_trees;
-    use crate::{comm_k, QuerySpec};
+    use crate::QuerySpec;
     use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
     use comm_graph::Weight;
 
     fn r5() -> Community {
         let g = fig4_graph();
         let spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-        comm_k(&g, &spec, 3).remove(2) // rank 3 = R5
+        collect_top_k(&g, &spec, 3).remove(2) // rank 3 = R5
     }
 
     #[test]

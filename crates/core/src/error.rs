@@ -1,10 +1,8 @@
-//! Unified error type for the fallible `try_*` query APIs.
+//! Unified error type for the query APIs.
 //!
-//! The infallible entry points (`comm_all`, `comm_k`, …) keep their
-//! historical contract: malformed inputs are caller bugs and panic. The
-//! `try_*` / `*_guarded` variants validate the whole [`QuerySpec`] up front
-//! and return a [`QueryError`] instead, so a service embedding this crate
-//! can reject bad requests without a catch-unwind boundary.
+//! Every query entry point validates the whole [`QuerySpec`] up front and
+//! returns a [`QueryError`] for malformed input, so a service embedding
+//! this crate can reject bad requests without a catch-unwind boundary.
 //!
 //! [`QuerySpec`]: crate::QuerySpec
 

@@ -14,73 +14,17 @@
 //! and `V = { u | dist(s,u) + dist(u,t) ≤ Rmax }` — centers, knodes, and all
 //! path nodes. The induced subgraph over `V` is the community.
 
-use crate::error::{validate_radius, QueryError};
 use crate::types::{Community, Core, CostFn};
 use comm_graph::weight::index_to_u32;
-use comm_graph::{
-    DijkstraEngine, Direction, EnginePool, Graph, InterruptReason, NodeId, Parallelism,
-    PooledEngine, RunGuard, Weight,
-};
+use comm_graph::{DijkstraEngine, Direction, Graph, InterruptReason, NodeId, RunGuard, Weight};
 
-/// Materializes the community uniquely determined by `core`, costing it
-/// with the paper's default sum cost.
+/// Materializes the community uniquely determined by `core` under
+/// `cost_fn`, consulting `guard` per settled node of the three sweeps.
 ///
-/// Returns `None` if the core admits no center within `rmax` (never the
-/// case for cores produced by `BestCore()`, but possible for arbitrary
-/// caller-supplied cores).
-pub fn get_community(
-    graph: &Graph,
-    engine: &mut DijkstraEngine,
-    core: &Core,
-    rmax: Weight,
-) -> Option<Community> {
-    get_community_with(graph, engine, core, rmax, CostFn::SumDistances)
-}
-
-/// [`get_community`] under an arbitrary cost function.
-pub fn get_community_with(
-    graph: &Graph,
-    engine: &mut DijkstraEngine,
-    core: &Core,
-    rmax: Weight,
-    cost_fn: CostFn,
-) -> Option<Community> {
-    get_community_guarded(graph, engine, core, rmax, cost_fn, &RunGuard::unlimited())
-        // xtask-allow: no_panics — an unlimited guard can never interrupt the sweep
-        .expect("unlimited guard never trips")
-}
-
-/// [`get_community_with`] validating the core (node range, radius) up
-/// front and reporting guard trips as [`QueryError::Interrupted`] instead
-/// of panicking anywhere.
-pub fn try_get_community(
-    graph: &Graph,
-    engine: &mut DijkstraEngine,
-    core: &Core,
-    rmax: Weight,
-    cost_fn: CostFn,
-    guard: &RunGuard,
-) -> Result<Option<Community>, QueryError> {
-    if core.is_empty() {
-        return Err(QueryError::NoKeywords);
-    }
-    validate_radius(rmax.get())?;
-    for (dim, &node) in core.0.iter().enumerate() {
-        if node.index() >= graph.node_count() {
-            return Err(QueryError::NodeOutOfRange {
-                dim,
-                node,
-                node_count: graph.node_count(),
-            });
-        }
-    }
-    Ok(get_community_guarded(
-        graph, engine, core, rmax, cost_fn, guard,
-    )?)
-}
-
-/// [`get_community_with`] under a [`RunGuard`], consulted per settled node
-/// of the three sweeps. There is no meaningful partial community, so an
+/// Returns `Ok(None)` if the core admits no center within `rmax` — never
+/// the case for cores produced by `BestCore()`, but possible for arbitrary
+/// caller-supplied cores, including an empty core or one naming a node
+/// outside `graph`. There is no meaningful partial community, so an
 /// interrupted materialization returns the bare reason.
 pub fn get_community_guarded(
     graph: &Graph,
@@ -92,7 +36,9 @@ pub fn get_community_guarded(
 ) -> Result<Option<Community>, InterruptReason> {
     let n = graph.node_count();
     let l = core.len();
-    debug_assert!(l > 0);
+    if l == 0 || core.0.iter().any(|v| v.index() >= n) {
+        return Ok(None);
+    }
 
     // Step 1: centers. A knode carrying several keywords counts once per
     // keyword (Definition 2.1 aggregates over i = 1..l), so we accumulate
@@ -112,101 +58,6 @@ pub fn get_community_guarded(
             count[u] += multiplicity;
         })?;
     }
-    finish_from_accumulators(
-        graph, engine, core, distinct, &sum, &maxd, &count, rmax, cost_fn, guard,
-    )
-}
-
-/// [`get_community_guarded`] with the per-knode center sweeps of step 1
-/// fanned out across `par`'s workers, each borrowing an engine from
-/// `pool`. Per-knode distance arrays are merged in the sorted
-/// distinct-knode order the serial loop visits, so the accumulated
-/// `sum`/`maxd`/`count` — and the resulting community — are bit-identical
-/// to the serial path for every thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn get_community_par_guarded(
-    graph: &Graph,
-    pool: &EnginePool,
-    core: &Core,
-    rmax: Weight,
-    cost_fn: CostFn,
-    guard: &RunGuard,
-    par: Parallelism,
-) -> Result<Option<Community>, InterruptReason> {
-    let n = graph.node_count();
-    let distinct = core.distinct_nodes();
-    if par.is_serial() || distinct.len() == 1 {
-        let mut engine = pool.acquire(n);
-        return get_community_guarded(graph, &mut engine, core, rmax, cost_fn, guard);
-    }
-    // Step 1, parallel: one truncated reverse sweep per distinct knode
-    // into its own distance array.
-    let sweep_tasks: Vec<_> = distinct
-        .iter()
-        .map(|&c| {
-            move |engine: &mut PooledEngine<'_>| -> Result<Vec<Weight>, InterruptReason> {
-                let mut d = vec![Weight::INFINITY; n];
-                engine.run_guarded(graph, Direction::Reverse, [c], rmax, guard, |s| {
-                    d[s.node.index()] = s.dist;
-                })?;
-                Ok(d)
-            }
-        })
-        .collect();
-    let mut per_knode: Vec<Vec<Weight>> = Vec::with_capacity(distinct.len());
-    for swept in par.map_init(|| pool.acquire(n), sweep_tasks) {
-        // xtask-allow: unbounded_alloc — one entry per distinct keyword; sweeps are guard-governed in the tasks
-        per_knode.push(swept?);
-    }
-    // Merge in distinct order — the exact serial accumulation order.
-    let mut sum = vec![0.0f64; n];
-    let mut maxd = vec![Weight::ZERO; n];
-    let mut count = vec![0usize; n];
-    for (&c, d) in distinct.iter().zip(&per_knode) {
-        let multiplicity = core.0.iter().filter(|&&x| x == c).count();
-        for u in 0..n {
-            if d[u].is_finite() {
-                sum[u] += d[u].get() * multiplicity as f64;
-                if d[u] > maxd[u] {
-                    maxd[u] = d[u];
-                }
-                count[u] += multiplicity;
-            }
-        }
-    }
-    let mut engine = pool.acquire(n);
-    finish_from_accumulators(
-        graph,
-        &mut engine,
-        core,
-        distinct,
-        &sum,
-        &maxd,
-        &count,
-        rmax,
-        cost_fn,
-        guard,
-    )
-}
-
-/// Steps 1b–3 of Algorithm 4, shared by the serial and parallel paths:
-/// scan the accumulators for centers, then run the forward/backward
-/// double sweep and assemble the community.
-#[allow(clippy::too_many_arguments)]
-fn finish_from_accumulators(
-    graph: &Graph,
-    engine: &mut DijkstraEngine,
-    core: &Core,
-    distinct: Vec<NodeId>,
-    sum: &[f64],
-    maxd: &[Weight],
-    count: &[usize],
-    rmax: Weight,
-    cost_fn: CostFn,
-    guard: &RunGuard,
-) -> Result<Option<Community>, InterruptReason> {
-    let n = graph.node_count();
-    let l = core.len();
     let mut centers: Vec<NodeId> = Vec::new();
     let mut cost = Weight::INFINITY;
     for u in 0..n {
@@ -281,15 +132,22 @@ mod tests {
     use super::*;
     use comm_datasets::paper_example::{fig4_graph, FIG4_RMAX};
 
-    fn comm(core: &[u32], rmax: f64) -> Option<Community> {
+    fn comm_with(core: &[u32], rmax: f64, cost_fn: CostFn) -> Option<Community> {
         let g = fig4_graph();
         let mut eng = DijkstraEngine::new(g.node_count());
-        get_community(
+        get_community_guarded(
             &g,
             &mut eng,
             &Core(core.iter().map(|&c| NodeId(c)).collect()),
             Weight::new(rmax),
+            cost_fn,
+            &RunGuard::unlimited(),
         )
+        .unwrap()
+    }
+
+    fn comm(core: &[u32], rmax: f64) -> Option<Community> {
+        comm_with(core, rmax, CostFn::SumDistances)
     }
 
     #[test]
@@ -368,16 +226,7 @@ mod tests {
     fn max_distance_cost() {
         // Core [v13, v8, v11]: center v11 has per-knode distances
         // {6, 5, 0} → max 6; center v12 has {3, 8, 3} → max 8. Cost = 6.
-        let g = fig4_graph();
-        let mut eng = DijkstraEngine::new(g.node_count());
-        let c = super::get_community_with(
-            &g,
-            &mut eng,
-            &Core(vec![NodeId(13), NodeId(8), NodeId(11)]),
-            Weight::new(FIG4_RMAX),
-            CostFn::MaxDistance,
-        )
-        .unwrap();
+        let c = comm_with(&[13, 8, 11], FIG4_RMAX, CostFn::MaxDistance).unwrap();
         assert_eq!(c.cost, Weight::new(6.0));
         // Membership is cost-independent.
         assert_eq!(c.centers, vec![NodeId(11), NodeId(12)]);
@@ -395,68 +244,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_step1_matches_serial_exactly() {
-        let g = fig4_graph();
-        let pool = EnginePool::new();
-        let mut eng = DijkstraEngine::new(g.node_count());
-        let cores: [&[u32]; 4] = [&[13, 8, 11], &[4, 8, 6], &[6, 6], &[13, 2, 9]];
-        for ids in cores {
-            let core = Core(ids.iter().map(|&c| NodeId(c)).collect());
-            for cost_fn in [CostFn::SumDistances, CostFn::MaxDistance] {
-                let serial = get_community_guarded(
-                    &g,
-                    &mut eng,
-                    &core,
-                    Weight::new(FIG4_RMAX),
-                    cost_fn,
-                    &RunGuard::unlimited(),
-                )
-                .unwrap();
-                for threads in [1usize, 2, 4] {
-                    let par = get_community_par_guarded(
-                        &g,
-                        &pool,
-                        &core,
-                        Weight::new(FIG4_RMAX),
-                        cost_fn,
-                        &RunGuard::unlimited(),
-                        Parallelism::new(threads),
-                    )
-                    .unwrap();
-                    match (&serial, &par) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            assert_eq!(a.core, b.core, "core {ids:?} threads={threads}");
-                            assert_eq!(a.cost, b.cost, "cost {ids:?} threads={threads}");
-                            assert_eq!(a.centers, b.centers);
-                            assert_eq!(a.knodes, b.knodes);
-                            assert_eq!(a.path_nodes, b.path_nodes);
-                            assert_eq!(a.nodes(), b.nodes());
-                            assert_eq!(a.edge_count(), b.edge_count());
-                        }
-                        _ => panic!("serial/parallel disagree on {ids:?}"),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_step1_respects_guard() {
-        let g = fig4_graph();
-        let pool = EnginePool::new();
-        let core = Core(vec![NodeId(13), NodeId(8), NodeId(11)]);
-        let err = get_community_par_guarded(
-            &g,
-            &pool,
-            &core,
-            Weight::new(FIG4_RMAX),
-            CostFn::SumDistances,
-            &RunGuard::new().with_settled_budget(1),
-            Parallelism::new(4),
-        )
-        .unwrap_err();
-        assert_eq!(err, InterruptReason::SettledBudgetExhausted);
+    fn malformed_cores_have_no_center() {
+        // An empty core or a node outside the graph is "no centre", not
+        // an out-of-bounds index.
+        assert!(comm(&[], FIG4_RMAX).is_none());
+        assert!(comm(&[13, 999, 11], FIG4_RMAX).is_none());
     }
 
     #[test]

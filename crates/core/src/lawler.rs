@@ -15,241 +15,64 @@
 //! sweep-sharing idea. The `ablation-lawler` benchmark table measures the
 //! gap; `neighbor_sweeps()` counts it exactly.
 
-use crate::error::QueryError;
-use crate::get_community::get_community_guarded;
-use crate::neighbor::NeighborSets;
-use crate::types::{Community, Core, CostFn, QuerySpec};
-use comm_fibheap::FibHeap;
-use comm_graph::weight::index_to_u32;
-use comm_graph::{DijkstraEngine, Graph, InterruptReason, NodeId, RunGuard, Weight};
-use std::collections::BTreeSet;
+use crate::comm_k::CanList;
+use crate::neighbor::BestCore;
+use crate::shell::{Enumerator, Frontier, Shell};
+use crate::types::Core;
+use comm_graph::InterruptReason;
 
-#[derive(Clone, Debug)]
-struct CanTuple {
-    core: Core,
-    pos: usize,
-    prev: Option<u32>,
-}
+/// Top-k community enumeration via the unimproved Lawler procedure: the
+/// same output sequence as [`CommK`](crate::CommK) at `O(l²)` instead of
+/// `O(l)` `Neighbor()` sweeps per answer.
+pub type LawlerK<'g> = Enumerator<'g, FromScratch>;
 
-/// Top-k community enumeration via the unimproved Lawler procedure.
-pub struct LawlerK<'g> {
-    graph: &'g Graph,
-    rmax: Weight,
-    cost_fn: CostFn,
-    l: usize,
-    v_sets: Vec<Vec<NodeId>>,
-    ns: NeighborSets,
-    engine: DijkstraEngine,
-    can_list: Vec<CanTuple>,
-    heap: FibHeap<(Weight, u32), u32>,
-    emitted: usize,
-    started: bool,
-    guard: RunGuard,
-    /// Set once the guard trips; the iterator then yields `None` forever.
-    interrupted: Option<InterruptReason>,
-}
+/// [`LawlerK`]'s frontier: `COMM-k`'s can-list, every child subspace
+/// solved from scratch.
+#[derive(Default)]
+pub struct FromScratch(CanList);
 
-impl<'g> LawlerK<'g> {
-    /// Prepares the enumeration.
-    pub fn new(graph: &'g Graph, spec: &QuerySpec) -> LawlerK<'g> {
-        let l = spec.l();
-        assert!(l > 0, "need at least one keyword");
-        LawlerK {
-            graph,
-            rmax: spec.rmax,
-            cost_fn: spec.cost,
-            l,
-            v_sets: spec.keyword_nodes.clone(),
-            ns: NeighborSets::new(l, graph.node_count()),
-            engine: DijkstraEngine::new(graph.node_count()),
-            can_list: Vec::new(),
-            heap: FibHeap::new(),
-            emitted: 0,
-            started: false,
-            guard: RunGuard::unlimited(),
-            interrupted: None,
-        }
+impl Frontier for FromScratch {
+    fn seed(&mut self, best: BestCore) {
+        self.0.seed(best);
     }
 
-    /// Like [`new`](Self::new), but validates the spec against the graph
-    /// instead of panicking on malformed input.
-    pub fn try_new(graph: &'g Graph, spec: &QuerySpec) -> Result<LawlerK<'g>, QueryError> {
-        spec.validate_for(graph)?;
-        Ok(LawlerK::new(graph, spec))
+    fn pop(&mut self) -> Option<Core> {
+        self.0.pop()
     }
 
-    /// Attaches an execution governor; see [`CommAll::with_guard`] for the
-    /// contract (guarded output is always a prefix of the unguarded order).
-    ///
-    /// [`CommAll::with_guard`]: crate::CommAll::with_guard
-    pub fn with_guard(mut self, guard: RunGuard) -> LawlerK<'g> {
-        self.guard = guard;
-        self
-    }
-
-    /// Why enumeration stopped early, if the guard tripped.
-    pub fn interrupted(&self) -> Option<InterruptReason> {
-        self.interrupted
-    }
-
-    /// Communities emitted so far.
-    pub fn emitted(&self) -> usize {
-        self.emitted
-    }
-
-    /// Total `Neighbor()` sweeps — `O(l²)` per emitted community here.
-    pub fn neighbor_sweeps(&self) -> usize {
-        self.ns.sweeps()
-    }
-
-    /// The removal sets defining tuple `g`'s subspace, per dimension
-    /// (parent's core value at each ancestor's position — the same
-    /// corrected chain reconstruction as `CommK`).
-    fn chain_removals(&self, g_idx: u32) -> Vec<BTreeSet<NodeId>> {
-        let mut removed: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); self.l];
-        let mut h = g_idx;
-        loop {
-            let (pos, prev) = {
-                let t = &self.can_list[h as usize];
-                (t.pos, t.prev)
-            };
-            let Some(p) = prev else { break };
-            removed[pos].insert(self.can_list[p as usize].core.get(pos));
-            h = p;
-        }
-        removed
-    }
-
-    /// Solves one subspace *from scratch*: every dimension's neighbor set
-    /// recomputed (`l` sweeps), then one `BestCore()` scan.
-    fn best_in_subspace(
-        &mut self,
-        pinned: &Core,
-        split_dim: usize,
-        removed: &[BTreeSet<NodeId>],
-        extra_removed: NodeId,
-    ) -> Result<Option<(Core, Weight)>, InterruptReason> {
-        for (j, removed_j) in removed.iter().enumerate() {
-            let seeds: Vec<NodeId> = if j < split_dim {
-                vec![pinned.get(j)]
-            } else if j == split_dim {
-                self.v_sets[j]
-                    .iter()
-                    .copied()
-                    .filter(|v| !removed_j.contains(v) && *v != extra_removed)
-                    .collect()
-            } else {
-                self.v_sets[j].clone()
-            };
-            self.ns.recompute_dim_guarded(
-                self.graph,
-                &mut self.engine,
-                j,
-                seeds,
-                self.rmax,
-                &self.guard,
-            )?;
-        }
-        Ok(self
-            .ns
-            .best_core_with(self.cost_fn)
-            .map(|b| (b.core, b.cost)))
-    }
-
-    fn enheap(&mut self, core: Core, cost: Weight, pos: usize, prev: Option<u32>) {
-        let idx = index_to_u32(self.can_list.len());
-        self.can_list.push(CanTuple { core, pos, prev });
-        self.heap.push((cost, idx), idx);
-    }
-
-    fn start(&mut self) -> Result<(), InterruptReason> {
-        self.started = true;
-        for j in 0..self.l {
-            let seeds = self.v_sets[j].clone();
-            self.ns.recompute_dim_guarded(
-                self.graph,
-                &mut self.engine,
-                j,
-                seeds,
-                self.rmax,
-                &self.guard,
-            )?;
-        }
-        if let Some(best) = self.ns.best_core_with(self.cost_fn) {
-            self.enheap(best.core, best.cost, 0, None);
+    /// Solves each child subspace on its own: dimensions below the split
+    /// pinned to the deheaped core, the rest recomputed from `S_j` — all
+    /// `l` neighbor sets per child, then one `BestCore()` scan.
+    fn expand(&mut self, shell: &mut Shell<'_>, g_core: &Core) -> Result<(), InterruptReason> {
+        let (g_idx, g_pos) = self.0.restore_subspace(shell);
+        for i in (g_pos..shell.l()).rev() {
+            shell.exclude(i, g_core.get(i));
+            for j in 0..shell.l() {
+                if j < i {
+                    shell.pin_dim(j, g_core.get(j))?;
+                } else {
+                    shell.recompute_from_s(j)?;
+                }
+            }
+            if let Some(best) = shell.best_core() {
+                self.0.enheap(best, i, Some(g_idx));
+            }
+            shell.readmit(i, g_core.get(i));
         }
         Ok(())
     }
 
-    fn expand(&mut self, g_idx: u32) -> Result<(), InterruptReason> {
-        let (g_core, g_pos) = {
-            let g = &self.can_list[g_idx as usize];
-            (g.core.clone(), g.pos)
-        };
-        let removed = self.chain_removals(g_idx);
-        for i in (g_pos..self.l).rev() {
-            if let Some((core, cost)) =
-                self.best_in_subspace(&g_core, i, &removed, g_core.get(i))?
-            {
-                self.enheap(core, cost, i, Some(g_idx));
-            }
-        }
-        Ok(())
-    }
-
-    /// Records a guard trip; subsequent `next()` calls yield `None`.
-    fn trip(&mut self, reason: InterruptReason) {
-        self.interrupted = Some(reason);
-    }
-}
-
-impl<'g> Iterator for LawlerK<'g> {
-    type Item = Community;
-
-    fn next(&mut self) -> Option<Community> {
-        if self.interrupted.is_some() {
-            return None;
-        }
-        if !self.started {
-            if let Err(reason) = self.start() {
-                self.trip(reason);
-                return None;
-            }
-        }
-        let (_, g_idx) = self.heap.pop_min()?;
-        if let Err(reason) = self.guard.note_candidate() {
-            self.trip(reason);
-            return None;
-        }
-        let core = self.can_list[g_idx as usize].core.clone();
-        let community = match get_community_guarded(
-            self.graph,
-            &mut self.engine,
-            &core,
-            self.rmax,
-            self.cost_fn,
-            &self.guard,
-        ) {
-            // xtask-allow: no_panics — BestCore only returns cores certified by a center
-            Ok(c) => c.expect("a core returned by BestCore always has a center"),
-            Err(reason) => {
-                self.trip(reason);
-                return None;
-            }
-        };
-        if let Err(reason) = self.expand(g_idx) {
-            self.trip(reason);
-        }
-        self.emitted += 1;
-        Some(community)
+    fn byte_size(&self) -> usize {
+        self.0.byte_size()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CommK;
+    use crate::{CommK, CostFn, QuerySpec};
     use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
+    use comm_graph::{NodeId, RunGuard, Weight};
 
     fn fig4_spec() -> QuerySpec {
         QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX))
@@ -259,9 +82,14 @@ mod tests {
     fn identical_output_to_comm_k() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let ours: Vec<(Core, Weight)> = CommK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
-        let lawler: Vec<(Core, Weight)> =
-            LawlerK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
+        let ours: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
+            .unwrap()
+            .map(|c| (c.core, c.cost))
+            .collect();
+        let lawler: Vec<(Core, Weight)> = LawlerK::try_new(&g, &spec)
+            .unwrap()
+            .map(|c| (c.core, c.cost))
+            .collect();
         assert_eq!(ours, lawler);
     }
 
@@ -274,8 +102,8 @@ mod tests {
         let mut sets = fig4_keyword_nodes();
         sets.extend(fig4_keyword_nodes());
         let spec = QuerySpec::new(sets, Weight::new(FIG4_RMAX));
-        let mut ours = CommK::new(&g, &spec);
-        let mut lawler = LawlerK::new(&g, &spec);
+        let mut ours = CommK::try_new(&g, &spec).unwrap();
+        let mut lawler = LawlerK::try_new(&g, &spec).unwrap();
         let a: Vec<Weight> = ours.by_ref().map(|c| c.cost).collect();
         let b: Vec<Weight> = lawler.by_ref().map(|c| c.cost).collect();
         assert_eq!(a, b, "same enumeration at l=6");
@@ -292,8 +120,11 @@ mod tests {
     fn max_cost_agrees_too() {
         let g = fig4_graph();
         let spec = fig4_spec().with_cost(CostFn::MaxDistance);
-        let ours: Vec<Weight> = CommK::new(&g, &spec).map(|c| c.cost).collect();
-        let lawler: Vec<Weight> = LawlerK::new(&g, &spec).map(|c| c.cost).collect();
+        let ours: Vec<Weight> = CommK::try_new(&g, &spec).unwrap().map(|c| c.cost).collect();
+        let lawler: Vec<Weight> = LawlerK::try_new(&g, &spec)
+            .unwrap()
+            .map(|c| c.cost)
+            .collect();
         assert_eq!(ours, lawler);
     }
 
@@ -301,7 +132,7 @@ mod tests {
     fn guarded_prefix_matches_comm_k() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let full: Vec<Core> = CommK::new(&g, &spec).map(|c| c.core).collect();
+        let full: Vec<Core> = CommK::try_new(&g, &spec).unwrap().map(|c| c.core).collect();
         for b in 0..full.len() {
             let guard = RunGuard::new().with_candidate_budget(b as u64);
             let mut it = LawlerK::try_new(&g, &spec).unwrap().with_guard(guard);
@@ -318,6 +149,6 @@ mod tests {
     fn empty_query_is_empty() {
         let g = fig4_graph();
         let spec = QuerySpec::new(vec![vec![], vec![NodeId(4)]], Weight::new(8.0));
-        assert_eq!(LawlerK::new(&g, &spec).count(), 0);
+        assert_eq!(LawlerK::try_new(&g, &spec).unwrap().count(), 0);
     }
 }

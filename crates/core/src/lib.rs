@@ -14,41 +14,50 @@
 //! * [`CommK`] — Algorithm 5: exact top-k enumeration in cost order via a
 //!   can-list + Fibonacci heap, with `k` interactively extendable at run
 //!   time (`O(l²·k + l·n + m)` space);
-//! * [`get_community`] — Algorithm 4: materializing the unique community
-//!   of a core;
+//! * [`get_community_guarded`] — Algorithm 4: materializing the unique
+//!   community of a core;
 //! * [`NeighborSets`] — Algorithms 2 & 3 (`Neighbor()` / `BestCore()`);
 //! * [`naive`] — the exponential nested-loop oracle of Sec. III.
 //!
 //! # Execution control
 //!
-//! Every enumeration entry point has a `try_*` / `*_guarded` variant that
-//! validates the [`QuerySpec`] up front (returning [`QueryError`] instead
-//! of panicking) and accepts a [`RunGuard`] — a cancel flag, deadline, and
-//! budget governor threaded through every Dijkstra sweep. Interrupted runs
-//! return [`Outcome::Interrupted`] carrying the communities emitted before
-//! the trip, always an exact prefix of the unguarded enumeration.
+//! Every operation has exactly one entry point, and it is the fallible,
+//! governed one: [`CommAll::try_new`] / [`CommK::try_new`] (and the
+//! collecting [`comm_all_guarded`] / [`comm_k_guarded`]) validate the
+//! [`QuerySpec`] up front, returning [`QueryError`] instead of panicking,
+//! and run under a [`RunGuard`] — a cancel flag, deadline, and budget
+//! governor threaded through every Dijkstra sweep
+//! ([`RunGuard::unlimited`] when nothing should stop the run).
+//! Interrupted runs return [`Outcome::Interrupted`] carrying the
+//! communities emitted before the trip, always an exact prefix of the
+//! unguarded enumeration. `COMM-all`, `COMM-k` and the naive
+//! [`LawlerK`] share one enumeration shell, so validation, guard checks,
+//! byte accounting and the exact-prefix rule are the same code for all
+//! three.
 //!
 //! # Parallel execution
 //!
-//! The enumerators' initial keyword sweeps
-//! ([`CommAll::with_parallelism`] / [`CommK::with_parallelism`]), index
-//! construction ([`ProjectionIndex::build_par_guarded`]), and community
-//! materialization ([`get_community_par_guarded`]) can fan work across a
-//! [`Parallelism`] thread pool, borrowing Dijkstra scratch state from an
-//! [`EnginePool`]. Every parallel path honors the shared [`RunGuard`] and
-//! produces bit-identical results to the serial path for every thread
-//! count.
+//! A single query's enumeration is sequential — each subspace depends on
+//! the previous one. What fans out across a [`Parallelism`] thread pool,
+//! borrowing Dijkstra scratch state from an [`EnginePool`], is index
+//! construction ([`ProjectionIndex::build_par_guarded`], one task per
+//! keyword) and the whole-table refill
+//! [`NeighborSets::recompute_all_guarded`]; both honor the shared
+//! [`RunGuard`] and produce bit-identical results for every thread
+//! count, [`Parallelism::serial`] being the one-worker case of the same
+//! code.
 //!
 //! # Quickstart
 //! ```
-//! use comm_core::{comm_k, QuerySpec};
+//! use comm_core::{CommK, QuerySpec};
 //! use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
 //! use comm_graph::Weight;
 //!
 //! let graph = fig4_graph();
 //! let spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-//! let top3 = comm_k(&graph, &spec, 3);
+//! let top3: Vec<_> = CommK::try_new(&graph, &spec)?.take(3).collect();
 //! assert_eq!(top3[0].cost, Weight::new(7.0)); // Table I, rank 1
+//! # Ok::<(), comm_core::QueryError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,28 +69,26 @@ mod comm_k;
 pub mod dot;
 mod error;
 mod get_community;
-pub mod lawler;
+mod lawler;
 pub mod naive;
 mod neighbor;
 mod projection;
+mod shell;
 pub mod trees;
 mod types;
 pub mod verify;
 
 pub use baselines::{
-    bu_all, bu_all_guarded, bu_topk, bu_topk_guarded, td_all, td_all_guarded, td_topk,
-    td_topk_guarded, BaselineRun, BaselineStats,
+    bu_all_guarded, bu_topk_guarded, td_all_guarded, td_topk_guarded, BaselineRun, BaselineStats,
 };
-pub use comm_all::{comm_all, comm_all_guarded, try_comm_all, CommAll};
-pub use comm_k::{comm_k, comm_k_guarded, try_comm_k, CommK};
+pub use comm_all::{comm_all_guarded, CommAll};
+pub use comm_k::{comm_k_guarded, CommK};
 pub use error::QueryError;
-pub use get_community::{
-    get_community, get_community_guarded, get_community_par_guarded, get_community_with,
-    try_get_community,
-};
+pub use get_community::get_community_guarded;
 pub use lawler::LawlerK;
 pub use neighbor::{BestCore, NeighborSets, MAX_KEYWORDS};
 pub use projection::{comm_k_on_index, ProjectedQuery, ProjectionIndex};
+pub use shell::Enumerator;
 pub use types::{Community, Core, CostFn, QuerySpec};
 pub use verify::{
     check_community, check_enumeration, check_ranking, check_topk_prefix, CertificationError,
@@ -90,3 +97,18 @@ pub use verify::{
 // Re-export the guard and parallelism vocabulary so downstream users need
 // only this crate.
 pub use comm_graph::{EnginePool, InterruptReason, Outcome, Parallelism, PooledEngine, RunGuard};
+
+/// Unguarded one-liners over the survivors, for this crate's unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use crate::{CommAll, CommK, Community, QuerySpec};
+    use comm_graph::Graph;
+
+    pub(crate) fn collect_all(g: &Graph, spec: &QuerySpec) -> Vec<Community> {
+        CommAll::try_new(g, spec).unwrap().collect()
+    }
+
+    pub(crate) fn collect_top_k(g: &Graph, spec: &QuerySpec, k: usize) -> Vec<Community> {
+        CommK::try_new(g, spec).unwrap().take(k).collect()
+    }
+}

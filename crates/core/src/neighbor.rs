@@ -54,7 +54,7 @@ pub struct NeighborSets {
     sum: Vec<Weight>,
     /// Per-node number of finite dimensions; `count[u] == l` ⇔ `u ∈ ⋂ N_i`.
     count: Vec<u8>,
-    /// How many `Neighbor()` sweeps (`recompute_dim` calls) have run — the
+    /// How many `Neighbor()` sweeps (per-dimension refills) have run — the
     /// unit the paper's `O(c(l))` vs `O(l·c(l))` comparison counts.
     sweeps: usize,
 }
@@ -65,7 +65,7 @@ impl NeighborSets {
     /// # Panics
     /// If `l` is zero or exceeds [`MAX_KEYWORDS`] — a caller bug by this
     /// function's contract. [`try_new`](Self::try_new) is the fallible
-    /// path the `try_*` query APIs use.
+    /// path the enumerators use.
     pub fn new(l: usize, n: usize) -> NeighborSets {
         // xtask-allow: no_panics — documented caller contract; try_new is the fallible path
         Self::try_new(l, n).expect("need 1 ≤ l ≤ 255 keywords")
@@ -138,26 +138,13 @@ impl NeighborSets {
 
     /// Recomputes dimension `i` as `Neighbor(G_D, seeds, rmax)`:
     /// a multi-source Dijkstra over the *reverse* graph (the virtual-sink
-    /// construction of Algorithm 2), truncated at `rmax`.
+    /// construction of Algorithm 2), truncated at `rmax` and consulting
+    /// `guard` per settled node.
     ///
     /// Seeds must be sorted for deterministic nearest-source tie-breaking.
-    pub fn recompute_dim(
-        &mut self,
-        graph: &Graph,
-        engine: &mut DijkstraEngine,
-        i: usize,
-        seeds: impl IntoIterator<Item = NodeId>,
-        rmax: Weight,
-    ) {
-        self.recompute_dim_guarded(graph, engine, i, seeds, rmax, &RunGuard::unlimited())
-            // xtask-allow: no_panics — an unlimited guard can never interrupt the sweep
-            .expect("unlimited guard never trips")
-    }
-
-    /// Like [`recompute_dim`](Self::recompute_dim), but consults `guard`
-    /// per settled node. On interruption dimension `i` is left partially
-    /// refilled — callers must abandon the whole enumeration (which every
-    /// guarded enumerator does), not keep scanning for cores.
+    /// On interruption dimension `i` is left partially refilled — callers
+    /// must abandon the whole enumeration (which every guarded enumerator
+    /// does), not keep scanning for cores.
     pub fn recompute_dim_guarded(
         &mut self,
         graph: &Graph,
@@ -218,9 +205,9 @@ impl NeighborSets {
     /// partially refilled — callers must abandon the enumeration, exactly
     /// as for an interrupted `recompute_dim_guarded`.
     ///
-    /// A serial caller with enough seed mass is routed through
-    /// [`recompute_all_batched_guarded`](Self::recompute_all_batched_guarded)
-    /// — the fused pass is bit-identical, so the selection is invisible.
+    /// A serial caller with enough seed mass is routed through one fused
+    /// multi-source pass instead — bit-identical, so the selection (made
+    /// from the seed count, never by the caller) is invisible.
     pub fn recompute_all_guarded(
         &mut self,
         graph: &Graph,
@@ -236,7 +223,6 @@ impl NeighborSets {
         }
         self.sweeps += self.l;
         let n = self.n;
-        let l = self.l;
         // An empty graph (e.g. a projection with no centers) has nothing
         // to sweep, and `chunks_mut(0)` below would panic.
         if n == 0 {
@@ -270,9 +256,17 @@ impl NeighborSets {
         for swept in par.map_init(|| pool.acquire(n), sweep_tasks) {
             swept?;
         }
-        // Phase 2: rebuild sum/count from zero in dimension order. Chunked
-        // over node ranges so the reduction parallelizes too; the per-node
-        // addition order is 0..l regardless of chunking or thread count.
+        self.rebuild_totals(par);
+        Ok(())
+    }
+
+    /// Rebuilds `sum`/`count` from zero after a whole-table refill.
+    /// Chunked over node ranges so the reduction parallelizes too; the
+    /// per-node addition order is the fixed dimension order `0..l`
+    /// regardless of chunking or thread count, hence bit-identical across
+    /// the fan-out and batched sweeps.
+    fn rebuild_totals(&mut self, par: Parallelism) {
+        let (n, l) = (self.n, self.l);
         let dist = &self.dist;
         let rebuild_tasks: Vec<_> = self
             .sum
@@ -301,7 +295,6 @@ impl NeighborSets {
             })
             .collect();
         par.map(rebuild_tasks);
-        Ok(())
     }
 
     /// Whether [`recompute_all_guarded`](Self::recompute_all_guarded)
@@ -338,7 +331,7 @@ impl NeighborSets {
     /// the pool trims it back to class capacity on release, so batched
     /// sweeps do not pin `l×` scratch forever. Callers must ensure `l·n`
     /// fits `u32` (the auto-selection gate checks this).
-    pub fn recompute_all_batched_guarded(
+    fn recompute_all_batched_guarded(
         &mut self,
         graph: &Graph,
         pool: &EnginePool,
@@ -349,7 +342,6 @@ impl NeighborSets {
         debug_assert_eq!(seeds.len(), self.l);
         self.sweeps += self.l;
         let n = self.n;
-        let l = self.l;
         if n == 0 {
             return Ok(());
         }
@@ -357,44 +349,15 @@ impl NeighborSets {
         self.src.fill(NO_SRC);
         let dist = &mut self.dist;
         let src = &mut self.src;
-        let mut engine = pool.acquire(l * n);
+        let mut engine = pool.acquire(self.l * n);
         engine.run_batched_guarded(graph, Direction::Reverse, seeds, rmax, guard, |dim, s| {
             let idx = dim * n + s.node.index();
             dist[idx] = s.dist;
             src[idx] = s.source.0;
         })?;
         drop(engine);
-        // Rebuild sum/count from zero in dimension order — the same
-        // addition order as the fan-out rebuild, hence bit-identical.
-        for u in 0..n {
-            let mut acc = Weight::ZERO;
-            let mut finite: u8 = 0;
-            for i in 0..l {
-                let d = dist[i * n + u];
-                if d.is_finite() {
-                    acc += d;
-                    finite += 1;
-                }
-            }
-            self.sum[u] = acc;
-            self.count[u] = finite;
-        }
+        self.rebuild_totals(Parallelism::serial());
         Ok(())
-    }
-
-    /// [`recompute_all_guarded`](Self::recompute_all_guarded) without
-    /// execution limits.
-    pub fn recompute_all(
-        &mut self,
-        graph: &Graph,
-        pool: &EnginePool,
-        seeds: &[Vec<NodeId>],
-        rmax: Weight,
-        par: Parallelism,
-    ) {
-        self.recompute_all_guarded(graph, pool, seeds, rmax, &RunGuard::unlimited(), par)
-            // xtask-allow: no_panics — an unlimited guard can never interrupt the sweep
-            .expect("unlimited guard never trips")
     }
 
     /// `BestCore()` (Algorithm 3) under the paper's sum cost: scans
@@ -471,12 +434,26 @@ mod tests {
         fig4_keyword_nodes()
     }
 
+    impl NeighborSets {
+        fn refill(
+            &mut self,
+            g: &Graph,
+            eng: &mut DijkstraEngine,
+            i: usize,
+            seeds: impl IntoIterator<Item = NodeId>,
+            rmax: Weight,
+        ) {
+            self.recompute_dim_guarded(g, eng, i, seeds, rmax, &RunGuard::unlimited())
+                .unwrap();
+        }
+    }
+
     fn build(rmax: f64) -> (Graph, NeighborSets, DijkstraEngine) {
         let g = fig4();
         let mut eng = DijkstraEngine::new(g.node_count());
         let mut ns = NeighborSets::new(3, g.node_count());
         for (i, set) in v_sets().into_iter().enumerate() {
-            ns.recompute_dim(&g, &mut eng, i, set, Weight::new(rmax));
+            ns.refill(&g, &mut eng, i, set, Weight::new(rmax));
         }
         (g, ns, eng)
     }
@@ -518,13 +495,13 @@ mod tests {
         // V3 − {v6} = {v3, v9, v11}: intersection is empty → no core.
         let (g, mut ns, mut eng) = build(8.0);
         let r = Weight::new(8.0);
-        ns.recompute_dim(&g, &mut eng, 0, [NodeId(4)], r);
-        ns.recompute_dim(&g, &mut eng, 1, [NodeId(8)], r);
-        ns.recompute_dim(&g, &mut eng, 2, vec![NodeId(3), NodeId(9), NodeId(11)], r);
+        ns.refill(&g, &mut eng, 0, [NodeId(4)], r);
+        ns.refill(&g, &mut eng, 1, [NodeId(8)], r);
+        ns.refill(&g, &mut eng, 2, vec![NodeId(3), NodeId(9), NodeId(11)], r);
         assert_eq!(ns.best_core(), None);
         // Then S2 = {v2}, dim 3 back to full V3: core [v4, v2, v3].
-        ns.recompute_dim(&g, &mut eng, 2, v_sets()[2].clone(), r);
-        ns.recompute_dim(&g, &mut eng, 1, [NodeId(2)], r);
+        ns.refill(&g, &mut eng, 2, v_sets()[2].clone(), r);
+        ns.refill(&g, &mut eng, 1, [NodeId(2)], r);
         let best = ns.best_core().unwrap();
         assert_eq!(best.core, Core(vec![NodeId(4), NodeId(2), NodeId(3)]));
         assert_eq!(best.cost, Weight::new(14.0));
@@ -538,8 +515,8 @@ mod tests {
         // Thrash one dimension and restore it.
         let r = Weight::new(8.0);
         for _ in 0..5 {
-            ns.recompute_dim(&g, &mut eng, 1, [NodeId(2)], r);
-            ns.recompute_dim(&g, &mut eng, 1, v_sets()[1].clone(), r);
+            ns.refill(&g, &mut eng, 1, [NodeId(2)], r);
+            ns.refill(&g, &mut eng, 1, v_sets()[1].clone(), r);
         }
         assert_eq!(ns.best_core(), before);
     }
@@ -547,7 +524,7 @@ mod tests {
     #[test]
     fn empty_seed_dimension_blocks_all_cores() {
         let (g, mut ns, mut eng) = build(8.0);
-        ns.recompute_dim(&g, &mut eng, 0, std::iter::empty(), Weight::new(8.0));
+        ns.refill(&g, &mut eng, 0, std::iter::empty(), Weight::new(8.0));
         assert_eq!(ns.best_core(), None);
         assert!(ns.intersection().is_empty());
     }
@@ -594,11 +571,20 @@ mod tests {
         let mut legacy = NeighborSets::new(3, g.node_count());
         let mut eng = DijkstraEngine::new(g.node_count());
         for (i, set) in seeds.clone().into_iter().enumerate() {
-            legacy.recompute_dim(&g, &mut eng, i, set, r);
+            legacy.refill(&g, &mut eng, i, set, r);
         }
         for threads in [1usize, 2, 4, 8] {
             let mut fanned = NeighborSets::new(3, g.node_count());
-            fanned.recompute_all(&g, &pool, &seeds, r, Parallelism::new(threads));
+            fanned
+                .recompute_all_guarded(
+                    &g,
+                    &pool,
+                    &seeds,
+                    r,
+                    &RunGuard::unlimited(),
+                    Parallelism::new(threads),
+                )
+                .unwrap();
             assert_eq!(fanned.dist, legacy.dist, "dist, threads={threads}");
             assert_eq!(fanned.src, legacy.src, "src, threads={threads}");
             assert_eq!(fanned.sum, legacy.sum, "sum, threads={threads}");
@@ -617,7 +603,16 @@ mod tests {
         let r = Weight::new(8.0);
         let seeds = v_sets();
         let mut fanned = NeighborSets::new(3, g.node_count());
-        fanned.recompute_all(&g, &pool, &seeds, r, Parallelism::serial());
+        fanned
+            .recompute_all_guarded(
+                &g,
+                &pool,
+                &seeds,
+                r,
+                &RunGuard::unlimited(),
+                Parallelism::serial(),
+            )
+            .unwrap();
         let mut batched = NeighborSets::new(3, g.node_count());
         batched
             .recompute_all_batched_guarded(&g, &pool, &seeds, r, &RunGuard::unlimited())

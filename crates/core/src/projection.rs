@@ -151,56 +151,15 @@ impl ProjectionIndex {
     /// supporting queries with `Rmax ≤ radius`.
     ///
     /// Cost: one radius-bounded reverse multi-source Dijkstra per keyword
-    /// plus one adjacency scan of the reached set.
-    pub fn build<'a>(
-        graph: &Graph,
-        keywords: impl IntoIterator<Item = (&'a str, &'a [NodeId])>,
-        radius: Weight,
-    ) -> ProjectionIndex {
-        Self::build_guarded(graph, keywords, radius, &RunGuard::unlimited())
-            // xtask-allow: no_panics — an unlimited guard can never interrupt the sweep
-            .expect("unlimited guard never trips")
-    }
-
-    /// [`build`](Self::build) under a [`RunGuard`], consulted per settled
-    /// node of the per-keyword sweeps. Index construction has no useful
-    /// partial result, so a trip returns the bare reason.
-    pub fn build_guarded<'a>(
-        graph: &Graph,
-        keywords: impl IntoIterator<Item = (&'a str, &'a [NodeId])>,
-        radius: Weight,
-        guard: &RunGuard,
-    ) -> Result<ProjectionIndex, InterruptReason> {
-        let n = graph.node_count();
-        let mut engine = DijkstraEngine::new(n);
-        let mut entries = HashMap::new();
-        // Epoch-stamped membership scratch for "both endpoints reached".
-        let mut stamp = vec![0u32; n];
-        let mut epoch = 0u32;
-        for (kw, v_w) in keywords {
-            let entry = keyword_entry(
-                graph,
-                &mut engine,
-                &mut stamp,
-                &mut epoch,
-                v_w,
-                radius,
-                guard,
-            )?;
-            entries.insert(kw.to_lowercase(), entry);
-        }
-        Ok(ProjectionIndex {
-            radius,
-            entries,
-            node_count: n,
-        })
-    }
-
-    /// [`build_guarded`](Self::build_guarded) with one task per keyword
+    /// plus one adjacency scan of the reached set — one task per keyword,
     /// fanned out across `par`'s workers, each borrowing a Dijkstra engine
-    /// from `pool` plus its own stamp scratch. Per-keyword entries are
-    /// independent, so the resulting index is identical to the serial build
-    /// for every thread count.
+    /// from `pool` plus its own stamp scratch ([`Parallelism::serial`]
+    /// runs the same tasks inline on one worker). Per-keyword entries are
+    /// independent, so the index is identical for every thread count.
+    ///
+    /// `guard` is consulted per settled node of the per-keyword sweeps.
+    /// Index construction has no useful partial result, so a trip returns
+    /// the bare reason.
     pub fn build_par_guarded<'a>(
         graph: &Graph,
         keywords: impl IntoIterator<Item = (&'a str, &'a [NodeId])>,
@@ -209,9 +168,6 @@ impl ProjectionIndex {
         pool: &EnginePool,
         par: Parallelism,
     ) -> Result<ProjectionIndex, InterruptReason> {
-        if par.is_serial() {
-            return Self::build_guarded(graph, keywords, radius, guard);
-        }
         let n = graph.node_count();
         let tasks: Vec<_> = keywords
             .into_iter()
@@ -282,25 +238,10 @@ impl ProjectionIndex {
     /// `GraphProjection` (Algorithm 6): projects the subgraph relevant to
     /// an l-keyword query with radius `rmax ≤ self.radius()`.
     ///
-    /// Returns `None` if some keyword is missing from the index entirely.
-    ///
-    /// # Panics
-    /// If `rmax` exceeds the index radius `R` (the projection would be
-    /// incomplete, silently dropping communities).
-    pub fn project(&self, keywords: &[&str], rmax: Weight) -> Option<ProjectedQuery> {
-        match self.try_project(keywords, rmax, &RunGuard::unlimited()) {
-            Ok(pq) => Some(pq),
-            Err(QueryError::UnknownKeyword(_)) => None,
-            // xtask-allow: no_panics — project() documents this panic; try_project is the fallible path
-            Err(e @ QueryError::RadiusExceedsIndex { .. }) => panic!("{e}"),
-            // xtask-allow: no_panics — remaining errors are guard trips, impossible under an unlimited guard
-            Err(e) => panic!("unlimited projection cannot fail: {e}"),
-        }
-    }
-
-    /// [`project`](Self::project) reporting every failure mode as a
-    /// [`QueryError`] — including a guard trip mid-projection, since a
-    /// partial projection would silently drop communities.
+    /// Every failure mode is a [`QueryError`]: no keywords, a keyword
+    /// missing from the index, an `rmax` beyond the index radius `R` (the
+    /// projection would be incomplete, silently dropping communities),
+    /// and a guard trip mid-projection, for the same reason.
     pub fn try_project(
         &self,
         keywords: &[&str],
@@ -617,27 +558,45 @@ const CPIX_VERSION: u32 = 1;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{comm_all, comm_k};
+    use crate::testing::{collect_all, collect_top_k};
     use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
     use std::collections::BTreeSet;
 
     fn index(radius: f64) -> (Graph, ProjectionIndex) {
         let g = fig4_graph();
         let kn = fig4_keyword_nodes();
-        let idx = ProjectionIndex::build(
-            &g,
-            [
-                ("a", kn[0].as_slice()),
-                ("b", kn[1].as_slice()),
-                ("c", kn[2].as_slice()),
-            ],
-            Weight::new(radius),
-        );
+        let kws = [
+            ("a", kn[0].as_slice()),
+            ("b", kn[1].as_slice()),
+            ("c", kn[2].as_slice()),
+        ];
+        let idx = build(&g, kws, radius, 1).unwrap();
         (g, idx)
     }
 
+    fn build<'a>(
+        g: &Graph,
+        kws: impl IntoIterator<Item = (&'a str, &'a [NodeId])>,
+        radius: f64,
+        threads: usize,
+    ) -> Result<ProjectionIndex, InterruptReason> {
+        ProjectionIndex::build_par_guarded(
+            g,
+            kws,
+            Weight::new(radius),
+            &RunGuard::unlimited(),
+            &EnginePool::new(),
+            Parallelism::new(threads),
+        )
+    }
+
+    fn project(idx: &ProjectionIndex, keywords: &[&str], rmax: f64) -> ProjectedQuery {
+        idx.try_project(keywords, Weight::new(rmax), &RunGuard::unlimited())
+            .unwrap()
+    }
+
     fn cores_on(g: &Graph, spec: &QuerySpec) -> BTreeSet<Vec<u32>> {
-        comm_all(g, spec)
+        collect_all(g, spec)
             .into_iter()
             .map(|c| c.core.0.iter().map(|n| n.0).collect())
             .collect()
@@ -686,11 +645,9 @@ mod tests {
         let (g, idx) = index(8.0);
         let full_spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
         let full = cores_on(&g, &full_spec);
-        let pq = idx
-            .project(&["a", "b", "c"], Weight::new(FIG4_RMAX))
-            .unwrap();
+        let pq = project(&idx, &["a", "b", "c"], FIG4_RMAX);
         // Enumerate on the projected graph and translate back.
-        let projected: BTreeSet<Vec<u32>> = comm_all(&pq.projected.graph, &pq.spec)
+        let projected: BTreeSet<Vec<u32>> = collect_all(&pq.projected.graph, &pq.spec)
             .into_iter()
             .map(|c| {
                 c.core
@@ -707,14 +664,12 @@ mod tests {
     fn projection_preserves_topk_order() {
         let (g, idx) = index(8.0);
         let full_spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-        let full: Vec<f64> = comm_k(&g, &full_spec, 5)
+        let full: Vec<f64> = collect_top_k(&g, &full_spec, 5)
             .iter()
             .map(|c| c.cost.get())
             .collect();
-        let pq = idx
-            .project(&["a", "b", "c"], Weight::new(FIG4_RMAX))
-            .unwrap();
-        let proj: Vec<f64> = comm_k(&pq.projected.graph, &pq.spec, 5)
+        let pq = project(&idx, &["a", "b", "c"], FIG4_RMAX);
+        let proj: Vec<f64> = collect_top_k(&pq.projected.graph, &pq.spec, 5)
             .iter()
             .map(|c| c.cost.get())
             .collect();
@@ -726,23 +681,9 @@ mod tests {
         let (g, idx) = index(8.0);
         // A 2-keyword query on {a, b} must not retain nodes only relevant
         // to c-paths.
-        let pq = idx.project(&["a", "b"], Weight::new(6.0)).unwrap();
+        let pq = project(&idx, &["a", "b"], 6.0);
         assert!(pq.projected.graph.node_count() < g.node_count());
         assert!(idx.projection_ratio(&pq) < 1.0);
-    }
-
-    #[test]
-    fn smaller_rmax_allowed_larger_panics() {
-        let (_, idx) = index(8.0);
-        assert!(idx.project(&["a", "b"], Weight::new(4.0)).is_some());
-        let res = std::panic::catch_unwind(|| idx.project(&["a", "b"], Weight::new(9.0)));
-        assert!(res.is_err(), "Rmax > R must panic");
-    }
-
-    #[test]
-    fn unknown_keyword_gives_none() {
-        let (_, idx) = index(8.0);
-        assert!(idx.project(&["a", "nope"], Weight::new(6.0)).is_none());
     }
 
     #[test]
@@ -776,11 +717,9 @@ mod tests {
     fn lift_translates_every_id_back_to_original() {
         let (g, idx) = index(8.0);
         let full_spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-        let full = comm_k(&g, &full_spec, 5);
-        let pq = idx
-            .project(&["a", "b", "c"], Weight::new(FIG4_RMAX))
-            .unwrap();
-        let lifted: Vec<_> = comm_k(&pq.projected.graph, &pq.spec, 5)
+        let full = collect_top_k(&g, &full_spec, 5);
+        let pq = project(&idx, &["a", "b", "c"], FIG4_RMAX);
+        let lifted: Vec<_> = collect_top_k(&pq.projected.graph, &pq.spec, 5)
             .into_iter()
             .map(|c| pq.lift(c))
             .collect();
@@ -800,7 +739,7 @@ mod tests {
     fn comm_k_on_index_matches_full_graph_and_certifies() {
         let (g, idx) = index(8.0);
         let full_spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-        let full = comm_k(&g, &full_spec, 5);
+        let full = collect_top_k(&g, &full_spec, 5);
         let out = comm_k_on_index(
             &idx,
             &["a", "b", "c"],
@@ -826,7 +765,7 @@ mod tests {
     fn comm_k_on_index_interruption_is_an_exact_prefix() {
         let (g, idx) = index(8.0);
         let full_spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-        let full = comm_k(&g, &full_spec, 5);
+        let full = collect_top_k(&g, &full_spec, 5);
         // A candidate budget of 2 yields exactly the first 2 ranked answers.
         let out = comm_k_on_index(
             &idx,
@@ -866,18 +805,9 @@ mod tests {
             ("b", kn[1].as_slice()),
             ("c", kn[2].as_slice()),
         ];
-        let serial = ProjectionIndex::build(&g, kws, Weight::new(8.0));
-        let pool = EnginePool::new();
-        for threads in [1usize, 2, 4] {
-            let par = ProjectionIndex::build_par_guarded(
-                &g,
-                kws,
-                Weight::new(8.0),
-                &RunGuard::unlimited(),
-                &pool,
-                Parallelism::new(threads),
-            )
-            .unwrap();
+        let serial = build(&g, kws, 8.0, 1).unwrap();
+        for threads in [2usize, 4] {
+            let par = build(&g, kws, 8.0, threads).unwrap();
             assert_eq!(par.keyword_count(), serial.keyword_count());
             assert_eq!(par.radius(), serial.radius());
             assert_eq!(par.byte_size(), serial.byte_size());
@@ -894,15 +824,17 @@ mod tests {
         let kn = fig4_keyword_nodes();
         let kws = [("a", kn[0].as_slice()), ("b", kn[1].as_slice())];
         let pool = EnginePool::new();
-        let tripped = ProjectionIndex::build_par_guarded(
-            &g,
-            kws,
-            Weight::new(8.0),
-            &RunGuard::new().with_settled_budget(2),
-            &pool,
-            Parallelism::new(2),
-        );
-        assert_eq!(tripped.err(), Some(InterruptReason::SettledBudgetExhausted));
+        for threads in [1usize, 2] {
+            let tripped = ProjectionIndex::build_par_guarded(
+                &g,
+                kws,
+                Weight::new(8.0),
+                &RunGuard::new().with_settled_budget(2),
+                &pool,
+                Parallelism::new(threads),
+            );
+            assert_eq!(tripped.err(), Some(InterruptReason::SettledBudgetExhausted));
+        }
     }
 
     #[test]
@@ -997,22 +929,5 @@ mod tests {
         let mut b = blob.clone();
         b[16..24].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
         assert!(ProjectionIndex::decode(&b).is_err());
-    }
-
-    #[test]
-    fn guarded_build_matches_unguarded() {
-        let g = fig4_graph();
-        let kn = fig4_keyword_nodes();
-        let kws = [("a", kn[0].as_slice()), ("b", kn[1].as_slice())];
-        let idx =
-            ProjectionIndex::build_guarded(&g, kws, Weight::new(8.0), &RunGuard::new()).unwrap();
-        assert_eq!(idx.keyword_count(), 2);
-        let tripped = ProjectionIndex::build_guarded(
-            &g,
-            kws,
-            Weight::new(8.0),
-            &RunGuard::new().with_settled_budget(2),
-        );
-        assert_eq!(tripped.err(), Some(InterruptReason::SettledBudgetExhausted));
     }
 }

@@ -174,7 +174,7 @@ pub fn trees_subsumed_by_community<'t>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm_k;
+    use crate::testing::collect_top_k;
     use comm_datasets::paper_example::{
         fig1_graph, fig1_keyword_nodes, fig4_graph, fig4_keyword_nodes, FIG4_RMAX,
     };
@@ -235,7 +235,7 @@ mod tests {
         // answer with that core.
         let g = fig1_graph();
         let spec = QuerySpec::new(fig1_keyword_nodes(), Weight::new(6.0));
-        let communities = comm_k(&g, &spec, 10);
+        let communities = collect_top_k(&g, &spec, 10);
         let trees = topk_trees(&g, &spec, 50);
         let mut subsumed_total = 0;
         for c in &communities {
@@ -264,7 +264,7 @@ mod tests {
         let g = fig4_graph();
         let spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
         let trees = topk_trees(&g, &spec, 1000);
-        let communities = comm_k(&g, &spec, 1000);
+        let communities = collect_top_k(&g, &spec, 1000);
         assert!(trees.len() > communities.len());
     }
 }

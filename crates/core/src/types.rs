@@ -78,8 +78,7 @@ impl QuerySpec {
     }
 
     /// Builds a spec from a raw `f64` radius, validating it (and `l > 0`)
-    /// instead of panicking — the entry point for the fallible `try_*`
-    /// query APIs.
+    /// instead of panicking.
     pub fn try_new(keyword_nodes: Vec<Vec<NodeId>>, rmax: f64) -> Result<QuerySpec, QueryError> {
         if keyword_nodes.is_empty() {
             return Err(QueryError::NoKeywords);
@@ -92,8 +91,8 @@ impl QuerySpec {
 
     /// Validates this spec against a concrete graph: at least one keyword,
     /// a finite non-negative radius, and every keyword node inside the
-    /// graph's id range. All `try_*` / `*_guarded` entry points call this
-    /// before doing any work.
+    /// graph's id range. Every enumeration entry point calls this before
+    /// doing any work.
     pub fn validate_for(&self, graph: &Graph) -> Result<(), QueryError> {
         if self.keyword_nodes.is_empty() {
             return Err(QueryError::NoKeywords);

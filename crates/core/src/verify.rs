@@ -477,7 +477,7 @@ pub fn check_topk_prefix(topk: &[Community], all: &[Community]) -> Result<(), Ce
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{comm_all, comm_k};
+    use crate::testing::{collect_all, collect_top_k};
     use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
 
     fn fig4_spec() -> QuerySpec {
@@ -488,7 +488,7 @@ mod tests {
     fn comm_all_on_paper_example_certifies() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let all = comm_all(&g, &spec);
+        let all = collect_all(&g, &spec);
         assert_eq!(all.len(), 5); // Table I
         check_enumeration(&g, &spec, &all).unwrap();
     }
@@ -497,9 +497,9 @@ mod tests {
     fn comm_k_is_a_prefix_of_comm_all() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let all = comm_all(&g, &spec);
+        let all = collect_all(&g, &spec);
         for k in 1..=all.len() + 1 {
-            let topk = comm_k(&g, &spec, k);
+            let topk = collect_top_k(&g, &spec, k);
             check_enumeration(&g, &spec, &topk).unwrap();
             check_ranking(&topk).unwrap();
             check_topk_prefix(&topk, &all).unwrap();
@@ -510,7 +510,7 @@ mod tests {
     fn max_distance_cost_certifies() {
         let g = fig4_graph();
         let spec = fig4_spec().with_cost(CostFn::MaxDistance);
-        let all = comm_all(&g, &spec);
+        let all = collect_all(&g, &spec);
         assert!(!all.is_empty());
         check_enumeration(&g, &spec, &all).unwrap();
     }
@@ -519,7 +519,7 @@ mod tests {
     fn tampered_cost_is_detected() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let mut c = comm_all(&g, &spec).remove(0);
+        let mut c = collect_all(&g, &spec).remove(0);
         c.cost += Weight::new(1.0);
         assert!(matches!(
             check_community(&g, &spec, &c),
@@ -531,7 +531,7 @@ mod tests {
     fn tampered_centers_are_detected() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let mut c = comm_all(&g, &spec).remove(0);
+        let mut c = collect_all(&g, &spec).remove(0);
         c.centers.pop();
         assert!(matches!(
             check_community(&g, &spec, &c),
@@ -543,7 +543,7 @@ mod tests {
     fn tampered_knodes_are_detected() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let mut c = comm_all(&g, &spec).remove(0);
+        let mut c = collect_all(&g, &spec).remove(0);
         c.knodes.push(NodeId(0));
         assert!(matches!(
             check_community(&g, &spec, &c),
@@ -555,7 +555,7 @@ mod tests {
     fn tampered_path_nodes_are_detected() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let all = comm_all(&g, &spec);
+        let all = collect_all(&g, &spec);
         let mut c = all
             .iter()
             .find(|c| !c.path_nodes.is_empty())
@@ -572,7 +572,7 @@ mod tests {
     fn core_outside_keyword_set_is_detected() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let mut c = comm_all(&g, &spec).remove(0);
+        let mut c = collect_all(&g, &spec).remove(0);
         // v1 carries no keyword in the fig. 4 assignment.
         c.core.0[0] = NodeId(1);
         assert!(matches!(
@@ -585,7 +585,7 @@ mod tests {
     fn duplicate_core_is_detected() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let all = comm_all(&g, &spec);
+        let all = collect_all(&g, &spec);
         let mut doubled = all.clone();
         doubled.push(all[all.len() - 1].clone());
         assert_eq!(
@@ -598,7 +598,7 @@ mod tests {
     fn cost_regression_is_detected() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let mut topk = comm_k(&g, &spec, 5);
+        let mut topk = collect_top_k(&g, &spec, 5);
         topk.swap(0, 4); // Table I's rank-1 and rank-5 costs differ
         assert!(matches!(
             check_ranking(&topk),
@@ -610,8 +610,8 @@ mod tests {
     fn topk_prefix_rejects_wrong_costs() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let all = comm_all(&g, &spec);
-        let mut topk = comm_k(&g, &spec, 1);
+        let all = collect_all(&g, &spec);
+        let mut topk = collect_top_k(&g, &spec, 1);
         topk[0].cost += Weight::new(0.5);
         assert!(matches!(
             check_topk_prefix(&topk, &all),
@@ -629,7 +629,7 @@ mod tests {
     fn guard_trip_reports_interrupted() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let c = comm_all(&g, &spec).remove(0);
+        let c = collect_all(&g, &spec).remove(0);
         let guard = RunGuard::new().with_settled_budget(1);
         assert!(matches!(
             check_community_guarded(&g, &spec, &c, &guard),

@@ -4,10 +4,42 @@
 
 use comm_core::trees::topk_trees;
 use comm_core::{
-    bu_all, bu_topk, comm_all, comm_k, td_all, td_topk, CommAll, CommK, Core, CostFn,
-    ProjectionIndex, QuerySpec,
+    bu_all_guarded, bu_topk_guarded, td_all_guarded, td_topk_guarded, BaselineRun, CommAll, CommK,
+    Community, Core, CostFn, Outcome, ProjectedQuery, ProjectionIndex, QueryError, QuerySpec,
+    RunGuard,
 };
-use comm_graph::{graph_from_edges, GraphBuilder, NodeId, Weight};
+use comm_graph::{graph_from_edges, EnginePool, Graph, GraphBuilder, NodeId, Parallelism, Weight};
+
+fn collect_all(g: &Graph, q: &QuerySpec) -> Vec<Community> {
+    CommAll::try_new(g, q).unwrap().collect()
+}
+
+fn collect_top_k(g: &Graph, q: &QuerySpec, k: usize) -> Vec<Community> {
+    CommK::try_new(g, q).unwrap().take(k).collect()
+}
+
+fn unguarded(out: Result<Outcome<BaselineRun>, QueryError>) -> BaselineRun {
+    out.unwrap().into_value()
+}
+
+/// Indexes `kws` at `radius` and projects the query over all of them.
+fn project(g: &Graph, kws: &[(&str, &[NodeId])], radius: f64) -> (ProjectionIndex, ProjectedQuery) {
+    let guard = RunGuard::unlimited();
+    let idx = ProjectionIndex::build_par_guarded(
+        g,
+        kws.iter().copied(),
+        Weight::new(radius),
+        &guard,
+        EnginePool::global(),
+        Parallelism::serial(),
+    )
+    .unwrap();
+    let names: Vec<&str> = kws.iter().map(|&(kw, _)| kw).collect();
+    let pq = idx
+        .try_project(&names, Weight::new(radius), &guard)
+        .unwrap();
+    (idx, pq)
+}
 
 fn spec(sets: &[&[u32]], rmax: f64) -> QuerySpec {
     QuerySpec::new(
@@ -21,7 +53,7 @@ fn spec(sets: &[&[u32]], rmax: f64) -> QuerySpec {
 #[test]
 fn singleton_graph_single_keyword() {
     let g = graph_from_edges(1, &[]);
-    let all = comm_all(&g, &spec(&[&[0]], 5.0));
+    let all = collect_all(&g, &spec(&[&[0]], 5.0));
     assert_eq!(all.len(), 1);
     assert_eq!(all[0].core, Core(vec![NodeId(0)]));
     assert_eq!(all[0].centers, vec![NodeId(0)]);
@@ -34,11 +66,11 @@ fn singleton_graph_single_keyword() {
 fn exhausted_iterators_stay_exhausted() {
     let g = graph_from_edges(2, &[(0, 1, 1.0)]);
     let q = spec(&[&[0], &[1]], 3.0);
-    let mut all = CommAll::new(&g, &q);
+    let mut all = CommAll::try_new(&g, &q).unwrap();
     assert!(all.next().is_some());
     assert!(all.next().is_none());
     assert!(all.next().is_none(), "CommAll must stay exhausted");
-    let mut topk = CommK::new(&g, &q);
+    let mut topk = CommK::try_new(&g, &q).unwrap();
     assert!(topk.next().is_some());
     assert!(topk.next().is_none());
     assert!(topk.next().is_none(), "CommK must stay exhausted");
@@ -50,7 +82,7 @@ fn same_keyword_twice_yields_diagonal_cores() {
     // every reachable node, including itself.
     let g = graph_from_edges(3, &[(0, 1, 1.0), (1, 0, 1.0)]);
     let q = spec(&[&[0, 1], &[0, 1]], 2.0);
-    let mut cores: Vec<Vec<u32>> = comm_all(&g, &q)
+    let mut cores: Vec<Vec<u32>> = collect_all(&g, &q)
         .into_iter()
         .map(|c| c.core.0.iter().map(|n| n.0).collect())
         .collect();
@@ -63,7 +95,7 @@ fn disconnected_components_enumerate_independently() {
     // Two disjoint 2-cliques, keywords on both sides.
     let g = graph_from_edges(4, &[(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)]);
     let q = spec(&[&[0, 2], &[1, 3]], 2.0);
-    let cores: Vec<Vec<u32>> = comm_k(&g, &q, 10)
+    let cores: Vec<Vec<u32>> = collect_top_k(&g, &q, 10)
         .into_iter()
         .map(|c| c.core.0.iter().map(|n| n.0).collect())
         .collect();
@@ -80,7 +112,7 @@ fn parallel_edges_use_the_cheaper_one() {
     b.add_edge(NodeId(0), NodeId(1), Weight::new(2.0));
     let g = b.build();
     let q = spec(&[&[1]], 5.0);
-    let all = comm_all(&g, &q);
+    let all = collect_all(&g, &q);
     assert_eq!(all.len(), 1);
     // Node 0 is a center via the cheap edge.
     assert!(all[0].centers.contains(&NodeId(0)));
@@ -90,7 +122,7 @@ fn parallel_edges_use_the_cheaper_one() {
 fn zero_weight_edges_are_fine() {
     let g = graph_from_edges(3, &[(0, 1, 0.0), (1, 2, 0.0)]);
     let q = spec(&[&[2]], 0.0);
-    let all = comm_all(&g, &q);
+    let all = collect_all(&g, &q);
     assert_eq!(all.len(), 1);
     // Everything is within radius 0 through zero-weight edges.
     assert_eq!(all[0].centers.len(), 3);
@@ -103,9 +135,9 @@ fn very_large_l_on_small_graph() {
     let g = graph_from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]);
     let sets: Vec<&[u32]> = vec![&[0, 1, 2]; 8];
     let q = spec(&sets, 3.0);
-    let pd: Vec<Weight> = CommK::new(&g, &q).map(|c| c.cost).collect();
+    let pd: Vec<Weight> = CommK::try_new(&g, &q).unwrap().map(|c| c.cost).collect();
     assert_eq!(pd.len(), 3usize.pow(8));
-    let bu = bu_topk(&g, &q, 50, None);
+    let bu = unguarded(bu_topk_guarded(&g, &q, 50, None, RunGuard::unlimited()));
     assert_eq!(
         bu.communities.iter().map(|c| c.cost).collect::<Vec<_>>(),
         pd[..50].to_vec()
@@ -129,10 +161,10 @@ fn baselines_respect_cost_fn() {
     let q_sum = spec(&[&[1]], 6.0);
     drop(q_sum);
     let q = spec(&[&[1], &[2]], 6.0).with_cost(CostFn::MaxDistance);
-    let pd = comm_k(&g, &q, 1);
+    let pd = collect_top_k(&g, &q, 1);
     assert_eq!(pd[0].cost, Weight::new(3.0));
-    let bu = bu_topk(&g, &q, 1, None);
-    let td = td_topk(&g, &q, 1, None);
+    let bu = unguarded(bu_topk_guarded(&g, &q, 1, None, RunGuard::unlimited()));
+    let td = unguarded(td_topk_guarded(&g, &q, 1, None, RunGuard::unlimited()));
     assert_eq!(bu.communities[0].cost, Weight::new(3.0));
     assert_eq!(td.communities[0].cost, Weight::new(3.0));
 }
@@ -140,33 +172,18 @@ fn baselines_respect_cost_fn() {
 #[test]
 fn projection_with_tiny_radius() {
     let g = graph_from_edges(4, &[(0, 1, 2.0), (1, 2, 2.0), (2, 3, 2.0)]);
-    let idx = ProjectionIndex::build(
-        &g,
-        [("a", [NodeId(3)].as_slice()), ("b", [NodeId(1)].as_slice())],
-        Weight::new(2.0),
-    );
     // Radius 2: nothing reaches both 3 and 1 → no centers → empty projection.
-    let pq = idx.project(&["a", "b"], Weight::new(2.0)).unwrap();
-    assert_eq!(comm_all(&pq.projected.graph, &pq.spec).len(), 0);
+    let (_, pq) = project(&g, &[("a", &[NodeId(3)]), ("b", &[NodeId(1)])], 2.0);
+    assert_eq!(collect_all(&pq.projected.graph, &pq.spec).len(), 0);
 }
 
 #[test]
 fn index_handles_keyword_with_no_nodes() {
     let g = graph_from_edges(2, &[(0, 1, 1.0)]);
-    let idx = ProjectionIndex::build(
-        &g,
-        [
-            ("present", [NodeId(0)].as_slice()),
-            ("ghost", [].as_slice()),
-        ],
-        Weight::new(5.0),
-    );
+    let (idx, pq) = project(&g, &[("present", &[NodeId(0)]), ("ghost", &[])], 5.0);
     assert_eq!(idx.nodes_of("ghost").len(), 0);
-    let pq = idx
-        .project(&["present", "ghost"], Weight::new(5.0))
-        .unwrap();
     assert!(pq.spec.has_empty_keyword());
-    assert!(comm_all(&pq.projected.graph, &pq.spec).is_empty());
+    assert!(collect_all(&pq.projected.graph, &pq.spec).is_empty());
 }
 
 #[test]
@@ -182,13 +199,13 @@ fn all_engines_agree_on_a_dense_clique() {
     }
     let g = b.build();
     let q = spec(&[&[0, 1], &[2, 3], &[4]], 2.0);
-    let pd: Vec<Core> = comm_all(&g, &q).into_iter().map(|c| c.core).collect();
-    let bu: Vec<Core> = bu_all(&g, &q, None)
+    let pd: Vec<Core> = collect_all(&g, &q).into_iter().map(|c| c.core).collect();
+    let bu: Vec<Core> = unguarded(bu_all_guarded(&g, &q, None, RunGuard::unlimited()))
         .communities
         .into_iter()
         .map(|c| c.core)
         .collect();
-    let td: Vec<Core> = td_all(&g, &q, None)
+    let td: Vec<Core> = unguarded(td_all_guarded(&g, &q, None, RunGuard::unlimited()))
         .communities
         .into_iter()
         .map(|c| c.core)
@@ -267,10 +284,16 @@ fn community_iterator_count_is_stable_across_runs() {
         ],
     );
     let q = spec(&[&[0, 3], &[1, 4], &[2, 5]], 9.0);
-    let a: Vec<(Core, Weight)> = CommK::new(&g, &q).map(|c| (c.core, c.cost)).collect();
-    let b: Vec<(Core, Weight)> = CommK::new(&g, &q).map(|c| (c.core, c.cost)).collect();
+    let a: Vec<(Core, Weight)> = CommK::try_new(&g, &q)
+        .unwrap()
+        .map(|c| (c.core, c.cost))
+        .collect();
+    let b: Vec<(Core, Weight)> = CommK::try_new(&g, &q)
+        .unwrap()
+        .map(|c| (c.core, c.cost))
+        .collect();
     assert_eq!(a, b);
-    let c: Vec<Core> = comm_all(&g, &q).into_iter().map(|c| c.core).collect();
-    let d: Vec<Core> = comm_all(&g, &q).into_iter().map(|c| c.core).collect();
+    let c: Vec<Core> = collect_all(&g, &q).into_iter().map(|c| c.core).collect();
+    let d: Vec<Core> = collect_all(&g, &q).into_iter().map(|c| c.core).collect();
     assert_eq!(c, d);
 }

@@ -9,12 +9,12 @@
 //! run. Cancel-flag and pre-expired-deadline paths get their own tests.
 
 use comm_core::{
-    bu_all_guarded, bu_topk_guarded, comm_all, comm_all_guarded, comm_k_guarded,
-    get_community_guarded, td_all_guarded, td_topk_guarded, Community, CostFn, InterruptReason,
-    LawlerK, Outcome, ProjectionIndex, QueryError, QuerySpec, RunGuard,
+    bu_all_guarded, bu_topk_guarded, comm_all_guarded, comm_k_guarded, get_community_guarded,
+    td_all_guarded, td_topk_guarded, CommAll, CommK, Community, CostFn, InterruptReason, LawlerK,
+    Outcome, ProjectionIndex, QueryError, QuerySpec, RunGuard,
 };
 use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
-use comm_graph::{DijkstraEngine, Graph, Weight};
+use comm_graph::{DijkstraEngine, EnginePool, Graph, Parallelism, Weight};
 
 fn fig4() -> (Graph, QuerySpec) {
     (
@@ -73,11 +73,21 @@ fn sweep(name: &str, run: impl Fn(RunGuard) -> (Vec<String>, Option<InterruptRea
     assert_eq!(out, full, "{name}: an untripped guarded run must match");
 }
 
+/// Drains one of the three enumerators and reports why it stopped.
+fn drain<I: Iterator<Item = Community>>(
+    mut it: I,
+    interrupted: impl Fn(&I) -> Option<InterruptReason>,
+) -> (Vec<String>, Option<InterruptReason>) {
+    let out: Vec<Community> = it.by_ref().collect();
+    (fingerprints(&out), interrupted(&it))
+}
+
 #[test]
 fn comm_all_survives_every_trip_point() {
     let (g, spec) = fig4();
     sweep("comm_all", |guard| {
-        outcome_fp(comm_all_guarded(&g, &spec, guard).unwrap())
+        let it = CommAll::try_new(&g, &spec).unwrap().with_guard(guard);
+        drain(it, CommAll::interrupted)
     });
 }
 
@@ -85,7 +95,8 @@ fn comm_all_survives_every_trip_point() {
 fn comm_k_survives_every_trip_point() {
     let (g, spec) = fig4();
     sweep("comm_k", |guard| {
-        outcome_fp(comm_k_guarded(&g, &spec, 64, guard).unwrap())
+        let it = CommK::try_new(&g, &spec).unwrap().with_guard(guard);
+        drain(it, CommK::interrupted)
     });
 }
 
@@ -93,13 +104,25 @@ fn comm_k_survives_every_trip_point() {
 fn lawler_k_survives_every_trip_point() {
     let (g, spec) = fig4();
     sweep("lawler_k", |guard| {
-        let mut it = LawlerK::new(&g, &spec).with_guard(guard);
-        let mut out = Vec::new();
-        for c in &mut it {
-            out.push(format!("{:?}@{}", c.core, c.cost));
-        }
-        (out, it.interrupted())
+        let it = LawlerK::try_new(&g, &spec).unwrap().with_guard(guard);
+        drain(it, LawlerK::interrupted)
     });
+}
+
+#[test]
+fn lawler_k_respects_byte_budget() {
+    // One byte is less than the neighbor table alone: the first memory
+    // high-water mark must stop the run before anything is emitted.
+    let (g, spec) = fig4();
+    let it = LawlerK::try_new(&g, &spec)
+        .unwrap()
+        .with_guard(RunGuard::new().with_byte_budget(1));
+    let (emitted, reason) = drain(it, LawlerK::interrupted);
+    assert_eq!(reason, Some(InterruptReason::MemoryBudgetExhausted));
+    assert!(
+        emitted.is_empty(),
+        "emitted {emitted:?} past the byte budget"
+    );
 }
 
 #[test]
@@ -138,8 +161,8 @@ fn baselines_survive_every_trip_point() {
 #[test]
 fn get_community_survives_every_trip_point() {
     let (g, spec) = fig4();
-    let core = comm_all(&g, &spec)
-        .into_iter()
+    let core = CommAll::try_new(&g, &spec)
+        .unwrap()
         .next()
         .expect("fig4 has communities")
         .core;
@@ -168,7 +191,15 @@ fn projection_survives_every_trip_point() {
     let labels = ["a", "b", "c"];
     sweep("projection", |guard| {
         let entries = labels.iter().zip(&kw).map(|(&s, ns)| (s, ns.as_slice()));
-        match ProjectionIndex::build_guarded(&g, entries, rmax, &guard) {
+        let built = ProjectionIndex::build_par_guarded(
+            &g,
+            entries,
+            rmax,
+            &guard,
+            EnginePool::global(),
+            Parallelism::serial(),
+        );
+        match built {
             Err(r) => (Vec::new(), Some(r)),
             Ok(idx) => match idx.try_project(&labels, rmax, &guard) {
                 Ok(pq) => (
@@ -213,8 +244,8 @@ fn settled_and_candidate_budgets_report_their_reasons() {
     let (g, spec) = fig4();
     let out = comm_all_guarded(&g, &spec, RunGuard::new().with_settled_budget(0)).unwrap();
     assert_eq!(out.reason(), Some(InterruptReason::SettledBudgetExhausted));
-    let full = comm_all(&g, &spec);
-    for k in 0..full.len() as u64 {
+    let full = CommAll::try_new(&g, &spec).unwrap().count();
+    for k in 0..full as u64 {
         let out = comm_all_guarded(&g, &spec, RunGuard::new().with_candidate_budget(k)).unwrap();
         assert_eq!(
             out.reason(),

@@ -5,9 +5,10 @@
 
 use comm_core::naive::{naive_all_cores, naive_community_nodes};
 use comm_core::{
-    bu_all, bu_topk, comm_all, comm_all_guarded, comm_k_guarded, get_community, td_all, td_topk,
-    CommK, Community, Core, CostFn, EnginePool, InterruptReason, LawlerK, NeighborSets, Outcome,
-    Parallelism, ProjectionIndex, QuerySpec, RunGuard,
+    bu_all_guarded, bu_topk_guarded, comm_all_guarded, comm_k_guarded, get_community_guarded,
+    td_all_guarded, td_topk_guarded, BaselineRun, CommAll, CommK, Community, Core, CostFn,
+    EnginePool, InterruptReason, LawlerK, NeighborSets, Outcome, Parallelism, ProjectionIndex,
+    QueryError, QuerySpec, RunGuard,
 };
 use comm_graph::{DijkstraEngine, Graph, GraphBuilder, Kernel, NodeId, SplitMix64, Weight};
 
@@ -49,6 +50,49 @@ fn for_each_scenario(mut body: impl FnMut(&mut SplitMix64, Graph, QuerySpec)) {
     });
 }
 
+fn collect_all(g: &Graph, spec: &QuerySpec) -> Vec<Community> {
+    CommAll::try_new(g, spec).unwrap().collect()
+}
+
+fn unguarded(out: Result<Outcome<BaselineRun>, QueryError>) -> BaselineRun {
+    out.unwrap().into_value()
+}
+
+/// The reference table: one guarded refill per dimension, in order.
+fn serial_neighbor_sets(g: &Graph, seeds: &[Vec<NodeId>], rmax: Weight) -> NeighborSets {
+    let mut ns = NeighborSets::new(seeds.len(), g.node_count());
+    let mut engine = DijkstraEngine::new(g.node_count());
+    for (i, dim_seeds) in seeds.iter().enumerate() {
+        ns.recompute_dim_guarded(
+            g,
+            &mut engine,
+            i,
+            dim_seeds.iter().copied(),
+            rmax,
+            &RunGuard::unlimited(),
+        )
+        .unwrap();
+    }
+    ns
+}
+
+/// Asserts two neighbor tables are bit-identical.
+fn assert_same_table(got: &NeighborSets, want: &NeighborSets, n: usize, what: &str) {
+    for u in (0..n as u32).map(NodeId) {
+        for i in 0..want.l() {
+            assert_eq!(
+                got.dist(i, u),
+                want.dist(i, u),
+                "dist dim {i} node {u} {what}"
+            );
+            assert_eq!(got.src(i, u), want.src(i, u), "src dim {i} node {u} {what}");
+        }
+        assert_eq!(got.sum(u), want.sum(u), "sum at node {u} {what}");
+        assert_eq!(got.count(u), want.count(u), "count at node {u} {what}");
+    }
+    assert_eq!(got.best_core(), want.best_core(), "{what}");
+}
+
 fn sorted_cores(cores: impl IntoIterator<Item = Core>) -> Vec<Core> {
     let mut v: Vec<Core> = cores.into_iter().collect();
     v.sort();
@@ -82,7 +126,7 @@ fn check_partial_invariants(communities: &[Community]) {
 fn comm_all_equals_naive() {
     for_each_scenario(|_rng, g, spec| {
         let expect = sorted_cores(naive_all_cores(&g, &spec).into_iter().map(|(c, _)| c));
-        let got_list: Vec<Core> = comm_all(&g, &spec).into_iter().map(|c| c.core).collect();
+        let got_list: Vec<Core> = collect_all(&g, &spec).into_iter().map(|c| c.core).collect();
         let deduped = {
             let mut v = got_list.clone();
             v.sort();
@@ -101,7 +145,10 @@ fn comm_all_equals_naive() {
 fn comm_k_equals_naive_in_rank_order() {
     for_each_scenario(|_rng, g, spec| {
         let expect = naive_all_cores(&g, &spec);
-        let got: Vec<(Core, Weight)> = CommK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
+        let got: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
+            .unwrap()
+            .map(|c| (c.core, c.cost))
+            .collect();
         assert_eq!(got.len(), expect.len());
         // Cost sequence identical (ties may order differently, so compare
         // the cost vectors and the core sets separately).
@@ -119,8 +166,8 @@ fn comm_k_equals_naive_in_rank_order() {
 fn comm_k_resume_invariance() {
     for_each_scenario(|rng, g, spec| {
         let split = rng.index(6);
-        let oneshot: Vec<Core> = CommK::new(&g, &spec).map(|c| c.core).collect();
-        let mut it = CommK::new(&g, &spec);
+        let oneshot: Vec<Core> = CommK::try_new(&g, &spec).unwrap().map(|c| c.core).collect();
+        let mut it = CommK::try_new(&g, &spec).unwrap();
         let mut resumed: Vec<Core> = it.by_ref().take(split).map(|c| c.core).collect();
         resumed.extend(it.map(|c| c.core));
         assert_eq!(resumed, oneshot);
@@ -133,8 +180,16 @@ fn get_community_matches_definition() {
     for_each_scenario(|_rng, g, spec| {
         let mut engine = DijkstraEngine::new(g.node_count());
         for (core, cost) in naive_all_cores(&g, &spec).into_iter().take(8) {
-            let c =
-                get_community(&g, &mut engine, &core, spec.rmax).expect("oracle core has a center");
+            let c = get_community_guarded(
+                &g,
+                &mut engine,
+                &core,
+                spec.rmax,
+                CostFn::SumDistances,
+                &RunGuard::unlimited(),
+            )
+            .unwrap()
+            .expect("oracle core has a center");
             assert_eq!(c.cost, cost, "cost mismatch for {:?}", &c.core);
             let (centers, members) = naive_community_nodes(&g, &core, spec.rmax);
             assert_eq!(&c.centers, &centers);
@@ -160,13 +215,13 @@ fn baselines_equal_naive() {
     for_each_scenario(|_rng, g, spec| {
         let expect = sorted_cores(naive_all_cores(&g, &spec).into_iter().map(|(c, _)| c));
         let bu = sorted_cores(
-            bu_all(&g, &spec, None)
+            unguarded(bu_all_guarded(&g, &spec, None, RunGuard::unlimited()))
                 .communities
                 .into_iter()
                 .map(|c| c.core),
         );
         let td = sorted_cores(
-            td_all(&g, &spec, None)
+            unguarded(td_all_guarded(&g, &spec, None, RunGuard::unlimited()))
                 .communities
                 .into_iter()
                 .map(|c| c.core),
@@ -181,13 +236,17 @@ fn baselines_equal_naive() {
 fn baseline_topk_order_matches_pdk() {
     for_each_scenario(|rng, g, spec| {
         let k = 1 + rng.index(7);
-        let pd: Vec<Weight> = CommK::new(&g, &spec).take(k).map(|c| c.cost).collect();
-        let bu: Vec<Weight> = bu_topk(&g, &spec, k, None)
+        let pd: Vec<Weight> = CommK::try_new(&g, &spec)
+            .unwrap()
+            .take(k)
+            .map(|c| c.cost)
+            .collect();
+        let bu: Vec<Weight> = unguarded(bu_topk_guarded(&g, &spec, k, None, RunGuard::unlimited()))
             .communities
             .iter()
             .map(|c| c.cost)
             .collect();
-        let td: Vec<Weight> = td_topk(&g, &spec, k, None)
+        let td: Vec<Weight> = unguarded(td_topk_guarded(&g, &spec, k, None, RunGuard::unlimited()))
             .communities
             .iter()
             .map(|c| c.cost)
@@ -202,9 +261,14 @@ fn baseline_topk_order_matches_pdk() {
 #[test]
 fn lawler_equals_comm_k() {
     for_each_scenario(|_rng, g, spec| {
-        let ours: Vec<(Core, Weight)> = CommK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
-        let lawler: Vec<(Core, Weight)> =
-            LawlerK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
+        let ours: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
+            .unwrap()
+            .map(|c| (c.core, c.cost))
+            .collect();
+        let lawler: Vec<(Core, Weight)> = LawlerK::try_new(&g, &spec)
+            .unwrap()
+            .map(|c| (c.core, c.cost))
+            .collect();
         assert_eq!(ours, lawler);
     });
 }
@@ -216,7 +280,10 @@ fn max_distance_cost_agrees_with_oracle() {
     for_each_scenario(|_rng, g, spec| {
         let spec = spec.with_cost(CostFn::MaxDistance);
         let expect = naive_all_cores(&g, &spec);
-        let got: Vec<(Core, Weight)> = CommK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
+        let got: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
+            .unwrap()
+            .map(|c| (c.core, c.cost))
+            .collect();
         assert_eq!(got.len(), expect.len());
         let costs_got: Vec<Weight> = got.iter().map(|&(_, w)| w).collect();
         let costs_expect: Vec<Weight> = expect.iter().map(|&(_, w)| w).collect();
@@ -227,8 +294,12 @@ fn max_distance_cost_agrees_with_oracle() {
         );
         // Baselines under the same cost function agree too.
         let k = 6;
-        let pd: Vec<Weight> = CommK::new(&g, &spec).take(k).map(|c| c.cost).collect();
-        let bu: Vec<Weight> = bu_topk(&g, &spec, k, None)
+        let pd: Vec<Weight> = CommK::try_new(&g, &spec)
+            .unwrap()
+            .take(k)
+            .map(|c| c.cost)
+            .collect();
+        let bu: Vec<Weight> = unguarded(bu_topk_guarded(&g, &spec, k, None, RunGuard::unlimited()))
             .communities
             .iter()
             .map(|c| c.cost)
@@ -245,20 +316,25 @@ fn projection_preserves_results() {
         let slack = below(rng, 4);
         let index_radius = spec.rmax + Weight::from(slack);
         let names: Vec<String> = (0..spec.l()).map(|i| format!("kw{i}")).collect();
-        let idx = ProjectionIndex::build(
+        let guard = RunGuard::unlimited();
+        let idx = ProjectionIndex::build_par_guarded(
             &g,
             names
                 .iter()
                 .zip(&spec.keyword_nodes)
                 .map(|(n, v)| (n.as_str(), v.as_slice())),
             index_radius,
-        );
+            &guard,
+            EnginePool::global(),
+            Parallelism::serial(),
+        )
+        .unwrap();
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let pq = idx
-            .project(&name_refs, spec.rmax)
+            .try_project(&name_refs, spec.rmax, &guard)
             .expect("all keywords indexed");
         let full: Vec<(Core, Weight)> = naive_all_cores(&g, &spec);
-        let mut projected: Vec<(Core, Weight)> = comm_all(&pq.projected.graph, &pq.spec)
+        let mut projected: Vec<(Core, Weight)> = collect_all(&pq.projected.graph, &pq.spec)
             .into_iter()
             .map(|c| {
                 (
@@ -285,7 +361,7 @@ fn projection_preserves_results() {
 fn guarded_comm_all_is_prefix_of_unguarded() {
     for_each_scenario(|rng, g, spec| {
         let trip = rng.below(600);
-        let full: Vec<(Core, Weight)> = comm_all(&g, &spec)
+        let full: Vec<(Core, Weight)> = collect_all(&g, &spec)
             .into_iter()
             .map(|c| (c.core, c.cost))
             .collect();
@@ -315,7 +391,10 @@ fn guarded_comm_all_is_prefix_of_unguarded() {
 fn guarded_comm_k_is_ranked_prefix_of_unguarded() {
     for_each_scenario(|rng, g, spec| {
         let trip = rng.below(600);
-        let full: Vec<(Core, Weight)> = CommK::new(&g, &spec).map(|c| (c.core, c.cost)).collect();
+        let full: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
+            .unwrap()
+            .map(|c| (c.core, c.cost))
+            .collect();
         let out =
             comm_k_guarded(&g, &spec, usize::MAX, RunGuard::new().with_trip_after(trip)).unwrap();
         let partial = out.into_value();
@@ -338,7 +417,7 @@ fn radius_monotonicity() {
         let small = sorted_cores(naive_all_cores(&g, &spec).into_iter().map(|(c, _)| c));
         let mut bigger = spec.clone();
         bigger.rmax = spec.rmax + Weight::from(3u32);
-        let large = sorted_cores(comm_all(&g, &bigger).into_iter().map(|c| c.core));
+        let large = sorted_cores(collect_all(&g, &bigger).into_iter().map(|c| c.core));
         for c in &small {
             assert!(
                 large.binary_search(c).is_ok(),
@@ -354,125 +433,54 @@ fn radius_monotonicity() {
 #[test]
 fn parallel_neighbor_sets_match_serial() {
     for_each_scenario(|_rng, g, spec| {
-        let l = spec.l();
         let n = g.node_count();
-        let mut serial = NeighborSets::new(l, n);
-        let mut engine = DijkstraEngine::new(n);
-        for (i, seeds) in spec.keyword_nodes.iter().enumerate() {
-            serial.recompute_dim(&g, &mut engine, i, seeds.iter().copied(), spec.rmax);
-        }
+        let serial = serial_neighbor_sets(&g, &spec.keyword_nodes, spec.rmax);
         let pool = EnginePool::new();
         for threads in [1usize, 2, 4, 8] {
-            let mut par = NeighborSets::new(l, n);
-            par.recompute_all(
+            let mut par = NeighborSets::new(spec.l(), n);
+            par.recompute_all_guarded(
                 &g,
                 &pool,
                 &spec.keyword_nodes,
                 spec.rmax,
+                &RunGuard::unlimited(),
                 Parallelism::new(threads),
-            );
-            for u in (0..n as u32).map(NodeId) {
-                for i in 0..l {
-                    assert_eq!(
-                        par.dist(i, u),
-                        serial.dist(i, u),
-                        "dist dim {} node {} at {} threads",
-                        i,
-                        u,
-                        threads
-                    );
-                    assert_eq!(
-                        par.src(i, u),
-                        serial.src(i, u),
-                        "src dim {} node {} at {} threads",
-                        i,
-                        u,
-                        threads
-                    );
-                }
-                assert_eq!(
-                    par.sum(u),
-                    serial.sum(u),
-                    "sum at node {} at {} threads",
-                    u,
-                    threads
-                );
-                assert_eq!(
-                    par.count(u),
-                    serial.count(u),
-                    "count at node {} at {} threads",
-                    u,
-                    threads
-                );
-            }
-            assert_eq!(par.best_core(), serial.best_core());
+            )
+            .unwrap();
+            assert_same_table(&par, &serial, n, &format!("at {threads} threads"));
         }
     });
 }
 
 /// The fused batched refill is bit-identical to the serial
-/// per-dimension loop under every kernel: same dist/src per dimension
-/// and node, same sum/count accumulators, same best core. (Calling
-/// `recompute_all_batched_guarded` directly bypasses the seed-mass
-/// gate, so the fused pass itself is exercised even on tiny inputs.)
+/// per-dimension loop under every kernel. Each seed is listed often
+/// enough (sorted, so tie-breaking is unchanged) that a serial
+/// `recompute_all_guarded` clears the seed-mass gate and takes the fused
+/// pass even on these tiny graphs.
 #[test]
 fn batched_neighbor_sets_match_serial() {
     for_each_scenario(|_rng, g, spec| {
-        let l = spec.l();
         let n = g.node_count();
-        let mut serial = NeighborSets::new(l, n);
-        let mut engine = DijkstraEngine::new(n);
-        for (i, seeds) in spec.keyword_nodes.iter().enumerate() {
-            serial.recompute_dim(&g, &mut engine, i, seeds.iter().copied(), spec.rmax);
-        }
-        let pool = EnginePool::new();
-        for kernel in [Kernel::Heap, Kernel::Bucket, Kernel::Auto] {
-            pool.set_kernel(kernel);
-            let mut batched = NeighborSets::new(l, n);
+        let serial = serial_neighbor_sets(&g, &spec.keyword_nodes, spec.rmax);
+        let heavy: Vec<Vec<NodeId>> = spec
+            .keyword_nodes
+            .iter()
+            .map(|set| set.iter().flat_map(|&v| [v; 64]).collect())
+            .collect();
+        for kernel in [Kernel::Heap, Kernel::Bucket] {
+            let pool = EnginePool::with_kernel(kernel);
+            let mut batched = NeighborSets::new(spec.l(), n);
             batched
-                .recompute_all_batched_guarded(
+                .recompute_all_guarded(
                     &g,
                     &pool,
-                    &spec.keyword_nodes,
+                    &heavy,
                     spec.rmax,
                     &RunGuard::unlimited(),
+                    Parallelism::serial(),
                 )
-                .expect("unlimited guard never trips");
-            for u in (0..n as u32).map(NodeId) {
-                for i in 0..l {
-                    assert_eq!(
-                        batched.dist(i, u),
-                        serial.dist(i, u),
-                        "dist dim {} node {} kernel {}",
-                        i,
-                        u,
-                        kernel
-                    );
-                    assert_eq!(
-                        batched.src(i, u),
-                        serial.src(i, u),
-                        "src dim {} node {} kernel {}",
-                        i,
-                        u,
-                        kernel
-                    );
-                }
-                assert_eq!(
-                    batched.sum(u),
-                    serial.sum(u),
-                    "sum at node {} kernel {}",
-                    u,
-                    kernel
-                );
-                assert_eq!(
-                    batched.count(u),
-                    serial.count(u),
-                    "count at node {} kernel {}",
-                    u,
-                    kernel
-                );
-            }
-            assert_eq!(batched.best_core(), serial.best_core());
+                .unwrap();
+            assert_same_table(&batched, &serial, n, &format!("kernel {kernel:?}"));
         }
     });
 }

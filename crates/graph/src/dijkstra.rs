@@ -100,13 +100,14 @@ pub struct DijkstraEngine {
 }
 
 impl DijkstraEngine {
-    /// Creates an engine for graphs with up to `n` nodes, with the
-    /// default [`Kernel::Auto`] queue selection.
+    /// Creates an engine for graphs with up to `n` nodes, on the default
+    /// [`Kernel`].
     pub fn new(n: usize) -> DijkstraEngine {
-        DijkstraEngine::with_kernel(n, Kernel::Auto)
+        DijkstraEngine::with_kernel(n, Kernel::default())
     }
 
-    /// Creates an engine with an explicit queue kernel.
+    /// Creates an engine with an explicit queue kernel ([`Kernel::Heap`]
+    /// is the reference the equivalence tests compare against).
     pub fn with_kernel(n: usize, kernel: Kernel) -> DijkstraEngine {
         DijkstraEngine {
             dist: vec![Weight::INFINITY; n],
@@ -120,15 +121,9 @@ impl DijkstraEngine {
         }
     }
 
-    /// The queue kernel sweeps currently run on.
+    /// The queue kernel sweeps run on.
     pub fn kernel(&self) -> Kernel {
         self.kernel
-    }
-
-    /// Selects the queue kernel for subsequent sweeps. Results are
-    /// bit-identical across kernels; only the constant factor changes.
-    pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
     }
 
     /// The node capacity the scratch arrays are sized for.
@@ -783,28 +778,17 @@ mod tests {
     }
 
     #[test]
-    fn auto_kernel_matches_heap_on_truncated_and_open_sweeps() {
+    fn default_kernel_matches_heap_on_truncated_and_open_sweeps() {
         let g = graph_from_edges(5, &[(0, 1, 1.5), (1, 2, 0.5), (2, 3, 2.0), (0, 4, 0.0)]);
-        let mut auto_eng = DijkstraEngine::new(5);
+        let mut default_eng = DijkstraEngine::new(5);
         let mut heap_eng = DijkstraEngine::with_kernel(5, Kernel::Heap);
         for radius in [Weight::new(2.0), Weight::INFINITY] {
             assert_eq!(
-                trace(&mut auto_eng, &g, &[NodeId(0)], radius),
+                trace(&mut default_eng, &g, &[NodeId(0)], radius),
                 trace(&mut heap_eng, &g, &[NodeId(0)], radius),
             );
         }
-        assert_eq!(auto_eng.kernel(), Kernel::Auto);
-    }
-
-    #[test]
-    fn kernel_can_be_switched_between_sweeps() {
-        let g = line();
-        let mut eng = DijkstraEngine::with_kernel(4, Kernel::Heap);
-        let a = trace(&mut eng, &g, &[NodeId(0)], Weight::new(7.0));
-        eng.set_kernel(Kernel::Bucket);
-        assert_eq!(eng.kernel(), Kernel::Bucket);
-        let b = trace(&mut eng, &g, &[NodeId(0)], Weight::new(7.0));
-        assert_eq!(a, b);
+        assert_eq!(default_eng.kernel(), Kernel::Bucket);
     }
 
     #[test]
@@ -825,7 +809,7 @@ mod tests {
             vec![NodeId(4), NodeId(3)],
             vec![], // an empty dimension must stay empty
         ];
-        for kernel in Kernel::ALL {
+        for kernel in [Kernel::Heap, Kernel::Bucket] {
             let mut eng = DijkstraEngine::with_kernel(6, kernel);
             let radius = Weight::new(4.0);
             // Reference: one standalone sweep per dimension.
@@ -854,7 +838,7 @@ mod tests {
                     |dim, s| batched[dim].push(s),
                 )
                 .unwrap();
-            assert_eq!(batched, per_dim, "kernel {kernel} diverged");
+            assert_eq!(batched, per_dim, "kernel {kernel:?} diverged");
             assert_eq!(total, per_dim.iter().map(Vec::len).sum::<usize>());
         }
     }

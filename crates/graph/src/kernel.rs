@@ -12,14 +12,13 @@
 //! [`Kernel`] picks the queue behind [`DijkstraEngine`](crate::DijkstraEngine):
 //!
 //! * [`Kernel::Heap`] — the classic lazy-deletion binary heap, the
-//!   reference kernel;
+//!   reference kernel the equivalence tests compare against;
 //! * [`Kernel::Bucket`] — the bucket queue, **bit-identical** to the heap
 //!   kernel by construction (see [`crate::bucket`] for the tie-break
 //!   argument); falls back to the heap when no valid bucket width exists
-//!   (untruncated sweep, zero radius with no positive weight);
-//! * [`Kernel::Auto`] — bucket whenever the sweep is radius-bounded,
-//!   heap otherwise. This is the default everywhere: results never depend
-//!   on the choice, only the constant factor does.
+//!   (untruncated sweep, zero radius with no positive weight). This is
+//!   the default everywhere: results never depend on the choice, only the
+//!   constant factor does.
 //!
 //! The bucket width `delta` derives from the graph's minimum positive
 //! edge weight (the finest ring that can matter), narrowed by
@@ -32,8 +31,6 @@
 
 use crate::csr::Graph;
 use crate::weight::Weight;
-use std::fmt;
-use std::str::FromStr;
 
 /// Upper bound on bucket-array length; beyond this the width is widened
 /// (never the kernel abandoned) so engine scratch stays cache-resident.
@@ -44,52 +41,19 @@ pub const MAX_BUCKETS: usize = 1 << 16;
 pub const BUCKET_REFINE: f64 = 16.0;
 
 /// Which priority-queue kernel a [`DijkstraEngine`](crate::DijkstraEngine)
-/// runs its sweeps on. All kernels produce bit-identical results; the
+/// runs its sweeps on. Both kernels produce bit-identical results; the
 /// selection is purely a performance choice.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Binary heap with lazy deletion (the reference kernel).
     Heap,
-    /// Radius-aware bucket queue; falls back to the heap when the sweep
-    /// is untruncated (no finite radius to size buckets from).
-    Bucket,
-    /// Bucket when the sweep is radius-bounded, heap otherwise (default).
+    /// Radius-aware bucket queue when the sweep is radius-bounded, the
+    /// heap otherwise (no finite radius to size buckets from). Default.
     #[default]
-    Auto,
+    Bucket,
 }
 
 impl Kernel {
-    /// All selectable kernels, for help strings and sweeps.
-    pub const ALL: [Kernel; 3] = [Kernel::Heap, Kernel::Bucket, Kernel::Auto];
-
-    /// The stable lowercase name (`heap` / `bucket` / `auto`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Heap => "heap",
-            Kernel::Bucket => "bucket",
-            Kernel::Auto => "auto",
-        }
-    }
-
-    /// Atomic-cell encoding for [`crate::EnginePool`]'s process-wide
-    /// default (an `AtomicU8` cannot hold the enum directly).
-    pub(crate) fn to_u8(self) -> u8 {
-        match self {
-            Kernel::Heap => 0,
-            Kernel::Bucket => 1,
-            Kernel::Auto => 2,
-        }
-    }
-
-    /// Inverse of [`to_u8`](Self::to_u8); unknown values decode as `Auto`.
-    pub(crate) fn from_u8(v: u8) -> Kernel {
-        match v {
-            0 => Kernel::Heap,
-            1 => Kernel::Bucket,
-            _ => Kernel::Auto,
-        }
-    }
-
     /// Resolves the kernel for one sweep: the bucket width is derived from
     /// `radius` and the graph's minimum positive edge weight, and the heap
     /// is chosen when no valid width exists.
@@ -103,41 +67,6 @@ impl Kernel {
         ResolvedKernel::Bucket(plan)
     }
 }
-
-impl fmt::Display for Kernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for Kernel {
-    type Err = UnknownKernel;
-
-    fn from_str(s: &str) -> Result<Kernel, UnknownKernel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "heap" => Ok(Kernel::Heap),
-            "bucket" => Ok(Kernel::Bucket),
-            "auto" => Ok(Kernel::Auto),
-            _ => Err(UnknownKernel(s.to_owned())),
-        }
-    }
-}
-
-/// Error parsing a kernel name (`heap` / `bucket` / `auto`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnknownKernel(pub String);
-
-impl fmt::Display for UnknownKernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown kernel '{}' (expected heap, bucket, or auto)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for UnknownKernel {}
 
 /// A kernel choice resolved against one sweep's graph and radius.
 #[derive(Clone, Copy, Debug)]
@@ -208,18 +137,8 @@ mod tests {
     use crate::csr::graph_from_edges;
 
     #[test]
-    fn kernel_names_roundtrip() {
-        for k in Kernel::ALL {
-            assert_eq!(k.name().parse::<Kernel>().unwrap(), k);
-        }
-        assert_eq!("  BUCKET ".parse::<Kernel>().unwrap(), Kernel::Bucket);
-        let err = "fib".parse::<Kernel>().unwrap_err();
-        assert!(err.to_string().contains("fib"));
-    }
-
-    #[test]
-    fn default_is_auto() {
-        assert_eq!(Kernel::default(), Kernel::Auto);
+    fn default_is_bucket() {
+        assert_eq!(Kernel::default(), Kernel::Bucket);
     }
 
     #[test]
@@ -232,17 +151,12 @@ mod tests {
     }
 
     #[test]
-    fn auto_buckets_bounded_sweeps_only() {
+    fn bucket_covers_bounded_sweeps_only() {
         let g = graph_from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]);
         assert!(matches!(
-            Kernel::Auto.resolve(&g, Weight::new(8.0)),
+            Kernel::Bucket.resolve(&g, Weight::new(8.0)),
             ResolvedKernel::Bucket(_)
         ));
-        assert!(matches!(
-            Kernel::Auto.resolve(&g, Weight::INFINITY),
-            ResolvedKernel::Heap
-        ));
-        // Explicit Bucket also falls back on untruncated sweeps.
         assert!(matches!(
             Kernel::Bucket.resolve(&g, Weight::INFINITY),
             ResolvedKernel::Heap

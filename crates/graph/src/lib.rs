@@ -41,7 +41,6 @@ mod bucket;
 pub mod container;
 mod csr;
 mod dijkstra;
-mod dijkstra_fib;
 pub mod guard;
 pub mod io;
 pub mod kernel;
@@ -56,11 +55,10 @@ pub mod weight;
 pub use container::{load_container, save_container, Container};
 pub use csr::{graph_from_edges, Direction, Graph, GraphBuilder, InducedGraph, NodeId};
 pub use dijkstra::{shortest_distances, DijkstraEngine, Settled};
-pub use dijkstra_fib::FibDijkstraEngine;
 pub use guard::{InterruptReason, Outcome, RunGuard};
-pub use kernel::{Kernel, UnknownKernel};
+pub use kernel::Kernel;
 pub use parallel::Parallelism;
-pub use pool::{EnginePool, PooledEngine, KERNEL_ENV};
+pub use pool::{EnginePool, PooledEngine};
 pub use rng::SplitMix64;
 pub use verify::GraphInvariantError;
 pub use weight::Weight;

@@ -10,21 +10,15 @@
 //! every sweep, so a recycled engine never observes stale state from a
 //! previous one.
 //!
-//! The pool also carries the process-wide default [`Kernel`]: every
-//! acquired engine is stamped with it, so `NeighborSets`, `get_community`,
-//! projection builds, the serve engine, and the baselines all switch
-//! queue kernels through one [`set_kernel`](EnginePool::set_kernel) call
-//! (or the `COMM_KERNEL` environment variable for the global pool) with
-//! no call-site changes.
+//! A pool builds all of its engines on one [`Kernel`], fixed at
+//! construction: the default everywhere, [`Kernel::Heap`] only where an
+//! equivalence test wants the reference kernel
+//! ([`with_kernel`](EnginePool::with_kernel)).
 
 use crate::dijkstra::DijkstraEngine;
 use crate::kernel::Kernel;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Environment variable naming the global pool's queue kernel
-/// (`heap` / `bucket` / `auto`); unset or unparsable means `auto`.
-pub const KERNEL_ENV: &str = "COMM_KERNEL";
 
 /// Engines parked per size class beyond this count are dropped instead of
 /// pooled, bounding the pool's memory to `CLASSES × PER_CLASS_CAP` engines.
@@ -65,9 +59,8 @@ fn class_capacity(c: usize) -> usize {
 /// ```
 pub struct EnginePool {
     classes: Box<[Mutex<Vec<DijkstraEngine>>]>,
-    /// The queue kernel stamped onto every acquired engine
-    /// ([`Kernel`] via its `u8` encoding).
-    kernel: AtomicU8,
+    /// The queue kernel every engine of this pool is built on.
+    kernel: Kernel,
     /// Engines created because the class bucket was empty (telemetry).
     misses: AtomicUsize,
     /// Successful bucket pops (telemetry).
@@ -80,33 +73,21 @@ pub struct EnginePool {
 }
 
 impl EnginePool {
-    /// Creates an empty pool with the default [`Kernel::Auto`] selection.
+    /// Creates an empty pool on the default [`Kernel`].
     pub fn new() -> EnginePool {
-        EnginePool::with_kernel(Kernel::Auto)
+        EnginePool::with_kernel(Kernel::default())
     }
 
     /// Creates an empty pool whose engines run on `kernel`.
     pub fn with_kernel(kernel: Kernel) -> EnginePool {
         EnginePool {
             classes: (0..CLASSES).map(|_| Mutex::new(Vec::new())).collect(),
-            kernel: AtomicU8::new(kernel.to_u8()),
+            kernel,
             misses: AtomicUsize::new(0),
             hits: AtomicUsize::new(0),
             poison_recoveries: AtomicUsize::new(0),
             trims: AtomicUsize::new(0),
         }
-    }
-
-    /// The queue kernel engines from this pool currently run on.
-    pub fn kernel(&self) -> Kernel {
-        Kernel::from_u8(self.kernel.load(Ordering::Relaxed))
-    }
-
-    /// Switches the queue kernel for every engine acquired from now on.
-    /// Results are bit-identical across kernels, so this is safe to flip
-    /// at any time, including between the sweeps of one query.
-    pub fn set_kernel(&self, kernel: Kernel) {
-        self.kernel.store(kernel.to_u8(), Ordering::Relaxed);
     }
 
     /// Locks one size-class shard, recovering it if a panicking thread
@@ -131,19 +112,10 @@ impl EnginePool {
     }
 
     /// The process-wide shared pool. One-shot helpers and parallel sweeps
-    /// without an explicit pool borrow from here. Its initial kernel comes
-    /// from the `COMM_KERNEL` environment variable (CI's kernel lane runs
-    /// the whole suite under each value); [`set_kernel`](Self::set_kernel)
-    /// can still override it later.
+    /// without an explicit pool borrow from here.
     pub fn global() -> &'static EnginePool {
         static GLOBAL: OnceLock<EnginePool> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let kernel = std::env::var(KERNEL_ENV)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_default();
-            EnginePool::with_kernel(kernel)
-        })
+        GLOBAL.get_or_init(EnginePool::new)
     }
 
     /// Borrows an engine sized for graphs of `n` nodes. The engine returns
@@ -151,17 +123,16 @@ impl EnginePool {
     pub fn acquire(&self, n: usize) -> PooledEngine<'_> {
         let class = size_class(n).min(CLASSES - 1);
         let engine = self.lock_shard(class).pop();
-        let mut engine = match engine {
+        let engine = match engine {
             Some(e) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 e
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                DijkstraEngine::new(class_capacity(class).max(n))
+                DijkstraEngine::with_kernel(class_capacity(class).max(n), self.kernel)
             }
         };
-        engine.set_kernel(self.kernel());
         PooledEngine {
             pool: self,
             class,
@@ -390,26 +361,22 @@ mod tests {
 
     #[test]
     fn acquired_engines_carry_the_pool_kernel() {
-        let pool = EnginePool::with_kernel(Kernel::Bucket);
-        assert_eq!(pool.kernel(), Kernel::Bucket);
-        assert_eq!(pool.acquire(8).kernel(), Kernel::Bucket);
-        pool.set_kernel(Kernel::Heap);
-        // A recycled engine is re-stamped on every acquire.
+        let pool = EnginePool::with_kernel(Kernel::Heap);
         assert_eq!(pool.acquire(8).kernel(), Kernel::Heap);
-        assert_eq!(EnginePool::new().kernel(), Kernel::Auto);
+        // A recycled engine was built by the same pool, on the same kernel.
+        assert_eq!(pool.acquire(8).kernel(), Kernel::Heap);
+        assert_eq!(EnginePool::new().acquire(8).kernel(), Kernel::Bucket);
     }
 
     #[test]
-    fn kernel_switch_keeps_results_identical() {
+    fn pool_kernel_keeps_results_identical() {
         let g = graph_from_edges(4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0)]);
-        let pool = EnginePool::new();
-        let mut answers = Vec::new();
-        for k in [Kernel::Heap, Kernel::Bucket, Kernel::Auto] {
-            pool.set_kernel(k);
-            answers.push(pool.acquire(4).distances(&g, Direction::Forward, NodeId(0)));
-        }
-        assert_eq!(answers[0], answers[1]);
-        assert_eq!(answers[0], answers[2]);
+        let answer = |k: Kernel| {
+            EnginePool::with_kernel(k)
+                .acquire(4)
+                .distances(&g, Direction::Forward, NodeId(0))
+        };
+        assert_eq!(answer(Kernel::Heap), answer(Kernel::Bucket));
     }
 
     #[test]

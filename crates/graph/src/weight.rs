@@ -38,8 +38,7 @@ impl Weight {
     }
 
     /// Creates a weight, returning `None` on NaN or negative input instead
-    /// of panicking — the validation hook behind the fallible `try_*`
-    /// query APIs.
+    /// of panicking — the validation hook behind the query APIs.
     #[inline]
     pub fn try_new(w: f64) -> Option<Weight> {
         if w >= 0.0 {

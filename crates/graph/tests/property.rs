@@ -4,8 +4,7 @@
 
 use comm_graph::reference::all_pairs_shortest;
 use comm_graph::{
-    graph_from_edges, DijkstraEngine, Direction, FibDijkstraEngine, Graph, Kernel, NodeId,
-    SplitMix64, Weight,
+    graph_from_edges, DijkstraEngine, Direction, Graph, Kernel, NodeId, SplitMix64, Weight,
 };
 
 const CASES: u64 = 128;
@@ -54,24 +53,6 @@ fn binary_dijkstra_matches_floyd_warshall() {
         for s in g.nodes() {
             let d = engine.distances(&g, dir, s);
             assert_eq!(&d, &oracle[s.index()], "source {s}");
-        }
-    });
-}
-
-#[test]
-fn fib_engine_equals_binary_engine() {
-    SplitMix64::for_each_case(CASES, |rng| {
-        let g = random_graph(rng);
-        let seeds = spread_seeds(rng, g.node_count());
-        let r = Weight::from(below(rng, 30));
-        let mut bin = DijkstraEngine::new(g.node_count());
-        let mut fib = FibDijkstraEngine::new(g.node_count());
-        for dir in [Direction::Forward, Direction::Reverse] {
-            let mut a = Vec::new();
-            bin.run(&g, dir, seeds.iter().copied(), r, |s| a.push(s));
-            let mut b = Vec::new();
-            fib.run(&g, dir, seeds.iter().copied(), r, |s| b.push(s));
-            assert_eq!(&a, &b);
         }
     });
 }

@@ -1,5 +1,6 @@
 //! Guarded caches: an LRU of [`ProjectionIndex`]es keyed by keyword set
-//! and an exact-hit answer cache keyed by `(keywords, Rmax, k, cost)`.
+//! and an exact-hit answer cache keyed by `(keywords, Rmax, k)` (the cost
+//! function is fixed per engine, so it is not part of the key).
 //!
 //! Both caches hold `Arc`s, so a hit never copies the cached structure and
 //! an eviction never invalidates an in-flight reader. Insertion is
@@ -137,7 +138,7 @@ pub type CachedAnswer = Arc<Vec<Community>>;
 /// A cached projection index, shared by reference.
 pub type CachedIndex = Arc<ProjectionIndex>;
 
-/// `HashMap`-free alias kept for readability at use sites.
+/// The engine's vocabulary: lowercased keyword → the nodes containing it.
 pub type Vocabulary = HashMap<String, Vec<comm_graph::NodeId>>;
 
 #[cfg(test)]

@@ -24,11 +24,12 @@ use crate::chaos::{ChaosConfig, ChaosState};
 use crate::engine::{summarize, QueryEngine};
 use crate::protocol::{
     decode_request, encode_response, write_frame, Priority, ProtocolError, Request, Response,
+    MAX_FRAME_BYTES,
 };
 use comm_core::QueryError;
 use comm_graph::{EnginePool, Outcome};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -334,7 +335,7 @@ fn read_request_frame(
         }
     }
     let len = u32::from_le_bytes(header);
-    if len > crate::protocol::MAX_FRAME_BYTES {
+    if len > MAX_FRAME_BYTES {
         return Err(ProtocolError::FrameTooLarge(len));
     }
     let len = usize::try_from(len).map_err(|_| ProtocolError::FrameTooLarge(u32::MAX))?;
@@ -526,19 +527,37 @@ fn handle_query(
     )
 }
 
+/// Encodes a reply for the wire. One that would not fit a frame (`k` is
+/// an uncapped `u32`) becomes an `Error` naming the cap: the client gets
+/// an answer instead of a dropped connection, and what the dedupe table
+/// records for its retries is something `write_frame` can send.
+fn encode_reply(resp: &Response) -> Result<Vec<u8>, ProtocolError> {
+    let bytes = encode_response(resp)?;
+    if u32::try_from(bytes.len()).is_ok_and(|len| len <= MAX_FRAME_BYTES) {
+        return Ok(bytes);
+    }
+    encode_response(&Response::Error {
+        id: resp.id(),
+        message: format!(
+            "reply exceeds the 16 MiB frame cap ({} bytes encoded); ask for a smaller k",
+            bytes.len()
+        ),
+    })
+}
+
 /// Encodes and sends a reply, applying injected delay/disconnect. When
 /// `record_id` is set, the bytes are recorded for idempotent replay
 /// *before* any injected disconnect — that ordering is what makes a
 /// mid-request disconnect recoverable by retry.
 fn send_with_chaos(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     shared: &Shared,
     resp: &Response,
     delay: Option<Duration>,
     drop_reply: bool,
     record_id: Option<u64>,
 ) -> bool {
-    let bytes = match encode_response(resp) {
+    let bytes = match encode_reply(resp) {
         Ok(b) => Arc::new(b),
         Err(_) => {
             shared
@@ -628,4 +647,61 @@ pub fn counter(counters: &[(String, u64)], name: &str) -> u64 {
         .iter()
         .find(|(n, _)| n == name)
         .map_or(0, |(_, v)| *v)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{decode_response, CommunitySummary};
+
+    #[test]
+    fn oversized_reply_is_recorded_and_sent_as_an_error() {
+        // ~4.2 M centres encode past the 16 MiB frame cap.
+        let huge = Response::Complete {
+            id: 7,
+            communities: vec![CommunitySummary {
+                core: vec![0],
+                cost_bits: 0,
+                centers: vec![0; 4_200_000],
+                node_count: 1,
+                edge_count: 0,
+            }],
+        };
+        let engine = crate::synthetic_engine(4, crate::EngineConfig::default()).unwrap();
+        let cfg = ServerConfig::default();
+        let guard_cancel = Arc::new(AtomicBool::new(false));
+        let shared = Shared {
+            engine: Arc::new(engine),
+            gate: AdmissionGate::new(cfg.admission, Arc::clone(&guard_cancel)),
+            dedupe: DedupeMap::new(cfg.dedupe_capacity),
+            chaos: ChaosState::new(cfg.chaos),
+            counters: Counters::default(),
+            guard_cancel,
+            io_timeout: cfg.io_timeout,
+        };
+        assert!(matches!(
+            shared.dedupe.begin(7, Duration::ZERO),
+            Begin::Execute
+        ));
+        let mut wire = Vec::new();
+        assert!(send_with_chaos(
+            &mut wire,
+            &shared,
+            &huge,
+            None,
+            false,
+            Some(7)
+        ));
+        let Begin::Replay(recorded) = shared.dedupe.begin(7, Duration::ZERO) else {
+            panic!("the reply must be recorded for replay");
+        };
+        // What a retry replays is what was sent: a frame holding an Error.
+        assert_eq!(wire[4..], recorded[..]);
+        match decode_response(&recorded).unwrap() {
+            Response::Error { id: 7, message } => {
+                assert!(message.contains("16 MiB frame cap"), "{message}");
+            }
+            other => panic!("expected an Error reply, got {other:?}"),
+        }
+    }
 }

@@ -13,11 +13,11 @@
 //! ```
 
 use communities::datasets::{generate_dblp, DblpConfig};
-use communities::graph::Weight;
+use communities::graph::{EnginePool, Parallelism, Weight};
 use communities::rdb::{ColumnId, TableId};
-use communities::search::{CommK, ProjectionIndex, QuerySpec};
+use communities::search::{CommK, ProjectionIndex, QueryError, QuerySpec, RunGuard};
 
-fn main() {
+fn main() -> Result<(), QueryError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let keywords: Vec<&str> = if args.is_empty() {
         vec!["database", "optimization", "support"]
@@ -44,7 +44,7 @@ fn main() {
         println!("  keyword {kw:?}: {} matching tuples", nodes.len());
         if nodes.is_empty() {
             println!("  (no matches — try Table III keywords like 'database', 'fuzzy')");
-            return;
+            return Ok(());
         }
     }
 
@@ -53,10 +53,16 @@ fn main() {
         .iter()
         .map(|&kw| (kw, ds.graph.keyword_nodes(kw)))
         .collect();
-    let index = ProjectionIndex::build(&ds.graph.graph, entries, Weight::new(8.0));
-    let pq = index
-        .project(&keywords, Weight::new(rmax))
-        .expect("keywords indexed");
+    let guard = RunGuard::unlimited();
+    let index = ProjectionIndex::build_par_guarded(
+        &ds.graph.graph,
+        entries,
+        Weight::new(8.0),
+        &guard,
+        EnginePool::global(),
+        Parallelism::serial(),
+    )?;
+    let pq = index.try_project(&keywords, Weight::new(rmax), &guard)?;
     println!(
         "projected graph: {} nodes ({:.3}% of G_D)\n",
         pq.projected.graph.node_count(),
@@ -76,7 +82,10 @@ fn main() {
         }
     };
     let _ = TableId(0); // (typed ids are how rdb addresses tables)
-    for (rank, c) in CommK::new(&pq.projected.graph, &spec).take(5).enumerate() {
+    for (rank, c) in CommK::try_new(&pq.projected.graph, &spec)?
+        .take(5)
+        .enumerate()
+    {
         println!("── community #{} (cost {:.2}) ──", rank + 1, c.cost.get());
         for (i, &local) in c.core.0.iter().enumerate() {
             println!(
@@ -97,4 +106,5 @@ fn main() {
             c.edge_count()
         );
     }
+    Ok(())
 }

@@ -8,11 +8,13 @@
 //! ```
 
 use communities::datasets::{generate_imdb, ImdbConfig};
-use communities::graph::{NodeId, Weight};
-use communities::search::{bu_topk, CommK, ProjectionIndex, QuerySpec};
+use communities::graph::{EnginePool, NodeId, Parallelism, Weight};
+use communities::search::{
+    bu_topk_guarded, CommK, ProjectionIndex, QueryError, QuerySpec, RunGuard,
+};
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), QueryError> {
     let keywords = ["night", "story", "king", "house"];
     let page = 50;
     let pages = 5;
@@ -22,10 +24,16 @@ fn main() {
         .iter()
         .map(|&kw| (kw, ds.graph.keyword_nodes(kw)))
         .collect();
-    let index = ProjectionIndex::build(&ds.graph.graph, entries, Weight::new(13.0));
-    let pq = index
-        .project(&keywords, Weight::new(11.0))
-        .expect("keywords indexed");
+    let guard = RunGuard::unlimited();
+    let index = ProjectionIndex::build_par_guarded(
+        &ds.graph.graph,
+        entries,
+        Weight::new(13.0),
+        &guard,
+        EnginePool::global(),
+        Parallelism::serial(),
+    )?;
+    let pq = index.try_project(&keywords, Weight::new(11.0), &guard)?;
     let g = &pq.projected.graph;
     let spec = QuerySpec::new(pq.spec.keyword_nodes.clone(), pq.spec.rmax);
     println!(
@@ -34,7 +42,7 @@ fn main() {
     );
 
     // One persistent enumerator serves every "next page" request.
-    let mut enumerator = CommK::new(g, &spec);
+    let mut enumerator = CommK::try_new(g, &spec)?;
     println!(
         "{:<8} {:<22} {:<24}",
         "page", "PDk (resume)", "BUk (recompute from scratch)"
@@ -50,7 +58,7 @@ fn main() {
         // What the baselines would have to do for the same page: rerun
         // with k = p * page and throw away the first (p-1) pages.
         let t0 = Instant::now();
-        let bu = bu_topk(g, &spec, p * page, None);
+        let bu = bu_topk_guarded(g, &spec, p * page, None, guard.clone())?.into_value();
         let t_rerun = t0.elapsed();
         println!(
             "{:<8} {:<22} {:<24}",
@@ -69,4 +77,5 @@ fn main() {
         enumerator.can_list_len(),
         enumerator.peak_memory_bytes(),
     );
+    Ok(())
 }

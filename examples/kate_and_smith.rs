@@ -12,9 +12,9 @@ use communities::graph::Weight;
 use communities::rdb::{
     ColumnDef, ColumnType, Database, DatabaseGraph, EdgeMode, TableSchema, Value, WeightScheme,
 };
-use communities::search::{comm_all, QuerySpec};
+use communities::search::{CommAll, QueryError, QuerySpec};
 
-fn main() {
+fn main() -> Result<(), QueryError> {
     // Author(Aid, Name), Paper(Pid, Title), Write(Aid, Pid, Pos), Cite(Pid1, Pid2)
     let mut db = Database::new();
     let author = db.create_table(
@@ -100,7 +100,7 @@ fn main() {
         Weight::new(8.0),
     );
     println!("2-keyword query {{kate, smith}}, Rmax = 8:\n");
-    for c in comm_all(&dg.graph, &spec) {
+    for c in CommAll::try_new(&dg.graph, &spec)? {
         let name_of = |n: communities::graph::NodeId| {
             let t = dg.tuple_of(n);
             let table = db.table(t.table);
@@ -123,4 +123,5 @@ fn main() {
             c.node_count()
         );
     }
+    Ok(())
 }

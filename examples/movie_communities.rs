@@ -11,11 +11,13 @@
 //! ```
 
 use communities::datasets::{generate_imdb, ImdbConfig};
-use communities::graph::{NodeId, Weight};
-use communities::search::{bu_topk, td_topk, CommK, ProjectionIndex, QuerySpec};
+use communities::graph::{EnginePool, NodeId, Parallelism, Weight};
+use communities::search::{
+    bu_topk_guarded, td_topk_guarded, CommK, ProjectionIndex, QueryError, QuerySpec, RunGuard,
+};
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), QueryError> {
     let keywords = ["star", "death", "girl"];
     let rmax = 11.0;
     let k = 25;
@@ -32,10 +34,16 @@ fn main() {
         .iter()
         .map(|&kw| (kw, ds.graph.keyword_nodes(kw)))
         .collect();
-    let index = ProjectionIndex::build(&ds.graph.graph, entries, Weight::new(13.0));
-    let pq = index
-        .project(&keywords, Weight::new(rmax))
-        .expect("keywords indexed");
+    let guard = RunGuard::unlimited();
+    let index = ProjectionIndex::build_par_guarded(
+        &ds.graph.graph,
+        entries,
+        Weight::new(13.0),
+        &guard,
+        EnginePool::global(),
+        Parallelism::serial(),
+    )?;
+    let pq = index.try_project(&keywords, Weight::new(rmax), &guard)?;
     let g = &pq.projected.graph;
     println!(
         "projected graph for {keywords:?}: {} nodes / {} edges\n",
@@ -46,7 +54,7 @@ fn main() {
 
     // Multi-center structure: how many centers do the top communities have?
     let t0 = Instant::now();
-    let top: Vec<_> = CommK::new(g, &spec).take(k).collect();
+    let top: Vec<_> = CommK::try_new(g, &spec)?.take(k).collect();
     let t_pd = t0.elapsed();
     let avg_centers: f64 =
         top.iter().map(|c| c.centers.len() as f64).sum::<f64>() / top.len().max(1) as f64;
@@ -69,10 +77,10 @@ fn main() {
 
     // The same top-k through the expanding baselines.
     let t0 = Instant::now();
-    let bu = bu_topk(g, &spec, k, None);
+    let bu = bu_topk_guarded(g, &spec, k, None, guard.clone())?.into_value();
     let t_bu = t0.elapsed();
     let t0 = Instant::now();
-    let td = td_topk(g, &spec, k, None);
+    let td = td_topk_guarded(g, &spec, k, None, guard.clone())?.into_value();
     let t_td = t0.elapsed();
     println!("engine comparison for the identical top-{k}:");
     println!("  PDk (polynomial delay): {t_pd:?}  — explores only what the ranking needs");
@@ -89,4 +97,5 @@ fn main() {
     assert_eq!(costs(&top), costs(&bu.communities));
     assert_eq!(costs(&top), costs(&td.communities));
     println!("  all three agree on the ranking ✓");
+    Ok(())
 }

@@ -10,9 +10,9 @@
 
 use communities::datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
 use communities::graph::Weight;
-use communities::search::{CommK, QuerySpec};
+use communities::search::{CommK, QueryError, QuerySpec};
 
-fn main() {
+fn main() -> Result<(), QueryError> {
     let graph = fig4_graph();
     println!(
         "database graph G_D: {} nodes, {} edges",
@@ -28,7 +28,7 @@ fn main() {
         "{:<6} {:<18} {:<6} {:<14} {:<10}",
         "rank", "core [a,b,c]", "cost", "centers", "path nodes"
     );
-    for (rank, community) in CommK::new(&graph, &spec).enumerate() {
+    for (rank, community) in CommK::try_new(&graph, &spec)?.enumerate() {
         println!(
             "{:<6} {:<18} {:<6} {:<14} {:<10}",
             rank + 1,
@@ -40,7 +40,7 @@ fn main() {
     }
 
     // A community is an induced subgraph; inspect the top one.
-    let top = CommK::new(&graph, &spec)
+    let top = CommK::try_new(&graph, &spec)?
         .next()
         .expect("five communities exist");
     println!(
@@ -49,4 +49,5 @@ fn main() {
         top.edge_count(),
         top.knodes
     );
+    Ok(())
 }

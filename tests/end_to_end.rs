@@ -3,11 +3,42 @@
 
 use communities::datasets::workload::{query_keywords, DBLP_KEYWORD_GROUPS, IMDB_KEYWORD_GROUPS};
 use communities::datasets::{generate_dblp, generate_imdb, DblpConfig, ImdbConfig};
-use communities::graph::{NodeId, Weight};
+use communities::graph::{EnginePool, Graph, NodeId, Parallelism, Weight};
 use communities::search::{
-    bu_all, bu_topk, comm_all, td_all, td_topk, CommAll, CommK, ProjectionIndex, QuerySpec,
+    bu_all_guarded, bu_topk_guarded, td_all_guarded, td_topk_guarded, BaselineRun, CommAll, CommK,
+    Community, Outcome, ProjectedQuery, ProjectionIndex, QueryError, QuerySpec, RunGuard,
 };
 use std::collections::BTreeSet;
+
+fn collect_all(g: &Graph, spec: &QuerySpec) -> Vec<Community> {
+    CommAll::try_new(g, spec).unwrap().collect()
+}
+
+fn unguarded(out: Result<Outcome<BaselineRun>, QueryError>) -> BaselineRun {
+    out.unwrap().into_value()
+}
+
+/// Indexes `keywords` at `radius` and projects their query at `rmax`.
+fn project(
+    ds: &communities::datasets::GeneratedDataset,
+    keywords: &[&str],
+    radius: f64,
+    rmax: f64,
+) -> ProjectedQuery {
+    let guard = RunGuard::unlimited();
+    let entries = keywords.iter().map(|&kw| (kw, ds.graph.keyword_nodes(kw)));
+    ProjectionIndex::build_par_guarded(
+        &ds.graph.graph,
+        entries,
+        Weight::new(radius),
+        &guard,
+        EnginePool::global(),
+        Parallelism::serial(),
+    )
+    .unwrap()
+    .try_project(keywords, Weight::new(rmax), &guard)
+    .unwrap()
+}
 
 fn small_dblp() -> communities::datasets::GeneratedDataset {
     generate_dblp(&DblpConfig::default().scaled(0.4))
@@ -37,19 +68,14 @@ fn spec_for(
 fn dblp_projection_equals_full_graph_query() {
     let ds = small_dblp();
     let keywords = query_keywords(DBLP_KEYWORD_GROUPS, 0.0009, 3);
-    let entries: Vec<(&str, &[NodeId])> = keywords
-        .iter()
-        .map(|&kw| (kw, ds.graph.keyword_nodes(kw)))
-        .collect();
-    let index = ProjectionIndex::build(&ds.graph.graph, entries, Weight::new(8.0));
-    let pq = index.project(&keywords, Weight::new(6.0)).unwrap();
+    let pq = project(&ds, &keywords, 8.0, 6.0);
 
     let full_spec = spec_for(&ds, &keywords, 6.0);
-    let full: BTreeSet<Vec<NodeId>> = comm_all(&ds.graph.graph, &full_spec)
+    let full: BTreeSet<Vec<NodeId>> = collect_all(&ds.graph.graph, &full_spec)
         .into_iter()
         .map(|c| c.core.0)
         .collect();
-    let projected: BTreeSet<Vec<NodeId>> = comm_all(&pq.projected.graph, &pq.spec)
+    let projected: BTreeSet<Vec<NodeId>> = collect_all(&pq.projected.graph, &pq.spec)
         .into_iter()
         .map(|c| {
             c.core
@@ -67,18 +93,17 @@ fn imdb_all_engines_agree_on_topk() {
     let ds = small_imdb();
     let keywords = query_keywords(IMDB_KEYWORD_GROUPS, 0.0009, 3);
     let spec = spec_for(&ds, &keywords, 10.0);
-    let entries: Vec<(&str, &[NodeId])> = keywords
-        .iter()
-        .map(|&kw| (kw, ds.graph.keyword_nodes(kw)))
-        .collect();
-    let index = ProjectionIndex::build(&ds.graph.graph, entries, Weight::new(10.0));
-    let pq = index.project(&keywords, Weight::new(10.0)).unwrap();
+    let pq = project(&ds, &keywords, 10.0, 10.0);
     let g = &pq.projected.graph;
 
     let k = 40;
-    let pd: Vec<Weight> = CommK::new(g, &pq.spec).take(k).map(|c| c.cost).collect();
-    let bu = bu_topk(g, &pq.spec, k, None);
-    let td = td_topk(g, &pq.spec, k, None);
+    let pd: Vec<Weight> = CommK::try_new(g, &pq.spec)
+        .unwrap()
+        .take(k)
+        .map(|c| c.cost)
+        .collect();
+    let bu = unguarded(bu_topk_guarded(g, &pq.spec, k, None, RunGuard::unlimited()));
+    let td = unguarded(td_topk_guarded(g, &pq.spec, k, None, RunGuard::unlimited()));
     assert!(!pd.is_empty(), "query should produce communities");
     assert_eq!(
         pd,
@@ -89,7 +114,8 @@ fn imdb_all_engines_agree_on_topk() {
         td.communities.iter().map(|c| c.cost).collect::<Vec<_>>()
     );
     // Sanity: projection gives the same ranking as the full graph.
-    let full: Vec<Weight> = CommK::new(&ds.graph.graph, &spec)
+    let full: Vec<Weight> = CommK::try_new(&ds.graph.graph, &spec)
+        .unwrap()
         .take(k)
         .map(|c| c.cost)
         .collect();
@@ -100,21 +126,19 @@ fn imdb_all_engines_agree_on_topk() {
 fn imdb_all_enumerators_agree_on_core_sets() {
     let ds = small_imdb();
     let keywords = query_keywords(IMDB_KEYWORD_GROUPS, 0.0003, 2);
-    let entries: Vec<(&str, &[NodeId])> = keywords
-        .iter()
-        .map(|&kw| (kw, ds.graph.keyword_nodes(kw)))
-        .collect();
-    let index = ProjectionIndex::build(&ds.graph.graph, entries, Weight::new(9.0));
-    let pq = index.project(&keywords, Weight::new(9.0)).unwrap();
+    let pq = project(&ds, &keywords, 9.0, 9.0);
     let g = &pq.projected.graph;
 
-    let pd: BTreeSet<_> = comm_all(g, &pq.spec).into_iter().map(|c| c.core).collect();
-    let bu: BTreeSet<_> = bu_all(g, &pq.spec, None)
+    let pd: BTreeSet<_> = collect_all(g, &pq.spec)
+        .into_iter()
+        .map(|c| c.core)
+        .collect();
+    let bu: BTreeSet<_> = unguarded(bu_all_guarded(g, &pq.spec, None, RunGuard::unlimited()))
         .communities
         .into_iter()
         .map(|c| c.core)
         .collect();
-    let td: BTreeSet<_> = td_all(g, &pq.spec, None)
+    let td: BTreeSet<_> = unguarded(td_all_guarded(g, &pq.spec, None, RunGuard::unlimited()))
         .communities
         .into_iter()
         .map(|c| c.core)
@@ -128,11 +152,12 @@ fn interactive_resume_equals_oneshot_on_generated_data() {
     let ds = small_dblp();
     let keywords = query_keywords(DBLP_KEYWORD_GROUPS, 0.0015, 3);
     let spec = spec_for(&ds, &keywords, 7.0);
-    let oneshot: Vec<_> = CommK::new(&ds.graph.graph, &spec)
+    let oneshot: Vec<_> = CommK::try_new(&ds.graph.graph, &spec)
+        .unwrap()
         .take(30)
         .map(|c| c.core)
         .collect();
-    let mut it = CommK::new(&ds.graph.graph, &spec);
+    let mut it = CommK::try_new(&ds.graph.graph, &spec).unwrap();
     let mut paged: Vec<_> = it.by_ref().take(10).map(|c| c.core).collect();
     paged.extend(it.by_ref().take(10).map(|c| c.core));
     paged.extend(it.by_ref().take(10).map(|c| c.core));
@@ -148,7 +173,7 @@ fn communities_satisfy_definition_on_generated_data() {
     let spec = spec_for(&ds, &keywords, 10.0);
     let g = &ds.graph.graph;
     let mut engine = communities::graph::DijkstraEngine::new(g.node_count());
-    for c in CommK::new(g, &spec).take(12) {
+    for c in CommK::try_new(g, &spec).unwrap().take(12) {
         // Knodes carry the right keywords.
         for (i, &knode) in c.core.0.iter().enumerate() {
             assert!(
@@ -186,7 +211,7 @@ fn comm_all_iterator_stats() {
     let ds = small_dblp();
     let keywords = query_keywords(DBLP_KEYWORD_GROUPS, 0.0012, 2);
     let spec = spec_for(&ds, &keywords, 6.0);
-    let mut it = CommAll::new(&ds.graph.graph, &spec);
+    let mut it = CommAll::try_new(&ds.graph.graph, &spec).unwrap();
     let mut n = 0;
     while it.next().is_some() {
         n += 1;

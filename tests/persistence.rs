@@ -19,7 +19,15 @@ use communities::datasets::{generate_dblp, DblpConfig};
 use communities::graph::container::{load_container, save_container};
 use communities::graph::{graph_from_edges, Graph, NodeId, SplitMix64, Weight};
 use communities::search::verify::{check_community, check_enumeration, check_ranking};
-use communities::search::{comm_all, comm_k, Community, QuerySpec};
+use communities::search::{CommAll, CommK, Community, QuerySpec};
+
+fn collect_all(g: &Graph, spec: &QuerySpec) -> Vec<Community> {
+    CommAll::try_new(g, spec).unwrap().collect()
+}
+
+fn collect_top_k(g: &Graph, spec: &QuerySpec, k: usize) -> Vec<Community> {
+    CommK::try_new(g, spec).unwrap().take(k).collect()
+}
 use std::path::PathBuf;
 
 /// A fresh scratch directory per call site (pid + line defeat collisions
@@ -94,8 +102,8 @@ fn paper_example_answers_are_bit_identical_on_the_mapped_graph() {
     let mapped = roundtrip(&dir, &heap, &fig4_keyword_nodes());
 
     let spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-    let all_heap = comm_all(&heap, &spec);
-    let all_mapped = comm_all(&mapped, &spec);
+    let all_heap = collect_all(&heap, &spec);
+    let all_mapped = collect_all(&mapped, &spec);
     assert_eq!(all_heap.len(), 5, "Table I lists five communities");
     assert_eq!(fingerprints(&all_heap), fingerprints(&all_mapped));
 
@@ -105,8 +113,8 @@ fn paper_example_answers_are_bit_identical_on_the_mapped_graph() {
     check_enumeration(&mapped, &spec, &all_mapped).unwrap();
 
     for k in 1..=all_heap.len() {
-        let topk_heap = comm_k(&heap, &spec, k);
-        let topk_mapped = comm_k(&mapped, &spec, k);
+        let topk_heap = collect_top_k(&heap, &spec, k);
+        let topk_mapped = collect_top_k(&mapped, &spec, k);
         assert_eq!(fingerprints(&topk_heap), fingerprints(&topk_mapped));
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -135,8 +143,8 @@ fn sampled_dblp_answers_are_bit_identical_on_the_mapped_graph() {
 
     let spec = QuerySpec::new(keyword_nodes, Weight::new(6.0));
     let k = 10;
-    let topk_heap = comm_k(&ds.graph.graph, &spec, k);
-    let topk_mapped = comm_k(&c.graph, &spec, k);
+    let topk_heap = collect_top_k(&ds.graph.graph, &spec, k);
+    let topk_mapped = collect_top_k(&c.graph, &spec, k);
     assert!(!topk_heap.is_empty(), "workload should produce communities");
     assert_eq!(fingerprints(&topk_heap), fingerprints(&topk_mapped));
 

@@ -7,17 +7,25 @@
 use communities::datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
 use communities::datasets::workload::{query_keywords, DBLP_KEYWORD_GROUPS};
 use communities::datasets::{generate_dblp, DblpConfig};
-use communities::graph::Weight;
+use communities::graph::{Graph, Weight};
 use communities::search::verify::{
     check_community, check_enumeration, check_ranking, check_topk_prefix,
 };
-use communities::search::{comm_all, comm_k, CostFn, QuerySpec};
+use communities::search::{CommAll, CommK, Community, CostFn, QuerySpec};
+
+fn collect_all(g: &Graph, spec: &QuerySpec) -> Vec<Community> {
+    CommAll::try_new(g, spec).unwrap().collect()
+}
+
+fn collect_top_k(g: &Graph, spec: &QuerySpec, k: usize) -> Vec<Community> {
+    CommK::try_new(g, spec).unwrap().take(k).collect()
+}
 
 #[test]
 fn paper_example_enumeration_certifies() {
     let g = fig4_graph();
     let spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-    let all = comm_all(&g, &spec);
+    let all = collect_all(&g, &spec);
     assert_eq!(all.len(), 5, "Table I lists five communities");
     check_enumeration(&g, &spec, &all).unwrap();
     // Table I rank 1: cost 7.
@@ -29,9 +37,9 @@ fn paper_example_enumeration_certifies() {
 fn paper_example_topk_is_a_prefix_of_comm_all() {
     let g = fig4_graph();
     let spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-    let all = comm_all(&g, &spec);
+    let all = collect_all(&g, &spec);
     for k in 1..=all.len() {
-        let topk = comm_k(&g, &spec, k);
+        let topk = collect_top_k(&g, &spec, k);
         assert_eq!(topk.len(), k);
         check_enumeration(&g, &spec, &topk).unwrap();
         check_ranking(&topk).unwrap();
@@ -44,7 +52,7 @@ fn paper_example_max_distance_certifies() {
     let g = fig4_graph();
     let spec =
         QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX)).with_cost(CostFn::MaxDistance);
-    let all = comm_all(&g, &spec);
+    let all = collect_all(&g, &spec);
     assert!(!all.is_empty());
     check_enumeration(&g, &spec, &all).unwrap();
 }
@@ -61,7 +69,7 @@ fn dblp_sampled_workload_certifies() {
         Weight::new(6.0),
     );
     let g = &ds.graph.graph;
-    let all = comm_all(g, &spec);
+    let all = collect_all(g, &spec);
     assert!(!all.is_empty(), "workload should produce communities");
 
     // Certify a slice of the enumeration individually (log-in-degree
@@ -73,7 +81,7 @@ fn dblp_sampled_workload_certifies() {
     check_enumeration(g, &spec, &all[..all.len().min(25)]).unwrap();
 
     let k = all.len().min(10);
-    let topk = comm_k(g, &spec, k);
+    let topk = collect_top_k(g, &spec, k);
     assert_eq!(topk.len(), k);
     check_ranking(&topk).unwrap();
     check_topk_prefix(&topk, &all).unwrap();
