@@ -19,7 +19,8 @@
 //!   than bottom-up, at the same asymptotic time.
 
 use crate::error::QueryError;
-use crate::get_community::get_community_guarded;
+use crate::get_community::get_community_in;
+use crate::neighbor::NeighborSets;
 use crate::types::{Community, Core, CostFn, QuerySpec};
 use comm_graph::{
     DijkstraEngine, Direction, Graph, InterruptReason, NodeId, Outcome, RunGuard, Weight,
@@ -217,15 +218,18 @@ fn expand(
     (bytes, ended)
 }
 
+/// `GetCommunity()` of a candidate core, over the run's one reusable
+/// neighbor table.
 fn materialize(
     graph: &Graph,
     spec: &QuerySpec,
     engine: &mut DijkstraEngine,
+    table: &mut NeighborSets,
     core: &Core,
     guard: &RunGuard,
 ) -> Result<Community, InterruptReason> {
     Ok(
-        get_community_guarded(graph, engine, core, spec.rmax, spec.cost, guard)?
+        get_community_in(graph, engine, table, core, spec.rmax, spec.cost, guard)?
             // xtask-allow: no_panics — every candidate core comes from the reach sets of a center
             .expect("the expanding center certifies the core"),
     )
@@ -253,6 +257,7 @@ fn enumerate_all(
 ) -> Result<Outcome<BaselineRun>, QueryError> {
     spec.validate_for(graph)?;
     let mut engine = DijkstraEngine::new(graph.node_count());
+    let mut table = NeighborSets::try_new(spec.l(), graph.node_count())?;
     let mut stats = BaselineStats::default();
     let mut pool: HashSet<Core> = HashSet::new();
     let mut communities = Vec::new();
@@ -266,7 +271,7 @@ fn enumerate_all(
             stats.candidates += 1;
             guard.note_candidate()?;
             if pool.insert(core.clone()) {
-                communities.push(materialize(graph, spec, engine, &core, guard)?);
+                communities.push(materialize(graph, spec, engine, &mut table, &core, guard)?);
             } else {
                 stats.duplicates += 1;
             }
@@ -328,8 +333,9 @@ fn rank_topk(
         let mut ranked: Vec<(Core, Weight)> = best_cost.into_iter().collect();
         ranked.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
         ranked.truncate(k);
+        let mut table = NeighborSets::try_new(spec.l(), graph.node_count())?;
         for (core, _) in ranked {
-            match materialize(graph, spec, &mut engine, &core, guard) {
+            match materialize(graph, spec, &mut engine, &mut table, &core, guard) {
                 Ok(c) => communities.push(c),
                 Err(reason) => {
                     stats.completed = false;

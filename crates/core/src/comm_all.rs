@@ -8,10 +8,13 @@
 //! (line 19) and "pops" to dimension `i − 1`; when it succeeds the
 //! accumulated removals carry over to the next call.
 //!
-//! Per emitted community the work is `l` pinned `Neighbor()` calls, at most
-//! `2l` subspace `Neighbor()` calls, `l` `O(n)` `BestCore()` scans, and one
-//! `GetCommunity()` — `O(l · (n log n + m))`, the paper's Theorem IV.1 —
-//! using `O(l·n + m)` space.
+//! Per emitted community the work is at most `l` pinned `Neighbor()` calls
+//! — only the dimensions where the core differs from its predecessor, since
+//! the shared prefix is still pinned — at most `2l − 1` subspace
+//! `Neighbor()` calls, `l` `O(n)` `BestCore()` scans, and one
+//! `GetCommunity()` that reads the pinned table and runs a single forward
+//! sweep — `O(l · (n log n + m))`, the paper's Theorem IV.1 — using
+//! `O(l·n + m)` space.
 
 use crate::error::QueryError;
 use crate::neighbor::BestCore;
@@ -51,10 +54,10 @@ impl Frontier for Dfs {
         self.pending.take()
     }
 
-    /// The `Next()` procedure (lines 10–21).
+    /// The `Next()` procedure (lines 10–21). The preparation (lines
+    /// 11–12, pinning every dimension to `current`) is the shell's: it
+    /// pinned the table before materialising `current`.
     fn expand(&mut self, shell: &mut Shell<'_>, current: &Core) -> Result<(), InterruptReason> {
-        // Preparation (lines 11–12).
-        shell.pin(current)?;
         // Search: subdivide from the last dimension down (lines 13–20).
         for i in (0..shell.l()).rev() {
             shell.exclude(i, current.get(i));
@@ -267,5 +270,28 @@ mod tests {
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].core, Core(vec![NodeId(6), NodeId(6)]));
         assert_eq!(all[0].cost, Weight::ZERO);
+    }
+
+    #[test]
+    fn shared_prefixes_are_not_repinned() {
+        // Consecutive cores agree below the dimension `i` the search
+        // succeeded at, and those dimensions are still pinned: the next
+        // community pins l − i dimensions, not l. Together with the
+        // 2·(l − 1 − i) + 1 refills of the search (2l when it fails, after
+        // the last community) that fixes the sweep count exactly.
+        let g = fig4_graph();
+        let mut it = CommAll::try_new(&g, &fig4_spec(FIG4_RMAX)).unwrap();
+        let cores: Vec<Core> = it.by_ref().map(|c| c.core).collect();
+        let l = 3;
+        let mut expect = l + l; // the initial sweeps, then the first pin
+        let mut shared = 0;
+        for pair in cores.windows(2) {
+            let i = (0..l).find(|&i| pair[0].get(i) != pair[1].get(i)).unwrap();
+            expect += 2 * (l - 1 - i) + 1 + (l - i);
+            shared += i;
+        }
+        expect += 2 * l;
+        assert!(shared > 0, "no consecutive fig. 4 cores share a prefix");
+        assert_eq!(it.neighbor_sweeps(), expect);
     }
 }

@@ -119,11 +119,13 @@ impl Frontier for CanList {
 
     /// The `Next()` procedure (lines 15–31): subdivide the deheaped
     /// tuple's subspace and enheap the best core of each non-empty part.
-    /// Every dimension is pinned once; each child then patches a single
-    /// dimension — `O(l)` sweeps per answer.
+    /// The shell pinned every dimension to `g_core` before materialising
+    /// it (lines 16–18); each child then patches a single dimension and
+    /// puts it back — except the last child, whose dimension the next
+    /// `next()` re-pins anyway. At most `l` pins plus `2·(l − pos) − 1`
+    /// refills: `O(l)` sweeps per answer.
     fn expand(&mut self, shell: &mut Shell<'_>, g_core: &Core) -> Result<(), InterruptReason> {
-        // Preparation (lines 16–23).
-        shell.pin(g_core)?;
+        // Preparation (lines 19–23).
         let (g_idx, g_pos) = self.restore_subspace(shell);
         // Subdivision (lines 24–31), from dimension l−1 down to g.pos.
         for i in (g_pos..shell.l()).rev() {
@@ -133,7 +135,9 @@ impl Frontier for CanList {
                 self.enheap(best, i, Some(g_idx));
             }
             shell.readmit(i, g_core.get(i));
-            shell.recompute_from_s(i)?;
+            if i > g_pos {
+                shell.recompute_from_s(i)?;
+            }
         }
         Ok(())
     }
@@ -172,7 +176,9 @@ pub fn comm_k_guarded(
 mod tests {
     use super::*;
     use crate::naive::naive_all_cores;
-    use crate::testing::collect_top_k;
+    use crate::testing::{collect_top_k, dense_scenario};
+    use crate::verify::{check_community, check_ranking};
+    use crate::CostFn;
     use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, fig4_table1, FIG4_RMAX};
 
     use comm_graph::NodeId;
@@ -326,5 +332,58 @@ mod tests {
         let g = fig4_graph();
         let spec = QuerySpec::new(vec![vec![NodeId(4)], vec![NodeId(13)]], Weight::new(1.0));
         assert_eq!(CommK::try_new(&g, &spec).unwrap().count(), 0);
+    }
+
+    #[test]
+    fn ranking_is_strict_on_the_dense_graph() {
+        // No ulp slack: the emitted cost is the heap key that ordered it.
+        let (g, base) = dense_scenario();
+        for cost in [CostFn::SumDistances, CostFn::MaxDistance] {
+            let spec = base.clone().with_cost(cost);
+            let top = comm_k_guarded(&g, &spec, 250, RunGuard::unlimited())
+                .unwrap()
+                .into_value();
+            assert_eq!(top.len(), 250);
+            check_ranking(&top).unwrap();
+            // A node carrying two of the keywords is read once per
+            // keyword, in dimension order — `d + d`, not `d × 2` — by the
+            // engine and by the certifier alike.
+            let repeated: Vec<&Community> = top
+                .iter()
+                .filter(|c| c.knodes.len() < c.core.len())
+                .collect();
+            assert!(
+                !repeated.is_empty(),
+                "no core repeats a node under {cost:?}"
+            );
+            for c in repeated {
+                check_community(&g, &spec, c).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn sweeps_per_community_stay_within_the_budget() {
+        // At most l pins plus 2·(l − pos) − 1 refills per `next()`, on top
+        // of the l initial sweeps of the first one.
+        let (dense, dense_spec) = dense_scenario();
+        for (g, spec) in [(fig4_graph(), fig4_spec(FIG4_RMAX)), (dense, dense_spec)] {
+            let l = spec.l();
+            let mut it = CommK::try_new(&g, &spec).unwrap();
+            let mut before = 0;
+            while it.next().is_some() {
+                let pos = it.frontier.tuples[it.frontier.deheaped as usize].pos;
+                let initial = if it.emitted() == 1 { l } else { 0 };
+                let grown = it.neighbor_sweeps() - before;
+                let budget = l + 2 * (l - pos) - 1;
+                assert!(
+                    grown <= initial + budget,
+                    "community {} (pos {pos}) ran {grown} sweeps",
+                    it.emitted()
+                );
+                before = it.neighbor_sweeps();
+            }
+            assert!(it.emitted() >= 5);
+        }
     }
 }

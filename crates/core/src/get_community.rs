@@ -1,31 +1,41 @@
 //! `GetCommunity()` (Algorithm 4): materializing the unique community of a
 //! core.
 //!
-//! Given a core `C`, the community `R(V, E)` is determined in three sweeps:
+//! Given a core `C`, the community `R(V, E)` is determined by three
+//! distance fields:
 //!
-//! 1. **centers** `V_c`: one reverse Dijkstra per distinct knode `c ∈ C`
-//!    accumulating `u.sum` / `u.count`; `u` is a center iff it reaches every
-//!    knode within `Rmax` (`u.count == l`);
+//! 1. **centers** `V_c`: `u` is a center iff it reaches every knode within
+//!    `Rmax` — one reverse Dijkstra per core position;
 //! 2. **forward** distances `dist(s, u)` from a virtual source `s` hooked to
 //!    all centers with zero-weight edges (one multi-source Dijkstra);
 //! 3. **backward** distances `dist(u, t)` to a virtual sink `t` hooked from
-//!    all knodes (one reverse multi-source Dijkstra);
+//!    all knodes;
 //!
 //! and `V = { u | dist(s,u) + dist(u,t) ≤ Rmax }` — centers, knodes, and all
 //! path nodes. The induced subgraph over `V` is the community.
+//!
+//! Fields 1 and 3 are exactly what a [`NeighborSets`] table *pinned* to `C`
+//! (dimension `i` seeded with the single node `c_i`) already holds: the
+//! centers are the nodes with `count == l`, a center's cost is its
+//! dimension-order total, and `dist(u, t) = min_i dist(u, c_i)`. So
+//! [`community_of_pinned`] runs only the forward sweep; the enumerators pin
+//! once per community and read the table, the baselines re-pin one table
+//! per run, and the stand-alone [`get_community_guarded`] pins a fresh
+//! table — all through the same body.
 
+use crate::neighbor::NeighborSets;
 use crate::types::{Community, Core, CostFn};
-use comm_graph::weight::index_to_u32;
-use comm_graph::{DijkstraEngine, Direction, Graph, InterruptReason, NodeId, RunGuard, Weight};
+use comm_graph::{DijkstraEngine, Direction, Graph, InterruptReason, RunGuard, Weight};
 
 /// Materializes the community uniquely determined by `core` under
-/// `cost_fn`, consulting `guard` per settled node of the three sweeps.
+/// `cost_fn`, consulting `guard` per settled node of every sweep.
 ///
 /// Returns `Ok(None)` if the core admits no center within `rmax` — never
 /// the case for cores produced by `BestCore()`, but possible for arbitrary
-/// caller-supplied cores, including an empty core or one naming a node
-/// outside `graph`. There is no meaningful partial community, so an
-/// interrupted materialization returns the bare reason.
+/// caller-supplied cores, including an empty core, one longer than
+/// [`MAX_KEYWORDS`](crate::MAX_KEYWORDS), or one naming a node outside
+/// `graph`. There is no meaningful partial community, so an interrupted
+/// materialization returns the bare reason.
 pub fn get_community_guarded(
     graph: &Graph,
     engine: &mut DijkstraEngine,
@@ -35,50 +45,60 @@ pub fn get_community_guarded(
     guard: &RunGuard,
 ) -> Result<Option<Community>, InterruptReason> {
     let n = graph.node_count();
-    let l = core.len();
-    if l == 0 || core.0.iter().any(|v| v.index() >= n) {
+    if core.0.iter().any(|v| v.index() >= n) {
         return Ok(None);
     }
-
-    // Step 1: centers. A knode carrying several keywords counts once per
-    // keyword (Definition 2.1 aggregates over i = 1..l), so we accumulate
-    // per distinct knode and weight by multiplicity.
-    let distinct = core.distinct_nodes();
-    let mut sum = vec![0.0f64; n];
-    let mut maxd = vec![Weight::ZERO; n];
-    let mut count = vec![0usize; n];
-    for &c in &distinct {
-        let multiplicity = core.0.iter().filter(|&&x| x == c).count();
-        engine.run_guarded(graph, Direction::Reverse, [c], rmax, guard, |s| {
-            let u = s.node.index();
-            sum[u] += s.dist.get() * multiplicity as f64;
-            if s.dist > maxd[u] {
-                maxd[u] = s.dist;
-            }
-            count[u] += multiplicity;
-        })?;
-    }
-    let mut centers: Vec<NodeId> = Vec::new();
-    let mut cost = Weight::INFINITY;
-    for u in 0..n {
-        if count[u] == l {
-            // xtask-allow: unbounded_alloc — bounded by n, matching the preallocated scratch
-            centers.push(NodeId(index_to_u32(u)));
-            let s = match cost_fn {
-                CostFn::SumDistances => Weight::new(sum[u]),
-                CostFn::MaxDistance => maxd[u],
-            };
-            if s < cost {
-                cost = s;
-            }
-        }
-    }
-    if centers.is_empty() {
+    let Ok(mut table) = NeighborSets::try_new(core.len(), n) else {
         return Ok(None);
-    }
+    };
+    get_community_in(graph, engine, &mut table, core, rmax, cost_fn, guard)
+}
 
-    // Step 2: forward sweep from the virtual source over the centers.
-    let mut dist_s = vec![Weight::INFINITY; n];
+/// [`get_community_guarded`] for a caller that materializes many cores of
+/// one query: pins `table` (any `l`-dimension table over `graph`,
+/// whatever it holds) to `core` and reads the community off it. Re-pinning
+/// costs the old and the new sweeps' settled nodes, not a fresh `O(l·n)`
+/// table per core.
+pub(crate) fn get_community_in(
+    graph: &Graph,
+    engine: &mut DijkstraEngine,
+    table: &mut NeighborSets,
+    core: &Core,
+    rmax: Weight,
+    cost_fn: CostFn,
+    guard: &RunGuard,
+) -> Result<Option<Community>, InterruptReason> {
+    debug_assert_eq!(table.l(), core.len());
+    for (i, &c) in core.0.iter().enumerate() {
+        table.recompute_dim_guarded(graph, engine, i, [c], rmax, guard)?;
+    }
+    community_of_pinned(graph, engine, table, core, rmax, cost_fn, guard)
+}
+
+/// `GetCommunity()` over a table already pinned to `core`: dimension `i`
+/// of `pinned` must hold `Neighbor({c_i}, rmax)`. Centers, cost and the
+/// sink distances are read from the table; the forward sweep from the
+/// centers is the only Dijkstra left.
+///
+/// The cost is the table's own dimension-order total, so for a core found
+/// by `BestCore()` it is bit-equal to the cost that ranked it.
+pub(crate) fn community_of_pinned(
+    graph: &Graph,
+    engine: &mut DijkstraEngine,
+    pinned: &NeighborSets,
+    core: &Core,
+    rmax: Weight,
+    cost_fn: CostFn,
+    guard: &RunGuard,
+) -> Result<Option<Community>, InterruptReason> {
+    let centers = pinned.intersection();
+    let center_costs = centers.iter().map(|&u| pinned.center_cost(u, cost_fn));
+    let Some(cost) = center_costs.min() else {
+        return Ok(None);
+    };
+
+    // dist(s, u) from the forward sweep, dist(u, t) from the table.
+    let mut members = Vec::new();
     engine.run_guarded(
         graph,
         Direction::Forward,
@@ -86,42 +106,30 @@ pub fn get_community_guarded(
         rmax,
         guard,
         |s| {
-            dist_s[s.node.index()] = s.dist;
-        },
-    )?;
-
-    // Step 3: backward sweep from the virtual sink over the knodes.
-    let mut members: Vec<NodeId> = Vec::new();
-    engine.run_guarded(
-        graph,
-        Direction::Reverse,
-        distinct.iter().copied(),
-        rmax,
-        guard,
-        |s| {
-            let u = s.node.index();
-            if dist_s[u].is_finite() && dist_s[u] + s.dist <= rmax {
+            let to_sink = pinned.nearest(s.node);
+            if to_sink.is_finite() && s.dist + to_sink <= rmax {
                 members.push(s.node);
             }
         },
     )?;
     members.sort_unstable();
 
+    let knodes = core.distinct_nodes();
     debug_assert!(centers.iter().all(|c| members.binary_search(c).is_ok()));
-    debug_assert!(distinct.iter().all(|c| members.binary_search(c).is_ok()));
+    debug_assert!(knodes.iter().all(|c| members.binary_search(c).is_ok()));
 
     let subgraph = graph.induce(&members);
-    let path_nodes: Vec<NodeId> = members
+    let path_nodes = members
         .iter()
         .copied()
-        .filter(|u| centers.binary_search(u).is_err() && distinct.binary_search(u).is_err())
+        .filter(|u| centers.binary_search(u).is_err() && knodes.binary_search(u).is_err())
         .collect();
 
     Ok(Some(Community {
         core: core.clone(),
         cost,
         centers,
-        knodes: distinct,
+        knodes,
         path_nodes,
         subgraph,
     }))
@@ -131,6 +139,7 @@ pub fn get_community_guarded(
 mod tests {
     use super::*;
     use comm_datasets::paper_example::{fig4_graph, FIG4_RMAX};
+    use comm_graph::NodeId;
 
     fn comm_with(core: &[u32], rmax: f64, cost_fn: CostFn) -> Option<Community> {
         let g = fig4_graph();

@@ -98,11 +98,13 @@ pub use verify::{
 // only this crate.
 pub use comm_graph::{EnginePool, InterruptReason, Outcome, Parallelism, PooledEngine, RunGuard};
 
-/// Unguarded one-liners over the survivors, for this crate's unit tests.
+/// Unguarded one-liners over the survivors and a seeded dense scenario,
+/// for this crate's unit tests.
 #[cfg(test)]
 pub(crate) mod testing {
     use crate::{CommAll, CommK, Community, QuerySpec};
-    use comm_graph::Graph;
+    use comm_graph::{Graph, GraphBuilder, NodeId, SplitMix64, Weight};
+    use std::collections::BTreeSet;
 
     pub(crate) fn collect_all(g: &Graph, spec: &QuerySpec) -> Vec<Community> {
         CommAll::try_new(g, spec).unwrap().collect()
@@ -110,5 +112,40 @@ pub(crate) mod testing {
 
     pub(crate) fn collect_top_k(g: &Graph, spec: &QuerySpec, k: usize) -> Vec<Community> {
         CommK::try_new(g, spec).unwrap().take(k).collect()
+    }
+
+    /// The float-hazard scenario: a seeded dense graph whose path sums
+    /// round. 80 nodes, four random partners each, every link bidirected
+    /// and weighted `log2(1 + N_in(v))` like the benchmark's tuple graphs;
+    /// three keyword sets of eight nodes, the first two sharing three (so
+    /// some cores repeat a node); a radius under which 441 of the 512
+    /// cores have a center.
+    pub(crate) fn dense_scenario() -> (Graph, QuerySpec) {
+        const N: usize = 80;
+        let mut rng = SplitMix64::new(14);
+        let mut links: BTreeSet<(u32, u32)> = BTreeSet::new();
+        for u in 0..N as u32 {
+            for _ in 0..4 {
+                let v = rng.index(N) as u32;
+                if u != v {
+                    links.insert((u, v));
+                    links.insert((v, u));
+                }
+            }
+        }
+        let mut in_degree = [0u32; N];
+        for &(_, v) in &links {
+            in_degree[v as usize] += 1;
+        }
+        let mut b = GraphBuilder::new(N);
+        for &(u, v) in &links {
+            let w = f64::from(1 + in_degree[v as usize]).log2();
+            b.add_edge(NodeId(u), NodeId(v), Weight::new(w));
+        }
+        let mut ids: Vec<u32> = (0..N as u32).collect();
+        rng.shuffle(&mut ids);
+        let set = |r: std::ops::Range<usize>| ids[r].iter().map(|&u| NodeId(u)).collect();
+        let keyword_nodes = vec![set(0..8), set(5..13), set(13..21)];
+        (b.build(), QuerySpec::new(keyword_nodes, Weight::new(6.25)))
     }
 }

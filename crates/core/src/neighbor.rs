@@ -2,11 +2,18 @@
 //!
 //! [`NeighborSets`] keeps, for each node `u` and each keyword dimension `i`,
 //! the nearest currently-admissible node containing `k_i` (`src(N_i, u)`)
-//! and its distance (`min(N_i, u)`), plus the per-node running total weight
-//! and keyword counter the paper describes for `BestCore`'s `O(n)` scan.
-//! Recomputing one dimension (`Neighbor(S_i, Rmax)`) patches the totals
-//! incrementally, so the bookkeeping adds no asymptotic cost on top of
-//! Dijkstra, exactly as claimed in Sec. IV-A.
+//! and its distance (`min(N_i, u)`), plus the per-node total weight and
+//! keyword counter the paper describes for `BestCore`'s `O(n)` scan.
+//!
+//! The table is a pure function of its current seeds: `sum[u]` is always
+//! the dimension-order fold `Σ_{i=0..l} dist[i][u]` over the finite
+//! dimensions, never a running subtract-then-add. Recomputing one dimension
+//! (`Neighbor(S_i, Rmax)`) walks that dimension's member list — the nodes
+//! its last sweep settled — clears exactly those, refills from the new
+//! sweep, and re-folds the totals of the nodes either sweep touched. The
+//! bookkeeping is `O(l)` per settled node, so it adds no asymptotic cost on
+//! top of Dijkstra (Sec. IV-A), and a table reached through any history of
+//! refills is bit-identical to one built from scratch.
 
 use crate::error::QueryError;
 use crate::types::{Core, CostFn};
@@ -42,7 +49,7 @@ pub struct BestCore {
     pub center: NodeId,
 }
 
-/// Per-dimension neighbor sets with incremental `sum`/`count` bookkeeping.
+/// Per-dimension neighbor sets with history-free `sum`/`count` bookkeeping.
 pub struct NeighborSets {
     l: usize,
     n: usize,
@@ -50,10 +57,14 @@ pub struct NeighborSets {
     dist: Vec<Weight>,
     /// Dimension-major nearest keyword node `src(N_i, u)`, `NO_SRC` if none.
     src: Vec<u32>,
-    /// Per-node total of finite dimension distances.
+    /// Per-node total of finite dimension distances, folded in dimension
+    /// order `0..l` (the order [`CostFn::combine`] and the oracle use).
     sum: Vec<Weight>,
     /// Per-node number of finite dimensions; `count[u] == l` ⇔ `u ∈ ⋂ N_i`.
     count: Vec<u8>,
+    /// `members[i]`: the nodes of `N_i` in settle order — exactly the `u`
+    /// with a finite `dist[i * n + u]`. At most `n` ids per dimension.
+    members: Vec<Vec<u32>>,
     /// How many `Neighbor()` sweeps (per-dimension refills) have run — the
     /// unit the paper's `O(c(l))` vs `O(l·c(l))` comparison counts.
     sweeps: usize,
@@ -90,6 +101,7 @@ impl NeighborSets {
             src: vec![NO_SRC; l * n],
             sum: vec![Weight::ZERO; n],
             count: vec![0; n],
+            members: vec![Vec::new(); l],
             sweeps: 0,
         })
     }
@@ -128,12 +140,20 @@ impl NeighborSets {
         usize::from(self.count[u.index()])
     }
 
-    /// The nodes of `N_i` (mainly for tests; `O(n)`).
+    /// The nodes of `N_i`, sorted by id.
     pub fn neighbor_set(&self, i: usize) -> Vec<NodeId> {
-        (0..index_to_u32(self.n))
-            .map(NodeId)
-            .filter(|u| self.dist[i * self.n + u.index()].is_finite())
-            .collect()
+        let mut set: Vec<NodeId> = self.members[i].iter().map(|&u| NodeId(u)).collect();
+        set.sort_unstable();
+        set
+    }
+
+    /// Re-folds `sum`/`count` at every node of `nodes` from the `dist`
+    /// table, in dimension order.
+    fn refold(&mut self, nodes: &[u32]) {
+        for &u in nodes {
+            let u = u as usize;
+            (self.sum[u], self.count[u]) = fold_node(&self.dist, self.l, self.n, u);
+        }
     }
 
     /// Recomputes dimension `i` as `Neighbor(G_D, seeds, rmax)`:
@@ -141,9 +161,15 @@ impl NeighborSets {
     /// construction of Algorithm 2), truncated at `rmax` and consulting
     /// `guard` per settled node.
     ///
+    /// Only the nodes the previous and the new sweep of dimension `i`
+    /// settled are touched, and their totals are re-folded from `dist`, so
+    /// the cost is `O(settled)` and the result does not depend on what the
+    /// dimension held before.
+    ///
     /// Seeds must be sorted for deterministic nearest-source tie-breaking.
-    /// On interruption dimension `i` is left partially refilled — callers
-    /// must abandon the whole enumeration (which every guarded enumerator
+    /// On interruption dimension `i` holds the settled prefix of the new
+    /// sweep (totals and member list consistent with it) — callers must
+    /// abandon the whole enumeration (which every guarded enumerator
     /// does), not keep scanning for cores.
     pub fn recompute_dim_guarded(
         &mut self,
@@ -157,35 +183,26 @@ impl NeighborSets {
         debug_assert!(i < self.l);
         self.sweeps += 1;
         let n = self.n;
+        // Retract dimension i at the nodes its last sweep settled.
+        let mut members = std::mem::take(&mut self.members[i]);
+        for &u in &members {
+            self.dist[i * n + u as usize] = Weight::INFINITY;
+            self.src[i * n + u as usize] = NO_SRC;
+        }
+        self.refold(&members);
+        members.clear();
+        // Refill from the truncated reverse Dijkstra.
         let dist = &mut self.dist[i * n..(i + 1) * n];
         let src = &mut self.src[i * n..(i + 1) * n];
-        // Retract the old contribution of dimension i.
-        for u in 0..n {
-            if dist[u].is_finite() {
-                self.count[u] -= 1;
-                // f64 retraction can drift by an ulp; snap to exact zero
-                // when the last dimension leaves and clamp tiny negatives.
-                let new_sum = if self.count[u] == 0 {
-                    0.0
-                } else {
-                    (self.sum[u].get() - dist[u].get()).max(0.0)
-                };
-                self.sum[u] = Weight::new(new_sum);
-                dist[u] = Weight::INFINITY;
-                src[u] = NO_SRC;
-            }
-        }
-        // Refill from the truncated reverse Dijkstra.
-        let sum = &mut self.sum;
-        let count = &mut self.count;
-        engine.run_guarded(graph, Direction::Reverse, seeds, rmax, guard, |s| {
-            let u = s.node.index();
-            dist[u] = s.dist;
-            src[u] = s.source.0;
-            sum[u] += s.dist;
-            count[u] += 1;
-        })?;
-        Ok(())
+        let swept = engine.run_guarded(graph, Direction::Reverse, seeds, rmax, guard, |s| {
+            dist[s.node.index()] = s.dist;
+            src[s.node.index()] = s.source.0;
+            // ≤ n pushes per dimension: a sweep settles each node once.
+            members.push(s.node.0);
+        });
+        self.refold(&members);
+        self.members[i] = members;
+        swept.map(|_| ())
     }
 
     /// Recomputes every dimension at once — dimension `i` as
@@ -193,17 +210,19 @@ impl NeighborSets {
     /// across `par`'s workers, each borrowing an engine from `pool`.
     ///
     /// The sweeps are data-independent (each writes only its own
-    /// dimension-major `dist`/`src` slice), so after they finish the
-    /// `sum`/`count` bookkeeping is rebuilt from zero, per node, in
-    /// dimension order `0..l`. That fixed floating-point addition order
-    /// makes the resulting table **bit-identical for every thread count**,
-    /// and — on a fresh table — bit-identical to the serial
-    /// [`recompute_dim_guarded`](Self::recompute_dim_guarded) loop the
-    /// enumerators historically ran (the property tests assert this).
+    /// dimension-major `dist`/`src` slice and member list), so after they
+    /// finish the `sum`/`count` bookkeeping is rebuilt from zero, per node,
+    /// in dimension order `0..l` — the same fold
+    /// [`recompute_dim_guarded`](Self::recompute_dim_guarded) applies to
+    /// the nodes it touches. The resulting table is therefore
+    /// **bit-identical for every thread count** and to any sequence of
+    /// per-dimension refills ending in the same seeds (the property tests
+    /// assert this).
     ///
-    /// `seeds.len()` must equal `l`. On interruption the table is left
-    /// partially refilled — callers must abandon the enumeration, exactly
-    /// as for an interrupted `recompute_dim_guarded`.
+    /// `seeds.len()` must equal `l`. On interruption the table holds the
+    /// settled prefixes of the interrupted sweeps, totals and member lists
+    /// consistent with them — callers must abandon the enumeration,
+    /// exactly as for an interrupted `recompute_dim_guarded`.
     ///
     /// A serial caller with enough seed mass is routed through one fused
     /// multi-source pass instead — bit-identical, so the selection (made
@@ -233,11 +252,13 @@ impl NeighborSets {
             .dist
             .chunks_mut(n)
             .zip(self.src.chunks_mut(n))
+            .zip(&mut self.members)
             .zip(seeds)
-            .map(|((dist, src), dim_seeds)| {
+            .map(|(((dist, src), members), dim_seeds)| {
                 move |engine: &mut PooledEngine<'_>| -> Result<(), InterruptReason> {
                     dist.fill(Weight::INFINITY);
                     src.fill(NO_SRC);
+                    members.clear();
                     engine.run_guarded(
                         graph,
                         Direction::Reverse,
@@ -247,17 +268,20 @@ impl NeighborSets {
                         |s| {
                             dist[s.node.index()] = s.dist;
                             src[s.node.index()] = s.source.0;
+                            // ≤ n pushes per dimension: a sweep settles each node once.
+                            members.push(s.node.0);
                         },
                     )?;
                     Ok(())
                 }
             })
             .collect();
-        for swept in par.map_init(|| pool.acquire(n), sweep_tasks) {
-            swept?;
-        }
+        let swept = par
+            .map_init(|| pool.acquire(n), sweep_tasks)
+            .into_iter()
+            .collect();
         self.rebuild_totals(par);
-        Ok(())
+        swept
     }
 
     /// Rebuilds `sum`/`count` from zero after a whole-table refill.
@@ -277,19 +301,7 @@ impl NeighborSets {
                 move || {
                     let base = chunk_idx * REBUILD_CHUNK;
                     for (off, (total, cnt)) in sum.iter_mut().zip(count.iter_mut()).enumerate() {
-                        let u = base + off;
-                        let mut acc = Weight::ZERO;
-                        // count fits u8: the constructor caps l at MAX_KEYWORDS.
-                        let mut finite: u8 = 0;
-                        for i in 0..l {
-                            let d = dist[i * n + u];
-                            if d.is_finite() {
-                                acc += d;
-                                finite += 1;
-                            }
-                        }
-                        *total = acc;
-                        *cnt = finite;
+                        (*total, *cnt) = fold_node(dist, l, n, base + off);
                     }
                 }
             })
@@ -347,17 +359,38 @@ impl NeighborSets {
         }
         self.dist.fill(Weight::INFINITY);
         self.src.fill(NO_SRC);
-        let dist = &mut self.dist;
-        let src = &mut self.src;
+        self.members.iter_mut().for_each(Vec::clear);
+        let (dist, src, members) = (&mut self.dist, &mut self.src, &mut self.members);
         let mut engine = pool.acquire(self.l * n);
-        engine.run_batched_guarded(graph, Direction::Reverse, seeds, rmax, guard, |dim, s| {
-            let idx = dim * n + s.node.index();
-            dist[idx] = s.dist;
-            src[idx] = s.source.0;
-        })?;
+        let swept =
+            engine.run_batched_guarded(graph, Direction::Reverse, seeds, rmax, guard, |dim, s| {
+                let idx = dim * n + s.node.index();
+                dist[idx] = s.dist;
+                src[idx] = s.source.0;
+                // ≤ n pushes per dimension: a sweep settles each node once.
+                members[dim].push(s.node.0);
+            });
         drop(engine);
         self.rebuild_totals(Parallelism::serial());
-        Ok(())
+        swept.map(|_| ())
+    }
+
+    /// The cost of centering the current `⋂ N_i` at `u` under `cost_fn`:
+    /// `u`'s per-dimension distances aggregated in dimension order — the
+    /// one cost order `BestCore()`, `GetCommunity()`, the oracle and
+    /// `verify` share. Meaningful only where `count(u) == l`.
+    pub(crate) fn center_cost(&self, u: NodeId, cost_fn: CostFn) -> Weight {
+        match cost_fn {
+            CostFn::SumDistances => self.sum[u.index()],
+            _ => cost_fn.combine((0..self.l).map(|i| self.dist[i * self.n + u.index()])),
+        }
+    }
+
+    /// `min_i min(N_i, u)`: `u`'s distance to the nearest seed of any
+    /// dimension (`INFINITY` if `u` is in no neighbor set).
+    pub(crate) fn nearest(&self, u: NodeId) -> Weight {
+        let column = (0..self.l).map(|i| self.dist[i * self.n + u.index()]);
+        column.min().unwrap_or(Weight::INFINITY)
     }
 
     /// `BestCore()` (Algorithm 3) under the paper's sum cost: scans
@@ -368,19 +401,16 @@ impl NeighborSets {
         self.best_core_with(CostFn::SumDistances)
     }
 
-    /// `BestCore()` under an arbitrary cost function. The sum variant uses
-    /// the incrementally maintained totals (`O(n)`); other variants
-    /// aggregate the l per-dimension distances per intersection node
-    /// (`O(l·n)`, still within the per-answer budget of Theorem IV.1).
+    /// `BestCore()` under an arbitrary cost function. The sum variant
+    /// reads the per-node totals (`O(n)`); other variants aggregate the l
+    /// per-dimension distances per intersection node (`O(l·n)`, still
+    /// within the per-answer budget of Theorem IV.1).
     // xtask-allow: guard_coverage — scans the in-memory N_i table (O(l·n) per answer), no graph traversal
     pub fn best_core_with(&self, cost_fn: CostFn) -> Option<BestCore> {
         let mut best: Option<(Weight, usize)> = None;
         for u in 0..self.n {
             if usize::from(self.count[u]) == self.l {
-                let cost = match cost_fn {
-                    CostFn::SumDistances => self.sum[u],
-                    _ => cost_fn.combine((0..self.l).map(|i| self.dist[i * self.n + u])),
-                };
+                let cost = self.center_cost(NodeId(index_to_u32(u)), cost_fn);
                 match best {
                     Some((b, _)) if b <= cost => {}
                     _ => best = Some((cost, u)),
@@ -404,21 +434,76 @@ impl NeighborSets {
         })
     }
 
-    /// All nodes currently in `⋂ N_i` — potential centers (for tests).
+    /// All nodes currently in `⋂ N_i` — the potential centers — sorted by
+    /// id. Read off the smallest neighbor set's member list, so the cost
+    /// is `O(min_i |N_i|)` plus the sort, not `O(n)`.
     pub fn intersection(&self) -> Vec<NodeId> {
-        (0..self.n)
-            .filter(|&u| usize::from(self.count[u]) == self.l)
-            .map(|u| NodeId(index_to_u32(u)))
-            .collect()
+        let Some(smallest) = self.members.iter().min_by_key(|m| m.len()) else {
+            return Vec::new();
+        };
+        let mut centers: Vec<NodeId> = smallest
+            .iter()
+            .filter(|&&u| usize::from(self.count[u as usize]) == self.l)
+            .map(|&u| NodeId(u))
+            .collect();
+        centers.sort_unstable();
+        centers
     }
 
-    /// Logical bytes held — the paper's `O(l·n)` table plus sums/counters.
+    /// Logical bytes held — the paper's `O(l·n)` table, sums/counters, and
+    /// the member lists (at most `n` ids per dimension; charged at their
+    /// allocated capacity).
     pub fn byte_size(&self) -> usize {
+        let member_ids: usize = self.members.iter().map(Vec::capacity).sum();
         self.dist.len() * std::mem::size_of::<Weight>()
-            + self.src.len() * std::mem::size_of::<u32>()
+            + (self.src.len() + member_ids) * std::mem::size_of::<u32>()
             + self.sum.len() * std::mem::size_of::<Weight>()
             + self.count.len()
     }
+}
+
+#[cfg(test)]
+impl NeighborSets {
+    /// Asserts the table is the pure function of `dist` it claims to be:
+    /// `sum`/`count` bit-equal to a from-scratch fold at every node, and
+    /// each member list exactly the finite entries of its dimension.
+    pub(crate) fn assert_history_free(&self) {
+        for u in 0..self.n {
+            let (sum, count) = fold_node(&self.dist, self.l, self.n, u);
+            assert_eq!(
+                self.sum[u].get().to_bits(),
+                sum.get().to_bits(),
+                "sum at {u}"
+            );
+            assert_eq!(self.count[u], count, "count at {u}");
+        }
+        for i in 0..self.l {
+            let finite: Vec<NodeId> = (0..index_to_u32(self.n))
+                .map(NodeId)
+                .filter(|u| self.dist(i, *u).is_some())
+                .collect();
+            assert_eq!(self.neighbor_set(i), finite, "member list of dim {i}");
+            assert!(finite.iter().all(|u| self.src(i, *u).is_some()));
+        }
+    }
+}
+
+/// `(sum, count)` of node `u`: its finite per-dimension distances folded in
+/// dimension order `0..l`. Every total in the table comes from this one
+/// fold, which is what makes the table independent of its refill history.
+#[inline]
+fn fold_node(dist: &[Weight], l: usize, n: usize, u: usize) -> (Weight, u8) {
+    let mut acc = Weight::ZERO;
+    // count fits u8: the constructor caps l at MAX_KEYWORDS.
+    let mut finite: u8 = 0;
+    for i in 0..l {
+        let d = dist[i * n + u];
+        if d.is_finite() {
+            acc += d;
+            finite += 1;
+        }
+    }
+    (acc, finite)
 }
 
 #[cfg(test)]
@@ -510,15 +595,26 @@ mod tests {
 
     #[test]
     fn sums_and_counts_survive_recompute_cycles() {
+        // Whatever a dimension held before, a refill lands on the table a
+        // fresh build of the same seeds gives — bit for bit.
         let (g, mut ns, mut eng) = build(8.0);
-        let before = ns.best_core();
-        // Thrash one dimension and restore it.
         let r = Weight::new(8.0);
         for _ in 0..5 {
             ns.refill(&g, &mut eng, 1, [NodeId(2)], r);
-            ns.refill(&g, &mut eng, 1, v_sets()[1].clone(), r);
+            ns.refill(&g, &mut eng, 0, [NodeId(13)], r);
+            ns.refill(&g, &mut eng, 2, vec![NodeId(3), NodeId(9)], r);
+            ns.assert_history_free();
+            for (i, set) in v_sets().into_iter().enumerate() {
+                ns.refill(&g, &mut eng, i, set, r);
+            }
         }
-        assert_eq!(ns.best_core(), before);
+        ns.assert_history_free();
+        let (_, fresh, _) = build(8.0);
+        assert_eq!(ns.dist, fresh.dist);
+        assert_eq!(ns.src, fresh.src);
+        assert_eq!(ns.sum, fresh.sum);
+        assert_eq!(ns.count, fresh.count);
+        assert_eq!(ns.best_core(), fresh.best_core());
     }
 
     #[test]
@@ -545,6 +641,48 @@ mod tests {
         let a = NeighborSets::new(2, 100).byte_size();
         let b = NeighborSets::new(4, 100).byte_size();
         assert!(b > a);
+    }
+
+    #[test]
+    fn byte_size_charges_the_member_lists() {
+        let g = fig4();
+        let fresh = NeighborSets::new(3, g.node_count()).byte_size();
+        let (_, ns, _) = build(8.0);
+        let settled: usize = (0..3).map(|i| ns.neighbor_set(i).len()).sum();
+        assert!(ns.byte_size() >= fresh + settled * std::mem::size_of::<u32>());
+    }
+
+    #[test]
+    fn interrupted_refills_leave_a_consistent_table() {
+        // Every trip point of the whole-table refill (fan-out, serial and
+        // threaded, and fused) and of a single-dimension refill over a
+        // populated table: totals and member lists must still describe
+        // exactly what `dist` holds.
+        let g = fig4();
+        let pool = EnginePool::new();
+        let seeds = v_sets();
+        let r = Weight::new(8.0);
+        let counter = RunGuard::new();
+        NeighborSets::new(3, g.node_count())
+            .recompute_all_guarded(&g, &pool, &seeds, r, &counter, Parallelism::serial())
+            .unwrap();
+        for trip in 0..counter.checks() {
+            let tripping = || RunGuard::new().with_trip_after(trip);
+            for threads in [1usize, 4] {
+                let (_, mut ns, _) = build(8.0);
+                let par = Parallelism::new(threads);
+                ns.recompute_all_guarded(&g, &pool, &seeds, r, &tripping(), par)
+                    .unwrap_err();
+                ns.assert_history_free();
+            }
+            let (_, mut ns, mut eng) = build(8.0);
+            ns.recompute_all_batched_guarded(&g, &pool, &seeds, r, &tripping())
+                .unwrap_err();
+            ns.assert_history_free();
+            // A short pin may finish before the trip point; either way.
+            let _ = ns.recompute_dim_guarded(&g, &mut eng, 1, [NodeId(8)], r, &tripping());
+            ns.assert_history_free();
+        }
     }
 
     #[test]

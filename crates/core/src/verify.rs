@@ -3,8 +3,10 @@
 //! Everything here re-derives community structure from Definition 2.1 with
 //! a *self-contained* truncated Dijkstra over `std::collections::BinaryHeap`
 //! — deliberately sharing no code with [`DijkstraEngine`](comm_graph::DijkstraEngine),
-//! the Fibonacci heap, or the incremental `Neighbor()` bookkeeping — so a
-//! bug in the optimized engines cannot certify its own output.
+//! the Fibonacci heap, or the `Neighbor()` table and its bookkeeping — so a
+//! bug in the optimized engines cannot certify its own output. The one
+//! thing shared is the cost's *definition*, [`CostFn::combine`](crate::CostFn::combine)
+//! over a center's distances in keyword order `i = 1..l`.
 //!
 //! * [`check_community`] certifies one [`Community`] against a
 //!   [`QuerySpec`]: knodes, centers, cost, membership, path-node roles, and
@@ -17,7 +19,7 @@
 //!   enumeration's sorted cost multiset (equal-cost ties may be ordered
 //!   either way).
 
-use crate::types::{Community, Core, CostFn, QuerySpec};
+use crate::types::{Community, Core, QuerySpec};
 use comm_graph::weight::index_to_u32;
 use comm_graph::{Direction, Graph, InterruptReason, NodeId, RunGuard, Weight};
 use std::cmp::Reverse;
@@ -312,9 +314,12 @@ pub fn check_community_guarded(
             guard,
         )?);
     }
-    let multiplicity: Vec<usize> = distinct
+    // Which sweep answers each core position (a knode carrying several
+    // keywords is swept once and read once per keyword).
+    let sweep_of: Vec<usize> = core
+        .0
         .iter()
-        .map(|&c| core.0.iter().filter(|&&x| x == c).count())
+        .filter_map(|c| distinct.binary_search(c).ok())
         .collect();
 
     let n = graph.node_count();
@@ -326,18 +331,10 @@ pub fn check_community_guarded(
         }
         // xtask-allow: unbounded_alloc — bounded by n; one candidate center per node
         centers.push(NodeId(index_to_u32(u)));
-        // Aggregate exactly as GetCommunity does (same distinct order,
-        // same multiplicity weighting) so float results match bit-for-bit.
-        let agg = match spec.cost {
-            CostFn::SumDistances => {
-                let mut s = 0.0f64;
-                for (d, &m) in dists.iter().zip(&multiplicity) {
-                    s += d[u].get() * m as f64;
-                }
-                Weight::new(s)
-            }
-            CostFn::MaxDistance => dists.iter().map(|d| d[u]).max().unwrap_or(Weight::ZERO),
-        };
+        // Definition 2.1 aggregates over i = 1..l. Folding in that order —
+        // the order the enumerators, the baselines and the naive oracle
+        // all use — makes the float result match bit for bit.
+        let agg = spec.cost.combine(sweep_of.iter().map(|&k| dists[k][u]));
         if agg < cost {
             cost = agg;
         }
@@ -478,6 +475,7 @@ pub fn check_topk_prefix(topk: &[Community], all: &[Community]) -> Result<(), Ce
 mod tests {
     use super::*;
     use crate::testing::{collect_all, collect_top_k};
+    use crate::CostFn;
     use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
 
     fn fig4_spec() -> QuerySpec {
