@@ -118,9 +118,9 @@ fi
 
 # Hardening lane: skipped gracefully where the tool is absent; the
 # GitHub workflow installs and runs it unconditionally.
-echo "==> miri (fibheap + graph unit tests)"
+echo "==> miri (graph unit tests)"
 if cargo miri --version >/dev/null 2>&1; then
-    CARGO_NET_OFFLINE=false MIRIFLAGS="-Zmiri-strict-provenance" cargo miri test -p comm-fibheap -p comm-graph --lib
+    CARGO_NET_OFFLINE=false MIRIFLAGS="-Zmiri-strict-provenance" cargo miri test -p comm-graph --lib
 else
     echo "    miri not installed; skipped (CI hardening lane runs it)"
 fi

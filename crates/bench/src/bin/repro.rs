@@ -5,8 +5,8 @@
 //! JSON rows to `results/<experiment>.json`.
 
 use comm_bench::experiments::{
-    ablation_density, ablation_heap, ablation_lawler, ablation_projection, comm_all_figure,
-    comm_k_figure, index_stats, interactive_figure, table1, Caps,
+    ablation_density, ablation_lawler, ablation_projection, comm_all_figure, comm_k_figure,
+    index_stats, interactive_figure, table1, Caps,
 };
 use comm_bench::{Prepared, Scale, Table};
 use std::io::Write;
@@ -123,18 +123,10 @@ fn main() {
             emit(&[ablation_density(scale, caps)]);
         }
         if let Some(p) = &imdb {
-            emit(&[
-                ablation_projection(p),
-                ablation_heap(p),
-                ablation_lawler(p, caps),
-            ]);
+            emit(&[ablation_projection(p), ablation_lawler(p, caps)]);
         }
         if let Some(p) = &dblp {
-            emit(&[
-                ablation_projection(p),
-                ablation_heap(p),
-                ablation_lawler(p, caps),
-            ]);
+            emit(&[ablation_projection(p), ablation_lawler(p, caps)]);
         }
     }
     eprintln!("[done] total {:?}", t_start.elapsed());

@@ -596,70 +596,6 @@ pub fn ablation_lawler(p: &Prepared, caps: Caps) -> Table {
     t
 }
 
-/// Ablation: the Dijkstra priority queue. The paper's `O(n log n + m)`
-/// bound assumes a Fibonacci heap; this measures the textbook
-/// Fibonacci-heap engine against the binary heap with lazy deletion that
-/// the enumerators actually use, over the benchmark `Neighbor()` workload.
-pub fn ablation_heap(p: &Prepared) -> Table {
-    use crate::dijkstra_fib::FibDijkstraEngine;
-    use comm_graph::{DijkstraEngine, Direction};
-    let (dkwf, dl, drmax, _) = p.grid.defaults;
-    let pq = p.project(dkwf, dl, drmax);
-    let g = &pq.projected.graph;
-    let reps = 200usize;
-    let mut t = Table::new(
-        &format!("ablation-heap-{}", p.name),
-        &format!(
-            "{} Neighbor() sweep ({reps}× per engine, default query cell, n={})",
-            p.name.to_uppercase(),
-            g.node_count()
-        ),
-        &["engine", "total", "per sweep"],
-    );
-    let seeds = &pq.spec.keyword_nodes[0];
-    let mut bin = DijkstraEngine::new(g.node_count());
-    let t0 = Instant::now();
-    let mut settled_bin = 0usize;
-    for _ in 0..reps {
-        settled_bin = bin.run(
-            g,
-            Direction::Reverse,
-            seeds.iter().copied(),
-            pq.spec.rmax,
-            |_| {},
-        );
-    }
-    let t_bin = t0.elapsed();
-    let mut fib = FibDijkstraEngine::new(g.node_count());
-    let t0 = Instant::now();
-    let mut settled_fib = 0usize;
-    for _ in 0..reps {
-        settled_fib = fib.run(
-            g,
-            Direction::Reverse,
-            seeds.iter().copied(),
-            pq.spec.rmax,
-            |_| {},
-        );
-    }
-    let t_fib = t0.elapsed();
-    assert_eq!(settled_bin, settled_fib, "engines must agree");
-    t.push_row(vec![
-        "binary heap (lazy deletion)".into(),
-        fmt_ms(ms(t_bin)),
-        fmt_ms(ms(t_bin) / reps as f64),
-    ]);
-    t.push_row(vec![
-        "Fibonacci heap (decrease-key)".into(),
-        fmt_ms(ms(t_fib)),
-        fmt_ms(ms(t_fib) / reps as f64),
-    ]);
-    t.note(format!(
-        "both settle {settled_bin} nodes per sweep with identical results;          the enumerators use the binary-heap engine"
-    ));
-    t
-}
-
 /// Ablation: the value of graph projection (Sec. VI) — PDk on the
 /// projected graph vs directly on the full database graph.
 pub fn ablation_projection(p: &Prepared) -> Table {

@@ -5,7 +5,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dijkstra_fib;
 pub mod experiments;
 pub mod parallel;
 pub mod setup;

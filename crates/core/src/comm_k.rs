@@ -2,12 +2,21 @@
 //! non-decreasing cost order, with run-time-extendable `k`.
 //!
 //! The enumerator keeps a *can-list* of candidate tuples
-//! `(C, cost, pos, prev)` and a Fibonacci heap ordering the live candidates
-//! by cost. Each deheap emits one community and subdivides the deheaped
+//! `(C, cost, pos, prev)` and a min-heap ordering the live candidates by
+//! cost. Each deheap emits one community and subdivides the deheaped
 //! tuple's subspace into at most `l − pos + 1` child subspaces whose best
 //! cores are enheaped (Lawler's procedure). Because candidates persist on
 //! the can-list, enlarging `k` at run time costs nothing: just keep calling
 //! [`CommK::next`].
+//!
+//! # Deviation from Algorithm 5
+//!
+//! The paper orders the candidates with a Fibonacci heap; this is
+//! `std::collections::BinaryHeap`. The keys `(cost, can-list index)` are
+//! unique and totally ordered, so every correct min-heap deheaps the same
+//! sequence — the output is bit-identical — and the enumerator only ever
+//! enheaps and deheaps (no decrease-key, no meld), at `O(log(l·k))` per
+//! operation beside the `O(l·(n log n + m))` of the sweeps in one answer.
 //!
 //! # Paper erratum
 //!
@@ -25,9 +34,10 @@ use crate::error::QueryError;
 use crate::neighbor::BestCore;
 use crate::shell::{Enumerator, Frontier, Shell};
 use crate::types::{Community, Core, QuerySpec};
-use comm_fibheap::FibHeap;
 use comm_graph::weight::index_to_u32;
 use comm_graph::{Graph, InterruptReason, Outcome, RunGuard, Weight};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Ordered polynomial-delay enumerator with interactive `k`.
 ///
@@ -61,15 +71,15 @@ struct CanTuple {
     prev: Option<u32>,
 }
 
-/// `COMM-k`'s frontier: the can-list plus the Fibonacci heap ordering its
-/// live candidates. [`LawlerK`](crate::LawlerK) keeps the same structure
+/// `COMM-k`'s frontier: the can-list plus the min-heap ordering its live
+/// candidates. [`LawlerK`](crate::LawlerK) keeps the same structure
 /// and differs only in how it solves each child subspace.
 #[derive(Default)]
 pub struct CanList {
     tuples: Vec<CanTuple>,
     /// Min-heap over `(cost, can-list index)`; the index doubles as a
     /// deterministic tiebreaker (insertion order).
-    heap: FibHeap<(Weight, u32), u32>,
+    heap: BinaryHeap<Reverse<(Weight, u32)>>,
     /// The tuple most recently deheaped — the one `expand` subdivides.
     deheaped: u32,
 }
@@ -82,7 +92,7 @@ impl CanList {
             pos,
             prev,
         });
-        self.heap.push((best.cost, idx), idx);
+        self.heap.push(Reverse((best.cost, idx)));
     }
 
     /// Rebuilds the deheaped tuple's subspace in the shell's `S_i` sets
@@ -112,7 +122,7 @@ impl Frontier for CanList {
     }
 
     fn pop(&mut self) -> Option<Core> {
-        let (_, idx) = self.heap.pop_min()?;
+        let Reverse((_, idx)) = self.heap.pop()?;
         self.deheaped = idx;
         Some(self.tuples[idx as usize].core.clone())
     }
@@ -144,7 +154,7 @@ impl Frontier for CanList {
 
     fn byte_size(&self) -> usize {
         let can_bytes: usize = self.tuples.iter().map(|t| t.core.byte_size() + 24).sum();
-        can_bytes + self.heap.len() * 48
+        can_bytes + self.heap.capacity() * std::mem::size_of::<Reverse<(Weight, u32)>>()
     }
 }
 
@@ -181,7 +191,7 @@ mod tests {
     use crate::CostFn;
     use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, fig4_table1, FIG4_RMAX};
 
-    use comm_graph::NodeId;
+    use comm_graph::{GraphBuilder, NodeId};
 
     fn fig4_spec(rmax: f64) -> QuerySpec {
         QuerySpec::new(fig4_keyword_nodes(), Weight::new(rmax))
@@ -281,7 +291,13 @@ mod tests {
                 it.can_list_len()
             );
         }
-        assert!(it.peak_memory_bytes() > 0);
+        // The frontier is charged for what it holds: every can-tuple ever
+        // made, and the heap's allocated 16-byte `(cost, index)` slots.
+        let f = &it.frontier;
+        let can_bytes: usize = f.tuples.iter().map(|t| t.core.byte_size() + 24).sum();
+        assert!(f.heap.capacity() > 0);
+        assert_eq!(f.byte_size(), can_bytes + f.heap.capacity() * 16);
+        assert!(it.peak_memory_bytes() > f.byte_size());
     }
 
     #[test]
@@ -291,8 +307,32 @@ mod tests {
         let g = fig4_graph();
         let spec = QuerySpec::new(vec![vec![NodeId(4), NodeId(13)]], Weight::new(8.0));
         let all: Vec<_> = CommK::try_new(&g, &spec).unwrap().collect();
-        assert_eq!(all.len(), 2);
         assert!(all.iter().all(|c| c.cost == Weight::ZERO));
+        let order: Vec<Core> = all.into_iter().map(|c| c.core).collect();
+        assert_eq!(order, [Core(vec![NodeId(4)]), Core(vec![NodeId(13)])]);
+    }
+
+    #[test]
+    fn equal_costs_leave_in_insertion_order() {
+        // A star: node 0 reaches the four keyword nodes at distance 1, so
+        // it is the only center and all four cores cost 2. After the first
+        // emission the `pos = 1` child (same first node) and the `pos = 0`
+        // child sit in the heap together at equal cost; the can-list
+        // index breaks the tie, so the child enheaped first leaves first.
+        let mut b = GraphBuilder::new(5);
+        for v in 1..5 {
+            b.add_edge(NodeId(0), NodeId(v), Weight::new(1.0));
+        }
+        let g = b.build();
+        let sets = vec![vec![NodeId(1), NodeId(2)], vec![NodeId(3), NodeId(4)]];
+        let spec = QuerySpec::new(sets, Weight::new(1.0));
+        let all: Vec<_> = CommK::try_new(&g, &spec).unwrap().collect();
+        assert!(all.iter().all(|c| c.cost == Weight::new(2.0)));
+        let order: Vec<Vec<u32>> = all
+            .iter()
+            .map(|c| c.core.0.iter().map(|n| n.0).collect())
+            .collect();
+        assert_eq!(order, [[1, 3], [1, 4], [2, 3], [2, 4]]);
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl Frontier for FromScratch {
 mod tests {
     use super::*;
     use crate::testing::dense_scenario;
-    use crate::{CommK, CostFn, QuerySpec};
+    use crate::{CommK, Community, CostFn, QuerySpec};
     use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
     use comm_graph::{NodeId, RunGuard, Weight};
 
@@ -98,6 +98,47 @@ mod tests {
                 .collect();
             assert!(ours.len() >= 5);
             assert_eq!(ours, lawler);
+        }
+    }
+
+    /// FNV-1a over `(core, cost bits, centers)` of every community, in
+    /// emission order; a length word closes each variable-length field.
+    fn sequence_digest(communities: impl Iterator<Item = Community>) -> (usize, u64) {
+        fn mix(h: &mut u64, word: u64) {
+            for byte in word.to_le_bytes() {
+                *h = (*h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        let mut count = 0;
+        for c in communities {
+            for nodes in [&c.core.0, &c.centers] {
+                nodes.iter().for_each(|n| mix(&mut h, u64::from(n.0)));
+                mix(&mut h, nodes.len() as u64);
+            }
+            mix(&mut h, c.cost.get().to_bits());
+            count += 1;
+        }
+        (count, h)
+    }
+
+    #[test]
+    fn golden_sequences_are_bit_identical() {
+        // Cores, cost bits, centers and order of both full enumerations.
+        // The constants were computed on the Fibonacci heap the can-list
+        // used up to commit 3d41dc9; no priority queue may change them,
+        // because the keys `(cost, can-list index)` are unique and totally
+        // ordered.
+        let golden = [(5, 0xf22f_8971_d4a0_24e0), (441, 0x8caa_042f_41de_bfcc)];
+        for ((g, spec), expect) in [(fig4_graph(), fig4_spec()), dense_scenario()]
+            .into_iter()
+            .zip(golden)
+        {
+            let ours = sequence_digest(CommK::try_new(&g, &spec).unwrap());
+            let lawler = sequence_digest(LawlerK::try_new(&g, &spec).unwrap());
+            for (name, got) in [("COMM-k", ours), ("LawlerK", lawler)] {
+                assert_eq!(got, expect, "{name}: ({}, {:#018x})", got.0, got.1);
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 //!   communities, complete and duplication-free
 //!   (`O(l·(n log n + m))` delay, `O(l·n + m)` space);
 //! * [`CommK`] — Algorithm 5: exact top-k enumeration in cost order via a
-//!   can-list + Fibonacci heap, with `k` interactively extendable at run
+//!   can-list + min-heap, with `k` interactively extendable at run
 //!   time (`O(l²·k + l·n + m)` space);
 //! * [`get_community_guarded`] — Algorithm 4: materializing the unique
 //!   community of a core;

@@ -2,10 +2,10 @@
 //!
 //! Everything here re-derives community structure from Definition 2.1 with
 //! a *self-contained* truncated Dijkstra over `std::collections::BinaryHeap`
-//! — deliberately sharing no code with [`DijkstraEngine`](comm_graph::DijkstraEngine),
-//! the Fibonacci heap, or the `Neighbor()` table and its bookkeeping — so a
-//! bug in the optimized engines cannot certify its own output. The one
-//! thing shared is the cost's *definition*, [`CostFn::combine`](crate::CostFn::combine)
+//! — deliberately sharing no code with [`DijkstraEngine`](comm_graph::DijkstraEngine)
+//! or the `Neighbor()` table and its bookkeeping — so a bug in the
+//! optimized engines cannot certify its own output. The one thing shared
+//! is the cost's *definition*, [`CostFn::combine`](crate::CostFn::combine)
 //! over a center's distances in keyword order `i = 1..l`.
 //!
 //! * [`check_community`] certifies one [`Community`] against a

@@ -21,11 +21,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Conventional env var pinning the worker count (`RAYON_NUM_THREADS`),
-/// honored by [`Parallelism::auto`] so CI lanes can force determinism
-/// without code changes.
-pub const THREADS_ENV: &str = "RAYON_NUM_THREADS";
-
 /// See [`pool::lock`](crate::pool): the task/result slots protect no
 /// cross-field invariants, so a poisoned mutex is safe to recover.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -37,8 +32,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// * [`Parallelism::serial`] (1 thread) runs tasks inline on the calling
 ///   thread — the exact historical code path, usable under Miri;
 /// * [`Parallelism::new`]`(n)` uses up to `n` worker threads;
-/// * [`Parallelism::auto`] uses `RAYON_NUM_THREADS` if set, otherwise all
-///   available cores.
+/// * [`Parallelism::auto`] uses all available cores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Parallelism {
     threads: usize,
@@ -57,16 +51,8 @@ impl Parallelism {
         }
     }
 
-    /// [`THREADS_ENV`] if set to a positive integer, else available cores,
-    /// else serial.
+    /// The available cores, else serial.
     pub fn auto() -> Parallelism {
-        if let Some(n) = std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-        {
-            return Parallelism::new(n);
-        }
         Parallelism::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
@@ -149,7 +135,7 @@ impl Parallelism {
 }
 
 impl Default for Parallelism {
-    /// The default is [`auto`](Self::auto): all cores (or the env pin).
+    /// The default is [`auto`](Self::auto): all cores.
     fn default() -> Parallelism {
         Parallelism::auto()
     }

@@ -133,18 +133,13 @@ impl LatencySummary {
 }
 
 /// Renders the host provenance block every report carries: timings are
-/// meaningless without the CPU count and thread override they ran under.
+/// meaningless without the CPU count they ran under.
 fn machine_json() -> String {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads_env = match std::env::var(comm_graph::parallel::THREADS_ENV) {
-        Ok(v) => json::string(&v),
-        Err(_) => "null".to_string(),
-    };
     json::object([
         ("os", json::string(std::env::consts::OS)),
         ("arch", json::string(std::env::consts::ARCH)),
         ("cpus", cpus.to_string()),
-        ("threads_env", threads_env),
     ])
 }
 
@@ -369,7 +364,6 @@ mod tests {
         for key in [
             "\"machine\"",
             "\"cpus\":",
-            "\"threads_env\":",
             "\"sent\": 10",
             "\"complete\": 6",
             "\"degraded\": 2",

@@ -34,7 +34,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Daemon tunables.
 #[derive(Clone, Debug)]
@@ -132,8 +132,8 @@ impl DedupeMap {
     /// if it neither completes nor aborts in time, the caller re-executes
     /// — safe because the engine is deterministic and side-effect free.
     fn begin(&self, id: u64, wait_cap: Duration) -> Begin {
+        let deadline = Instant::now() + wait_cap;
         let mut st = self.lock();
-        let mut waited = Duration::ZERO;
         loop {
             match st.entries.get(&id) {
                 None => {
@@ -142,15 +142,16 @@ impl DedupeMap {
                 }
                 Some(DedupeEntry::Done(bytes)) => return Begin::Replay(Arc::clone(bytes)),
                 Some(DedupeEntry::Pending) => {
-                    if waited >= wait_cap {
+                    // Completions of *other* ids wake this wait too, so
+                    // the cap is a deadline, not a count of wake-ups.
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
                         return Begin::Execute;
                     }
-                    let step = Duration::from_millis(20).min(wait_cap - waited);
-                    st = match self.completed.wait_timeout(st, step) {
+                    st = match self.completed.wait_timeout(st, left) {
                         Ok((g, _)) => g,
                         Err(poisoned) => poisoned.into_inner().0,
                     };
-                    waited += step;
                 }
             }
         }
@@ -703,5 +704,55 @@ mod tests {
             }
             other => panic!("expected an Error reply, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn dedupe_wait_is_bounded_by_time_not_by_unrelated_completions() {
+        let map = DedupeMap::new(64);
+        let reply = Arc::new(vec![1u8, 2, 3]);
+        assert!(matches!(map.begin(1, Duration::ZERO), Begin::Execute));
+        let cap = Duration::from_millis(300);
+        let long = Duration::from_secs(30);
+        let stop = AtomicBool::new(false);
+        let completions = AtomicU64::new(0);
+        let (timed_out, released) = std::thread::scope(|s| {
+            // Other requests completing back to back: every one notifies
+            // the condvar a retry of id 1 waits on.
+            s.spawn(|| {
+                let mut other = 2;
+                while !stop.load(Ordering::SeqCst) {
+                    assert!(matches!(map.begin(other, Duration::ZERO), Begin::Execute));
+                    map.complete(other, Arc::clone(&reply));
+                    completions.fetch_add(1, Ordering::SeqCst);
+                    other += 1;
+                    std::thread::yield_now();
+                }
+            });
+            // A retry outwaits them: it re-executes only after `cap`.
+            let start = Instant::now();
+            let first = map.begin(1, cap);
+            let timed_out = (first, start.elapsed(), completions.load(Ordering::SeqCst));
+            // Quiet again, or 64 more completions could evict id 1's reply
+            // before the next retry looks.
+            stop.store(true, Ordering::SeqCst);
+            // The id's own completion releases a waiting retry at once.
+            let waiter = s.spawn(|| {
+                let start = Instant::now();
+                (map.begin(1, long), start.elapsed())
+            });
+            map.complete(1, Arc::clone(&reply));
+            let released = waiter.join().expect("the waiting retry panicked");
+            (timed_out, released)
+        });
+        let (first, waited, unrelated) = timed_out;
+        assert!(matches!(first, Begin::Execute));
+        assert!(
+            waited >= cap,
+            "gave up after {waited:?} and {unrelated} unrelated completions"
+        );
+        assert!(unrelated >= 200, "only {unrelated} unrelated completions");
+        let (second, waited) = released;
+        assert!(matches!(second, Begin::Replay(bytes) if bytes == reply));
+        assert!(waited < long, "waited {waited:?} for a recorded reply");
     }
 }

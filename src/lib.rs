@@ -5,7 +5,6 @@
 //! * [`search`] — the paper's algorithms (`COMM-all`, `COMM-k`, baselines,
 //!   projection index);
 //! * [`datasets`] — paper examples and synthetic DBLP/IMDB generators;
-//! * [`fibheap`] — the Fibonacci heap used by `COMM-k`;
 //! * [`serve`] — the resident query daemon: wire protocol, admission
 //!   control, guarded caches, resilient client, chaos harness.
 //!
@@ -17,7 +16,6 @@
 
 pub use comm_core as search;
 pub use comm_datasets as datasets;
-pub use comm_fibheap as fibheap;
 pub use comm_graph as graph;
 pub use comm_rdb as rdb;
 pub use comm_serve as serve;

@@ -3,8 +3,8 @@
 //! Subcommands:
 //!
 //! * `lint [--json] [--stale-waivers] [FILES...]` — run the five repo lint
-//!   rules over the library crates (`graph`, `fibheap`, `core`, `rdb`,
-//!   `datasets`, `serve`). With `--stale-waivers`, every `xtask-allow`
+//!   rules over the library crates (`graph`, `core`, `rdb`, `datasets`,
+//!   `serve`). With `--stale-waivers`, every `xtask-allow`
 //!   comment that no longer suppresses a finding (of any lint *or*
 //!   analyzer rule) is itself a failure, so dead waivers cannot
 //!   accumulate.
@@ -30,7 +30,7 @@ use std::process::ExitCode;
 
 /// Library crates subject to the lint and analyzer rules (cli/bench
 /// binaries are exempt: they may panic at the top level by design).
-const LINTED_CRATES: [&str; 6] = ["fibheap", "graph", "core", "rdb", "datasets", "serve"];
+const LINTED_CRATES: [&str; 5] = ["graph", "core", "rdb", "datasets", "serve"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
