@@ -15,6 +15,15 @@ import json, sys
 bad = [p["id"] for p in json.load(sys.stdin)["packages"] if p["source"] is not None]
 sys.exit("registry packages in the workspace: %s" % bad if bad else 0)'
 
+# `EnginePool::global()` survives only for the frozen benchmark/ (ROADMAP
+# item 1): a library must not share scratch between unrelated engines.
+echo "==> process-global pool gate (no EnginePool::global() caller in the workspace)"
+if grep -rn --include='*.rs' 'EnginePool::global()' crates src examples tests \
+    | grep -v '^crates/graph/src/pool.rs:'; then
+    echo "use an engine-owned or local EnginePool"
+    exit 1
+fi
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q

@@ -37,7 +37,7 @@ fn main() -> Result<(), QueryError> {
         entries,
         Weight::new(*grid.rmax.last().unwrap()),
         &guard,
-        EnginePool::global(),
+        &EnginePool::new(),
         Parallelism::serial(),
     )?;
     println!(

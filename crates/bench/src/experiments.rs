@@ -491,7 +491,7 @@ pub fn ablation_density(scale: Scale, caps: Caps) -> Table {
             entries,
             Weight::new(drmax),
             &guard,
-            comm_graph::EnginePool::global(),
+            &comm_graph::EnginePool::new(),
             comm_graph::Parallelism::serial(),
         )
         .expect("an unlimited guard never trips");

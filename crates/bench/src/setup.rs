@@ -175,7 +175,7 @@ impl Prepared {
             entries.iter().copied(),
             rmax,
             &RunGuard::unlimited(),
-            EnginePool::global(),
+            &EnginePool::new(),
             Parallelism::serial(),
         )
         .expect("an unlimited guard never trips");

@@ -222,7 +222,7 @@ impl Session {
             entries,
             Weight::new(rmax),
             &guard,
-            EnginePool::global(),
+            &EnginePool::new(),
             Parallelism::serial(),
         )
         .map_err(|r| format!("query interrupted while indexing ({r})"))?;

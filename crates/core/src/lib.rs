@@ -38,14 +38,14 @@
 //! # Parallel execution
 //!
 //! A single query's enumeration is sequential — each subspace depends on
-//! the previous one. What fans out across a [`Parallelism`] thread pool,
-//! borrowing Dijkstra scratch state from an [`EnginePool`], is index
+//! the previous one, and every neighbor-table dimension is filled by the
+//! one [`NeighborSets::recompute_dim_guarded`] on the enumerator's own
+//! engine. What fans out across a [`Parallelism`] thread pool, borrowing
+//! Dijkstra scratch state from the caller's [`EnginePool`], is index
 //! construction ([`ProjectionIndex::build_par_guarded`], one task per
-//! keyword) and the whole-table refill
-//! [`NeighborSets::recompute_all_guarded`]; both honor the shared
-//! [`RunGuard`] and produce bit-identical results for every thread
-//! count, [`Parallelism::serial`] being the one-worker case of the same
-//! code.
+//! keyword); it honors the shared [`RunGuard`] and produces bit-identical
+//! results for every thread count, [`Parallelism::serial`] being the
+//! one-worker case of the same code.
 //!
 //! # Quickstart
 //! ```

@@ -19,8 +19,8 @@ use crate::error::QueryError;
 use crate::types::{Core, CostFn};
 use comm_graph::weight::index_to_u32;
 use comm_graph::{
-    DijkstraEngine, Direction, EnginePool, Graph, InterruptReason, NodeId, Parallelism,
-    PooledEngine, RunGuard, Weight,
+    DijkstraEngine, Direction, EnginePool, Graph, InterruptReason, NodeId, Parallelism, RunGuard,
+    Weight,
 };
 
 const NO_SRC: u32 = u32::MAX;
@@ -28,15 +28,6 @@ const NO_SRC: u32 = u32::MAX;
 /// Maximum keyword dimensions per query: the per-node dimension counters
 /// are `u8`, so `l` must fit in one byte.
 pub const MAX_KEYWORDS: usize = u8::MAX as usize;
-
-/// Node-range granularity of the parallel `sum`/`count` rebuild in
-/// [`NeighborSets::recompute_all_guarded`].
-const REBUILD_CHUNK: usize = 4096;
-
-/// Minimum total seed count across all dimensions before the serial path
-/// fuses the `l` sweeps into one batched multi-source pass. Below this the
-/// sweeps are tiny and the per-dimension loop's smaller scratch wins.
-const BATCH_MIN_TOTAL_SEEDS: usize = 64;
 
 /// The best core found by a `BestCore()` scan.
 #[derive(Clone, Debug, PartialEq)]
@@ -205,28 +196,12 @@ impl NeighborSets {
         swept.map(|_| ())
     }
 
-    /// Recomputes every dimension at once — dimension `i` as
-    /// `Neighbor(G_D, seeds[i], rmax)` — with the `l` sweeps fanned out
-    /// across `par`'s workers, each borrowing an engine from `pool`.
-    ///
-    /// The sweeps are data-independent (each writes only its own
-    /// dimension-major `dist`/`src` slice and member list), so after they
-    /// finish the `sum`/`count` bookkeeping is rebuilt from zero, per node,
-    /// in dimension order `0..l` — the same fold
-    /// [`recompute_dim_guarded`](Self::recompute_dim_guarded) applies to
-    /// the nodes it touches. The resulting table is therefore
-    /// **bit-identical for every thread count** and to any sequence of
-    /// per-dimension refills ending in the same seeds (the property tests
-    /// assert this).
-    ///
-    /// `seeds.len()` must equal `l`. On interruption the table holds the
-    /// settled prefixes of the interrupted sweeps, totals and member lists
-    /// consistent with them — callers must abandon the enumeration,
-    /// exactly as for an interrupted `recompute_dim_guarded`.
-    ///
-    /// A serial caller with enough seed mass is routed through one fused
-    /// multi-source pass instead — bit-identical, so the selection (made
-    /// from the seed count, never by the caller) is invisible.
+    /// Benchmark-facing shim, kept only because the frozen `benchmark/`
+    /// names it (ROADMAP item 1 debt): one engine from `pool`, then
+    /// [`recompute_dim_guarded`](Self::recompute_dim_guarded) per
+    /// dimension, in order — the loop every enumerator starts with. `par`
+    /// is ignored. `seeds.len()` must equal `l`.
+    #[doc(hidden)]
     pub fn recompute_all_guarded(
         &mut self,
         graph: &Graph,
@@ -234,145 +209,14 @@ impl NeighborSets {
         seeds: &[Vec<NodeId>],
         rmax: Weight,
         guard: &RunGuard,
-        par: Parallelism,
+        _par: Parallelism,
     ) -> Result<(), InterruptReason> {
         debug_assert_eq!(seeds.len(), self.l);
-        if self.batching_profitable(par, seeds) {
-            return self.recompute_all_batched_guarded(graph, pool, seeds, rmax, guard);
-        }
-        self.sweeps += self.l;
-        let n = self.n;
-        // An empty graph (e.g. a projection with no centers) has nothing
-        // to sweep, and `chunks_mut(0)` below would panic.
-        if n == 0 {
-            return Ok(());
-        }
-        // Phase 1: fill each dimension's dist/src slice independently.
-        let sweep_tasks: Vec<_> = self
-            .dist
-            .chunks_mut(n)
-            .zip(self.src.chunks_mut(n))
-            .zip(&mut self.members)
-            .zip(seeds)
-            .map(|(((dist, src), members), dim_seeds)| {
-                move |engine: &mut PooledEngine<'_>| -> Result<(), InterruptReason> {
-                    dist.fill(Weight::INFINITY);
-                    src.fill(NO_SRC);
-                    members.clear();
-                    engine.run_guarded(
-                        graph,
-                        Direction::Reverse,
-                        dim_seeds.iter().copied(),
-                        rmax,
-                        guard,
-                        |s| {
-                            dist[s.node.index()] = s.dist;
-                            src[s.node.index()] = s.source.0;
-                            // ≤ n pushes per dimension: a sweep settles each node once.
-                            members.push(s.node.0);
-                        },
-                    )?;
-                    Ok(())
-                }
-            })
-            .collect();
-        let swept = par
-            .map_init(|| pool.acquire(n), sweep_tasks)
-            .into_iter()
-            .collect();
-        self.rebuild_totals(par);
-        swept
-    }
-
-    /// Rebuilds `sum`/`count` from zero after a whole-table refill.
-    /// Chunked over node ranges so the reduction parallelizes too; the
-    /// per-node addition order is the fixed dimension order `0..l`
-    /// regardless of chunking or thread count, hence bit-identical across
-    /// the fan-out and batched sweeps.
-    fn rebuild_totals(&mut self, par: Parallelism) {
-        let (n, l) = (self.n, self.l);
-        let dist = &self.dist;
-        let rebuild_tasks: Vec<_> = self
-            .sum
-            .chunks_mut(REBUILD_CHUNK)
-            .zip(self.count.chunks_mut(REBUILD_CHUNK))
-            .enumerate()
-            .map(|(chunk_idx, (sum, count))| {
-                move || {
-                    let base = chunk_idx * REBUILD_CHUNK;
-                    for (off, (total, cnt)) in sum.iter_mut().zip(count.iter_mut()).enumerate() {
-                        (*total, *cnt) = fold_node(dist, l, n, base + off);
-                    }
-                }
-            })
-            .collect();
-        par.map(rebuild_tasks);
-    }
-
-    /// Whether [`recompute_all_guarded`](Self::recompute_all_guarded)
-    /// routes through the fused batched pass: only for serial callers
-    /// (a parallel fan-out already keeps every worker busy), only with
-    /// at least two dimensions to fuse, only when the total seed mass
-    /// clears [`BATCH_MIN_TOTAL_SEEDS`], and only when the virtual id
-    /// space `l·n` fits the engine's `u32` node ids.
-    fn batching_profitable(&self, par: Parallelism, seeds: &[Vec<NodeId>]) -> bool {
-        par.is_serial()
-            && self.l >= 2
-            && self
-                .l
-                .checked_mul(self.n)
-                .and_then(comm_graph::weight::try_index_to_u32)
-                .is_some()
-            && seeds.iter().map(Vec::len).sum::<usize>() >= BATCH_MIN_TOTAL_SEEDS
-    }
-
-    /// Recomputes every dimension in **one** fused multi-source sweep:
-    /// the `l` truncated reverse Dijkstras of
-    /// [`recompute_all_guarded`](Self::recompute_all_guarded) share a
-    /// single frontier over virtual `(dimension, node)` ids
-    /// ([`DijkstraEngine::run_batched_guarded`]), so the graph's adjacency
-    /// streams through one queue and one scratch reset instead of `l`.
-    ///
-    /// Per-dimension results are bit-identical to the fan-out path and to
-    /// the serial `recompute_dim_guarded` loop (the queue's exact
-    /// `(dist, id)` order projects onto each dimension as exactly its
-    /// standalone settle order); the `sum`/`count` rebuild keeps the fixed
-    /// dimension order `0..l`. The property tests assert all three agree.
-    ///
-    /// The engine borrowed from `pool` is sized for `l·n` virtual nodes;
-    /// the pool trims it back to class capacity on release, so batched
-    /// sweeps do not pin `l×` scratch forever. Callers must ensure `l·n`
-    /// fits `u32` (the auto-selection gate checks this).
-    fn recompute_all_batched_guarded(
-        &mut self,
-        graph: &Graph,
-        pool: &EnginePool,
-        seeds: &[Vec<NodeId>],
-        rmax: Weight,
-        guard: &RunGuard,
-    ) -> Result<(), InterruptReason> {
-        debug_assert_eq!(seeds.len(), self.l);
-        self.sweeps += self.l;
-        let n = self.n;
-        if n == 0 {
-            return Ok(());
-        }
-        self.dist.fill(Weight::INFINITY);
-        self.src.fill(NO_SRC);
-        self.members.iter_mut().for_each(Vec::clear);
-        let (dist, src, members) = (&mut self.dist, &mut self.src, &mut self.members);
-        let mut engine = pool.acquire(self.l * n);
-        let swept =
-            engine.run_batched_guarded(graph, Direction::Reverse, seeds, rmax, guard, |dim, s| {
-                let idx = dim * n + s.node.index();
-                dist[idx] = s.dist;
-                src[idx] = s.source.0;
-                // ≤ n pushes per dimension: a sweep settles each node once.
-                members[dim].push(s.node.0);
-            });
-        drop(engine);
-        self.rebuild_totals(Parallelism::serial());
-        swept.map(|_| ())
+        let mut engine = pool.acquire(self.n);
+        seeds.iter().enumerate().try_for_each(|(i, dim_seeds)| {
+            let dim_seeds = dim_seeds.iter().copied();
+            self.recompute_dim_guarded(graph, &mut engine, i, dim_seeds, rmax, guard)
+        })
     }
 
     /// The cost of centering the current `⋂ N_i` at `u` under `cost_fn`:
@@ -654,10 +498,9 @@ mod tests {
 
     #[test]
     fn interrupted_refills_leave_a_consistent_table() {
-        // Every trip point of the whole-table refill (fan-out, serial and
-        // threaded, and fused) and of a single-dimension refill over a
-        // populated table: totals and member lists must still describe
-        // exactly what `dist` holds.
+        // Every trip point of the `l`-dimension fill and of a
+        // single-dimension refill, both over a populated table: totals and
+        // member lists must still describe exactly what `dist` holds.
         let g = fig4();
         let pool = EnginePool::new();
         let seeds = v_sets();
@@ -668,15 +511,8 @@ mod tests {
             .unwrap();
         for trip in 0..counter.checks() {
             let tripping = || RunGuard::new().with_trip_after(trip);
-            for threads in [1usize, 4] {
-                let (_, mut ns, _) = build(8.0);
-                let par = Parallelism::new(threads);
-                ns.recompute_all_guarded(&g, &pool, &seeds, r, &tripping(), par)
-                    .unwrap_err();
-                ns.assert_history_free();
-            }
             let (_, mut ns, mut eng) = build(8.0);
-            ns.recompute_all_batched_guarded(&g, &pool, &seeds, r, &tripping())
+            ns.recompute_all_guarded(&g, &pool, &seeds, r, &tripping(), Parallelism::serial())
                 .unwrap_err();
             ns.assert_history_free();
             // A short pin may finish before the trip point; either way.
@@ -701,121 +537,50 @@ mod tests {
 
     #[test]
     fn recompute_all_matches_serial_dim_loop_bitwise() {
+        // Pins the benchmark-facing shim to the one real fill path.
         let g = fig4();
         let pool = EnginePool::new();
         let r = Weight::new(8.0);
         let seeds = v_sets();
-        // The historical path: one recompute_dim per dimension, in order.
-        let mut legacy = NeighborSets::new(3, g.node_count());
-        let mut eng = DijkstraEngine::new(g.node_count());
-        for (i, set) in seeds.clone().into_iter().enumerate() {
-            legacy.refill(&g, &mut eng, i, set, r);
-        }
-        for threads in [1usize, 2, 4, 8] {
-            let mut fanned = NeighborSets::new(3, g.node_count());
-            fanned
-                .recompute_all_guarded(
-                    &g,
-                    &pool,
-                    &seeds,
-                    r,
-                    &RunGuard::unlimited(),
-                    Parallelism::new(threads),
-                )
-                .unwrap();
-            assert_eq!(fanned.dist, legacy.dist, "dist, threads={threads}");
-            assert_eq!(fanned.src, legacy.src, "src, threads={threads}");
-            assert_eq!(fanned.sum, legacy.sum, "sum, threads={threads}");
-            assert_eq!(fanned.count, legacy.count, "count, threads={threads}");
-            assert_eq!(fanned.sweeps(), legacy.sweeps());
-            assert_eq!(fanned.best_core(), legacy.best_core());
-        }
-        // Engines were parked back in the pool after the fan-out.
-        assert!(pool.pooled_engines() >= 1);
-    }
-
-    #[test]
-    fn recompute_all_batched_matches_fanout_bitwise() {
-        let g = fig4();
-        let pool = EnginePool::new();
-        let r = Weight::new(8.0);
-        let seeds = v_sets();
-        let mut fanned = NeighborSets::new(3, g.node_count());
-        fanned
-            .recompute_all_guarded(
+        let (_, dim_loop, _) = build(8.0);
+        // `par` is ignored: any value lands on the same table.
+        for threads in [1usize, 4] {
+            let mut shim = NeighborSets::new(3, g.node_count());
+            shim.recompute_all_guarded(
                 &g,
                 &pool,
                 &seeds,
                 r,
                 &RunGuard::unlimited(),
-                Parallelism::serial(),
+                Parallelism::new(threads),
             )
             .unwrap();
-        let mut batched = NeighborSets::new(3, g.node_count());
-        batched
-            .recompute_all_batched_guarded(&g, &pool, &seeds, r, &RunGuard::unlimited())
-            .unwrap();
-        assert_eq!(batched.dist, fanned.dist);
-        assert_eq!(batched.src, fanned.src);
-        assert_eq!(batched.sum, fanned.sum);
-        assert_eq!(batched.count, fanned.count);
-        assert_eq!(batched.sweeps(), fanned.sweeps());
-        assert_eq!(batched.best_core(), fanned.best_core());
-        // The paper's walkthrough answer survives the fused pass.
-        let best = batched.best_core().unwrap();
-        assert_eq!(best.center, NodeId(7));
-        assert_eq!(best.cost, Weight::new(7.0));
-    }
-
-    #[test]
-    fn batched_recompute_respects_guard_and_recovers() {
-        let g = fig4();
-        let pool = EnginePool::new();
-        let seeds = v_sets();
-        let mut ns = NeighborSets::new(3, g.node_count());
-        let tripping = RunGuard::new().with_settled_budget(2);
-        let err = ns
-            .recompute_all_batched_guarded(&g, &pool, &seeds, Weight::new(8.0), &tripping)
-            .unwrap_err();
-        assert_eq!(err, InterruptReason::SettledBudgetExhausted);
-        // A full rerun over the same table lands on the exact answer.
-        ns.recompute_all_batched_guarded(&g, &pool, &seeds, Weight::new(8.0), &RunGuard::new())
-            .unwrap();
-        assert_eq!(ns.best_core().unwrap().center, NodeId(7));
-    }
-
-    #[test]
-    fn batching_gate_prefers_fanout_for_tiny_or_parallel_inputs() {
-        let ns = NeighborSets::new(3, 100);
-        let tiny: Vec<Vec<NodeId>> = vec![vec![NodeId(0)]; 3];
-        let big: Vec<Vec<NodeId>> =
-            vec![(0..BATCH_MIN_TOTAL_SEEDS as u32).map(NodeId).collect(); 3];
-        assert!(!ns.batching_profitable(Parallelism::serial(), &tiny));
-        assert!(ns.batching_profitable(Parallelism::serial(), &big));
-        assert!(!ns.batching_profitable(Parallelism::new(4), &big));
-        // One dimension has nothing to fuse.
-        assert!(!NeighborSets::new(1, 100).batching_profitable(Parallelism::serial(), &big[..1]));
+            assert_eq!(shim.dist, dim_loop.dist, "dist, threads={threads}");
+            assert_eq!(shim.src, dim_loop.src, "src, threads={threads}");
+            assert_eq!(shim.sum, dim_loop.sum, "sum, threads={threads}");
+            assert_eq!(shim.count, dim_loop.count, "count, threads={threads}");
+            assert_eq!(shim.sweeps(), dim_loop.sweeps());
+            assert_eq!(shim.best_core(), dim_loop.best_core());
+        }
+        // One engine served every dimension and is parked again.
+        assert_eq!(pool.pooled_engines(), 1);
     }
 
     #[test]
     fn recompute_all_respects_guard() {
         let g = fig4();
-        let pool = EnginePool::new();
-        let seeds = v_sets();
-        for threads in [1usize, 4] {
-            let mut ns = NeighborSets::new(3, g.node_count());
-            let tripping = RunGuard::new().with_settled_budget(2);
-            let err = ns
-                .recompute_all_guarded(
-                    &g,
-                    &pool,
-                    &seeds,
-                    Weight::new(8.0),
-                    &tripping,
-                    Parallelism::new(threads),
-                )
-                .unwrap_err();
-            assert_eq!(err, InterruptReason::SettledBudgetExhausted);
-        }
+        let mut ns = NeighborSets::new(3, g.node_count());
+        let tripping = RunGuard::new().with_settled_budget(2);
+        let err = ns
+            .recompute_all_guarded(
+                &g,
+                &EnginePool::new(),
+                &v_sets(),
+                Weight::new(8.0),
+                &tripping,
+                Parallelism::serial(),
+            )
+            .unwrap_err();
+        assert_eq!(err, InterruptReason::SettledBudgetExhausted);
     }
 }

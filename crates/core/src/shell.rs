@@ -21,10 +21,7 @@ use crate::error::QueryError;
 use crate::get_community::community_of_pinned;
 use crate::neighbor::{BestCore, NeighborSets};
 use crate::types::{Community, Core, CostFn, QuerySpec};
-use comm_graph::{
-    DijkstraEngine, EnginePool, Graph, InterruptReason, NodeId, Outcome, Parallelism, RunGuard,
-    Weight,
-};
+use comm_graph::{DijkstraEngine, Graph, InterruptReason, NodeId, Outcome, RunGuard, Weight};
 
 /// The search-space bookkeeping of one enumerator: the cores still to be
 /// emitted and the subdivision that finds their successors.
@@ -271,14 +268,7 @@ impl<'g, F: Frontier> Enumerator<'g, F> {
     fn start(&mut self) -> Result<(), InterruptReason> {
         let shell = &mut self.shell;
         shell.started = true;
-        shell.ns.recompute_all_guarded(
-            shell.graph,
-            EnginePool::global(),
-            &shell.v_sets,
-            shell.rmax,
-            &shell.guard,
-            Parallelism::serial(),
-        )?;
+        (0..shell.l()).try_for_each(|i| shell.recompute_from_s(i))?;
         if let Some(best) = shell.best_core() {
             self.frontier.seed(best);
         }
@@ -353,6 +343,24 @@ mod tests {
         assert!(drift_free_run::<CanList>() >= 300);
         assert!(drift_free_run::<Dfs>() >= 300);
         assert!(drift_free_run::<FromScratch>() >= 300);
+    }
+
+    /// `start()` is Algorithm 1 lines 1–5: one `Neighbor(V_i, Rmax)` per
+    /// dimension through the one fill path, and nothing else.
+    fn start_is_l_unpinned_sweeps<F: Frontier>() {
+        let (g, spec) = dense_scenario();
+        let mut it = Enumerator::<F>::try_new(&g, &spec).unwrap();
+        it.start().unwrap();
+        assert_eq!(it.neighbor_sweeps(), spec.l());
+        assert!(it.shell.pinned.iter().all(Option::is_none));
+        it.shell.ns.assert_history_free();
+    }
+
+    #[test]
+    fn start_runs_exactly_l_sweeps_and_pins_nothing() {
+        start_is_l_unpinned_sweeps::<CanList>();
+        start_is_l_unpinned_sweeps::<Dfs>();
+        start_is_l_unpinned_sweeps::<FromScratch>();
     }
 
     #[test]

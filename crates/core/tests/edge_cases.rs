@@ -30,7 +30,7 @@ fn project(g: &Graph, kws: &[(&str, &[NodeId])], radius: f64) -> (ProjectionInde
         kws.iter().copied(),
         Weight::new(radius),
         &guard,
-        EnginePool::global(),
+        &EnginePool::new(),
         Parallelism::serial(),
     )
     .unwrap();

@@ -196,7 +196,7 @@ fn projection_survives_every_trip_point() {
             entries,
             rmax,
             &guard,
-            EnginePool::global(),
+            &EnginePool::new(),
             Parallelism::serial(),
         );
         match built {

@@ -7,10 +7,10 @@ use comm_core::naive::{naive_all_cores, naive_community_nodes};
 use comm_core::{
     bu_all_guarded, bu_topk_guarded, comm_all_guarded, comm_k_guarded, get_community_guarded,
     td_all_guarded, td_topk_guarded, BaselineRun, CommAll, CommK, Community, Core, CostFn,
-    EnginePool, InterruptReason, LawlerK, NeighborSets, Outcome, Parallelism, ProjectionIndex,
-    QueryError, QuerySpec, RunGuard,
+    EnginePool, InterruptReason, LawlerK, Outcome, Parallelism, ProjectionIndex, QueryError,
+    QuerySpec, RunGuard,
 };
-use comm_graph::{DijkstraEngine, Graph, GraphBuilder, Kernel, NodeId, SplitMix64, Weight};
+use comm_graph::{DijkstraEngine, Graph, GraphBuilder, NodeId, SplitMix64, Weight};
 
 const CASES: u64 = 96;
 
@@ -56,41 +56,6 @@ fn collect_all(g: &Graph, spec: &QuerySpec) -> Vec<Community> {
 
 fn unguarded(out: Result<Outcome<BaselineRun>, QueryError>) -> BaselineRun {
     out.unwrap().into_value()
-}
-
-/// The reference table: one guarded refill per dimension, in order.
-fn serial_neighbor_sets(g: &Graph, seeds: &[Vec<NodeId>], rmax: Weight) -> NeighborSets {
-    let mut ns = NeighborSets::new(seeds.len(), g.node_count());
-    let mut engine = DijkstraEngine::new(g.node_count());
-    for (i, dim_seeds) in seeds.iter().enumerate() {
-        ns.recompute_dim_guarded(
-            g,
-            &mut engine,
-            i,
-            dim_seeds.iter().copied(),
-            rmax,
-            &RunGuard::unlimited(),
-        )
-        .unwrap();
-    }
-    ns
-}
-
-/// Asserts two neighbor tables are bit-identical.
-fn assert_same_table(got: &NeighborSets, want: &NeighborSets, n: usize, what: &str) {
-    for u in (0..n as u32).map(NodeId) {
-        for i in 0..want.l() {
-            assert_eq!(
-                got.dist(i, u),
-                want.dist(i, u),
-                "dist dim {i} node {u} {what}"
-            );
-            assert_eq!(got.src(i, u), want.src(i, u), "src dim {i} node {u} {what}");
-        }
-        assert_eq!(got.sum(u), want.sum(u), "sum at node {u} {what}");
-        assert_eq!(got.count(u), want.count(u), "count at node {u} {what}");
-    }
-    assert_eq!(got.best_core(), want.best_core(), "{what}");
 }
 
 fn sorted_cores(cores: impl IntoIterator<Item = Core>) -> Vec<Core> {
@@ -325,7 +290,7 @@ fn projection_preserves_results() {
                 .map(|(n, v)| (n.as_str(), v.as_slice())),
             index_radius,
             &guard,
-            EnginePool::global(),
+            &EnginePool::new(),
             Parallelism::serial(),
         )
         .unwrap();
@@ -423,64 +388,6 @@ fn radius_monotonicity() {
                 large.binary_search(c).is_ok(),
                 "lost {c:?} when radius grew"
             );
-        }
-    });
-}
-
-/// Parallel `NeighborSets` refill is bit-identical to the serial
-/// per-dimension loop: same dist/src per dimension and node, same
-/// sum/count accumulators, for every thread count.
-#[test]
-fn parallel_neighbor_sets_match_serial() {
-    for_each_scenario(|_rng, g, spec| {
-        let n = g.node_count();
-        let serial = serial_neighbor_sets(&g, &spec.keyword_nodes, spec.rmax);
-        let pool = EnginePool::new();
-        for threads in [1usize, 2, 4, 8] {
-            let mut par = NeighborSets::new(spec.l(), n);
-            par.recompute_all_guarded(
-                &g,
-                &pool,
-                &spec.keyword_nodes,
-                spec.rmax,
-                &RunGuard::unlimited(),
-                Parallelism::new(threads),
-            )
-            .unwrap();
-            assert_same_table(&par, &serial, n, &format!("at {threads} threads"));
-        }
-    });
-}
-
-/// The fused batched refill is bit-identical to the serial
-/// per-dimension loop under every kernel. Each seed is listed often
-/// enough (sorted, so tie-breaking is unchanged) that a serial
-/// `recompute_all_guarded` clears the seed-mass gate and takes the fused
-/// pass even on these tiny graphs.
-#[test]
-fn batched_neighbor_sets_match_serial() {
-    for_each_scenario(|_rng, g, spec| {
-        let n = g.node_count();
-        let serial = serial_neighbor_sets(&g, &spec.keyword_nodes, spec.rmax);
-        let heavy: Vec<Vec<NodeId>> = spec
-            .keyword_nodes
-            .iter()
-            .map(|set| set.iter().flat_map(|&v| [v; 64]).collect())
-            .collect();
-        for kernel in [Kernel::Heap, Kernel::Bucket] {
-            let pool = EnginePool::with_kernel(kernel);
-            let mut batched = NeighborSets::new(spec.l(), n);
-            batched
-                .recompute_all_guarded(
-                    &g,
-                    &pool,
-                    &heavy,
-                    spec.rmax,
-                    &RunGuard::unlimited(),
-                    Parallelism::serial(),
-                )
-                .unwrap();
-            assert_same_table(&batched, &serial, n, &format!("kernel {kernel:?}"));
         }
     });
 }

@@ -122,23 +122,12 @@ impl BucketQueue {
         self.base = 0;
     }
 
-    /// Retained capacity in bytes (scratch accounting for pool trimming).
+    /// Retained capacity in bytes (the engine's scratch accounting).
     pub(crate) fn retained_bytes(&self) -> usize {
         let entry = std::mem::size_of::<(Weight, NodeId)>();
         let vecs: usize = self.buckets.iter().map(Vec::capacity).sum::<usize>() * entry;
         vecs + self.buckets.capacity() * std::mem::size_of::<Vec<(Weight, NodeId)>>()
             + self.active.capacity() * entry
-    }
-
-    /// Drops retained allocations beyond a fresh queue (pool trimming).
-    pub(crate) fn trim(&mut self) {
-        debug_assert!(
-            self.pending == 0 && self.active.is_empty(),
-            "trim on a drained queue"
-        );
-        self.buckets = Vec::new();
-        self.active = BinaryHeap::new();
-        self.base = 0;
     }
 }
 
@@ -233,16 +222,5 @@ mod tests {
         q.begin(&plan(2.0, 4));
         q.push(Weight::new(1.0), NodeId(9));
         assert_eq!(drain(&mut q), vec![(Weight::new(1.0), NodeId(9))]);
-    }
-
-    #[test]
-    fn trim_releases_capacity() {
-        let mut q = BucketQueue::default();
-        q.begin(&plan(1.0, 256));
-        q.push(Weight::new(200.0), NodeId(1));
-        q.clear();
-        assert!(q.retained_bytes() > 0);
-        q.trim();
-        assert_eq!(q.retained_bytes(), 0);
     }
 }

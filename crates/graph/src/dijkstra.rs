@@ -23,16 +23,12 @@
 //! Two priority-queue kernels sit behind the same API, selected by
 //! [`Kernel`]: the classic lazy-deletion binary heap, and a radius-aware
 //! bucket queue ([`crate::bucket`]) that is bit-identical by construction.
-//! [`DijkstraEngine::run_batched_guarded`] additionally fuses many
-//! per-dimension sweeps into one pass over a shared frontier of virtual
-//! `(dimension, node)` ids — the kernel behind the batched
-//! `NeighborSets` recompute in `comm-core`.
 
 use crate::bucket::BucketQueue;
 use crate::csr::{Direction, Graph, NodeId};
 use crate::guard::{InterruptReason, RunGuard};
 use crate::kernel::{Kernel, ResolvedKernel};
-use crate::weight::{index_to_u32, Weight};
+use crate::weight::Weight;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -132,7 +128,7 @@ impl DijkstraEngine {
     }
 
     /// Resident scratch bytes across the SoA arrays and both queues —
-    /// what [`crate::EnginePool`] charges and trims.
+    /// what a guarded sweep charges to its byte budget on growth.
     pub fn scratch_bytes(&self) -> usize {
         use std::mem::size_of;
         self.dist.capacity() * size_of::<Weight>()
@@ -156,31 +152,6 @@ impl DijkstraEngine {
         self.parent.resize(n, NO_SOURCE);
         self.settled.resize(n, false);
         true
-    }
-
-    /// Shrinks scratch retained beyond `cap` nodes back to `cap`, and
-    /// releases queue allocations. The pool calls this when an engine
-    /// returns from an outsized sweep, so one huge graph stops pinning
-    /// worst-case scratch in every recycled engine.
-    ///
-    /// The touched-list reset runs first: its indices may point past
-    /// `cap`, so truncating before restoring would leave stale finite
-    /// distances behind (and the list itself dangling).
-    pub fn trim_scratch(&mut self, cap: usize) {
-        self.reset_scratch();
-        if self.dist.len() > cap {
-            self.dist.truncate(cap);
-            self.dist.shrink_to_fit();
-            self.source.truncate(cap);
-            self.source.shrink_to_fit();
-            self.parent.truncate(cap);
-            self.parent.shrink_to_fit();
-            self.settled.truncate(cap);
-            self.settled.shrink_to_fit();
-        }
-        self.touched = Vec::new();
-        self.heap = BinaryHeap::new();
-        self.bucket.trim();
     }
 
     /// Restores every touched scratch entry to its pristine state.
@@ -324,122 +295,6 @@ impl DijkstraEngine {
         Ok(settled_count)
     }
 
-    /// Fuses `seeds.len()` independent per-dimension sweeps into one pass
-    /// over a shared frontier. Dimension `k`'s sweep runs in the virtual
-    /// id space `k·n .. (k+1)·n`; edges never cross dimensions, and the
-    /// queue's exact `(dist, virtual id)` order projects onto each
-    /// dimension as exactly that dimension's standalone `(dist, node)`
-    /// settle order — so per-dimension results (distances, sources,
-    /// parents) are bit-identical to `seeds.len()` separate
-    /// [`run_guarded`](Self::run_guarded) calls, while the graph's
-    /// adjacency is streamed through one queue with one scratch reset.
-    ///
-    /// `visit` receives `(dimension, settled)` with node/source/parent
-    /// already mapped back to real ids. The guard is consulted once per
-    /// settled `(dimension, node)` pair; on interruption the visited
-    /// pairs form a valid prefix of the fused settle order (dimensions
-    /// interleaved by distance).
-    ///
-    /// The caller must ensure `seeds.len() · graph.node_count()` fits the
-    /// `u32` id space (the batched `NeighborSets` path gates on this and
-    /// falls back to per-dimension sweeps otherwise).
-    pub fn run_batched_guarded<F: FnMut(usize, Settled)>(
-        &mut self,
-        graph: &Graph,
-        dir: Direction,
-        seeds: &[Vec<NodeId>],
-        radius: Weight,
-        guard: &RunGuard,
-        mut visit: F,
-    ) -> Result<usize, InterruptReason> {
-        let n = graph.node_count();
-        if self.ensure_capacity(seeds.len() * n) {
-            guard.check_bytes(self.scratch_bytes())?;
-        }
-        self.reset_scratch();
-        let seed_all = |eng: &mut DijkstraEngine, queue: &mut dyn Frontier| {
-            for (dim, dim_seeds) in seeds.iter().enumerate() {
-                let base = dim * n;
-                for &s in dim_seeds {
-                    let vid = NodeId(index_to_u32(base + s.index()));
-                    if eng.relax(vid, Weight::ZERO, vid, vid) {
-                        queue.push(Weight::ZERO, vid);
-                    }
-                }
-            }
-        };
-        match self.kernel.resolve(graph, radius) {
-            ResolvedKernel::Heap => {
-                let mut queue = std::mem::take(&mut self.heap);
-                queue.clear();
-                seed_all(self, &mut queue);
-                let out = self.sweep_batched(graph, dir, n, radius, guard, &mut queue, &mut visit);
-                queue.clear();
-                self.heap = queue;
-                out
-            }
-            ResolvedKernel::Bucket(plan) => {
-                let mut queue = std::mem::take(&mut self.bucket);
-                queue.clear();
-                queue.begin(&plan);
-                seed_all(self, &mut queue);
-                let out = self.sweep_batched(graph, dir, n, radius, guard, &mut queue, &mut visit);
-                queue.clear();
-                self.bucket = queue;
-                out
-            }
-        }
-    }
-
-    /// The settle loop of the fused pass: like [`sweep`](Self::sweep) but
-    /// over virtual `(dimension, node)` ids, translating adjacency through
-    /// the dimension's base offset.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_batched<Q: Frontier, F: FnMut(usize, Settled)>(
-        &mut self,
-        graph: &Graph,
-        dir: Direction,
-        n: usize,
-        radius: Weight,
-        guard: &RunGuard,
-        queue: &mut Q,
-        visit: &mut F,
-    ) -> Result<usize, InterruptReason> {
-        let mut settled_count = 0;
-        while let Some((d, vu)) = queue.pop() {
-            let i = vu.index();
-            if self.settled[i] || d > self.dist[i] {
-                continue; // lazily deleted entry
-            }
-            guard.note_settled(1)?;
-            self.settled[i] = true;
-            settled_count += 1;
-            let dim = i / n;
-            let base = dim * n;
-            let u = NodeId(index_to_u32(i - base));
-            let source = NodeId(self.source[i]);
-            visit(
-                dim,
-                Settled {
-                    node: u,
-                    dist: d,
-                    source: NodeId(index_to_u32(source.index() - base)),
-                    parent: NodeId(index_to_u32(self.parent[i] as usize - base)),
-                },
-            );
-            for (v, w) in graph.neighbors(u, dir) {
-                let nd = d + w;
-                if nd <= radius {
-                    let vv = NodeId(index_to_u32(base + v.index()));
-                    if self.relax(vv, nd, source, vu) {
-                        queue.push(nd, vv);
-                    }
-                }
-            }
-        }
-        Ok(settled_count)
-    }
-
     /// Like [`run`](Self::run) but materializes per-node `(dist, src)`
     /// arrays of length `n`, with `Weight::INFINITY` / `None` for nodes
     /// beyond the radius. This is the exact output shape of the paper's
@@ -474,14 +329,12 @@ impl DijkstraEngine {
     }
 }
 
-/// One-shot single-source shortest distances. The engine scratch state is
-/// borrowed from [`EnginePool::global`](crate::EnginePool::global), so
-/// repeated one-shot calls stop paying the `O(n)` allocation after the
-/// first.
+/// One-shot single-source shortest distances on a throwaway engine — a
+/// convenience for tests and examples. Callers with more than one sweep
+/// to run own a [`DijkstraEngine`] (or an [`EnginePool`](crate::EnginePool))
+/// and pay the `O(n)` scratch allocation once.
 pub fn shortest_distances(graph: &Graph, dir: Direction, from: NodeId) -> Vec<Weight> {
-    crate::pool::EnginePool::global()
-        .acquire(graph.node_count())
-        .distances(graph, dir, from)
+    DijkstraEngine::new(graph.node_count()).distances(graph, dir, from)
 }
 
 #[cfg(test)]
@@ -789,118 +642,6 @@ mod tests {
             );
         }
         assert_eq!(default_eng.kernel(), Kernel::Bucket);
-    }
-
-    #[test]
-    fn batched_sweep_matches_per_dimension_sweeps() {
-        let g = graph_from_edges(
-            6,
-            &[
-                (0, 1, 1.0),
-                (1, 2, 2.0),
-                (2, 3, 1.0),
-                (3, 0, 0.5),
-                (4, 2, 1.5),
-                (2, 5, 1.0),
-            ],
-        );
-        let seeds = vec![
-            vec![NodeId(0)],
-            vec![NodeId(4), NodeId(3)],
-            vec![], // an empty dimension must stay empty
-        ];
-        for kernel in [Kernel::Heap, Kernel::Bucket] {
-            let mut eng = DijkstraEngine::with_kernel(6, kernel);
-            let radius = Weight::new(4.0);
-            // Reference: one standalone sweep per dimension.
-            let per_dim: Vec<Vec<Settled>> = seeds
-                .iter()
-                .map(|dim_seeds| {
-                    let mut out = Vec::new();
-                    eng.run(
-                        &g,
-                        Direction::Forward,
-                        dim_seeds.iter().copied(),
-                        radius,
-                        |s| out.push(s),
-                    );
-                    out
-                })
-                .collect();
-            let mut batched: Vec<Vec<Settled>> = vec![Vec::new(); seeds.len()];
-            let total = eng
-                .run_batched_guarded(
-                    &g,
-                    Direction::Forward,
-                    &seeds,
-                    radius,
-                    &RunGuard::unlimited(),
-                    |dim, s| batched[dim].push(s),
-                )
-                .unwrap();
-            assert_eq!(batched, per_dim, "kernel {kernel:?} diverged");
-            assert_eq!(total, per_dim.iter().map(Vec::len).sum::<usize>());
-        }
-    }
-
-    #[test]
-    fn batched_sweep_guard_counts_fused_settles() {
-        let g = line();
-        let seeds = vec![vec![NodeId(0)], vec![NodeId(2)]];
-        let mut eng = DijkstraEngine::new(4);
-        let guard = RunGuard::new().with_settled_budget(3);
-        let mut seen = 0usize;
-        let err = eng
-            .run_batched_guarded(
-                &g,
-                Direction::Forward,
-                &seeds,
-                Weight::new(10.0),
-                &guard,
-                |_, _| seen += 1,
-            )
-            .unwrap_err();
-        assert_eq!(err, InterruptReason::SettledBudgetExhausted);
-        assert_eq!(seen, 3);
-        // The engine recovers for ordinary sweeps afterwards.
-        let d = eng.distances(&g, Direction::Forward, NodeId(0));
-        assert_eq!(d[3], Weight::new(7.0));
-    }
-
-    #[test]
-    fn trim_scratch_shrinks_and_keeps_answers() {
-        let g = line();
-        let mut eng = DijkstraEngine::new(4);
-        let before = eng.distances(&g, Direction::Forward, NodeId(0));
-        eng.ensure_capacity(100_000);
-        assert_eq!(eng.capacity(), 100_000);
-        let grown = eng.scratch_bytes();
-        eng.trim_scratch(16);
-        assert_eq!(eng.capacity(), 16);
-        assert!(eng.scratch_bytes() < grown);
-        assert_eq!(eng.distances(&g, Direction::Forward, NodeId(0)), before);
-    }
-
-    #[test]
-    fn trim_scratch_after_interrupted_sweep_is_safe() {
-        // An interrupted sweep leaves a populated touched list; trimming
-        // below the touched indices must reset before truncating.
-        let g = graph_from_edges(50, &(0..49).map(|i| (i, i + 1, 1.0)).collect::<Vec<_>>());
-        let mut eng = DijkstraEngine::new(50);
-        let guard = RunGuard::new().with_settled_budget(5);
-        let _ = eng.run_guarded(
-            &g,
-            Direction::Forward,
-            [NodeId(0)],
-            Weight::INFINITY,
-            &guard,
-            |_| {},
-        );
-        eng.trim_scratch(8);
-        assert_eq!(eng.capacity(), 8);
-        let small = graph_from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]);
-        let d = eng.distances(&small, Direction::Forward, NodeId(0));
-        assert_eq!(d[2], Weight::new(2.0));
     }
 
     #[test]

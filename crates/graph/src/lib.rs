@@ -13,9 +13,9 @@
 //! * [`RunGuard`]: cooperative execution governor (cancellation, deadlines,
 //!   work/memory budgets) threaded through every sweep and enumeration;
 //! * [`EnginePool`] / [`Parallelism`]: a size-class pool of engine scratch
-//!   states plus a deterministic fork–join executor, the substrate for the
-//!   parallel sweep paths in `comm-core` and the batch driver in
-//!   `comm-bench`;
+//!   states (one per query engine, passed by reference) plus a
+//!   deterministic fork–join executor, the substrate for the per-keyword
+//!   index build in `comm-core` and the batch driver in `comm-bench`;
 //! * [`InducedGraph`]: induced-subgraph extraction with id mapping;
 //! * [`SplitMix64`]: the one seeded PRNG behind the dataset generators and
 //!   the property loops in the test tree;
@@ -23,11 +23,14 @@
 //!
 //! # Example
 //! ```
-//! use comm_graph::{graph_from_edges, shortest_distances, Direction, NodeId, Weight};
+//! use comm_graph::{graph_from_edges, DijkstraEngine, Direction, NodeId, Weight};
 //!
 //! let g = graph_from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]);
-//! let d = shortest_distances(&g, Direction::Forward, NodeId(0));
+//! // One engine per graph size: its scratch is reused by every sweep.
+//! let mut engine = DijkstraEngine::new(g.node_count());
+//! let d = engine.distances(&g, Direction::Forward, NodeId(0));
 //! assert_eq!(d[2], Weight::new(3.0));
+//! assert_eq!(engine.distances(&g, Direction::Reverse, NodeId(2))[0], Weight::new(3.0));
 //! ```
 
 // `deny`, not `forbid`: `storage.rs` is the single module allowed to opt

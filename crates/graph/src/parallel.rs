@@ -10,8 +10,8 @@
 //! Results are returned **by task index**, never by completion order, so a
 //! parallel run observes the same outputs as the serial one whenever the
 //! tasks themselves are deterministic and independent. That is the
-//! contract the parallel `Neighbor()` / projection-build paths in
-//! `comm-core` rely on for bit-identical serial/parallel results.
+//! contract the per-keyword projection-index build in `comm-core` and the
+//! batch query runner rely on for bit-identical serial/parallel results.
 //!
 //! Cancellation composes through [`RunGuard`](crate::RunGuard): guards are
 //! `Sync` and clones share one trip flag, so handing the same guard to
@@ -59,11 +59,6 @@ impl Parallelism {
     /// The configured worker count (≥ 1).
     pub fn threads(self) -> usize {
         self.threads
-    }
-
-    /// Whether this config runs tasks inline on the calling thread.
-    pub fn is_serial(self) -> bool {
-        self.threads == 1
     }
 
     /// Runs every task and returns the results in task order.
@@ -149,10 +144,8 @@ mod tests {
     #[test]
     fn thread_counts_clamp() {
         assert_eq!(Parallelism::serial().threads(), 1);
-        assert!(Parallelism::serial().is_serial());
         assert_eq!(Parallelism::new(0).threads(), 1);
         assert_eq!(Parallelism::new(4).threads(), 4);
-        assert!(!Parallelism::new(4).is_serial());
         assert!(Parallelism::auto().threads() >= 1);
         assert!(Parallelism::default().threads() >= 1);
     }

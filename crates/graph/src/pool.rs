@@ -1,10 +1,12 @@
-//! A shared pool of reusable [`DijkstraEngine`] scratch states.
+//! A pool of reusable [`DijkstraEngine`] scratch states.
 //!
 //! Every sweep in the paper needs `O(n)` scratch arrays. A single-threaded
-//! caller amortizes that by owning one engine; concurrent sweeps (parallel
-//! keyword dimensions, batch query drivers) would either share a lock or
-//! allocate per call. [`EnginePool`] removes both costs: engines are parked
-//! in size-class buckets keyed by graph size, [`acquire`](EnginePool::acquire)
+//! caller amortizes that by owning one engine; concurrent sweeps (the
+//! per-keyword index build, a daemon's handler threads) would either share
+//! a lock or allocate per call. [`EnginePool`] removes both costs. A pool
+//! belongs to whoever serves one graph — a query engine, a session, a
+//! bench set-up — and is passed by reference. Engines are parked in
+//! size-class buckets keyed by graph size, [`acquire`](EnginePool::acquire)
 //! pops one (or builds it on first use), and the [`PooledEngine`] guard
 //! returns it on drop. Engines reset their touched scratch at the start of
 //! every sweep, so a recycled engine never observes stale state from a
@@ -67,9 +69,6 @@ pub struct EnginePool {
     hits: AtomicUsize,
     /// Shards recovered after a panicking thread poisoned their mutex.
     poison_recoveries: AtomicUsize,
-    /// Engines whose scratch was trimmed back to class capacity on
-    /// release after an outsized sweep (telemetry).
-    trims: AtomicUsize,
 }
 
 impl EnginePool {
@@ -86,7 +85,6 @@ impl EnginePool {
             misses: AtomicUsize::new(0),
             hits: AtomicUsize::new(0),
             poison_recoveries: AtomicUsize::new(0),
-            trims: AtomicUsize::new(0),
         }
     }
 
@@ -111,8 +109,11 @@ impl EnginePool {
         }
     }
 
-    /// The process-wide shared pool. One-shot helpers and parallel sweeps
-    /// without an explicit pool borrow from here.
+    /// A process-wide pool. Nothing in the workspace borrows from it — a
+    /// library must not share scratch between unrelated engines — and CI
+    /// greps that it stays so; it survives only because the frozen
+    /// `benchmark/` names it (ROADMAP item 1 debt).
+    #[doc(hidden)]
     pub fn global() -> &'static EnginePool {
         static GLOBAL: OnceLock<EnginePool> = OnceLock::new();
         GLOBAL.get_or_init(EnginePool::new)
@@ -160,25 +161,6 @@ impl EnginePool {
         self.poison_recoveries.load(Ordering::Relaxed)
     }
 
-    /// How many released engines had their scratch trimmed back to class
-    /// capacity after growing beyond it in an outsized sweep.
-    pub fn trims(&self) -> usize {
-        self.trims.load(Ordering::Relaxed)
-    }
-
-    /// Resident scratch bytes currently parked across all size classes —
-    /// the quantity [`release`](Self::release)'s trimming bounds.
-    pub fn retained_bytes(&self) -> usize {
-        (0..CLASSES)
-            .map(|c| {
-                self.lock_shard(c)
-                    .iter()
-                    .map(DijkstraEngine::scratch_bytes)
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
     /// Chaos-testing hook: poisons the shard serving graphs of `n` nodes
     /// by panicking on a scratch thread while it holds the shard lock.
     /// The next `acquire`/`release` touching the shard must recover it.
@@ -197,16 +179,7 @@ impl EnginePool {
         });
     }
 
-    fn release(&self, class: usize, mut engine: DijkstraEngine) {
-        // An engine can outgrow its size class mid-borrow (a batched
-        // multi-dimension sweep sizes scratch for `l·n` virtual nodes).
-        // Trim it back before parking so the pool retains at most
-        // `class_capacity` worth of scratch per engine forever, rather
-        // than pinning the worst sweep ever seen.
-        if engine.capacity() > class_capacity(class) {
-            engine.trim_scratch(class_capacity(class));
-            self.trims.fetch_add(1, Ordering::Relaxed);
-        }
+    fn release(&self, class: usize, engine: DijkstraEngine) {
         let mut bucket = self.lock_shard(class);
         if bucket.len() < PER_CLASS_CAP {
             bucket.push(engine);
@@ -377,23 +350,6 @@ mod tests {
                 .distances(&g, Direction::Forward, NodeId(0))
         };
         assert_eq!(answer(Kernel::Heap), answer(Kernel::Bucket));
-    }
-
-    #[test]
-    fn outsized_engines_are_trimmed_on_release() {
-        let pool = EnginePool::new();
-        {
-            let mut e = pool.acquire(100); // class 128
-            e.ensure_capacity(1_000_000); // outsized batched sweep
-        }
-        assert_eq!(pool.trims(), 1);
-        assert_eq!(pool.pooled_engines(), 1);
-        // The parked engine retains at most class capacity.
-        assert!(pool.retained_bytes() <= class_capacity(size_class(100)) * 64);
-        {
-            let _e = pool.acquire(100); // in-class reuse: no trim
-        }
-        assert_eq!(pool.trims(), 1);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   client's retry + the server's idempotent replay;
 //! * **reply delays** — the server sleeps before replying on every Nth
 //!   query, simulating a slow network/peer so client read timeouts fire;
-//! * **pool poisoning** — before every Nth query the `EnginePool` shard
-//!   for the served graph is poisoned by a panicking thread, proving the
-//!   recovery path keeps the daemon serving.
+//! * **pool poisoning** — before every Nth query the shard of the query
+//!   engine's own `EnginePool` that serves the graph is poisoned by a
+//!   panicking thread, proving the recovery path keeps the daemon serving
+//!   (and that no other engine in the process sees it).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -32,8 +33,8 @@ pub struct ChaosConfig {
     pub disconnect_every: Option<u64>,
     /// Sleep this long before sending every Nth query reply.
     pub delay_every: Option<(u64, Duration)>,
-    /// Poison the `EnginePool` shard for the served graph before every
-    /// Nth query.
+    /// Poison the engine's `EnginePool` shard for the served graph before
+    /// every Nth query.
     pub poison_pool_every: Option<u64>,
 }
 

@@ -44,7 +44,7 @@ pub struct EngineConfig {
     /// Ranking cost function.
     pub cost: CostFn,
     /// Fan-out for index builds (per-keyword sweeps borrow engines from
-    /// the shared [`EnginePool`]).
+    /// the [`QueryEngine`]'s own [`EnginePool`]).
     pub parallelism: Parallelism,
 }
 
@@ -67,6 +67,8 @@ pub struct QueryEngine {
     index_radius: Weight,
     cost: CostFn,
     parallelism: Parallelism,
+    /// Dijkstra scratch for index builds, private to this engine.
+    pool: EnginePool,
     indexes: Mutex<Lru<IndexKey, CachedIndex>>,
     answers: Mutex<Lru<AnswerKey, CachedAnswer>>,
 }
@@ -97,6 +99,7 @@ impl QueryEngine {
             index_radius,
             cost: cfg.cost,
             parallelism: cfg.parallelism,
+            pool: EnginePool::new(),
             indexes: Mutex::new(Lru::new(cfg.index_cache_cap)),
             answers: Mutex::new(Lru::new(cfg.answer_cache_cap)),
         })
@@ -120,6 +123,12 @@ impl QueryEngine {
     /// The served graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
+    }
+
+    /// The engine's own Dijkstra scratch pool: what index builds borrow
+    /// from, the stats reply reports and the chaos hook poisons.
+    pub fn pool(&self) -> &EnginePool {
+        &self.pool
     }
 
     /// The maximum `Rmax` the engine accepts.
@@ -170,15 +179,15 @@ impl QueryEngine {
         }
         // Build OUTSIDE the cache lock (sweeps are the expensive part);
         // a concurrent duplicate build is wasted work, never wrong. The
-        // per-keyword sweeps borrow scratch from the shared EnginePool,
-        // which keeps the pool — and its poison-recovery path — on the
-        // serving path the chaos harness exercises.
+        // per-keyword sweeps borrow scratch from this engine's own pool,
+        // so a poisoned shard is recovered by — and counted against — the
+        // daemon that owns it.
         let built = ProjectionIndex::build_par_guarded(
             &self.graph,
             entries,
             self.index_radius,
             guard,
-            EnginePool::global(),
+            &self.pool,
             self.parallelism,
         )
         .map_err(QueryError::Interrupted)?;

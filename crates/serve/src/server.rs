@@ -27,7 +27,7 @@ use crate::protocol::{
     MAX_FRAME_BYTES,
 };
 use comm_core::QueryError;
-use comm_graph::{EnginePool, Outcome};
+use comm_graph::Outcome;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -456,7 +456,10 @@ fn handle_query(
         Begin::Execute => shared.chaos.plan_query(),
     };
     if plan.poison_pool {
-        EnginePool::global().poison_shard_for_chaos(shared.engine.graph().node_count());
+        let engine = &shared.engine;
+        engine
+            .pool()
+            .poison_shard_for_chaos(engine.graph().node_count());
     }
     let response = match shared.gate.admit() {
         Admission::Shed { retry_after } => {
@@ -595,7 +598,7 @@ fn snapshot(shared: &Shared) -> Vec<(String, u64)> {
     let (ih, im, ah, am) = shared.engine.cache_stats();
     let (index_entries, answer_entries) = shared.engine.cache_sizes();
     let (chaos_disc, chaos_delay, chaos_poison) = shared.chaos.stats();
-    let pool = EnginePool::global();
+    let pool = shared.engine.pool();
     let pooled = pool.pooled_engines();
     let mut out = vec![
         (

@@ -40,8 +40,16 @@ fn fast_client() -> ClientConfig {
 }
 
 fn start(admission: AdmissionConfig, chaos: ChaosConfig) -> (ServerHandle, SocketAddr) {
+    start_on(small_engine(), admission, chaos)
+}
+
+fn start_on(
+    engine: Arc<QueryEngine>,
+    admission: AdmissionConfig,
+    chaos: ChaosConfig,
+) -> (ServerHandle, SocketAddr) {
     let handle = spawn(
-        small_engine(),
+        engine,
         ServerConfig {
             admission,
             io_timeout: Duration::from_millis(200),
@@ -293,15 +301,9 @@ fn slow_clients_are_disconnected_not_serviced_forever() {
     handle.shutdown();
 }
 
-#[test]
-fn poisoned_engine_pool_recovers_and_serving_continues() {
-    let (handle, addr) = start(
-        AdmissionConfig::default(),
-        ChaosConfig {
-            poison_pool_every: Some(5),
-            ..ChaosConfig::default()
-        },
-    );
+/// 20 requests over 2 connections against a daemon that poisons its
+/// engine-pool shard before every 5th query.
+fn poisoned_load(addr: SocketAddr) {
     let report = run_load(
         addr,
         &LoadConfig {
@@ -318,11 +320,92 @@ fn poisoned_engine_pool_recovers_and_serving_continues() {
     assert_eq!(report.protocol_errors, 0, "{report:?}");
     assert_eq!(report.transport_failures, 0, "{report:?}");
     assert_eq!(report.complete + report.degraded, report.sent, "{report:?}");
+}
 
+fn poisoning() -> ChaosConfig {
+    ChaosConfig {
+        poison_pool_every: Some(5),
+        ..ChaosConfig::default()
+    }
+}
+
+#[test]
+fn poisoned_engine_pool_recovers_and_serving_continues() {
+    let (handle, addr) = start(AdmissionConfig::default(), poisoning());
+    poisoned_load(addr);
+
+    // The pool is the daemon's own, so its counters are exact: every
+    // recovery answers a poison injected here, and the snapshot's own look
+    // at the pool recovers whatever the last query left poisoned.
     let mut client = Client::new(addr, fast_client());
     let stats = client.stats_snapshot().expect("stats");
-    assert!(counter(&stats, "chaos_poisons") > 0, "poison was injected");
+    let poisons = counter(&stats, "chaos_poisons");
+    let recoveries = counter(&stats, "pool_poison_recoveries");
+    assert!(poisons > 0, "poison was injected");
+    assert!(
+        (1..=poisons).contains(&recoveries),
+        "{recoveries} recoveries for {poisons} poisons"
+    );
     handle.shutdown();
+}
+
+#[test]
+fn a_poisoned_daemon_leaves_its_neighbour_in_the_process_alone() {
+    // Two daemons in one process, one of them poisoning its pool: the
+    // chaos-free one never recovers a shard and answers as certified.
+    let (chaotic, chaotic_addr) = start(AdmissionConfig::default(), poisoning());
+    let engine = small_engine();
+    let (calm, calm_addr) = start_on(
+        Arc::clone(&engine),
+        AdmissionConfig::default(),
+        ChaosConfig::default(),
+    );
+    let mut client = Client::new(calm_addr, fast_client());
+    let keywords = ["alpha", "gamma", "delta"];
+    let (rmax, k) = (4.0, 20);
+    // An index build on the calm daemon on either side of the poisoning.
+    let before = client.query(&["beta", "gamma"], rmax, 10, Priority::Normal);
+    assert!(
+        matches!(before, Ok(Response::Complete { .. })),
+        "{before:?}"
+    );
+    poisoned_load(chaotic_addr);
+    let reply = client.query(&keywords, rmax, k, Priority::Normal);
+
+    // The wire answer is the summary of communities that certify against
+    // the full graph.
+    let sets = keywords
+        .iter()
+        .map(|kw| engine.keyword_nodes(kw).expect("workload keyword").to_vec())
+        .collect();
+    let spec = comm_core::QuerySpec::new(sets, comm_graph::Weight::new(rmax));
+    let keywords: Vec<String> = keywords.iter().map(|s| s.to_string()).collect();
+    let expected = engine
+        .answer(&keywords, rmax, k, &comm_graph::RunGuard::unlimited())
+        .expect("query succeeds")
+        .into_value();
+    assert!(!expected.is_empty(), "workload has answers");
+    for c in &expected {
+        comm_core::check_community(engine.graph(), &spec, c).expect("answer certifies");
+    }
+    comm_core::check_ranking(&expected).expect("ranking monotone");
+    match reply.expect("query") {
+        Response::Complete { communities, .. } => {
+            let summaries: Vec<_> = expected.iter().map(comm_serve::summarize).collect();
+            assert_eq!(communities, summaries);
+        }
+        other => panic!("expected complete, got {other:?}"),
+    }
+
+    let calm_stats = client.stats_snapshot().expect("stats");
+    assert_eq!(counter(&calm_stats, "pool_poison_recoveries"), 0);
+    assert_eq!(counter(&calm_stats, "chaos_poisons"), 0);
+    let chaotic_stats = Client::new(chaotic_addr, fast_client())
+        .stats_snapshot()
+        .expect("stats");
+    assert!(counter(&chaotic_stats, "pool_poison_recoveries") >= 1);
+    chaotic.shutdown();
+    calm.shutdown();
 }
 
 #[test]

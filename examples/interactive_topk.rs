@@ -30,7 +30,7 @@ fn main() -> Result<(), QueryError> {
         entries,
         Weight::new(13.0),
         &guard,
-        EnginePool::global(),
+        &EnginePool::new(),
         Parallelism::serial(),
     )?;
     let pq = index.try_project(&keywords, Weight::new(11.0), &guard)?;

@@ -32,7 +32,7 @@ fn project(
         entries,
         Weight::new(radius),
         &guard,
-        EnginePool::global(),
+        &EnginePool::new(),
         Parallelism::serial(),
     )
     .unwrap()

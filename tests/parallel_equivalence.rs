@@ -1,9 +1,9 @@
-//! Serial/parallel and kernel equivalence gate: every path that still
-//! fans work out inside or across queries — the `NeighborSets` whole-table
-//! refill, projection-index construction, and the batch driver — must
-//! produce **identical** results to the serial path for every thread
-//! count, and both Dijkstra kernels must agree bit for bit, on the paper's
-//! running example and on a sampled synthetic DBLP workload.
+//! Serial/parallel and kernel equivalence gate: the two paths that fan
+//! work out inside or across queries — projection-index construction and
+//! the batch driver — must produce **identical** results to the serial
+//! path for every thread count, and both Dijkstra kernels must agree bit
+//! for bit, on the paper's running example and on a sampled synthetic DBLP
+//! workload.
 
 use comm_bench::{BatchQuery, BatchRunner};
 use communities::datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
@@ -97,64 +97,10 @@ fn paper_example_kernels_settle_identically() {
     }
 }
 
-/// On the sampled DBLP workload the fused batched refill (what a serial
-/// `recompute_all_guarded` runs once the seed mass clears its gate)
-/// matches the fan-out path bit-for-bit under either kernel. The sample
-/// has 44 seeds, so the serial side lists each one twice (sorted, which
-/// changes nothing about the sweep) to clear the 64-seed gate.
-#[test]
-fn dblp_batched_refill_is_kernel_invariant() {
-    let ds = small_dblp();
-    let g = &ds.graph.graph;
-    let spec = dblp_spec(&ds, 4);
-    let (l, n) = (spec.l(), g.node_count());
-    let doubled: Vec<Vec<NodeId>> = spec
-        .keyword_nodes
-        .iter()
-        .map(|set| set.iter().flat_map(|&v| [v, v]).collect())
-        .collect();
-    let seed_mass: usize = doubled.iter().map(Vec::len).sum();
-    assert!(
-        seed_mass >= 64,
-        "{seed_mass} seeds never reach the fused pass"
-    );
-    let refill = |pool: &EnginePool, seeds: &[Vec<NodeId>], par: Parallelism| {
-        let mut ns = NeighborSets::new(l, n);
-        ns.recompute_all_guarded(g, pool, seeds, spec.rmax, &RunGuard::unlimited(), par)
-            .expect("unlimited guard never trips");
-        ns
-    };
-    let fanned = refill(&EnginePool::new(), &spec.keyword_nodes, Parallelism::new(4));
-    for kernel in [Kernel::Heap, Kernel::Bucket] {
-        let pool = EnginePool::with_kernel(kernel);
-        let batched = refill(&pool, &doubled, Parallelism::serial());
-        for u in (0..n as u32).map(NodeId) {
-            for i in 0..l {
-                assert_eq!(
-                    batched.dist(i, u),
-                    fanned.dist(i, u),
-                    "dim {i} node {u} ({kernel:?})"
-                );
-                assert_eq!(
-                    batched.src(i, u),
-                    fanned.src(i, u),
-                    "dim {i} node {u} ({kernel:?})"
-                );
-            }
-            assert_eq!(batched.sum(u), fanned.sum(u), "sum at {u} ({kernel:?})");
-            assert_eq!(
-                batched.count(u),
-                fanned.count(u),
-                "count at {u} ({kernel:?})"
-            );
-        }
-    }
-}
-
-/// The three procedures both enumerators drive — `Neighbor()` (whole-table
-/// and per-dimension), `BestCore()` and `GetCommunity()` — answer
-/// identically under the heap reference kernel and the default bucket
-/// kernel, on the paper example and the sampled DBLP workload.
+/// The three procedures both enumerators drive — `Neighbor()` (the `l`
+/// initial fills and the per-core pins), `BestCore()` and `GetCommunity()`
+/// — answer identically under the heap reference kernel and the default
+/// bucket kernel, on the paper example and the sampled DBLP workload.
 #[test]
 fn enumeration_is_kernel_invariant() {
     let paper = fig4_graph();
@@ -166,15 +112,11 @@ fn enumeration_is_kernel_invariant() {
         let run = |kernel: Kernel| {
             let mut engine = DijkstraEngine::with_kernel(g.node_count(), kernel);
             let mut ns = NeighborSets::new(spec.l(), g.node_count());
-            ns.recompute_all_guarded(
-                g,
-                &EnginePool::with_kernel(kernel),
-                &spec.keyword_nodes,
-                spec.rmax,
-                &guard,
-                Parallelism::serial(),
-            )
-            .expect("unlimited guard never trips");
+            for (i, seeds) in spec.keyword_nodes.iter().enumerate() {
+                let seeds = seeds.iter().copied();
+                ns.recompute_dim_guarded(g, &mut engine, i, seeds, spec.rmax, &guard)
+                    .expect("unlimited guard never trips");
+            }
             let best = ns.best_core_with(spec.cost).expect("the query has a core");
             // Pin every dimension to the best core, as `Next()` does.
             for i in 0..spec.l() {

@@ -218,13 +218,12 @@ fn preceding_ident(masked: &str, pos: usize) -> &str {
 }
 
 /// `guard_coverage`: every `pub fn` in `crates/core` or `crates/serve`
-/// whose body loops over graph nodes, pumps a request loop, fans work
-/// out across threads, or drives a fused batched sweep must thread a
-/// `RunGuard` (or delegate to a `_guarded` variant), so new algorithms
-/// and new serving paths cannot bypass the execution governor. Parallel
-/// and batched entry points are held to the same bar as serial loops: a
-/// fan-out without a shared guard cannot be cancelled mid-batch, and one
-/// fused multi-source sweep settles `l·n` virtual nodes in a single call.
+/// whose body loops over graph nodes, pumps a request loop or fans work
+/// out across threads must thread a `RunGuard` (or delegate to a
+/// `_guarded` variant), so new algorithms and new serving paths cannot
+/// bypass the execution governor. Parallel entry points are held to the
+/// same bar as serial loops: a fan-out without a shared guard cannot be
+/// cancelled mid-batch.
 fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
     const SUGGESTION: &str = "accept `&RunGuard` (or delegate to a `*_guarded` variant) so the \
          execution governor can interrupt the loop";
@@ -239,10 +238,6 @@ fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
         "read_frame(",
     ];
     const PAR_MARKS: [&str; 4] = ["thread::scope", ".spawn(", ".map_init(", "par.map("];
-    // Batched sweep entry points: these match only unguarded call forms —
-    // `run_batched_guarded(` carries a guard-naming identifier and
-    // satisfies the check on its own.
-    const BATCH_MARKS: [&str; 2] = ["run_batched(", "recompute_all_batched("];
     let ast = &fm.ast;
     for f in &ast.fns {
         if !f.is_pub {
@@ -261,8 +256,7 @@ fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
         });
         let body = ast.span_text(open, close);
         let fans_out = PAR_MARKS.iter().any(|m| body.contains(m));
-        let batches = BATCH_MARKS.iter().any(|m| body.contains(m));
-        if !loops && !fans_out && !batches {
+        if !loops && !fans_out {
             continue;
         }
         // Guarded when any identifier in the signature or body names a
@@ -275,8 +269,6 @@ fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
         if !guarded {
             let what = if fans_out {
                 "fans work out across threads"
-            } else if batches {
-                "drives a fused batched sweep"
             } else {
                 "loops over graph nodes"
             };
@@ -559,24 +551,6 @@ mod tests {
         assert!(live(src, true).is_empty());
         let init = "pub fn build(g: &Graph, guard: &RunGuard) -> Vec<u64> {\n    par.map_init(|| scratch(), make_tasks(g, guard))\n}\n";
         assert!(live(init, true).is_empty());
-    }
-
-    #[test]
-    fn seeded_unguarded_batched_sweep_fails() {
-        let src = "pub fn refill(g: &Graph) {\n    engine.run_batched(g, seeds, |dim, s| note(dim, s));\n}\n";
-        let out = live(src, true);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, GUARD_COVERAGE);
-        assert!(out[0].message.contains("fused batched sweep"));
-        assert!(live(src, false).is_empty());
-    }
-
-    #[test]
-    fn guarded_batched_sweep_passes() {
-        // The `_guarded` call form names a guard, so the delegating entry
-        // point is credited without threading its own parameter.
-        let src = "pub fn refill(g: &Graph) {\n    engine.run_batched_guarded(g, seeds, &RunGuard::unlimited(), |dim, s| note(dim, s)).unwrap_or_default()\n}\n";
-        assert!(live(src, true).is_empty());
     }
 
     #[test]
