@@ -24,6 +24,20 @@ if grep -rn --include='*.rs' 'EnginePool::global()' crates src examples tests \
     exit 1
 fi
 
+# The projection sweeps on `DijkstraEngine` like everything else: it must
+# not grow a queue of its own, and no new file may start keeping one (the
+# certifier's independent sweep in core/verify.rs stays independent).
+echo "==> one-Dijkstra gate (BinaryHeap stays in its five files, none under projection)"
+if grep -rnE 'BinaryHeap|BucketQueue' crates/core/src/projection.rs crates/core/src/projection; then
+    echo "the projection sweeps on DijkstraEngine"
+    exit 1
+fi
+HEAP_FILES=$(grep -rl --include='*.rs' 'BinaryHeap' crates src | sort | tr '\n' ' ')
+if [ "$HEAP_FILES" != "crates/core/src/comm_k.rs crates/core/src/trees.rs crates/core/src/verify.rs crates/graph/src/bucket.rs crates/graph/src/dijkstra.rs " ]; then
+    echo "BinaryHeap is named in: $HEAP_FILES"
+    exit 1
+fi
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q

@@ -424,6 +424,11 @@ pub fn index_stats(p: &Prepared) -> Table {
     t.note(format!(
         "ratios over {cells} grid cells; paper reports max/avg 1.2%/0.4% (DBLP) and 1.8%/0.5% (IMDB) at full scale"
     ));
+    t.note(format!(
+        "index size = V_w lists + distance runs (12 B per node within R, per keyword) + one forward row copy of G_D[U] (|U| = {}, {} edges); the paper's invertedE stores 16-B edge tuples per keyword instead",
+        p.index.reach_node_count(),
+        p.index.row_edge_count()
+    ));
     t
 }
 

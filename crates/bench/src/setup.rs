@@ -301,11 +301,28 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         // A corrupt bundle under the key the run will use must be repaired.
-        std::fs::write(
-            comm_datasets::cache::bundle_path(&dir, "dblp-quick-bench"),
-            b"junk",
+        let path = comm_datasets::cache::bundle_path(&dir, "dblp-quick-bench");
+        std::fs::write(&path, b"junk").unwrap();
+        let p = Prepared::dblp_with_cache(Scale::Quick, Some(&dir));
+        assert_eq!(p.index_source, IndexSource::Built);
+        let again = Prepared::dblp_with_cache(Scale::Quick, Some(&dir));
+        assert_eq!(again.index_source, IndexSource::Cache);
+
+        // So must a sound bundle whose index blob is from CPIX v1: the
+        // decoder turns it away by version and the run rebuilds.
+        let bundle = load_bundle(&path).unwrap();
+        let mut v1 = bundle.index_blob.clone().unwrap();
+        v1[4] = 1;
+        let keywords = bundle.keyword_nodes.iter();
+        save_bundle_with_index(
+            &path,
+            &bundle.graph,
+            keywords.map(|(k, v)| (k.as_str(), v.as_slice())),
+            Some(&v1),
         )
         .unwrap();
+        let err = ProjectionIndex::decode(&v1).err().unwrap();
+        assert!(err.to_string().contains("version"), "{err}");
         let p = Prepared::dblp_with_cache(Scale::Quick, Some(&dir));
         assert_eq!(p.index_source, IndexSource::Built);
         let again = Prepared::dblp_with_cache(Scale::Quick, Some(&dir));

@@ -242,9 +242,12 @@ impl Session {
             emitted: 0,
         });
         let mut out = format!(
-            "projected graph: {} nodes ({:.3}% of G_D)\n",
+            "projected graph: {} nodes ({:.3}% of G_D); index: |U| = {} nodes, {} row edges, {} bytes\n",
             pq.projected.graph.node_count(),
-            100.0 * index.projection_ratio(&pq)
+            100.0 * index.projection_ratio(&pq),
+            index.reach_node_count(),
+            index.row_edge_count(),
+            index.byte_size()
         );
         out.push_str(&self.more_with(k, guard)?);
         Ok(out)

@@ -1,50 +1,71 @@
 //! Indexing and graph projection (Sec. VI, Algorithm 6).
 //!
-//! The index consists of two inverted maps built for a maximum radius `R`:
+//! The index is built for a maximum radius `R` and holds what Algorithm 6
+//! consumes, not the edge tuples the paper's `invertedE` lists:
 //!
 //! * `invertedN`: keyword `w` → the nodes `V_w` containing `w`;
-//! * `invertedE`: keyword `w` → every edge `(u, v)` whose *both* endpoints
-//!   can reach some node of `V_w` within `R` (i.e. both lie in
-//!   `Neighbor(V_w, R)`).
+//! * per keyword, the *distance run* of `Neighbor(V_w, R)`: every node
+//!   `u` within `R` of `V_w` with `dist(u, V_w)`, in the order the reverse
+//!   sweep settled them (non-decreasing in distance);
+//! * `U`, the sorted union of those neighbourhoods, and one forward copy
+//!   of `G_D[U]` in `U`-local ids — what `invertedE` enumerates keyword by
+//!   keyword, stored once.
 //!
-//! For an l-keyword query with `Rmax ≤ R`, [`ProjectionIndex::project`]
-//! assembles the union of the keywords' inverted entries, intersects the
-//! per-keyword neighbor sets to get candidate centers `V_c`, and keeps only
-//! nodes on a qualifying center→keyword-node path (the `s`/`t`
-//! double-sweep of Algorithm 6, lines 10–15). Every community of the query
-//! lives entirely inside `Neighbor(V_i, Rmax) ⊆ Neighbor(V_i, R)` for each
-//! `i`, so running any of the enumerators on the projected graph returns
-//! exactly the communities of the full graph (tested by the projection
-//! property tests).
+//! For an l-keyword query with `Rmax ≤ R`,
+//! [`ProjectionIndex::try_project`] cuts each keyword's run at `Rmax`
+//! (that prefix *is* `Neighbor(V_w, Rmax)`), intersects the prefixes to
+//! get the candidate centers `V_c`, reads `dist(v, t)` of Algorithm 6's
+//! `s`/`t` double sweep (lines 10–15) as the minimum over the prefixes,
+//! and runs the one sweep whose answer is not stored — forward from `V_c`
+//! — to keep the nodes on a qualifying center→keyword-node path. The
+//! projected graph is `G_D` induced on those nodes. Every community of the
+//! query lives entirely inside `Neighbor(V_i, Rmax) ⊆ Neighbor(V_i, R)`
+//! for each `i`, so running any of the enumerators on the projected graph
+//! returns exactly the communities of the full graph (DESIGN.md "Sec. VI"
+//! has the bit-equality arguments; the projection property tests pin
+//! them).
 
 use crate::comm_k::comm_k_guarded;
 use crate::error::{validate_radius, QueryError};
 use crate::types::{Community, Core, CostFn, QuerySpec};
 use comm_graph::weight::index_to_u32;
-use comm_graph::Outcome;
 use comm_graph::{
-    DijkstraEngine, Direction, EnginePool, Graph, GraphBuilder, InducedGraph, InterruptReason,
-    NodeId, Parallelism, PooledEngine, RunGuard, Weight,
+    Csr, DijkstraEngine, Direction, EnginePool, Graph, InducedGraph, InterruptReason, NodeId,
+    Outcome, Parallelism, PooledEngine, RunGuard, Weight,
 };
 use std::collections::HashMap;
+use std::mem::size_of;
 
-/// A keyword together with its inverted-index payload.
-#[derive(Clone, Debug, Default)]
+mod cpix;
+
+/// Run entries scanned between two guard consultations.
+const SCAN_STRIDE: usize = 1024;
+
+/// "Not selected" in a dense relabel table.
+const ABSENT: u32 = u32::MAX;
+
+/// A keyword's inverted-index payload.
 struct KeywordEntry {
-    /// `V_w`: nodes containing the keyword (sorted).
+    /// `V_w`: nodes containing the keyword (original ids, sorted).
     nodes: Vec<NodeId>,
-    /// Edges `(u, v, w)` with both endpoints within `R` of `V_w`.
-    edges: Vec<(NodeId, NodeId, Weight)>,
+    /// `Neighbor(V_w, R)` in settle order, as `U`-local ids…
+    reach_ids: Vec<NodeId>,
+    /// …and `dist(u, V_w)` of each, non-decreasing.
+    reach_dist: Vec<Weight>,
 }
 
-/// Builds the inverted entry of one keyword: `V_w` (sorted, deduplicated)
-/// plus every edge whose endpoints both lie within `radius` of `V_w`.
-/// `stamp`/`epoch` are the caller's reusable membership scratch.
+impl KeywordEntry {
+    fn byte_size(&self) -> usize {
+        (self.nodes.len() + self.reach_ids.len()) * size_of::<NodeId>()
+            + self.reach_dist.len() * size_of::<Weight>()
+    }
+}
+
+/// Sweeps one keyword: `V_w` (sorted, deduplicated) plus the settle stream
+/// of the reverse sweep bounded by `radius`, still in original ids.
 fn keyword_entry(
     graph: &Graph,
     engine: &mut DijkstraEngine,
-    stamp: &mut [u32],
-    epoch: &mut u32,
     v_w: &[NodeId],
     radius: Weight,
     guard: &RunGuard,
@@ -52,37 +73,53 @@ fn keyword_entry(
     let mut nodes: Vec<NodeId> = v_w.to_vec();
     nodes.sort_unstable();
     nodes.dedup();
-    *epoch += 1;
-    let e = *epoch;
-    let mut reached: Vec<NodeId> = Vec::new();
-    engine.run_guarded(
-        graph,
-        Direction::Reverse,
-        nodes.iter().copied(),
-        radius,
-        guard,
-        |s| {
-            stamp[s.node.index()] = e;
-            reached.push(s.node);
-        },
-    )?;
-    let mut edges = Vec::new();
-    for &u in &reached {
-        for (v, w) in graph.out_neighbors(u) {
-            if stamp[v.index()] == e {
-                // xtask-allow: unbounded_alloc — bounded by edges of the guard-swept reached subgraph
-                edges.push((u, v, w));
-            }
-        }
-    }
-    Ok(KeywordEntry { nodes, edges })
+    let (mut reach_ids, mut reach_dist) = (Vec::new(), Vec::new());
+    let seeds = nodes.iter().copied();
+    engine.run_guarded(graph, Direction::Reverse, seeds, radius, guard, |s| {
+        reach_ids.push(s.node);
+        reach_dist.push(s.dist);
+    })?;
+    // The index outlives the query that built it: hold no growth slack.
+    reach_ids.shrink_to_fit();
+    reach_dist.shrink_to_fit();
+    Ok(KeywordEntry {
+        nodes,
+        reach_ids,
+        reach_dist,
+    })
 }
 
-/// The two inverted indexes of Sec. VI, plus the projection operation.
+/// Turns a mark table into a relabel: every slot that is not [`ABSENT`]
+/// receives its rank among the marked slots. Returns the marked indices in
+/// ascending order, so the relabel is monotone.
+fn rank_marked(table: &mut [u32]) -> Vec<NodeId> {
+    let mut marked = Vec::new();
+    for (v, slot) in table.iter_mut().enumerate() {
+        if *slot != ABSENT {
+            *slot = index_to_u32(marked.len());
+            marked.push(NodeId(index_to_u32(v)));
+        }
+    }
+    marked
+}
+
+/// The id `table` assigns to `v`, if it was marked.
+fn relabel(table: &[u32], v: NodeId) -> Option<NodeId> {
+    let id = table[v.index()];
+    (id != ABSENT).then_some(NodeId(id))
+}
+
+/// The inverted index of Sec. VI, plus the projection operation.
 pub struct ProjectionIndex {
     radius: Weight,
-    entries: HashMap<String, KeywordEntry>,
+    /// `|V(G_D)|`.
     node_count: usize,
+    /// `U`: the union of every keyword's `Neighbor(V_w, R)`, sorted — the
+    /// local-id → original-id map of `rows` and of the runs.
+    nodes: Vec<NodeId>,
+    /// Forward adjacency of `G_D[U]` in local ids.
+    rows: Csr,
+    entries: HashMap<String, KeywordEntry>,
 }
 
 /// A projected subgraph plus the query translated to local node ids.
@@ -126,8 +163,8 @@ impl ProjectedQuery {
 /// enumeration → lift pipeline, which is what makes the cached-vs-uncached
 /// bit-identical contract structural rather than coincidental.
 ///
-/// `guard` governs the whole query: projection sweeps and enumeration share
-/// its deadline, budgets, and cancel flag. A trip during projection returns
+/// `guard` governs the whole query: projection and enumeration share its
+/// deadline, budgets, and cancel flag. A trip during projection returns
 /// `Err(QueryError::Interrupted)` (a partial projection would silently drop
 /// communities); a trip during enumeration returns
 /// `Ok(Outcome::Interrupted)` carrying the exact ranked prefix emitted so
@@ -150,14 +187,18 @@ impl ProjectionIndex {
     /// Builds the index over `graph` for every `(keyword, nodes)` pair,
     /// supporting queries with `Rmax ≤ radius`.
     ///
-    /// Cost: one radius-bounded reverse multi-source Dijkstra per keyword
-    /// plus one adjacency scan of the reached set — one task per keyword,
-    /// fanned out across `par`'s workers, each borrowing a Dijkstra engine
-    /// from `pool` plus its own stamp scratch ([`Parallelism::serial`]
-    /// runs the same tasks inline on one worker). Per-keyword entries are
-    /// independent, so the index is identical for every thread count.
+    /// Cost: one radius-bounded reverse multi-source Dijkstra per keyword —
+    /// one task per keyword, fanned out across `par`'s workers, each
+    /// borrowing a Dijkstra engine from `pool` ([`Parallelism::serial`]
+    /// runs the same tasks inline on one worker) — then, serially, one
+    /// pass that marks `U`, relabels the runs and copies `U`'s forward
+    /// rows out of `graph`. The runs are independent and the serial pass
+    /// does not depend on their order, so the index is identical for every
+    /// thread count.
     ///
-    /// `guard` is consulted per settled node of the per-keyword sweeps.
+    /// `guard` is consulted per settled node of the per-keyword sweeps and
+    /// per 1024 run entries of the marking pass; the relabel
+    /// table, the runs and the copied rows are charged to its byte budget.
     /// Index construction has no useful partial result, so a trip returns
     /// the bare reason.
     pub fn build_par_guarded<'a>(
@@ -172,28 +213,49 @@ impl ProjectionIndex {
         let tasks: Vec<_> = keywords
             .into_iter()
             .map(|(kw, v_w)| {
-                type Scratch<'p> = (PooledEngine<'p>, Vec<u32>, u32);
-                move |(engine, stamp, epoch): &mut Scratch<'_>| -> Result<
-                    (String, KeywordEntry),
-                    InterruptReason,
-                > {
-                    let entry = keyword_entry(graph, engine, stamp, epoch, v_w, radius, guard)?;
+                move |engine: &mut PooledEngine<'_>| -> Result<_, InterruptReason> {
+                    let entry = keyword_entry(graph, engine, v_w, radius, guard)?;
                     Ok((kw.to_lowercase(), entry))
                 }
             })
             .collect();
-        let built = par.map_init(|| (pool.acquire(n), vec![0u32; n], 0u32), tasks);
         let mut entries = HashMap::new();
-        for kv in built {
+        for kv in par.map_init(|| pool.acquire(n), tasks) {
             let (kw, entry) = kv?;
             // xtask-allow: unbounded_alloc — one entry per keyword; each build was guard-governed
             entries.insert(kw, entry);
         }
-        Ok(ProjectionIndex {
+
+        // U and its relabel, from one dense table over G_D's nodes.
+        let run_bytes: usize = entries.values().map(KeywordEntry::byte_size).sum();
+        guard.check_bytes(run_bytes + n * size_of::<u32>())?;
+        let mut local = vec![ABSENT; n];
+        for e in entries.values() {
+            for chunk in e.reach_ids.chunks(SCAN_STRIDE) {
+                guard.check()?;
+                for u in chunk {
+                    local[u.index()] = 0;
+                }
+            }
+        }
+        let nodes = rank_marked(&mut local);
+        for e in entries.values_mut() {
+            for u in &mut e.reach_ids {
+                *u = NodeId(local[u.index()]);
+            }
+        }
+        let rows = graph
+            .rows(Direction::Forward)
+            .induce(&nodes, |v| relabel(&local, v));
+        let index = ProjectionIndex {
             radius,
-            entries,
             node_count: n,
-        })
+            nodes,
+            rows,
+            entries,
+        };
+        guard.check_bytes(index.byte_size() + n * size_of::<u32>())?;
+        Ok(index)
     }
 
     /// The maximum `Rmax` this index supports.
@@ -206,6 +268,16 @@ impl ProjectionIndex {
         self.entries.len()
     }
 
+    /// `|U|`: nodes within the index radius of at least one keyword.
+    pub fn reach_node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Edges of `G_D[U]`, the one stored row copy.
+    pub fn row_edge_count(&self) -> usize {
+        self.rows.edge_count()
+    }
+
     /// `invertedN` lookup: the nodes containing `keyword`.
     pub fn nodes_of(&self, keyword: &str) -> &[NodeId] {
         self.entries
@@ -214,25 +286,22 @@ impl ProjectionIndex {
             .unwrap_or(&[])
     }
 
-    /// `invertedE` lookup: the edges indexed under `keyword`.
-    pub fn edges_of(&self, keyword: &str) -> &[(NodeId, NodeId, Weight)] {
-        self.entries
-            .get(&keyword.to_lowercase())
-            .map(|e| e.edges.as_slice())
-            .unwrap_or(&[])
+    /// The distance run of `keyword`: `(u, dist(u, V_w))` for every `u`
+    /// within the index radius, in original ids and settle order.
+    pub fn reach_of(&self, keyword: &str) -> Vec<(NodeId, Weight)> {
+        let Some(e) = self.entries.get(&keyword.to_lowercase()) else {
+            return Vec::new();
+        };
+        let ids = e.reach_ids.iter().map(|u| self.nodes[u.index()]);
+        ids.zip(e.reach_dist.iter().copied()).collect()
     }
 
-    /// Total logical bytes of the inverted indexes (reported next to the
-    /// raw dataset size, as in Sec. VII).
+    /// Total logical bytes of the index (reported next to the raw dataset
+    /// size, as in Sec. VII): keywords, `V_w` lists, distance runs, `U` and
+    /// the row copy.
     pub fn byte_size(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|(k, e)| {
-                k.len()
-                    + e.nodes.len() * std::mem::size_of::<NodeId>()
-                    + e.edges.len() * std::mem::size_of::<(NodeId, NodeId, Weight)>()
-            })
-            .sum()
+        let entries = self.entries.iter().map(|(k, e)| k.len() + e.byte_size());
+        entries.sum::<usize>() + self.nodes.len() * size_of::<NodeId>() + self.rows.byte_size()
     }
 
     /// `GraphProjection` (Algorithm 6): projects the subgraph relevant to
@@ -258,134 +327,69 @@ impl ProjectionIndex {
                 index_radius: self.radius.get(),
             });
         }
-        // Assemble the union graph G'(V', E') of the keywords' entries
-        // (lines 1–9). Dedup edges across keywords.
-        let mut w_sets: Vec<&KeywordEntry> = Vec::with_capacity(keywords.len());
+        let mut entries: Vec<&KeywordEntry> = Vec::with_capacity(keywords.len());
         for kw in keywords {
             // xtask-allow: unbounded_alloc — bounded by keywords.len()
-            w_sets.push(
+            entries.push(
                 self.entries
                     .get(&kw.to_lowercase())
                     .ok_or_else(|| QueryError::UnknownKeyword((*kw).to_string()))?,
             );
         }
-        let mut union_edges: Vec<(NodeId, NodeId, Weight)> = Vec::new();
-        for e in &w_sets {
-            // xtask-allow: unbounded_alloc — bounded by the stored index entries' edge lists
-            union_edges.extend_from_slice(&e.edges);
-        }
-        union_edges.sort_unstable_by_key(|a| (a.0, a.1, a.2));
-        union_edges.dedup();
-        // V' = all endpoints plus every keyword node.
-        let mut v_union: Vec<NodeId> = union_edges
-            .iter()
-            .flat_map(|&(u, v, _)| [u, v])
-            .chain(w_sets.iter().flat_map(|e| e.nodes.iter().copied()))
-            .collect();
-        v_union.sort_unstable();
-        v_union.dedup();
 
-        // Renumber into a scratch graph.
-        let local = |orig: NodeId| -> NodeId {
-            NodeId(index_to_u32(
-                // xtask-allow: no_panics — union_edges endpoints are drawn from v_union by construction
-                v_union.binary_search(&orig).expect("endpoint in V'"),
-            ))
-        };
-        let mut b = GraphBuilder::new(v_union.len());
-        for &(u, v, w) in &union_edges {
-            b.add_edge(local(u), local(v), w);
-        }
-        let g_prime = b.build();
-        let mut engine = DijkstraEngine::new(g_prime.node_count());
-
-        // Candidate centers V_c = ⋂_i Neighbor(W_i, rmax) over G'.
-        let np = g_prime.node_count();
-        let mut count = vec![0usize; np];
-        for e in &w_sets {
-            let seeds: Vec<NodeId> = e.nodes.iter().map(|&v| local(v)).collect();
-            engine.run_guarded(&g_prime, Direction::Reverse, seeds, rmax, guard, |s| {
-                count[s.node.index()] += 1;
-            })?;
-        }
-        let centers: Vec<NodeId> = (0..np)
-            .filter(|&u| count[u] == w_sets.len())
-            .map(|u| NodeId(index_to_u32(u)))
-            .collect();
-
-        // Double sweep (lines 10–14): keep v with dist(s,v) + dist(v,t) ≤ rmax,
-        // where s feeds the centers and t drains all keyword nodes W'.
-        let mut dist_s = vec![Weight::INFINITY; np];
-        engine.run_guarded(
-            &g_prime,
-            Direction::Forward,
-            centers.iter().copied(),
-            rmax,
-            guard,
-            |s| {
-                dist_s[s.node.index()] = s.dist;
-            },
-        )?;
-        let mut all_kw_local: Vec<NodeId> = w_sets
-            .iter()
-            .flat_map(|e| e.nodes.iter().map(|&v| local(v)))
-            .collect();
-        all_kw_local.sort_unstable();
-        all_kw_local.dedup();
-        let mut keep: Vec<NodeId> = Vec::new();
-        engine.run_guarded(
-            &g_prime,
-            Direction::Reverse,
-            all_kw_local,
-            rmax,
-            guard,
-            |s| {
-                let u = s.node.index();
-                if dist_s[u].is_finite() && dist_s[u] + s.dist <= rmax {
-                    // Translate back to original ids for the final induction.
-                    keep.push(v_union[u]);
-                }
-            },
-        )?;
-        keep.sort_unstable();
-
-        // Final projected graph G_P over original ids (line 15-16); edges
-        // come from the union graph restricted to kept nodes.
-        let keep_local: Vec<NodeId> = keep.iter().map(|&v| local(v)).collect();
-        let gp = {
-            let set: std::collections::HashSet<NodeId> = keep_local.iter().copied().collect();
-            let to_final: HashMap<NodeId, NodeId> = keep_local
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, NodeId(index_to_u32(i))))
-                .collect();
-            let mut b = GraphBuilder::new(keep.len());
-            for &(u, v, w) in &union_edges {
-                let (lu, lv) = (local(u), local(v));
-                if set.contains(&lu) && set.contains(&lv) {
-                    b.add_edge(to_final[&lu], to_final[&lv], w);
+        // Lines 1–9 without a sweep: the prefix of a run with dist ≤ rmax
+        // is Neighbor(V_w, rmax). One scatter pass over the l prefixes
+        // counts, per node of U, the keywords it reaches and keeps the
+        // nearest — dist(v, t) of the double sweep.
+        let nu = self.nodes.len();
+        let per_node = 2 * size_of::<u32>() + size_of::<Weight>();
+        guard.check_bytes(nu * per_node)?;
+        // Dense scratch over U, O(|U|) per query, charged above.
+        let mut count = vec![0u32; nu];
+        let mut to_sink = vec![Weight::INFINITY; nu];
+        for e in &entries {
+            let cut = e.reach_dist.partition_point(|&d| d <= rmax);
+            let ids = e.reach_ids[..cut].chunks(SCAN_STRIDE);
+            for (ids, dists) in ids.zip(e.reach_dist[..cut].chunks(SCAN_STRIDE)) {
+                guard.check()?;
+                for (u, &d) in ids.iter().zip(dists) {
+                    count[u.index()] += 1;
+                    to_sink[u.index()] = to_sink[u.index()].min(d);
                 }
             }
-            b.build()
-        };
-        let projected = InducedGraph {
-            graph: gp,
-            original_ids: keep.clone(),
-        };
+        }
+        // V_c = ⋂_i Neighbor(V_i, rmax).
+        let centers = (0..nu).filter(|&u| count[u] as usize == entries.len());
+        let centers: Vec<NodeId> = centers.map(|u| NodeId(index_to_u32(u))).collect();
 
+        // Lines 10–14: keep v with dist(s, v) + dist(v, t) ≤ rmax, where s
+        // feeds the centers. Not pruned by dist(v, t) while relaxing: the
+        // float triangle inequality can fail by an ulp.
+        let mut local = vec![ABSENT; nu];
+        if !centers.is_empty() {
+            let mut engine = DijkstraEngine::new(nu);
+            guard.check_bytes(nu * per_node + engine.scratch_bytes())?;
+            engine.run_rows_guarded(&self.rows, centers, rmax, guard, |s| {
+                if s.dist + to_sink[s.node.index()] <= rmax {
+                    local[s.node.index()] = 0;
+                }
+            })?;
+        }
+
+        // Line 15: G_P = G_D[keep], copied out of the stored rows of
+        // G_D[U] (keep ⊆ U, so the two induce the same edges).
+        let keep = rank_marked(&mut local);
+        let rows = self.rows.induce(&keep, |v| relabel(&local, v));
+        let projected = InducedGraph {
+            graph: Graph::from_rows(rows),
+            original_ids: keep.iter().map(|u| self.nodes[u.index()]).collect(),
+        };
         // Translate the query to local ids (keyword nodes that survived).
-        let spec = QuerySpec::new(
-            w_sets
-                .iter()
-                .map(|e| {
-                    e.nodes
-                        .iter()
-                        .filter_map(|&v| projected.to_local(v))
-                        .collect()
-                })
-                .collect(),
-            rmax,
-        );
+        let local_nodes = |e: &&KeywordEntry| {
+            let nodes = e.nodes.iter();
+            nodes.filter_map(|&v| projected.to_local(v)).collect()
+        };
+        let spec = QuerySpec::new(entries.iter().map(local_nodes).collect(), rmax);
         Ok(ProjectedQuery { projected, spec })
     }
 
@@ -398,162 +402,7 @@ impl ProjectionIndex {
             q.projected.graph.node_count() as f64 / self.node_count as f64
         }
     }
-
-    /// Serializes the index to a compact little-endian blob, suitable for
-    /// the *extra* section of a CGPH v2 container
-    /// ([`comm_graph::container`]) so a warm start restores the built
-    /// inverted indexes without re-running the per-keyword sweeps.
-    ///
-    /// Keywords are emitted in sorted order, so equal indexes encode to
-    /// identical bytes regardless of `HashMap` iteration order.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&CPIX_MAGIC);
-        out.extend_from_slice(&CPIX_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.radius.get().to_le_bytes());
-        out.extend_from_slice(&(self.node_count as u64).to_le_bytes());
-        let mut keys: Vec<&String> = self.entries.keys().collect();
-        keys.sort_unstable();
-        out.extend_from_slice(&(keys.len() as u64).to_le_bytes());
-        for kw in keys {
-            let entry = &self.entries[kw];
-            out.extend_from_slice(&index_to_u32(kw.len()).to_le_bytes());
-            out.extend_from_slice(kw.as_bytes());
-            out.extend_from_slice(&(entry.nodes.len() as u64).to_le_bytes());
-            for v in &entry.nodes {
-                out.extend_from_slice(&v.0.to_le_bytes());
-            }
-            out.extend_from_slice(&(entry.edges.len() as u64).to_le_bytes());
-            for (u, v, w) in &entry.edges {
-                out.extend_from_slice(&u.0.to_le_bytes());
-                out.extend_from_slice(&v.0.to_le_bytes());
-                out.extend_from_slice(&w.get().to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Deserializes an index previously written by
-    /// [`encode`](Self::encode), re-validating every invariant the query
-    /// paths rely on: lowercase distinct keys, sorted-distinct in-range
-    /// node lists, in-range edge endpoints, finite non-negative weights,
-    /// and exact input consumption. Counts are claims, never trusted for
-    /// allocation — every read is bounded by the actual remaining bytes
-    /// first, with speculative preallocation capped.
-    // xtask-allow: guard_coverage — loops are bounded by the length-checked blob, not graph size; callers charge the blob bytes to their RunGuard before decoding
-    pub fn decode(bytes: &[u8]) -> std::io::Result<ProjectionIndex> {
-        let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        let mut pos = 0usize;
-        let need = |pos: usize, want: usize| -> std::io::Result<()> {
-            if bytes.len() - pos < want {
-                Err(bad("projection index blob truncated"))
-            } else {
-                Ok(())
-            }
-        };
-        let take_u32 = |pos: &mut usize| -> std::io::Result<u32> {
-            need(*pos, 4)?;
-            let mut b = [0u8; 4];
-            b.copy_from_slice(&bytes[*pos..*pos + 4]);
-            *pos += 4;
-            Ok(u32::from_le_bytes(b))
-        };
-        let take_u64 = |pos: &mut usize| -> std::io::Result<u64> {
-            need(*pos, 8)?;
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[*pos..*pos + 8]);
-            *pos += 8;
-            Ok(u64::from_le_bytes(b))
-        };
-        let take_f64 =
-            |pos: &mut usize| -> std::io::Result<f64> { Ok(f64::from_bits(take_u64(pos)?)) };
-        need(pos, 4)?;
-        if bytes[0..4] != CPIX_MAGIC {
-            return Err(bad("not a projection index blob"));
-        }
-        pos += 4;
-        if take_u32(&mut pos)? != CPIX_VERSION {
-            return Err(bad("unsupported projection index version"));
-        }
-        let radius =
-            Weight::try_new(take_f64(&mut pos)?).ok_or_else(|| bad("invalid index radius"))?;
-        if !radius.is_finite() {
-            return Err(bad("invalid index radius"));
-        }
-        let n64 = take_u64(&mut pos)?;
-        if n64 > u64::from(u32::MAX) + 1 {
-            return Err(bad("node count exceeds the u32 node-id space"));
-        }
-        let node_count =
-            usize::try_from(n64).map_err(|_| bad("node count exceeds host address width"))?;
-        let kw_count = take_u64(&mut pos)?;
-        let prealloc = usize::try_from(kw_count).unwrap_or(usize::MAX);
-        let mut entries = HashMap::with_capacity(prealloc.min(comm_graph::io::PREALLOC_CAP));
-        for _ in 0..kw_count {
-            let klen = take_u32(&mut pos)? as usize;
-            need(pos, klen)?;
-            let kw = std::str::from_utf8(&bytes[pos..pos + klen])
-                .map_err(|_| bad("keyword is not UTF-8"))?
-                .to_string();
-            pos += klen;
-            if kw != kw.to_lowercase() {
-                return Err(bad("keyword is not lowercase"));
-            }
-            let nlen = take_u64(&mut pos)?;
-            let nbytes = nlen
-                .checked_mul(4)
-                .and_then(|b| usize::try_from(b).ok())
-                .ok_or_else(|| bad("keyword node count overflows"))?;
-            need(pos, nbytes)?;
-            let mut nodes = Vec::with_capacity(nbytes / 4);
-            for _ in 0..nlen {
-                let v = NodeId(take_u32(&mut pos)?);
-                if v.index() >= node_count {
-                    return Err(bad("keyword node out of range"));
-                }
-                if nodes.last().is_some_and(|&prev| prev >= v) {
-                    return Err(bad("keyword node list not strictly increasing"));
-                }
-                nodes.push(v);
-            }
-            let elen = take_u64(&mut pos)?;
-            let ebytes = elen
-                .checked_mul(16)
-                .and_then(|b| usize::try_from(b).ok())
-                .ok_or_else(|| bad("keyword edge count overflows"))?;
-            need(pos, ebytes)?;
-            let mut edges = Vec::with_capacity(ebytes / 16);
-            for _ in 0..elen {
-                let u = NodeId(take_u32(&mut pos)?);
-                let v = NodeId(take_u32(&mut pos)?);
-                let w = Weight::try_new(take_f64(&mut pos)?)
-                    .ok_or_else(|| bad("invalid edge weight"))?;
-                if !w.is_finite() {
-                    return Err(bad("invalid edge weight"));
-                }
-                if u.index() >= node_count || v.index() >= node_count {
-                    return Err(bad("edge endpoint out of range"));
-                }
-                edges.push((u, v, w));
-            }
-            if entries.insert(kw, KeywordEntry { nodes, edges }).is_some() {
-                return Err(bad("duplicate keyword entry"));
-            }
-        }
-        if pos != bytes.len() {
-            return Err(bad("trailing bytes after the projection index"));
-        }
-        Ok(ProjectionIndex {
-            radius,
-            entries,
-            node_count,
-        })
-    }
 }
-
-/// Magic/version of the serialized [`ProjectionIndex`] blob.
-const CPIX_MAGIC: [u8; 4] = *b"CPIX";
-const CPIX_VERSION: u32 = 1;
 
 #[cfg(test)]
 mod tests {
@@ -562,7 +411,7 @@ mod tests {
     use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
     use std::collections::BTreeSet;
 
-    fn index(radius: f64) -> (Graph, ProjectionIndex) {
+    pub(super) fn index(radius: f64) -> (Graph, ProjectionIndex) {
         let g = fig4_graph();
         let kn = fig4_keyword_nodes();
         let kws = [
@@ -613,31 +462,28 @@ mod tests {
     }
 
     #[test]
-    fn inverted_e_endpoints_within_radius() {
+    fn distance_runs_are_the_reverse_sweeps_settle_streams() {
         let (g, idx) = index(8.0);
         let mut engine = DijkstraEngine::new(g.node_count());
-        let kn = fig4_keyword_nodes();
-        // Verify the invertedE definition for keyword "b".
-        let mut dist = vec![Weight::INFINITY; g.node_count()];
-        engine.run(
-            &g,
-            Direction::Reverse,
-            kn[1].iter().copied(),
-            Weight::new(8.0),
-            |s| {
-                dist[s.node.index()] = s.dist;
-            },
-        );
-        for &(u, v, _) in idx.edges_of("b") {
-            assert!(dist[u.index()].is_finite(), "u={u} not within R of V_b");
-            assert!(dist[v.index()].is_finite(), "v={v} not within R of V_b");
+        for (kw, seeds) in ["a", "b", "c"].into_iter().zip(fig4_keyword_nodes()) {
+            let mut stream = Vec::new();
+            let seeds = seeds.iter().copied();
+            engine.run(&g, Direction::Reverse, seeds, Weight::new(8.0), |s| {
+                stream.push((s.node, s.dist));
+            });
+            assert_eq!(idx.reach_of(kw), stream, "run of {kw}");
         }
-        // And completeness: every qualifying edge is present.
-        let expect: usize = g
-            .edges()
-            .filter(|&(u, v, _)| dist[u.index()].is_finite() && dist[v.index()].is_finite())
-            .count();
-        assert_eq!(idx.edges_of("b").len(), expect);
+        assert!(idx.reach_of("zzz").is_empty());
+        // The stored rows are G_D[U], edge for edge.
+        let u = &idx.nodes;
+        let induced = g.induce(u);
+        assert_eq!(&induced.original_ids, u);
+        let fwd = induced.graph.rows(Direction::Forward);
+        assert_eq!(idx.rows.offsets(), fwd.offsets());
+        assert_eq!(idx.rows.targets(), fwd.targets());
+        assert_eq!(idx.rows.weights(), fwd.weights());
+        assert_eq!(idx.reach_node_count(), u.len());
+        assert_eq!(idx.row_edge_count(), induced.graph.edge_count());
     }
 
     #[test]
@@ -811,10 +657,7 @@ mod tests {
             assert_eq!(par.keyword_count(), serial.keyword_count());
             assert_eq!(par.radius(), serial.radius());
             assert_eq!(par.byte_size(), serial.byte_size());
-            for kw in ["a", "b", "c"] {
-                assert_eq!(par.nodes_of(kw), serial.nodes_of(kw), "nodes of {kw}");
-                assert_eq!(par.edges_of(kw), serial.edges_of(kw), "edges of {kw}");
-            }
+            assert_eq!(par.encode(), serial.encode());
         }
     }
 
@@ -835,99 +678,5 @@ mod tests {
             );
             assert_eq!(tripped.err(), Some(InterruptReason::SettledBudgetExhausted));
         }
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_is_lossless_and_deterministic() {
-        let (_, idx) = index(8.0);
-        let blob = idx.encode();
-        let back = ProjectionIndex::decode(&blob).unwrap();
-        assert_eq!(back.radius(), idx.radius());
-        assert_eq!(back.keyword_count(), idx.keyword_count());
-        assert_eq!(back.byte_size(), idx.byte_size());
-        assert_eq!(back.node_count, idx.node_count);
-        for kw in ["a", "b", "c"] {
-            assert_eq!(back.nodes_of(kw), idx.nodes_of(kw), "nodes of {kw}");
-            assert_eq!(back.edges_of(kw), idx.edges_of(kw), "edges of {kw}");
-        }
-        // Deterministic bytes: re-encoding the decoded index is identical
-        // (keywords are emitted sorted, not in HashMap order).
-        assert_eq!(back.encode(), blob);
-    }
-
-    #[test]
-    fn decoded_index_answers_queries_identically() {
-        let (_, idx) = index(8.0);
-        let back = ProjectionIndex::decode(&idx.encode()).unwrap();
-        let want = comm_k_on_index(
-            &idx,
-            &["a", "b", "c"],
-            Weight::new(FIG4_RMAX),
-            5,
-            CostFn::SumDistances,
-            RunGuard::unlimited(),
-        )
-        .unwrap()
-        .into_value();
-        let got = comm_k_on_index(
-            &back,
-            &["a", "b", "c"],
-            Weight::new(FIG4_RMAX),
-            5,
-            CostFn::SumDistances,
-            RunGuard::unlimited(),
-        )
-        .unwrap()
-        .into_value();
-        assert_eq!(want.len(), got.len());
-        for (a, b) in want.iter().zip(&got) {
-            assert_eq!(a.core, b.core);
-            assert_eq!(a.cost, b.cost);
-        }
-    }
-
-    #[test]
-    fn decode_truncation_corpus_every_prefix_is_a_clean_error() {
-        let (_, idx) = index(8.0);
-        let blob = idx.encode();
-        for cut in 0..blob.len() {
-            assert!(
-                ProjectionIndex::decode(&blob[..cut]).is_err(),
-                "cut {cut}/{} parsed instead of erroring",
-                blob.len()
-            );
-        }
-        assert!(ProjectionIndex::decode(&blob).is_ok());
-    }
-
-    #[test]
-    fn decode_rejects_contract_violations() {
-        let (_, idx) = index(8.0);
-        let blob = idx.encode();
-        // Trailing garbage.
-        let mut b = blob.clone();
-        b.push(0);
-        assert!(ProjectionIndex::decode(&b).is_err());
-        // Bad magic / version.
-        let mut b = blob.clone();
-        b[0] = b'X';
-        assert!(ProjectionIndex::decode(&b).is_err());
-        let mut b = blob.clone();
-        b[4] = 99;
-        assert!(ProjectionIndex::decode(&b).is_err());
-        // NaN radius.
-        let mut b = blob.clone();
-        b[8..16].copy_from_slice(&f64::NAN.to_le_bytes());
-        assert!(ProjectionIndex::decode(&b).is_err());
-        // Uppercase keyword: first key is "a" at magic(4) + version(4) +
-        // radius(8) + node_count(8) + kw_count(8) + klen(4) = offset 36.
-        let mut b = blob.clone();
-        assert_eq!(b[36], b'a');
-        b[36] = b'A';
-        assert!(ProjectionIndex::decode(&b).is_err());
-        // Hostile node-count claim must be rejected before preallocation.
-        let mut b = blob.clone();
-        b[16..24].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-        assert!(ProjectionIndex::decode(&b).is_err());
     }
 }

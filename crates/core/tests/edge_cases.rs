@@ -3,10 +3,11 @@
 //! components, and parameter extremes.
 
 use comm_core::trees::topk_trees;
+use comm_core::verify::check_community;
 use comm_core::{
-    bu_all_guarded, bu_topk_guarded, td_all_guarded, td_topk_guarded, BaselineRun, CommAll, CommK,
-    Community, Core, CostFn, Outcome, ProjectedQuery, ProjectionIndex, QueryError, QuerySpec,
-    RunGuard,
+    bu_all_guarded, bu_topk_guarded, comm_k_on_index, td_all_guarded, td_topk_guarded, BaselineRun,
+    CommAll, CommK, Community, Core, CostFn, Outcome, ProjectedQuery, ProjectionIndex, QueryError,
+    QuerySpec, RunGuard,
 };
 use comm_graph::{graph_from_edges, EnginePool, Graph, GraphBuilder, NodeId, Parallelism, Weight};
 
@@ -184,6 +185,45 @@ fn index_handles_keyword_with_no_nodes() {
     assert_eq!(idx.nodes_of("ghost").len(), 0);
     assert!(pq.spec.has_empty_keyword());
     assert!(collect_all(&pq.projected.graph, &pq.spec).is_empty());
+}
+
+/// Indexes `V_a`, `V_b` at radius 4, answers the two-keyword query through
+/// the index and certifies the top community against the *full* graph.
+fn certify_on_index(g: &Graph, v_a: u32, v_b: u32) -> Community {
+    let kws: [(&str, &[NodeId]); 2] = [("a", &[NodeId(v_a)]), ("b", &[NodeId(v_b)])];
+    let (idx, _) = project(g, &kws, 4.0);
+    let rmax = Weight::new(4.0);
+    let guard = RunGuard::unlimited();
+    let out = comm_k_on_index(&idx, &["a", "b"], rmax, 1, CostFn::SumDistances, guard);
+    let top = out.unwrap().into_value().remove(0);
+    check_community(g, &spec(&[&[v_a], &[v_b]], 4.0), &top).unwrap();
+    top
+}
+
+/// `u = 1` is within `R` of `V_a` only and `v = 2` of `V_b` only, so the
+/// edge `(u, v)` lies in no keyword's `invertedE` — but both endpoints are
+/// in the community of center 0, and so is the edge.
+#[test]
+fn projection_keeps_edges_between_different_keywords_neighbourhoods() {
+    let g = graph_from_edges(
+        5,
+        &[
+            (0, 1, 1.0),
+            (1, 3, 1.0),
+            (0, 2, 1.0),
+            (2, 4, 1.0),
+            (1, 2, 100.0),
+        ],
+    );
+    assert_eq!(certify_on_index(&g, 3, 4).edge_count(), 5);
+}
+
+/// Two foreign keys to the same row are two equal edges; the projected
+/// community keeps both.
+#[test]
+fn projection_keeps_equal_parallel_edges() {
+    let g = graph_from_edges(3, &[(0, 1, 1.0), (0, 1, 1.0), (0, 2, 1.0)]);
+    assert_eq!(certify_on_index(&g, 1, 2).edge_count(), 3);
 }
 
 #[test]

@@ -4,13 +4,14 @@
 //! Each property runs over [`CASES`] seeded random scenarios.
 
 use comm_core::naive::{naive_all_cores, naive_community_nodes};
+use comm_core::verify::check_enumeration;
 use comm_core::{
     bu_all_guarded, bu_topk_guarded, comm_all_guarded, comm_k_guarded, get_community_guarded,
     td_all_guarded, td_topk_guarded, BaselineRun, CommAll, CommK, Community, Core, CostFn,
     EnginePool, InterruptReason, LawlerK, Outcome, Parallelism, ProjectionIndex, QueryError,
     QuerySpec, RunGuard,
 };
-use comm_graph::{DijkstraEngine, Graph, GraphBuilder, NodeId, SplitMix64, Weight};
+use comm_graph::{DijkstraEngine, Direction, Graph, GraphBuilder, NodeId, SplitMix64, Weight};
 
 const CASES: u64 = 96;
 
@@ -273,49 +274,102 @@ fn max_distance_cost_agrees_with_oracle() {
     });
 }
 
-/// Projection (Sec. VI): enumerating on the projected graph yields
-/// exactly the communities of the full graph, including costs.
+/// The projection rung (Sec. VI), over graphs with zero-weight edges and
+/// weights whose sums round, a node carrying two keywords, `rmax == R` and
+/// `rmax < R`, and queries over a prefix of a larger index:
+/// (i) `G_P` is `G_D` induced on the kept nodes, edge for edge;
+/// (ii) COMM-all on `G_P`, lifted, is COMM-all on `G_D` — same cores in
+/// the same order with the same cost bits — certifies against `G_D` and
+/// agrees with the naive oracle;
+/// (iii) every stored run is a fresh reverse sweep's settle stream;
+/// (iv) the kept set grows with `rmax`;
+/// (v) a query with no candidate center projects to nothing, sweep-free.
 #[test]
 fn projection_preserves_results() {
-    for_each_scenario(|rng, g, spec| {
-        let slack = below(rng, 4);
-        let index_radius = spec.rmax + Weight::from(slack);
-        let names: Vec<String> = (0..spec.l()).map(|i| format!("kw{i}")).collect();
-        let guard = RunGuard::unlimited();
+    const WEIGHTS: [f64; 6] = [0.0, 0.1, 0.3, 0.7, 1.1, 2.5];
+    SplitMix64::for_each_case(CASES, |rng| {
+        let n = 4 + rng.index(14);
+        let mut b = GraphBuilder::new(n);
+        for _ in 0..rng.index(n * 3) {
+            let w = Weight::new(WEIGHTS[rng.index(WEIGHTS.len())]);
+            b.add_edge(NodeId(below(rng, n)), NodeId(below(rng, n)), w);
+        }
+        let g = b.build();
+        let mut sets: Vec<Vec<NodeId>> = (0..2 + rng.index(3))
+            .map(|_| {
+                (0..1 + rng.index(3))
+                    .map(|_| NodeId(below(rng, n)))
+                    .collect()
+            })
+            .collect();
+        let shared = sets[0][0];
+        sets[1].push(shared);
+        let rmax = Weight::new(0.5 * f64::from(below(rng, 9)));
+        let radius = rmax + Weight::new(0.5 * f64::from(below(rng, 3)));
+        let names: Vec<String> = (0..sets.len()).map(|i| format!("kw{i}")).collect();
         let idx = ProjectionIndex::build_par_guarded(
             &g,
-            names
-                .iter()
-                .zip(&spec.keyword_nodes)
-                .map(|(n, v)| (n.as_str(), v.as_slice())),
-            index_radius,
-            &guard,
+            names.iter().zip(&sets).map(|(n, v)| (n.as_str(), &v[..])),
+            radius,
+            &RunGuard::unlimited(),
             &EnginePool::new(),
             Parallelism::serial(),
         )
         .unwrap();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let pq = idx
-            .try_project(&name_refs, spec.rmax, &guard)
-            .expect("all keywords indexed");
-        let full: Vec<(Core, Weight)> = naive_all_cores(&g, &spec);
-        let mut projected: Vec<(Core, Weight)> = collect_all(&pq.projected.graph, &pq.spec)
+
+        let mut engine = DijkstraEngine::new(n);
+        for (name, set) in names.iter().zip(&sets) {
+            let mut stream = Vec::new();
+            let seeds = set.iter().copied();
+            engine.run(&g, Direction::Reverse, seeds, radius, |s| {
+                stream.push((s.node, s.dist));
+            });
+            assert_eq!(idx.reach_of(name), stream, "run of {name}");
+            assert!(stream.windows(2).all(|w| w[0].1 <= w[1].1));
+        }
+
+        let l = 1 + rng.index(sets.len());
+        let query: Vec<&str> = names[..l].iter().map(String::as_str).collect();
+        let spec = QuerySpec::new(sets[..l].to_vec(), rmax);
+        let guard = RunGuard::new();
+        let pq = idx.try_project(&query, rmax, &guard).unwrap();
+
+        let induced = g.induce(&pq.projected.original_ids);
+        assert_eq!(induced.original_ids, pq.projected.original_ids);
+        let edges = |g: &Graph| g.edges().collect::<Vec<_>>();
+        assert_eq!(edges(&pq.projected.graph), edges(&induced.graph));
+
+        let full = collect_all(&g, &spec);
+        let lifted: Vec<Community> = collect_all(&pq.projected.graph, &pq.spec)
             .into_iter()
-            .map(|c| {
-                (
-                    Core(
-                        c.core
-                            .0
-                            .iter()
-                            .map(|&n| pq.projected.to_original(n))
-                            .collect(),
-                    ),
-                    c.cost,
-                )
-            })
+            .map(|c| pq.lift(c))
             .collect();
-        projected.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        assert_eq!(projected, full);
+        let ranked = |cs: &[Community]| -> Vec<(Core, Weight)> {
+            cs.iter().map(|c| (c.core.clone(), c.cost)).collect()
+        };
+        assert_eq!(ranked(&lifted), ranked(&full));
+        check_enumeration(&g, &spec, &lifted).unwrap();
+        let mut sorted = ranked(&lifted);
+        sorted.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        assert_eq!(sorted, naive_all_cores(&g, &spec));
+
+        if full.is_empty() {
+            assert_eq!(pq.projected.graph.node_count(), 0);
+            assert_eq!(guard.settled(), 0, "an empty V_c must not sweep");
+        }
+        let tighter = Weight::new(rmax.get() * rng.unit_f64());
+        let small = idx
+            .try_project(&query, tighter, &RunGuard::unlimited())
+            .unwrap();
+        let kept = &pq.projected.original_ids;
+        assert!(
+            small
+                .projected
+                .original_ids
+                .iter()
+                .all(|v| kept.contains(v)),
+            "keep({tighter}) is not inside keep({rmax})"
+        );
     });
 }
 

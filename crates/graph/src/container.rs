@@ -85,8 +85,11 @@ const SEC_EXTRA: u32 = 8;
 /// of a v2 load; word folding removes the per-byte work and the four
 /// lanes break the multiply dependency chain, leaving verification
 /// memory-bound. Tiny, dependency-free, and plenty for corruption
-/// detection (integrity, not authentication).
-pub(crate) fn checksum64(bytes: &[u8]) -> u64 {
+/// detection (integrity, not authentication). Every step is a bijection
+/// of the running state, so a change confined to one word always changes
+/// the sum. Public so blobs that travel in the *extra* section (`comm-core`'s
+/// projection index) seal themselves with the same function.
+pub fn checksum64(bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     const SEED: u64 = 0xcbf2_9ce4_8422_2325;
     let word = |c: &[u8]| {
@@ -512,11 +515,11 @@ fn load_half(
     expect(offsets, (n + 1) * 4, "offsets")?;
     expect(targets, m * 4, "targets")?;
     expect(weights, m * 8, "weights")?;
-    let csr = Csr {
-        offsets: Storage::mapped(Arc::clone(region), offsets.offset, n + 1)?,
-        targets: Storage::mapped(Arc::clone(region), targets.offset, m)?,
-        weights: Storage::mapped(Arc::clone(region), weights.offset, m)?,
-    };
+    let csr = Csr::new(
+        Storage::mapped(Arc::clone(region), offsets.offset, n + 1)?,
+        Storage::mapped(Arc::clone(region), targets.offset, m)?,
+        Storage::mapped(Arc::clone(region), weights.offset, m)?,
+    );
     validate_csr(&csr, dir, n, m).map_err(|e| bad(e.to_string()))?;
     Ok(csr)
 }
@@ -596,13 +599,7 @@ pub fn load_container_guarded(path: impl AsRef<Path>, guard: &RunGuard) -> io::R
         None => None,
     };
     Ok(Container {
-        graph: Graph {
-            n,
-            m,
-            fwd,
-            rev,
-            min_pos_w: std::sync::OnceLock::new(),
-        },
+        graph: Graph { n, m, fwd, rev },
         keyword_nodes,
         extra,
     })

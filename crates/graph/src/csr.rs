@@ -6,8 +6,8 @@
 //! from keyword nodes" (Algorithm 2's virtual sink `t`).
 
 use crate::storage::Storage;
+use crate::verify::{validate_csr, GraphInvariantError};
 use crate::weight::{index_to_u32, Weight};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -69,21 +69,93 @@ impl Direction {
     }
 }
 
-/// One half (forward or reverse) of the adjacency in CSR form.
+/// One direction of adjacency in CSR form: row `u` holds `(target, weight)`
+/// pairs sorted by `(target, weight)`.
 ///
-/// Fields are `pub(crate)` so `crate::verify` can inspect (and, in tests,
-/// corrupt) the raw arrays without widening the public API. Each array is
-/// a [`Storage`]: an owned `Vec` when built in memory, or a zero-copy view
+/// A [`Graph`] is two of these (forward and its transpose); the projection
+/// index stores a single forward one. The Dijkstra settle loop reads
+/// exactly this type, so a sweep over a stored half is the same code as a
+/// sweep over a full graph ([`DijkstraEngine::run_rows_guarded`]).
+///
+/// Array fields are `pub(crate)` so `crate::verify` can inspect (and, in
+/// tests, corrupt) them without widening the public API. Each array is a
+/// [`Storage`]: an owned `Vec` when built in memory, or a zero-copy view
 /// into a mapped CGPH v2 container (see [`crate::container`]).
+///
+/// [`DijkstraEngine::run_rows_guarded`]: crate::DijkstraEngine::run_rows_guarded
 #[derive(Clone, Default)]
-pub(crate) struct Csr {
+pub struct Csr {
     pub(crate) offsets: Storage<u32>,
     pub(crate) targets: Storage<NodeId>,
     pub(crate) weights: Storage<Weight>,
+    /// Lazily computed minimum positive weight (`INFINITY` when there is
+    /// none). The bucket Dijkstra kernel sizes its distance buckets from
+    /// this; `OnceLock` so the `O(m)` scan happens at most once per half
+    /// and concurrent sweeps can share it.
+    min_pos_w: OnceLock<Weight>,
 }
 
 impl Csr {
-    fn neighbors(&self, u: NodeId) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
+    pub(crate) fn new(
+        offsets: Storage<u32>,
+        targets: Storage<NodeId>,
+        weights: Storage<Weight>,
+    ) -> Csr {
+        Csr {
+            offsets,
+            targets,
+            weights,
+            min_pos_w: OnceLock::new(),
+        }
+    }
+
+    /// Assembles a square half from raw arrays, checking everything a
+    /// sweep or a [`transpose`](Self::transpose) indexes by: `offsets`
+    /// non-empty, starting at 0, monotone and closing on the target count;
+    /// targets below the row count; rows sorted by `(target, weight)`;
+    /// weights finite and non-negative. This is the entry point for arrays
+    /// decoded from untrusted bytes.
+    pub fn from_parts(
+        offsets: Vec<u32>,
+        targets: Vec<NodeId>,
+        weights: Vec<Weight>,
+    ) -> Result<Csr, GraphInvariantError> {
+        let (n, m) = (offsets.len().saturating_sub(1), targets.len());
+        let csr = Csr::new(offsets.into(), targets.into(), weights.into());
+        validate_csr(&csr, Direction::Forward, n, m)?;
+        Ok(csr)
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn node_count(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Number of stored `(target, weight)` pairs.
+    #[inline]
+    pub fn edge_count(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// The row offsets (`node_count() + 1` entries).
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// All targets, row after row.
+    pub fn targets(&self) -> &[NodeId] {
+        &self.targets
+    }
+
+    /// All weights, parallel to [`targets`](Self::targets).
+    pub fn weights(&self) -> &[Weight] {
+        &self.weights
+    }
+
+    /// Row `u` as `(target, weight)` pairs sorted by target id.
+    #[inline]
+    pub fn neighbors(&self, u: NodeId) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
         let lo = self.offsets[u.index()] as usize;
         let hi = self.offsets[u.index() + 1] as usize;
         self.targets[lo..hi]
@@ -96,11 +168,95 @@ impl Csr {
         (self.offsets[u.index() + 1] - self.offsets[u.index()]) as usize
     }
 
-    fn from_edges(n: usize, edges: &[(NodeId, NodeId, Weight)], reverse: bool) -> Csr {
+    /// Resident size of the three arrays in bytes.
+    pub fn byte_size(&self) -> usize {
+        self.offsets.len() * std::mem::size_of::<u32>()
+            + self.targets.len() * std::mem::size_of::<NodeId>()
+            + self.weights.len() * std::mem::size_of::<Weight>()
+    }
+
+    /// The smallest strictly positive weight, or `None` when there is
+    /// none. Computed once by an `O(m)` scan and cached.
+    pub fn min_positive_weight(&self) -> Option<Weight> {
+        let w = *self.min_pos_w.get_or_init(|| {
+            self.weights
+                .iter()
+                .copied()
+                .filter(|&w| w > Weight::ZERO)
+                .min()
+                .unwrap_or(Weight::INFINITY)
+        });
+        w.is_finite().then_some(w)
+    }
+
+    /// The rows of `nodes`, restricted to targets `local` maps, in the ids
+    /// `local` assigns: row `i` of the result is row `nodes[i]` of `self`
+    /// with every `(t, w)` replaced by `(local(t), w)` or dropped when
+    /// `local(t)` is `None`.
+    ///
+    /// `nodes` must be strictly increasing and `local` must map `nodes[i]`
+    /// to `i` (and nothing else to `Some`). Such a relabel is monotone, so
+    /// each copied row is still sorted by `(target, weight)` — no sort, no
+    /// per-row allocation — and every kept edge is copied exactly once,
+    /// parallel edges included: the result is the forward half of the
+    /// subgraph induced by `nodes`.
+    pub fn induce(&self, nodes: &[NodeId], local: impl Fn(NodeId) -> Option<NodeId>) -> Csr {
+        // Reserved for every edge leaving `nodes` and trimmed afterwards:
+        // the copy never regrows, and the (often cached) result holds no
+        // slack.
+        let bound = nodes.iter().map(|&u| self.degree(u)).sum();
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        let mut targets = Vec::with_capacity(bound);
+        let mut weights = Vec::with_capacity(bound);
+        offsets.push(0);
+        for &u in nodes {
+            for (t, w) in self.neighbors(u) {
+                if let Some(t) = local(t) {
+                    targets.push(t);
+                    weights.push(w);
+                }
+            }
+            offsets.push(index_to_u32(targets.len()));
+        }
+        targets.shrink_to_fit();
+        weights.shrink_to_fit();
+        Csr::new(offsets.into(), targets.into(), weights.into())
+    }
+
+    /// The transposed half: row `v` of the result lists `(u, w)` for every
+    /// `(v, w)` in row `u` of `self`. Sources are visited in ascending
+    /// order and each row is sorted by `(target, weight)`, so every
+    /// transposed row comes out sorted by `(source, weight)` without a
+    /// sort. `self` must be square (every target below the row count).
+    pub fn transpose(&self) -> Csr {
+        let n = self.node_count();
+        let mut cursor = vec![0u32; n + 1];
+        for t in self.targets.iter() {
+            cursor[t.index() + 1] += 1;
+        }
+        for i in 0..n {
+            cursor[i + 1] += cursor[i];
+        }
+        let offsets = cursor.clone();
+        let mut targets = vec![NodeId(0); self.edge_count()];
+        let mut weights = vec![Weight::ZERO; self.edge_count()];
+        for u in 0..n {
+            let u = NodeId(index_to_u32(u));
+            for (v, w) in self.neighbors(u) {
+                let pos = cursor[v.index()] as usize;
+                cursor[v.index()] += 1;
+                targets[pos] = u;
+                weights[pos] = w;
+            }
+        }
+        Csr::new(offsets.into(), targets.into(), weights.into())
+    }
+
+    /// The forward half of an edge list over `n` nodes.
+    fn from_edges(n: usize, edges: &[(NodeId, NodeId, Weight)]) -> Csr {
         let mut counts = vec![0u32; n + 1];
-        for &(u, v, _) in edges {
-            let from = if reverse { v } else { u };
-            counts[from.index() + 1] += 1;
+        for &(u, _, _) in edges {
+            counts[u.index() + 1] += 1;
         }
         for i in 0..n {
             counts[i + 1] += counts[i];
@@ -110,10 +266,9 @@ impl Csr {
         let mut targets = vec![NodeId(0); edges.len()];
         let mut weights = vec![Weight::ZERO; edges.len()];
         for &(u, v, w) in edges {
-            let (from, to) = if reverse { (v, u) } else { (u, v) };
-            let pos = cursor[from.index()] as usize;
-            cursor[from.index()] += 1;
-            targets[pos] = to;
+            let pos = cursor[u.index()] as usize;
+            cursor[u.index()] += 1;
+            targets[pos] = v;
             weights[pos] = w;
         }
         // Sort each adjacency run by target id for deterministic iteration
@@ -132,11 +287,7 @@ impl Csr {
                 weights[lo + i] = w;
             }
         }
-        Csr {
-            offsets: offsets.into(),
-            targets: targets.into(),
-            weights: weights.into(),
-        }
+        Csr::new(offsets.into(), targets.into(), weights.into())
     }
 }
 
@@ -148,14 +299,36 @@ pub struct Graph {
     pub(crate) m: usize,
     pub(crate) fwd: Csr,
     pub(crate) rev: Csr,
-    /// Lazily computed minimum positive edge weight (`INFINITY` when no
-    /// edge has positive weight). The bucket Dijkstra kernel sizes its
-    /// distance buckets from this; `OnceLock` so the `O(m)` scan happens
-    /// at most once per graph and concurrent sweeps can share it.
-    pub(crate) min_pos_w: OnceLock<Weight>,
 }
 
 impl Graph {
+    /// The graph whose forward adjacency is `fwd` (a square half); the
+    /// reverse half is its [`transpose`](Csr::transpose).
+    ///
+    /// Debug and `verify` builds run the full [`Graph::validate`] pass on
+    /// the result, so any construction bug surfaces at build time rather
+    /// than as a wrong answer deep inside a Dijkstra sweep.
+    pub fn from_rows(fwd: Csr) -> Graph {
+        let g = Graph {
+            n: fwd.node_count(),
+            m: fwd.edge_count(),
+            rev: fwd.transpose(),
+            fwd,
+        };
+        #[cfg(any(debug_assertions, feature = "verify"))]
+        g.assert_valid();
+        g
+    }
+
+    /// The adjacency half a sweep in direction `dir` reads.
+    #[inline]
+    pub fn rows(&self, dir: Direction) -> &Csr {
+        match dir {
+            Direction::Forward => &self.fwd,
+            Direction::Reverse => &self.rev,
+        }
+    }
+
     /// Number of nodes `n = |V(G_D)|`.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -181,10 +354,7 @@ impl Graph {
         u: NodeId,
         dir: Direction,
     ) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
-        match dir {
-            Direction::Forward => self.fwd.neighbors(u),
-            Direction::Reverse => self.rev.neighbors(u),
-        }
+        self.rows(dir).neighbors(u)
     }
 
     /// Out-neighbors of `u` (edges `(u, v)`), sorted by target id.
@@ -245,29 +415,15 @@ impl Graph {
     /// Estimated resident size of the CSR arrays in bytes (used by the
     /// benchmark memory accounting).
     pub fn byte_size(&self) -> usize {
-        let per_csr = |c: &Csr| {
-            c.offsets.len() * std::mem::size_of::<u32>()
-                + c.targets.len() * std::mem::size_of::<NodeId>()
-                + c.weights.len() * std::mem::size_of::<Weight>()
-        };
-        per_csr(&self.fwd) + per_csr(&self.rev)
+        self.fwd.byte_size() + self.rev.byte_size()
     }
 
     /// The smallest strictly positive edge weight, or `None` when the
-    /// graph has no positively weighted edge. Computed once per graph by
-    /// an `O(m)` scan of the forward weights and cached; both adjacency
-    /// halves store the same multiset of weights, so one half suffices.
+    /// graph has no positively weighted edge. Both adjacency halves store
+    /// the same multiset of weights, so the forward half's cached scan
+    /// answers for sweeps in either direction.
     pub fn min_positive_weight(&self) -> Option<Weight> {
-        let w = *self.min_pos_w.get_or_init(|| {
-            self.fwd
-                .weights
-                .iter()
-                .copied()
-                .filter(|&w| w > Weight::ZERO)
-                .min()
-                .unwrap_or(Weight::INFINITY)
-        });
-        w.is_finite().then_some(w)
+        self.fwd.min_positive_weight()
     }
 
     /// Whether the CSR arrays are zero-copy views into a mapped container
@@ -287,21 +443,14 @@ impl Graph {
         let mut sorted: Vec<NodeId> = nodes.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let to_local: HashMap<NodeId, NodeId> = sorted
-            .iter()
-            .enumerate()
-            .map(|(i, &orig)| (orig, NodeId(index_to_u32(i))))
-            .collect();
-        let mut builder = GraphBuilder::new(sorted.len());
-        for (&orig, &local) in sorted.iter().zip(sorted.iter().map(|o| &to_local[o])) {
-            for (v, w) in self.out_neighbors(orig) {
-                if let Some(&lv) = to_local.get(&v) {
-                    builder.add_edge(local, lv, w);
-                }
-            }
-        }
+        // No O(n) relabel table: this runs once per emitted community, on
+        // node sets far smaller than the graph.
+        let fwd = self.fwd.induce(&sorted, |v| {
+            let i = sorted.binary_search(&v).ok()?;
+            Some(NodeId(index_to_u32(i)))
+        });
         InducedGraph {
-            graph: builder.build(),
+            graph: Graph::from_rows(fwd),
             original_ids: sorted,
         }
     }
@@ -403,24 +552,10 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Finalizes the CSR representation.
-    ///
-    /// Debug and `verify` builds run the full [`Graph::validate`] pass on
-    /// the result, so any construction bug surfaces at build time rather
-    /// than as a wrong answer deep inside a Dijkstra sweep.
+    /// Finalizes the CSR representation (validated in debug and `verify`
+    /// builds, see [`Graph::from_rows`]).
     pub fn build(self) -> Graph {
-        let fwd = Csr::from_edges(self.n, &self.edges, false);
-        let rev = Csr::from_edges(self.n, &self.edges, true);
-        let g = Graph {
-            n: self.n,
-            m: self.edges.len(),
-            fwd,
-            rev,
-            min_pos_w: OnceLock::new(),
-        };
-        #[cfg(any(debug_assertions, feature = "verify"))]
-        g.assert_valid();
-        g
+        Graph::from_rows(Csr::from_edges(self.n, &self.edges))
     }
 
     /// Finalizes the CSR representation with *node weights* folded into
@@ -556,6 +691,147 @@ mod tests {
         let g = diamond();
         let ind = g.induce(&[NodeId(1), NodeId(1), NodeId(0)]);
         assert_eq!(ind.graph.node_count(), 2);
+    }
+
+    /// The edges of `g` with both endpoints in `keep`, as sorted
+    /// `(u, v, weight)` triples in original ids.
+    fn induced_edges(g: &Graph, keep: &[NodeId]) -> Vec<(NodeId, NodeId, Weight)> {
+        let mut edges: Vec<_> = g
+            .edges()
+            .filter(|(u, v, _)| keep.contains(u) && keep.contains(v))
+            .collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    /// `induce` against the definition on seeded multigraphs: unsorted and
+    /// duplicated input, parallel edges (equal weights included) kept with
+    /// multiplicity, ascending `original_ids`, and a graph that validates.
+    #[test]
+    fn induce_matches_the_edge_filter_on_seeded_multigraphs() {
+        crate::SplitMix64::for_each_case(48, |rng| {
+            let n = 1 + rng.index(12);
+            let mut b = GraphBuilder::new(n);
+            for _ in 0..rng.index(4 * n) {
+                let (u, v) = (rng.index(n), rng.index(n));
+                let w = Weight::from(index_to_u32(rng.index(3)));
+                b.add_edge(NodeId(index_to_u32(u)), NodeId(index_to_u32(v)), w);
+                if rng.index(4) == 0 {
+                    b.add_edge(NodeId(index_to_u32(u)), NodeId(index_to_u32(v)), w);
+                }
+            }
+            let g = b.build();
+            let picks: Vec<NodeId> = (0..rng.index(2 * n))
+                .map(|_| NodeId(index_to_u32(rng.index(n))))
+                .collect();
+            let ind = g.induce(&picks);
+            assert!(ind.original_ids.windows(2).all(|w| w[0] < w[1]));
+            assert!(picks.iter().all(|&p| ind.to_local(p).is_some()));
+            assert_eq!(ind.graph.node_count(), ind.original_ids.len());
+            ind.graph.validate().unwrap();
+            let mut lifted: Vec<_> = ind
+                .graph
+                .edges()
+                .map(|(u, v, w)| (ind.to_original(u), ind.to_original(v), w))
+                .collect();
+            lifted.sort_unstable();
+            assert_eq!(lifted, induced_edges(&g, &ind.original_ids));
+        });
+    }
+
+    #[test]
+    fn csr_induce_copies_rows_under_a_monotone_relabel() {
+        // Row 0 holds a parallel pair to 2 and an edge to the dropped node 1.
+        let g = graph_from_edges(
+            4,
+            &[
+                (0, 2, 1.0),
+                (0, 2, 1.0),
+                (0, 1, 5.0),
+                (2, 3, 2.0),
+                (3, 0, 0.0),
+            ],
+        );
+        let keep = [NodeId(0), NodeId(2), NodeId(3)];
+        let local = [Some(NodeId(0)), None, Some(NodeId(1)), Some(NodeId(2))];
+        let rows = g
+            .rows(Direction::Forward)
+            .induce(&keep, |v| local[v.index()]);
+        assert_eq!(rows.offsets(), &[0, 2, 3, 4]);
+        assert_eq!(
+            rows.targets(),
+            &[NodeId(1), NodeId(1), NodeId(2), NodeId(0)]
+        );
+        assert_eq!(rows.weights()[3], Weight::ZERO);
+        assert_eq!(rows.node_count(), 3);
+        assert_eq!(rows.edge_count(), 4);
+        // An empty selection is a valid zero-row half.
+        let none = g.rows(Direction::Forward).induce(&[], |_| None);
+        assert_eq!(none.offsets(), &[0]);
+        assert_eq!(Graph::from_rows(none).node_count(), 0);
+    }
+
+    #[test]
+    fn transpose_is_the_reverse_half_and_an_involution() {
+        let g = graph_from_edges(
+            4,
+            &[
+                (0, 1, 2.0),
+                (0, 1, 1.0),
+                (2, 1, 1.0),
+                (3, 3, 0.5),
+                (1, 0, 4.0),
+            ],
+        );
+        let (fwd, rev) = (g.rows(Direction::Forward), g.rows(Direction::Reverse));
+        let t = fwd.transpose();
+        assert_eq!(t.offsets(), rev.offsets());
+        assert_eq!(t.targets(), rev.targets());
+        assert_eq!(t.weights(), rev.weights());
+        // Row 1 of the transpose: sources 0 (twice, by weight) then 2.
+        let row1: Vec<_> = t.neighbors(NodeId(1)).collect();
+        assert_eq!(
+            row1,
+            vec![
+                (NodeId(0), Weight::new(1.0)),
+                (NodeId(0), Weight::new(2.0)),
+                (NodeId(2), Weight::new(1.0)),
+            ]
+        );
+        let back = t.transpose();
+        assert_eq!(back.offsets(), fwd.offsets());
+        assert_eq!(back.targets(), fwd.targets());
+        assert_eq!(back.weights(), fwd.weights());
+    }
+
+    #[test]
+    fn from_parts_rejects_what_a_sweep_would_index_out_of() {
+        let w = |x: f64| Weight::new(x);
+        let ok = Csr::from_parts(
+            vec![0, 1, 2],
+            vec![NodeId(1), NodeId(0)],
+            vec![w(1.0), w(0.0)],
+        )
+        .unwrap();
+        assert_eq!(ok.node_count(), 2);
+        assert_eq!(ok.min_positive_weight(), Some(w(1.0)));
+        let bad = [
+            // No offsets at all; offsets not starting at 0; decreasing;
+            // not closing on the target count.
+            Csr::from_parts(vec![], vec![], vec![]),
+            Csr::from_parts(vec![1, 1], vec![NodeId(0)], vec![w(1.0)]),
+            Csr::from_parts(vec![0, 2, 1], vec![NodeId(0)], vec![w(1.0)]),
+            Csr::from_parts(vec![0, 1, 1], vec![NodeId(0), NodeId(1)], vec![w(1.0); 2]),
+            // Target out of range, unsorted row, weight count mismatch,
+            // infinite weight.
+            Csr::from_parts(vec![0, 1], vec![NodeId(1)], vec![w(1.0)]),
+            Csr::from_parts(vec![0, 2, 2], vec![NodeId(1), NodeId(0)], vec![w(1.0); 2]),
+            Csr::from_parts(vec![0, 1], vec![NodeId(0)], vec![]),
+            Csr::from_parts(vec![0, 1], vec![NodeId(0)], vec![Weight::INFINITY]),
+        ];
+        for (i, r) in bad.into_iter().enumerate() {
+            assert!(r.is_err(), "malformed half {i} was accepted");
+        }
     }
 
     #[test]

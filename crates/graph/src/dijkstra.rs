@@ -25,7 +25,7 @@
 //! bucket queue ([`crate::bucket`]) that is bit-identical by construction.
 
 use crate::bucket::BucketQueue;
-use crate::csr::{Direction, Graph, NodeId};
+use crate::csr::{Csr, Direction, Graph, NodeId};
 use crate::guard::{InterruptReason, RunGuard};
 use crate::kernel::{Kernel, ResolvedKernel};
 use crate::weight::Weight;
@@ -218,13 +218,43 @@ impl DijkstraEngine {
         seeds: impl IntoIterator<Item = NodeId>,
         radius: Weight,
         guard: &RunGuard,
+        visit: F,
+    ) -> Result<usize, InterruptReason> {
+        let w_min = graph.min_positive_weight();
+        self.run_rows(graph.rows(dir), w_min, seeds, radius, guard, visit)
+    }
+
+    /// [`run_guarded`](Self::run_guarded) over a single adjacency half:
+    /// the sweep follows `rows` as stored, so pass a forward half for
+    /// `dist(seeds, ·)` and a transposed one for `dist(·, seeds)`.
+    pub fn run_rows_guarded<F: FnMut(Settled)>(
+        &mut self,
+        rows: &Csr,
+        seeds: impl IntoIterator<Item = NodeId>,
+        radius: Weight,
+        guard: &RunGuard,
+        visit: F,
+    ) -> Result<usize, InterruptReason> {
+        let w_min = rows.min_positive_weight();
+        self.run_rows(rows, w_min, seeds, radius, guard, visit)
+    }
+
+    /// The one sweep behind both entry points. `w_min` (the adjacency's
+    /// minimum positive weight) only sizes the bucket kernel's buckets.
+    fn run_rows<F: FnMut(Settled)>(
+        &mut self,
+        rows: &Csr,
+        w_min: Option<Weight>,
+        seeds: impl IntoIterator<Item = NodeId>,
+        radius: Weight,
+        guard: &RunGuard,
         mut visit: F,
     ) -> Result<usize, InterruptReason> {
-        if self.ensure_capacity(graph.node_count()) {
+        if self.ensure_capacity(rows.node_count()) {
             guard.check_bytes(self.scratch_bytes())?;
         }
         self.reset_scratch();
-        match self.kernel.resolve(graph, radius) {
+        match self.kernel.resolve(w_min, radius) {
             ResolvedKernel::Heap => {
                 // The queue is taken out of `self` for the duration of the
                 // sweep so the sweep loop can borrow scratch mutably; it is
@@ -237,7 +267,7 @@ impl DijkstraEngine {
                         Frontier::push(&mut queue, Weight::ZERO, seed);
                     }
                 }
-                let out = self.sweep(graph, dir, radius, guard, &mut queue, &mut visit);
+                let out = self.sweep(rows, radius, guard, &mut queue, &mut visit);
                 queue.clear();
                 self.heap = queue;
                 out
@@ -251,7 +281,7 @@ impl DijkstraEngine {
                         Frontier::push(&mut queue, Weight::ZERO, seed);
                     }
                 }
-                let out = self.sweep(graph, dir, radius, guard, &mut queue, &mut visit);
+                let out = self.sweep(rows, radius, guard, &mut queue, &mut visit);
                 queue.clear();
                 self.bucket = queue;
                 out
@@ -262,8 +292,7 @@ impl DijkstraEngine {
     /// The kernel-generic settle loop shared by both queues.
     fn sweep<Q: Frontier, F: FnMut(Settled)>(
         &mut self,
-        graph: &Graph,
-        dir: Direction,
+        rows: &Csr,
         radius: Weight,
         guard: &RunGuard,
         queue: &mut Q,
@@ -285,7 +314,7 @@ impl DijkstraEngine {
                 source,
                 parent: NodeId(self.parent[i]),
             });
-            for (v, w) in graph.neighbors(u, dir) {
+            for (v, w) in rows.neighbors(u) {
                 let nd = d + w;
                 if nd <= radius && self.relax(v, nd, source, u) {
                     queue.push(nd, v);
@@ -552,6 +581,27 @@ mod tests {
             // The engine stays reusable after an interrupted sweep.
             let d = eng.distances(&g, Direction::Forward, NodeId(0));
             assert_eq!(d[3], Weight::new(7.0));
+        }
+    }
+
+    #[test]
+    fn sweeping_one_half_is_the_graph_sweep_in_that_direction() {
+        let g = graph_from_edges(5, &[(0, 1, 1.5), (1, 2, 0.5), (2, 3, 2.0), (0, 4, 0.0)]);
+        let guard = RunGuard::unlimited();
+        for kernel in [Kernel::Heap, Kernel::Bucket] {
+            let mut eng = DijkstraEngine::with_kernel(5, kernel);
+            for (dir, seed) in [(Direction::Forward, 0), (Direction::Reverse, 3)] {
+                for radius in [Weight::new(2.0), Weight::INFINITY] {
+                    let mut on_graph = Vec::new();
+                    eng.run(&g, dir, [NodeId(seed)], radius, |s| on_graph.push(s));
+                    let mut on_rows = Vec::new();
+                    eng.run_rows_guarded(g.rows(dir), [NodeId(seed)], radius, &guard, |s| {
+                        on_rows.push(s)
+                    })
+                    .unwrap();
+                    assert_eq!(on_rows, on_graph);
+                }
+            }
         }
     }
 

@@ -29,7 +29,6 @@
 //! `Rmax / w_min` ratios. Correctness is independent of `delta` — a
 //! wider bucket only moves more entries into the exact in-bucket heap.
 
-use crate::csr::Graph;
 use crate::weight::Weight;
 
 /// Upper bound on bucket-array length; beyond this the width is widened
@@ -55,13 +54,13 @@ pub enum Kernel {
 
 impl Kernel {
     /// Resolves the kernel for one sweep: the bucket width is derived from
-    /// `radius` and the graph's minimum positive edge weight, and the heap
-    /// is chosen when no valid width exists.
-    pub(crate) fn resolve(self, graph: &Graph, radius: Weight) -> ResolvedKernel {
+    /// `radius` and `w_min`, the swept adjacency's minimum positive edge
+    /// weight, and the heap is chosen when no valid width exists.
+    pub(crate) fn resolve(self, w_min: Option<Weight>, radius: Weight) -> ResolvedKernel {
         if self == Kernel::Heap {
             return ResolvedKernel::Heap;
         }
-        let Some(plan) = BucketPlan::for_sweep(graph, radius) else {
+        let Some(plan) = BucketPlan::for_sweep(w_min, radius) else {
             return ResolvedKernel::Heap;
         };
         ResolvedKernel::Bucket(plan)
@@ -90,15 +89,15 @@ pub(crate) struct BucketPlan {
 impl BucketPlan {
     /// Derives the bucket width for a sweep truncated at `radius`:
     /// `delta = max(w_min⁺ / BUCKET_REFINE, radius / MAX_BUCKETS)` where
-    /// `w_min⁺` is the graph's minimum positive edge weight. Returns
+    /// `w_min⁺` is the adjacency's minimum positive edge weight. Returns
     /// `None` when buckets cannot be sized (untruncated sweep, or a
     /// degenerate width).
-    pub(crate) fn for_sweep(graph: &Graph, radius: Weight) -> Option<BucketPlan> {
+    pub(crate) fn for_sweep(w_min: Option<Weight>, radius: Weight) -> Option<BucketPlan> {
         if !radius.is_finite() {
             return None;
         }
         let r = radius.get();
-        let w_min = graph.min_positive_weight().map_or(0.0, Weight::get);
+        let w_min = w_min.map_or(0.0, Weight::get);
         let delta = (w_min / BUCKET_REFINE).max(r / MAX_BUCKETS as f64);
         if !(delta.is_finite() && delta > 0.0) {
             // radius == 0 with no positive edge weight: every reachable
@@ -145,7 +144,7 @@ mod tests {
     fn heap_never_resolves_to_bucket() {
         let g = graph_from_edges(3, &[(0, 1, 1.0)]);
         assert!(matches!(
-            Kernel::Heap.resolve(&g, Weight::new(4.0)),
+            Kernel::Heap.resolve(g.min_positive_weight(), Weight::new(4.0)),
             ResolvedKernel::Heap
         ));
     }
@@ -154,11 +153,11 @@ mod tests {
     fn bucket_covers_bounded_sweeps_only() {
         let g = graph_from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]);
         assert!(matches!(
-            Kernel::Bucket.resolve(&g, Weight::new(8.0)),
+            Kernel::Bucket.resolve(g.min_positive_weight(), Weight::new(8.0)),
             ResolvedKernel::Bucket(_)
         ));
         assert!(matches!(
-            Kernel::Bucket.resolve(&g, Weight::INFINITY),
+            Kernel::Bucket.resolve(g.min_positive_weight(), Weight::INFINITY),
             ResolvedKernel::Heap
         ));
     }
@@ -166,7 +165,7 @@ mod tests {
     #[test]
     fn plan_uses_min_positive_weight() {
         let g = graph_from_edges(3, &[(0, 1, 0.0), (1, 2, 2.0)]);
-        let plan = BucketPlan::for_sweep(&g, Weight::new(8.0)).unwrap();
+        let plan = BucketPlan::for_sweep(g.min_positive_weight(), Weight::new(8.0)).unwrap();
         // delta = 2.0 / BUCKET_REFINE = 0.125 → buckets ⌊8/0.125⌋ + 2.
         assert_eq!(plan.buckets, 66);
         assert_eq!(plan.bucket_of(Weight::new(3.9)), 31);
@@ -177,14 +176,14 @@ mod tests {
     fn plan_caps_bucket_count() {
         // Tiny weights and a huge radius: delta widens to radius/MAX.
         let g = graph_from_edges(2, &[(0, 1, 1e-9)]);
-        let plan = BucketPlan::for_sweep(&g, Weight::new(1e6)).unwrap();
+        let plan = BucketPlan::for_sweep(g.min_positive_weight(), Weight::new(1e6)).unwrap();
         assert!(plan.buckets <= MAX_BUCKETS + 2);
     }
 
     #[test]
     fn zero_radius_zero_weights_single_bucket() {
         let g = graph_from_edges(2, &[(0, 1, 0.0)]);
-        let plan = BucketPlan::for_sweep(&g, Weight::ZERO).unwrap();
+        let plan = BucketPlan::for_sweep(g.min_positive_weight(), Weight::ZERO).unwrap();
         assert_eq!(plan.buckets, 1);
         assert_eq!(plan.bucket_of(Weight::ZERO), 0);
     }
@@ -192,7 +191,7 @@ mod tests {
     #[test]
     fn bucket_of_is_monotone_on_samples() {
         let g = graph_from_edges(3, &[(0, 1, 0.5), (1, 2, 1.5)]);
-        let plan = BucketPlan::for_sweep(&g, Weight::new(10.0)).unwrap();
+        let plan = BucketPlan::for_sweep(g.min_positive_weight(), Weight::new(10.0)).unwrap();
         let mut last = 0usize;
         for i in 0..=1000 {
             let d = Weight::new(10.0 * f64::from(i) / 1000.0);

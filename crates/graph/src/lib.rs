@@ -6,6 +6,9 @@
 //! * [`Graph`]: CSR storage with both forward and reverse adjacency,
 //!   modeling the database graph `G_D = (V, E)` whose nodes are tuples and
 //!   whose edges are foreign-key references;
+//! * [`Csr`]: one direction of that adjacency — what a sweep reads, what
+//!   the projection index stores, and the row filter-copy
+//!   ([`Csr::induce`]) behind [`Graph::induce`] and `GraphProjection`;
 //! * [`Weight`]: totally ordered non-negative edge weights (the paper uses
 //!   `w_e((u,v)) = log2(1 + N_in(v))`);
 //! * [`DijkstraEngine`]: reusable radius-bounded multi-source Dijkstra, the
@@ -56,7 +59,7 @@ pub mod verify;
 pub mod weight;
 
 pub use container::{load_container, save_container, Container};
-pub use csr::{graph_from_edges, Direction, Graph, GraphBuilder, InducedGraph, NodeId};
+pub use csr::{graph_from_edges, Csr, Direction, Graph, GraphBuilder, InducedGraph, NodeId};
 pub use dijkstra::{shortest_distances, DijkstraEngine, Settled};
 pub use guard::{InterruptReason, Outcome, RunGuard};
 pub use kernel::Kernel;
