@@ -24,6 +24,20 @@ if grep -rn --include='*.rs' 'EnginePool::global()' crates src examples tests \
     exit 1
 fi
 
+# Configuration travels as a value: the environment is read once, by
+# `cache_dir()`, and only a binary's `main` calls that.
+echo "==> environment gate (cache_dir() only in the two mains, env::var only in datasets/cache.rs)"
+if grep -rn --include='*.rs' 'cache_dir()' crates src examples tests \
+    | grep -vE '^crates/(cli/src/main|bench/src/bin/repro|datasets/src/cache)\.rs:'; then
+    echo "take the cache directory as an Option<&Path>"
+    exit 1
+fi
+if grep -rn --include='*.rs' 'env::var' crates src examples tests \
+    | grep -v '^crates/datasets/src/cache.rs:'; then
+    echo "read the environment in fn main, through comm_datasets::cache"
+    exit 1
+fi
+
 # The projection sweeps on `DijkstraEngine` like everything else: it must
 # not grow a queue of its own, and no new file may start keeping one (the
 # certifier's independent sweep in core/verify.rs stays independent).
@@ -147,5 +161,8 @@ if cargo miri --version >/dev/null 2>&1; then
 else
     echo "    miri not installed; skipped (CI hardening lane runs it)"
 fi
+
+# For the next re-anchor: the size ROADMAP tracks, counted, not estimated.
+echo "==> *.rs lines outside benchmark/: $(git ls-files '*.rs' ':!benchmark' | xargs cat | wc -l)"
 
 echo "==> ci OK"

@@ -9,6 +9,7 @@ use comm_bench::experiments::{
     index_stats, interactive_figure, table1, Caps,
 };
 use comm_bench::{Prepared, Scale, Table};
+use comm_datasets::cache::cache_dir;
 use std::io::Write;
 use std::time::Instant;
 
@@ -37,6 +38,7 @@ fn main() {
         Scale::Full
     };
     let caps = Caps::for_scale(scale);
+    let cache = cache_dir();
     let wanted: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
@@ -63,7 +65,7 @@ fn main() {
 
     let imdb = needs_imdb.then(|| {
         let t0 = Instant::now();
-        let p = Prepared::imdb(scale);
+        let p = Prepared::imdb(scale, cache.as_deref());
         eprintln!(
             "[setup] imdb: n={} m={} generated+indexed in {:?}",
             p.dataset.graph.graph.node_count(),
@@ -74,7 +76,7 @@ fn main() {
     });
     let dblp = needs_dblp.then(|| {
         let t0 = Instant::now();
-        let p = Prepared::dblp(scale);
+        let p = Prepared::dblp(scale, cache.as_deref());
         eprintln!(
             "[setup] dblp: n={} m={} generated+indexed in {:?}",
             p.dataset.graph.graph.node_count(),

@@ -677,7 +677,7 @@ mod tests {
 
     #[test]
     fn quick_comm_all_figure_runs() {
-        let p = Prepared::imdb(Scale::Quick);
+        let p = Prepared::imdb(Scale::Quick, None);
         let caps = Caps::for_scale(Scale::Quick);
         let tables = comm_all_figure(&p, caps, "fig9");
         assert_eq!(tables.len(), 3);
@@ -687,7 +687,7 @@ mod tests {
 
     #[test]
     fn quick_interactive_and_index() {
-        let p = Prepared::dblp(Scale::Quick);
+        let p = Prepared::dblp(Scale::Quick, None);
         let caps = Caps::for_scale(Scale::Quick);
         let t = interactive_figure(&p, caps);
         assert_eq!(t.rows.len(), p.grid.k.len());
@@ -697,7 +697,7 @@ mod tests {
 
     #[test]
     fn quick_projection_ablation() {
-        let p = Prepared::dblp(Scale::Quick);
+        let p = Prepared::dblp(Scale::Quick, None);
         let t = ablation_projection(&p);
         assert_eq!(t.rows.len(), 2);
     }

@@ -1,20 +1,21 @@
 //! Canonical benchmark datasets: generation + index build + projection.
 //!
-//! When the `COMM_BENCH_CACHE` environment variable names a directory,
-//! the built projection index is persisted there inside a CGPH v2 bundle
-//! (graph + keyword map + serialized index) and reloaded on the next run
-//! — generation still happens (the relational database itself is not
-//! cached) but the index build, the dominant cost at paper scale, is
-//! skipped. [`Prepared::index_source`] records which path ran.
+//! Given a cache directory (`repro`'s `main` passes the one
+//! `COMM_BENCH_CACHE` names), the built projection index is persisted
+//! there inside a CGPH v2 container (graph + keyword map + serialized
+//! index) and reloaded on the next run — generation still happens (the
+//! relational database itself is not cached) but the index build, the
+//! dominant cost at paper scale, is skipped. [`Prepared::index_source`]
+//! records which path ran.
 
 use comm_core::{ProjectedQuery, ProjectionIndex, RunGuard};
-use comm_datasets::cache::{bundle_path, cache_dir, load_bundle, save_bundle_with_index};
+use comm_datasets::cache::bundle_path;
 use comm_datasets::workload::{
     query_keywords, KeywordGroup, ParameterGrid, DBLP_GRID, DBLP_KEYWORD_GROUPS, IMDB_GRID,
     IMDB_KEYWORD_GROUPS,
 };
 use comm_datasets::{generate_dblp, generate_imdb, DblpConfig, GeneratedDataset, ImdbConfig};
-use comm_graph::{EnginePool, NodeId, Parallelism, Weight};
+use comm_graph::{load_container, save_container, EnginePool, NodeId, Parallelism, Weight};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -23,7 +24,7 @@ use std::time::{Duration, Instant};
 pub enum IndexSource {
     /// Built from scratch this run.
     Built,
-    /// Decoded from a cached bundle (`COMM_BENCH_CACHE`).
+    /// Decoded from a container in the cache directory.
     Cache,
 }
 
@@ -44,7 +45,7 @@ pub struct Prepared {
     pub index_build: Duration,
     /// Wall-clock time to generate + materialize the dataset.
     pub generation: Duration,
-    /// Whether the index was built fresh or served from the bundle cache.
+    /// Whether the index was built fresh or served from the cache directory.
     pub index_source: IndexSource,
 }
 
@@ -92,15 +93,10 @@ pub fn dblp_config(scale: Scale) -> DblpConfig {
 }
 
 impl Prepared {
-    /// Generates the IMDB-like benchmark dataset and its index, reusing a
-    /// `COMM_BENCH_CACHE`d index when one matches.
-    pub fn imdb(scale: Scale) -> Prepared {
-        Prepared::imdb_with_cache(scale, cache_dir().as_deref())
-    }
-
-    /// [`Prepared::imdb`] with an explicit cache directory (`None`
-    /// disables caching; exposed for tests).
-    pub fn imdb_with_cache(scale: Scale, cache: Option<&Path>) -> Prepared {
+    /// Generates the IMDB-like benchmark dataset and its index, reusing
+    /// the index cached under `cache` when one matches (`None` disables
+    /// caching).
+    pub fn imdb(scale: Scale, cache: Option<&Path>) -> Prepared {
         let t0 = Instant::now();
         let dataset = generate_imdb(&imdb_config(scale));
         let generation = t0.elapsed();
@@ -115,15 +111,10 @@ impl Prepared {
         )
     }
 
-    /// Generates the DBLP-like benchmark dataset and its index, reusing a
-    /// `COMM_BENCH_CACHE`d index when one matches.
-    pub fn dblp(scale: Scale) -> Prepared {
-        Prepared::dblp_with_cache(scale, cache_dir().as_deref())
-    }
-
-    /// [`Prepared::dblp`] with an explicit cache directory (`None`
-    /// disables caching; exposed for tests).
-    pub fn dblp_with_cache(scale: Scale, cache: Option<&Path>) -> Prepared {
+    /// Generates the DBLP-like benchmark dataset and its index, reusing
+    /// the index cached under `cache` when one matches (`None` disables
+    /// caching).
+    pub fn dblp(scale: Scale, cache: Option<&Path>) -> Prepared {
         let t0 = Instant::now();
         let dataset = generate_dblp(&dblp_config(scale));
         let generation = t0.elapsed();
@@ -184,7 +175,7 @@ impl Prepared {
             // Best-effort persistence: an unwritable cache directory
             // degrades to rebuild-next-time, never to a failed run.
             if std::fs::create_dir_all(dir).is_ok() {
-                save_bundle_with_index(
+                save_container(
                     bundle_path(dir, &key),
                     &dataset.graph.graph,
                     entries.iter().copied(),
@@ -208,20 +199,20 @@ impl Prepared {
     /// Tries to decode a cached projection index for `key`, validating it
     /// against the freshly generated dataset. Any mismatch (different
     /// radius, different graph size, corrupt file) silently falls back to
-    /// a rebuild, which overwrites the stale bundle.
+    /// a rebuild, which overwrites the stale container.
     fn cached_index(
         dir: &Path,
         key: &str,
         dataset: &GeneratedDataset,
         rmax: Weight,
     ) -> Option<ProjectionIndex> {
-        let bundle = load_bundle(bundle_path(dir, key)).ok()?;
-        if bundle.graph.node_count() != dataset.graph.graph.node_count()
-            || bundle.graph.edge_count() != dataset.graph.graph.edge_count()
+        let cached = load_container(bundle_path(dir, key)).ok()?;
+        if cached.graph.node_count() != dataset.graph.graph.node_count()
+            || cached.graph.edge_count() != dataset.graph.graph.edge_count()
         {
             return None;
         }
-        let index = ProjectionIndex::decode(bundle.index_blob.as_deref()?).ok()?;
+        let index = ProjectionIndex::decode(cached.extra.as_deref()?).ok()?;
         (index.radius() == rmax).then_some(index)
     }
 
@@ -246,7 +237,7 @@ mod tests {
 
     #[test]
     fn quick_imdb_prepares_and_projects() {
-        let p = Prepared::imdb(Scale::Quick);
+        let p = Prepared::imdb(Scale::Quick, None);
         assert!(p.dataset.graph.graph.node_count() > 1000);
         let (kwf, l, rmax, _) = p.grid.defaults;
         let pq = p.project(kwf, l, rmax);
@@ -257,7 +248,7 @@ mod tests {
 
     #[test]
     fn quick_dblp_prepares_and_projects() {
-        let p = Prepared::dblp(Scale::Quick);
+        let p = Prepared::dblp(Scale::Quick, None);
         let (kwf, l, rmax, _) = p.grid.defaults;
         let pq = p.project(kwf, l, rmax);
         assert!(pq.projected.graph.node_count() < p.dataset.graph.graph.node_count());
@@ -272,9 +263,9 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
 
-        let cold = Prepared::dblp_with_cache(Scale::Quick, Some(&dir));
+        let cold = Prepared::dblp(Scale::Quick, Some(&dir));
         assert_eq!(cold.index_source, IndexSource::Built);
-        let warm = Prepared::dblp_with_cache(Scale::Quick, Some(&dir));
+        let warm = Prepared::dblp(Scale::Quick, Some(&dir));
         assert_eq!(warm.index_source, IndexSource::Cache);
 
         let (kwf, l, rmax, _) = cold.grid.defaults;
@@ -300,32 +291,32 @@ mod tests {
             line!()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        // A corrupt bundle under the key the run will use must be repaired.
-        let path = comm_datasets::cache::bundle_path(&dir, "dblp-quick-bench");
+        // A corrupt file under the key the run will use must be repaired.
+        let path = bundle_path(&dir, "dblp-quick-bench");
         std::fs::write(&path, b"junk").unwrap();
-        let p = Prepared::dblp_with_cache(Scale::Quick, Some(&dir));
+        let p = Prepared::dblp(Scale::Quick, Some(&dir));
         assert_eq!(p.index_source, IndexSource::Built);
-        let again = Prepared::dblp_with_cache(Scale::Quick, Some(&dir));
+        let again = Prepared::dblp(Scale::Quick, Some(&dir));
         assert_eq!(again.index_source, IndexSource::Cache);
 
-        // So must a sound bundle whose index blob is from CPIX v1: the
+        // So must a sound container whose index blob is from CPIX v1: the
         // decoder turns it away by version and the run rebuilds.
-        let bundle = load_bundle(&path).unwrap();
-        let mut v1 = bundle.index_blob.clone().unwrap();
+        let sound = load_container(&path).unwrap();
+        let mut v1 = sound.extra.clone().unwrap();
         v1[4] = 1;
-        let keywords = bundle.keyword_nodes.iter();
-        save_bundle_with_index(
+        let keywords = sound.keyword_nodes.iter();
+        save_container(
             &path,
-            &bundle.graph,
+            &sound.graph,
             keywords.map(|(k, v)| (k.as_str(), v.as_slice())),
             Some(&v1),
         )
         .unwrap();
         let err = ProjectionIndex::decode(&v1).err().unwrap();
         assert!(err.to_string().contains("version"), "{err}");
-        let p = Prepared::dblp_with_cache(Scale::Quick, Some(&dir));
+        let p = Prepared::dblp(Scale::Quick, Some(&dir));
         assert_eq!(p.index_source, IndexSource::Built);
-        let again = Prepared::dblp_with_cache(Scale::Quick, Some(&dir));
+        let again = Prepared::dblp(Scale::Quick, Some(&dir));
         assert_eq!(again.index_source, IndexSource::Cache);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -8,6 +8,7 @@
 use crate::exit_codes;
 use comm_bench::{BatchQuery, BatchRunner, Prepared, Scale};
 use comm_core::Parallelism;
+use std::path::Path;
 use std::time::Duration;
 
 /// Usage text for `comm-explore batch --help`.
@@ -83,7 +84,11 @@ fn parse_num(s: &str, name: &str) -> Result<usize, String> {
 }
 
 /// Entry point for the `batch` subcommand. Returns the process exit code.
-pub fn run(args: &[String], cancel: std::sync::Arc<std::sync::atomic::AtomicBool>) -> i32 {
+pub fn run(
+    args: &[String],
+    cancel: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    cache: Option<&Path>,
+) -> i32 {
     let opts = match parse_options(args) {
         Ok(Some(opts)) => opts,
         Ok(None) => {
@@ -96,8 +101,8 @@ pub fn run(args: &[String], cancel: std::sync::Arc<std::sync::atomic::AtomicBool
         }
     };
     let prepared = match opts.dataset.as_str() {
-        "dblp" => Prepared::dblp(opts.scale),
-        "imdb" => Prepared::imdb(opts.scale),
+        "dblp" => Prepared::dblp(opts.scale, cache),
+        "imdb" => Prepared::imdb(opts.scale, cache),
         other => {
             eprintln!("error: unknown dataset '{other}' (dblp or imdb)");
             return exit_codes::USAGE;

@@ -36,9 +36,11 @@ mod daemon;
 mod exit_codes;
 mod session;
 
+use comm_datasets::cache::cache_dir;
 use commands::{parse, Command, HELP};
 use session::Session;
 use std::io::{BufRead, Write};
+use std::path::Path;
 
 /// SIGINT handling without external crates: the handler only stores to a
 /// process-global `AtomicBool` shared with the session's `RunGuard`.
@@ -79,11 +81,13 @@ mod sigint {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    // The one read of `COMM_BENCH_CACHE`; everything below takes the value.
+    let cache = cache_dir();
     match argv.first().map(String::as_str) {
         Some("batch") => {
             let cancel = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
             sigint::install(std::sync::Arc::clone(&cancel));
-            std::process::exit(batch::run(&argv[1..], cancel));
+            std::process::exit(batch::run(&argv[1..], cancel, cache.as_deref()));
         }
         Some("serve") => {
             let cancel = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -121,7 +125,7 @@ fn main() {
         }
         match parse(&line) {
             Ok(None) => {}
-            Ok(Some(cmd)) => match run(&mut session, cmd) {
+            Ok(Some(cmd)) => match run(&mut session, cmd, cache.as_deref()) {
                 Flow::Continue(output) => {
                     if !output.is_empty() {
                         println!("{output}");
@@ -139,9 +143,9 @@ enum Flow {
     Quit,
 }
 
-fn run(session: &mut Session, cmd: Command) -> Flow {
+fn run(session: &mut Session, cmd: Command, cache: Option<&Path>) -> Flow {
     let result = match cmd {
-        Command::Load { dataset, scale } => session.load(&dataset, scale),
+        Command::Load { dataset, scale } => session.load(&dataset, scale, cache),
         Command::Query {
             keywords,
             rmax,

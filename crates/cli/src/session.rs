@@ -8,10 +8,12 @@
 
 use comm_core::trees::topk_trees;
 use comm_core::{CommK, CostFn, ProjectionIndex, QuerySpec, RunGuard};
-use comm_datasets::cache::{bundle_path, cache_dir, load_bundle, save_bundle, GraphBundle};
+use comm_datasets::cache::bundle_path;
 use comm_datasets::stats::dataset_stats;
 use comm_datasets::{generate_dblp, generate_imdb, DblpConfig, GeneratedDataset, ImdbConfig};
-use comm_graph::{EnginePool, NodeId, Parallelism, Weight};
+use comm_graph::{
+    load_container, save_container, Container, EnginePool, NodeId, Parallelism, Weight,
+};
 use comm_rdb::ColumnId;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -21,31 +23,31 @@ use std::time::Duration;
 
 /// What the session serves queries from: a full generated dataset (graph
 /// and relational database, so answers carry tuple labels), or a warm
-/// graph bundle mapped back from the `COMM_BENCH_CACHE` directory — the
-/// database is not persisted, so labels degrade to node ids, but loading
-/// skips generation entirely.
+/// container mapped back from the cache directory — the database is not
+/// persisted, so labels degrade to node ids, but loading skips generation
+/// entirely.
 enum LoadedData {
     Full(GeneratedDataset),
-    Warm { name: String, bundle: GraphBundle },
+    Warm { name: String, container: Container },
 }
 
 impl LoadedData {
     fn graph(&self) -> &comm_graph::Graph {
         match self {
             LoadedData::Full(ds) => &ds.graph.graph,
-            LoadedData::Warm { bundle, .. } => &bundle.graph,
+            LoadedData::Warm { container, .. } => &container.graph,
         }
     }
 
     fn keyword_nodes(&self, kw: &str) -> &[NodeId] {
         match self {
             LoadedData::Full(ds) => ds.graph.keyword_nodes(kw),
-            LoadedData::Warm { bundle, .. } => bundle.keyword_nodes(kw),
+            LoadedData::Warm { container, .. } => container.keyword_nodes(kw),
         }
     }
 
     /// A human label for a graph node: the owning tuple when the database
-    /// is resident, the bare node id on a warm bundle.
+    /// is resident, the bare node id on a warm container.
     fn describe(&self, node: NodeId) -> String {
         match self {
             LoadedData::Full(ds) => describe_static(ds, node),
@@ -93,19 +95,13 @@ impl Session {
         }
     }
 
-    /// Loads a dataset: from the warm bundle cache when `COMM_BENCH_CACHE`
-    /// holds a matching graph bundle (mmap, no generation, node-id
-    /// labels), else by generating it (and priming the cache for next
-    /// time). Returns a status line, or an error naming the valid
-    /// datasets — an unknown name must never silently fall back to a
-    /// default.
-    pub fn load(&mut self, which: &str, scale: f64) -> Result<String, String> {
-        self.load_with_cache(which, scale, cache_dir().as_deref())
-    }
-
-    /// [`Session::load`] with an explicit cache directory (`None`
-    /// disables the warm path; exposed for tests).
-    pub fn load_with_cache(
+    /// Loads a dataset: from the `cache` directory when it holds a
+    /// matching container (mmap, no generation, node-id labels), else by
+    /// generating it (and priming the cache for next time); `None`
+    /// disables the warm path. Returns a status line, or an error naming
+    /// the valid datasets — an unknown name must never silently fall back
+    /// to a default.
+    pub fn load(
         &mut self,
         which: &str,
         scale: f64,
@@ -122,15 +118,15 @@ impl Session {
         };
         let key = format!("{which}-s{scale}-session");
         if let Some(dir) = cache {
-            if let Ok(bundle) = load_bundle(bundle_path(dir, &key)) {
+            if let Ok(container) = load_container(bundle_path(dir, &key)) {
                 let line = format!(
                     "loaded {which} from warm cache: graph {} nodes / {} edges (default rmax {rmax}; tuple labels unavailable)",
-                    bundle.graph.node_count(),
-                    bundle.graph.edge_count(),
+                    container.graph.node_count(),
+                    container.graph.edge_count(),
                 );
                 self.dataset = Some(LoadedData::Warm {
                     name: which.to_owned(),
-                    bundle,
+                    container,
                 });
                 self.default_rmax = rmax;
                 self.current = None;
@@ -143,9 +139,10 @@ impl Session {
         };
         if let Some(dir) = cache {
             // Prime the warm cache best-effort: the session works the same
-            // whether or not the bundle reached disk.
+            // whether or not the container reached disk.
             if std::fs::create_dir_all(dir).is_ok() {
-                save_bundle(bundle_path(dir, &key), &ds.graph.graph, ds.graph.keywords()).ok();
+                let path = bundle_path(dir, &key);
+                save_container(path, &ds.graph.graph, ds.graph.keywords(), None).ok();
             }
         }
         let line = format!(
@@ -352,7 +349,7 @@ impl Session {
     }
 
     /// Dataset statistics. Tuple-level statistics need the relational
-    /// database, so a warm bundle reports graph-level numbers only.
+    /// database, so a warm container reports graph-level numbers only.
     pub fn stats(&self) -> Result<String, String> {
         match self.dataset.as_ref().ok_or("no dataset loaded")? {
             LoadedData::Full(ds) => {
@@ -367,12 +364,12 @@ impl Session {
                     100.0 * s.degrees.top1_share
                 ))
             }
-            LoadedData::Warm { name, bundle } => Ok(format!(
+            LoadedData::Warm { name, container } => Ok(format!(
                 "{} (warm bundle): graph {} nodes / {} edges, {} keywords (tuple statistics need a generated dataset)",
                 name,
-                bundle.graph.node_count(),
-                bundle.graph.edge_count(),
-                bundle.keyword_nodes.len()
+                container.graph.node_count(),
+                container.graph.edge_count(),
+                container.keyword_nodes.len()
             )),
         }
     }
@@ -401,7 +398,7 @@ mod tests {
 
     fn loaded() -> Session {
         let mut s = Session::new();
-        s.load("dblp", 0.3).unwrap();
+        s.load("dblp", 0.3, None).unwrap();
         s
     }
 
@@ -410,7 +407,7 @@ mod tests {
         let mut s = Session::new();
         assert!(!s.has_dataset());
         assert!(s.stats().is_err());
-        let line = s.load("imdb", 0.3).unwrap();
+        let line = s.load("imdb", 0.3, None).unwrap();
         assert!(line.contains("imdb"));
         assert!(s.stats().unwrap().contains("density"));
     }
@@ -418,7 +415,7 @@ mod tests {
     #[test]
     fn load_rejects_unknown_dataset() {
         let mut s = Session::new();
-        let err = s.load("netflix", 1.0).unwrap_err();
+        let err = s.load("netflix", 1.0, None).unwrap_err();
         assert!(err.contains("valid datasets: dblp, imdb"), "{err}");
         assert!(!s.has_dataset(), "a failed load must not install a dataset");
     }
@@ -519,17 +516,19 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
 
-        // First load generates and primes the cache (full tuple labels).
+        // First load generates and primes the cache (full tuple labels),
+        // over whatever stale file sits under its key.
+        std::fs::write(bundle_path(&dir, "dblp-s0.3-session"), b"junk").unwrap();
         let mut cold = Session::new();
-        let line = cold.load_with_cache("dblp", 0.3, Some(&dir)).unwrap();
+        let line = cold.load("dblp", 0.3, Some(&dir)).unwrap();
         assert!(line.contains("tuples"), "{line}");
         let cold_out = cold.query(&["database".into()], None, 2, false).unwrap();
         assert!(cold_out.contains("Paper("), "{cold_out}");
 
-        // Second session maps the bundle: no generation, node-id labels,
+        // Second session maps the container: no generation, node-id labels,
         // same community structure.
         let mut warm = Session::new();
-        let line = warm.load_with_cache("dblp", 0.3, Some(&dir)).unwrap();
+        let line = warm.load("dblp", 0.3, Some(&dir)).unwrap();
         assert!(line.contains("warm cache"), "{line}");
         let warm_out = warm.query(&["database".into()], None, 2, false).unwrap();
         assert!(warm_out.contains("node#"), "{warm_out}");
@@ -545,7 +544,7 @@ mod tests {
         assert!(warm.stats().unwrap().contains("warm bundle"));
 
         // Unknown datasets still fail fast, cache or not.
-        assert!(warm.load_with_cache("netflix", 1.0, Some(&dir)).is_err());
+        assert!(warm.load("netflix", 1.0, Some(&dir)).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -220,6 +220,10 @@ fn expand(
 
 /// `GetCommunity()` of a candidate core, over the run's one reusable
 /// neighbor table.
+#[expect(
+    clippy::expect_used,
+    reason = "every candidate core comes from a center's reach sets"
+)]
 fn materialize(
     graph: &Graph,
     spec: &QuerySpec,
@@ -230,7 +234,6 @@ fn materialize(
 ) -> Result<Community, InterruptReason> {
     Ok(
         get_community_in(graph, engine, table, core, spec.rmax, spec.cost, guard)?
-            // xtask-allow: no_panics — every candidate core comes from the reach sets of a center
             .expect("the expanding center certifies the core"),
     )
 }

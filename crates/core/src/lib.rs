@@ -62,6 +62,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No panics in library code (tests may): a site that keeps one says why
+// in an `#[expect(clippy::…, reason = "…")]`, which turns stale by itself.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod baselines;
 mod comm_all;

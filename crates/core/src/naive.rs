@@ -36,7 +36,10 @@ pub fn naive_all_cores(graph: &Graph, spec: &QuerySpec) -> Vec<(Core, Weight)> {
         });
         dist_to.push(d);
     }
-    // xtask-allow: no_panics — slot() is only called on members of keyword_union
+    #[expect(
+        clippy::expect_used,
+        reason = "slot() is only called on members of keyword_union"
+    )]
     let slot = |v: NodeId| keyword_union.binary_search(&v).expect("keyword node");
 
     let mut out: Vec<(Core, Weight)> = Vec::new();

@@ -68,8 +68,11 @@ impl NeighborSets {
     /// If `l` is zero or exceeds [`MAX_KEYWORDS`] — a caller bug by this
     /// function's contract. [`try_new`](Self::try_new) is the fallible
     /// path the enumerators use.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented caller contract; try_new is fallible"
+    )]
     pub fn new(l: usize, n: usize) -> NeighborSets {
-        // xtask-allow: no_panics — documented caller contract; try_new is the fallible path
         Self::try_new(l, n).expect("need 1 ≤ l ≤ 255 keywords")
     }
 
@@ -129,13 +132,6 @@ impl NeighborSets {
     /// candidate iff `count == l`).
     pub fn count(&self, u: NodeId) -> usize {
         usize::from(self.count[u.index()])
-    }
-
-    /// The nodes of `N_i`, sorted by id.
-    pub fn neighbor_set(&self, i: usize) -> Vec<NodeId> {
-        let mut set: Vec<NodeId> = self.members[i].iter().map(|&u| NodeId(u)).collect();
-        set.sort_unstable();
-        set
     }
 
     /// Re-folds `sum`/`count` at every node of `nodes` from the `dist`
@@ -237,18 +233,13 @@ impl NeighborSets {
         column.min().unwrap_or(Weight::INFINITY)
     }
 
-    /// `BestCore()` (Algorithm 3) under the paper's sum cost: scans
-    /// `⋂ N_i` once and returns the minimum-cost core, the cost being the
-    /// scanning center's total distance `Σ_i min(N_i, u)`. Ties break by
-    /// center id (deterministic).
-    pub fn best_core(&self) -> Option<BestCore> {
-        self.best_core_with(CostFn::SumDistances)
-    }
-
-    /// `BestCore()` under an arbitrary cost function. The sum variant
-    /// reads the per-node totals (`O(n)`); other variants aggregate the l
+    /// `BestCore()` (Algorithm 3): scans `⋂ N_i` once and returns the
+    /// minimum-cost core under `cost_fn`. Under the paper's sum cost that
+    /// is the scanning center's total distance `Σ_i min(N_i, u)`, read off
+    /// the per-node totals (`O(n)`); other cost functions aggregate the l
     /// per-dimension distances per intersection node (`O(l·n)`, still
-    /// within the per-answer budget of Theorem IV.1).
+    /// within the per-answer budget of Theorem IV.1). Ties break by center
+    /// id (deterministic).
     // xtask-allow: guard_coverage — scans the in-memory N_i table (O(l·n) per answer), no graph traversal
     pub fn best_core_with(&self, cost_fn: CostFn) -> Option<BestCore> {
         let mut best: Option<(Weight, usize)> = None;
@@ -308,6 +299,13 @@ impl NeighborSets {
 
 #[cfg(test)]
 impl NeighborSets {
+    /// The nodes of `N_i`, sorted by id.
+    pub(crate) fn neighbor_set(&self, i: usize) -> Vec<NodeId> {
+        let mut set: Vec<NodeId> = self.members[i].iter().map(|&u| NodeId(u)).collect();
+        set.sort_unstable();
+        set
+    }
+
     /// Asserts the table is the pure function of `dist` it claims to be:
     /// `sum`/`count` bit-equal to a from-scratch fold at every node, and
     /// each member list exactly the finite entries of its dimension.
@@ -412,7 +410,7 @@ mod tests {
         // Sec. IV: "BestCore() identifies a core C = [v4, v8, v6] centered
         // at v7 with a cost of 7".
         let (_, ns, _) = build(8.0);
-        let best = ns.best_core().unwrap();
+        let best = ns.best_core_with(CostFn::SumDistances).unwrap();
         assert_eq!(best.core, Core(vec![NodeId(4), NodeId(8), NodeId(6)]));
         assert_eq!(best.cost, Weight::new(7.0));
         assert_eq!(best.center, NodeId(7));
@@ -427,11 +425,11 @@ mod tests {
         ns.refill(&g, &mut eng, 0, [NodeId(4)], r);
         ns.refill(&g, &mut eng, 1, [NodeId(8)], r);
         ns.refill(&g, &mut eng, 2, vec![NodeId(3), NodeId(9), NodeId(11)], r);
-        assert_eq!(ns.best_core(), None);
+        assert_eq!(ns.best_core_with(CostFn::SumDistances), None);
         // Then S2 = {v2}, dim 3 back to full V3: core [v4, v2, v3].
         ns.refill(&g, &mut eng, 2, v_sets()[2].clone(), r);
         ns.refill(&g, &mut eng, 1, [NodeId(2)], r);
-        let best = ns.best_core().unwrap();
+        let best = ns.best_core_with(CostFn::SumDistances).unwrap();
         assert_eq!(best.core, Core(vec![NodeId(4), NodeId(2), NodeId(3)]));
         assert_eq!(best.cost, Weight::new(14.0));
         assert_eq!(best.center, NodeId(1));
@@ -458,14 +456,17 @@ mod tests {
         assert_eq!(ns.src, fresh.src);
         assert_eq!(ns.sum, fresh.sum);
         assert_eq!(ns.count, fresh.count);
-        assert_eq!(ns.best_core(), fresh.best_core());
+        assert_eq!(
+            ns.best_core_with(CostFn::SumDistances),
+            fresh.best_core_with(CostFn::SumDistances)
+        );
     }
 
     #[test]
     fn empty_seed_dimension_blocks_all_cores() {
         let (g, mut ns, mut eng) = build(8.0);
         ns.refill(&g, &mut eng, 0, std::iter::empty(), Weight::new(8.0));
-        assert_eq!(ns.best_core(), None);
+        assert_eq!(ns.best_core_with(CostFn::SumDistances), None);
         assert!(ns.intersection().is_empty());
     }
 
@@ -560,7 +561,10 @@ mod tests {
             assert_eq!(shim.sum, dim_loop.sum, "sum, threads={threads}");
             assert_eq!(shim.count, dim_loop.count, "count, threads={threads}");
             assert_eq!(shim.sweeps(), dim_loop.sweeps());
-            assert_eq!(shim.best_core(), dim_loop.best_core());
+            assert_eq!(
+                shim.best_core_with(CostFn::SumDistances),
+                dim_loop.best_core_with(CostFn::SumDistances)
+            );
         }
         // One engine served every dimension and is parked again.
         assert_eq!(pool.pooled_engines(), 1);

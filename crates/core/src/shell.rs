@@ -145,6 +145,10 @@ impl Shell<'_> {
     }
 
     /// `GetCommunity()` of `core`, read off the table pinned to it.
+    #[expect(
+        clippy::expect_used,
+        reason = "BestCore only returns cores certified by a center"
+    )]
     fn materialise(&mut self, core: &Core) -> Result<Community, InterruptReason> {
         let community = community_of_pinned(
             self.graph,
@@ -155,7 +159,6 @@ impl Shell<'_> {
             self.cost_fn,
             &self.guard,
         )?;
-        // xtask-allow: no_panics — BestCore only returns cores certified by a center
         Ok(community.expect("a core returned by BestCore always has a center"))
     }
 

@@ -273,7 +273,7 @@ pub fn check_community(
 
 /// [`check_community`] under a [`RunGuard`], consulted per settled node of
 /// every certification sweep.
-pub fn check_community_guarded(
+fn check_community_guarded(
     graph: &Graph,
     spec: &QuerySpec,
     community: &Community,
@@ -416,7 +416,7 @@ pub fn check_enumeration(
 }
 
 /// [`check_enumeration`] under a [`RunGuard`].
-pub fn check_enumeration_guarded(
+fn check_enumeration_guarded(
     graph: &Graph,
     spec: &QuerySpec,
     communities: &[Community],

@@ -101,10 +101,13 @@ pub const IMDB_GRID: ParameterGrid = ParameterGrid {
 /// take them from that bucket's keyword set (cycling if `l` exceeds the
 /// bucket size, which only happens for l = 5, 6 on 4-keyword buckets).
 pub fn query_keywords(groups: &[KeywordGroup], kwf: f64, l: usize) -> Vec<&'static str> {
+    #[expect(
+        clippy::panic,
+        reason = "the kwf grid is a constant; a miss is a caller bug"
+    )]
     let group = groups
         .iter()
         .find(|g| (g.kwf - kwf).abs() < 1e-12)
-        // xtask-allow: no_panics — the kwf grid is a compile-time constant; a miss is a caller bug
         .unwrap_or_else(|| panic!("no keyword group at kwf {kwf}"));
     (0..l)
         .map(|i| group.keywords[i % group.keywords.len()])

@@ -38,10 +38,6 @@
 //! first, and speculative preallocation is capped by
 //! [`PREALLOC_CAP`](crate::io::PREALLOC_CAP).
 //!
-//! Guarded loads charge the mapped footprint (plus parsed heap bytes) to
-//! the [`RunGuard`] byte budget, so an out-of-core graph counts against
-//! the same memory regime as every in-memory sweep.
-//!
 //! # Versions
 //!
 //! v2 is the only format read or written. The v1 edge-list format (same
@@ -49,7 +45,6 @@
 //! regenerate over any file that fails to load.
 
 use crate::csr::{Csr, Graph, NodeId};
-use crate::guard::{InterruptReason, RunGuard};
 use crate::io::{atomic_write, PREALLOC_CAP};
 use crate::storage::{MapRegion, Storage};
 use crate::verify::validate_csr;
@@ -125,13 +120,6 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn interrupted(r: InterruptReason) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::Interrupted,
-        format!("container load interrupted: {r}"),
-    )
 }
 
 /// Everything a warm start needs, as loaded from one container file: the
@@ -227,7 +215,7 @@ fn weight_section(vals: &[Weight]) -> Vec<u8> {
 
 /// Writes `graph` (and optionally a keyword map and an extra payload) to
 /// `w` in the CGPH v2 container format.
-pub fn write_container<'a, W: Write>(
+fn write_container<'a, W: Write>(
     w: &mut W,
     graph: &Graph,
     keywords: impl IntoIterator<Item = (&'a str, &'a [NodeId])>,
@@ -422,13 +410,7 @@ fn parse_toc(bytes: &[u8]) -> io::Result<(u64, u64, Vec<Section>)> {
 /// lowercase UTF-8 keyword and a strictly increasing list of in-range
 /// node ids. Every length is bounded by the actual remaining bytes before
 /// any allocation, and the section must be consumed exactly.
-fn decode_keywords(
-    sec: &[u8],
-    n: usize,
-    region_bytes: usize,
-    heap_bytes: &mut usize,
-    guard: &RunGuard,
-) -> io::Result<HashMap<String, Vec<NodeId>>> {
+fn decode_keywords(sec: &[u8], n: usize) -> io::Result<HashMap<String, Vec<NodeId>>> {
     let need = |pos: usize, want: usize| -> io::Result<()> {
         if sec.len() - pos < want {
             Err(bad("keyword section truncated"))
@@ -477,10 +459,6 @@ fn decode_keywords(
             nodes.push(v);
         }
         pos += nbytes;
-        *heap_bytes += kw.len() + nodes.len() * std::mem::size_of::<NodeId>();
-        guard
-            .check_bytes(region_bytes + *heap_bytes)
-            .map_err(interrupted)?;
         if map.insert(kw, nodes).is_some() {
             return Err(bad("duplicate keyword entry"));
         }
@@ -528,17 +506,7 @@ fn load_half(
 /// elsewhere), validating checksums and structure. See the module docs
 /// for the full validation list.
 pub fn load_container(path: impl AsRef<Path>) -> io::Result<Container> {
-    load_container_guarded(path, &RunGuard::unlimited())
-}
-
-/// [`load_container`] under a [`RunGuard`]: the mapped footprint plus all
-/// parsed heap bytes are charged against the guard's byte budget, and the
-/// cancel flag/deadline are consulted per section. A trip surfaces as
-/// `io::ErrorKind::Interrupted`.
-pub fn load_container_guarded(path: impl AsRef<Path>, guard: &RunGuard) -> io::Result<Container> {
     let region = Arc::new(MapRegion::map_file(path.as_ref())?);
-    let region_bytes = region.len();
-    guard.check_bytes(region_bytes).map_err(interrupted)?;
     let (n64, m64, sections) = parse_toc(region.bytes())?;
     if n64 > u64::from(u32::MAX) + 1 {
         return Err(bad("node count exceeds the u32 node-id space"));
@@ -549,7 +517,6 @@ pub fn load_container_guarded(path: impl AsRef<Path>, guard: &RunGuard) -> io::R
     let n = try_u64_to_usize(n64).ok_or_else(|| bad("node count exceeds host address width"))?;
     let m = try_u64_to_usize(m64).ok_or_else(|| bad("edge count exceeds host address width"))?;
     for s in &sections {
-        guard.check_bytes(region_bytes).map_err(interrupted)?;
         let payload = &region.bytes()[s.offset..s.offset + s.len];
         if checksum64(payload) != s.checksum {
             return Err(bad(format!("section {} checksum mismatch", s.id)));
@@ -577,27 +544,11 @@ pub fn load_container_guarded(path: impl AsRef<Path>, guard: &RunGuard) -> io::R
         n,
         m,
     )?;
-    let mut heap_bytes = 0usize;
     let keyword_nodes = match find(SEC_KEYWORDS) {
-        Some(s) => decode_keywords(
-            &region.bytes()[s.offset..s.offset + s.len],
-            n,
-            region_bytes,
-            &mut heap_bytes,
-            guard,
-        )?,
+        Some(s) => decode_keywords(&region.bytes()[s.offset..s.offset + s.len], n)?,
         None => HashMap::new(),
     };
-    let extra = match find(SEC_EXTRA) {
-        Some(s) => {
-            heap_bytes += s.len;
-            guard
-                .check_bytes(region_bytes + heap_bytes)
-                .map_err(interrupted)?;
-            Some(region.bytes()[s.offset..s.offset + s.len].to_vec())
-        }
-        None => None,
-    };
+    let extra = find(SEC_EXTRA).map(|s| region.bytes()[s.offset..s.offset + s.len].to_vec());
     Ok(Container {
         graph: Graph { n, m, fwd, rev },
         keyword_nodes,
@@ -705,22 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn guarded_load_charges_and_trips_byte_budget() {
-        let dir = unique_dir("guard");
-        let path = save_sample(&dir);
-        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
-        // A generous budget admits the load…
-        let ok = load_container_guarded(&path, &RunGuard::new().with_byte_budget(file_len * 4));
-        assert!(ok.is_ok());
-        // …a budget below the mapped footprint trips it.
-        let err = load_container_guarded(&path, &RunGuard::new().with_byte_budget(file_len / 2))
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_header_is_rejected_by_its_version_field() {
+    fn v1_and_foreign_files_are_rejected_by_version_and_magic() {
         let dir = unique_dir("ver");
         // A complete CGPH v1 header (magic, version, n, m) claiming 2^60
         // edges: rejected on the version field, before any count is read.
@@ -734,6 +670,17 @@ mod tests {
         let err = load_container(&p).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("version 1"), "got: {err}");
+        // A file of another format — text, or a legacy `CBDL` bundle whose
+        // header claims u32::MAX keywords — is named by its magic.
+        let mut cbdl = b"CBDL".to_vec();
+        cbdl.extend_from_slice(&1u32.to_le_bytes());
+        cbdl.extend_from_slice(&u32::MAX.to_le_bytes());
+        for foreign in [b"not a container".as_slice(), &cbdl] {
+            std::fs::write(&p, foreign).unwrap();
+            let err = load_container(&p).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("magic"), "got: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -770,6 +717,7 @@ mod tests {
         let err =
             save_container(dir.join("a"), &g, [("kw", [NodeId(99)].as_slice())], None).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(!dir.join("a").exists(), "a failed save leaves no file");
         // Case collision.
         let err = save_container(
             dir.join("b"),

@@ -191,6 +191,10 @@ impl DijkstraEngine {
     /// is deterministic for a fixed graph).
     ///
     /// Returns the number of settled nodes.
+    #[expect(
+        clippy::expect_used,
+        reason = "RunGuard::unlimited() has no budgets, so Interrupted is unreachable"
+    )]
     pub fn run<F: FnMut(Settled)>(
         &mut self,
         graph: &Graph,
@@ -200,7 +204,6 @@ impl DijkstraEngine {
         visit: F,
     ) -> usize {
         self.run_guarded(graph, dir, seeds, radius, &RunGuard::unlimited(), visit)
-            // xtask-allow: no_panics — RunGuard::unlimited() has no budgets, so Interrupted is unreachable
             .expect("unlimited guard never trips")
     }
 
@@ -324,29 +327,6 @@ impl DijkstraEngine {
         Ok(settled_count)
     }
 
-    /// Like [`run`](Self::run) but materializes per-node `(dist, src)`
-    /// arrays of length `n`, with `Weight::INFINITY` / `None` for nodes
-    /// beyond the radius. This is the exact output shape of the paper's
-    /// `Neighbor()` (`min(N_i, u)` and `src(N_i, u)`).
-    pub fn run_into(
-        &mut self,
-        graph: &Graph,
-        dir: Direction,
-        seeds: impl IntoIterator<Item = NodeId>,
-        radius: Weight,
-        out_dist: &mut [Weight],
-        out_src: &mut [Option<NodeId>],
-    ) -> usize {
-        let n = graph.node_count();
-        assert!(out_dist.len() >= n && out_src.len() >= n);
-        out_dist[..n].fill(Weight::INFINITY);
-        out_src[..n].fill(None);
-        self.run(graph, dir, seeds, radius, |s| {
-            out_dist[s.node.index()] = s.dist;
-            out_src[s.node.index()] = Some(s.source);
-        })
-    }
-
     /// Single-source distances to every node (untruncated), as a dense
     /// vector. Convenience used by tests and examples.
     pub fn distances(&mut self, graph: &Graph, dir: Direction, from: NodeId) -> Vec<Weight> {
@@ -425,16 +405,13 @@ mod tests {
         // 0 -> 1 -> 2 <- 3, seeds {0, 3}: node 2 is closer to 3.
         let g = graph_from_edges(4, &[(0, 1, 1.0), (1, 2, 5.0), (3, 2, 2.0)]);
         let mut eng = DijkstraEngine::new(4);
-        let mut dist = vec![Weight::INFINITY; 4];
-        let mut src = vec![None; 4];
-        eng.run_into(
-            &g,
-            Direction::Forward,
-            [NodeId(0), NodeId(3)],
-            Weight::INFINITY,
-            &mut dist,
-            &mut src,
-        );
+        let mut dist = [Weight::INFINITY; 4];
+        let mut src = [None; 4];
+        let seeds = [NodeId(0), NodeId(3)];
+        eng.run(&g, Direction::Forward, seeds, Weight::INFINITY, |s| {
+            dist[s.node.index()] = s.dist;
+            src[s.node.index()] = Some(s.source);
+        });
         assert_eq!(dist[2], Weight::new(2.0));
         assert_eq!(src[2], Some(NodeId(3)));
         assert_eq!(src[1], Some(NodeId(0)));

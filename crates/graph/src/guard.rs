@@ -226,13 +226,8 @@ impl RunGuard {
 
     /// Sets a wall-clock deadline `timeout` from now.
     pub fn with_deadline(self, timeout: Duration) -> RunGuard {
-        self.with_deadline_at(Instant::now() + timeout)
-    }
-
-    /// Sets an absolute wall-clock deadline.
-    pub fn with_deadline_at(self, at: Instant) -> RunGuard {
         let mut inner = self.materialize();
-        inner.deadline = Some(at);
+        inner.deadline = Some(Instant::now() + timeout);
         RunGuard {
             inner: Some(Arc::new(inner)),
         }

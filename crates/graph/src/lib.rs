@@ -15,8 +15,8 @@
 //!   workhorse behind `Neighbor()`, `GetCommunity()` and `GraphProjection`;
 //! * [`RunGuard`]: cooperative execution governor (cancellation, deadlines,
 //!   work/memory budgets) threaded through every sweep and enumeration;
-//! * [`EnginePool`] / [`Parallelism`]: a size-class pool of engine scratch
-//!   states (one per query engine, passed by reference) plus a
+//! * [`EnginePool`] / [`Parallelism`]: a free list of engine scratch
+//!   states (one pool per query engine, passed by reference) plus a
 //!   deterministic fork–join executor, the substrate for the per-keyword
 //!   index build in `comm-core` and the batch driver in `comm-bench`;
 //! * [`InducedGraph`]: induced-subgraph extraction with id mapping;
@@ -42,6 +42,18 @@
 // no other file in the workspace's library crates contains `unsafe`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+// No panics in library code (tests may): a site that keeps one says why
+// in an `#[expect(clippy::…, reason = "…")]`, which turns stale by itself.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod bucket;
 pub mod container;

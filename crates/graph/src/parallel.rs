@@ -85,6 +85,10 @@ impl Parallelism {
     /// Like [`map`](Self::map), with per-worker scratch state built by
     /// `init` — e.g. a [`PooledEngine`](crate::PooledEngine) borrowed once
     /// per worker instead of once per task.
+    #[expect(
+        clippy::expect_used,
+        reason = "a task that failed to fill its slot panicked, and scope() already propagated that panic"
+    )]
     pub fn map_init<S, T, F>(self, init: impl Fn() -> S + Sync, tasks: Vec<F>) -> Vec<T>
     where
         F: FnOnce(&mut S) -> T + Send,
@@ -122,7 +126,6 @@ impl Parallelism {
             .map(|slot| {
                 lock(&slot)
                     .take()
-                    // xtask-allow: no_panics — a task that failed to fill its slot panicked, and scope() already propagated that panic
                     .expect("every task index was claimed and completed")
             })
             .collect()

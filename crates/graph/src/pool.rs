@@ -5,12 +5,13 @@
 //! per-keyword index build, a daemon's handler threads) would either share
 //! a lock or allocate per call. [`EnginePool`] removes both costs. A pool
 //! belongs to whoever serves one graph — a query engine, a session, a
-//! bench set-up — and is passed by reference. Engines are parked in
-//! size-class buckets keyed by graph size, [`acquire`](EnginePool::acquire)
-//! pops one (or builds it on first use), and the [`PooledEngine`] guard
-//! returns it on drop. Engines reset their touched scratch at the start of
-//! every sweep, so a recycled engine never observes stale state from a
-//! previous one.
+//! bench set-up — and is passed by reference. Engines are parked in one
+//! free list: [`acquire`](EnginePool::acquire) pops any of them (or builds
+//! one on first use), grows it to the size asked for, and the
+//! [`PooledEngine`] guard returns it on drop. Engines reset their touched
+//! scratch at the start of every sweep — at a cost independent of their
+//! capacity — so a recycled engine never observes stale state from a
+//! previous sweep, whatever graph that one ran on.
 //!
 //! A pool builds all of its engines on one [`Kernel`], fixed at
 //! construction: the default everywhere, [`Kernel::Heap`] only where an
@@ -22,33 +23,18 @@ use crate::kernel::Kernel;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Engines parked per size class beyond this count are dropped instead of
-/// pooled, bounding the pool's memory to `CLASSES × PER_CLASS_CAP` engines.
-const PER_CLASS_CAP: usize = 64;
+/// Engines released beyond this many parked ones are dropped instead of
+/// pooled, bounding the pool's memory. More engines than this are only
+/// ever out at once when more sweeps than this run concurrently.
+const POOL_CAP: usize = 64;
 
-/// Size classes cover capacities `2^0 .. 2^63`; class `c` holds engines
-/// built for up to `2^c` nodes.
-const CLASSES: usize = 64;
-
-/// The size class for a graph of `n` nodes: the smallest `c` with
-/// `2^c ≥ n`. All engines in one class have the same rounded capacity, so
-/// a recycled engine never needs to grow for a same-class request.
-fn size_class(n: usize) -> usize {
-    n.next_power_of_two().trailing_zeros() as usize
-}
-
-/// The rounded capacity engines of class `c` are built with.
-fn class_capacity(c: usize) -> usize {
-    1usize << c
-}
-
-/// A mutex-sharded pool of [`DijkstraEngine`]s keyed by graph size.
+/// A free list of [`DijkstraEngine`]s behind one mutex.
 ///
-/// Engines are bucketed by the power-of-two size class of the graph they
-/// were built for. Acquiring for `n` nodes pops an engine from class
-/// `⌈log2 n⌉` — each class's engines are interchangeable, so a concurrent
-/// sweep never allocates `O(n)` vectors on the hot path after warm-up —
-/// and releases push it back (up to a per-class cap).
+/// A pool serves one graph, so its callers ask for one size; an engine
+/// that last swept a smaller graph is grown at checkout, before it is
+/// handed out, so a borrowed engine never allocates (or charges a guard's
+/// byte budget) in the middle of a sweep. After warm-up a concurrent sweep
+/// costs one lock, one pop and one push.
 ///
 /// ```
 /// use comm_graph::{graph_from_edges, Direction, EnginePool, NodeId, Weight};
@@ -60,14 +46,11 @@ fn class_capacity(c: usize) -> usize {
 /// assert_eq!(pool.pooled_engines(), 1); // parked again after the call
 /// ```
 pub struct EnginePool {
-    classes: Box<[Mutex<Vec<DijkstraEngine>>]>,
+    free: Mutex<Vec<DijkstraEngine>>,
     /// The queue kernel every engine of this pool is built on.
     kernel: Kernel,
-    /// Engines created because the class bucket was empty (telemetry).
-    misses: AtomicUsize,
-    /// Successful bucket pops (telemetry).
-    hits: AtomicUsize,
-    /// Shards recovered after a panicking thread poisoned their mutex.
+    /// Times the free list was recovered after a panicking thread
+    /// poisoned its mutex.
     poison_recoveries: AtomicUsize,
 }
 
@@ -80,29 +63,25 @@ impl EnginePool {
     /// Creates an empty pool whose engines run on `kernel`.
     pub fn with_kernel(kernel: Kernel) -> EnginePool {
         EnginePool {
-            classes: (0..CLASSES).map(|_| Mutex::new(Vec::new())).collect(),
+            free: Mutex::new(Vec::new()),
             kernel,
-            misses: AtomicUsize::new(0),
-            hits: AtomicUsize::new(0),
             poison_recoveries: AtomicUsize::new(0),
         }
     }
 
-    /// Locks one size-class shard, recovering it if a panicking thread
-    /// poisoned the mutex. Recovery discards the shard's parked engines —
-    /// an unwinding thread may have left one mid-sweep with stale scratch
-    /// for the epoch it never finished — and clears the poison flag so the
-    /// shard pools engines again instead of degrading forever. A shared
-    /// pool must never propagate an unrelated thread's panic to its
-    /// callers.
-    fn lock_shard(&self, class: usize) -> MutexGuard<'_, Vec<DijkstraEngine>> {
-        let m = &self.classes[class];
-        match m.lock() {
+    /// Locks the free list, recovering it if a panicking thread poisoned
+    /// the mutex. Recovery discards the parked engines — an unwinding
+    /// thread may have left one mid-sweep with stale scratch for the sweep
+    /// it never finished — and clears the poison flag so the pool parks
+    /// engines again instead of degrading forever. A shared pool must
+    /// never propagate an unrelated thread's panic to its callers.
+    fn lock_free(&self) -> MutexGuard<'_, Vec<DijkstraEngine>> {
+        match self.free.lock() {
             Ok(g) => g,
             Err(poisoned) => {
                 let mut g = poisoned.into_inner();
                 g.clear();
-                m.clear_poison();
+                self.free.clear_poison();
                 self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
                 g
             }
@@ -119,70 +98,52 @@ impl EnginePool {
         GLOBAL.get_or_init(EnginePool::new)
     }
 
-    /// Borrows an engine sized for graphs of `n` nodes. The engine returns
-    /// to the pool when the guard drops.
+    /// Borrows an engine with room for graphs of `n` nodes. The engine
+    /// returns to the pool when the guard drops.
     pub fn acquire(&self, n: usize) -> PooledEngine<'_> {
-        let class = size_class(n).min(CLASSES - 1);
-        let engine = self.lock_shard(class).pop();
-        let engine = match engine {
-            Some(e) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                e
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                DijkstraEngine::with_kernel(class_capacity(class).max(n), self.kernel)
-            }
-        };
+        let parked = self.lock_free().pop();
+        // Built or grown outside the lock, and before the hand-out.
+        let mut engine = parked.unwrap_or_else(|| DijkstraEngine::with_kernel(n, self.kernel));
+        engine.ensure_capacity(n);
         PooledEngine {
             pool: self,
-            class,
             engine: Some(engine),
         }
     }
 
-    /// Engines currently parked across all size classes.
+    /// Engines currently parked.
     pub fn pooled_engines(&self) -> usize {
-        (0..CLASSES).map(|c| self.lock_shard(c).len()).sum()
+        self.lock_free().len()
     }
 
-    /// `(hits, misses)`: acquires served from the pool vs fresh builds.
-    pub fn stats(&self) -> (usize, usize) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// How many times a poisoned shard was recovered (scratch discarded,
-    /// poison cleared). Surfaced in the serving daemon's stats so chaos
-    /// runs can prove recovery actually happened.
+    /// How many times a poisoned free list was recovered (scratch
+    /// discarded, poison cleared). Surfaced in the serving daemon's stats
+    /// so chaos runs can prove recovery actually happened.
     pub fn poison_recoveries(&self) -> usize {
         self.poison_recoveries.load(Ordering::Relaxed)
     }
 
-    /// Chaos-testing hook: poisons the shard serving graphs of `n` nodes
-    /// by panicking on a scratch thread while it holds the shard lock.
-    /// The next `acquire`/`release` touching the shard must recover it.
+    /// Chaos-testing hook: poisons the free list by panicking on a scratch
+    /// thread while it holds the lock. The next `acquire`/release must
+    /// recover it.
     #[doc(hidden)]
-    pub fn poison_shard_for_chaos(&self, n: usize) {
-        let class = size_class(n).min(CLASSES - 1);
+    pub fn poison_for_chaos(&self) {
         // A scoped thread bounds the poisoning panic to this call.
         std::thread::scope(|s| {
+            #[expect(clippy::panic, reason = "deliberate poison injection for chaos tests")]
             let handle = s.spawn(|| {
-                let _guard = self.classes[class].lock();
-                // xtask-allow: no_panics — deliberate poison injection for chaos tests
-                panic!("chaos: poisoning EnginePool shard {class}");
+                let _guard = self.free.lock();
+                panic!("chaos: poisoning the EnginePool free list");
             });
             // The scratch thread's panic is the point; swallow its unwind.
             let _ = handle.join();
         });
     }
 
-    fn release(&self, class: usize, engine: DijkstraEngine) {
-        let mut bucket = self.lock_shard(class);
-        if bucket.len() < PER_CLASS_CAP {
-            bucket.push(engine);
+    fn release(&self, engine: DijkstraEngine) {
+        let mut free = self.lock_free();
+        if free.len() < POOL_CAP {
+            free.push(engine);
         }
     }
 }
@@ -194,24 +155,23 @@ impl Default for EnginePool {
 }
 
 /// A [`DijkstraEngine`] borrowed from an [`EnginePool`]; derefs to the
-/// engine and parks it back in its size class on drop.
+/// engine and parks it back in the pool on drop.
 pub struct PooledEngine<'p> {
     pool: &'p EnginePool,
-    class: usize,
     engine: Option<DijkstraEngine>,
 }
 
 impl std::ops::Deref for PooledEngine<'_> {
     type Target = DijkstraEngine;
+    #[expect(clippy::expect_used, reason = "`engine` is only vacated in drop()")]
     fn deref(&self) -> &DijkstraEngine {
-        // xtask-allow: no_panics — `engine` is only vacated in drop()
         self.engine.as_ref().expect("engine present until drop")
     }
 }
 
 impl std::ops::DerefMut for PooledEngine<'_> {
+    #[expect(clippy::expect_used, reason = "`engine` is only vacated in drop()")]
     fn deref_mut(&mut self) -> &mut DijkstraEngine {
-        // xtask-allow: no_panics — `engine` is only vacated in drop()
         self.engine.as_mut().expect("engine present until drop")
     }
 }
@@ -219,7 +179,7 @@ impl std::ops::DerefMut for PooledEngine<'_> {
 impl Drop for PooledEngine<'_> {
     fn drop(&mut self) {
         if let Some(engine) = self.engine.take() {
-            self.pool.release(self.class, engine);
+            self.pool.release(engine);
         }
     }
 }
@@ -227,58 +187,73 @@ impl Drop for PooledEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::{graph_from_edges, Direction, NodeId};
-    use crate::kernel::Kernel;
+    use crate::csr::{graph_from_edges, Direction, Graph, NodeId};
+    use crate::dijkstra::Settled;
     use crate::weight::Weight;
-
-    #[test]
-    fn size_classes_round_up() {
-        assert_eq!(size_class(1), 0);
-        assert_eq!(size_class(2), 1);
-        assert_eq!(size_class(3), 2);
-        assert_eq!(size_class(1024), 10);
-        assert_eq!(size_class(1025), 11);
-        assert!(class_capacity(size_class(777)) >= 777);
-    }
 
     #[test]
     fn acquire_release_reuses_engine() {
         let pool = EnginePool::new();
         assert_eq!(pool.pooled_engines(), 0);
         {
-            let _e = pool.acquire(100);
+            let e = pool.acquire(100);
+            assert_eq!(e.capacity(), 100, "built for exactly the size asked");
             assert_eq!(pool.pooled_engines(), 0, "borrowed engine is not parked");
         }
         assert_eq!(pool.pooled_engines(), 1);
-        {
-            let _e = pool.acquire(120); // same class (128): must reuse
-        }
+        // Any parked engine serves any size: grown at checkout, never shrunk.
+        assert_eq!(pool.acquire(120).capacity(), 120);
+        assert_eq!(pool.acquire(10).capacity(), 120);
         assert_eq!(pool.pooled_engines(), 1);
-        assert_eq!(pool.stats(), (1, 1));
+    }
+
+    fn settle_stream(eng: &mut DijkstraEngine, g: &Graph, radius: Weight) -> Vec<Settled> {
+        let mut out = Vec::new();
+        eng.run(g, Direction::Reverse, [NodeId(0), NodeId(2)], radius, |s| {
+            out.push(s)
+        });
+        out
     }
 
     #[test]
-    fn different_classes_do_not_share() {
-        let pool = EnginePool::new();
-        drop(pool.acquire(10));
-        drop(pool.acquire(10_000));
-        assert_eq!(pool.pooled_engines(), 2);
-        assert_eq!(pool.stats(), (0, 2));
-        // A third acquire in each class hits.
-        drop(pool.acquire(12));
-        drop(pool.acquire(9_000));
-        assert_eq!(pool.stats(), (2, 2));
-    }
-
-    #[test]
-    fn pooled_engine_runs_sweeps() {
-        let g = graph_from_edges(4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0)]);
-        let pool = EnginePool::new();
-        let d1 = pool.acquire(4).distances(&g, Direction::Forward, NodeId(0));
-        // The recycled engine must produce identical results.
-        let d2 = pool.acquire(4).distances(&g, Direction::Forward, NodeId(0));
-        assert_eq!(d1, d2);
-        assert_eq!(d1[3], Weight::new(7.0));
+    fn engine_parked_after_a_small_graph_sweeps_a_larger_one_like_a_fresh_engine() {
+        let small = graph_from_edges(3, &[(1, 0, 1.0), (2, 1, 2.0), (0, 2, 0.5)]);
+        let large_edges: Vec<(u32, u32, f64)> = (0..40u32)
+            .flat_map(|u| [(u + 1, u, 1.0 + f64::from(u % 3)), ((u * 7) % 41, u, 2.5)])
+            .collect();
+        let large = graph_from_edges(41, &large_edges);
+        for kernel in [Kernel::Heap, Kernel::Bucket] {
+            let pool = EnginePool::with_kernel(kernel);
+            let fresh = |g: &Graph, r: Weight| {
+                settle_stream(
+                    &mut DijkstraEngine::with_kernel(g.node_count(), kernel),
+                    g,
+                    r,
+                )
+            };
+            for radius in [Weight::new(4.0), Weight::INFINITY] {
+                let on_small = settle_stream(&mut pool.acquire(small.node_count()), &small, radius);
+                assert_eq!(on_small, fresh(&small, radius));
+                assert_eq!(pool.pooled_engines(), 1);
+                // The same engine, grown at checkout, sweeps the larger graph…
+                let mut recycled = pool.acquire(large.node_count());
+                assert_eq!(pool.pooled_engines(), 0);
+                assert!(recycled.capacity() >= large.node_count());
+                assert!(
+                    !recycled.ensure_capacity(large.node_count()),
+                    "grown before hand-out"
+                );
+                assert_eq!(
+                    settle_stream(&mut recycled, &large, radius),
+                    fresh(&large, radius),
+                    "{kernel:?}, radius {radius}"
+                );
+                drop(recycled);
+                // …and, oversized now, the small one again.
+                let again = settle_stream(&mut pool.acquire(small.node_count()), &small, radius);
+                assert_eq!(again, on_small);
+            }
+        }
     }
 
     #[test]
@@ -299,22 +274,24 @@ mod tests {
     }
 
     #[test]
-    fn per_class_cap_bounds_memory() {
+    fn the_one_cap_bounds_parked_engines_whatever_their_size() {
         let pool = EnginePool::new();
-        let engines: Vec<_> = (0..PER_CLASS_CAP + 8).map(|_| pool.acquire(16)).collect();
+        let engines: Vec<_> = (0..POOL_CAP + 8)
+            .map(|i| pool.acquire(1 << (i % 12)))
+            .collect();
         drop(engines);
-        assert_eq!(pool.pooled_engines(), PER_CLASS_CAP);
+        assert_eq!(pool.pooled_engines(), POOL_CAP);
     }
 
     #[test]
-    fn poisoned_shard_recovers_and_keeps_serving() {
+    fn poisoned_pool_recovers_and_keeps_serving() {
         let pool = EnginePool::new();
-        drop(pool.acquire(100)); // park one engine in the 128-class
+        drop(pool.acquire(100));
         assert_eq!(pool.pooled_engines(), 1);
-        pool.poison_shard_for_chaos(100);
+        pool.poison_for_chaos();
         assert_eq!(pool.poison_recoveries(), 0, "recovery happens lazily");
-        // The first touch after the poison clears the shard (stale scratch
-        // is discarded) instead of panicking.
+        // The first touch after the poison clears the free list (stale
+        // scratch is discarded) instead of panicking.
         let d = {
             let g = graph_from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]);
             pool.acquire(100)
@@ -322,14 +299,27 @@ mod tests {
         };
         assert_eq!(d[2], Weight::new(3.0));
         assert_eq!(pool.poison_recoveries(), 1);
-        // The shard pools engines again: poison was cleared, not latched.
+        // The pool parks engines again: poison was cleared, not latched.
         assert_eq!(pool.pooled_engines(), 1);
         drop(pool.acquire(100));
         assert_eq!(
             pool.poison_recoveries(),
             1,
-            "a recovered shard must not keep counting recoveries"
+            "a recovered pool must not keep counting recoveries"
         );
+    }
+
+    #[test]
+    fn poison_recovery_discards_parked_engines() {
+        let pool = EnginePool::new();
+        let (a, b) = (pool.acquire(40), pool.acquire(10_000));
+        drop((a, b));
+        assert_eq!(pool.pooled_engines(), 2);
+        pool.poison_for_chaos();
+        // Every parked engine goes: any of them may be the one the
+        // panicking thread was holding.
+        assert_eq!(pool.pooled_engines(), 0);
+        assert_eq!(pool.poison_recoveries(), 1);
     }
 
     #[test]
@@ -339,28 +329,5 @@ mod tests {
         // A recycled engine was built by the same pool, on the same kernel.
         assert_eq!(pool.acquire(8).kernel(), Kernel::Heap);
         assert_eq!(EnginePool::new().acquire(8).kernel(), Kernel::Bucket);
-    }
-
-    #[test]
-    fn pool_kernel_keeps_results_identical() {
-        let g = graph_from_edges(4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0)]);
-        let answer = |k: Kernel| {
-            EnginePool::with_kernel(k)
-                .acquire(4)
-                .distances(&g, Direction::Forward, NodeId(0))
-        };
-        assert_eq!(answer(Kernel::Heap), answer(Kernel::Bucket));
-    }
-
-    #[test]
-    fn poison_recovery_discards_parked_engines() {
-        let pool = EnginePool::new();
-        drop(pool.acquire(40));
-        drop(pool.acquire(10_000));
-        assert_eq!(pool.pooled_engines(), 2);
-        pool.poison_shard_for_chaos(40);
-        // Only the poisoned shard is cleared; the other class is intact.
-        assert_eq!(pool.pooled_engines(), 1);
-        assert_eq!(pool.poison_recoveries(), 1);
     }
 }

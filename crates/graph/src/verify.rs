@@ -254,9 +254,12 @@ impl Graph {
 
     /// Panicking wrapper around [`Graph::validate`], used as the build-time
     /// hook in debug and `verify` builds.
+    #[expect(
+        clippy::panic,
+        reason = "the verify hook's whole job is to abort on corruption"
+    )]
     pub fn assert_valid(&self) {
         if let Err(e) = self.validate() {
-            // xtask-allow: no_panics — the verify hook's whole job is to abort on corruption
             panic!("graph invariant violated: {e}");
         }
     }

@@ -31,9 +31,12 @@ impl Weight {
     /// Shortest-path algorithms require non-negative weights; a NaN would
     /// silently corrupt heap ordering, so both are rejected eagerly.
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "NaN/negative weights are caller bugs; try_new is fallible"
+    )]
     pub fn new(w: f64) -> Weight {
         Weight::try_new(w)
-            // xtask-allow: no_panics — NaN/negative weights are caller bugs; the fallible path is try_new
             .unwrap_or_else(|| panic!("edge weights must be non-negative and not NaN, got {w}"))
     }
 
@@ -79,8 +82,11 @@ pub fn try_index_to_u32(i: usize) -> Option<u32> {
 /// index (e.g. a `Vec` that is grown one `u32` id at a time); prefer
 /// [`try_index_to_u32`] where an error can be returned.
 #[inline]
+#[expect(
+    clippy::panic,
+    reason = "the single audited usize→u32 chokepoint; >4G ids is unsupported"
+)]
 pub fn index_to_u32(i: usize) -> u32 {
-    // xtask-allow: no_panics — the single audited usize→u32 chokepoint; >4G ids is unsupported
     try_index_to_u32(i).unwrap_or_else(|| panic!("index {i} exceeds the u32 id space"))
 }
 

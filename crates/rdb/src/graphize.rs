@@ -226,9 +226,12 @@ impl DatabaseGraph {
     }
 
     #[cfg(any(debug_assertions, feature = "verify"))]
+    #[expect(
+        clippy::panic,
+        reason = "materialize() just built this graph; a certification failure is a graphize bug"
+    )]
     fn assert_certified(&self, scheme: WeightScheme) {
         if let Err(e) = self.validate_weights(scheme) {
-            // xtask-allow: no_panics — materialize() just built this graph; a certification failure is a graphize bug
             panic!("materialized database graph failed certification: {e}");
         }
     }

@@ -84,9 +84,12 @@ impl TableSchema {
 
     /// Declares `column` as the integer primary key.
     pub fn with_primary_key(mut self, column: &str) -> TableSchema {
+        #[expect(
+            clippy::panic,
+            reason = "schema construction is programmer-facing; a typo'd column is a build bug"
+        )]
         let id = self
             .column_id(column)
-            // xtask-allow: no_panics — schema construction is programmer-facing; a typo'd column is a build bug
             .unwrap_or_else(|| panic!("no column named {column}"));
         assert_eq!(
             self.columns[id.0 as usize].ty,
@@ -99,9 +102,12 @@ impl TableSchema {
 
     /// Declares a foreign key from `column` to table `target`.
     pub fn with_foreign_key(mut self, column: &str, target: TableId) -> TableSchema {
+        #[expect(
+            clippy::panic,
+            reason = "schema construction is programmer-facing; a typo'd column is a build bug"
+        )]
         let id = self
             .column_id(column)
-            // xtask-allow: no_panics — schema construction is programmer-facing; a typo'd column is a build bug
             .unwrap_or_else(|| panic!("no column named {column}"));
         assert_eq!(
             self.columns[id.0 as usize].ty,

@@ -113,16 +113,22 @@ impl Table {
     }
 
     /// Decodes a full row.
+    #[expect(
+        clippy::expect_used,
+        reason = "the arena is written only by encode_row, whose output always decodes"
+    )]
     pub fn row(&self, row: RowId) -> Vec<Value> {
         self.try_row(row)
-            // xtask-allow: no_panics — the arena is written only by encode_row, whose output always decodes
             .expect("table arena holds a malformed row")
     }
 
     /// Decodes one cell of a row.
+    #[expect(
+        clippy::expect_used,
+        reason = "the arena is written only by encode_row, whose output always decodes"
+    )]
     pub fn cell(&self, row: RowId, column: ColumnId) -> Value {
         self.try_cell(row, column)
-            // xtask-allow: no_panics — the arena is written only by encode_row, whose output always decodes
             .expect("table arena holds a malformed cell")
     }
 

@@ -15,10 +15,10 @@
 //!   client's retry + the server's idempotent replay;
 //! * **reply delays** — the server sleeps before replying on every Nth
 //!   query, simulating a slow network/peer so client read timeouts fire;
-//! * **pool poisoning** — before every Nth query the shard of the query
-//!   engine's own `EnginePool` that serves the graph is poisoned by a
-//!   panicking thread, proving the recovery path keeps the daemon serving
-//!   (and that no other engine in the process sees it).
+//! * **pool poisoning** — before every Nth query the query engine's own
+//!   `EnginePool` is poisoned by a panicking thread, proving the recovery
+//!   path keeps the daemon serving (and that no other engine in the
+//!   process sees it).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -33,8 +33,7 @@ pub struct ChaosConfig {
     pub disconnect_every: Option<u64>,
     /// Sleep this long before sending every Nth query reply.
     pub delay_every: Option<(u64, Duration)>,
-    /// Poison the engine's `EnginePool` shard for the served graph before
-    /// every Nth query.
+    /// Poison the engine's `EnginePool` before every Nth query.
     pub poison_pool_every: Option<u64>,
 }
 
@@ -66,7 +65,7 @@ pub struct ChaosPlan {
     pub drop_reply: bool,
     /// Sleep before sending the reply.
     pub delay_reply: Option<Duration>,
-    /// Poison the engine-pool shard before executing.
+    /// Poison the engine pool before executing.
     pub poison_pool: bool,
 }
 

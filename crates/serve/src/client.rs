@@ -184,6 +184,7 @@ impl Client {
         (half + Duration::from_nanos(jitter_nanos)).max(floor)
     }
 
+    #[expect(clippy::expect_used, reason = "just populated above when None")]
     fn connect(&mut self) -> io::Result<&mut TcpStream> {
         if self.conn.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)?;
@@ -193,7 +194,6 @@ impl Client {
             self.reconnects += 1;
             self.conn = Some(stream);
         }
-        // xtask-allow: no_panics — just populated above when None
         Ok(self.conn.as_mut().expect("connection populated"))
     }
 

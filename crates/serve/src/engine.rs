@@ -180,7 +180,7 @@ impl QueryEngine {
         // Build OUTSIDE the cache lock (sweeps are the expensive part);
         // a concurrent duplicate build is wasted work, never wrong. The
         // per-keyword sweeps borrow scratch from this engine's own pool,
-        // so a poisoned shard is recovered by — and counted against — the
+        // so a poisoned pool is recovered by — and counted against — the
         // daemon that owns it.
         let built = ProjectionIndex::build_par_guarded(
             &self.graph,

@@ -324,21 +324,21 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
+    #[expect(clippy::expect_used, reason = "take(2) returned exactly 2 bytes")]
     fn u16(&mut self) -> Result<u16, ProtocolError> {
         let b = self.take(2)?;
-        // xtask-allow: no_panics — take(2) returned exactly 2 bytes
         Ok(u16::from_le_bytes(b.try_into().expect("2 bytes")))
     }
 
+    #[expect(clippy::expect_used, reason = "take(4) returned exactly 4 bytes")]
     fn u32(&mut self) -> Result<u32, ProtocolError> {
         let b = self.take(4)?;
-        // xtask-allow: no_panics — take(4) returned exactly 4 bytes
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
+    #[expect(clippy::expect_used, reason = "take(8) returned exactly 8 bytes")]
     fn u64(&mut self) -> Result<u64, ProtocolError> {
         let b = self.take(8)?;
-        // xtask-allow: no_panics — take(8) returned exactly 8 bytes
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 

@@ -435,7 +435,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
 /// should close (send failure or injected disconnect).
 #[allow(clippy::too_many_arguments)]
 fn handle_query(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     shared: &Shared,
     id: u64,
     priority: Priority,
@@ -456,10 +456,7 @@ fn handle_query(
         Begin::Execute => shared.chaos.plan_query(),
     };
     if plan.poison_pool {
-        let engine = &shared.engine;
-        engine
-            .pool()
-            .poison_shard_for_chaos(engine.graph().node_count());
+        shared.engine.pool().poison_for_chaos();
     }
     let response = match shared.gate.admit() {
         Admission::Shed { retry_after } => {
@@ -532,11 +529,23 @@ fn handle_query(
 }
 
 /// Encodes a reply for the wire. One that would not fit a frame (`k` is
-/// an uncapped `u32`) becomes an `Error` naming the cap: the client gets
-/// an answer instead of a dropped connection, and what the dedupe table
-/// records for its retries is something `write_frame` can send.
+/// an uncapped `u32`) becomes an `Error` naming the cap, and an `Error`
+/// whose message outgrows its `u16` length prefix (it quotes a request
+/// keyword, which may fill the request's own `u16` string) is cut to fit:
+/// the client gets an answer instead of a dropped connection, and what
+/// the dedupe table records for its retries is something `write_frame`
+/// can send.
 fn encode_reply(resp: &Response) -> Result<Vec<u8>, ProtocolError> {
-    let bytes = encode_response(resp)?;
+    let bytes = match (encode_response(resp), resp) {
+        (Err(ProtocolError::FieldTooLong(_)), Response::Error { id, message }) => {
+            let cut = message.floor_char_boundary(usize::from(u16::MAX));
+            return encode_response(&Response::Error {
+                id: *id,
+                message: message[..cut].to_string(),
+            });
+        }
+        (encoded, _) => encoded?,
+    };
     if u32::try_from(bytes.len()).is_ok_and(|len| len <= MAX_FRAME_BYTES) {
         return Ok(bytes);
     }
@@ -552,7 +561,9 @@ fn encode_reply(resp: &Response) -> Result<Vec<u8>, ProtocolError> {
 /// Encodes and sends a reply, applying injected delay/disconnect. When
 /// `record_id` is set, the bytes are recorded for idempotent replay
 /// *before* any injected disconnect — that ordering is what makes a
-/// mid-request disconnect recoverable by retry.
+/// mid-request disconnect recoverable by retry. A reply that cannot be
+/// encoded at all gives the claim on its id back, so a retry executes
+/// instead of waiting on an execution that will never complete.
 fn send_with_chaos(
     stream: &mut impl Write,
     shared: &Shared,
@@ -568,6 +579,9 @@ fn send_with_chaos(
                 .counters
                 .protocol_errors
                 .fetch_add(1, Ordering::Relaxed);
+            if let Some(id) = record_id {
+                shared.dedupe.abort(id);
+            }
             return false;
         }
     };
@@ -591,7 +605,7 @@ fn send(stream: &mut TcpStream, resp: &Response) -> Result<(), ProtocolError> {
 }
 
 /// Assembles the full counter snapshot. Touching the pool here also
-/// lazily recovers any shard a chaos panic poisoned since the last look.
+/// lazily recovers it if a chaos panic poisoned it since the last look.
 fn snapshot(shared: &Shared) -> Vec<(String, u64)> {
     let c = &shared.counters;
     let (admitted, shed) = shared.gate.stats();
@@ -658,6 +672,21 @@ mod tests {
     use super::*;
     use crate::protocol::{decode_response, CommunitySummary};
 
+    fn shared_over_a_small_engine() -> Shared {
+        let engine = crate::synthetic_engine(4, crate::EngineConfig::default()).unwrap();
+        let cfg = ServerConfig::default();
+        let guard_cancel = Arc::new(AtomicBool::new(false));
+        Shared {
+            engine: Arc::new(engine),
+            gate: AdmissionGate::new(cfg.admission, Arc::clone(&guard_cancel)),
+            dedupe: DedupeMap::new(cfg.dedupe_capacity),
+            chaos: ChaosState::new(cfg.chaos),
+            counters: Counters::default(),
+            guard_cancel,
+            io_timeout: cfg.io_timeout,
+        }
+    }
+
     #[test]
     fn oversized_reply_is_recorded_and_sent_as_an_error() {
         // ~4.2 M centres encode past the 16 MiB frame cap.
@@ -671,18 +700,7 @@ mod tests {
                 edge_count: 0,
             }],
         };
-        let engine = crate::synthetic_engine(4, crate::EngineConfig::default()).unwrap();
-        let cfg = ServerConfig::default();
-        let guard_cancel = Arc::new(AtomicBool::new(false));
-        let shared = Shared {
-            engine: Arc::new(engine),
-            gate: AdmissionGate::new(cfg.admission, Arc::clone(&guard_cancel)),
-            dedupe: DedupeMap::new(cfg.dedupe_capacity),
-            chaos: ChaosState::new(cfg.chaos),
-            counters: Counters::default(),
-            guard_cancel,
-            io_timeout: cfg.io_timeout,
-        };
+        let shared = shared_over_a_small_engine();
         assert!(matches!(
             shared.dedupe.begin(7, Duration::ZERO),
             Begin::Execute
@@ -707,6 +725,51 @@ mod tests {
             }
             other => panic!("expected an Error reply, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn error_reply_quoting_an_oversized_keyword_is_cut_to_fit_and_recorded() {
+        // 65 530 bytes fit the request's u16 string; quoted inside
+        // `keyword "…" is not indexed` they no longer fit the reply's. The
+        // 3-byte characters put the cut in the middle of one.
+        let keyword = format!("ab{}cd", "€".repeat(21_842));
+        assert_eq!(keyword.len(), 65_530);
+        let shared = shared_over_a_small_engine();
+        let mut wire = Vec::new();
+        let keep_open = handle_query(&mut wire, &shared, 9, Priority::Normal, &[keyword], 4.0, 1);
+        assert!(keep_open, "the connection survives a rejected query");
+        assert_eq!(shared.counters.protocol_errors.load(Ordering::Relaxed), 0);
+        match decode_response(&wire[4..]).unwrap() {
+            Response::Error { id: 9, message } => {
+                assert!(message.starts_with("keyword \"ab€"), "{}", &message[..16]);
+                assert!(
+                    (65_533..=65_535).contains(&message.len()),
+                    "{}",
+                    message.len()
+                );
+            }
+            other => panic!("expected an Error reply, got {other:?}"),
+        }
+        // The id is settled, not left `Pending`: a retry replays what was sent.
+        let Begin::Replay(recorded) = shared.dedupe.begin(9, Duration::ZERO) else {
+            panic!("the reply must be recorded for replay");
+        };
+        assert_eq!(wire[4..], recorded[..]);
+
+        // A reply with no encodable fallback gives its claim back instead.
+        let unencodable = Response::Interrupted {
+            id: 10,
+            reason: "r".repeat(70_000),
+            communities: Vec::new(),
+        };
+        assert!(matches!(
+            shared.dedupe.begin(10, Duration::ZERO),
+            Begin::Execute
+        ));
+        let sent = send_with_chaos(&mut wire, &shared, &unencodable, None, false, Some(10));
+        assert!(!sent);
+        assert_eq!(shared.counters.protocol_errors.load(Ordering::Relaxed), 1);
+        assert!(!shared.dedupe.lock().entries.contains_key(&10));
     }
 
     #[test]

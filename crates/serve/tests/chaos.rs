@@ -302,7 +302,7 @@ fn slow_clients_are_disconnected_not_serviced_forever() {
 }
 
 /// 20 requests over 2 connections against a daemon that poisons its
-/// engine-pool shard before every 5th query.
+/// engine pool before every 5th query.
 fn poisoned_load(addr: SocketAddr) {
     let report = run_load(
         addr,
@@ -352,7 +352,7 @@ fn poisoned_engine_pool_recovers_and_serving_continues() {
 #[test]
 fn a_poisoned_daemon_leaves_its_neighbour_in_the_process_alone() {
     // Two daemons in one process, one of them poisoning its pool: the
-    // chaos-free one never recovers a shard and answers as certified.
+    // chaos-free one never recovers its pool and answers as certified.
     let (chaotic, chaotic_addr) = start(AdmissionConfig::default(), poisoning());
     let engine = small_engine();
     let (calm, calm_addr) = start_on(

@@ -7,7 +7,7 @@
 //! * a `let g = ...lock()...` binding keeps its guard live until the
 //!   enclosing block closes or `drop(g)` runs;
 //! * an unbound `...lock()` temporary is live to the end of its statement;
-//! * a call to a guard-returning helper (`lock_shard`, `lock_cache`,
+//! * a call to a guard-returning helper (`lock_free`, `lock_cache`,
 //!   `DedupeMap::lock`, ...) is an acquisition of the lock the helper
 //!   locks, resolved through per-function summaries to a fixed point.
 //!
@@ -17,7 +17,7 @@
 //! * [`LOCK_ORDER`]: a cycle in the graph (potential deadlock), a
 //!   re-acquisition of a held lock, or an edge that contradicts the
 //!   canonical order documented in DESIGN.md ("Concurrency discipline"):
-//!   pool shard → admission gate → caches → dedupe table.
+//!   engine pool → admission gate → caches → dedupe table.
 //! * [`LOCK_BLOCKING`]: a guard held across an `EnginePool` checkout or a
 //!   wire-I/O call (`write_frame`/`read_frame`/`accept`/...) — latency
 //!   hazards in the serve path.
@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Canonical lock order (outer first). Edges between these ids must go
 /// left-to-right; a right-to-left edge is flagged even without a full cycle.
 pub const CANONICAL_ORDER: [&str; 5] = [
-    "EnginePool.classes",
+    "EnginePool.free",
     "AdmissionGate.state",
     "QueryEngine.indexes",
     "QueryEngine.answers",
@@ -151,7 +151,7 @@ pub fn check(files: &[FileModel], out: &mut Vec<Finding>) {
                     e.line,
                     format!(
                         "acquiring `{to}` while holding `{from}` violates the canonical \
-                         lock order (pool shard → admission gate → caches → dedupe table)"
+                         lock order (engine pool → admission gate → caches → dedupe table)"
                     ),
                     "acquire locks in the canonical order documented in DESIGN.md \
                      (Concurrency discipline)",
@@ -692,9 +692,7 @@ impl<'a> Model<'a> {
         // Blocking calls while holding a guard.
         let is_blocking = if BLOCKING_IO.contains(&call.name.as_str()) {
             true
-        } else if call.name == "acquire"
-            || call.name == "admit"
-            || call.name == "poison_shard_for_chaos"
+        } else if call.name == "acquire" || call.name == "admit" || call.name == "poison_for_chaos"
         {
             let rty = self.receiver_type(ctx, ast, call);
             matches!(rty.as_deref(), Some("EnginePool") | Some("AdmissionGate"))
