@@ -52,6 +52,21 @@ if [ "$HEAP_FILES" != "crates/core/src/comm_k.rs crates/core/src/trees.rs crates
     exit 1
 fi
 
+# The sink-bounded sweeps are exact only as far as their certifier is an
+# unpruned sweep of its own: `comm_core::verify` may mention the engine in
+# its docs and nowhere else, and the engine keeps one settle loop for the
+# admission predicate to live in.
+echo "==> oracle gate (core/verify.rs shares nothing with DijkstraEngine; one fn sweep)"
+if grep -nE 'DijkstraEngine|run_rows_guarded|admit' crates/core/src/verify.rs \
+    | grep -vE '^[0-9]+:[[:space:]]*//[/!]'; then
+    echo "comm_core::verify certifies the engine: it must not call it or prune like it"
+    exit 1
+fi
+if [ "$(grep -c 'fn sweep[<(]' crates/graph/src/dijkstra.rs)" != 1 ]; then
+    echo "crates/graph/src/dijkstra.rs must define exactly one fn sweep"
+    exit 1
+fi
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q

@@ -22,10 +22,33 @@
 //! once per community and read the table, the baselines re-pin one table
 //! per run, and the stand-alone [`get_community_guarded`] pins a fresh
 //! table — all through the same body.
+//!
+//! That forward sweep is *sink-bounded*: a member needs a finite
+//! `dist(u, t)`, so the sweep relaxes only into nodes some pinned
+//! dimension holds (`count > 0`), plus — because a float path sum depends
+//! on the end it is folded from — anything still within [`slack`] of the
+//! centers. The member test is the unbounded sweep's, and so is the member
+//! set, bit for bit (DESIGN.md "Projection index", argument 4, has the
+//! proof and the six-node gadget that breaks every cheaper rule). On a
+//! dense graph the unbounded sweep settled twenty nodes for every one it
+//! could keep.
 
 use crate::neighbor::NeighborSets;
 use crate::types::{Community, Core, CostFn};
 use comm_graph::{DijkstraEngine, Direction, Graph, InterruptReason, RunGuard, Weight};
+
+/// The tentative distance below which a sink-bounded forward sweep still
+/// relaxes into a node that reaches no keyword node within `rmax`:
+/// `rmax · 2⁻¹⁶`.
+///
+/// Such a node is never a member, but — float path sums not being
+/// associative — it can be the only conduit to one. DESIGN.md "Projection
+/// index", argument 4, bounds how far from the centers a conduit can sit
+/// by `rmax · 2⁻¹⁸`; only zero- and near-zero-weight edges out of a
+/// center get there.
+pub(crate) fn slack(rmax: Weight) -> Weight {
+    Weight::new(rmax.get() / 65536.0)
+}
 
 /// Materializes the community uniquely determined by `core` under
 /// `cost_fn`, consulting `guard` per settled node of every sweep.
@@ -97,14 +120,18 @@ pub(crate) fn community_of_pinned(
         return Ok(None);
     };
 
-    // dist(s, u) from the forward sweep, dist(u, t) from the table.
+    // dist(s, u) from the forward sweep, dist(u, t) from the table. The
+    // sweep is sink-bounded: it enters a node no pinned dimension holds
+    // only within `slack` of the centers (a member's path cannot leave
+    // the pinned sets any farther out), the member test is unchanged.
+    let slack = slack(rmax);
     let mut members = Vec::new();
-    engine.run_guarded(
-        graph,
-        Direction::Forward,
+    engine.run_rows_guarded(
+        graph.rows(Direction::Forward),
         centers.iter().copied(),
         rmax,
         guard,
+        |v, nd| pinned.count(v) > 0 || nd < slack,
         |s| {
             let to_sink = pinned.nearest(s.node);
             if to_sink.is_finite() && s.dist + to_sink <= rmax {
@@ -258,6 +285,39 @@ mod tests {
         // an out-of-bounds index.
         assert!(comm(&[], FIG4_RMAX).is_none());
         assert!(comm(&[13, 999, 11], FIG4_RMAX).is_none());
+    }
+
+    #[test]
+    fn forward_sweep_stays_inside_the_pinned_sets() {
+        // Every weight of the dense scenario is ≥ 1, far above the slack,
+        // so the sweep from the centers may settle only nodes some pinned
+        // dimension holds — the unpruned sweep ran past them on most cores.
+        let (g, spec) = crate::testing::dense_scenario();
+        let n = g.node_count();
+        let mut eng = DijkstraEngine::new(n);
+        let mut table = NeighborSets::new(spec.l(), n);
+        let guard = RunGuard::new();
+        let top = crate::testing::collect_top_k(&g, &spec, 60);
+        assert_eq!(top.len(), 60);
+        for want in top {
+            for (i, &c) in want.core.0.iter().enumerate() {
+                table
+                    .recompute_dim_guarded(&g, &mut eng, i, [c], spec.rmax, &guard)
+                    .unwrap();
+            }
+            let pinned = (0..n as u32).filter(|&u| table.count(NodeId(u)) > 0);
+            let before = guard.settled();
+            let got = community_of_pinned(
+                &g, &mut eng, &table, &want.core, spec.rmax, spec.cost, &guard,
+            );
+            let swept = guard.settled() - before;
+            assert!(
+                swept <= pinned.count() as u64,
+                "{swept} settled for {:?}",
+                want.core
+            );
+            assert_eq!(got.unwrap().unwrap().nodes(), want.nodes());
+        }
     }
 
     #[test]

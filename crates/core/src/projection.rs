@@ -16,8 +16,11 @@
 //! (that prefix *is* `Neighbor(V_w, Rmax)`), intersects the prefixes to
 //! get the candidate centers `V_c`, reads `dist(v, t)` of Algorithm 6's
 //! `s`/`t` double sweep (lines 10–15) as the minimum over the prefixes,
-//! and runs the one sweep whose answer is not stored — forward from `V_c`
-//! — to keep the nodes on a qualifying center→keyword-node path. The
+//! and runs the one sweep whose answer is not stored — forward from `V_c`,
+//! entering only nodes with a finite `dist(v, t)` or within
+//! [`slack`](crate::get_community::slack) of `V_c` (the sink bound of
+//! [`crate::get_community`], same argument, same constant) — to keep the
+//! nodes on a qualifying center→keyword-node path. The
 //! projected graph is `G_D` induced on those nodes. Every community of the
 //! query lives entirely inside `Neighbor(V_i, Rmax) ⊆ Neighbor(V_i, R)`
 //! for each `i`, so running any of the enumerators on the projected graph
@@ -27,6 +30,7 @@
 
 use crate::comm_k::comm_k_guarded;
 use crate::error::{validate_radius, QueryError};
+use crate::get_community::slack;
 use crate::types::{Community, Core, CostFn, QuerySpec};
 use comm_graph::weight::index_to_u32;
 use comm_graph::{
@@ -337,44 +341,9 @@ impl ProjectionIndex {
             );
         }
 
-        // Lines 1–9 without a sweep: the prefix of a run with dist ≤ rmax
-        // is Neighbor(V_w, rmax). One scatter pass over the l prefixes
-        // counts, per node of U, the keywords it reaches and keeps the
-        // nearest — dist(v, t) of the double sweep.
-        let nu = self.nodes.len();
-        let per_node = 2 * size_of::<u32>() + size_of::<Weight>();
-        guard.check_bytes(nu * per_node)?;
-        // Dense scratch over U, O(|U|) per query, charged above.
-        let mut count = vec![0u32; nu];
-        let mut to_sink = vec![Weight::INFINITY; nu];
-        for e in &entries {
-            let cut = e.reach_dist.partition_point(|&d| d <= rmax);
-            let ids = e.reach_ids[..cut].chunks(SCAN_STRIDE);
-            for (ids, dists) in ids.zip(e.reach_dist[..cut].chunks(SCAN_STRIDE)) {
-                guard.check()?;
-                for (u, &d) in ids.iter().zip(dists) {
-                    count[u.index()] += 1;
-                    to_sink[u.index()] = to_sink[u.index()].min(d);
-                }
-            }
-        }
-        // V_c = ⋂_i Neighbor(V_i, rmax).
-        let centers = (0..nu).filter(|&u| count[u] as usize == entries.len());
-        let centers: Vec<NodeId> = centers.map(|u| NodeId(index_to_u32(u))).collect();
-
-        // Lines 10–14: keep v with dist(s, v) + dist(v, t) ≤ rmax, where s
-        // feeds the centers. Not pruned by dist(v, t) while relaxing: the
-        // float triangle inequality can fail by an ulp.
-        let mut local = vec![ABSENT; nu];
-        if !centers.is_empty() {
-            let mut engine = DijkstraEngine::new(nu);
-            guard.check_bytes(nu * per_node + engine.scratch_bytes())?;
-            engine.run_rows_guarded(&self.rows, centers, rmax, guard, |s| {
-                if s.dist + to_sink[s.node.index()] <= rmax {
-                    local[s.node.index()] = 0;
-                }
-            })?;
-        }
+        let slack = slack(rmax);
+        let sink_bounded = |to_sink: Weight, nd: Weight| to_sink.is_finite() || nd < slack;
+        let mut local = self.mark_keep(&entries, rmax, guard, sink_bounded)?;
 
         // Line 15: G_P = G_D[keep], copied out of the stored rows of
         // G_D[U] (keep ⊆ U, so the two induce the same edges).
@@ -391,6 +360,70 @@ impl ProjectionIndex {
         };
         let spec = QuerySpec::new(entries.iter().map(local_nodes).collect(), rmax);
         Ok(ProjectedQuery { projected, spec })
+    }
+
+    /// Lines 1–14 of Algorithm 6 over the query's `entries`: a mark table
+    /// over `U` holding `0` at every node of `keep` and [`ABSENT`]
+    /// elsewhere.
+    ///
+    /// `enter(dist(v, t), nd)` is the forward sweep's admission rule — may
+    /// a relaxation reach `v` at tentative distance `nd`? `try_project`
+    /// passes the sink-bounded rule; the unfiltered `|_, _| true` is the
+    /// reference this module's tests compare it with.
+    fn mark_keep(
+        &self,
+        entries: &[&KeywordEntry],
+        rmax: Weight,
+        guard: &RunGuard,
+        enter: impl Fn(Weight, Weight) -> bool,
+    ) -> Result<Vec<u32>, InterruptReason> {
+        // Lines 1–9 without a sweep: the prefix of a run with dist ≤ rmax
+        // is Neighbor(V_w, rmax). One scatter pass over the l prefixes
+        // counts, per node of U, the keywords it reaches and keeps the
+        // nearest — dist(v, t) of the double sweep.
+        let nu = self.nodes.len();
+        let per_node = 2 * size_of::<u32>() + size_of::<Weight>();
+        guard.check_bytes(nu * per_node)?;
+        // Dense scratch over U, O(|U|) per query, charged above.
+        let mut count = vec![0u32; nu];
+        let mut to_sink = vec![Weight::INFINITY; nu];
+        for e in entries {
+            let cut = e.reach_dist.partition_point(|&d| d <= rmax);
+            let ids = e.reach_ids[..cut].chunks(SCAN_STRIDE);
+            for (ids, dists) in ids.zip(e.reach_dist[..cut].chunks(SCAN_STRIDE)) {
+                guard.check()?;
+                for (u, &d) in ids.iter().zip(dists) {
+                    count[u.index()] += 1;
+                    to_sink[u.index()] = to_sink[u.index()].min(d);
+                }
+            }
+        }
+        // V_c = ⋂_i Neighbor(V_i, rmax).
+        let centers = (0..nu).filter(|&u| count[u] as usize == entries.len());
+        let centers: Vec<NodeId> = centers.map(|u| NodeId(index_to_u32(u))).collect();
+
+        // Lines 10–14: keep v with dist(s, v) + dist(v, t) ≤ rmax, where s
+        // feeds the centers. The keep test is never used to prune — the
+        // float triangle inequality can fail by an ulp, so a kept node can
+        // sit behind one that is not — only `enter` is.
+        let mut local = vec![ABSENT; nu];
+        if !centers.is_empty() {
+            let mut engine = DijkstraEngine::new(nu);
+            guard.check_bytes(nu * per_node + engine.scratch_bytes())?;
+            engine.run_rows_guarded(
+                &self.rows,
+                centers,
+                rmax,
+                guard,
+                |v, nd| enter(to_sink[v.index()], nd),
+                |s| {
+                    if s.dist + to_sink[s.node.index()] <= rmax {
+                        local[s.node.index()] = 0;
+                    }
+                },
+            )?;
+        }
+        Ok(local)
     }
 
     /// Fraction of `G_D`'s nodes that survive projection for a query —
@@ -520,6 +553,60 @@ mod tests {
             .map(|c| c.cost.get())
             .collect();
         assert_eq!(full, proj);
+    }
+
+    #[test]
+    fn sink_bounded_keep_set_is_the_unfiltered_one() {
+        // The boundary-weight rung, one level down: over multigraphs whose
+        // path sums land within an ulp of `rmax`, `try_project` keeps the
+        // nodes its own body marks under an unfiltered sweep.
+        use comm_graph::{GraphBuilder, SplitMix64};
+        const WEIGHTS: [f64; 5] = [0.0, 0.1, 0.2, 0.3, 0.4];
+        let (mut kept, mut pruned) = (0, 0);
+        SplitMix64::for_each_case(512, |rng| {
+            let n = 4 + rng.index(9);
+            let node = |rng: &mut SplitMix64| NodeId(index_to_u32(rng.index(n)));
+            let mut b = GraphBuilder::new(n);
+            for _ in 0..n + rng.index(n * 3) {
+                let w = Weight::new(WEIGHTS[rng.index(WEIGHTS.len())]);
+                b.add_edge(node(rng), node(rng), w);
+            }
+            let (u, v) = (node(rng), node(rng));
+            b.add_edge(u, v, Weight::ZERO);
+            b.add_edge(v, u, Weight::ZERO);
+            let g = b.build();
+            let sets: Vec<Vec<NodeId>> = (0..1 + rng.index(3))
+                .map(|_| (0..1 + rng.index(2)).map(|_| node(rng)).collect())
+                .collect();
+            let names = ["a", "b", "c"];
+            let kws = names.iter().zip(&sets).map(|(kw, v)| (*kw, v.as_slice()));
+            let idx = build(&g, kws, 1.6, 1).unwrap();
+            let entries: Vec<&KeywordEntry> = names[..sets.len()]
+                .iter()
+                .map(|kw| &idx.entries[*kw])
+                .collect();
+            // Tenths, and the three sums of tenths one ulp off a tenth.
+            let rmax = match rng.index(16) {
+                13 => 0.1 + 0.2,
+                14 => (0.1 + 0.2) + 0.3,
+                15 => (0.4 + 0.3) + 0.2,
+                k => k as f64 / 10.0,
+            };
+            let rmax = Weight::new(rmax);
+            let bounded = RunGuard::new();
+            let pq = idx.try_project(&names[..sets.len()], rmax, &bounded);
+            let open = RunGuard::new();
+            let mut marks = idx.mark_keep(&entries, rmax, &open, |_, _| true).unwrap();
+            let unfiltered = rank_marked(&mut marks).into_iter();
+            let unfiltered: Vec<NodeId> = unfiltered.map(|u| idx.nodes[u.index()]).collect();
+            let kept_here = pq.unwrap().projected.original_ids;
+            assert_eq!(kept_here, unfiltered, "keep sets differ at rmax {rmax}");
+            assert!(bounded.settled() <= open.settled());
+            kept += kept_here.len();
+            pruned += open.settled() - bounded.settled();
+        });
+        // The rung is not vacuous: nodes are kept, and the filter bites.
+        assert!(kept >= 500 && pruned >= 50, "kept {kept}, pruned {pruned}");
     }
 
     #[test]

@@ -367,6 +367,22 @@ mod tests {
     }
 
     #[test]
+    fn neighbor_sweeps_do_not_depend_on_the_forward_sweep() {
+        // `GetCommunity()`'s forward sweep is no `Neighbor()` call, and
+        // bounding it changes no community, so no refill moves: the
+        // totals below were counted with the sweep unbounded.
+        fn drained<F: Frontier>() -> (usize, usize) {
+            let (g, spec) = dense_scenario();
+            let mut it = Enumerator::<F>::try_new(&g, &spec).unwrap();
+            it.by_ref().for_each(drop);
+            (it.emitted(), it.neighbor_sweeps())
+        }
+        assert_eq!(drained::<CanList>(), (441, 1760));
+        assert_eq!(drained::<Dfs>(), (441, 1102));
+        assert_eq!(drained::<FromScratch>(), (441, 2714));
+    }
+
+    #[test]
     fn pinning_a_pinned_dimension_runs_no_sweep() {
         let (g, spec) = dense_scenario();
         let mut it = Enumerator::<CanList>::try_new(&g, &spec).unwrap();

@@ -5,9 +5,9 @@
 use comm_core::trees::topk_trees;
 use comm_core::verify::check_community;
 use comm_core::{
-    bu_all_guarded, bu_topk_guarded, comm_k_on_index, td_all_guarded, td_topk_guarded, BaselineRun,
-    CommAll, CommK, Community, Core, CostFn, Outcome, ProjectedQuery, ProjectionIndex, QueryError,
-    QuerySpec, RunGuard,
+    bu_all_guarded, bu_topk_guarded, comm_k_on_index, get_community_guarded, td_all_guarded,
+    td_topk_guarded, BaselineRun, CommAll, CommK, Community, Core, CostFn, Outcome, ProjectedQuery,
+    ProjectionIndex, QueryError, QuerySpec, RunGuard,
 };
 use comm_graph::{graph_from_edges, EnginePool, Graph, GraphBuilder, NodeId, Parallelism, Weight};
 
@@ -336,4 +336,87 @@ fn community_iterator_count_is_stable_across_runs() {
     let c: Vec<Core> = collect_all(&g, &q).into_iter().map(|c| c.core).collect();
     let d: Vec<Core> = collect_all(&g, &q).into_iter().map(|c| c.core).collect();
     assert_eq!(c, d);
+}
+
+/// The conduit gadget: `0 → 1 → 2 → 3 → 4` with weights `0, a, b, d`, a
+/// direct edge `0 → 4` of weight `rmax` that makes 0 a center whatever the
+/// chain sums to, and `0 → 5`. Keywords `a = {4}`, `b = {5}`.
+fn conduit_gadget(a: f64, b: f64, d: f64, rmax: f64) -> Graph {
+    graph_from_edges(
+        6,
+        &[
+            (0, 1, 0.0),
+            (1, 2, a),
+            (2, 3, b),
+            (3, 4, d),
+            (0, 4, rmax),
+            (0, 5, 0.1),
+        ],
+    )
+}
+
+/// `GetCommunity()` of core `[4, 5]` on `g`, certified against the oracle,
+/// and the node set `GraphProjection` keeps for the same query on an index
+/// wide enough to hold the whole chain.
+fn conduit_answers(g: &Graph, rmax: f64) -> (Community, Vec<NodeId>) {
+    let guard = RunGuard::unlimited();
+    let q = spec(&[&[4], &[5]], rmax);
+    let mut engine = comm_graph::DijkstraEngine::new(g.node_count());
+    let core = Core(vec![NodeId(4), NodeId(5)]);
+    let c = get_community_guarded(g, &mut engine, &core, q.rmax, q.cost, &guard);
+    let c = c.unwrap().expect("0 is a center");
+    check_community(g, &q, &c).unwrap();
+    let kws: [(&str, &[NodeId]); 2] = [("a", &[NodeId(4)]), ("b", &[NodeId(5)])];
+    let idx = ProjectionIndex::build_par_guarded(
+        g,
+        kws,
+        Weight::new(rmax + 0.2),
+        &guard,
+        &EnginePool::new(),
+        Parallelism::serial(),
+    );
+    let pq = idx.unwrap().try_project(&["a", "b"], q.rmax, &guard);
+    (c, pq.unwrap().projected.original_ids)
+}
+
+/// Float path sums are not associative: folded from the center, the chain
+/// gives `(0.3 + 0.2) + 0.1 = 0.6`, so 3 is a member at `Rmax = 0.6`;
+/// folded from the keyword node it gives `(0.1 + 0.2) + 0.3 =
+/// 0.6000000000000001`, so 1 is in no pinned set, and 2 — in one — fails
+/// the member test by an ulp. The forward sweep may therefore prune
+/// neither by the member test nor by the pinned sets alone.
+#[test]
+fn member_behind_a_non_member_and_an_unpinned_node_is_kept() {
+    let g = conduit_gadget(0.3, 0.2, 0.1, 0.6);
+    let (c, keep) = conduit_answers(&g, 0.6);
+    let ids = |v: &[NodeId]| v.iter().map(|n| n.0).collect::<Vec<_>>();
+    assert_eq!(ids(&c.centers), vec![0]);
+    assert_eq!(ids(c.nodes()), vec![0, 3, 4, 5]);
+    assert_eq!(ids(&keep), vec![0, 3, 4, 5]);
+}
+
+/// The same gadget over every ordered weight triple from `{0.1 … 0.9}`,
+/// `Rmax` being exactly what the chain folds to from the center. Whenever
+/// the fold from the keyword node comes out larger, node 1 is an unpinned
+/// conduit and 3 must still be found.
+#[test]
+fn conduit_gadget_agrees_with_the_oracle_on_every_weight_triple() {
+    let tenths = || (1..10).map(|k| f64::from(k) / 10.0);
+    let mut conduits = 0;
+    for a in tenths() {
+        for b in tenths() {
+            for d in tenths() {
+                let rmax = (a + b) + d;
+                let g = conduit_gadget(a, b, d, rmax);
+                let (c, keep) = conduit_answers(&g, rmax);
+                assert_eq!(keep, c.nodes(), "keep set at ({a}, {b}, {d})");
+                if (d + b) + a > rmax {
+                    conduits += 1;
+                    assert!(c.nodes().contains(&NodeId(3)), "lost 3 at ({a}, {b}, {d})");
+                    assert!(!c.nodes().contains(&NodeId(1)));
+                }
+            }
+        }
+    }
+    assert_eq!(conduits, 121);
 }

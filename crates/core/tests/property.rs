@@ -4,14 +4,16 @@
 //! Each property runs over [`CASES`] seeded random scenarios.
 
 use comm_core::naive::{naive_all_cores, naive_community_nodes};
-use comm_core::verify::check_enumeration;
+use comm_core::verify::{check_community, check_enumeration, check_ranking};
 use comm_core::{
     bu_all_guarded, bu_topk_guarded, comm_all_guarded, comm_k_guarded, get_community_guarded,
     td_all_guarded, td_topk_guarded, BaselineRun, CommAll, CommK, Community, Core, CostFn,
     EnginePool, InterruptReason, LawlerK, Outcome, Parallelism, ProjectionIndex, QueryError,
     QuerySpec, RunGuard,
 };
-use comm_graph::{DijkstraEngine, Direction, Graph, GraphBuilder, NodeId, SplitMix64, Weight};
+use comm_graph::{
+    DijkstraEngine, Direction, Graph, GraphBuilder, Kernel, NodeId, SplitMix64, Weight,
+};
 
 const CASES: u64 = 96;
 
@@ -272,6 +274,72 @@ fn max_distance_cost_agrees_with_oracle() {
             .collect();
         assert_eq!(bu, pd);
     });
+}
+
+/// The boundary-weight rung: the sink-bounded forward sweep of
+/// `GetCommunity()` on graphs built to break it. Multigraphs over weights
+/// `{0, 0.1, 0.2, 0.3, 0.4}` — tenths do not add associatively — with
+/// parallel edges and a zero-weight cycle, under radii that are tenths or
+/// sums of tenths as one fold order realises them, so path sums land on
+/// `Rmax` exactly, one ulp above and one ulp below. Every community of
+/// COMM-all and COMM-k certifies against the unpruned oracle sweep of
+/// `comm_core::verify`, on the default kernel and on the heap reference.
+#[test]
+fn boundary_weight_communities_certify() {
+    const WEIGHTS: [f64; 5] = [0.0, 0.1, 0.2, 0.3, 0.4];
+    const REALISED: [f64; 3] = [
+        0.1 + 0.2,         // 0.30000000000000004
+        (0.1 + 0.2) + 0.3, // 0.6000000000000001
+        (0.4 + 0.3) + 0.2, // 0.8999999999999999
+    ];
+    const { assert!(REALISED[0] > 0.3 && REALISED[1] > 0.6 && REALISED[2] < 0.9) };
+    let mut certified = 0;
+    SplitMix64::for_each_case(4 * CASES, |rng| {
+        let n = 4 + rng.index(9);
+        let mut b = GraphBuilder::new(n);
+        for _ in 0..n + rng.index(n * 3) {
+            let (u, v) = (NodeId(below(rng, n)), NodeId(below(rng, n)));
+            b.add_edge(u, v, Weight::new(WEIGHTS[rng.index(WEIGHTS.len())]));
+            if rng.index(4) == 0 {
+                b.add_edge(u, v, Weight::new(WEIGHTS[rng.index(WEIGHTS.len())]));
+            }
+        }
+        let (u, v) = (NodeId(below(rng, n)), NodeId(below(rng, n)));
+        b.add_edge(u, v, Weight::ZERO);
+        b.add_edge(v, u, Weight::ZERO);
+        let g = b.build();
+        let keyword_nodes = (0..1 + rng.index(3))
+            .map(|_| {
+                (0..1 + rng.index(3))
+                    .map(|_| NodeId(below(rng, n)))
+                    .collect()
+            })
+            .collect();
+        let rmax = match rng.index(16) {
+            k @ 0..=12 => k as f64 / 10.0,
+            k => REALISED[k - 13],
+        };
+        let spec = QuerySpec::new(keyword_nodes, Weight::new(rmax));
+
+        let all = collect_all(&g, &spec);
+        check_enumeration(&g, &spec, &all).unwrap();
+        let ranked: Vec<Community> = CommK::try_new(&g, &spec).unwrap().collect();
+        check_enumeration(&g, &spec, &ranked).unwrap();
+        check_ranking(&ranked).unwrap();
+        assert_eq!(ranked.len(), all.len());
+        let mut heap = DijkstraEngine::with_kernel(n, Kernel::Heap);
+        let guard = RunGuard::unlimited();
+        for c in &all {
+            let on_heap =
+                get_community_guarded(&g, &mut heap, &c.core, spec.rmax, spec.cost, &guard)
+                    .unwrap()
+                    .expect("an emitted core has a center");
+            check_community(&g, &spec, &on_heap).unwrap();
+            assert_eq!(on_heap.nodes(), c.nodes());
+        }
+        certified += all.len();
+    });
+    assert!(certified >= 1000, "only {certified} communities certified");
 }
 
 /// The projection rung (Sec. VI), over graphs with zero-weight edges and

@@ -7,7 +7,9 @@
 //!   with zero-weight edges), truncated at `Rmax`;
 //! * `GetCommunity` (Algorithm 4) = one forward sweep from the virtual
 //!   source `s` over the centers plus one reverse sweep from `t` over the
-//!   core;
+//!   core — the forward one bounded by what the reverse one reached,
+//!   through the settle loop's admission predicate
+//!   ([`DijkstraEngine::run_rows_guarded`]);
 //! * the expanding baselines = truncated sweeps per keyword node / per
 //!   candidate center.
 //!
@@ -224,26 +226,41 @@ impl DijkstraEngine {
         visit: F,
     ) -> Result<usize, InterruptReason> {
         let w_min = graph.min_positive_weight();
-        self.run_rows(graph.rows(dir), w_min, seeds, radius, guard, visit)
+        let admit = |_, _| true;
+        self.run_rows(graph.rows(dir), w_min, seeds, radius, guard, admit, visit)
     }
 
-    /// [`run_guarded`](Self::run_guarded) over a single adjacency half:
-    /// the sweep follows `rows` as stored, so pass a forward half for
-    /// `dist(seeds, ·)` and a transposed one for `dist(·, seeds)`.
+    /// [`run_guarded`](Self::run_guarded) over a single adjacency half,
+    /// relaxing only where `admit` agrees: the sweep follows `rows` as
+    /// stored, so pass a forward half for `dist(seeds, ·)` and a
+    /// transposed one for `dist(·, seeds)`.
+    ///
+    /// `admit(v, nd)` is asked once per relaxation that would reach `v` at
+    /// a tentative `nd ≤ radius`, before the engine records anything about
+    /// it. A refusal is forgotten — `v` stays unreached and may still be
+    /// admitted later at a smaller `nd` — so the sweep is Dijkstra over the
+    /// admitted relaxations only: it settles a subset of the unfiltered
+    /// sweep's nodes, none at a smaller distance. Seeds are never asked.
+    /// `|_, _| true` is the unfiltered sweep, at no cost.
     pub fn run_rows_guarded<F: FnMut(Settled)>(
         &mut self,
         rows: &Csr,
         seeds: impl IntoIterator<Item = NodeId>,
         radius: Weight,
         guard: &RunGuard,
+        admit: impl FnMut(NodeId, Weight) -> bool,
         visit: F,
     ) -> Result<usize, InterruptReason> {
         let w_min = rows.min_positive_weight();
-        self.run_rows(rows, w_min, seeds, radius, guard, visit)
+        self.run_rows(rows, w_min, seeds, radius, guard, admit, visit)
     }
 
     /// The one sweep behind both entry points. `w_min` (the adjacency's
     /// minimum positive weight) only sizes the bucket kernel's buckets.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "private: the public signatures plus the one derived w_min"
+    )]
     fn run_rows<F: FnMut(Settled)>(
         &mut self,
         rows: &Csr,
@@ -251,6 +268,7 @@ impl DijkstraEngine {
         seeds: impl IntoIterator<Item = NodeId>,
         radius: Weight,
         guard: &RunGuard,
+        mut admit: impl FnMut(NodeId, Weight) -> bool,
         mut visit: F,
     ) -> Result<usize, InterruptReason> {
         if self.ensure_capacity(rows.node_count()) {
@@ -270,7 +288,7 @@ impl DijkstraEngine {
                         Frontier::push(&mut queue, Weight::ZERO, seed);
                     }
                 }
-                let out = self.sweep(rows, radius, guard, &mut queue, &mut visit);
+                let out = self.sweep(rows, radius, guard, &mut queue, &mut admit, &mut visit);
                 queue.clear();
                 self.heap = queue;
                 out
@@ -284,7 +302,7 @@ impl DijkstraEngine {
                         Frontier::push(&mut queue, Weight::ZERO, seed);
                     }
                 }
-                let out = self.sweep(rows, radius, guard, &mut queue, &mut visit);
+                let out = self.sweep(rows, radius, guard, &mut queue, &mut admit, &mut visit);
                 queue.clear();
                 self.bucket = queue;
                 out
@@ -299,6 +317,7 @@ impl DijkstraEngine {
         radius: Weight,
         guard: &RunGuard,
         queue: &mut Q,
+        admit: &mut impl FnMut(NodeId, Weight) -> bool,
         visit: &mut F,
     ) -> Result<usize, InterruptReason> {
         let mut settled_count = 0;
@@ -319,7 +338,7 @@ impl DijkstraEngine {
             });
             for (v, w) in rows.neighbors(u) {
                 let nd = d + w;
-                if nd <= radius && self.relax(v, nd, source, u) {
+                if nd <= radius && admit(v, nd) && self.relax(v, nd, source, u) {
                     queue.push(nd, v);
                 }
             }
@@ -572,7 +591,8 @@ mod tests {
                     let mut on_graph = Vec::new();
                     eng.run(&g, dir, [NodeId(seed)], radius, |s| on_graph.push(s));
                     let mut on_rows = Vec::new();
-                    eng.run_rows_guarded(g.rows(dir), [NodeId(seed)], radius, &guard, |s| {
+                    let all = |_, _| true;
+                    eng.run_rows_guarded(g.rows(dir), [NodeId(seed)], radius, &guard, all, |s| {
                         on_rows.push(s)
                     })
                     .unwrap();
@@ -669,6 +689,174 @@ mod tests {
             );
         }
         assert_eq!(default_eng.kernel(), Kernel::Bucket);
+    }
+
+    /// The settle trace of one filtered forward sweep over `g`'s rows.
+    fn filtered(
+        eng: &mut DijkstraEngine,
+        g: &Graph,
+        seeds: &[NodeId],
+        radius: Weight,
+        guard: &RunGuard,
+        admit: impl FnMut(NodeId, Weight) -> bool,
+    ) -> (Vec<Settled>, Result<usize, InterruptReason>) {
+        let mut out = Vec::new();
+        let rows = g.rows(Direction::Forward);
+        let seeds = seeds.iter().copied();
+        let swept = eng.run_rows_guarded(rows, seeds, radius, guard, admit, |s| out.push(s));
+        (out, swept)
+    }
+
+    #[test]
+    fn refused_relaxation_leaves_no_trace() {
+        // 1 is refused whatever it is offered; 3 hangs off it.
+        let g = graph_from_edges(4, &[(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 1, 0.5)]);
+        let guard = RunGuard::new();
+        for kernel in [Kernel::Heap, Kernel::Bucket] {
+            let mut eng = DijkstraEngine::with_kernel(4, kernel);
+            let mut asked = Vec::new();
+            let r = Weight::new(10.0);
+            let (trace, swept) = filtered(&mut eng, &g, &[NodeId(0)], r, &guard, |v, nd| {
+                asked.push((v, nd));
+                v != NodeId(1)
+            });
+            // A queue entry for 1 would have been popped and settled: no
+            // scratch write and no push happened for it, twice over.
+            let nodes: Vec<u32> = trace.iter().map(|s| s.node.0).collect();
+            assert_eq!(nodes, vec![0, 2]);
+            assert_eq!(swept, Ok(2));
+            assert_eq!(eng.touched, vec![0, 2]);
+            assert_eq!(eng.dist[1], Weight::INFINITY);
+            assert!(!eng.settled[1]);
+            // Asked once per in-radius relaxation, seeds excluded.
+            let w = Weight::new;
+            let expect = vec![
+                (NodeId(1), w(1.0)),
+                (NodeId(2), w(1.0)),
+                (NodeId(1), w(1.5)),
+            ];
+            assert_eq!(asked, expect);
+        }
+    }
+
+    #[test]
+    fn node_refused_far_out_is_settled_when_offered_closer() {
+        // 2 is first offered 5.0 (refused), later 2.0 through 1 (admitted).
+        let g = graph_from_edges(3, &[(0, 1, 1.0), (0, 2, 5.0), (1, 2, 1.0)]);
+        let near = |v: NodeId, nd: Weight| v != NodeId(2) || nd < Weight::new(3.0);
+        let guard = RunGuard::unlimited();
+        for kernel in [Kernel::Heap, Kernel::Bucket] {
+            let mut eng = DijkstraEngine::with_kernel(3, kernel);
+            let r = Weight::new(10.0);
+            let (trace, _) = filtered(&mut eng, &g, &[NodeId(0)], r, &guard, near);
+            assert_eq!(trace.len(), 3);
+            assert_eq!(trace[2].node, NodeId(2));
+            assert_eq!(trace[2].dist, Weight::new(2.0));
+            assert_eq!(trace[2].parent, NodeId(1));
+        }
+    }
+
+    #[test]
+    fn admission_is_asked_in_radius_only_and_never_of_seeds() {
+        let g = graph_from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (3, 2, 9.0)]);
+        let mut eng = DijkstraEngine::new(4);
+        let guard = RunGuard::unlimited();
+        let seeds = [NodeId(0), NodeId(3)];
+        let mut asked = Vec::new();
+        let (trace, _) = filtered(&mut eng, &g, &seeds, Weight::new(5.0), &guard, |v, _| {
+            asked.push(v);
+            false
+        });
+        // Both seeds settle although everything is refused; 3 → 2 at 9.0
+        // is out of radius and is not asked about.
+        let nodes: Vec<u32> = trace.iter().map(|s| s.node.0).collect();
+        assert_eq!(nodes, vec![0, 3]);
+        assert_eq!(asked, vec![NodeId(1)]);
+    }
+
+    /// A filter shaped like the sink-bounded one: a fixed node set, or
+    /// anything close enough to the seeds.
+    fn even_or_near(v: NodeId, nd: Weight) -> bool {
+        v.0.is_multiple_of(2) || nd < Weight::new(1.25)
+    }
+
+    /// Ties, a zero-weight edge, and odd nodes the filter cuts off far out.
+    fn filter_graph() -> Graph {
+        graph_from_edges(
+            8,
+            &[
+                (0, 1, 1.0),
+                (0, 2, 1.0),
+                (1, 3, 0.5),
+                (2, 3, 0.5),
+                (2, 4, 0.5),
+                (3, 4, 0.0),
+                (4, 5, 2.25),
+                (4, 6, 2.25),
+                (1, 6, 3.75),
+                (6, 7, 0.25),
+            ],
+        )
+    }
+
+    #[test]
+    fn kernels_settle_identically_under_a_filter() {
+        let g = filter_graph();
+        let guard = RunGuard::unlimited();
+        let mut heap_eng = DijkstraEngine::with_kernel(8, Kernel::Heap);
+        let mut bucket_eng = DijkstraEngine::with_kernel(8, Kernel::Bucket);
+        let seeds = [NodeId(0)];
+        for radius in [0.0, 1.0, 1.5, 4.0, 100.0] {
+            let r = Weight::new(radius);
+            let (on_heap, _) = filtered(&mut heap_eng, &g, &seeds, r, &guard, even_or_near);
+            let (on_bucket, _) = filtered(&mut bucket_eng, &g, &seeds, r, &guard, even_or_near);
+            assert_eq!(on_heap, on_bucket, "kernels diverged at radius {radius}");
+            // A subset of the unfiltered sweep, no node any closer.
+            let open = trace(&mut heap_eng, &g, &seeds, r);
+            for s in &on_heap {
+                let o = open.iter().find(|o| o.node == s.node).unwrap();
+                assert!(o.dist <= s.dist, "{:?} got closer under a filter", s.node);
+            }
+        }
+        // At full radius the filter bites: 3 only enters through the tie
+        // at 1.5 > 1.25, so it and the odd nodes behind 4 are cut off.
+        let (cut, _) = filtered(
+            &mut heap_eng,
+            &g,
+            &seeds,
+            Weight::new(100.0),
+            &guard,
+            even_or_near,
+        );
+        let nodes: Vec<u32> = cut.iter().map(|s| s.node.0).collect();
+        assert_eq!(nodes, vec![0, 1, 2, 4, 6]);
+    }
+
+    #[test]
+    fn interrupted_filtered_sweep_is_a_prefix_and_the_engine_survives() {
+        let g = filter_graph();
+        let r = Weight::new(100.0);
+        let seeds = [NodeId(0)];
+        for kernel in [Kernel::Heap, Kernel::Bucket] {
+            let mut eng = DijkstraEngine::with_kernel(8, kernel);
+            let (full, _) = filtered(
+                &mut eng,
+                &g,
+                &seeds,
+                r,
+                &RunGuard::unlimited(),
+                even_or_near,
+            );
+            for budget in 0..full.len() as u64 {
+                let guard = RunGuard::new().with_settled_budget(budget);
+                let (part, swept) = filtered(&mut eng, &g, &seeds, r, &guard, even_or_near);
+                assert_eq!(swept, Err(InterruptReason::SettledBudgetExhausted));
+                assert_eq!(part, full[..budget as usize]);
+                // Reusable, and for an unfiltered sweep too.
+                let d = eng.distances(&g, Direction::Forward, NodeId(0));
+                assert_eq!(d[7], Weight::new(4.0));
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! * [`Weight`]: totally ordered non-negative edge weights (the paper uses
 //!   `w_e((u,v)) = log2(1 + N_in(v))`);
 //! * [`DijkstraEngine`]: reusable radius-bounded multi-source Dijkstra, the
-//!   workhorse behind `Neighbor()`, `GetCommunity()` and `GraphProjection`;
+//!   workhorse behind `Neighbor()`, `GetCommunity()` and `GraphProjection`
+//!   — one settle loop, which the two forward sweeps run under an
+//!   admission predicate ([`DijkstraEngine::run_rows_guarded`]);
 //! * [`RunGuard`]: cooperative execution governor (cancellation, deadlines,
 //!   work/memory budgets) threaded through every sweep and enumeration;
 //! * [`EnginePool`] / [`Parallelism`]: a free list of engine scratch
