@@ -67,6 +67,19 @@ if [ "$(grep -c 'fn sweep[<(]' crates/graph/src/dijkstra.rs)" != 1 ]; then
     exit 1
 fi
 
+# One build path for the projection index: a keyword is swept in one place
+# (`KeywordRun::sweep`), and the daemon reaches sweeps only through its run
+# cache, never through the one-shot `build_par_guarded`.
+echo "==> one-build-path gate (one run_guarded( in projection.rs, no build_par_guarded under serve/src)"
+if grep -rn 'build_par_guarded' crates/serve/src; then
+    echo "the daemon assembles indexes from cached runs (QueryEngine::index_for)"
+    exit 1
+fi
+if [ "$(grep -c 'run_guarded(' crates/core/src/projection.rs)" != 1 ]; then
+    echo "crates/core/src/projection.rs must sweep keywords in exactly one place"
+    exit 1
+fi
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q

@@ -67,6 +67,10 @@ pub struct Session {
     /// Cancel flag shared with the Ctrl-C handler: aborts the query that
     /// is currently running while keeping the session alive.
     cancel: Arc<AtomicBool>,
+    /// Dijkstra scratch for the index sweeps, parked between queries: an
+    /// `O(|V(G_D)|)` engine is built once per session, not once per
+    /// `query`.
+    pool: EnginePool,
 }
 
 struct ActiveQuery {
@@ -92,6 +96,7 @@ impl Session {
             current: None,
             timeout: None,
             cancel: Arc::new(AtomicBool::new(false)),
+            pool: EnginePool::new(),
         }
     }
 
@@ -219,7 +224,7 @@ impl Session {
             entries,
             Weight::new(rmax),
             &guard,
-            &EnginePool::new(),
+            &self.pool,
             Parallelism::serial(),
         )
         .map_err(|r| format!("query interrupted while indexing ({r})"))?;
@@ -452,6 +457,17 @@ mod tests {
         // more continues the numbering.
         let more = s.more(2).unwrap();
         assert!(more.contains("#4") || more.contains("exhausted"), "{more}");
+    }
+
+    #[test]
+    fn queries_sweep_on_one_parked_engine() {
+        let mut s = loaded();
+        assert_eq!(s.pool.pooled_engines(), 0);
+        s.query(&["database".into(), "support".into()], None, 1, false)
+            .unwrap();
+        s.query(&["database".into(), "optimization".into()], None, 1, false)
+            .unwrap();
+        assert_eq!(s.pool.pooled_engines(), 1);
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //! one [`NeighborSets::recompute_dim_guarded`] on the enumerator's own
 //! engine. What fans out across a [`Parallelism`] thread pool, borrowing
 //! Dijkstra scratch state from the caller's [`EnginePool`], is index
-//! construction ([`ProjectionIndex::build_par_guarded`], one task per
-//! keyword); it honors the shared [`RunGuard`] and produces bit-identical
+//! construction ([`ProjectionIndex::build_par_guarded`], one
+//! [`KeywordRun::sweep`] task per keyword); it honors the shared [`RunGuard`] and produces bit-identical
 //! results for every thread count, [`Parallelism::serial`] being the
 //! one-worker case of the same code.
 //!
@@ -99,7 +99,7 @@ pub use error::QueryError;
 pub use get_community::get_community_guarded;
 pub use lawler::LawlerK;
 pub use neighbor::{BestCore, NeighborSets, MAX_KEYWORDS};
-pub use projection::{comm_k_on_index, ProjectedQuery, ProjectionIndex};
+pub use projection::{comm_k_on_index, KeywordRun, ProjectedQuery, ProjectionIndex};
 pub use shell::Enumerator;
 pub use types::{Community, Core, CostFn, QuerySpec};
 pub use verify::{

@@ -17,7 +17,6 @@
 
 use crate::error::QueryError;
 use crate::types::{Core, CostFn};
-use comm_graph::weight::index_to_u32;
 use comm_graph::{
     DijkstraEngine, Direction, EnginePool, Graph, InterruptReason, NodeId, Parallelism, RunGuard,
     Weight,
@@ -234,25 +233,19 @@ impl NeighborSets {
     }
 
     /// `BestCore()` (Algorithm 3): scans `⋂ N_i` once and returns the
-    /// minimum-cost core under `cost_fn`. Under the paper's sum cost that
-    /// is the scanning center's total distance `Σ_i min(N_i, u)`, read off
-    /// the per-node totals (`O(n)`); other cost functions aggregate the l
-    /// per-dimension distances per intersection node (`O(l·n)`, still
-    /// within the per-answer budget of Theorem IV.1). Ties break by center
-    /// id (deterministic).
-    // xtask-allow: guard_coverage — scans the in-memory N_i table (O(l·n) per answer), no graph traversal
+    /// minimum-cost core under `cost_fn`. `⋂ N_i` is read off the smallest
+    /// neighbor set's member list, as [`intersection`](Self::intersection)
+    /// reads it, so a scan is `O(min_i |N_i|)`, not `O(n)`. Under the
+    /// paper's sum cost a center's cost is its total distance
+    /// `Σ_i min(N_i, u)`, read off the per-node totals; other cost
+    /// functions aggregate the l per-dimension distances per intersection
+    /// node (still within the per-answer budget of Theorem IV.1). Member
+    /// lists are in settle order, so the tie-break is spelled out: the
+    /// winner is the minimum of `(cost, center id)`.
     pub fn best_core_with(&self, cost_fn: CostFn) -> Option<BestCore> {
-        let mut best: Option<(Weight, usize)> = None;
-        for u in 0..self.n {
-            if usize::from(self.count[u]) == self.l {
-                let cost = self.center_cost(NodeId(index_to_u32(u)), cost_fn);
-                match best {
-                    Some((b, _)) if b <= cost => {}
-                    _ => best = Some((cost, u)),
-                }
-            }
-        }
-        let (cost, u) = best?;
+        let priced = self.centers().map(|u| (self.center_cost(u, cost_fn), u));
+        let (cost, center) = priced.min()?;
+        let u = center.index();
         let core = Core(
             (0..self.l)
                 .map(|i| {
@@ -262,27 +255,25 @@ impl NeighborSets {
                 })
                 .collect(),
         );
-        Some(BestCore {
-            core,
-            cost,
-            center: NodeId(index_to_u32(u)),
-        })
+        Some(BestCore { core, cost, center })
     }
 
     /// All nodes currently in `⋂ N_i` — the potential centers — sorted by
     /// id. Read off the smallest neighbor set's member list, so the cost
     /// is `O(min_i |N_i|)` plus the sort, not `O(n)`.
     pub fn intersection(&self) -> Vec<NodeId> {
-        let Some(smallest) = self.members.iter().min_by_key(|m| m.len()) else {
-            return Vec::new();
-        };
-        let mut centers: Vec<NodeId> = smallest
-            .iter()
-            .filter(|&&u| usize::from(self.count[u as usize]) == self.l)
-            .map(|&u| NodeId(u))
-            .collect();
+        let mut centers: Vec<NodeId> = self.centers().collect();
         centers.sort_unstable();
         centers
+    }
+
+    /// `⋂ N_i` in the settle order of the smallest neighbor set, whose
+    /// member list it is filtered from.
+    fn centers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let smallest = self.members.iter().min_by_key(|m| m.len());
+        let ids = smallest.into_iter().flatten();
+        ids.filter(|&&u| usize::from(self.count[u as usize]) == self.l)
+            .map(|&u| NodeId(u))
     }
 
     /// Logical bytes held — the paper's `O(l·n)` table, sums/counters, and
@@ -298,7 +289,27 @@ impl NeighborSets {
 }
 
 #[cfg(test)]
+use comm_graph::weight::index_to_u32;
+
+#[cfg(test)]
 impl NeighborSets {
+    /// `BestCore()` as a scan of all `n` table slots in id order, the
+    /// first minimum winning: what the member-list scan must equal.
+    pub(crate) fn best_core_by_table_scan(&self, cost_fn: CostFn) -> Option<BestCore> {
+        let mut best: Option<(Weight, NodeId)> = None;
+        for u in (0..index_to_u32(self.n)).map(NodeId) {
+            if self.count(u) == self.l {
+                let cost = self.center_cost(u, cost_fn);
+                if best.is_none_or(|(b, _)| cost < b) {
+                    best = Some((cost, u));
+                }
+            }
+        }
+        let (cost, center) = best?;
+        let core = Core((0..self.l).filter_map(|i| self.src(i, center)).collect());
+        Some(BestCore { core, cost, center })
+    }
+
     /// The nodes of `N_i`, sorted by id.
     pub(crate) fn neighbor_set(&self, i: usize) -> Vec<NodeId> {
         let mut set: Vec<NodeId> = self.members[i].iter().map(|&u| NodeId(u)).collect();
@@ -460,6 +471,53 @@ mod tests {
             ns.best_core_with(CostFn::SumDistances),
             fresh.best_core_with(CostFn::SumDistances)
         );
+    }
+
+    #[test]
+    fn best_core_scans_the_smallest_member_list_like_the_whole_table() {
+        // Random refill histories over Fig. 4 (the cycle test's moves,
+        // drawn at random) and over small graphs whose few distinct
+        // weights make equal-cost centers common: the member-list scan
+        // answers what the 0..n scan answers, field for field.
+        use comm_graph::{GraphBuilder, SplitMix64};
+        let (mut cores, mut ties) = (0, 0);
+        SplitMix64::for_each_case(300, |rng| {
+            let (g, rmax) = if rng.index(3) == 0 {
+                (fig4(), 8.0)
+            } else {
+                let n = 3 + rng.index(10);
+                let mut b = GraphBuilder::new(n);
+                for _ in 0..n + rng.index(3 * n) {
+                    let (u, v) = (rng.index(n), rng.index(n));
+                    let w = Weight::new(rng.index(3) as f64);
+                    b.add_edge(NodeId(index_to_u32(u)), NodeId(index_to_u32(v)), w);
+                }
+                (b.build(), 1.0 + rng.index(4) as f64)
+            };
+            let n = g.node_count();
+            let l = 1 + rng.index(3);
+            let mut ns = NeighborSets::new(l, n);
+            let mut eng = DijkstraEngine::new(n);
+            for step in 0..l + rng.index(6) {
+                // Every dimension once, then random ones again.
+                let i = if step < l { step } else { rng.index(l) };
+                let seeds: Vec<NodeId> = (0..rng.index(4))
+                    .map(|_| NodeId(index_to_u32(rng.index(n))))
+                    .collect();
+                ns.refill(&g, &mut eng, i, seeds, Weight::new(rmax));
+                for cost_fn in [CostFn::SumDistances, CostFn::MaxDistance] {
+                    let got = ns.best_core_with(cost_fn);
+                    assert_eq!(got, ns.best_core_by_table_scan(cost_fn), "{cost_fn:?}");
+                    if let Some(best) = got {
+                        cores += 1;
+                        let centers = ns.intersection().into_iter();
+                        let rivals = centers.filter(|&u| ns.center_cost(u, cost_fn) == best.cost);
+                        ties += usize::from(rivals.count() > 1);
+                    }
+                }
+            }
+        });
+        assert!(cores >= 300 && ties >= 50, "cores {cores}, ties {ties}");
     }
 
     #[test]

@@ -39,78 +39,154 @@ use comm_graph::{
 };
 use std::collections::HashMap;
 use std::mem::size_of;
+use std::sync::Arc;
 
 mod cpix;
 
 /// Run entries scanned between two guard consultations.
 const SCAN_STRIDE: usize = 1024;
 
-/// "Not selected" in a dense relabel table.
-const ABSENT: u32 = u32::MAX;
+/// One keyword's share of the index, independent of which other keywords
+/// it is queried with: `V_w` and the *distance run* of `Neighbor(V_w, R)`
+/// in `G_D`'s own node ids. Graph, vocabulary and radius fix a run
+/// completely, so it can be kept for as long as those three are — it is
+/// the unit a serving layer caches, and what
+/// [`ProjectionIndex::from_runs`] assembles an index from.
+pub struct KeywordRun {
+    /// The radius the sweep was bounded by, and `|V(G_D)|` of the graph it
+    /// ran on: `from_runs` refuses to mix runs of different provenance.
+    radius: Weight,
+    node_count: usize,
+    /// `V_w`: nodes containing the keyword (original ids, sorted).
+    nodes: Arc<[NodeId]>,
+    /// `Neighbor(V_w, R)` in settle order, as original ids…
+    reach_ids: Vec<NodeId>,
+    /// …and `dist(u, V_w)` of each, non-decreasing.
+    reach_dist: Arc<[Weight]>,
+}
 
-/// A keyword's inverted-index payload.
+impl KeywordRun {
+    /// Sweeps one keyword: `V_w` (sorted, deduplicated) plus the settle
+    /// stream of the reverse sweep bounded by `radius`. `guard` is
+    /// consulted per settled node; a run has no useful partial form, so a
+    /// trip returns the bare reason. This is the only place the
+    /// projection sweeps `G_D`.
+    pub fn sweep(
+        graph: &Graph,
+        engine: &mut DijkstraEngine,
+        v_w: &[NodeId],
+        radius: Weight,
+        guard: &RunGuard,
+    ) -> Result<KeywordRun, InterruptReason> {
+        let mut nodes: Vec<NodeId> = v_w.to_vec();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let (mut reach_ids, mut reach_dist) = (Vec::new(), Vec::new());
+        let seeds = nodes.iter().copied();
+        engine.run_guarded(graph, Direction::Reverse, seeds, radius, guard, |s| {
+            reach_ids.push(s.node);
+            reach_dist.push(s.dist);
+        })?;
+        // A run outlives the query that swept it: hold no growth slack
+        // (the two shared slices are exact-size copies already).
+        reach_ids.shrink_to_fit();
+        Ok(KeywordRun {
+            radius,
+            node_count: graph.node_count(),
+            nodes: nodes.into(),
+            reach_ids,
+            reach_dist: reach_dist.into(),
+        })
+    }
+
+    /// Logical bytes of the run: `V_w`, the ids and the distances.
+    pub fn byte_size(&self) -> usize {
+        entry_bytes(self.nodes.len(), self.reach_ids.len())
+    }
+}
+
+/// Bytes of a keyword's `V_w` list plus a run of `reach` entries.
+fn entry_bytes(nodes: usize, reach: usize) -> usize {
+    (nodes + reach) * size_of::<NodeId>() + reach * size_of::<Weight>()
+}
+
+/// A keyword's inverted-index payload: its [`KeywordRun`] relabelled into
+/// one index's `U`-local ids. `nodes` and `reach_dist` do not depend on
+/// the relabel and are shared with the run they came from.
 struct KeywordEntry {
     /// `V_w`: nodes containing the keyword (original ids, sorted).
-    nodes: Vec<NodeId>,
+    nodes: Arc<[NodeId]>,
     /// `Neighbor(V_w, R)` in settle order, as `U`-local ids…
     reach_ids: Vec<NodeId>,
     /// …and `dist(u, V_w)` of each, non-decreasing.
-    reach_dist: Vec<Weight>,
+    reach_dist: Arc<[Weight]>,
 }
 
 impl KeywordEntry {
     fn byte_size(&self) -> usize {
-        (self.nodes.len() + self.reach_ids.len()) * size_of::<NodeId>()
-            + self.reach_dist.len() * size_of::<Weight>()
+        entry_bytes(self.nodes.len(), self.reach_ids.len())
     }
 }
 
-/// Sweeps one keyword: `V_w` (sorted, deduplicated) plus the settle stream
-/// of the reverse sweep bounded by `radius`, still in original ids.
-fn keyword_entry(
-    graph: &Graph,
-    engine: &mut DijkstraEngine,
-    v_w: &[NodeId],
-    radius: Weight,
-    guard: &RunGuard,
-) -> Result<KeywordEntry, InterruptReason> {
-    let mut nodes: Vec<NodeId> = v_w.to_vec();
-    nodes.sort_unstable();
-    nodes.dedup();
-    let (mut reach_ids, mut reach_dist) = (Vec::new(), Vec::new());
-    let seeds = nodes.iter().copied();
-    engine.run_guarded(graph, Direction::Reverse, seeds, radius, guard, |s| {
-        reach_ids.push(s.node);
-        reach_dist.push(s.dist);
-    })?;
-    // The index outlives the query that built it: hold no growth slack.
-    reach_ids.shrink_to_fit();
-    reach_dist.shrink_to_fit();
-    Ok(KeywordEntry {
-        nodes,
-        reach_ids,
-        reach_dist,
-    })
+/// A set of node ids below `n` that ranks its members — the monotone
+/// relabel of an induced subgraph: one bit per node of the universe and,
+/// once [`seal`](Self::seal)ed, the number of members before each 64-bit
+/// word. Selecting `|U|` of `G_D`'s `n` nodes this way touches
+/// `n / 8 + n / 16` bytes — a cache-resident 75 KB at 400K nodes — where a
+/// dense `u32` relabel table is 4 B per node of `G_D`, written at random
+/// and then scanned (or its marks sorted) to be ranked.
+struct RankedSet {
+    bits: Vec<u64>,
+    /// `before[w]`: members in words `0..w`. Empty until sealed.
+    before: Vec<u32>,
 }
 
-/// Turns a mark table into a relabel: every slot that is not [`ABSENT`]
-/// receives its rank among the marked slots. Returns the marked indices in
-/// ascending order, so the relabel is monotone.
-fn rank_marked(table: &mut [u32]) -> Vec<NodeId> {
-    let mut marked = Vec::new();
-    for (v, slot) in table.iter_mut().enumerate() {
-        if *slot != ABSENT {
-            *slot = index_to_u32(marked.len());
-            marked.push(NodeId(index_to_u32(v)));
+impl RankedSet {
+    /// Logical bytes of a set over `n` ids, for a guard's byte budget.
+    fn bytes_for(n: usize) -> usize {
+        n.div_ceil(64) * (size_of::<u64>() + size_of::<u32>())
+    }
+
+    fn new(n: usize) -> RankedSet {
+        RankedSet {
+            bits: vec![0; n.div_ceil(64)],
+            before: Vec::new(),
         }
     }
-    marked
-}
 
-/// The id `table` assigns to `v`, if it was marked.
-fn relabel(table: &[u32], v: NodeId) -> Option<NodeId> {
-    let id = table[v.index()];
-    (id != ABSENT).then_some(NodeId(id))
+    fn insert(&mut self, v: NodeId) {
+        self.bits[v.index() / 64] |= 1 << (v.index() % 64);
+    }
+
+    /// Fixes the ranks and returns the members in ascending order; the
+    /// relabel `v ↦ rank(v)` is therefore monotone.
+    fn seal(&mut self) -> Vec<NodeId> {
+        let mut members = Vec::new();
+        self.before = Vec::with_capacity(self.bits.len());
+        for (w, &word) in self.bits.iter().enumerate() {
+            self.before.push(index_to_u32(members.len()));
+            let mut rest = word;
+            while rest != 0 {
+                let v = w * 64 + rest.trailing_zeros() as usize;
+                members.push(NodeId(index_to_u32(v)));
+                rest &= rest - 1;
+            }
+        }
+        members
+    }
+
+    /// How many members are smaller than `v`: the rank of `v`, if it is a
+    /// member.
+    fn below(&self, v: NodeId) -> NodeId {
+        let (w, bit) = (v.index() / 64, 1u64 << (v.index() % 64));
+        NodeId(self.before[w] + (self.bits[w] & (bit - 1)).count_ones())
+    }
+
+    /// The rank of `v` among the members, if it is one.
+    fn rank(&self, v: NodeId) -> Option<NodeId> {
+        let member = self.bits[v.index() / 64] & (1 << (v.index() % 64)) != 0;
+        member.then(|| self.below(v))
+    }
 }
 
 /// The inverted index of Sec. VI, plus the projection operation.
@@ -189,22 +265,17 @@ pub fn comm_k_on_index(
 
 impl ProjectionIndex {
     /// Builds the index over `graph` for every `(keyword, nodes)` pair,
-    /// supporting queries with `Rmax ≤ radius`.
+    /// supporting queries with `Rmax ≤ radius`: [`KeywordRun::sweep`] per
+    /// keyword, then [`from_runs`](Self::from_runs).
     ///
-    /// Cost: one radius-bounded reverse multi-source Dijkstra per keyword —
-    /// one task per keyword, fanned out across `par`'s workers, each
-    /// borrowing a Dijkstra engine from `pool` ([`Parallelism::serial`]
-    /// runs the same tasks inline on one worker) — then, serially, one
-    /// pass that marks `U`, relabels the runs and copies `U`'s forward
-    /// rows out of `graph`. The runs are independent and the serial pass
-    /// does not depend on their order, so the index is identical for every
-    /// thread count.
+    /// The sweeps are one task per keyword, fanned out across `par`'s
+    /// workers, each borrowing a Dijkstra engine from `pool`
+    /// ([`Parallelism::serial`] runs the same tasks inline on one worker).
+    /// They are independent and assembly does not depend on their order,
+    /// so the index is identical for every thread count.
     ///
-    /// `guard` is consulted per settled node of the per-keyword sweeps and
-    /// per 1024 run entries of the marking pass; the relabel
-    /// table, the runs and the copied rows are charged to its byte budget.
-    /// Index construction has no useful partial result, so a trip returns
-    /// the bare reason.
+    /// `guard` governs both halves. Index construction has no useful
+    /// partial result, so a trip returns the bare reason.
     pub fn build_par_guarded<'a>(
         graph: &Graph,
         keywords: impl IntoIterator<Item = (&'a str, &'a [NodeId])>,
@@ -218,39 +289,79 @@ impl ProjectionIndex {
             .into_iter()
             .map(|(kw, v_w)| {
                 move |engine: &mut PooledEngine<'_>| -> Result<_, InterruptReason> {
-                    let entry = keyword_entry(graph, engine, v_w, radius, guard)?;
-                    Ok((kw.to_lowercase(), entry))
+                    let run = KeywordRun::sweep(graph, engine, v_w, radius, guard)?;
+                    Ok((kw.to_string(), Arc::new(run)))
                 }
             })
             .collect();
-        let mut entries = HashMap::new();
-        for kv in par.map_init(|| pool.acquire(n), tasks) {
-            let (kw, entry) = kv?;
-            // xtask-allow: unbounded_alloc — one entry per keyword; each build was guard-governed
-            entries.insert(kw, entry);
+        let swept = par.map_init(|| pool.acquire(n), tasks);
+        let runs = swept.into_iter().collect::<Result<Vec<_>, _>>()?;
+        ProjectionIndex::from_runs(graph, runs, radius, guard)
+    }
+
+    /// Assembles the index of a keyword set from its keywords' runs, all
+    /// swept over `graph` at `radius`: marks `U`, relabels each run's ids
+    /// into `U`-local ones and copies `U`'s forward rows out of `graph`.
+    /// No sweep runs here. Keywords are lowercased; of two runs under one
+    /// keyword the later wins. The result does not depend on the order of
+    /// `runs`.
+    ///
+    /// Cost: the run entries, the out-edges of `U`, and `n / 64` words of
+    /// a [`RankedSet`] — no per-node table over `G_D`, nothing sorted.
+    /// `V_w` and the distances are shared with the runs, not copied.
+    /// `guard` is consulted per 1024 run entries of the marking pass; the
+    /// set, the relabelled runs and the copied rows are charged to its
+    /// byte budget.
+    ///
+    /// # Panics
+    /// If a run was swept over a graph of another size or at another
+    /// radius — its ids or its reach would not be this index's.
+    pub fn from_runs(
+        graph: &Graph,
+        runs: impl IntoIterator<Item = (String, Arc<KeywordRun>)>,
+        radius: Weight,
+        guard: &RunGuard,
+    ) -> Result<ProjectionIndex, InterruptReason> {
+        let n = graph.node_count();
+        let mut by_keyword = HashMap::new();
+        for (kw, run) in runs {
+            assert!(
+                run.node_count == n && run.radius == radius,
+                "run of {kw:?} was swept over another graph or radius"
+            );
+            // xtask-allow: unbounded_alloc — one handle per keyword; each run was guard-governed
+            by_keyword.insert(kw.to_lowercase(), run);
         }
 
-        // U and its relabel, from one dense table over G_D's nodes.
-        let run_bytes: usize = entries.values().map(KeywordEntry::byte_size).sum();
-        guard.check_bytes(run_bytes + n * size_of::<u32>())?;
-        let mut local = vec![ABSENT; n];
-        for e in entries.values() {
-            for chunk in e.reach_ids.chunks(SCAN_STRIDE) {
+        let run_bytes: usize = by_keyword.values().map(|r| r.byte_size()).sum();
+        guard.check_bytes(run_bytes + RankedSet::bytes_for(n))?;
+        let mut reached = RankedSet::new(n);
+        for run in by_keyword.values() {
+            for chunk in run.reach_ids.chunks(SCAN_STRIDE) {
                 guard.check()?;
-                for u in chunk {
-                    local[u.index()] = 0;
+                for &u in chunk {
+                    reached.insert(u);
                 }
             }
         }
-        let nodes = rank_marked(&mut local);
-        for e in entries.values_mut() {
-            for u in &mut e.reach_ids {
-                *u = NodeId(local[u.index()]);
-            }
-        }
+        let nodes = reached.seal();
+        let entries = by_keyword
+            .into_iter()
+            .map(|(kw, run)| {
+                // Every run id is a member, and the count is known up
+                // front: the relabelled run is allocated at its exact size.
+                let local = run.reach_ids.iter().map(|&u| reached.below(u));
+                let entry = KeywordEntry {
+                    nodes: Arc::clone(&run.nodes),
+                    reach_ids: local.collect(),
+                    reach_dist: Arc::clone(&run.reach_dist),
+                };
+                (kw, entry)
+            })
+            .collect();
         let rows = graph
             .rows(Direction::Forward)
-            .induce(&nodes, |v| relabel(&local, v));
+            .induce(&nodes, |v| reached.rank(v));
         let index = ProjectionIndex {
             radius,
             node_count: n,
@@ -258,7 +369,7 @@ impl ProjectionIndex {
             rows,
             entries,
         };
-        guard.check_bytes(index.byte_size() + n * size_of::<u32>())?;
+        guard.check_bytes(index.byte_size() + RankedSet::bytes_for(n))?;
         Ok(index)
     }
 
@@ -286,7 +397,7 @@ impl ProjectionIndex {
     pub fn nodes_of(&self, keyword: &str) -> &[NodeId] {
         self.entries
             .get(&keyword.to_lowercase())
-            .map(|e| e.nodes.as_slice())
+            .map(|e| &*e.nodes)
             .unwrap_or(&[])
     }
 
@@ -343,12 +454,12 @@ impl ProjectionIndex {
 
         let slack = slack(rmax);
         let sink_bounded = |to_sink: Weight, nd: Weight| to_sink.is_finite() || nd < slack;
-        let mut local = self.mark_keep(&entries, rmax, guard, sink_bounded)?;
+        let mut kept = self.mark_keep(&entries, rmax, guard, sink_bounded)?;
 
         // Line 15: G_P = G_D[keep], copied out of the stored rows of
         // G_D[U] (keep ⊆ U, so the two induce the same edges).
-        let keep = rank_marked(&mut local);
-        let rows = self.rows.induce(&keep, |v| relabel(&local, v));
+        let keep = kept.seal();
+        let rows = self.rows.induce(&keep, |v| kept.rank(v));
         let projected = InducedGraph {
             graph: Graph::from_rows(rows),
             original_ids: keep.iter().map(|u| self.nodes[u.index()]).collect(),
@@ -362,9 +473,8 @@ impl ProjectionIndex {
         Ok(ProjectedQuery { projected, spec })
     }
 
-    /// Lines 1–14 of Algorithm 6 over the query's `entries`: a mark table
-    /// over `U` holding `0` at every node of `keep` and [`ABSENT`]
-    /// elsewhere.
+    /// Lines 1–14 of Algorithm 6 over the query's `entries`: `keep`, as
+    /// an unsealed set over `U`.
     ///
     /// `enter(dist(v, t), nd)` is the forward sweep's admission rule — may
     /// a relaxation reach `v` at tentative distance `nd`? `try_project`
@@ -376,14 +486,14 @@ impl ProjectionIndex {
         rmax: Weight,
         guard: &RunGuard,
         enter: impl Fn(Weight, Weight) -> bool,
-    ) -> Result<Vec<u32>, InterruptReason> {
+    ) -> Result<RankedSet, InterruptReason> {
         // Lines 1–9 without a sweep: the prefix of a run with dist ≤ rmax
         // is Neighbor(V_w, rmax). One scatter pass over the l prefixes
         // counts, per node of U, the keywords it reaches and keeps the
         // nearest — dist(v, t) of the double sweep.
         let nu = self.nodes.len();
-        let per_node = 2 * size_of::<u32>() + size_of::<Weight>();
-        guard.check_bytes(nu * per_node)?;
+        let scratch = nu * (size_of::<u32>() + size_of::<Weight>()) + RankedSet::bytes_for(nu);
+        guard.check_bytes(scratch)?;
         // Dense scratch over U, O(|U|) per query, charged above.
         let mut count = vec![0u32; nu];
         let mut to_sink = vec![Weight::INFINITY; nu];
@@ -406,10 +516,10 @@ impl ProjectionIndex {
         // feeds the centers. The keep test is never used to prune — the
         // float triangle inequality can fail by an ulp, so a kept node can
         // sit behind one that is not — only `enter` is.
-        let mut local = vec![ABSENT; nu];
+        let mut keep = RankedSet::new(nu);
         if !centers.is_empty() {
             let mut engine = DijkstraEngine::new(nu);
-            guard.check_bytes(nu * per_node + engine.scratch_bytes())?;
+            guard.check_bytes(scratch + engine.scratch_bytes())?;
             engine.run_rows_guarded(
                 &self.rows,
                 centers,
@@ -418,12 +528,12 @@ impl ProjectionIndex {
                 |v, nd| enter(to_sink[v.index()], nd),
                 |s| {
                     if s.dist + to_sink[s.node.index()] <= rmax {
-                        local[s.node.index()] = 0;
+                        keep.insert(s.node);
                     }
                 },
             )?;
         }
-        Ok(local)
+        Ok(keep)
     }
 
     /// Fraction of `G_D`'s nodes that survive projection for a query —
@@ -597,7 +707,7 @@ mod tests {
             let pq = idx.try_project(&names[..sets.len()], rmax, &bounded);
             let open = RunGuard::new();
             let mut marks = idx.mark_keep(&entries, rmax, &open, |_, _| true).unwrap();
-            let unfiltered = rank_marked(&mut marks).into_iter();
+            let unfiltered = marks.seal().into_iter();
             let unfiltered: Vec<NodeId> = unfiltered.map(|u| idx.nodes[u.index()]).collect();
             let kept_here = pq.unwrap().projected.original_ids;
             assert_eq!(kept_here, unfiltered, "keep sets differ at rmax {rmax}");
@@ -746,6 +856,76 @@ mod tests {
             assert_eq!(par.byte_size(), serial.byte_size());
             assert_eq!(par.encode(), serial.encode());
         }
+    }
+
+    #[test]
+    fn runs_swept_one_at_a_time_assemble_the_one_shot_index() {
+        let g = fig4_graph();
+        let kn = fig4_keyword_nodes();
+        let names = ["a", "b", "c"];
+        let r = Weight::new(8.0);
+        let guard = RunGuard::unlimited();
+        let mut engine = DijkstraEngine::new(g.node_count());
+        let mut sweep = |i: usize| {
+            let run = KeywordRun::sweep(&g, &mut engine, &kn[i], r, &guard).unwrap();
+            (names[i].to_uppercase(), Arc::new(run))
+        };
+        // Whole sets in every rotation, and — from the same handles, as a
+        // run cache would serve them — a subset.
+        let (c, a, b) = (sweep(2), sweep(0), sweep(1));
+        let runs = [a, b, c];
+        for picks in [vec![0, 1, 2], vec![1, 2, 0], vec![2, 1, 0], vec![2, 0]] {
+            let handles = picks.iter().map(|&p| runs[p].clone());
+            let assembled = ProjectionIndex::from_runs(&g, handles, r, &guard).unwrap();
+            let kws: Vec<_> = picks
+                .iter()
+                .map(|&p| (names[p], kn[p].as_slice()))
+                .collect();
+            for threads in [1usize, 2, 4] {
+                let built = build(&g, kws.iter().copied(), 8.0, threads).unwrap();
+                assert_eq!(assembled.encode(), built.encode(), "{picks:?} x {threads}");
+            }
+            // V_w and the distances are the run's own arrays, not copies.
+            for p in picks {
+                let (kw, run) = &runs[p];
+                let entry = &assembled.entries[&kw.to_lowercase()];
+                assert!(Arc::ptr_eq(&entry.nodes, &run.nodes));
+                assert!(Arc::ptr_eq(&entry.reach_dist, &run.reach_dist));
+                assert_eq!(entry.byte_size(), run.byte_size());
+            }
+        }
+    }
+
+    #[test]
+    fn assembly_is_guarded_and_sweeps_nothing() {
+        let g = fig4_graph();
+        let kn = fig4_keyword_nodes();
+        let r = Weight::new(8.0);
+        let mut engine = DijkstraEngine::new(g.node_count());
+        let run = KeywordRun::sweep(&g, &mut engine, &kn[0], r, &RunGuard::unlimited()).unwrap();
+        let run = Arc::new(run);
+        let handles = || [("a".to_string(), Arc::clone(&run))];
+        let counting = RunGuard::new();
+        ProjectionIndex::from_runs(&g, handles(), r, &counting).unwrap();
+        assert_eq!(counting.settled(), 0, "assembly must not sweep");
+        let tripped =
+            ProjectionIndex::from_runs(&g, handles(), r, &RunGuard::new().with_trip_after(0));
+        assert!(tripped.is_err());
+        let starved =
+            ProjectionIndex::from_runs(&g, handles(), r, &RunGuard::new().with_byte_budget(8));
+        assert_eq!(starved.err(), Some(InterruptReason::MemoryBudgetExhausted));
+    }
+
+    #[test]
+    #[should_panic(expected = "another graph or radius")]
+    fn assembly_refuses_a_run_of_another_radius() {
+        let g = fig4_graph();
+        let kn = fig4_keyword_nodes();
+        let guard = RunGuard::unlimited();
+        let mut engine = DijkstraEngine::new(g.node_count());
+        let run = KeywordRun::sweep(&g, &mut engine, &kn[0], Weight::new(4.0), &guard).unwrap();
+        let _ =
+            ProjectionIndex::from_runs(&g, [("a".into(), Arc::new(run))], Weight::new(8.0), &guard);
     }
 
     #[test]

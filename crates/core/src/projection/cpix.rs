@@ -142,9 +142,9 @@ impl ProjectionIndex {
                 return Err(bad("keyword node not at distance 0 of its run"));
             }
             let entry = KeywordEntry {
-                nodes: v_w,
+                nodes: v_w.into(),
                 reach_ids,
-                reach_dist,
+                reach_dist: reach_dist.into(),
             };
             if entries.insert(kw, entry).is_some() {
                 return Err(bad("duplicate keyword entry"));
@@ -237,6 +237,7 @@ mod tests {
     use crate::{Core, CostFn, QueryError};
     use comm_datasets::paper_example::FIG4_RMAX;
     use comm_graph::RunGuard;
+    use std::sync::Arc;
 
     #[test]
     fn encode_decode_roundtrip_is_lossless_and_deterministic() {
@@ -406,7 +407,8 @@ mod tests {
                 i.entries.insert("A".into(), e);
             }),
             ("V_w not increasing", |i| {
-                i.entries.get_mut("a").unwrap().nodes.reverse()
+                let e = i.entries.get_mut("a").unwrap();
+                Arc::get_mut(&mut e.nodes).unwrap().reverse()
             }),
             ("run id out of range", |i| {
                 let nu = index_to_u32(i.nodes.len());
@@ -418,16 +420,16 @@ mod tests {
             }),
             ("distances decreasing", |i| {
                 let e = i.entries.get_mut("a").unwrap();
-                *e.reach_dist.last_mut().unwrap() = Weight::ZERO;
+                *Arc::get_mut(&mut e.reach_dist).unwrap().last_mut().unwrap() = Weight::ZERO;
             }),
             ("distance beyond the radius", |i| {
                 let e = i.entries.get_mut("a").unwrap();
-                *e.reach_dist.last_mut().unwrap() = Weight::new(9.0);
+                *Arc::get_mut(&mut e.reach_dist).unwrap().last_mut().unwrap() = Weight::new(9.0);
             }),
             ("V_w node away from distance 0", |i| {
                 let e = i.entries.get_mut("a").unwrap();
                 let far = i.nodes[e.reach_ids.last().unwrap().index()];
-                e.nodes = vec![far];
+                e.nodes = [far].into();
             }),
         ];
         for (what, edit) in edits {

@@ -95,6 +95,10 @@ impl Parallelism {
         T: Send,
     {
         let n_tasks = tasks.len();
+        if n_tasks == 0 {
+            // No task, no scratch: `init` may be a pool checkout.
+            return Vec::new();
+        }
         let workers = self.threads.min(n_tasks);
         if workers <= 1 {
             let mut state = init();

@@ -94,6 +94,8 @@ fn main() {
         "index_cache_misses",
         "answer_cache_hits",
         "answer_cache_misses",
+        "run_cache_hits",
+        "run_cache_misses",
         "chaos_disconnects",
         "chaos_delays",
         "chaos_poisons",

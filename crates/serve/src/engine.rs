@@ -1,5 +1,5 @@
 //! The daemon's resident query engine: one graph, one keyword vocabulary,
-//! and the two guarded caches, behind a single [`answer`] entry point.
+//! and the three guarded caches, behind a single [`answer`] entry point.
 //!
 //! **Bit-identical contract.** Cached and uncached replies must match bit
 //! for bit. This holds structurally rather than by re-verification on
@@ -18,17 +18,26 @@
 //! cached-answer reply degrades to the same certified exact prefix an
 //! uncached interrupted run would produce.
 //!
-//! **Guarded insertion.** Index construction runs under the request's
-//! guard and only a fully built index is inserted; a trip mid-build
-//! surfaces as [`QueryError::Interrupted`] with the cache untouched.
+//! **Two-level index lookup.** An answer miss asks the per-set index LRU;
+//! a miss there asks the run cache once per keyword, sweeps only the
+//! keywords it does not hold, and assembles the set's index from the
+//! runs. Graph, vocabulary and index radius are fixed for the engine's
+//! lifetime, so a run, once swept, is never stale: a new keyword *set*
+//! costs sweeps only for the keywords no earlier request brought.
+//!
+//! **Guarded insertion.** Sweeps and assembly run under the request's
+//! guard. A run is inserted once its own sweep completed and an index once
+//! it is assembled; a trip surfaces as [`QueryError::Interrupted`] with
+//! nothing half-built in any cache (runs that did complete stay: they are
+//! whole, and the retry needs them).
 //!
 //! [`answer`]: QueryEngine::answer
 
-use crate::cache::{AnswerKey, CachedAnswer, CachedIndex, IndexKey, Lru, Vocabulary};
+use crate::cache::{AnswerKey, CachedAnswer, CachedIndex, CachedRun, IndexKey, Lru, Vocabulary};
 use crate::protocol::CommunitySummary;
-use comm_core::{comm_k_on_index, Community, CostFn, ProjectionIndex, QueryError};
+use comm_core::{comm_k_on_index, Community, CostFn, KeywordRun, ProjectionIndex, QueryError};
 use comm_graph::weight::index_to_u32;
-use comm_graph::{EnginePool, Graph, Outcome, Parallelism, RunGuard, Weight};
+use comm_graph::{EnginePool, Graph, Outcome, Parallelism, PooledEngine, RunGuard, Weight};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Engine tunables.
@@ -41,10 +50,17 @@ pub struct EngineConfig {
     pub index_cache_cap: usize,
     /// Capacity of the exact-hit answer LRU.
     pub answer_cache_cap: usize,
+    /// Byte cap of the keyword-run cache (summed
+    /// [`KeywordRun::byte_size`]). A run is ≈ 80 KB per keyword on the
+    /// 400K-node bibliographic benchmark graph, so the default holds
+    /// several hundred keywords.
+    pub run_cache_bytes: usize,
     /// Ranking cost function.
     pub cost: CostFn,
-    /// Fan-out for index builds (per-keyword sweeps borrow engines from
-    /// the [`QueryEngine`]'s own [`EnginePool`]).
+    /// Fan-out for an index-cache miss: the sweeps of the keywords the
+    /// run cache does not hold, one task each, borrowing engines from the
+    /// [`QueryEngine`]'s own [`EnginePool`]. Keywords already resident and
+    /// index assembly are not fanned out.
     pub parallelism: Parallelism,
 }
 
@@ -54,6 +70,7 @@ impl Default for EngineConfig {
             index_radius: 8.0,
             index_cache_cap: 8,
             answer_cache_cap: 256,
+            run_cache_bytes: 32 << 20,
             cost: CostFn::SumDistances,
             parallelism: Parallelism::serial(),
         }
@@ -67,13 +84,16 @@ pub struct QueryEngine {
     index_radius: Weight,
     cost: CostFn,
     parallelism: Parallelism,
-    /// Dijkstra scratch for index builds, private to this engine.
+    /// Dijkstra scratch for keyword sweeps, private to this engine.
     pool: EnginePool,
     indexes: Mutex<Lru<IndexKey, CachedIndex>>,
+    /// Lowercased keyword → its run. Never held across a sweep, nor while
+    /// taking another cache's lock.
+    runs: Mutex<Lru<String, CachedRun>>,
     answers: Mutex<Lru<AnswerKey, CachedAnswer>>,
 }
 
-/// Recovers a cache lock from a poisoned mutex: both caches hold only
+/// Recovers a cache lock from a poisoned mutex: the caches hold only
 /// fully built `Arc`s (insertion happens after construction succeeds), so
 /// the state is consistent even if an unwinding thread held the lock.
 fn lock_cache<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -101,6 +121,7 @@ impl QueryEngine {
             parallelism: cfg.parallelism,
             pool: EnginePool::new(),
             indexes: Mutex::new(Lru::new(cfg.index_cache_cap)),
+            runs: Mutex::new(Lru::weighted(cfg.run_cache_bytes, |run| run.byte_size())),
             answers: Mutex::new(Lru::new(cfg.answer_cache_cap)),
         })
     }
@@ -125,7 +146,7 @@ impl QueryEngine {
         &self.graph
     }
 
-    /// The engine's own Dijkstra scratch pool: what index builds borrow
+    /// The engine's own Dijkstra scratch pool: what keyword sweeps borrow
     /// from, the stats reply reports and the chaos hook poisons.
     pub fn pool(&self) -> &EnginePool {
         &self.pool
@@ -158,39 +179,73 @@ impl QueryEngine {
         )
     }
 
-    /// Resolves the projection index for a keyword set: cache hit, or a
-    /// guarded build inserted only on success.
+    /// `(hits, misses, cached runs, cached run bytes)` of the keyword-run
+    /// cache. One index-cache miss makes one lookup per distinct keyword.
+    pub fn run_cache_stats(&self) -> (u64, u64, usize, usize) {
+        let runs = lock_cache(&self.runs);
+        let (hits, misses) = runs.stats();
+        (hits, misses, runs.len(), runs.weight())
+    }
+
+    /// Resolves the projection index for a keyword set: an index-cache
+    /// hit, or an index assembled from the keywords' runs — each a
+    /// run-cache hit or a guarded sweep — and inserted only on success.
     fn index_for(&self, keywords: &[String], guard: &RunGuard) -> Result<CachedIndex, QueryError> {
         let key = IndexKey::new(keywords, self.index_radius.get().to_bits());
         if let Some(idx) = lock_cache(&self.indexes).get(&key) {
             return Ok(idx);
         }
-        // Resolve the vocabulary before building: an unknown keyword is a
+        // Resolve the vocabulary before sweeping: an unknown keyword is a
         // client error, not a reason to burn sweep budget.
-        let mut entries: Vec<(&str, &[comm_graph::NodeId])> =
-            Vec::with_capacity(key.keywords.len());
+        let mut v_ws: Vec<&[comm_graph::NodeId]> = Vec::with_capacity(key.keywords.len());
         for kw in &key.keywords {
             let nodes = self
                 .vocab
                 .get(kw)
                 .ok_or_else(|| QueryError::UnknownKeyword(kw.clone()))?;
             // xtask-allow: unbounded_alloc — bounded by the validated request keyword count
-            entries.push((kw.as_str(), nodes.as_slice()));
+            v_ws.push(nodes.as_slice());
         }
-        // Build OUTSIDE the cache lock (sweeps are the expensive part);
-        // a concurrent duplicate build is wasted work, never wrong. The
-        // per-keyword sweeps borrow scratch from this engine's own pool,
-        // so a poisoned pool is recovered by — and counted against — the
+        let mut runs: Vec<Option<CachedRun>> = {
+            let mut cache = lock_cache(&self.runs);
+            key.keywords.iter().map(|kw| cache.get(kw)).collect()
+        };
+        // Sweep what is missing OUTSIDE every cache lock (sweeps are the
+        // expensive part). There is no single-flight: two requests missing
+        // one keyword may both sweep it and the later insert refreshes the
+        // earlier — a concurrent duplicate build is wasted work, never
+        // wrong. The sweeps borrow scratch from this engine's own pool, so
+        // a poisoned pool is recovered by — and counted against — the
         // daemon that owns it.
-        let built = ProjectionIndex::build_par_guarded(
-            &self.graph,
-            entries,
-            self.index_radius,
-            guard,
-            &self.pool,
-            self.parallelism,
-        )
-        .map_err(QueryError::Interrupted)?;
+        let (graph, radius) = (&self.graph, self.index_radius);
+        let missing = (0..runs.len()).filter(|&i| runs[i].is_none());
+        let tasks: Vec<_> = missing
+            .map(|i| {
+                let v_w = v_ws[i];
+                move |engine: &mut PooledEngine<'_>| {
+                    KeywordRun::sweep(graph, engine, v_w, radius, guard).map(|run| (i, run))
+                }
+            })
+            .collect();
+        let n = graph.node_count();
+        let mut tripped = None;
+        for swept in self.parallelism.map_init(|| self.pool.acquire(n), tasks) {
+            match swept {
+                Ok((i, run)) => {
+                    let run: CachedRun = Arc::new(run);
+                    // xtask-allow: unbounded_alloc — one insert per request keyword into a byte-capped LRU
+                    lock_cache(&self.runs).insert(key.keywords[i].clone(), Arc::clone(&run));
+                    runs[i] = Some(run);
+                }
+                Err(reason) => tripped = tripped.or(Some(reason)),
+            }
+        }
+        if let Some(reason) = tripped {
+            return Err(QueryError::Interrupted(reason));
+        }
+        let handles = key.keywords.iter().cloned().zip(runs.into_iter().flatten());
+        let built = ProjectionIndex::from_runs(graph, handles, radius, guard)
+            .map_err(QueryError::Interrupted)?;
         let idx: CachedIndex = Arc::new(built);
         lock_cache(&self.indexes).insert(key, Arc::clone(&idx));
         Ok(idx)

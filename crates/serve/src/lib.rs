@@ -12,8 +12,9 @@
 //!   priority → `RunGuard` degradation ladder, so overload produces
 //!   certified exact-prefix answers and explicit `Overloaded` sheds
 //!   instead of unbounded queueing;
-//! * **guarded caches** ([`cache`], [`engine`]): an LRU of projection
-//!   indexes and an exact-hit answer cache with a bit-identical
+//! * **guarded caches** ([`cache`], [`engine`]): an exact-hit answer
+//!   cache, an LRU of projection indexes per keyword set and a byte-capped
+//!   cache of per-keyword distance runs under it, with a bit-identical
 //!   cached-vs-uncached contract;
 //! * **resilient client** ([`client`]): timeouts everywhere, bounded
 //!   jittered retry, idempotent request ids the server deduplicates;

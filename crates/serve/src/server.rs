@@ -611,6 +611,7 @@ fn snapshot(shared: &Shared) -> Vec<(String, u64)> {
     let (admitted, shed) = shared.gate.stats();
     let (ih, im, ah, am) = shared.engine.cache_stats();
     let (index_entries, answer_entries) = shared.engine.cache_sizes();
+    let (rh, rm, run_entries, run_bytes) = shared.engine.run_cache_stats();
     let (chaos_disc, chaos_delay, chaos_poison) = shared.chaos.stats();
     let pool = shared.engine.pool();
     let pooled = pool.pooled_engines();
@@ -641,6 +642,8 @@ fn snapshot(shared: &Shared) -> Vec<(String, u64)> {
         ("index_cache_misses".to_string(), im),
         ("answer_cache_hits".to_string(), ah),
         ("answer_cache_misses".to_string(), am),
+        ("run_cache_hits".to_string(), rh),
+        ("run_cache_misses".to_string(), rm),
         ("chaos_disconnects".to_string(), chaos_disc),
         ("chaos_delays".to_string(), chaos_delay),
         ("chaos_poisons".to_string(), chaos_poison),
@@ -648,6 +651,8 @@ fn snapshot(shared: &Shared) -> Vec<(String, u64)> {
     for (name, value) in [
         ("index_cache_entries", index_entries),
         ("answer_cache_entries", answer_entries),
+        ("run_cache_entries", run_entries),
+        ("run_cache_bytes", run_bytes),
         ("pooled_engines", pooled),
     ] {
         out.push((name.to_string(), u64::try_from(value).unwrap_or(u64::MAX)));

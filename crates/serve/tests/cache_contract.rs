@@ -6,10 +6,15 @@
 //! 2. a tripped guard during a cached-answer reply still returns an exact
 //!    prefix;
 //! 3. a trip during index build never leaves a half-built
-//!    `ProjectionIndex` in the cache.
+//!    `ProjectionIndex` or a half-swept `KeywordRun` in a cache;
+//! 4. an index assembled from cached keyword runs answers bit for bit
+//!    what a fresh engine answers, whatever the run cache held, evicted
+//!    or refused.
 
-use comm_core::{check_community, check_ranking, check_topk_prefix, QueryError, QuerySpec};
-use comm_graph::{Outcome, RunGuard, Weight};
+use comm_core::{
+    check_community, check_ranking, check_topk_prefix, Community, KeywordRun, QueryError, QuerySpec,
+};
+use comm_graph::{DijkstraEngine, Outcome, RunGuard, Weight};
 use comm_serve::{encode_response, summarize, EngineConfig, QueryEngine, Response};
 
 fn engine() -> QueryEngine {
@@ -205,4 +210,143 @@ fn unknown_keyword_and_oversized_radius_are_clean_errors() {
         (0, 0),
         "rejections must not pollute caches"
     );
+}
+
+/// The reply bytes a complete answer travels as.
+fn wire(communities: &[Community]) -> Vec<u8> {
+    encode_response(&Response::Complete {
+        id: 42,
+        communities: communities.iter().map(summarize).collect(),
+    })
+    .expect("encodes")
+}
+
+/// `keywords` asked of an engine nobody has asked anything before: the
+/// reply bytes and the nodes the whole query settled.
+fn fresh_answer(cfg: &EngineConfig, keywords: &[String], rmax: f64, k: u32) -> (Vec<u8>, u64) {
+    let engine = comm_serve::synthetic_engine(8, cfg.clone()).expect("synthetic engine builds");
+    let guard = RunGuard::new();
+    let out = engine.answer(keywords, rmax, k, &guard).expect("answers");
+    assert!(out.is_complete());
+    (wire(out.value()), guard.settled())
+}
+
+/// One keyword's run, swept outside any engine: `(settled nodes, bytes)`.
+fn run_of(engine: &QueryEngine, keyword: &str) -> (u64, usize) {
+    let guard = RunGuard::new();
+    let graph = engine.graph();
+    let v_w = engine.keyword_nodes(keyword).expect("workload keyword");
+    let mut scratch = DijkstraEngine::new(graph.node_count());
+    let run = KeywordRun::sweep(graph, &mut scratch, v_w, engine.index_radius(), &guard)
+        .expect("unlimited guard never trips");
+    (guard.settled(), run.byte_size())
+}
+
+#[test]
+fn overlapping_sets_on_a_warm_run_cache_answer_like_fresh_engines() {
+    let cfg = EngineConfig::default();
+    let warm = comm_serve::synthetic_engine(8, cfg.clone()).expect("synthetic engine builds");
+    let sets = [
+        kws(&["alpha", "beta"]),
+        kws(&["beta", "gamma"]),
+        kws(&["alpha", "gamma"]),
+        kws(&["gamma", "alpha", "beta"]),
+    ];
+    for (i, set) in sets.iter().enumerate() {
+        let guard = RunGuard::new();
+        let out = warm.answer(set, 4.0, 5, &guard).expect("answers");
+        assert!(out.is_complete());
+        assert!(!out.value().is_empty(), "{set:?} must have communities");
+        let (fresh_bytes, fresh_settled) = fresh_answer(&cfg, set, 4.0, 5);
+        assert_eq!(wire(out.value()), fresh_bytes, "{set:?}");
+        if i == 0 {
+            assert_eq!(
+                guard.settled(),
+                fresh_settled,
+                "a cold run cache saves nothing"
+            );
+        } else {
+            assert!(
+                guard.settled() < fresh_settled,
+                "{set:?}: {} settled warm, {fresh_settled} fresh",
+                guard.settled()
+            );
+        }
+    }
+    // Four distinct sets, three distinct keywords: every set missed the
+    // index cache, and only first sightings missed the run cache.
+    assert_eq!(warm.cache_sizes().0, 4);
+    assert_eq!(warm.cache_stats().1, 4);
+    let (hits, misses, entries, bytes) = warm.run_cache_stats();
+    assert_eq!((hits, misses, entries), (6, 3, 3));
+    let sizes = ["alpha", "beta", "gamma"].map(|kw| run_of(&warm, kw).1);
+    assert_eq!(bytes, sizes.iter().sum::<usize>());
+}
+
+#[test]
+fn trip_in_the_second_sweep_keeps_the_first_run_and_nothing_else() {
+    let engine = engine();
+    let keywords = kws(&["beta", "alpha"]);
+    // Keywords are swept in sorted order: enough budget for all of
+    // alpha's sweep and one node of beta's.
+    let (alpha_settled, alpha_bytes) = run_of(&engine, "alpha");
+    let tight = RunGuard::new().with_settled_budget(alpha_settled + 1);
+    let err = engine
+        .answer(&keywords, 4.0, 5, &tight)
+        .expect_err("beta's sweep must trip");
+    assert!(matches!(err, QueryError::Interrupted(_)), "got {err:?}");
+    assert_eq!(engine.cache_sizes(), (0, 0));
+    assert_eq!(engine.run_cache_stats(), (0, 2, 1, alpha_bytes));
+
+    // The retry finds alpha, sweeps beta, and answers what an engine that
+    // never tripped answers.
+    let guard = RunGuard::new();
+    let out = engine.answer(&keywords, 4.0, 5, &guard).expect("answers");
+    assert!(out.is_complete());
+    let (fresh_bytes, fresh_settled) = fresh_answer(&EngineConfig::default(), &keywords, 4.0, 5);
+    assert_eq!(wire(out.value()), fresh_bytes);
+    assert_eq!(guard.settled() + alpha_settled, fresh_settled);
+    let (hits, misses, entries, _) = engine.run_cache_stats();
+    assert_eq!((hits, misses, entries), (1, 3, 2));
+    assert_eq!(engine.cache_sizes(), (1, 1));
+}
+
+#[test]
+fn a_run_cache_too_small_for_two_runs_holds_one_and_changes_no_answer() {
+    let probe = engine();
+    let sizes = ["alpha", "beta", "gamma"].map(|kw| run_of(&probe, kw).1);
+    let (largest, smallest) = (
+        sizes[0].max(sizes[1]).max(sizes[2]),
+        sizes[0].min(sizes[1]).min(sizes[2]),
+    );
+    assert!(largest < 2 * smallest, "any run fits, no two do");
+    let roomy = EngineConfig::default();
+    for cap in [largest, 1] {
+        let cfg = EngineConfig {
+            run_cache_bytes: cap,
+            ..EngineConfig::default()
+        };
+        let small = comm_serve::synthetic_engine(8, cfg).expect("synthetic engine builds");
+        let resident = usize::from(cap > 1);
+        for (set, k) in [
+            (kws(&["alpha", "beta"]), 5),
+            (kws(&["beta", "gamma"]), 5),
+            (kws(&["alpha", "gamma"]), 5),
+            // An index hit: the index outlived the runs it was built from.
+            (kws(&["alpha", "beta"]), 4),
+        ] {
+            let out = small
+                .answer(&set, 4.0, k, &RunGuard::unlimited())
+                .expect("answers");
+            assert_eq!(wire(out.value()), fresh_answer(&roomy, &set, 4.0, k).0);
+            let (_, _, entries, bytes) = small.run_cache_stats();
+            assert_eq!(entries, resident, "cap {cap} after {set:?}");
+            assert!(bytes <= cap);
+        }
+        assert_eq!(
+            small.cache_stats().0,
+            1,
+            "the last query hit the index cache"
+        );
+    }
 }

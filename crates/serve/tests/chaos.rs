@@ -91,6 +91,11 @@ fn plain_round_trip_ping_query_stats() {
     let stats = client.stats_snapshot().expect("stats");
     assert_eq!(counter(&stats, "completed"), 2);
     assert!(counter(&stats, "answer_cache_hits") >= 1);
+    // One index build: both keywords missed the run cache and now sit in it.
+    assert_eq!(counter(&stats, "run_cache_hits"), 0);
+    assert_eq!(counter(&stats, "run_cache_misses"), 2);
+    assert_eq!(counter(&stats, "run_cache_entries"), 2);
+    assert!(counter(&stats, "run_cache_bytes") > 0);
     handle.shutdown();
 }
 

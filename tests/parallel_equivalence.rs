@@ -11,9 +11,10 @@ use communities::datasets::workload::{query_keywords, DBLP_KEYWORD_GROUPS};
 use communities::datasets::{generate_dblp, DblpConfig};
 use communities::graph::{DijkstraEngine, Direction, Kernel, NodeId, Weight};
 use communities::search::{
-    get_community_guarded, Community, EnginePool, NeighborSets, Parallelism, ProjectionIndex,
-    QuerySpec, RunGuard,
+    get_community_guarded, Community, EnginePool, KeywordRun, NeighborSets, Parallelism,
+    ProjectionIndex, QuerySpec, RunGuard,
 };
+use std::sync::Arc;
 
 /// Everything observable about a community, in one comparable value.
 fn sig(c: &Community) -> (Vec<u32>, f64, Vec<u32>, Vec<u32>, Vec<u32>, usize) {
@@ -69,6 +70,24 @@ fn dblp_projection_build_is_thread_count_invariant() {
     for threads in [2usize, 4] {
         assert!(build(threads).encode() == serial, "{threads} threads");
     }
+
+    // The same index from runs swept one at a time, in another order, on
+    // one engine, and handed to the assembly in a third.
+    let radius = Weight::new(8.0);
+    let guard = RunGuard::unlimited();
+    let mut engine = DijkstraEngine::new(g.node_count());
+    let mut runs: Vec<(String, Arc<KeywordRun>)> = Vec::new();
+    for &(kw, v_w) in entries.iter().rev() {
+        let run = KeywordRun::sweep(g, &mut engine, v_w, radius, &guard);
+        runs.push((
+            kw.to_string(),
+            Arc::new(run.expect("unlimited guard never trips")),
+        ));
+    }
+    runs.rotate_left(1);
+    let assembled = ProjectionIndex::from_runs(g, runs, radius, &guard);
+    let assembled = assembled.expect("unlimited guard never trips");
+    assert!(assembled.encode() == serial, "assembled from single sweeps");
 }
 
 /// Both Dijkstra kernels settle the paper example's keyword sweeps in the

@@ -29,10 +29,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Canonical lock order (outer first). Edges between these ids must go
 /// left-to-right; a right-to-left edge is flagged even without a full cycle.
-pub const CANONICAL_ORDER: [&str; 5] = [
+pub const CANONICAL_ORDER: [&str; 6] = [
     "EnginePool.free",
     "AdmissionGate.state",
     "QueryEngine.indexes",
+    "QueryEngine.runs",
     "QueryEngine.answers",
     "DedupeMap.state",
 ];
@@ -1175,6 +1176,32 @@ impl DedupeMap {
                 .any(|f| f.rule == LOCK_ORDER && f.message.contains("canonical")),
             "{out:?}"
         );
+    }
+
+    #[test]
+    fn run_cache_lock_ranks_between_the_index_and_answer_locks() {
+        let engine = |first: &str, second: &str| {
+            format!(
+                "struct QueryEngine {{ indexes: Mutex<u32>, runs: Mutex<u32>, answers: Mutex<u32> }}
+impl QueryEngine {{
+    fn nested(&self) {{
+        let a = self.{first}.lock();
+        let b = self.{second}.lock();
+        use_both(a, b);
+    }}
+}}
+"
+            )
+        };
+        let canonical = |first: &str, second: &str| {
+            let out = live_findings(&[("crates/x/src/lib.rs", &engine(first, second))]);
+            out.iter()
+                .any(|f| f.rule == LOCK_ORDER && f.message.contains("canonical"))
+        };
+        assert!(canonical("runs", "indexes"));
+        assert!(canonical("answers", "runs"));
+        assert!(!canonical("indexes", "runs"));
+        assert!(!canonical("runs", "answers"));
     }
 
     #[test]
