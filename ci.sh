@@ -67,6 +67,17 @@ if [ "$(grep -c 'fn sweep[<(]' crates/graph/src/dijkstra.rs)" != 1 ]; then
     exit 1
 fi
 
+# A neighbor-table dimension is filled in one file: both fills (the sweep
+# and the copy-and-repair from a kept Neighbor(V_i)) live in
+# core/neighbor.rs, next to the certification that compares them; the
+# enumerators only say which seeds a dimension should hold.
+echo "==> one-fill gate (no run_guarded( / run_rows in shell.rs, comm_k.rs, comm_all.rs, lawler.rs)"
+if grep -nE 'run_guarded\(|run_rows' crates/core/src/shell.rs crates/core/src/comm_k.rs \
+    crates/core/src/comm_all.rs crates/core/src/lawler.rs; then
+    echo "fill a dimension through NeighborSets (recompute_dim_guarded / refill_guarded)"
+    exit 1
+fi
+
 # One build path for the projection index: a keyword is swept in one place
 # (`KeywordRun::sweep`), and the daemon reaches sweeps only through its run
 # cache, never through the one-shot `build_par_guarded`.

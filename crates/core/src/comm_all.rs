@@ -11,10 +11,14 @@
 //! Per emitted community the work is at most `l` pinned `Neighbor()` calls
 //! — only the dimensions where the core differs from its predecessor, since
 //! the shared prefix is still pinned — at most `2l − 1` subspace
-//! `Neighbor()` calls, `l` `O(n)` `BestCore()` scans, and one
-//! `GetCommunity()` that reads the pinned table and runs a single forward
-//! sweep — `O(l · (n log n + m))`, the paper's Theorem IV.1 — using
-//! `O(l·n + m)` space.
+//! `Neighbor()` calls, `l` `BestCore()` scans, and one `GetCommunity()`
+//! that reads the pinned table and runs a single forward sweep —
+//! `O(l · (n log n + m))`, the paper's Theorem IV.1 — using `O(l·n + m)`
+//! space. The subspace calls repair the `Neighbor(V_i)` the shell keeps
+//! (see [`crate::shell`]): the at most `l` that exclude a node re-sweep
+//! the excluded seeds' cells, the `l − 1` that reset `S_i ← V_i` are
+//! copies, so the sweep budget per answer is `l` pins plus `l` cell
+//! re-sweeps.
 
 use crate::error::QueryError;
 use crate::neighbor::BestCore;
@@ -276,9 +280,10 @@ mod tests {
     fn shared_prefixes_are_not_repinned() {
         // Consecutive cores agree below the dimension `i` the search
         // succeeded at, and those dimensions are still pinned: the next
-        // community pins l − i dimensions, not l. Together with the
-        // 2·(l − 1 − i) + 1 refills of the search (2l when it fails, after
-        // the last community) that fixes the sweep count exactly.
+        // community pins l − i dimensions, not l. Together with the l − i
+        // cell re-sweeps of the search (l when it fails, after the last
+        // community; resetting a dimension to `V_i` is a copy) that fixes
+        // the sweep count exactly.
         let g = fig4_graph();
         let mut it = CommAll::try_new(&g, &fig4_spec(FIG4_RMAX)).unwrap();
         let cores: Vec<Core> = it.by_ref().map(|c| c.core).collect();
@@ -287,10 +292,10 @@ mod tests {
         let mut shared = 0;
         for pair in cores.windows(2) {
             let i = (0..l).find(|&i| pair[0].get(i) != pair[1].get(i)).unwrap();
-            expect += 2 * (l - 1 - i) + 1 + (l - i);
+            expect += (l - i) + (l - i);
             shared += i;
         }
-        expect += 2 * l;
+        expect += l;
         assert!(shared > 0, "no consecutive fig. 4 cores share a prefix");
         assert_eq!(it.neighbor_sweeps(), expect);
     }

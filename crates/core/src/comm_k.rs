@@ -9,6 +9,13 @@
 //! the can-list, enlarging `k` at run time costs nothing: just keep calling
 //! [`CommK::next`].
 //!
+//! The sweep budget of one answer whose tuple was created at dimension
+//! `pos`: at most `l` single-source pins, then `l − pos` re-sweeps of the
+//! *cells* a child takes out of the `Neighbor(V_i)` the shell keeps (see
+//! [`crate::shell`]) — the nodes whose nearest seed was excluded, a sixth
+//! of a neighbourhood on the dense benchmark graph. Putting a dimension
+//! back is a copy: no restore sweep exists.
+//!
 //! # Deviation from Algorithm 5
 //!
 //! The paper orders the candidates with a Fibonacci heap; this is
@@ -132,8 +139,10 @@ impl Frontier for CanList {
     /// The shell pinned every dimension to `g_core` before materialising
     /// it (lines 16–18); each child then patches a single dimension and
     /// puts it back — except the last child, whose dimension the next
-    /// `next()` re-pins anyway. At most `l` pins plus `2·(l − pos) − 1`
-    /// refills: `O(l)` sweeps per answer.
+    /// `next()` re-pins anyway. Both refills repair the `Neighbor(V_i)`
+    /// the shell keeps: the patch re-sweeps the excluded seeds' cells,
+    /// putting back is a copy. At most `l` pins plus `l − pos` cell
+    /// re-sweeps: `O(l)` sweeps per answer.
     fn expand(&mut self, shell: &mut Shell<'_>, g_core: &Core) -> Result<(), InterruptReason> {
         // Preparation (lines 19–23).
         let (g_idx, g_pos) = self.restore_subspace(shell);
@@ -146,6 +155,9 @@ impl Frontier for CanList {
             }
             shell.readmit(i, g_core.get(i));
             if i > g_pos {
+                // Every chain ancestor has `pos ≤ g_pos`, so nothing else
+                // was ever excluded up here: `S_i` is `V_i` again.
+                debug_assert!(shell.excluded(i).is_empty());
                 shell.recompute_from_s(i)?;
             }
         }
@@ -404,8 +416,9 @@ mod tests {
 
     #[test]
     fn sweeps_per_community_stay_within_the_budget() {
-        // At most l pins plus 2·(l − pos) − 1 refills per `next()`, on top
-        // of the l initial sweeps of the first one.
+        // At most l pins plus l − pos cell re-sweeps per `next()` — putting
+        // a dimension back is a copy, no restore sweep exists — on top of
+        // the l initial sweeps of the first one.
         let (dense, dense_spec) = dense_scenario();
         for (g, spec) in [(fig4_graph(), fig4_spec(FIG4_RMAX)), (dense, dense_spec)] {
             let l = spec.l();
@@ -415,7 +428,7 @@ mod tests {
                 let pos = it.frontier.tuples[it.frontier.deheaped as usize].pos;
                 let initial = if it.emitted() == 1 { l } else { 0 };
                 let grown = it.neighbor_sweeps() - before;
-                let budget = l + 2 * (l - pos) - 1;
+                let budget = l + (l - pos);
                 assert!(
                     grown <= initial + budget,
                     "community {} (pos {pos}) ran {grown} sweeps",

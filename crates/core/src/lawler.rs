@@ -8,7 +8,10 @@
 //! per answer). The paper's `COMM-k` reaches `O(c(l))` by sharing the
 //! neighbor-set state across children: pin each dimension once, then patch
 //! a single dimension per subspace (`O(l)` sweeps per answer: at most `l`
-//! pins and `2·(l − pos) − 1` refills, against `l·(l − pos)` here).
+//! pins and `l − pos` cell re-sweeps of the kept `Neighbor(V_i)`, against
+//! `l·(l − pos)` whole sweeps here — [`FromScratch`] keeps no base, so
+//! every one of its refills is a sweep from scratch, which also makes it
+//! the oracle `COMM-k`'s repairs are compared with).
 //!
 //! [`LawlerK`] implements the naive variant with identical semantics to
 //! [`CommK`](crate::CommK) — same partition, same tie-breaking, the exact
@@ -33,6 +36,8 @@ pub type LawlerK<'g> = Enumerator<'g, FromScratch>;
 pub struct FromScratch(CanList);
 
 impl Frontier for FromScratch {
+    const KEEPS_BASE: bool = false;
+
     fn seed(&mut self, best: BestCore) {
         self.0.seed(best);
     }

@@ -38,9 +38,9 @@
 //! # Parallel execution
 //!
 //! A single query's enumeration is sequential — each subspace depends on
-//! the previous one, and every neighbor-table dimension is filled by the
-//! one [`NeighborSets::recompute_dim_guarded`] on the enumerator's own
-//! engine. What fans out across a [`Parallelism`] thread pool, borrowing
+//! the previous one, and every neighbor-table dimension is filled on the
+//! enumerator's own engine, by [`NeighborSets::recompute_dim_guarded`] or
+//! by a repair of what it swept. What fans out across a [`Parallelism`] thread pool, borrowing
 //! Dijkstra scratch state from the caller's [`EnginePool`], is index
 //! construction ([`ProjectionIndex::build_par_guarded`], one
 //! [`KeywordRun::sweep`] task per keyword); it honors the shared [`RunGuard`] and produces bit-identical

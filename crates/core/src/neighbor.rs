@@ -9,11 +9,23 @@
 //! the dimension-order fold `Σ_{i=0..l} dist[i][u]` over the finite
 //! dimensions, never a running subtract-then-add. Recomputing one dimension
 //! (`Neighbor(S_i, Rmax)`) walks that dimension's member list — the nodes
-//! its last sweep settled — clears exactly those, refills from the new
-//! sweep, and re-folds the totals of the nodes either sweep touched. The
-//! bookkeeping is `O(l)` per settled node, so it adds no asymptotic cost on
-//! top of Dijkstra (Sec. IV-A), and a table reached through any history of
-//! refills is bit-identical to one built from scratch.
+//! it holds — clears exactly those, refills, and re-folds the totals of
+//! the nodes touched. The bookkeeping is `O(l)` per node, so it adds no
+//! asymptotic cost on top of Dijkstra (Sec. IV-A), and a table reached
+//! through any history of refills is bit-identical to one built from
+//! scratch.
+//!
+//! A dimension is filled in one of two ways, both in this file.
+//! [`recompute_dim_guarded`](NeighborSets::recompute_dim_guarded) sweeps
+//! its seeds from scratch: the initial `Neighbor(V_i)`, every pin, the
+//! naive Lawler ablation — and the oracle the other way is tested against.
+//! [`refill_guarded`](NeighborSets::refill_guarded) answers
+//! `Neighbor(V_i − X)` from a *base* — `Neighbor(V_i)` kept as a sparse
+//! snapshot grouped by `src` — by copying every node whose `src ∉ X`
+//! and re-sweeping only the cells of `X` from their boundary; with
+//! `X = ∅` nothing is swept at all. DESIGN.md "Repairing `Neighbor()`"
+//! has the lemma that makes the copy bit-equal to a sweep, and the
+//! hypothesis [`keep_base`](NeighborSets::keep_base) asks the graph for.
 
 use crate::error::QueryError;
 use crate::types::{Core, CostFn};
@@ -21,6 +33,7 @@ use comm_graph::{
     DijkstraEngine, Direction, EnginePool, Graph, InterruptReason, NodeId, Parallelism, RunGuard,
     Weight,
 };
+use std::cell::Cell;
 
 const NO_SRC: u32 = u32::MAX;
 
@@ -39,6 +52,40 @@ pub struct BestCore {
     pub center: NodeId,
 }
 
+/// One node of a kept `Neighbor(V_i)`: 16 bytes.
+#[derive(Clone, Copy)]
+struct Reached {
+    src: u32,
+    node: u32,
+    dist: Weight,
+}
+
+/// `Neighbor(V_i)` as the enumerator's `start()` swept it, kept so later
+/// refills of dimension `i` copy and repair instead of sweeping.
+struct Base {
+    /// Every node the sweep reached, grouped by `src` (ascending).
+    reached: Vec<Reached>,
+    /// `Some(X)`, sorted, while the live dimension holds exactly
+    /// `Neighbor(V_i − X)` as derived from `reached` — it then differs
+    /// from the base on the cells of `X` only. `None` when it holds
+    /// anything else: a pin, a from-scratch sweep, a tripped fill.
+    live: Option<Vec<NodeId>>,
+}
+
+impl Base {
+    /// The cells: one slice of `reached` per seed that owns a node.
+    fn cells(&self) -> impl Iterator<Item = &[Reached]> {
+        self.reached.chunk_by(|a, b| a.src == b.src)
+    }
+
+    /// The cell of seed `x`: the nodes whose nearest seed it is.
+    fn cell(&self, x: NodeId) -> &[Reached] {
+        let lo = self.reached.partition_point(|r| r.src < x.0);
+        let len = self.reached[lo..].partition_point(|r| r.src == x.0);
+        &self.reached[lo..lo + len]
+    }
+}
+
 /// Per-dimension neighbor sets with history-free `sum`/`count` bookkeeping.
 pub struct NeighborSets {
     l: usize,
@@ -52,11 +99,16 @@ pub struct NeighborSets {
     sum: Vec<Weight>,
     /// Per-node number of finite dimensions; `count[u] == l` ⇔ `u ∈ ⋂ N_i`.
     count: Vec<u8>,
-    /// `members[i]`: the nodes of `N_i` in settle order — exactly the `u`
-    /// with a finite `dist[i * n + u]`. At most `n` ids per dimension.
+    /// `members[i]`: the nodes of `N_i`, in no particular order — exactly
+    /// the `u` with a finite `dist[i * n + u]`. At most `n` ids per
+    /// dimension.
     members: Vec<Vec<u32>>,
-    /// How many `Neighbor()` sweeps (per-dimension refills) have run — the
-    /// unit the paper's `O(c(l))` vs `O(l·c(l))` comparison counts.
+    /// `base[i]`: the kept `Neighbor(V_i)`, if [`keep_base`](Self::keep_base)
+    /// took one.
+    base: Vec<Option<Base>>,
+    /// How many `Neighbor()` sweeps have run — the unit the paper's
+    /// `O(c(l))` vs `O(l·c(l))` comparison counts. A refill that copies
+    /// from the base and settles nothing is not one.
     sweeps: usize,
 }
 
@@ -95,6 +147,7 @@ impl NeighborSets {
             sum: vec![Weight::ZERO; n],
             count: vec![0; n],
             members: vec![Vec::new(); l],
+            base: (0..l).map(|_| None).collect(),
             sweeps: 0,
         })
     }
@@ -142,13 +195,26 @@ impl NeighborSets {
         }
     }
 
+    /// Empties dimension `i`: the nodes it holds go back to unreached and
+    /// their totals are re-folded; the member list keeps its allocation.
+    fn retract(&mut self, i: usize) {
+        let mut members = std::mem::take(&mut self.members[i]);
+        for &u in &members {
+            self.dist[i * self.n + u as usize] = Weight::INFINITY;
+            self.src[i * self.n + u as usize] = NO_SRC;
+        }
+        self.refold(&members);
+        members.clear();
+        self.members[i] = members;
+    }
+
     /// Recomputes dimension `i` as `Neighbor(G_D, seeds, rmax)`:
     /// a multi-source Dijkstra over the *reverse* graph (the virtual-sink
     /// construction of Algorithm 2), truncated at `rmax` and consulting
     /// `guard` per settled node.
     ///
-    /// Only the nodes the previous and the new sweep of dimension `i`
-    /// settled are touched, and their totals are re-folded from `dist`, so
+    /// Only the nodes dimension `i` held and the nodes the new sweep
+    /// settles are touched, and their totals are re-folded from `dist`, so
     /// the cost is `O(settled)` and the result does not depend on what the
     /// dimension held before.
     ///
@@ -168,15 +234,12 @@ impl NeighborSets {
     ) -> Result<(), InterruptReason> {
         debug_assert!(i < self.l);
         self.sweeps += 1;
-        let n = self.n;
-        // Retract dimension i at the nodes its last sweep settled.
-        let mut members = std::mem::take(&mut self.members[i]);
-        for &u in &members {
-            self.dist[i * n + u as usize] = Weight::INFINITY;
-            self.src[i * n + u as usize] = NO_SRC;
+        if let Some(base) = &mut self.base[i] {
+            base.live = None;
         }
-        self.refold(&members);
-        members.clear();
+        let n = self.n;
+        self.retract(i);
+        let mut members = std::mem::take(&mut self.members[i]);
         // Refill from the truncated reverse Dijkstra.
         let dist = &mut self.dist[i * n..(i + 1) * n];
         let src = &mut self.src[i * n..(i + 1) * n];
@@ -187,6 +250,186 @@ impl NeighborSets {
             members.push(s.node.0);
         });
         self.refold(&members);
+        self.members[i] = members;
+        swept.map(|_| ())
+    }
+
+    /// Keeps what dimension `i` holds — `Neighbor(V_i, rmax)`, just swept —
+    /// as the base [`refill_guarded`](Self::refill_guarded) copies and
+    /// repairs from: 16 bytes per reached node, charged by
+    /// [`byte_size`](Self::byte_size).
+    ///
+    /// Keeps nothing, so that every refill stays a sweep, unless each
+    /// relaxation of such a sweep makes progress: the swept rows' minimum
+    /// edge weight must exceed `rmax · 2⁻⁵²`, an ulp of the largest
+    /// distance settled. Only then is `src` a function of the seed set
+    /// that survives taking seeds away (DESIGN.md "Repairing
+    /// `Neighbor()`" has the five-node graph on which it is not). The
+    /// paper's weights are `log2(1 + N_in) ≥ 1`.
+    pub(crate) fn keep_base(&mut self, graph: &Graph, i: usize, rmax: Weight) {
+        let ulp = Weight::new(rmax.get() * f64::EPSILON);
+        let swept_rows = graph.rows(Direction::Reverse);
+        if swept_rows.min_weight().is_some_and(|w| w <= ulp) {
+            return;
+        }
+        let (dist, src) = (&self.dist[i * self.n..], &self.src[i * self.n..]);
+        let mut reached: Vec<Reached> = self.members[i]
+            .iter()
+            .map(|&node| Reached {
+                src: src[node as usize],
+                node,
+                dist: dist[node as usize],
+            })
+            .collect();
+        reached.sort_unstable_by_key(|r| (r.src, r.node));
+        self.base[i] = Some(Base {
+            reached,
+            live: Some(Vec::new()),
+        });
+    }
+
+    /// Recomputes dimension `i` as `Neighbor(V_i − X, rmax)`, `v_set` being
+    /// `V_i` and `excluded` being `X ⊆ V_i`, both sorted — bit-equal in
+    /// `dist` and `src` to [`recompute_dim_guarded`](Self::recompute_dim_guarded)
+    /// of those seeds, which is what it runs when no base was kept.
+    ///
+    /// With a base, every node whose `src` in `Neighbor(V_i)` is not in
+    /// `X` is copied, and only the cells of `X` are re-swept, from the
+    /// labels of the copied nodes they have an edge to; `X = ∅` sweeps
+    /// nothing, and when the dimension still holds a table repaired from
+    /// this base only the cells that differ are written back. The guard
+    /// is consulted per cell copied and per node settled; on interruption
+    /// the dimension holds a consistent partial table, as after an
+    /// interrupted sweep, and is no longer taken for a repaired one.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "recompute_dim_guarded's arguments, the seeds as V_i and X"
+    )]
+    pub(crate) fn refill_guarded(
+        &mut self,
+        graph: &Graph,
+        engine: &mut DijkstraEngine,
+        i: usize,
+        v_set: &[NodeId],
+        excluded: &[NodeId],
+        rmax: Weight,
+        guard: &RunGuard,
+    ) -> Result<(), InterruptReason> {
+        let Some(mut base) = self.base[i].take() else {
+            let admitted = |v: &NodeId| excluded.binary_search(v).is_err();
+            let seeds = v_set.iter().copied().filter(admitted);
+            return self.recompute_dim_guarded(graph, engine, i, seeds, rmax, guard);
+        };
+        // `live` stays `None` after a trip.
+        let filled = match base.live.take() {
+            Some(repaired) if excluded.is_empty() => self.write_back(&base, &repaired, i, guard),
+            _ => self.repair(graph, engine, &base, excluded, i, rmax, guard),
+        };
+        base.live = filled.is_ok().then(|| excluded.to_vec());
+        self.base[i] = Some(base);
+        filled
+    }
+
+    /// Writes `r` into dimension `i` and re-folds its node's totals.
+    #[inline]
+    fn copy_in(&mut self, i: usize, r: Reached) {
+        let u = r.node as usize;
+        self.dist[i * self.n + u] = r.dist;
+        self.src[i * self.n + u] = r.src;
+        self.refold(&[r.node]);
+    }
+
+    /// `Neighbor(V_i)` over a dimension holding `Neighbor(V_i − repaired)`:
+    /// the two differ on the cells of `repaired` only, which are copied
+    /// back.
+    fn write_back(
+        &mut self,
+        base: &Base,
+        repaired: &[NodeId],
+        i: usize,
+        guard: &RunGuard,
+    ) -> Result<(), InterruptReason> {
+        for &x in repaired {
+            guard.check()?;
+            for &r in base.cell(x) {
+                if !self.dist[i * self.n + r.node as usize].is_finite() {
+                    self.members[i].push(r.node);
+                }
+                self.copy_in(i, r);
+            }
+        }
+        Ok(())
+    }
+
+    /// `Neighbor(V_i − excluded)` over a dimension holding anything: the
+    /// base's other cells copied, the excluded ones re-swept. Every node
+    /// written is pushed on the member list and folded as it is written,
+    /// whether or not the guard lets the fill finish.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "private: refill_guarded's arguments with the base resolved"
+    )]
+    fn repair(
+        &mut self,
+        graph: &Graph,
+        engine: &mut DijkstraEngine,
+        base: &Base,
+        excluded: &[NodeId],
+        i: usize,
+        rmax: Weight,
+        guard: &RunGuard,
+    ) -> Result<(), InterruptReason> {
+        let n = self.n;
+        self.retract(i);
+        for cell in base.cells() {
+            if excluded.binary_search(&NodeId(cell[0].src)).is_ok() {
+                continue;
+            }
+            guard.check()?;
+            for &r in cell {
+                self.members[i].push(r.node);
+                self.copy_in(i, r);
+            }
+        }
+        if excluded.is_empty() {
+            return Ok(());
+        }
+        // Re-sweep the excluded cells. A cell node's predecessors are
+        // other cell nodes and the copied nodes it has an edge to; those
+        // enter the queue at the labels they hold, so everything that can
+        // relax a cell node pops at its true `(dist, id)` key.
+        self.sweeps += 1;
+        let mut members = std::mem::take(&mut self.members[i]);
+        let copied = members.len();
+        let dist = Cell::from_mut(&mut self.dist[i * n..(i + 1) * n]).as_slice_of_cells();
+        let src = Cell::from_mut(&mut self.src[i * n..(i + 1) * n]).as_slice_of_cells();
+        let out_edges = graph.rows(Direction::Forward);
+        let cell_nodes = excluded.iter().flat_map(|&x| base.cell(x));
+        let boundary = cell_nodes
+            .flat_map(|r| out_edges.neighbors(NodeId(r.node)))
+            .filter_map(|(p, _)| {
+                let d = dist[p.index()].get();
+                d.is_finite().then(|| (p, d, NodeId(src[p.index()].get())))
+            });
+        let swept = engine.run_rows_labelled_guarded(
+            graph.rows(Direction::Reverse),
+            boundary,
+            rmax,
+            guard,
+            // Only into what the dimension does not hold: copied nodes
+            // keep their bits, whatever a cell node offers them.
+            |v, _| !dist[v.index()].get().is_finite(),
+            |s| {
+                let at = s.node.index();
+                // A boundary seed settling: it is in the table already.
+                if !dist[at].get().is_finite() {
+                    dist[at].set(s.dist);
+                    src[at].set(s.source.0);
+                    members.push(s.node.0);
+                }
+            },
+        );
+        self.refold(&members[copied..]);
         self.members[i] = members;
         swept.map(|_| ())
     }
@@ -240,8 +483,8 @@ impl NeighborSets {
     /// `Σ_i min(N_i, u)`, read off the per-node totals; other cost
     /// functions aggregate the l per-dimension distances per intersection
     /// node (still within the per-answer budget of Theorem IV.1). Member
-    /// lists are in settle order, so the tie-break is spelled out: the
-    /// winner is the minimum of `(cost, center id)`.
+    /// lists are in no particular order, so the tie-break is spelled out:
+    /// the winner is the minimum of `(cost, center id)`.
     pub fn best_core_with(&self, cost_fn: CostFn) -> Option<BestCore> {
         let priced = self.centers().map(|u| (self.center_cost(u, cost_fn), u));
         let (cost, center) = priced.min()?;
@@ -267,8 +510,8 @@ impl NeighborSets {
         centers
     }
 
-    /// `⋂ N_i` in the settle order of the smallest neighbor set, whose
-    /// member list it is filtered from.
+    /// `⋂ N_i` in the order of the smallest neighbor set's member list,
+    /// which it is filtered from.
     fn centers(&self) -> impl Iterator<Item = NodeId> + '_ {
         let smallest = self.members.iter().min_by_key(|m| m.len());
         let ids = smallest.into_iter().flatten();
@@ -276,15 +519,18 @@ impl NeighborSets {
             .map(|&u| NodeId(u))
     }
 
-    /// Logical bytes held — the paper's `O(l·n)` table, sums/counters, and
-    /// the member lists (at most `n` ids per dimension; charged at their
-    /// allocated capacity).
+    /// Logical bytes held — the paper's `O(l·n)` table, sums/counters, the
+    /// member lists (at most `n` ids per dimension; charged at their
+    /// allocated capacity) and the kept bases (16 bytes per node
+    /// `Neighbor(V_i)` reached, no second dense table).
     pub fn byte_size(&self) -> usize {
         let member_ids: usize = self.members.iter().map(Vec::capacity).sum();
+        let kept: usize = self.base.iter().flatten().map(|b| b.reached.len()).sum();
         self.dist.len() * std::mem::size_of::<Weight>()
             + (self.src.len() + member_ids) * std::mem::size_of::<u32>()
             + self.sum.len() * std::mem::size_of::<Weight>()
             + self.count.len()
+            + kept * std::mem::size_of::<Reached>()
     }
 }
 
@@ -315,6 +561,40 @@ impl NeighborSets {
         let mut set: Vec<NodeId> = self.members[i].iter().map(|&u| NodeId(u)).collect();
         set.sort_unstable();
         set
+    }
+
+    /// Whether dimension `i` refills from a kept `Neighbor(V_i)`.
+    pub(crate) fn keeps_base(&self, i: usize) -> bool {
+        self.base[i].is_some()
+    }
+
+    /// The `X` for which dimension `i` is taken to hold `Neighbor(V_i − X)`
+    /// as repaired from its base, if it is taken to hold one at all.
+    pub(crate) fn repaired_from(&self, i: usize) -> Option<&[NodeId]> {
+        self.base[i].as_ref()?.live.as_deref()
+    }
+
+    /// Drops every kept base: from here on every refill is a sweep.
+    pub(crate) fn forget_bases(&mut self) {
+        self.base.fill_with(|| None);
+    }
+
+    /// Asserts dimension `i` holds, bit for bit in `dist` and in `src`,
+    /// what the only dimension of `swept` holds.
+    pub(crate) fn assert_dim_bit_equal(&self, i: usize, swept: &NeighborSets) {
+        let bits = |d: &[Weight]| d.iter().map(|w| w.get().to_bits()).collect::<Vec<_>>();
+        let dim = i * self.n..(i + 1) * self.n;
+        assert_eq!(
+            bits(&self.dist[dim.clone()]),
+            bits(&swept.dist),
+            "dist, dim {i}"
+        );
+        assert_eq!(self.src[dim], swept.src, "src, dim {i}");
+        assert_eq!(
+            self.neighbor_set(i),
+            swept.neighbor_set(0),
+            "members, dim {i}"
+        );
     }
 
     /// Asserts the table is the pure function of `dist` it claims to be:
@@ -550,9 +830,101 @@ mod tests {
     fn byte_size_charges_the_member_lists() {
         let g = fig4();
         let fresh = NeighborSets::new(3, g.node_count()).byte_size();
-        let (_, ns, _) = build(8.0);
+        let (_, mut ns, _) = build(8.0);
         let settled: usize = (0..3).map(|i| ns.neighbor_set(i).len()).sum();
-        assert!(ns.byte_size() >= fresh + settled * std::mem::size_of::<u32>());
+        let swept = ns.byte_size();
+        assert!(swept >= fresh + settled * std::mem::size_of::<u32>());
+        // A kept base is 16 bytes per node its sweep reached.
+        for i in 0..3 {
+            ns.keep_base(&g, i, Weight::new(8.0));
+        }
+        assert_eq!(ns.byte_size(), swept + settled * 16);
+    }
+
+    /// [`build`] with every `Neighbor(V_i)` kept as a base.
+    fn build_kept(rmax: f64) -> (Graph, NeighborSets, DijkstraEngine) {
+        let (g, mut ns, eng) = build(rmax);
+        for i in 0..3 {
+            ns.keep_base(&g, i, Weight::new(rmax));
+            assert_eq!(ns.repaired_from(i), Some(&[][..]));
+        }
+        (g, ns, eng)
+    }
+
+    /// Asserts dimension `i` is bit-equal to a from-scratch sweep of
+    /// `v − excluded` on a table and an engine of its own.
+    fn assert_is_sweep_of(
+        ns: &NeighborSets,
+        g: &Graph,
+        i: usize,
+        (v, excluded): (&[NodeId], &[NodeId]),
+        rmax: Weight,
+    ) {
+        let seeds = v.iter().copied().filter(|v| !excluded.contains(v));
+        let mut swept = NeighborSets::new(1, g.node_count());
+        let mut eng = DijkstraEngine::with_kernel(g.node_count(), comm_graph::Kernel::Heap);
+        swept.refill(g, &mut eng, 0, seeds, rmax);
+        ns.assert_dim_bit_equal(i, &swept);
+    }
+
+    #[test]
+    fn refills_from_a_base_equal_sweeps_through_any_history() {
+        // Random walks over Fig. 4: pins, from-scratch sweeps and refills
+        // with random exclusion sets, in any order — so a repair also
+        // lands on a pin, on a repaired table (written back when `X = ∅`,
+        // retracted otherwise) and on a table that is none of those.
+        use comm_graph::SplitMix64;
+        let r = Weight::new(8.0);
+        let unlimited = RunGuard::unlimited();
+        let (mut copies, mut repairs) = (0, 0);
+        SplitMix64::for_each_case(200, |rng| {
+            let (g, mut ns, mut eng) = build_kept(8.0);
+            for _ in 0..12 {
+                let i = rng.index(3);
+                let v = &v_sets()[i];
+                if rng.index(4) == 0 {
+                    ns.refill(&g, &mut eng, i, [v[rng.index(v.len())]], r);
+                    assert_eq!(ns.repaired_from(i), None);
+                    continue;
+                }
+                let excluded: Vec<NodeId> =
+                    v.iter().copied().filter(|_| rng.index(3) == 0).collect();
+                let before = ns.sweeps();
+                ns.refill_guarded(&g, &mut eng, i, v, &excluded, r, &unlimited)
+                    .unwrap();
+                assert_eq!(ns.sweeps() - before, usize::from(!excluded.is_empty()));
+                assert_eq!(ns.repaired_from(i), Some(&excluded[..]));
+                assert_is_sweep_of(&ns, &g, i, (v, &excluded), r);
+                ns.assert_history_free();
+                copies += usize::from(excluded.is_empty());
+                repairs += usize::from(!excluded.is_empty());
+            }
+        });
+        assert!(copies >= 300 && repairs >= 300, "{copies} / {repairs}");
+    }
+
+    #[test]
+    fn without_a_base_a_refill_is_the_sweep() {
+        let (g, mut ns, mut eng) = build(8.0);
+        let v = &v_sets()[2];
+        let before = ns.sweeps();
+        ns.refill_guarded(
+            &g,
+            &mut eng,
+            2,
+            v,
+            &[],
+            Weight::new(8.0),
+            &RunGuard::unlimited(),
+        )
+        .unwrap();
+        assert_eq!(ns.sweeps(), before + 1);
+        assert!(!ns.keeps_base(2));
+        // An infinite radius has no ulp to clear: no base is kept for it.
+        ns.keep_base(&g, 2, Weight::INFINITY);
+        assert!(!ns.keeps_base(2));
+        ns.keep_base(&g, 2, Weight::new(8.0));
+        assert!(ns.keeps_base(2));
     }
 
     #[test]
@@ -578,6 +950,76 @@ mod tests {
             let _ = ns.recompute_dim_guarded(&g, &mut eng, 1, [NodeId(8)], r, &tripping());
             ns.assert_history_free();
         }
+    }
+
+    #[test]
+    fn interrupted_repairs_leave_a_consistent_table() {
+        // The same contract for every trip point of a refill from the
+        // base — inside the copy of the retained cells, inside the cell
+        // re-sweep (boundary seeds are settled nodes like any other),
+        // inside a write-back: totals and member list describe what
+        // `dist` holds, and the dimension is no longer taken for a
+        // repaired table, so the next refill rebuilds it whole and right.
+        let (g, spec) = crate::testing::dense_scenario();
+        let (l, r) = (spec.l(), spec.rmax);
+        let unlimited = RunGuard::unlimited();
+        let v_sets: Vec<Vec<NodeId>> = spec.keyword_nodes.iter().map(|v| sorted(v)).collect();
+        let swept_and_kept = || {
+            let mut ns = NeighborSets::new(l, g.node_count());
+            let mut eng = DijkstraEngine::new(g.node_count());
+            for (i, v) in v_sets.iter().enumerate() {
+                ns.refill(&g, &mut eng, i, v.iter().copied(), r);
+                ns.keep_base(&g, i, r);
+            }
+            (ns, eng)
+        };
+        let mut settled = 0;
+        for (i, v) in v_sets.iter().enumerate() {
+            // What the dimension holds — a pin or a repair — and the refill.
+            let moves = [
+                (Err(v[0]), vec![v[0]]),
+                (Err(v[1]), vec![]),
+                (Ok(vec![v[2], v[5]]), vec![]),
+                (Ok(vec![v[2], v[5]]), vec![v[3]]),
+            ];
+            for (holds, excluded) in moves {
+                let primed = || {
+                    let (mut ns, mut eng) = swept_and_kept();
+                    match &holds {
+                        Err(pin) => ns.refill(&g, &mut eng, i, [*pin], r),
+                        Ok(x) => ns
+                            .refill_guarded(&g, &mut eng, i, v, x, r, &unlimited)
+                            .unwrap(),
+                    }
+                    (ns, eng)
+                };
+                let (mut ns, mut eng) = primed();
+                let counter = RunGuard::new();
+                ns.refill_guarded(&g, &mut eng, i, v, &excluded, r, &counter)
+                    .unwrap();
+                assert!(counter.checks() > 0);
+                settled += counter.settled();
+                for trip in 0..counter.checks() {
+                    let (mut ns, mut eng) = primed();
+                    let tripping = RunGuard::new().with_trip_after(trip);
+                    ns.refill_guarded(&g, &mut eng, i, v, &excluded, r, &tripping)
+                        .unwrap_err();
+                    ns.assert_history_free();
+                    assert_eq!(ns.repaired_from(i), None, "trip {trip}");
+                    ns.refill_guarded(&g, &mut eng, i, v, &excluded, r, &unlimited)
+                        .unwrap();
+                    assert_is_sweep_of(&ns, &g, i, (v, &excluded), r);
+                    ns.assert_history_free();
+                }
+            }
+        }
+        assert!(settled >= 100, "the cell re-sweeps settled {settled} nodes");
+    }
+
+    fn sorted(set: &[NodeId]) -> Vec<NodeId> {
+        let mut set = set.to_vec();
+        set.sort_unstable();
+        set
     }
 
     #[test]

@@ -16,6 +16,14 @@
 //! state `Frontier::expand` subdivides from, so the `l` single-source
 //! sweeps of a core run once per community — fewer when a dimension is
 //! already pinned to the same node, which the shell remembers.
+//!
+//! The per-answer sweep budget: `start()` sweeps each `Neighbor(V_i)`
+//! once and keeps it; after that a community costs at most `l` pins
+//! (single-source sweeps) plus one *cell* re-sweep per dimension its
+//! `expand` excludes a node from — [`Shell::recompute_from_s`] refills
+//! from the kept `Neighbor(V_i)` ([`NeighborSets::refill_guarded`]), so
+//! putting a dimension back to `S_i = V_i` sweeps nothing. A dimension is
+//! never filled here: both fills live in `neighbor.rs`.
 
 use crate::error::QueryError;
 use crate::get_community::community_of_pinned;
@@ -26,6 +34,11 @@ use comm_graph::{DijkstraEngine, Graph, InterruptReason, NodeId, Outcome, RunGua
 /// The search-space bookkeeping of one enumerator: the cores still to be
 /// emitted and the subdivision that finds their successors.
 pub trait Frontier: Default {
+    /// Whether `expand` refills through [`Shell::recompute_from_s`] often
+    /// enough to be worth keeping each `Neighbor(V_i)` resident for. The
+    /// from-scratch ablation says no, and every refill of it is a sweep.
+    const KEEPS_BASE: bool = true;
+
     /// Receives the best core of the whole space `V_1 × … × V_l`.
     fn seed(&mut self, best: BestCore);
 
@@ -105,24 +118,45 @@ impl Shell<'_> {
         (0..self.l()).try_for_each(|i| self.pin_dim(i, core.get(i)))
     }
 
-    /// Recomputes dimension `i` as `Neighbor(S_i, Rmax)`. `V_i` is sorted,
-    /// so the seeds reach the sweep in the order the deterministic
-    /// nearest-source tie-break needs.
+    /// Recomputes dimension `i` as `Neighbor(S_i, Rmax)`: repaired from
+    /// the kept `Neighbor(V_i)` when `start()` kept one, swept otherwise
+    /// (`V_i` is sorted, so the seeds reach the sweep in the order the
+    /// deterministic nearest-source tie-break needs).
     pub(crate) fn recompute_from_s(&mut self, i: usize) -> Result<(), InterruptReason> {
         self.pinned[i] = None;
-        let excluded = &self.excluded[i];
-        let seeds = self.v_sets[i]
-            .iter()
-            .copied()
-            .filter(|v| excluded.binary_search(v).is_err());
-        self.ns.recompute_dim_guarded(
+        let refilled = self.ns.refill_guarded(
             self.graph,
             &mut self.engine,
             i,
-            seeds,
+            &self.v_sets[i],
+            &self.excluded[i],
             self.rmax,
             &self.guard,
-        )
+        );
+        #[cfg(test)]
+        if refilled.is_ok() {
+            self.assert_certified(i);
+        }
+        refilled
+    }
+
+    /// The certification rung, run after every refill of every unit test:
+    /// dimension `i` is bit-equal, in `dist` and in `src`, to a sweep of
+    /// `S_i` from scratch on a table and an engine of its own (the heap
+    /// kernel: the reference one, and the cheap one to construct).
+    #[cfg(test)]
+    fn assert_certified(&self, i: usize) {
+        let n = self.graph.node_count();
+        let excluded = &self.excluded[i];
+        let s_i = self.v_sets[i].iter().copied();
+        let seeds = s_i.filter(|v| excluded.binary_search(v).is_err());
+        let mut swept = NeighborSets::new(1, n);
+        let mut engine = DijkstraEngine::with_kernel(n, comm_graph::Kernel::Heap);
+        let unlimited = RunGuard::unlimited();
+        swept
+            .recompute_dim_guarded(self.graph, &mut engine, 0, seeds, self.rmax, &unlimited)
+            .unwrap();
+        self.ns.assert_dim_bit_equal(i, &swept);
     }
 
     /// `S_i ← S_i − {v}`.
@@ -137,6 +171,11 @@ impl Shell<'_> {
         if let Ok(at) = self.excluded[i].binary_search(&v) {
             self.excluded[i].remove(at);
         }
+    }
+
+    /// `V_i − S_i`, sorted.
+    pub(crate) fn excluded(&self, i: usize) -> &[NodeId] {
+        &self.excluded[i]
     }
 
     /// `S_i ← V_i`.
@@ -267,11 +306,17 @@ impl<'g, F: Frontier> Enumerator<'g, F> {
     }
 
     /// The `l` initial `Neighbor(V_i, Rmax)` sweeps and the first
-    /// `BestCore()` (lines 1–5 of Algorithm 1, 1–6 of Algorithm 5).
+    /// `BestCore()` (lines 1–5 of Algorithm 1, 1–6 of Algorithm 5). Each
+    /// swept `Neighbor(V_i)` is kept for `expand`'s refills to repair.
     fn start(&mut self) -> Result<(), InterruptReason> {
         let shell = &mut self.shell;
         shell.started = true;
-        (0..shell.l()).try_for_each(|i| shell.recompute_from_s(i))?;
+        for i in 0..shell.l() {
+            shell.recompute_from_s(i)?;
+            if F::KEEPS_BASE {
+                shell.ns.keep_base(shell.graph, i, shell.rmax);
+            }
+        }
         if let Some(best) = shell.best_core() {
             self.frontier.seed(best);
         }
@@ -326,17 +371,28 @@ mod tests {
     use crate::comm_k::CanList;
     use crate::lawler::FromScratch;
     use crate::testing::dense_scenario;
+    use comm_graph::weight::index_to_u32;
+    use comm_graph::{GraphBuilder, SplitMix64};
 
-    /// Drains an enumerator over the dense scenario, checking after every
-    /// `next()` that the live table is bit-equal to a from-scratch rebuild
-    /// of its own `dist`. Returns how many communities that covered.
+    /// Drains an enumerator, checking after every `next()` that the live
+    /// table is bit-equal to a from-scratch rebuild of its own `dist` —
+    /// and, inside every `recompute_from_s`, that the dimension refilled
+    /// is bit-equal to a sweep of its seeds (`assert_certified`). Returns
+    /// the cores and cost bits emitted and the sweeps that took.
+    fn certified_run<F: Frontier>(mut it: Enumerator<'_, F>) -> (Vec<(Core, u64)>, usize) {
+        let mut emitted = Vec::new();
+        while let Some(c) = it.next() {
+            it.shell.ns.assert_history_free();
+            emitted.push((c.core, c.cost.get().to_bits()));
+        }
+        (emitted, it.neighbor_sweeps())
+    }
+
     fn drift_free_run<F: Frontier>() -> usize {
         let (g, spec) = dense_scenario();
-        let mut it = Enumerator::<F>::try_new(&g, &spec).unwrap();
-        while it.next().is_some() {
-            it.shell.ns.assert_history_free();
-        }
-        it.emitted()
+        certified_run(Enumerator::<F>::try_new(&g, &spec).unwrap())
+            .0
+            .len()
     }
 
     #[test]
@@ -377,8 +433,11 @@ mod tests {
             it.by_ref().for_each(drop);
             (it.emitted(), it.neighbor_sweeps())
         }
-        assert_eq!(drained::<CanList>(), (441, 1760));
-        assert_eq!(drained::<Dfs>(), (441, 1102));
+        // COMM-k and COMM-all count pins and cell re-sweeps only — putting
+        // a dimension back to `V_i` is a copy (1760 and 1102 when it was a
+        // sweep); the ablation sweeps everything, as it always did.
+        assert_eq!(drained::<CanList>(), (441, 1688));
+        assert_eq!(drained::<Dfs>(), (441, 1029));
         assert_eq!(drained::<FromScratch>(), (441, 2714));
     }
 
@@ -393,13 +452,168 @@ mod tests {
         let swept = shell.ns.sweeps();
         shell.pin_dim(0, v).unwrap();
         assert_eq!(shell.ns.sweeps(), swept, "already pinned to {v}");
-        // Any other sweep of the dimension forgets the pin.
+        // Any other fill of the dimension forgets the pin — here a copy
+        // of the kept `Neighbor(V_0)`, so the re-pin is the only sweep.
+        assert!(shell.excluded[0].is_empty());
         shell.recompute_from_s(0).unwrap();
+        assert_eq!(shell.ns.sweeps(), swept, "S_0 = V_0 is a copy");
         shell.pin_dim(0, v).unwrap();
+        assert_eq!(shell.ns.sweeps(), swept + 1);
+        // Taking a seed away re-sweeps its cell, once; putting it back
+        // writes the cell back.
+        shell.exclude(0, v);
+        shell.recompute_from_s(0).unwrap();
+        assert_eq!(shell.ns.sweeps(), swept + 2);
+        shell.readmit(0, v);
+        shell.recompute_from_s(0).unwrap();
         assert_eq!(shell.ns.sweeps(), swept + 2);
         // The from-scratch ablation never takes the shortcut.
         shell.repin_dim(0, v).unwrap();
         assert_eq!(shell.ns.sweeps(), swept + 3);
+    }
+
+    /// A small random query: `weights` drawn per edge, one to three
+    /// keyword sets of one to four nodes, a radius of a few edges — half a
+    /// step off the lattice the path sums live on, so that no sum lands
+    /// within an ulp of it (ROADMAP item 1's hazard is not this test's).
+    fn random_query(rng: &mut SplitMix64, weights: &[f64]) -> (Graph, QuerySpec) {
+        let n = 4 + rng.index(12);
+        let mut b = GraphBuilder::new(n);
+        let node = |rng: &mut SplitMix64| NodeId(index_to_u32(rng.index(n)));
+        for _ in 0..n + rng.index(3 * n) {
+            let w = Weight::new(weights[rng.index(weights.len())]);
+            b.add_edge(node(rng), node(rng), w);
+        }
+        let sets = (0..1 + rng.index(3))
+            .map(|_| (0..1 + rng.index(4)).map(|_| node(rng)).collect())
+            .collect();
+        let rmax = Weight::new(0.25 + 0.1 * rng.index(8) as f64);
+        (b.build(), QuerySpec::new(sets, rmax))
+    }
+
+    /// One frontier over `cases` random queries, each enumerated twice
+    /// under the certification rung: as built, and with the kept bases
+    /// dropped after `start()` so that every refill is a sweep. Returns
+    /// the sweeps both ways, and how many runs kept a base.
+    fn repaired_against_swept<F: Frontier>(cases: u64, weights: &[f64]) -> (usize, usize, usize) {
+        let (mut repaired, mut swept, mut kept) = (0, 0, 0);
+        SplitMix64::for_each_case(cases, |rng| {
+            let (g, spec) = random_query(rng, weights);
+            let as_built = Enumerator::<F>::try_new(&g, &spec).unwrap();
+            let mut all_sweeps = Enumerator::<F>::try_new(&g, &spec).unwrap();
+            all_sweeps.start().unwrap();
+            kept += usize::from(all_sweeps.shell.ns.keeps_base(0));
+            all_sweeps.shell.ns.forget_bases();
+            let (ours, ours_sweeps) = certified_run(as_built);
+            let (theirs, their_sweeps) = certified_run(all_sweeps);
+            assert_eq!(ours, theirs);
+            assert!(ours_sweeps <= their_sweeps);
+            repaired += ours_sweeps;
+            swept += their_sweeps;
+        });
+        (repaired, swept, kept)
+    }
+
+    #[test]
+    fn repairs_certify_on_tie_heavy_graphs() {
+        // Few distinct positive weights: equal distances, and so contested
+        // `src` labels, everywhere; every relaxation makes progress, so a
+        // base is kept and restores stop being sweeps. 5 000 graphs, each
+        // enumerated four times, every refill certified as it happens.
+        let tie_heavy = [0.1, 0.2, 0.3, 0.5];
+        let (repaired, swept, kept) = repaired_against_swept::<CanList>(5_000, &tie_heavy);
+        assert_eq!(kept, 5_000);
+        assert!(repaired < swept * 9 / 10, "COMM-k {repaired} vs {swept}");
+        let (repaired, swept, kept) = repaired_against_swept::<Dfs>(5_000, &tie_heavy);
+        assert_eq!(kept, 5_000);
+        assert!(repaired < swept * 9 / 10, "COMM-all {repaired} vs {swept}");
+        // The ablation keeps nothing and sweeps the same either way.
+        let (repaired, swept, kept) = repaired_against_swept::<FromScratch>(200, &tie_heavy);
+        assert_eq!((repaired, kept), (swept, 0));
+    }
+
+    #[test]
+    fn edges_that_make_no_progress_take_the_fallback() {
+        // The same family with zero weights mixed in, then with weights an
+        // addition absorbs (`0.1 + 1e-18 == 0.1`): the pop order is no
+        // longer global, a repair would not equal a sweep, and none is
+        // attempted — whenever such an edge was drawn no base is kept and
+        // the sweep counts are those of sweeping everything.
+        for (cases, stalling) in [(5_000, 0.0), (100, 1e-18)] {
+            let weights = [stalling, 0.1, 0.2, 0.3, 0.5];
+            let (mut fallbacks, mut repairs) = (0, 0);
+            SplitMix64::for_each_case(cases, |rng| {
+                let (g, spec) = random_query(rng, &weights);
+                let stalls = g.edges().any(|(_, _, w)| w < Weight::new(0.1));
+                assert_eq!(
+                    started::<CanList>(&g, &spec).shell.ns.keeps_base(0),
+                    !stalls
+                );
+                assert_eq!(started::<Dfs>(&g, &spec).shell.ns.keeps_base(0), !stalls);
+                fallbacks += usize::from(stalls);
+                repairs += usize::from(!stalls);
+                certified_run(Enumerator::<CanList>::try_new(&g, &spec).unwrap());
+                certified_run(Enumerator::<Dfs>::try_new(&g, &spec).unwrap());
+            });
+            assert!(fallbacks >= cases as usize * 4 / 5 && repairs > 0);
+        }
+        let (repaired, swept, kept) = repaired_against_swept::<CanList>(200, &[0.0, 0.2]);
+        assert_eq!(repaired, swept);
+        assert!(kept < 10, "{kept} of 200 graphs drew no zero-weight edge");
+    }
+
+    fn started<'g, F: Frontier>(g: &'g Graph, spec: &QuerySpec) -> Enumerator<'g, F> {
+        let mut it = Enumerator::<F>::try_new(g, spec).unwrap();
+        it.start().unwrap();
+        it
+    }
+
+    #[test]
+    fn the_progress_gate_is_what_keeps_the_gadget_right() {
+        // DESIGN.md "Repairing `Neighbor()`": five nodes, one zero-weight
+        // edge, V = {0, 2, 4}. Emitting core [0] excludes 0; a sweep of
+        // {2, 4} pops (0,2), (0,4), (0,1) and gives node 3 to seed 2, a
+        // repair would queue node 1 from the start and give it to seed 4.
+        // The gate declines the base, so the refill is that sweep — with
+        // the gate removed `assert_certified` fails here, on `src`.
+        let mut b = GraphBuilder::new(5);
+        for (u, v, w) in [(1, 4, 0.0), (3, 0, 0.1), (3, 1, 0.2), (3, 2, 0.2)] {
+            b.add_edge(NodeId(u), NodeId(v), Weight::new(w));
+        }
+        let g = b.build();
+        let v = vec![NodeId(0), NodeId(2), NodeId(4)];
+        let spec = QuerySpec::new(vec![v], Weight::new(0.3));
+        let mut it = Enumerator::<CanList>::try_new(&g, &spec).unwrap();
+        assert_eq!(it.next().unwrap().core, Core(vec![NodeId(0)]));
+        assert_eq!(it.shell.ns.src(0, NodeId(3)), Some(NodeId(2)));
+        assert!(!it.shell.ns.keeps_base(0));
+        certified_run(Enumerator::<Dfs>::try_new(&g, &spec).unwrap());
+        // Make the edge progress and the repair is taken, and right.
+        let mut b = GraphBuilder::new(5);
+        for (u, v, w) in [(1, 4, 0.05), (3, 0, 0.1), (3, 1, 0.2), (3, 2, 0.2)] {
+            b.add_edge(NodeId(u), NodeId(v), Weight::new(w));
+        }
+        let g = b.build();
+        assert!(started::<CanList>(&g, &spec).shell.ns.keeps_base(0));
+        certified_run(Enumerator::<CanList>::try_new(&g, &spec).unwrap());
+        certified_run(Enumerator::<Dfs>::try_new(&g, &spec).unwrap());
+    }
+
+    #[test]
+    fn fig4_and_the_dense_graph_certify_on_every_frontier() {
+        use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
+        let fig4 = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
+        for (g, spec) in [(fig4_graph(), fig4), dense_scenario()] {
+            let (k, k_sweeps) = certified_run(Enumerator::<CanList>::try_new(&g, &spec).unwrap());
+            let (all, _) = certified_run(Enumerator::<Dfs>::try_new(&g, &spec).unwrap());
+            let (naive, naive_sweeps) =
+                certified_run(Enumerator::<FromScratch>::try_new(&g, &spec).unwrap());
+            assert_eq!(k, naive);
+            assert_eq!(k.len(), all.len());
+            assert!(k_sweeps < naive_sweeps);
+            assert!(started::<Dfs>(&g, &spec).shell.ns.keeps_base(0));
+            assert!(!started::<FromScratch>(&g, &spec).shell.ns.keeps_base(0));
+        }
     }
 
     #[test]

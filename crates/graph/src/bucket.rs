@@ -2,11 +2,11 @@
 //!
 //! # Why this is bit-identical to the binary heap
 //!
-//! The heap kernel pops `Reverse<(Weight, NodeId)>` entries, so with lazy
-//! deletion it settles nodes in globally sorted `(dist, node)` order —
+//! The heap kernel pops `Reverse<(Weight, NodeId)>` entries: every pop
+//! returns the least `(dist, node)` entry *currently queued* —
 //! `Weight`'s `total_cmp` order on distances, node id as the tie-break.
-//! [`BucketQueue`] reproduces exactly that order, not merely some valid
-//! Dijkstra order:
+//! [`BucketQueue`] makes the same choice at every pop, not merely some
+//! valid Dijkstra choice:
 //!
 //! * every entry is keyed by `bucket_of(d) = ⌊d · delta_inv⌋`, which is
 //!   monotone in `d` (multiplication by a positive finite constant and
@@ -19,15 +19,23 @@
 //!   distance currently being settled) means new pushes land in bucket
 //!   `≥ base`; pushes into bucket `base` itself (zero-weight edges,
 //!   same-bucket short edges) go straight into the active heap, so they
-//!   participate in the exact ordering of the current bucket;
+//!   compete with everything else still queued in the current bucket;
 //! * `base` only advances when the active heap is empty, and takes the
 //!   next non-empty bucket's entries as the new active heap.
 //!
-//! Hence the pop sequence is sorted by `(dist, node)` across the whole
-//! sweep — the heap kernel's sequence, element for element. The bucket
-//! width `delta` affects only how much work the mini heap sees: a wider
-//! bucket means more comparisons, a narrower one more empty-bucket skips.
-//! Correctness needs no tuning.
+//! Hence each pop is the minimum of what is queued, as the heap's is; the
+//! sweep pushes as a function of what it pops, so by induction both
+//! kernels see the same pushes and pop the same sequence, element for
+//! element. That is all the contract needs, and all that holds in
+//! general: the sequence as a whole is sorted by `(dist, node)` only when
+//! every relaxation makes progress (`fl(d + w) > d`). A zero-weight or
+//! absorbed edge pushes an entry *at* the distance being settled, and its
+//! node id may be smaller than one already popped there — seeds `{2, 4}`
+//! and an edge `4 → 1` of weight zero pop `(0, 2), (0, 4), (0, 1)`, on
+//! both kernels alike (`DijkstraEngine::run` says what follows from the
+//! sorted case). The bucket width `delta` affects only how much work the
+//! mini heap sees: a wider bucket means more comparisons, a narrower one
+//! more empty-bucket skips. Correctness needs no tuning.
 //!
 //! The win over one big heap: pushes into future buckets are `O(1)` vector
 //! appends (no sift-up), and the mini heap's size is the bucket occupancy —
@@ -89,7 +97,7 @@ impl BucketQueue {
         }
     }
 
-    /// Pops the globally smallest `(dist, node)` entry.
+    /// Pops the smallest `(dist, node)` entry queued.
     pub(crate) fn pop(&mut self) -> Option<(Weight, NodeId)> {
         loop {
             if let Some(Reverse(entry)) = self.active.pop() {

@@ -88,11 +88,12 @@ pub struct Csr {
     pub(crate) offsets: Storage<u32>,
     pub(crate) targets: Storage<NodeId>,
     pub(crate) weights: Storage<Weight>,
-    /// Lazily computed minimum positive weight (`INFINITY` when there is
-    /// none). The bucket Dijkstra kernel sizes its distance buckets from
-    /// this; `OnceLock` so the `O(m)` scan happens at most once per half
-    /// and concurrent sweeps can share it.
-    min_pos_w: OnceLock<Weight>,
+    /// Lazily computed `(minimum weight, minimum positive weight)`, each
+    /// `INFINITY` when there is none. The bucket Dijkstra kernel sizes its
+    /// distance buckets from the second; the first says whether every
+    /// relaxation makes progress. `OnceLock` so the `O(m)` scan happens at
+    /// most once per half and concurrent sweeps can share it.
+    min_w: OnceLock<(Weight, Weight)>,
 }
 
 impl Csr {
@@ -105,7 +106,7 @@ impl Csr {
             offsets,
             targets,
             weights,
-            min_pos_w: OnceLock::new(),
+            min_w: OnceLock::new(),
         }
     }
 
@@ -175,17 +176,34 @@ impl Csr {
             + self.weights.len() * std::mem::size_of::<Weight>()
     }
 
+    /// One `O(m)` scan for both minima, cached.
+    fn min_weights(&self) -> (Weight, Weight) {
+        *self.min_w.get_or_init(|| {
+            let mut min = (Weight::INFINITY, Weight::INFINITY);
+            for &w in self.weights.iter() {
+                min.0 = min.0.min(w);
+                if w > Weight::ZERO {
+                    min.1 = min.1.min(w);
+                }
+            }
+            min
+        })
+    }
+
     /// The smallest strictly positive weight, or `None` when there is
     /// none. Computed once by an `O(m)` scan and cached.
     pub fn min_positive_weight(&self) -> Option<Weight> {
-        let w = *self.min_pos_w.get_or_init(|| {
-            self.weights
-                .iter()
-                .copied()
-                .filter(|&w| w > Weight::ZERO)
-                .min()
-                .unwrap_or(Weight::INFINITY)
-        });
+        let (_, w) = self.min_weights();
+        w.is_finite().then_some(w)
+    }
+
+    /// The smallest weight, zeros included, or `None` when there is no
+    /// edge; shares [`min_positive_weight`](Self::min_positive_weight)'s
+    /// cached scan. A sweep of radius `r` over these rows makes progress
+    /// at every relaxation — `fl(d + w) > d` for every `d ≤ r` — when this
+    /// exceeds `r · 2⁻⁵²`, an ulp of `r`.
+    pub fn min_weight(&self) -> Option<Weight> {
+        let (w, _) = self.min_weights();
         w.is_finite().then_some(w)
     }
 
@@ -815,6 +833,8 @@ mod tests {
         .unwrap();
         assert_eq!(ok.node_count(), 2);
         assert_eq!(ok.min_positive_weight(), Some(w(1.0)));
+        assert_eq!(ok.min_weight(), Some(w(0.0)));
+        assert_eq!(Csr::default().min_weight(), None);
         let bad = [
             // No offsets at all; offsets not starting at 0; decreasing;
             // not closing on the target count.

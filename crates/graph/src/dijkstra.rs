@@ -51,9 +51,14 @@ pub struct Settled {
     pub parent: NodeId,
 }
 
-/// The priority queues pluggable under one sweep loop. Both pop entries
-/// in exact globally sorted `(dist, node)` order — the bit-identical
-/// contract between kernels rests on that shared property.
+/// The priority queues pluggable under one sweep loop. Both pop the least
+/// `(dist, node)` entry *currently queued*, and the sweep shows both the
+/// same pushes — the bit-identical contract between kernels rests on
+/// that, and on nothing about the whole pop sequence. The sequence is
+/// globally sorted only when every relaxation makes progress (see
+/// [`DijkstraEngine::run`]): a zero-weight or absorbed edge pushes an
+/// entry at the distance being settled, possibly below a node id already
+/// popped at it.
 trait Frontier {
     fn push(&mut self, d: Weight, v: NodeId);
     fn pop(&mut self) -> Option<(Weight, NodeId)>;
@@ -188,9 +193,18 @@ impl DijkstraEngine {
     ///
     /// Seeds start at distance `0`. Nodes with shortest distance `≤ radius`
     /// are settled and passed to `visit` in non-decreasing distance order.
-    /// Each settled node carries the seed its shortest path leaves from
-    /// (ties broken by which seed reaches it first through the queue, which
-    /// is deterministic for a fixed graph).
+    /// Each settled node carries the seed its shortest path leaves from:
+    /// the source of the first relaxation that offered it its final
+    /// distance, which is deterministic for a fixed graph and seed set.
+    ///
+    /// When every relaxation makes progress — `fl(d + w) > d` for every
+    /// settled `d`, which [`Csr::min_weight`] `> radius · 2⁻⁵²` ensures —
+    /// the pop sequence is globally sorted by `(dist, node)`, so that
+    /// first relaxation comes from the optimal predecessor `p*` of least
+    /// `(dist(p), p)` and `source(u) = source(p*)`: a function of the seed
+    /// set, not of the queue's history. Across an edge that makes no
+    /// progress (weight zero, or absorbed into `d`) neither holds: the
+    /// entry it pushes can sort below one already popped.
     ///
     /// Returns the number of settled nodes.
     #[expect(
@@ -227,6 +241,7 @@ impl DijkstraEngine {
     ) -> Result<usize, InterruptReason> {
         let w_min = graph.min_positive_weight();
         let admit = |_, _| true;
+        let seeds = seeds.into_iter().map(at_zero);
         self.run_rows(graph.rows(dir), w_min, seeds, radius, guard, admit, visit)
     }
 
@@ -252,10 +267,31 @@ impl DijkstraEngine {
         visit: F,
     ) -> Result<usize, InterruptReason> {
         let w_min = rows.min_positive_weight();
+        let seeds = seeds.into_iter().map(at_zero);
         self.run_rows(rows, w_min, seeds, radius, guard, admit, visit)
     }
 
-    /// The one sweep behind both entry points. `w_min` (the adjacency's
+    /// [`run_rows_guarded`](Self::run_rows_guarded) from seeds that carry
+    /// a label `(node, dist, source)`: each enters the queue at `dist`,
+    /// already owned by `source`, and is settled, reported and relaxed
+    /// from like any other node (an ordinary seed `s` is `(s, 0, s)`).
+    /// This is how a sweep resumes from the boundary of a region another
+    /// sweep already labelled. A node offered twice keeps its smaller
+    /// label; labels beyond `radius` are the caller's to leave out.
+    pub fn run_rows_labelled_guarded<F: FnMut(Settled)>(
+        &mut self,
+        rows: &Csr,
+        seeds: impl IntoIterator<Item = (NodeId, Weight, NodeId)>,
+        radius: Weight,
+        guard: &RunGuard,
+        admit: impl FnMut(NodeId, Weight) -> bool,
+        visit: F,
+    ) -> Result<usize, InterruptReason> {
+        let w_min = rows.min_positive_weight();
+        self.run_rows(rows, w_min, seeds, radius, guard, admit, visit)
+    }
+
+    /// The one sweep behind every entry point. `w_min` (the adjacency's
     /// minimum positive weight) only sizes the bucket kernel's buckets.
     #[expect(
         clippy::too_many_arguments,
@@ -265,7 +301,7 @@ impl DijkstraEngine {
         &mut self,
         rows: &Csr,
         w_min: Option<Weight>,
-        seeds: impl IntoIterator<Item = NodeId>,
+        seeds: impl IntoIterator<Item = (NodeId, Weight, NodeId)>,
         radius: Weight,
         guard: &RunGuard,
         mut admit: impl FnMut(NodeId, Weight) -> bool,
@@ -283,9 +319,9 @@ impl DijkstraEngine {
                 // panicking `visit` the field holds a fresh empty queue.
                 let mut queue = std::mem::take(&mut self.heap);
                 queue.clear();
-                for seed in seeds {
-                    if self.relax(seed, Weight::ZERO, seed, seed) {
-                        Frontier::push(&mut queue, Weight::ZERO, seed);
+                for (seed, d, source) in seeds {
+                    if self.relax(seed, d, source, seed) {
+                        Frontier::push(&mut queue, d, seed);
                     }
                 }
                 let out = self.sweep(rows, radius, guard, &mut queue, &mut admit, &mut visit);
@@ -297,9 +333,9 @@ impl DijkstraEngine {
                 let mut queue = std::mem::take(&mut self.bucket);
                 queue.clear();
                 queue.begin(&plan);
-                for seed in seeds {
-                    if self.relax(seed, Weight::ZERO, seed, seed) {
-                        Frontier::push(&mut queue, Weight::ZERO, seed);
+                for (seed, d, source) in seeds {
+                    if self.relax(seed, d, source, seed) {
+                        Frontier::push(&mut queue, d, seed);
                     }
                 }
                 let out = self.sweep(rows, radius, guard, &mut queue, &mut admit, &mut visit);
@@ -355,6 +391,12 @@ impl DijkstraEngine {
         });
         dist
     }
+}
+
+/// The label of an ordinary seed: distance zero, its own source.
+#[inline]
+fn at_zero(seed: NodeId) -> (NodeId, Weight, NodeId) {
+    (seed, Weight::ZERO, seed)
 }
 
 /// One-shot single-source shortest distances on a throwaway engine — a
@@ -856,6 +898,106 @@ mod tests {
                 let d = eng.distances(&g, Direction::Forward, NodeId(0));
                 assert_eq!(d[7], Weight::new(4.0));
             }
+        }
+    }
+
+    /// The issue-22 gadget along its swept (reverse) rows: seeds `{0, 2, 4}`
+    /// minus `0`, `4 → 1` at `zero`, and node 3 a tie between 1 and 2.
+    fn order_gadget(zero: f64) -> Graph {
+        graph_from_edges(5, &[(4, 1, zero), (0, 3, 0.1), (1, 3, 0.2), (2, 3, 0.2)])
+    }
+
+    #[test]
+    fn a_zero_weight_edge_breaks_the_global_pop_order_on_both_kernels() {
+        // What holds in general: each pop is the least entry queued, and
+        // both kernels agree. `(0, 1)` is pushed after `(0, 2)` and `(0, 4)`
+        // have left, so the sequence is not sorted and node 3 goes to the
+        // seed popped first, not to its least optimal predecessor.
+        let g = order_gadget(0.0);
+        let seeds = [NodeId(2), NodeId(4)];
+        for kernel in [Kernel::Heap, Kernel::Bucket] {
+            let mut eng = DijkstraEngine::with_kernel(5, kernel);
+            let t = trace(&mut eng, &g, &seeds, Weight::new(0.3));
+            let order: Vec<u32> = t.iter().map(|s| s.node.0).collect();
+            assert_eq!(order, vec![2, 4, 1, 3], "{kernel:?}");
+            assert_eq!(t[3].source, NodeId(2), "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn progress_makes_the_pop_order_global_and_the_source_a_function_of_the_seeds() {
+        // Tie-heavy positive weights: every relaxation makes progress, so
+        // on both kernels the trace is sorted by `(dist, node)` and every
+        // settled node inherits the source of its optimal predecessor of
+        // least `(dist, node)`.
+        use crate::rng::SplitMix64;
+        let mut ties = 0;
+        SplitMix64::for_each_case(400, |rng| {
+            let n = 4 + rng.index(12);
+            let edges: Vec<(u32, u32, f64)> = (0..n + rng.index(3 * n))
+                .map(|_| {
+                    let w = [0.1, 0.2, 0.3, 0.5][rng.index(4)];
+                    (rng.index(n) as u32, rng.index(n) as u32, w)
+                })
+                .collect();
+            let g = graph_from_edges(n, &edges);
+            let seeds: Vec<NodeId> = (0..1 + rng.index(4))
+                .map(|_| NodeId(rng.index(n) as u32))
+                .collect();
+            let r = Weight::new(0.2 + 0.1 * rng.index(8) as f64);
+            let mut heap_eng = DijkstraEngine::with_kernel(n, Kernel::Heap);
+            let mut bucket_eng = DijkstraEngine::with_kernel(n, Kernel::Bucket);
+            let t = trace(&mut heap_eng, &g, &seeds, r);
+            assert_eq!(t, trace(&mut bucket_eng, &g, &seeds, r));
+            assert!(t
+                .windows(2)
+                .all(|p| (p[0].dist, p[0].node) < (p[1].dist, p[1].node)));
+            for s in t.iter().filter(|s| s.dist > Weight::ZERO) {
+                let optimal = t.iter().filter(|p| {
+                    g.out_neighbors(p.node)
+                        .any(|(v, w)| v == s.node && p.dist + w == s.dist)
+                });
+                let rivals: Vec<&Settled> = optimal.collect();
+                // The trace is sorted, so the first is the least.
+                assert_eq!(s.source, rivals[0].source);
+                assert_eq!(s.parent, rivals[0].node);
+                ties += usize::from(rivals.iter().any(|p| p.source != s.source));
+            }
+        });
+        assert!(ties >= 50, "only {ties} contested nodes");
+    }
+
+    #[test]
+    fn labelled_seeds_enter_at_their_labels() {
+        // 0 → 1 → 2 → 3 resumed from node 1 as a sweep from 0 left it, and
+        // from node 3 as its own seed: each label is settled, reported and
+        // relaxed from; the smaller of two labels for one node wins.
+        let g = line();
+        let w = Weight::new;
+        let labels = [
+            (NodeId(1), w(1.0), NodeId(0)),
+            (NodeId(1), w(4.0), NodeId(9)),
+            (NodeId(3), Weight::ZERO, NodeId(3)),
+        ];
+        for kernel in [Kernel::Heap, Kernel::Bucket] {
+            let mut eng = DijkstraEngine::with_kernel(4, kernel);
+            let mut asked = Vec::new();
+            let mut t = Vec::new();
+            let swept = eng.run_rows_labelled_guarded(
+                g.rows(Direction::Forward),
+                labels,
+                w(3.0),
+                &RunGuard::unlimited(),
+                |v, _| {
+                    asked.push(v);
+                    true
+                },
+                |s| t.push((s.node.0, s.dist, s.source.0, s.parent.0)),
+            );
+            assert_eq!(swept, Ok(3));
+            assert_eq!(t, [(3, w(0.0), 3, 3), (1, w(1.0), 0, 1), (2, w(3.0), 0, 1)]);
+            // Labelled seeds are never asked, like ordinary ones.
+            assert_eq!(asked, [NodeId(2)]);
         }
     }
 

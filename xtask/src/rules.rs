@@ -178,7 +178,10 @@ fn preceding_ident(masked: &str, pos: usize) -> &str {
 /// `_guarded` variant), so new algorithms and new serving paths cannot
 /// bypass the execution governor. Parallel entry points are held to the
 /// same bar as serial loops: a fan-out without a shared guard cannot be
-/// cancelled mid-batch.
+/// cancelled mid-batch. So is any fn, private ones included, that loops
+/// over the cells of a kept `Neighbor(V_i)` base: a copy or a cell repair
+/// fills a dimension like a sweep does, without a settle loop to consult
+/// the guard for it.
 fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
     const SUGGESTION: &str = "accept `&RunGuard` (or delegate to a `*_guarded` variant) so the \
          execution governor can interrupt the loop";
@@ -193,11 +196,10 @@ fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
         "read_frame(",
     ];
     const PAR_MARKS: [&str; 4] = ["thread::scope", ".spawn(", ".map_init(", "par.map("];
+    // `Base::cells()` / `Base::cell(x)` in `crates/core/src/neighbor.rs`.
+    const FILL_MARKS: [&str; 2] = [".cells()", ".cell("];
     let ast = &fm.ast;
     for f in &ast.fns {
-        if !f.is_pub {
-            continue;
-        }
         let Some((open, close)) = f.body else {
             continue;
         };
@@ -205,13 +207,17 @@ fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
         // `for`/`while`/`loop` span (header included, so a frame-pump in a
         // `while let` condition is governed too). Straight-line calls to
         // `node_count()` no longer mark the function as looping.
-        let loops = ast.loops_in(open + 1, close).into_iter().any(|(lo, hi)| {
-            let t = ast.span_text(lo, hi);
-            LOOP_MARKS.iter().any(|m| t.contains(m))
-        });
+        let looping = |marks: &[&str]| {
+            ast.loops_in(open + 1, close).into_iter().any(|(lo, hi)| {
+                let t = ast.span_text(lo, hi);
+                marks.iter().any(|m| t.contains(m))
+            })
+        };
+        let fills = looping(&FILL_MARKS);
+        let loops = f.is_pub && looping(&LOOP_MARKS);
         let body = ast.span_text(open, close);
-        let fans_out = PAR_MARKS.iter().any(|m| body.contains(m));
-        if !loops && !fans_out {
+        let fans_out = f.is_pub && PAR_MARKS.iter().any(|m| body.contains(m));
+        if !loops && !fans_out && !fills {
             continue;
         }
         // Guarded when any identifier in the signature or body names a
@@ -224,6 +230,8 @@ fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
         if !guarded {
             let what = if fans_out {
                 "fans work out across threads"
+            } else if fills {
+                "fills a neighbor-table dimension from its base"
             } else {
                 "loops over graph nodes"
             };
@@ -232,7 +240,7 @@ fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
                 out,
                 GUARD_COVERAGE,
                 f.line,
-                format!("`pub fn {}` {what} without a RunGuard", f.name),
+                format!("`fn {}` {what} without a RunGuard", f.name),
                 SUGGESTION,
             );
         }
@@ -473,6 +481,24 @@ mod tests {
         assert!(live(src, true).is_empty());
         let init = "pub fn build(g: &Graph, guard: &RunGuard) -> Vec<u64> {\n    par.map_init(|| scratch(), make_tasks(g, guard))\n}\n";
         assert!(live(init, true).is_empty());
+    }
+
+    #[test]
+    fn seeded_unguarded_base_fill_fails_even_when_private() {
+        let copy = "fn write_back(&mut self, base: &Base, xs: &[NodeId]) {\n    for &x in xs {\n        for &r in base.cell(x) {\n            self.copy_in(r);\n        }\n    }\n}\n";
+        let out = live(copy, true);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].rule, GUARD_COVERAGE);
+        assert!(out[0].message.contains("fills a neighbor-table dimension"));
+        let repair = "fn repair(&mut self, base: &Base) {\n    for cell in base.cells() {\n        self.copy(cell);\n    }\n}\n";
+        assert_eq!(live(repair, true).len(), 1);
+        // Clean outside the guard scope, and once the loop asks the guard.
+        assert!(live(copy, false).is_empty());
+        let asked = "fn repair(&mut self, base: &Base, guard: &RunGuard) -> Result<(), InterruptReason> {\n    for cell in base.cells() {\n        guard.check()?;\n        self.copy(cell);\n    }\n    Ok(())\n}\n";
+        assert!(live(asked, true).is_empty());
+        // Looking one cell up outside a loop is not a fill.
+        let lookup = "fn owns(base: &Base, x: NodeId) -> usize {\n    base.cell(x).len()\n}\n";
+        assert!(live(lookup, true).is_empty());
     }
 
     #[test]
