@@ -67,14 +67,29 @@ if [ "$(grep -c 'fn sweep[<(]' crates/graph/src/dijkstra.rs)" != 1 ]; then
     exit 1
 fi
 
-# A neighbor-table dimension is filled in one file: both fills (the sweep
-# and the copy-and-repair from a kept Neighbor(V_i)) live in
-# core/neighbor.rs, next to the certification that compares them; the
-# enumerators only say which seeds a dimension should hold.
-echo "==> one-fill gate (no run_guarded( / run_rows in shell.rs, comm_k.rs, comm_all.rs, lawler.rs)"
+# A neighbor-table dimension is filled in one file: all three fills (the
+# sweep, the pin copied from its memo and the copy-and-repair from a kept
+# Neighbor(V_i)) live in core/neighbor.rs, next to the certification that
+# compares them; the enumerators only say which seeds a dimension should hold.
+echo "==> one-fill gate (no run_guarded( / run_rows in shell.rs, comm_k.rs, comm_all.rs, lawler.rs; pins through the memo)"
 if grep -nE 'run_guarded\(|run_rows' crates/core/src/shell.rs crates/core/src/comm_k.rs \
     crates/core/src/comm_all.rs crates/core/src/lawler.rs; then
     echo "fill a dimension through NeighborSets (recompute_dim_guarded / refill_guarded)"
+    exit 1
+fi
+# A pin reaches the memo through NeighborSets::pin_guarded: the only
+# from-scratch sweep the enumerators name is the ablation's repin_dim.
+if awk '
+    FNR == 1 { f = "" }
+    /^[[:space:]]*(pub(\(crate\))?[[:space:]]+)?fn[[:space:]]/ {
+        match($0, /fn[[:space:]]+[A-Za-z0-9_]+/); f = substr($0, RSTART, RLENGTH); sub(/fn[[:space:]]+/, "", f)
+    }
+    /recompute_dim_guarded\(/ && !/^[[:space:]]*\/\// && !(FILENAME ~ /shell\.rs$/ && f == "repin_dim") {
+        print FILENAME ":" FNR ": " $0; bad = 1
+    }
+    END { exit !bad }' crates/core/src/shell.rs crates/core/src/comm_k.rs \
+    crates/core/src/comm_all.rs crates/core/src/lawler.rs; then
+    echo "pin through Shell::pin_dim (NeighborSets::pin_guarded); only repin_dim sweeps from scratch"
     exit 1
 fi
 

@@ -10,14 +10,15 @@
 //!
 //! Per emitted community the work is at most `l` pinned `Neighbor()` calls
 //! — only the dimensions where the core differs from its predecessor, since
-//! the shared prefix is still pinned — at most `2l − 1` subspace
+//! the shared prefix is still pinned, and only a seed's first pin sweeps:
+//! later ones copy its memoised `Neighbor({c})` — at most `2l − 1` subspace
 //! `Neighbor()` calls, `l` `BestCore()` scans, and one `GetCommunity()`
 //! that reads the pinned table and runs a single forward sweep —
 //! `O(l · (n log n + m))`, the paper's Theorem IV.1 — using `O(l·n + m)`
 //! space. The subspace calls repair the `Neighbor(V_i)` the shell keeps
 //! (see [`crate::shell`]): the at most `l` that exclude a node re-sweep
 //! the excluded seeds' cells, the `l − 1` that reset `S_i ← V_i` are
-//! copies, so the sweep budget per answer is `l` pins plus `l` cell
+//! copies, so the sweep budget per answer is `l` first pins plus `l` cell
 //! re-sweeps.
 
 use crate::error::QueryError;
@@ -280,23 +281,30 @@ mod tests {
     fn shared_prefixes_are_not_repinned() {
         // Consecutive cores agree below the dimension `i` the search
         // succeeded at, and those dimensions are still pinned: the next
-        // community pins l − i dimensions, not l. Together with the l − i
-        // cell re-sweeps of the search (l when it fails, after the last
-        // community; resetting a dimension to `V_i` is a copy) that fixes
-        // the sweep count exactly.
+        // community pins l − i dimensions, not l, and of those only a seed
+        // never pinned before sweeps (the others are copies). Together with
+        // the l − i cell re-sweeps of the search (l when it fails, after
+        // the last community; resetting a dimension to `V_i` is a copy)
+        // that fixes the sweep count exactly.
         let g = fig4_graph();
         let mut it = CommAll::try_new(&g, &fig4_spec(FIG4_RMAX)).unwrap();
         let cores: Vec<Core> = it.by_ref().map(|c| c.core).collect();
         let l = 3;
-        let mut expect = l + l; // the initial sweeps, then the first pin
-        let mut shared = 0;
+        let mut pinned = Set::new();
+        let mut first_pins =
+            |core: &Core, from: usize| (from..l).filter(|&j| pinned.insert(core.get(j))).count();
+        let mut expect = l + first_pins(&cores[0], 0); // the initial sweeps
+        let (mut shared, mut copied) = (0, 0);
         for pair in cores.windows(2) {
             let i = (0..l).find(|&i| pair[0].get(i) != pair[1].get(i)).unwrap();
-            expect += (l - i) + (l - i);
+            let swept = first_pins(&pair[1], i);
+            expect += swept + (l - i);
             shared += i;
+            copied += (l - i) - swept;
         }
         expect += l;
         assert!(shared > 0, "no consecutive fig. 4 cores share a prefix");
+        assert!(copied > 0, "no fig. 4 pin is a copy");
         assert_eq!(it.neighbor_sweeps(), expect);
     }
 }

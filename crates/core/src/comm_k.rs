@@ -10,11 +10,13 @@
 //! [`CommK::next`].
 //!
 //! The sweep budget of one answer whose tuple was created at dimension
-//! `pos`: at most `l` single-source pins, then `l − pos` re-sweeps of the
-//! *cells* a child takes out of the `Neighbor(V_i)` the shell keeps (see
-//! [`crate::shell`]) — the nodes whose nearest seed was excluded, a sixth
-//! of a neighbourhood on the dense benchmark graph. Putting a dimension
-//! back is a copy: no restore sweep exists.
+//! `pos`: one single-source sweep per seed of its core never pinned
+//! before (at most `l`; a seed pinned before is copied from the shell's
+//! memo), then `l − pos` re-sweeps of the *cells* a child takes out of
+//! the `Neighbor(V_i)` the shell keeps (see [`crate::shell`]) — the nodes
+//! whose nearest seed was excluded, a sixth of a neighbourhood on the
+//! dense benchmark graph. Putting a dimension back is a copy: no restore
+//! sweep exists.
 //!
 //! # Deviation from Algorithm 5
 //!
@@ -141,8 +143,8 @@ impl Frontier for CanList {
     /// puts it back — except the last child, whose dimension the next
     /// `next()` re-pins anyway. Both refills repair the `Neighbor(V_i)`
     /// the shell keeps: the patch re-sweeps the excluded seeds' cells,
-    /// putting back is a copy. At most `l` pins plus `l − pos` cell
-    /// re-sweeps: `O(l)` sweeps per answer.
+    /// putting back is a copy. At most `l` pin sweeps (first pins only)
+    /// plus `l − pos` cell re-sweeps: `O(l)` sweeps per answer.
     fn expand(&mut self, shell: &mut Shell<'_>, g_core: &Core) -> Result<(), InterruptReason> {
         // Preparation (lines 19–23).
         let (g_idx, g_pos) = self.restore_subspace(shell);
@@ -165,8 +167,10 @@ impl Frontier for CanList {
     }
 
     fn byte_size(&self) -> usize {
-        let can_bytes: usize = self.tuples.iter().map(|t| t.core.byte_size() + 24).sum();
-        can_bytes + self.heap.capacity() * std::mem::size_of::<Reverse<(Weight, u32)>>()
+        let cores: usize = self.tuples.iter().map(|t| t.core.byte_size()).sum();
+        self.tuples.capacity() * std::mem::size_of::<CanTuple>()
+            + cores
+            + self.heap.capacity() * std::mem::size_of::<Reverse<(Weight, u32)>>()
     }
 }
 
@@ -303,12 +307,15 @@ mod tests {
                 it.can_list_len()
             );
         }
-        // The frontier is charged for what it holds: every can-tuple ever
-        // made, and the heap's allocated 16-byte `(cost, index)` slots.
+        // The frontier is charged for what it allocated: the can-list's
+        // 40-byte tuple slots, spare capacity included, each tuple's core
+        // nodes, and the heap's 16-byte `(cost, index)` slots.
         let f = &it.frontier;
-        let can_bytes: usize = f.tuples.iter().map(|t| t.core.byte_size() + 24).sum();
-        assert!(f.heap.capacity() > 0);
-        assert_eq!(f.byte_size(), can_bytes + f.heap.capacity() * 16);
+        let cores: usize = f.tuples.iter().map(|t| t.core.byte_size()).sum();
+        assert!(f.heap.capacity() > 0 && f.tuples.capacity() > f.tuples.len());
+        assert_eq!(std::mem::size_of::<CanTuple>(), 40);
+        let expect = f.tuples.capacity() * 40 + cores + f.heap.capacity() * 16;
+        assert_eq!(f.byte_size(), expect);
         assert!(it.peak_memory_bytes() > f.byte_size());
     }
 
@@ -416,27 +423,31 @@ mod tests {
 
     #[test]
     fn sweeps_per_community_stay_within_the_budget() {
-        // At most l pins plus l − pos cell re-sweeps per `next()` — putting
-        // a dimension back is a copy, no restore sweep exists — on top of
-        // the l initial sweeps of the first one.
+        // At most one pin sweep per seed never pinned before — a pin of a
+        // seed pinned before is a copy — plus l − pos cell re-sweeps per
+        // `next()` (putting a dimension back is a copy, no restore sweep
+        // exists), on top of the l initial sweeps of the first one.
         let (dense, dense_spec) = dense_scenario();
         for (g, spec) in [(fig4_graph(), fig4_spec(FIG4_RMAX)), (dense, dense_spec)] {
             let l = spec.l();
             let mut it = CommK::try_new(&g, &spec).unwrap();
-            let mut before = 0;
-            while it.next().is_some() {
+            let mut pinned = std::collections::HashSet::new();
+            let (mut before, mut copied) = (0, 0);
+            while let Some(c) = it.next() {
                 let pos = it.frontier.tuples[it.frontier.deheaped as usize].pos;
                 let initial = if it.emitted() == 1 { l } else { 0 };
+                let first_pins = c.core.0.iter().filter(|&&v| pinned.insert(v)).count();
                 let grown = it.neighbor_sweeps() - before;
-                let budget = l + (l - pos);
+                let budget = first_pins + (l - pos);
                 assert!(
                     grown <= initial + budget,
                     "community {} (pos {pos}) ran {grown} sweeps",
                     it.emitted()
                 );
+                copied += usize::from(first_pins < l);
                 before = it.neighbor_sweeps();
             }
-            assert!(it.emitted() >= 5);
+            assert!(it.emitted() >= 5 && copied > 0);
         }
     }
 }

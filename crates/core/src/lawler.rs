@@ -8,10 +8,11 @@
 //! per answer). The paper's `COMM-k` reaches `O(c(l))` by sharing the
 //! neighbor-set state across children: pin each dimension once, then patch
 //! a single dimension per subspace (`O(l)` sweeps per answer: at most `l`
-//! pins and `l − pos` cell re-sweeps of the kept `Neighbor(V_i)`, against
-//! `l·(l − pos)` whole sweeps here — [`FromScratch`] keeps no base, so
-//! every one of its refills is a sweep from scratch, which also makes it
-//! the oracle `COMM-k`'s repairs are compared with).
+//! first pins and `l − pos` cell re-sweeps of the kept `Neighbor(V_i)`,
+//! against `l·(l − pos)` whole sweeps here — [`FromScratch`] keeps no base
+//! and memoises no pin, so every one of its refills and pins is a sweep
+//! from scratch, which also makes it the oracle `COMM-k`'s repairs and
+//! copies are compared with).
 //!
 //! [`LawlerK`] implements the naive variant with identical semantics to
 //! [`CommK`](crate::CommK) — same partition, same tie-breaking, the exact

@@ -39,8 +39,8 @@
 //!
 //! A single query's enumeration is sequential — each subspace depends on
 //! the previous one, and every neighbor-table dimension is filled on the
-//! enumerator's own engine, by [`NeighborSets::recompute_dim_guarded`] or
-//! by a repair of what it swept. What fans out across a [`Parallelism`] thread pool, borrowing
+//! enumerator's own engine, by [`NeighborSets::recompute_dim_guarded`], by
+//! a copy of a pin it swept before or by a repair of what it swept. What fans out across a [`Parallelism`] thread pool, borrowing
 //! Dijkstra scratch state from the caller's [`EnginePool`], is index
 //! construction ([`ProjectionIndex::build_par_guarded`], one
 //! [`KeywordRun::sweep`] task per keyword); it honors the shared [`RunGuard`] and produces bit-identical

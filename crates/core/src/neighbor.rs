@@ -2,30 +2,31 @@
 //!
 //! [`NeighborSets`] keeps, for each node `u` and each keyword dimension `i`,
 //! the nearest currently-admissible node containing `k_i` (`src(N_i, u)`)
-//! and its distance (`min(N_i, u)`), plus the per-node total weight and
-//! keyword counter the paper describes for `BestCore`'s `O(n)` scan.
+//! and its distance (`min(N_i, u)`), plus the per-node keyword counter the
+//! paper describes for `BestCore`'s scan.
 //!
-//! The table is a pure function of its current seeds: `sum[u]` is always
-//! the dimension-order fold `Σ_{i=0..l} dist[i][u]` over the finite
-//! dimensions, never a running subtract-then-add. Recomputing one dimension
-//! (`Neighbor(S_i, Rmax)`) walks that dimension's member list — the nodes
-//! it holds — clears exactly those, refills, and re-folds the totals of
-//! the nodes touched. The bookkeeping is `O(l)` per node, so it adds no
-//! asymptotic cost on top of Dijkstra (Sec. IV-A), and a table reached
-//! through any history of refills is bit-identical to one built from
-//! scratch.
+//! Nothing derived from `dist` is stored but `count[u]`, the number of
+//! dimensions holding `u`, an integer kept exactly: +1 when a dimension
+//! gains `u`, −1 when it loses it. A center's total `Σ_i min(N_i, u)` is
+//! folded from `dist` in dimension order where it is read
+//! ([`sum`](NeighborSets::sum), `center_cost`), so no total can remember a
+//! refill history — there is none to re-fold when a dimension changes.
+//! Emptying a dimension walks its member list (the nodes it holds) and
+//! clears exactly those; every fill is `O(nodes written)`.
 //!
-//! A dimension is filled in one of two ways, both in this file.
+//! A dimension is filled in one of three ways, all in this file.
 //! [`recompute_dim_guarded`](NeighborSets::recompute_dim_guarded) sweeps
-//! its seeds from scratch: the initial `Neighbor(V_i)`, every pin, the
-//! naive Lawler ablation — and the oracle the other way is tested against.
-//! [`refill_guarded`](NeighborSets::refill_guarded) answers
+//! its seeds from scratch: the initial `Neighbor(V_i)`, a seed's first
+//! pin, the naive Lawler ablation — and the oracle the others are tested
+//! against. `pin_guarded` copies `Neighbor({c})` from a memo of its settle
+//! stream once `c` has been swept. `refill_guarded` answers
 //! `Neighbor(V_i − X)` from a *base* — `Neighbor(V_i)` kept as a sparse
-//! snapshot grouped by `src` — by copying every node whose `src ∉ X`
-//! and re-sweeping only the cells of `X` from their boundary; with
-//! `X = ∅` nothing is swept at all. DESIGN.md "Repairing `Neighbor()`"
-//! has the lemma that makes the copy bit-equal to a sweep, and the
-//! hypothesis [`keep_base`](NeighborSets::keep_base) asks the graph for.
+//! snapshot grouped by `src` — by copying every node whose `src ∉ X` and
+//! re-sweeping only the cells of `X`, from one boundary seed per cell
+//! node; with `X = ∅` nothing is swept at all. DESIGN.md "Repairing
+//! `Neighbor()`" has the lemma that makes the copy bit-equal to a sweep,
+//! the hypothesis `keep_base` asks the graph for, and the bound on the
+//! memo.
 
 use crate::error::QueryError;
 use crate::types::{Core, CostFn};
@@ -34,6 +35,7 @@ use comm_graph::{
     Weight,
 };
 use std::cell::Cell;
+use std::collections::HashMap;
 
 const NO_SRC: u32 = u32::MAX;
 
@@ -52,7 +54,7 @@ pub struct BestCore {
     pub center: NodeId,
 }
 
-/// One node of a kept `Neighbor(V_i)`: 16 bytes.
+/// One node of a kept `Neighbor(V_i)` or of a memoised pin: 16 bytes.
 #[derive(Clone, Copy)]
 struct Reached {
     src: u32,
@@ -86,7 +88,8 @@ impl Base {
     }
 }
 
-/// Per-dimension neighbor sets with history-free `sum`/`count` bookkeeping.
+/// Per-dimension neighbor sets, with exact `count` bookkeeping and sums
+/// folded where they are read.
 pub struct NeighborSets {
     l: usize,
     n: usize,
@@ -94,9 +97,6 @@ pub struct NeighborSets {
     dist: Vec<Weight>,
     /// Dimension-major nearest keyword node `src(N_i, u)`, `NO_SRC` if none.
     src: Vec<u32>,
-    /// Per-node total of finite dimension distances, folded in dimension
-    /// order `0..l` (the order [`CostFn::combine`] and the oracle use).
-    sum: Vec<Weight>,
     /// Per-node number of finite dimensions; `count[u] == l` ⇔ `u ∈ ⋂ N_i`.
     count: Vec<u8>,
     /// `members[i]`: the nodes of `N_i`, in no particular order — exactly
@@ -106,9 +106,13 @@ pub struct NeighborSets {
     /// `base[i]`: the kept `Neighbor(V_i)`, if [`keep_base`](Self::keep_base)
     /// took one.
     base: Vec<Option<Base>>,
+    /// The pin memo, once [`keep_base`](Self::keep_base) has switched it
+    /// on: `Neighbor({c})` for every seed `c` swept so far, as its settle
+    /// stream (a single-source sweep gives every node `src = c`).
+    pins: Option<HashMap<u32, Box<[Reached]>>>,
     /// How many `Neighbor()` sweeps have run — the unit the paper's
-    /// `O(c(l))` vs `O(l·c(l))` comparison counts. A refill that copies
-    /// from the base and settles nothing is not one.
+    /// `O(c(l))` vs `O(l·c(l))` comparison counts. A refill or a pin that
+    /// copies and settles nothing is not one.
     sweeps: usize,
 }
 
@@ -144,10 +148,10 @@ impl NeighborSets {
             n,
             dist: vec![Weight::INFINITY; l * n],
             src: vec![NO_SRC; l * n],
-            sum: vec![Weight::ZERO; n],
             count: vec![0; n],
             members: vec![Vec::new(); l],
             base: (0..l).map(|_| None).collect(),
+            pins: None,
             sweeps: 0,
         })
     }
@@ -175,9 +179,12 @@ impl NeighborSets {
     }
 
     /// `u.sum`: the accumulated distance `Σ_i min(N_i, u)` over the
-    /// dimensions where `u ∈ N_i` (the `BestCore()` accumulator).
+    /// dimensions where `u ∈ N_i` (the `BestCore()` accumulator), folded
+    /// from `dist` in dimension order `0..l` — the order
+    /// [`CostFn::combine`] and the oracle use.
     pub fn sum(&self, u: NodeId) -> Weight {
-        self.sum[u.index()]
+        let column = (0..self.l).map(|i| self.dist[i * self.n + u.index()]);
+        column.filter(|d| d.is_finite()).sum()
     }
 
     /// `u.count`: in how many neighbor sets `u` appears (`u` is a center
@@ -186,24 +193,19 @@ impl NeighborSets {
         usize::from(self.count[u.index()])
     }
 
-    /// Re-folds `sum`/`count` at every node of `nodes` from the `dist`
-    /// table, in dimension order.
-    fn refold(&mut self, nodes: &[u32]) {
-        for &u in nodes {
-            let u = u as usize;
-            (self.sum[u], self.count[u]) = fold_node(&self.dist, self.l, self.n, u);
-        }
-    }
-
     /// Empties dimension `i`: the nodes it holds go back to unreached and
-    /// their totals are re-folded; the member list keeps its allocation.
+    /// leave its count; the member list keeps its allocation. A dimension
+    /// emptied is no longer taken for a table repaired from its base.
     fn retract(&mut self, i: usize) {
+        if let Some(base) = &mut self.base[i] {
+            base.live = None;
+        }
         let mut members = std::mem::take(&mut self.members[i]);
         for &u in &members {
             self.dist[i * self.n + u as usize] = Weight::INFINITY;
             self.src[i * self.n + u as usize] = NO_SRC;
+            self.count[u as usize] -= 1;
         }
-        self.refold(&members);
         members.clear();
         self.members[i] = members;
     }
@@ -214,13 +216,12 @@ impl NeighborSets {
     /// `guard` per settled node.
     ///
     /// Only the nodes dimension `i` held and the nodes the new sweep
-    /// settles are touched, and their totals are re-folded from `dist`, so
-    /// the cost is `O(settled)` and the result does not depend on what the
-    /// dimension held before.
+    /// settles are touched, so the cost is `O(settled)` and the result does
+    /// not depend on what the dimension held before.
     ///
     /// Seeds must be sorted for deterministic nearest-source tie-breaking.
     /// On interruption dimension `i` holds the settled prefix of the new
-    /// sweep (totals and member list consistent with it) — callers must
+    /// sweep (counts and member list consistent with it) — callers must
     /// abandon the whole enumeration (which every guarded enumerator
     /// does), not keep scanning for cores.
     pub fn recompute_dim_guarded(
@@ -234,32 +235,86 @@ impl NeighborSets {
     ) -> Result<(), InterruptReason> {
         debug_assert!(i < self.l);
         self.sweeps += 1;
-        if let Some(base) = &mut self.base[i] {
-            base.live = None;
-        }
         let n = self.n;
         self.retract(i);
         let mut members = std::mem::take(&mut self.members[i]);
         // Refill from the truncated reverse Dijkstra.
         let dist = &mut self.dist[i * n..(i + 1) * n];
         let src = &mut self.src[i * n..(i + 1) * n];
+        let count = &mut self.count;
         let swept = engine.run_guarded(graph, Direction::Reverse, seeds, rmax, guard, |s| {
             dist[s.node.index()] = s.dist;
             src[s.node.index()] = s.source.0;
+            count[s.node.index()] += 1;
             // ≤ n pushes per dimension: a sweep settles each node once.
             members.push(s.node.0);
         });
-        self.refold(&members);
         self.members[i] = members;
         swept.map(|_| ())
+    }
+
+    /// Pins dimension `i` to `Neighbor({c}, rmax)` — bit-equal, member
+    /// order included, to [`recompute_dim_guarded`](Self::recompute_dim_guarded)
+    /// of `[c]`, which is what it runs the first time `c` is pinned, or
+    /// every time while pins are not memoised. Once swept, the settle
+    /// stream is kept (16 bytes per node, charged by
+    /// [`byte_size`](Self::byte_size)) and every later pin of `c`, in any
+    /// dimension, is a copy of it: the guard is consulted once per copy.
+    /// `rmax` must be the one every pin of this table is swept at.
+    pub(crate) fn pin_guarded(
+        &mut self,
+        graph: &Graph,
+        engine: &mut DijkstraEngine,
+        i: usize,
+        c: NodeId,
+        rmax: Weight,
+        guard: &RunGuard,
+    ) -> Result<(), InterruptReason> {
+        let Some(mut pins) = self.pins.take() else {
+            return self.recompute_dim_guarded(graph, engine, i, [c], rmax, guard);
+        };
+        let pinned = if let Some(memoised) = pins.get(&c.0) {
+            self.copy_pin(memoised, i, guard)
+        } else {
+            let swept = self.recompute_dim_guarded(graph, engine, i, [c], rmax, guard);
+            if swept.is_ok() {
+                let dist = &self.dist[i * self.n..];
+                let stream = self.members[i].iter().map(|&node| Reached {
+                    src: c.0,
+                    node,
+                    dist: dist[node as usize],
+                });
+                pins.insert(c.0, stream.collect());
+            }
+            swept
+        };
+        self.pins = Some(pins);
+        pinned
+    }
+
+    /// Dimension `i` ← a memoised `Neighbor({c})`.
+    fn copy_pin(
+        &mut self,
+        memoised: &[Reached],
+        i: usize,
+        guard: &RunGuard,
+    ) -> Result<(), InterruptReason> {
+        self.retract(i);
+        guard.check()?;
+        for &r in memoised {
+            self.copy_in(i, r);
+        }
+        Ok(())
     }
 
     /// Keeps what dimension `i` holds — `Neighbor(V_i, rmax)`, just swept —
     /// as the base [`refill_guarded`](Self::refill_guarded) copies and
     /// repairs from: 16 bytes per reached node, charged by
-    /// [`byte_size`](Self::byte_size).
+    /// [`byte_size`](Self::byte_size). From the first call on, pins are
+    /// memoised too ([`pin_guarded`](Self::pin_guarded)), whatever the
+    /// graph: a single-source sweep is a function of its seed.
     ///
-    /// Keeps nothing, so that every refill stays a sweep, unless each
+    /// Keeps no base, so that every refill stays a sweep, unless each
     /// relaxation of such a sweep makes progress: the swept rows' minimum
     /// edge weight must exceed `rmax · 2⁻⁵²`, an ulp of the largest
     /// distance settled. Only then is `src` a function of the seed set
@@ -267,6 +322,7 @@ impl NeighborSets {
     /// `Neighbor()`" has the five-node graph on which it is not). The
     /// paper's weights are `log2(1 + N_in) ≥ 1`.
     pub(crate) fn keep_base(&mut self, graph: &Graph, i: usize, rmax: Weight) {
+        self.pins.get_or_insert_with(HashMap::new);
         let ulp = Weight::new(rmax.get() * f64::EPSILON);
         let swept_rows = graph.rows(Direction::Reverse);
         if swept_rows.min_weight().is_some_and(|w| w <= ulp) {
@@ -330,13 +386,17 @@ impl NeighborSets {
         filled
     }
 
-    /// Writes `r` into dimension `i` and re-folds its node's totals.
+    /// Writes `r` into dimension `i`; a node the dimension did not hold
+    /// joins its member list and its count.
     #[inline]
     fn copy_in(&mut self, i: usize, r: Reached) {
-        let u = r.node as usize;
-        self.dist[i * self.n + u] = r.dist;
-        self.src[i * self.n + u] = r.src;
-        self.refold(&[r.node]);
+        let at = i * self.n + r.node as usize;
+        if !self.dist[at].is_finite() {
+            self.members[i].push(r.node);
+            self.count[r.node as usize] += 1;
+        }
+        self.dist[at] = r.dist;
+        self.src[at] = r.src;
     }
 
     /// `Neighbor(V_i)` over a dimension holding `Neighbor(V_i − repaired)`:
@@ -352,9 +412,6 @@ impl NeighborSets {
         for &x in repaired {
             guard.check()?;
             for &r in base.cell(x) {
-                if !self.dist[i * self.n + r.node as usize].is_finite() {
-                    self.members[i].push(r.node);
-                }
                 self.copy_in(i, r);
             }
         }
@@ -363,7 +420,7 @@ impl NeighborSets {
 
     /// `Neighbor(V_i − excluded)` over a dimension holding anything: the
     /// base's other cells copied, the excluded ones re-swept. Every node
-    /// written is pushed on the member list and folded as it is written,
+    /// written joins the member list and its count as it is written,
     /// whether or not the guard lets the fill finish.
     #[expect(
         clippy::too_many_arguments,
@@ -387,7 +444,6 @@ impl NeighborSets {
             }
             guard.check()?;
             for &r in cell {
-                self.members[i].push(r.node);
                 self.copy_in(i, r);
             }
         }
@@ -395,22 +451,26 @@ impl NeighborSets {
             return Ok(());
         }
         // Re-sweep the excluded cells. A cell node's predecessors are
-        // other cell nodes and the copied nodes it has an edge to; those
-        // enter the queue at the labels they hold, so everything that can
-        // relax a cell node pops at its true `(dist, id)` key.
+        // other cell nodes and the copied nodes it has an edge to. Of the
+        // copied ones only the best offer, the least `(fl(dist(p) + w),
+        // dist(p), p)`, can decide its label (DESIGN.md: the others are
+        // dominated), so that `p` alone enters the queue for it, at the
+        // label it holds and so at its true `(dist, id)` key.
         self.sweeps += 1;
         let mut members = std::mem::take(&mut self.members[i]);
-        let copied = members.len();
         let dist = Cell::from_mut(&mut self.dist[i * n..(i + 1) * n]).as_slice_of_cells();
         let src = Cell::from_mut(&mut self.src[i * n..(i + 1) * n]).as_slice_of_cells();
+        let count = &mut self.count;
         let out_edges = graph.rows(Direction::Forward);
         let cell_nodes = excluded.iter().flat_map(|&x| base.cell(x));
-        let boundary = cell_nodes
-            .flat_map(|r| out_edges.neighbors(NodeId(r.node)))
-            .filter_map(|(p, _)| {
+        let boundary = cell_nodes.filter_map(|r| {
+            let offers = out_edges.neighbors(NodeId(r.node)).filter_map(|(p, w)| {
                 let d = dist[p.index()].get();
-                d.is_finite().then(|| (p, d, NodeId(src[p.index()].get())))
+                d.is_finite().then(|| (d + w, d, p))
             });
+            let (nd, d, p) = offers.min()?;
+            (nd <= rmax).then(|| (p, d, NodeId(src[p.index()].get())))
+        });
         let swept = engine.run_rows_labelled_guarded(
             graph.rows(Direction::Reverse),
             boundary,
@@ -425,11 +485,11 @@ impl NeighborSets {
                 if !dist[at].get().is_finite() {
                     dist[at].set(s.dist);
                     src[at].set(s.source.0);
+                    count[at] += 1;
                     members.push(s.node.0);
                 }
             },
         );
-        self.refold(&members[copied..]);
         self.members[i] = members;
         swept.map(|_| ())
     }
@@ -462,10 +522,7 @@ impl NeighborSets {
     /// one cost order `BestCore()`, `GetCommunity()`, the oracle and
     /// `verify` share. Meaningful only where `count(u) == l`.
     pub(crate) fn center_cost(&self, u: NodeId, cost_fn: CostFn) -> Weight {
-        match cost_fn {
-            CostFn::SumDistances => self.sum[u.index()],
-            _ => cost_fn.combine((0..self.l).map(|i| self.dist[i * self.n + u.index()])),
-        }
+        cost_fn.combine((0..self.l).map(|i| self.dist[i * self.n + u.index()]))
     }
 
     /// `min_i min(N_i, u)`: `u`'s distance to the nearest seed of any
@@ -478,11 +535,11 @@ impl NeighborSets {
     /// `BestCore()` (Algorithm 3): scans `⋂ N_i` once and returns the
     /// minimum-cost core under `cost_fn`. `⋂ N_i` is read off the smallest
     /// neighbor set's member list, as [`intersection`](Self::intersection)
-    /// reads it, so a scan is `O(min_i |N_i|)`, not `O(n)`. Under the
-    /// paper's sum cost a center's cost is its total distance
-    /// `Σ_i min(N_i, u)`, read off the per-node totals; other cost
-    /// functions aggregate the l per-dimension distances per intersection
-    /// node (still within the per-answer budget of Theorem IV.1). Member
+    /// reads it, so a scan is `O(min_i |N_i|)`, not `O(n)`. A center's cost
+    /// aggregates its `l` per-dimension distances in dimension order —
+    /// under the paper's sum cost its total distance `Σ_i min(N_i, u)` —
+    /// `O(l)` per intersection node, within the per-answer budget of
+    /// Theorem IV.1. Member
     /// lists are in no particular order, so the tie-break is spelled out:
     /// the winner is the minimum of `(cost, center id)`.
     pub fn best_core_with(&self, cost_fn: CostFn) -> Option<BestCore> {
@@ -519,18 +576,19 @@ impl NeighborSets {
             .map(|&u| NodeId(u))
     }
 
-    /// Logical bytes held — the paper's `O(l·n)` table, sums/counters, the
+    /// Logical bytes held — the paper's `O(l·n)` table, the counters, the
     /// member lists (at most `n` ids per dimension; charged at their
-    /// allocated capacity) and the kept bases (16 bytes per node
-    /// `Neighbor(V_i)` reached, no second dense table).
+    /// allocated capacity), the kept bases (16 bytes per node
+    /// `Neighbor(V_i)` reached, no second dense table) and the pin memo
+    /// (16 bytes per memoised node).
     pub fn byte_size(&self) -> usize {
         let member_ids: usize = self.members.iter().map(Vec::capacity).sum();
         let kept: usize = self.base.iter().flatten().map(|b| b.reached.len()).sum();
+        let memoised: usize = self.pins.iter().flatten().map(|(_, s)| s.len()).sum();
         self.dist.len() * std::mem::size_of::<Weight>()
             + (self.src.len() + member_ids) * std::mem::size_of::<u32>()
-            + self.sum.len() * std::mem::size_of::<Weight>()
             + self.count.len()
-            + kept * std::mem::size_of::<Reached>()
+            + (kept + memoised) * std::mem::size_of::<Reached>()
     }
 }
 
@@ -597,18 +655,40 @@ impl NeighborSets {
         );
     }
 
-    /// Asserts the table is the pure function of `dist` it claims to be:
-    /// `sum`/`count` bit-equal to a from-scratch fold at every node, and
-    /// each member list exactly the finite entries of its dimension.
+    /// Asserts dimension `i` is bit-equal, in `dist`, `src` and members,
+    /// to a from-scratch sweep of `seeds` on a table and an engine (the
+    /// heap kernel: the reference one) of its own.
+    pub(crate) fn assert_dim_is_sweep_of(
+        &self,
+        graph: &Graph,
+        i: usize,
+        seeds: impl IntoIterator<Item = NodeId>,
+        rmax: Weight,
+    ) {
+        let n = graph.node_count();
+        let mut swept = NeighborSets::new(1, n);
+        let mut engine = DijkstraEngine::with_kernel(n, comm_graph::Kernel::Heap);
+        let unlimited = RunGuard::unlimited();
+        swept
+            .recompute_dim_guarded(graph, &mut engine, 0, seeds, rmax, &unlimited)
+            .unwrap();
+        self.assert_dim_bit_equal(i, &swept);
+    }
+
+    /// Asserts the bookkeeping describes `dist` exactly: `count` is the
+    /// number of finite dimensions at every node, [`sum`](Self::sum) is
+    /// bit-equal to their dimension-order fold, and each member list is
+    /// exactly the finite entries of its dimension.
     pub(crate) fn assert_history_free(&self) {
-        for u in 0..self.n {
-            let (sum, count) = fold_node(&self.dist, self.l, self.n, u);
+        for u in (0..index_to_u32(self.n)).map(NodeId) {
+            let finite: Vec<Weight> = (0..self.l).filter_map(|i| self.dist(i, u)).collect();
+            assert_eq!(self.count(u), finite.len(), "count at {u}");
+            let folded = CostFn::SumDistances.combine(finite);
             assert_eq!(
-                self.sum[u].get().to_bits(),
-                sum.get().to_bits(),
+                self.sum(u).get().to_bits(),
+                folded.get().to_bits(),
                 "sum at {u}"
             );
-            assert_eq!(self.count[u], count, "count at {u}");
         }
         for i in 0..self.l {
             let finite: Vec<NodeId> = (0..index_to_u32(self.n))
@@ -619,24 +699,6 @@ impl NeighborSets {
             assert!(finite.iter().all(|u| self.src(i, *u).is_some()));
         }
     }
-}
-
-/// `(sum, count)` of node `u`: its finite per-dimension distances folded in
-/// dimension order `0..l`. Every total in the table comes from this one
-/// fold, which is what makes the table independent of its refill history.
-#[inline]
-fn fold_node(dist: &[Weight], l: usize, n: usize, u: usize) -> (Weight, u8) {
-    let mut acc = Weight::ZERO;
-    // count fits u8: the constructor caps l at MAX_KEYWORDS.
-    let mut finite: u8 = 0;
-    for i in 0..l {
-        let d = dist[i * n + u];
-        if d.is_finite() {
-            acc += d;
-            finite += 1;
-        }
-    }
-    (acc, finite)
 }
 
 #[cfg(test)]
@@ -745,7 +807,6 @@ mod tests {
         let (_, fresh, _) = build(8.0);
         assert_eq!(ns.dist, fresh.dist);
         assert_eq!(ns.src, fresh.src);
-        assert_eq!(ns.sum, fresh.sum);
         assert_eq!(ns.count, fresh.count);
         assert_eq!(
             ns.best_core_with(CostFn::SumDistances),
@@ -829,8 +890,12 @@ mod tests {
     #[test]
     fn byte_size_charges_the_member_lists() {
         let g = fig4();
-        let fresh = NeighborSets::new(3, g.node_count()).byte_size();
-        let (_, mut ns, _) = build(8.0);
+        let n = g.node_count();
+        // The dense table (8 + 4 bytes per slot) and one count byte per
+        // node: no per-node total is stored.
+        let fresh = NeighborSets::new(3, n).byte_size();
+        assert_eq!(fresh, 3 * n * 12 + n);
+        let (_, mut ns, mut eng) = build(8.0);
         let settled: usize = (0..3).map(|i| ns.neighbor_set(i).len()).sum();
         let swept = ns.byte_size();
         assert!(swept >= fresh + settled * std::mem::size_of::<u32>());
@@ -838,7 +903,15 @@ mod tests {
         for i in 0..3 {
             ns.keep_base(&g, i, Weight::new(8.0));
         }
-        assert_eq!(ns.byte_size(), swept + settled * 16);
+        let kept = ns.byte_size();
+        assert_eq!(kept, swept + settled * 16);
+        // So is a memoised pin, once, whichever dimensions it lands in.
+        let (r, unlimited) = (Weight::new(8.0), RunGuard::unlimited());
+        for i in [0, 1, 0] {
+            ns.pin_guarded(&g, &mut eng, i, NodeId(4), r, &unlimited)
+                .unwrap();
+        }
+        assert_eq!(ns.byte_size(), kept + ns.neighbor_set(0).len() * 16);
     }
 
     /// [`build`] with every `Neighbor(V_i)` kept as a base.
@@ -861,10 +934,7 @@ mod tests {
         rmax: Weight,
     ) {
         let seeds = v.iter().copied().filter(|v| !excluded.contains(v));
-        let mut swept = NeighborSets::new(1, g.node_count());
-        let mut eng = DijkstraEngine::with_kernel(g.node_count(), comm_graph::Kernel::Heap);
-        swept.refill(g, &mut eng, 0, seeds, rmax);
-        ns.assert_dim_bit_equal(i, &swept);
+        ns.assert_dim_is_sweep_of(g, i, seeds, rmax);
     }
 
     #[test]
@@ -928,6 +998,108 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_node_is_seeded_from_its_best_offer() {
+        // Seeds {a = 3, b = 4, x = 0}; exclude x. Cell node r = 5 is
+        // offered 4 by three predecessors: boundary p2 = 1 (dist 3, src b)
+        // first in its row, cell node q = 2 (re-swept to dist 2 via b)
+        // and boundary p1 = 6 (dist 1, src a). A sweep pops p1 first, so
+        // `src(r) = a`. Seeding the least `(nd, p, dist)` or the first
+        // offer in row order queues p2 instead of p1, and then q's equal
+        // offer lands first: `src(r) = b`.
+        let mut b = comm_graph::GraphBuilder::new(7);
+        let edges = [
+            (6, 3, 1.0),
+            (1, 4, 3.0),
+            (2, 4, 2.0),
+            (2, 0, 1.0),
+            (5, 0, 1.0),
+            (5, 1, 1.0),
+            (5, 2, 2.0),
+            (5, 6, 3.0),
+        ];
+        for (u, v, w) in edges {
+            b.add_edge(NodeId(u), NodeId(v), Weight::new(w));
+        }
+        let g = b.build();
+        let (v, x, r) = (
+            [NodeId(0), NodeId(3), NodeId(4)],
+            [NodeId(0)],
+            Weight::new(10.0),
+        );
+        let mut ns = NeighborSets::new(1, g.node_count());
+        let mut eng = DijkstraEngine::new(g.node_count());
+        ns.refill(&g, &mut eng, 0, v, r);
+        ns.keep_base(&g, 0, r);
+        assert_eq!(ns.src(0, NodeId(5)), Some(NodeId(0)));
+        ns.refill_guarded(&g, &mut eng, 0, &v, &x, r, &RunGuard::unlimited())
+            .unwrap();
+        assert_eq!(ns.repaired_from(0), Some(&x[..]));
+        assert_eq!(ns.dist(0, NodeId(5)), Some(Weight::new(4.0)));
+        assert_eq!(ns.src(0, NodeId(5)), Some(NodeId(3)));
+        assert_is_sweep_of(&ns, &g, 0, (&v, &x), r);
+    }
+
+    #[test]
+    fn a_seed_is_swept_once_then_its_pins_are_copies() {
+        // Random pins over Fig. 4's nodes, in random dimensions, between
+        // random refills: with the memo on, exactly the first pin of each
+        // node sweeps, and every pin is bit-equal to a sweep of that node.
+        use comm_graph::SplitMix64;
+        let r = Weight::new(8.0);
+        let unlimited = RunGuard::unlimited();
+        let mut copies = 0;
+        SplitMix64::for_each_case(100, |rng| {
+            let (g, mut ns, mut eng) = build_kept(8.0);
+            let mut swept = std::collections::HashSet::new();
+            for _ in 0..20 {
+                let i = rng.index(3);
+                if rng.index(3) == 0 {
+                    let v = &v_sets()[i];
+                    let x: Vec<NodeId> = v.iter().copied().filter(|_| rng.index(2) == 0).collect();
+                    ns.refill_guarded(&g, &mut eng, i, v, &x, r, &unlimited)
+                        .unwrap();
+                    continue;
+                }
+                let c = NodeId(index_to_u32(rng.index(g.node_count())));
+                let before = ns.sweeps();
+                ns.pin_guarded(&g, &mut eng, i, c, r, &unlimited).unwrap();
+                let first = swept.insert(c);
+                assert_eq!(ns.sweeps() - before, usize::from(first), "pin of {c}");
+                assert_eq!(ns.repaired_from(i), None);
+                ns.assert_dim_is_sweep_of(&g, i, [c], r);
+                ns.assert_history_free();
+                copies += usize::from(!first);
+            }
+        });
+        assert!(copies >= 400, "{copies} pins copied");
+        // A copy the guard stops leaves an empty, consistent dimension; a
+        // sweep it stops is not memoised, so the next pin sweeps again.
+        let (g, mut ns, mut eng) = build_kept(8.0);
+        ns.pin_guarded(&g, &mut eng, 0, NodeId(4), r, &unlimited)
+            .unwrap();
+        let tripping = || RunGuard::new().with_trip_after(0);
+        ns.pin_guarded(&g, &mut eng, 1, NodeId(4), r, &tripping())
+            .unwrap_err();
+        ns.assert_history_free();
+        assert!(ns.neighbor_set(1).is_empty());
+        ns.pin_guarded(&g, &mut eng, 1, NodeId(8), r, &tripping())
+            .unwrap_err();
+        let before = ns.sweeps();
+        ns.pin_guarded(&g, &mut eng, 1, NodeId(8), r, &unlimited)
+            .unwrap();
+        assert_eq!(ns.sweeps(), before + 1);
+        ns.assert_dim_is_sweep_of(&g, 1, [NodeId(8)], r);
+        // Without the memo (no base was ever kept) every pin is a sweep.
+        let (g, mut ns, mut eng) = build(8.0);
+        for _ in 0..2 {
+            let before = ns.sweeps();
+            ns.pin_guarded(&g, &mut eng, 0, NodeId(4), r, &unlimited)
+                .unwrap();
+            assert_eq!(ns.sweeps(), before + 1);
+        }
+    }
+
+    #[test]
     fn interrupted_refills_leave_a_consistent_table() {
         // Every trip point of the `l`-dimension fill and of a
         // single-dimension refill, both over a populated table: totals and
@@ -957,7 +1129,7 @@ mod tests {
         // The same contract for every trip point of a refill from the
         // base — inside the copy of the retained cells, inside the cell
         // re-sweep (boundary seeds are settled nodes like any other),
-        // inside a write-back: totals and member list describe what
+        // inside a write-back: counts and member list describe what
         // `dist` holds, and the dimension is no longer taken for a
         // repaired table, so the next refill rebuilds it whole and right.
         let (g, spec) = crate::testing::dense_scenario();
@@ -973,7 +1145,7 @@ mod tests {
             }
             (ns, eng)
         };
-        let mut settled = 0;
+        let mut in_sweeps = 0;
         for (i, v) in v_sets.iter().enumerate() {
             // What the dimension holds — a pin or a repair — and the refill.
             let moves = [
@@ -981,6 +1153,7 @@ mod tests {
                 (Err(v[1]), vec![]),
                 (Ok(vec![v[2], v[5]]), vec![]),
                 (Ok(vec![v[2], v[5]]), vec![v[3]]),
+                (Err(v[4]), vec![v[1], v[4], v[6]]),
             ];
             for (holds, excluded) in moves {
                 let primed = || {
@@ -998,7 +1171,10 @@ mod tests {
                 ns.refill_guarded(&g, &mut eng, i, v, &excluded, r, &counter)
                     .unwrap();
                 assert!(counter.checks() > 0);
-                settled += counter.settled();
+                // The re-sweep runs last and consults the guard once per
+                // node it settles, so each of those is one trip point
+                // inside it (the engine is already sized: no byte check).
+                in_sweeps += counter.settled();
                 for trip in 0..counter.checks() {
                     let (mut ns, mut eng) = primed();
                     let tripping = RunGuard::new().with_trip_after(trip);
@@ -1013,7 +1189,10 @@ mod tests {
                 }
             }
         }
-        assert!(settled >= 100, "the cell re-sweeps settled {settled} nodes");
+        assert!(
+            in_sweeps >= 100,
+            "{in_sweeps} trip points inside cell re-sweeps"
+        );
     }
 
     fn sorted(set: &[NodeId]) -> Vec<NodeId> {
@@ -1058,7 +1237,6 @@ mod tests {
             .unwrap();
             assert_eq!(shim.dist, dim_loop.dist, "dist, threads={threads}");
             assert_eq!(shim.src, dim_loop.src, "src, threads={threads}");
-            assert_eq!(shim.sum, dim_loop.sum, "sum, threads={threads}");
             assert_eq!(shim.count, dim_loop.count, "count, threads={threads}");
             assert_eq!(shim.sweeps(), dim_loop.sweeps());
             assert_eq!(

@@ -13,17 +13,20 @@
 //! Every `next()` pins the neighbor table to the popped core *first*. The
 //! pinned table is both `GetCommunity()`'s input (centers, cost and sink
 //! distances are read from it, see [`crate::get_community`]) and the
-//! state `Frontier::expand` subdivides from, so the `l` single-source
-//! sweeps of a core run once per community — fewer when a dimension is
-//! already pinned to the same node, which the shell remembers.
+//! state `Frontier::expand` subdivides from, so a core's `l` pins run
+//! once per community — fewer when a dimension is already pinned to the
+//! same node, which the shell remembers.
 //!
 //! The per-answer sweep budget: `start()` sweeps each `Neighbor(V_i)`
-//! once and keeps it; after that a community costs at most `l` pins
-//! (single-source sweeps) plus one *cell* re-sweep per dimension its
-//! `expand` excludes a node from — [`Shell::recompute_from_s`] refills
-//! from the kept `Neighbor(V_i)` ([`NeighborSets::refill_guarded`]), so
-//! putting a dimension back to `S_i = V_i` sweeps nothing. A dimension is
-//! never filled here: both fills live in `neighbor.rs`.
+//! once and keeps it, and only a seed's *first* pin sweeps — later pins of
+//! it, in any dimension, are copies of its memoised `Neighbor({c})`
+//! (`NeighborSets::pin_guarded`). After that a community costs one
+//! single-source sweep per seed of its core never pinned before, plus one
+//! *cell* re-sweep per dimension its `expand` excludes a node from —
+//! [`Shell::recompute_from_s`] refills from the kept `Neighbor(V_i)`
+//! (`NeighborSets::refill_guarded`), so putting a dimension back to
+//! `S_i = V_i` sweeps nothing. A dimension is never filled here: all three
+//! fills live in `neighbor.rs`.
 
 use crate::error::QueryError;
 use crate::get_community::community_of_pinned;
@@ -35,8 +38,9 @@ use comm_graph::{DijkstraEngine, Graph, InterruptReason, NodeId, Outcome, RunGua
 /// emitted and the subdivision that finds their successors.
 pub trait Frontier: Default {
     /// Whether `expand` refills through [`Shell::recompute_from_s`] often
-    /// enough to be worth keeping each `Neighbor(V_i)` resident for. The
-    /// from-scratch ablation says no, and every refill of it is a sweep.
+    /// enough to be worth keeping each `Neighbor(V_i)` resident for, and
+    /// every pin swept. The from-scratch ablation says no, and every
+    /// refill and every pin of it is a sweep.
     const KEEPS_BASE: bool = true;
 
     /// Receives the best core of the whole space `V_1 × … × V_l`.
@@ -88,17 +92,25 @@ impl Shell<'_> {
         self.ns.best_core_with(self.cost_fn)
     }
 
-    /// Pins dimension `i`'s neighbor set to the single node `v` — no sweep
-    /// if it already is.
+    /// Pins dimension `i`'s neighbor set to the single node `v` — nothing
+    /// to do if it already is, a copy if `v` was pinned before and pins
+    /// are memoised ([`NeighborSets::pin_guarded`]), a sweep otherwise.
     fn pin_dim(&mut self, i: usize, v: NodeId) -> Result<(), InterruptReason> {
         if self.pinned[i] == Some(v) {
             return Ok(());
         }
-        self.repin_dim(i, v)
+        self.pinned[i] = None;
+        let (graph, rmax) = (self.graph, self.rmax);
+        self.ns
+            .pin_guarded(graph, &mut self.engine, i, v, rmax, &self.guard)?;
+        #[cfg(test)]
+        self.ns.assert_dim_is_sweep_of(graph, i, [v], rmax);
+        self.pinned[i] = Some(v);
+        Ok(())
     }
 
     /// Pins dimension `i` to `v` by a fresh sweep whatever it holds — the
-    /// from-scratch step of the naive Lawler ablation.
+    /// from-scratch step of the naive Lawler ablation, never the memo.
     pub(crate) fn repin_dim(&mut self, i: usize, v: NodeId) -> Result<(), InterruptReason> {
         self.pinned[i] = None;
         self.ns.recompute_dim_guarded(
@@ -140,23 +152,18 @@ impl Shell<'_> {
         refilled
     }
 
-    /// The certification rung, run after every refill of every unit test:
-    /// dimension `i` is bit-equal, in `dist` and in `src`, to a sweep of
-    /// `S_i` from scratch on a table and an engine of its own (the heap
-    /// kernel: the reference one, and the cheap one to construct).
+    /// The certification rung, run after every refill of every unit test
+    /// (and, in `pin_dim`, after every pin, for `{v}`): dimension `i` is
+    /// bit-equal, in `dist`, `src` and members, to a sweep of `S_i` from
+    /// scratch on a table and an engine of its own (the heap kernel: the
+    /// reference one, and the cheap one to construct).
     #[cfg(test)]
     fn assert_certified(&self, i: usize) {
-        let n = self.graph.node_count();
         let excluded = &self.excluded[i];
         let s_i = self.v_sets[i].iter().copied();
         let seeds = s_i.filter(|v| excluded.binary_search(v).is_err());
-        let mut swept = NeighborSets::new(1, n);
-        let mut engine = DijkstraEngine::with_kernel(n, comm_graph::Kernel::Heap);
-        let unlimited = RunGuard::unlimited();
-        swept
-            .recompute_dim_guarded(self.graph, &mut engine, 0, seeds, self.rmax, &unlimited)
-            .unwrap();
-        self.ns.assert_dim_bit_equal(i, &swept);
+        self.ns
+            .assert_dim_is_sweep_of(self.graph, i, seeds, self.rmax);
     }
 
     /// `S_i ← S_i − {v}`.
@@ -375,10 +382,11 @@ mod tests {
     use comm_graph::{GraphBuilder, SplitMix64};
 
     /// Drains an enumerator, checking after every `next()` that the live
-    /// table is bit-equal to a from-scratch rebuild of its own `dist` —
-    /// and, inside every `recompute_from_s`, that the dimension refilled
-    /// is bit-equal to a sweep of its seeds (`assert_certified`). Returns
-    /// the cores and cost bits emitted and the sweeps that took.
+    /// table's counts and member lists describe its own `dist` exactly —
+    /// and, inside every `recompute_from_s` and every pin, that the
+    /// dimension filled is bit-equal to a sweep of its seeds
+    /// (`assert_certified`). Returns the cores and cost bits emitted and
+    /// the sweeps that took.
     fn certified_run<F: Frontier>(mut it: Enumerator<'_, F>) -> (Vec<(Core, u64)>, usize) {
         let mut emitted = Vec::new();
         while let Some(c) = it.next() {
@@ -398,7 +406,9 @@ mod tests {
     #[test]
     fn totals_do_not_drift_over_long_enumerations() {
         // ROADMAP item 1's drift rung: hundreds of pins, exclusions and
-        // restores over fractional weights, on all three frontiers.
+        // restores over fractional weights, on all three frontiers —
+        // counts exact, member lists exact and `sum()` bit-equal to its
+        // dimension-order fold after every `next()`.
         assert!(drift_free_run::<CanList>() >= 300);
         assert!(drift_free_run::<Dfs>() >= 300);
         assert!(drift_free_run::<FromScratch>() >= 300);
@@ -433,11 +443,14 @@ mod tests {
             it.by_ref().for_each(drop);
             (it.emitted(), it.neighbor_sweeps())
         }
-        // COMM-k and COMM-all count pins and cell re-sweeps only — putting
-        // a dimension back to `V_i` is a copy (1760 and 1102 when it was a
-        // sweep); the ablation sweeps everything, as it always did.
-        assert_eq!(drained::<CanList>(), (441, 1688));
-        assert_eq!(drained::<Dfs>(), (441, 1029));
+        // COMM-k and COMM-all count first pins and cell re-sweeps only —
+        // putting a dimension back to `V_i` is a copy (1760 and 1102 when
+        // it was a sweep), and so is a pin of a seed pinned before (1688
+        // and 1029 when it was a sweep). That leaves the two equal: both
+        // pin the same seeds and try each child subspace of one Lawler
+        // partition once. The ablation sweeps everything, as it always did.
+        assert_eq!(drained::<CanList>(), (441, 537));
+        assert_eq!(drained::<Dfs>(), (441, 537));
         assert_eq!(drained::<FromScratch>(), (441, 2714));
     }
 
@@ -453,11 +466,19 @@ mod tests {
         shell.pin_dim(0, v).unwrap();
         assert_eq!(shell.ns.sweeps(), swept, "already pinned to {v}");
         // Any other fill of the dimension forgets the pin — here a copy
-        // of the kept `Neighbor(V_0)`, so the re-pin is the only sweep.
+        // of the kept `Neighbor(V_0)` — and `v`, pinned by `next()`
+        // already, comes back from the memo: no sweep either way.
         assert!(shell.excluded[0].is_empty());
         shell.recompute_from_s(0).unwrap();
         assert_eq!(shell.ns.sweeps(), swept, "S_0 = V_0 is a copy");
         shell.pin_dim(0, v).unwrap();
+        assert_eq!(shell.ns.sweeps(), swept, "{v} was pinned before");
+        // A seed's first pin is its one sweep, in any dimension.
+        let w = *shell.v_sets[0].iter().rev().find(|&&w| w != v).unwrap();
+        shell.pin_dim(0, w).unwrap();
+        assert_eq!(shell.ns.sweeps(), swept + 1, "first pin of {w}");
+        shell.pin_dim(0, v).unwrap();
+        shell.pin_dim(0, w).unwrap();
         assert_eq!(shell.ns.sweeps(), swept + 1);
         // Taking a seed away re-sweeps its cell, once; putting it back
         // writes the cell back.
@@ -467,7 +488,7 @@ mod tests {
         shell.readmit(0, v);
         shell.recompute_from_s(0).unwrap();
         assert_eq!(shell.ns.sweeps(), swept + 2);
-        // The from-scratch ablation never takes the shortcut.
+        // The from-scratch ablation never takes either shortcut.
         shell.repin_dim(0, v).unwrap();
         assert_eq!(shell.ns.sweeps(), swept + 3);
     }

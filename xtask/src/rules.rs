@@ -179,9 +179,9 @@ fn preceding_ident(masked: &str, pos: usize) -> &str {
 /// bypass the execution governor. Parallel entry points are held to the
 /// same bar as serial loops: a fan-out without a shared guard cannot be
 /// cancelled mid-batch. So is any fn, private ones included, that loops
-/// over the cells of a kept `Neighbor(V_i)` base: a copy or a cell repair
-/// fills a dimension like a sweep does, without a settle loop to consult
-/// the guard for it.
+/// over the cells of a kept `Neighbor(V_i)` base or over a memoised pin's
+/// settle stream: a copy or a cell repair fills a dimension like a sweep
+/// does, without a settle loop to consult the guard for it.
 fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
     const SUGGESTION: &str = "accept `&RunGuard` (or delegate to a `*_guarded` variant) so the \
          execution governor can interrupt the loop";
@@ -196,8 +196,9 @@ fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
         "read_frame(",
     ];
     const PAR_MARKS: [&str; 4] = ["thread::scope", ".spawn(", ".map_init(", "par.map("];
-    // `Base::cells()` / `Base::cell(x)` in `crates/core/src/neighbor.rs`.
-    const FILL_MARKS: [&str; 2] = [".cells()", ".cell("];
+    // `Base::cells()` / `Base::cell(x)` and a `memoised` pin's settle
+    // stream in `crates/core/src/neighbor.rs`.
+    const FILL_MARKS: [&str; 3] = [".cells()", ".cell(", "memoised"];
     let ast = &fm.ast;
     for f in &ast.fns {
         let Some((open, close)) = f.body else {
@@ -499,6 +500,17 @@ mod tests {
         // Looking one cell up outside a loop is not a fill.
         let lookup = "fn owns(base: &Base, x: NodeId) -> usize {\n    base.cell(x).len()\n}\n";
         assert!(live(lookup, true).is_empty());
+    }
+
+    #[test]
+    fn seeded_unguarded_pin_copy_fails() {
+        let copy = "fn copy_pin(&mut self, memoised: &[Reached], i: usize) {\n    self.retract(i);\n    for &r in memoised {\n        self.copy_in(i, r);\n    }\n}\n";
+        let out = live(copy, true);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].rule, GUARD_COVERAGE);
+        assert!(out[0].message.contains("fn copy_pin"));
+        let asked = "fn copy_pin(&mut self, memoised: &[Reached], i: usize, guard: &RunGuard) -> Result<(), InterruptReason> {\n    self.retract(i);\n    guard.check()?;\n    for &r in memoised {\n        self.copy_in(i, r);\n    }\n    Ok(())\n}\n";
+        assert!(live(asked, true).is_empty());
     }
 
     #[test]
