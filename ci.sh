@@ -106,6 +106,22 @@ if [ "$(grep -c 'run_guarded(' crates/core/src/projection.rs)" != 1 ]; then
     exit 1
 fi
 
+# Path sums are exact: `Weight` counts 10⁻⁹ units, so every fold of a
+# path is one integer and no tolerance may creep back into the engines.
+# Test modules (from the first column-0 `#[cfg(test)]` on) may still name
+# `f64` behaviour to show what the integer type fixes.
+echo "==> exact-weight gate (no f64::EPSILON, total_cmp, fn slack or ulp in non-test graph/core code)"
+if awk '
+    FNR == 1 { live = 1 }
+    /^#\[cfg\(test\)\]/ { live = 0 }
+    live && /f64::EPSILON|total_cmp|fn slack|(^|[^A-Za-z0-9_])ulps?([^A-Za-z0-9_]|$)/ {
+        print FILENAME ":" FNR ": " $0; bad = 1
+    }
+    END { exit !bad }' $(find crates/graph/src crates/core/src -name '*.rs' | sort); then
+    echo "weights are fixed-point: compare them exactly"
+    exit 1
+fi
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -149,7 +165,7 @@ test -n "$SERVE_ADDR" || { echo "daemon never bound"; kill "$SERVE_PID"; exit 1;
 "${EXPLORE[@]}" client --addr "$SERVE_ADDR" shutdown >/dev/null
 wait "$SERVE_PID"
 
-# Warm-start lane: persist the engine as a CGPH v2 container, restart the
+# Warm-start lane: persist the engine as a CGPH v3 container, restart the
 # daemon against it (no rebuild — the container's keyword map becomes the
 # vocabulary), and query it.
 echo "==> warm-start lane (save container, serve from it, query)"

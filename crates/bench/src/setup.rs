@@ -2,7 +2,7 @@
 //!
 //! Given a cache directory (`repro`'s `main` passes the one
 //! `COMM_BENCH_CACHE` names), the built projection index is persisted
-//! there inside a CGPH v2 container (graph + keyword map + serialized
+//! there inside a CGPH v3 container (graph + keyword map + serialized
 //! index) and reloaded on the next run — generation still happens (the
 //! relational database itself is not cached) but the index build, the
 //! dominant cost at paper scale, is skipped. [`Prepared::index_source`]

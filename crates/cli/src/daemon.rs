@@ -23,7 +23,7 @@ pub const SERVE_HELP: &str = "\
 usage: comm-explore serve [options]
 
 Runs the resident community-query daemon on a synthetic torus graph, or
-— with --graph — on a saved CGPH v2 container, memory-mapped so startup
+— with --graph — on a saved CGPH v3 container, memory-mapped so startup
 does no edge parsing however large the graph is.
 Prints `listening on ADDR` once the socket is bound (bind port 0 and
 parse that line to discover the ephemeral port), then serves until

@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn ranking_is_strict_on_the_dense_graph() {
-        // No ulp slack: the emitted cost is the heap key that ordered it.
+        // The emitted cost is the heap key that ordered it.
         let (g, base) = dense_scenario();
         for cost in [CostFn::SumDistances, CostFn::MaxDistance] {
             let spec = base.clone().with_cost(cost);
@@ -405,7 +405,7 @@ mod tests {
             assert_eq!(top.len(), 250);
             check_ranking(&top).unwrap();
             // A node carrying two of the keywords is read once per
-            // keyword, in dimension order — `d + d`, not `d × 2` — by the
+            // keyword — `d + d`, not `d × 2` — by the
             // engine and by the certifier alike.
             let repeated: Vec<&Community> = top
                 .iter()

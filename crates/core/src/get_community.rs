@@ -17,38 +17,22 @@
 //! Fields 1 and 3 are exactly what a [`NeighborSets`] table *pinned* to `C`
 //! (dimension `i` seeded with the single node `c_i`) already holds: the
 //! centers are the nodes with `count == l`, a center's cost is its
-//! dimension-order total, and `dist(u, t) = min_i dist(u, c_i)`. So
+//! table total, and `dist(u, t) = min_i dist(u, c_i)`. So
 //! [`community_of_pinned`] runs only the forward sweep; the enumerators pin
 //! once per community and read the table, the baselines re-pin one table
 //! per run, and the stand-alone [`get_community_guarded`] pins a fresh
 //! table — all through the same body.
 //!
-//! That forward sweep is *sink-bounded*: a member needs a finite
-//! `dist(u, t)`, so the sweep relaxes only into nodes some pinned
-//! dimension holds (`count > 0`), plus — because a float path sum depends
-//! on the end it is folded from — anything still within [`slack`] of the
-//! centers. The member test is the unbounded sweep's, and so is the member
-//! set, bit for bit (DESIGN.md "Projection index", argument 4, has the
-//! proof and the six-node gadget that breaks every cheaper rule). On a
-//! dense graph the unbounded sweep settled twenty nodes for every one it
-//! could keep.
+//! That forward sweep is *sink-bounded*: it relaxes into a node `x` only
+//! at a tentative `nd` with `nd + dist(x, t) ≤ Rmax` — the member test
+//! itself. Every node on a shortest path from a center to a member passes
+//! it (DESIGN.md "Projection index" has the triangle argument), so the
+//! member set is the unbounded sweep's. On a dense graph the unbounded
+//! sweep settled twenty nodes for every one it could keep.
 
 use crate::neighbor::NeighborSets;
 use crate::types::{Community, Core, CostFn};
 use comm_graph::{DijkstraEngine, Direction, Graph, InterruptReason, RunGuard, Weight};
-
-/// The tentative distance below which a sink-bounded forward sweep still
-/// relaxes into a node that reaches no keyword node within `rmax`:
-/// `rmax · 2⁻¹⁶`.
-///
-/// Such a node is never a member, but — float path sums not being
-/// associative — it can be the only conduit to one. DESIGN.md "Projection
-/// index", argument 4, bounds how far from the centers a conduit can sit
-/// by `rmax · 2⁻¹⁸`; only zero- and near-zero-weight edges out of a
-/// center get there.
-pub(crate) fn slack(rmax: Weight) -> Weight {
-    Weight::new(rmax.get() / 65536.0)
-}
 
 /// Materializes the community uniquely determined by `core` under
 /// `cost_fn`, consulting `guard` per settled node of every sweep.
@@ -103,8 +87,8 @@ pub(crate) fn get_community_in(
 /// sink distances are read from the table; the forward sweep from the
 /// centers is the only Dijkstra left.
 ///
-/// The cost is the table's own dimension-order total, so for a core found
-/// by `BestCore()` it is bit-equal to the cost that ranked it.
+/// The cost is the table's own total, so for a core found by `BestCore()`
+/// it is the cost that ranked it.
 pub(crate) fn community_of_pinned(
     graph: &Graph,
     engine: &mut DijkstraEngine,
@@ -121,28 +105,23 @@ pub(crate) fn community_of_pinned(
     };
 
     // dist(s, u) from the forward sweep, dist(u, t) from the table. The
-    // sweep is sink-bounded: it enters a node no pinned dimension holds
-    // only within `slack` of the centers (a member's path cannot leave
-    // the pinned sets any farther out), the member test is unchanged.
-    let slack = slack(rmax);
+    // sweep admits a relaxation only where it passes the member test, so
+    // every node it settles is a member.
     let mut members = Vec::new();
     engine.run_rows_guarded(
         graph.rows(Direction::Forward),
         centers.iter().copied(),
         rmax,
         guard,
-        |v, nd| pinned.count(v) > 0 || nd < slack,
-        |s| {
-            let to_sink = pinned.nearest(s.node);
-            if to_sink.is_finite() && s.dist + to_sink <= rmax {
-                members.push(s.node);
-            }
+        |v, nd| {
+            let to_sink = pinned.nearest(v);
+            to_sink.is_finite() && nd + to_sink <= rmax
         },
+        |s| members.push(s.node),
     )?;
     members.sort_unstable();
 
     let knodes = core.distinct_nodes();
-    debug_assert!(centers.iter().all(|c| members.binary_search(c).is_ok()));
     debug_assert!(knodes.iter().all(|c| members.binary_search(c).is_ok()));
 
     let subgraph = graph.induce(&members);
@@ -289,9 +268,9 @@ mod tests {
 
     #[test]
     fn forward_sweep_stays_inside_the_pinned_sets() {
-        // Every weight of the dense scenario is ≥ 1, far above the slack,
-        // so the sweep from the centers may settle only nodes some pinned
-        // dimension holds — the unpruned sweep ran past them on most cores.
+        // The sweep from the centers settles only members, so only nodes
+        // some pinned dimension holds — the unpruned sweep ran past them on
+        // most cores.
         let (g, spec) = crate::testing::dense_scenario();
         let n = g.node_count();
         let mut eng = DijkstraEngine::new(n);

@@ -90,17 +90,15 @@ mod tests {
 
     #[test]
     fn identical_output_to_comm_k() {
-        // Same cores in the same order, and the same cost *bits*: on the
-        // dense graph's fractional weights that holds only because both
-        // read their costs off a history-free table.
+        // Same cores in the same order, and the same costs.
         for (g, spec) in [(fig4_graph(), fig4_spec()), dense_scenario()] {
-            let ours: Vec<(Core, u64)> = CommK::try_new(&g, &spec)
+            let ours: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
                 .unwrap()
-                .map(|c| (c.core, c.cost.get().to_bits()))
+                .map(|c| (c.core, c.cost))
                 .collect();
-            let lawler: Vec<(Core, u64)> = LawlerK::try_new(&g, &spec)
+            let lawler: Vec<(Core, Weight)> = LawlerK::try_new(&g, &spec)
                 .unwrap()
-                .map(|c| (c.core, c.cost.get().to_bits()))
+                .map(|c| (c.core, c.cost))
                 .collect();
             assert!(ours.len() >= 5);
             assert_eq!(ours, lawler);
@@ -131,11 +129,12 @@ mod tests {
     #[test]
     fn golden_sequences_are_bit_identical() {
         // Cores, cost bits, centers and order of both full enumerations.
-        // The constants were computed on the Fibonacci heap the can-list
+        // Fig. 4's constant was computed on the Fibonacci heap the can-list
         // used up to commit 3d41dc9; no priority queue may change them,
         // because the keys `(cost, can-list index)` are unique and totally
-        // ordered.
-        let golden = [(5, 0xf22f_8971_d4a0_24e0), (441, 0x8caa_042f_41de_bfcc)];
+        // ordered. The dense graph's was re-taken when weights became
+        // fixed-point, and is certified here against the naive oracle.
+        let golden = [(5, 0xf22f_8971_d4a0_24e0), (441, 0x223f_1dcd_9425_1023)];
         for ((g, spec), expect) in [(fig4_graph(), fig4_spec()), dense_scenario()]
             .into_iter()
             .zip(golden)
@@ -145,6 +144,12 @@ mod tests {
             for (name, got) in [("COMM-k", ours), ("LawlerK", lawler)] {
                 assert_eq!(got, expect, "{name}: ({}, {:#018x})", got.0, got.1);
             }
+            let mut ranked: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
+                .unwrap()
+                .map(|c| (c.core, c.cost))
+                .collect();
+            ranked.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
+            assert_eq!(ranked, crate::naive::naive_all_cores(&g, &spec));
         }
     }
 

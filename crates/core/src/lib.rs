@@ -126,9 +126,10 @@ pub(crate) mod testing {
         CommK::try_new(g, spec).unwrap().take(k).collect()
     }
 
-    /// The float-hazard scenario: a seeded dense graph whose path sums
-    /// round. 80 nodes, four random partners each, every link bidirected
-    /// and weighted `log2(1 + N_in(v))` like the benchmark's tuple graphs;
+    /// The fractional-weight scenario: a seeded dense graph whose weights
+    /// are irrational, rounded to the unit. 80 nodes, four random partners
+    /// each, every link bidirected and weighted `log2(1 + N_in(v))` like
+    /// the benchmark's tuple graphs;
     /// three keyword sets of eight nodes, the first two sharing three (so
     /// some cores repeat a node); a radius under which 441 of the 512
     /// cores have a center.

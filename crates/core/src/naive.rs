@@ -142,6 +142,8 @@ pub fn naive_community_nodes(
         }
     }
     members.sort_unstable();
+    let holds = |u: &NodeId| members.binary_search(u).is_ok();
+    debug_assert!(centers.iter().chain(&distinct).all(holds));
     (centers, members)
 }
 

@@ -8,9 +8,8 @@
 //! Nothing derived from `dist` is stored but `count[u]`, the number of
 //! dimensions holding `u`, an integer kept exactly: +1 when a dimension
 //! gains `u`, −1 when it loses it. A center's total `Σ_i min(N_i, u)` is
-//! folded from `dist` in dimension order where it is read
-//! ([`sum`](NeighborSets::sum), `center_cost`), so no total can remember a
-//! refill history — there is none to re-fold when a dimension changes.
+//! summed from `dist` where it is read ([`sum`](NeighborSets::sum),
+//! `center_cost`), so no total can remember a refill history.
 //! Emptying a dimension walks its member list (the nodes it holds) and
 //! clears exactly those; every fill is `O(nodes written)`.
 //!
@@ -179,9 +178,7 @@ impl NeighborSets {
     }
 
     /// `u.sum`: the accumulated distance `Σ_i min(N_i, u)` over the
-    /// dimensions where `u ∈ N_i` (the `BestCore()` accumulator), folded
-    /// from `dist` in dimension order `0..l` — the order
-    /// [`CostFn::combine`] and the oracle use.
+    /// dimensions where `u ∈ N_i` (the `BestCore()` accumulator).
     pub fn sum(&self, u: NodeId) -> Weight {
         let column = (0..self.l).map(|i| self.dist[i * self.n + u.index()]);
         column.filter(|d| d.is_finite()).sum()
@@ -315,17 +312,15 @@ impl NeighborSets {
     /// graph: a single-source sweep is a function of its seed.
     ///
     /// Keeps no base, so that every refill stays a sweep, unless each
-    /// relaxation of such a sweep makes progress: the swept rows' minimum
-    /// edge weight must exceed `rmax · 2⁻⁵²`, an ulp of the largest
-    /// distance settled. Only then is `src` a function of the seed set
+    /// relaxation of such a sweep makes progress: the swept rows hold no
+    /// zero-weight edge. Only then is `src` a function of the seed set
     /// that survives taking seeds away (DESIGN.md "Repairing
     /// `Neighbor()`" has the five-node graph on which it is not). The
     /// paper's weights are `log2(1 + N_in) ≥ 1`.
-    pub(crate) fn keep_base(&mut self, graph: &Graph, i: usize, rmax: Weight) {
+    pub(crate) fn keep_base(&mut self, graph: &Graph, i: usize) {
         self.pins.get_or_insert_with(HashMap::new);
-        let ulp = Weight::new(rmax.get() * f64::EPSILON);
         let swept_rows = graph.rows(Direction::Reverse);
-        if swept_rows.min_weight().is_some_and(|w| w <= ulp) {
+        if swept_rows.min_weight() == Some(Weight::ZERO) {
             return;
         }
         let (dist, src) = (&self.dist[i * self.n..], &self.src[i * self.n..]);
@@ -452,7 +447,7 @@ impl NeighborSets {
         }
         // Re-sweep the excluded cells. A cell node's predecessors are
         // other cell nodes and the copied nodes it has an edge to. Of the
-        // copied ones only the best offer, the least `(fl(dist(p) + w),
+        // copied ones only the best offer, the least `(dist(p) + w,
         // dist(p), p)`, can decide its label (DESIGN.md: the others are
         // dominated), so that `p` alone enters the queue for it, at the
         // label it holds and so at its true `(dist, id)` key.
@@ -518,9 +513,8 @@ impl NeighborSets {
     }
 
     /// The cost of centering the current `⋂ N_i` at `u` under `cost_fn`:
-    /// `u`'s per-dimension distances aggregated in dimension order — the
-    /// one cost order `BestCore()`, `GetCommunity()`, the oracle and
-    /// `verify` share. Meaningful only where `count(u) == l`.
+    /// `u`'s per-dimension distances aggregated by [`CostFn::combine`].
+    /// Meaningful only where `count(u) == l`.
     pub(crate) fn center_cost(&self, u: NodeId, cost_fn: CostFn) -> Weight {
         cost_fn.combine((0..self.l).map(|i| self.dist[i * self.n + u.index()]))
     }
@@ -536,8 +530,8 @@ impl NeighborSets {
     /// minimum-cost core under `cost_fn`. `⋂ N_i` is read off the smallest
     /// neighbor set's member list, as [`intersection`](Self::intersection)
     /// reads it, so a scan is `O(min_i |N_i|)`, not `O(n)`. A center's cost
-    /// aggregates its `l` per-dimension distances in dimension order —
-    /// under the paper's sum cost its total distance `Σ_i min(N_i, u)` —
+    /// aggregates its `l` per-dimension distances — under the paper's sum
+    /// cost its total distance `Σ_i min(N_i, u)` —
     /// `O(l)` per intersection node, within the per-answer budget of
     /// Theorem IV.1. Member
     /// lists are in no particular order, so the tie-break is spelled out:
@@ -640,13 +634,8 @@ impl NeighborSets {
     /// Asserts dimension `i` holds, bit for bit in `dist` and in `src`,
     /// what the only dimension of `swept` holds.
     pub(crate) fn assert_dim_bit_equal(&self, i: usize, swept: &NeighborSets) {
-        let bits = |d: &[Weight]| d.iter().map(|w| w.get().to_bits()).collect::<Vec<_>>();
         let dim = i * self.n..(i + 1) * self.n;
-        assert_eq!(
-            bits(&self.dist[dim.clone()]),
-            bits(&swept.dist),
-            "dist, dim {i}"
-        );
+        assert_eq!(self.dist[dim.clone()], swept.dist, "dist, dim {i}");
         assert_eq!(self.src[dim], swept.src, "src, dim {i}");
         assert_eq!(
             self.neighbor_set(i),
@@ -677,18 +666,14 @@ impl NeighborSets {
 
     /// Asserts the bookkeeping describes `dist` exactly: `count` is the
     /// number of finite dimensions at every node, [`sum`](Self::sum) is
-    /// bit-equal to their dimension-order fold, and each member list is
+    /// their sum, and each member list is
     /// exactly the finite entries of its dimension.
     pub(crate) fn assert_history_free(&self) {
         for u in (0..index_to_u32(self.n)).map(NodeId) {
             let finite: Vec<Weight> = (0..self.l).filter_map(|i| self.dist(i, u)).collect();
             assert_eq!(self.count(u), finite.len(), "count at {u}");
             let folded = CostFn::SumDistances.combine(finite);
-            assert_eq!(
-                self.sum(u).get().to_bits(),
-                folded.get().to_bits(),
-                "sum at {u}"
-            );
+            assert_eq!(self.sum(u), folded, "sum at {u}");
         }
         for i in 0..self.l {
             let finite: Vec<NodeId> = (0..index_to_u32(self.n))
@@ -901,7 +886,7 @@ mod tests {
         assert!(swept >= fresh + settled * std::mem::size_of::<u32>());
         // A kept base is 16 bytes per node its sweep reached.
         for i in 0..3 {
-            ns.keep_base(&g, i, Weight::new(8.0));
+            ns.keep_base(&g, i);
         }
         let kept = ns.byte_size();
         assert_eq!(kept, swept + settled * 16);
@@ -918,7 +903,7 @@ mod tests {
     fn build_kept(rmax: f64) -> (Graph, NeighborSets, DijkstraEngine) {
         let (g, mut ns, eng) = build(rmax);
         for i in 0..3 {
-            ns.keep_base(&g, i, Weight::new(rmax));
+            ns.keep_base(&g, i);
             assert_eq!(ns.repaired_from(i), Some(&[][..]));
         }
         (g, ns, eng)
@@ -990,11 +975,13 @@ mod tests {
         .unwrap();
         assert_eq!(ns.sweeps(), before + 1);
         assert!(!ns.keeps_base(2));
-        // An infinite radius has no ulp to clear: no base is kept for it.
-        ns.keep_base(&g, 2, Weight::INFINITY);
-        assert!(!ns.keeps_base(2));
-        ns.keep_base(&g, 2, Weight::new(8.0));
+        ns.keep_base(&g, 2);
         assert!(ns.keeps_base(2));
+        // A zero-weight edge stalls a sweep's progress: no base is kept.
+        let stalling = comm_graph::graph_from_edges(2, &[(0, 1, 0.0)]);
+        let mut ns = NeighborSets::new(1, 2);
+        ns.keep_base(&stalling, 0);
+        assert!(!ns.keeps_base(0));
     }
 
     #[test]
@@ -1029,7 +1016,7 @@ mod tests {
         let mut ns = NeighborSets::new(1, g.node_count());
         let mut eng = DijkstraEngine::new(g.node_count());
         ns.refill(&g, &mut eng, 0, v, r);
-        ns.keep_base(&g, 0, r);
+        ns.keep_base(&g, 0);
         assert_eq!(ns.src(0, NodeId(5)), Some(NodeId(0)));
         ns.refill_guarded(&g, &mut eng, 0, &v, &x, r, &RunGuard::unlimited())
             .unwrap();
@@ -1141,7 +1128,7 @@ mod tests {
             let mut eng = DijkstraEngine::new(g.node_count());
             for (i, v) in v_sets.iter().enumerate() {
                 ns.refill(&g, &mut eng, i, v.iter().copied(), r);
-                ns.keep_base(&g, i, r);
+                ns.keep_base(&g, i);
             }
             (ns, eng)
         };

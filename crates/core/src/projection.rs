@@ -17,10 +17,10 @@
 //! get the candidate centers `V_c`, reads `dist(v, t)` of Algorithm 6's
 //! `s`/`t` double sweep (lines 10–15) as the minimum over the prefixes,
 //! and runs the one sweep whose answer is not stored — forward from `V_c`,
-//! entering only nodes with a finite `dist(v, t)` or within
-//! [`slack`](crate::get_community::slack) of `V_c` (the sink bound of
-//! [`crate::get_community`], same argument, same constant) — to keep the
-//! nodes on a qualifying center→keyword-node path. The
+//! entering a node only where it passes the keep test
+//! `dist(s, v) + dist(v, t) ≤ Rmax` (the sink bound of
+//! [`crate::get_community`], same argument) — to keep the nodes on a
+//! qualifying center→keyword-node path. The
 //! projected graph is `G_D` induced on those nodes. Every community of the
 //! query lives entirely inside `Neighbor(V_i, Rmax) ⊆ Neighbor(V_i, R)`
 //! for each `i`, so running any of the enumerators on the projected graph
@@ -30,7 +30,6 @@
 
 use crate::comm_k::comm_k_guarded;
 use crate::error::{validate_radius, QueryError};
-use crate::get_community::slack;
 use crate::types::{Community, Core, CostFn, QuerySpec};
 use comm_graph::weight::index_to_u32;
 use comm_graph::{
@@ -452,8 +451,8 @@ impl ProjectionIndex {
             );
         }
 
-        let slack = slack(rmax);
-        let sink_bounded = |to_sink: Weight, nd: Weight| to_sink.is_finite() || nd < slack;
+        let sink_bounded =
+            |to_sink: Weight, nd: Weight| to_sink.is_finite() && nd + to_sink <= rmax;
         let mut kept = self.mark_keep(&entries, rmax, guard, sink_bounded)?;
 
         // Line 15: G_P = G_D[keep], copied out of the stored rows of
@@ -513,9 +512,7 @@ impl ProjectionIndex {
         let centers: Vec<NodeId> = centers.map(|u| NodeId(index_to_u32(u))).collect();
 
         // Lines 10–14: keep v with dist(s, v) + dist(v, t) ≤ rmax, where s
-        // feeds the centers. The keep test is never used to prune — the
-        // float triangle inequality can fail by an ulp, so a kept node can
-        // sit behind one that is not — only `enter` is.
+        // feeds the centers.
         let mut keep = RankedSet::new(nu);
         if !centers.is_empty() {
             let mut engine = DijkstraEngine::new(nu);
@@ -668,8 +665,8 @@ mod tests {
     #[test]
     fn sink_bounded_keep_set_is_the_unfiltered_one() {
         // The boundary-weight rung, one level down: over multigraphs whose
-        // path sums land within an ulp of `rmax`, `try_project` keeps the
-        // nodes its own body marks under an unfiltered sweep.
+        // path sums land exactly on `rmax`, `try_project` keeps the nodes
+        // its own body marks under an unfiltered sweep.
         use comm_graph::{GraphBuilder, SplitMix64};
         const WEIGHTS: [f64; 5] = [0.0, 0.1, 0.2, 0.3, 0.4];
         let (mut kept, mut pruned) = (0, 0);
@@ -695,7 +692,7 @@ mod tests {
                 .iter()
                 .map(|kw| &idx.entries[*kw])
                 .collect();
-            // Tenths, and the three sums of tenths one ulp off a tenth.
+            // Tenths, and three sums of tenths that are a tenth to the unit.
             let rmax = match rng.index(16) {
                 13 => 0.1 + 0.2,
                 14 => (0.1 + 0.2) + 0.3,

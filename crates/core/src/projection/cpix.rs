@@ -1,4 +1,4 @@
-//! CPIX v2: the serialized [`ProjectionIndex`], and its decoder for
+//! CPIX v3: the serialized [`ProjectionIndex`], and its decoder for
 //! untrusted bytes.
 
 use super::{KeywordEntry, ProjectionIndex};
@@ -9,11 +9,11 @@ use std::collections::HashMap;
 use std::io;
 
 const CPIX_MAGIC: [u8; 4] = *b"CPIX";
-const CPIX_VERSION: u32 = 2;
+const CPIX_VERSION: u32 = 3;
 
 impl ProjectionIndex {
-    /// Serializes the index to a compact little-endian blob (CPIX v2),
-    /// suitable for the *extra* section of a CGPH v2 container
+    /// Serializes the index to a compact little-endian blob (CPIX v3),
+    /// suitable for the *extra* section of a CGPH v3 container
     /// ([`comm_graph::container`]) so a warm start restores the built
     /// index without re-running the per-keyword sweeps.
     ///
@@ -21,18 +21,19 @@ impl ProjectionIndex {
     /// (offsets, targets, weights), then per keyword — in sorted order, so
     /// equal indexes encode to identical bytes regardless of `HashMap`
     /// iteration order — `V_w` and its run (ids, then distances), and a
-    /// trailing [`checksum64`] of everything before it.
+    /// trailing [`checksum64`] of everything before it. Weights are `u64`
+    /// counts of `10⁻⁹` units ([`Weight::units`]).
     pub fn encode(&self) -> Vec<u8> {
         fn put_ids(out: &mut Vec<u8>, ids: &[NodeId]) {
             out.extend(ids.iter().flat_map(|v| v.0.to_le_bytes()));
         }
         fn put_weights(out: &mut Vec<u8>, ws: &[Weight]) {
-            out.extend(ws.iter().flat_map(|w| w.get().to_le_bytes()));
+            out.extend(ws.iter().flat_map(|w| w.units().to_le_bytes()));
         }
         let mut out = Vec::new();
         out.extend_from_slice(&CPIX_MAGIC);
         out.extend_from_slice(&CPIX_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.radius.get().to_le_bytes());
+        out.extend_from_slice(&self.radius.units().to_le_bytes());
         out.extend_from_slice(&(self.node_count as u64).to_le_bytes());
         out.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
         put_ids(&mut out, &self.nodes);
@@ -135,7 +136,7 @@ impl ProjectionIndex {
                 if *slot > 2 * k {
                     return Err(bad("run lists a node twice"));
                 }
-                *slot = 2 * k + 1 + u64::from(d.get() != 0.0);
+                *slot = 2 * k + 1 + u64::from(*d != Weight::ZERO);
             }
             let heads_run = |v: &NodeId| nodes.binary_search(v).is_ok_and(|u| seen[u] == 2 * k + 1);
             if !v_w.iter().all(heads_run) {
@@ -216,16 +217,16 @@ impl<'a> Reader<'a> {
         Ok(self.u32s(count)?.into_iter().map(NodeId).collect())
     }
 
-    /// `count` finite, non-negative weights.
+    /// `count` finite weights: anything below [`Weight::INFINITY`].
     fn weights(&mut self, count: usize) -> io::Result<Vec<Weight>> {
         let raw = self.take(count.checked_mul(8).ok_or_else(truncated)?)?;
         let weight = |c: &[u8]| {
             let mut b = [0u8; 8];
             b.copy_from_slice(c);
-            Weight::try_new(f64::from_le_bytes(b)).filter(|w| w.is_finite())
+            Some(Weight::from_units(u64::from_le_bytes(b))).filter(|w| w.is_finite())
         };
         let ws: Option<Vec<Weight>> = raw.chunks_exact(8).map(weight).collect();
-        ws.ok_or_else(|| bad("weight or distance not finite and non-negative"))
+        ws.ok_or_else(|| bad("weight or distance not finite"))
     }
 }
 
@@ -373,14 +374,16 @@ mod tests {
         let mut b = blob.clone();
         b[0] = b'X';
         rejects(&b, "bad magic");
-        // A v1 blob (or any other version) is turned away by its version,
-        // before the checksum it never carried is looked at.
-        let mut b = blob.clone();
-        b[4] = 1;
-        assert!(rejects(&b, "a v1 blob").contains("version"));
+        // A v1 or v2 blob (or any other version) is turned away by its
+        // version, before its checksum is looked at.
+        for old in [1, 2] {
+            let mut b = blob.clone();
+            b[4] = old;
+            assert!(rejects(&b, "an old blob").contains("version"));
+        }
         let mut b = body.clone();
-        b[8..16].copy_from_slice(&f64::NAN.to_le_bytes());
-        rejects(&seal(b), "NaN radius");
+        b[8..16].copy_from_slice(&Weight::INFINITY.units().to_le_bytes());
+        rejects(&seal(b), "infinite radius");
         // Hostile count claims must be rejected before any allocation:
         // |V(G_D)| at offset 16, |U| at 24.
         for at in [16, 24] {

@@ -321,7 +321,7 @@ impl<'g, F: Frontier> Enumerator<'g, F> {
         for i in 0..shell.l() {
             shell.recompute_from_s(i)?;
             if F::KEEPS_BASE {
-                shell.ns.keep_base(shell.graph, i, shell.rmax);
+                shell.ns.keep_base(shell.graph, i);
             }
         }
         if let Some(best) = shell.best_core() {
@@ -385,13 +385,13 @@ mod tests {
     /// table's counts and member lists describe its own `dist` exactly —
     /// and, inside every `recompute_from_s` and every pin, that the
     /// dimension filled is bit-equal to a sweep of its seeds
-    /// (`assert_certified`). Returns the cores and cost bits emitted and
-    /// the sweeps that took.
-    fn certified_run<F: Frontier>(mut it: Enumerator<'_, F>) -> (Vec<(Core, u64)>, usize) {
+    /// (`assert_certified`). Returns the cores and costs emitted and the
+    /// sweeps that took.
+    fn certified_run<F: Frontier>(mut it: Enumerator<'_, F>) -> (Vec<(Core, Weight)>, usize) {
         let mut emitted = Vec::new();
         while let Some(c) = it.next() {
             it.shell.ns.assert_history_free();
-            emitted.push((c.core, c.cost.get().to_bits()));
+            emitted.push((c.core, c.cost));
         }
         (emitted, it.neighbor_sweeps())
     }
@@ -407,8 +407,8 @@ mod tests {
     fn totals_do_not_drift_over_long_enumerations() {
         // ROADMAP item 1's drift rung: hundreds of pins, exclusions and
         // restores over fractional weights, on all three frontiers —
-        // counts exact, member lists exact and `sum()` bit-equal to its
-        // dimension-order fold after every `next()`.
+        // counts exact, member lists exact and `sum()` equal to its fold
+        // after every `next()`.
         assert!(drift_free_run::<CanList>() >= 300);
         assert!(drift_free_run::<Dfs>() >= 300);
         assert!(drift_free_run::<FromScratch>() >= 300);
@@ -451,7 +451,7 @@ mod tests {
         // partition once. The ablation sweeps everything, as it always did.
         assert_eq!(drained::<CanList>(), (441, 537));
         assert_eq!(drained::<Dfs>(), (441, 537));
-        assert_eq!(drained::<FromScratch>(), (441, 2714));
+        assert_eq!(drained::<FromScratch>(), (441, 2725));
     }
 
     #[test]
@@ -494,9 +494,8 @@ mod tests {
     }
 
     /// A small random query: `weights` drawn per edge, one to three
-    /// keyword sets of one to four nodes, a radius of a few edges — half a
-    /// step off the lattice the path sums live on, so that no sum lands
-    /// within an ulp of it (ROADMAP item 1's hazard is not this test's).
+    /// keyword sets of one to four nodes, a radius of a few edges — on the
+    /// lattice the path sums live on, so that many sums land exactly on it.
     fn random_query(rng: &mut SplitMix64, weights: &[f64]) -> (Graph, QuerySpec) {
         let n = 4 + rng.index(12);
         let mut b = GraphBuilder::new(n);
@@ -508,7 +507,7 @@ mod tests {
         let sets = (0..1 + rng.index(3))
             .map(|_| (0..1 + rng.index(4)).map(|_| node(rng)).collect())
             .collect();
-        let rmax = Weight::new(0.25 + 0.1 * rng.index(8) as f64);
+        let rmax = Weight::new(0.2 + 0.1 * rng.index(8) as f64);
         (b.build(), QuerySpec::new(sets, rmax))
     }
 
@@ -555,29 +554,26 @@ mod tests {
 
     #[test]
     fn edges_that_make_no_progress_take_the_fallback() {
-        // The same family with zero weights mixed in, then with weights an
-        // addition absorbs (`0.1 + 1e-18 == 0.1`): the pop order is no
+        // The same family with zero weights mixed in: the pop order is no
         // longer global, a repair would not equal a sweep, and none is
         // attempted — whenever such an edge was drawn no base is kept and
         // the sweep counts are those of sweeping everything.
-        for (cases, stalling) in [(5_000, 0.0), (100, 1e-18)] {
-            let weights = [stalling, 0.1, 0.2, 0.3, 0.5];
-            let (mut fallbacks, mut repairs) = (0, 0);
-            SplitMix64::for_each_case(cases, |rng| {
-                let (g, spec) = random_query(rng, &weights);
-                let stalls = g.edges().any(|(_, _, w)| w < Weight::new(0.1));
-                assert_eq!(
-                    started::<CanList>(&g, &spec).shell.ns.keeps_base(0),
-                    !stalls
-                );
-                assert_eq!(started::<Dfs>(&g, &spec).shell.ns.keeps_base(0), !stalls);
-                fallbacks += usize::from(stalls);
-                repairs += usize::from(!stalls);
-                certified_run(Enumerator::<CanList>::try_new(&g, &spec).unwrap());
-                certified_run(Enumerator::<Dfs>::try_new(&g, &spec).unwrap());
-            });
-            assert!(fallbacks >= cases as usize * 4 / 5 && repairs > 0);
-        }
+        let weights = [0.0, 0.1, 0.2, 0.3, 0.5];
+        let (mut fallbacks, mut repairs) = (0, 0);
+        SplitMix64::for_each_case(5_000, |rng| {
+            let (g, spec) = random_query(rng, &weights);
+            let stalls = g.edges().any(|(_, _, w)| w == Weight::ZERO);
+            assert_eq!(
+                started::<CanList>(&g, &spec).shell.ns.keeps_base(0),
+                !stalls
+            );
+            assert_eq!(started::<Dfs>(&g, &spec).shell.ns.keeps_base(0), !stalls);
+            fallbacks += usize::from(stalls);
+            repairs += usize::from(!stalls);
+            certified_run(Enumerator::<CanList>::try_new(&g, &spec).unwrap());
+            certified_run(Enumerator::<Dfs>::try_new(&g, &spec).unwrap());
+        });
+        assert!(fallbacks >= 4_000 && repairs > 0);
         let (repaired, swept, kept) = repaired_against_swept::<CanList>(200, &[0.0, 0.2]);
         assert_eq!(repaired, swept);
         assert!(kept < 10, "{kept} of 200 graphs drew no zero-weight edge");

@@ -134,8 +134,9 @@ pub fn topk_trees(graph: &Graph, spec: &QuerySpec, k: usize) -> Vec<TreeAnswer> 
                 let mut u = root;
                 while forest.dist[i][u.index()] > Weight::ZERO {
                     let v = NodeId(forest.next[i][u.index()]);
-                    let w = forest.dist[i][u.index()].get() - forest.dist[i][v.index()].get();
-                    edges.insert((u, v), Weight::new(w.max(0.0)));
+                    let (du, dv) = (forest.dist[i][u.index()], forest.dist[i][v.index()]);
+                    let w = Weight::from_units(du.units().saturating_sub(dv.units()));
+                    edges.insert((u, v), w);
                     u = v;
                 }
                 core.push(NodeId(forest.target[i][root.index()]));
@@ -221,8 +222,8 @@ mod tests {
             // true shortest distance.
             let mut engine = DijkstraEngine::new(g.node_count());
             let d = engine.distances(&g, Direction::Forward, t.root);
-            let total: f64 = t.core.0.iter().map(|c| d[c.index()].get()).sum();
-            assert!((total - t.weight.get()).abs() < 1e-9);
+            let total: Weight = t.core.0.iter().map(|c| d[c.index()]).sum();
+            assert_eq!(total, t.weight);
             for &c in &t.core.0 {
                 assert!(d[c.index()] <= spec.rmax);
             }

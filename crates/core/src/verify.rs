@@ -9,8 +9,8 @@
 //! over a center's distances in keyword order `i = 1..l`.
 //!
 //! * [`check_community`] certifies one [`Community`] against a
-//!   [`QuerySpec`]: knodes, centers, cost, membership, path-node roles, and
-//!   induced edge count;
+//!   [`QuerySpec`]: knodes, centers, cost, that it holds its centers and
+//!   knodes, membership, path-node roles, and induced edge count;
 //! * [`check_enumeration`] certifies a `COMM-all`/`COMM-k` result stream:
 //!   every community certified, cores pairwise distinct;
 //! * [`check_ranking`] checks ranked (`COMM-k`) output for non-decreasing
@@ -72,6 +72,13 @@ pub enum CertificationError {
         expected: Weight,
         /// The claimed cost.
         got: Weight,
+    },
+    /// The community lacks one of its own centers or knodes.
+    MissingCoreNode {
+        /// The community's core.
+        core: Core,
+        /// The center or knode it lacks.
+        node: NodeId,
     },
     /// The claimed member set differs from the recomputed one.
     MembersMismatch {
@@ -164,6 +171,9 @@ impl fmt::Display for CertificationError {
                 got,
             } => {
                 write!(f, "cost of {core:?}: recomputed {expected}, claimed {got}")
+            }
+            CertificationError::MissingCoreNode { core, node } => {
+                write!(f, "community of {core:?} lacks its center or knode {node}")
             }
             CertificationError::MembersMismatch {
                 core,
@@ -331,9 +341,6 @@ fn check_community_guarded(
         }
         // xtask-allow: unbounded_alloc — bounded by n; one candidate center per node
         centers.push(NodeId(index_to_u32(u)));
-        // Definition 2.1 aggregates over i = 1..l. Folding in that order —
-        // the order the enumerators, the baselines and the naive oracle
-        // all use — makes the float result match bit for bit.
         let agg = spec.cost.combine(sweep_of.iter().map(|&k| dists[k][u]));
         if agg < cost {
             cost = agg;
@@ -351,6 +358,16 @@ fn check_community_guarded(
             core: core.clone(),
             expected: cost,
             got: community.cost,
+        });
+    }
+
+    // Definition 2.1: a community holds its centers and its knodes.
+    let claimed = community.nodes();
+    let mut core_nodes = centers.iter().chain(&distinct);
+    if let Some(&node) = core_nodes.find(|u| claimed.binary_search(u).is_err()) {
+        return Err(CertificationError::MissingCoreNode {
+            core: core.clone(),
+            node,
         });
     }
 

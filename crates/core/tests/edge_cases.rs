@@ -3,9 +3,9 @@
 //! components, and parameter extremes.
 
 use comm_core::trees::topk_trees;
-use comm_core::verify::check_community;
+use comm_core::verify::{check_community, CertificationError};
 use comm_core::{
-    bu_all_guarded, bu_topk_guarded, comm_k_on_index, get_community_guarded, td_all_guarded,
+    bu_all_guarded, bu_topk_guarded, comm_k_guarded, comm_k_on_index, td_all_guarded,
     td_topk_guarded, BaselineRun, CommAll, CommK, Community, Core, CostFn, Outcome, ProjectedQuery,
     ProjectionIndex, QueryError, QuerySpec, RunGuard,
 };
@@ -355,68 +355,124 @@ fn conduit_gadget(a: f64, b: f64, d: f64, rmax: f64) -> Graph {
     )
 }
 
-/// `GetCommunity()` of core `[4, 5]` on `g`, certified against the oracle,
-/// and the node set `GraphProjection` keeps for the same query on an index
-/// wide enough to hold the whole chain.
-fn conduit_answers(g: &Graph, rmax: f64) -> (Community, Vec<NodeId>) {
-    let guard = RunGuard::unlimited();
-    let q = spec(&[&[4], &[5]], rmax);
-    let mut engine = comm_graph::DijkstraEngine::new(g.node_count());
-    let core = Core(vec![NodeId(4), NodeId(5)]);
-    let c = get_community_guarded(g, &mut engine, &core, q.rmax, q.cost, &guard);
-    let c = c.unwrap().expect("0 is a center");
-    check_community(g, &q, &c).unwrap();
-    let kws: [(&str, &[NodeId]); 2] = [("a", &[NodeId(4)]), ("b", &[NodeId(5)])];
+const CONDUIT_KEYWORDS: [(&str, &[NodeId]); 2] = [("a", &[NodeId(4)]), ("b", &[NodeId(5)])];
+
+/// The mirror gadget: `0 → 1 → 2 → 3` at `0.1, 0.2, 0.3` and `0 → 4` at
+/// `0.1`; keywords `a = {3}`, `b = {4}`, `Rmax = 0.6`.
+fn mirror_gadget() -> Graph {
+    graph_from_edges(5, &[(0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3), (0, 4, 0.1)])
+}
+
+const MIRROR_KEYWORDS: [(&str, &[NodeId]); 2] = [("a", &[NodeId(3)]), ("b", &[NodeId(4)])];
+
+fn ids(v: &[u32]) -> Vec<NodeId> {
+    v.iter().map(|&u| NodeId(u)).collect()
+}
+
+/// Every community of the query `kws` at `rmax` on `g`, as `(core,
+/// members)` sorted by core — after checking that COMM-k, COMM-all and
+/// COMM-k through an index of radius `rmax` return the same ones, each
+/// certified against `g`.
+fn answers_every_way(
+    g: &Graph,
+    kws: &[(&str, &[NodeId])],
+    rmax: Weight,
+) -> Vec<(Core, Vec<NodeId>)> {
+    let q = QuerySpec::new(kws.iter().map(|(_, v)| v.to_vec()).collect(), rmax);
+    let members = |cs: Vec<Community>| {
+        let mut out: Vec<(Core, Vec<NodeId>)> = cs
+            .into_iter()
+            .map(|c| {
+                check_community(g, &q, &c).unwrap();
+                (c.core.clone(), c.nodes().to_vec())
+            })
+            .collect();
+        out.sort();
+        out
+    };
+    let guard = RunGuard::unlimited;
     let idx = ProjectionIndex::build_par_guarded(
         g,
-        kws,
-        Weight::new(rmax + 0.2),
-        &guard,
+        kws.iter().copied(),
+        rmax,
+        &guard(),
         &EnginePool::new(),
         Parallelism::serial(),
-    );
-    let pq = idx.unwrap().try_project(&["a", "b"], q.rmax, &guard);
-    (c, pq.unwrap().projected.original_ids)
+    )
+    .unwrap();
+    let names: Vec<&str> = kws.iter().map(|&(kw, _)| kw).collect();
+    let cost = CostFn::SumDistances;
+    let indexed = comm_k_on_index(&idx, &names, rmax, 100, cost, guard()).unwrap();
+    let k = members(comm_k_guarded(g, &q, 100, guard()).unwrap().into_value());
+    assert_eq!(members(collect_all(g, &q)), k, "COMM-all against COMM-k");
+    assert_eq!(members(indexed.into_value()), k, "through the index");
+    k
 }
 
-/// Float path sums are not associative: folded from the center, the chain
-/// gives `(0.3 + 0.2) + 0.1 = 0.6`, so 3 is a member at `Rmax = 0.6`;
-/// folded from the keyword node it gives `(0.1 + 0.2) + 0.3 =
-/// 0.6000000000000001`, so 1 is in no pinned set, and 2 — in one — fails
-/// the member test by an ulp. The forward sweep may therefore prune
-/// neither by the member test nor by the pinned sets alone.
+/// `0.3 + 0.2 + 0.1` is `Rmax = 0.6` folded from either end, so the whole
+/// chain belongs to the community, on `G_D` and through the index alike.
+/// (With `f64` path sums the fold from 4 came to `0.6000000000000001`,
+/// and the index dropped 1 and 2.)
 #[test]
-fn member_behind_a_non_member_and_an_unpinned_node_is_kept() {
+fn conduit_gadget_keeps_the_whole_chain_every_way() {
     let g = conduit_gadget(0.3, 0.2, 0.1, 0.6);
-    let (c, keep) = conduit_answers(&g, 0.6);
-    let ids = |v: &[NodeId]| v.iter().map(|n| n.0).collect::<Vec<_>>();
-    assert_eq!(ids(&c.centers), vec![0]);
-    assert_eq!(ids(c.nodes()), vec![0, 3, 4, 5]);
-    assert_eq!(ids(&keep), vec![0, 3, 4, 5]);
+    let answers = answers_every_way(&g, &CONDUIT_KEYWORDS, Weight::new(0.6));
+    let core = Core(ids(&[4, 5]));
+    assert_eq!(answers, vec![(core, ids(&[0, 1, 2, 3, 4, 5]))]);
 }
 
-/// The same gadget over every ordered weight triple from `{0.1 … 0.9}`,
-/// `Rmax` being exactly what the chain folds to from the center. Whenever
-/// the fold from the keyword node comes out larger, node 1 is an unpinned
-/// conduit and 3 must still be found.
+/// One community, centered at 0, holding its keyword node 3 at distance
+/// `0.1 + 0.2 + 0.3 = 0.6`. (With `f64` path sums `G_D` answered
+/// `{0, 1, 4}` and the index answered nothing.)
 #[test]
-fn conduit_gadget_agrees_with_the_oracle_on_every_weight_triple() {
+fn mirror_gadget_community_holds_its_own_keyword_node() {
+    let answers = answers_every_way(&mirror_gadget(), &MIRROR_KEYWORDS, Weight::new(0.6));
+    let core = Core(ids(&[3, 4]));
+    assert_eq!(answers, vec![(core, ids(&[0, 1, 2, 3, 4]))]);
+}
+
+#[test]
+fn a_community_without_its_keyword_node_is_rejected() {
+    // The mirror gadget's old wrong answer, `{0, 1, 4}`, built by hand.
+    let g = mirror_gadget();
+    let q = spec(&[&[3], &[4]], 0.6);
+    let right = collect_all(&g, &q).remove(0);
+    let wrong = Community {
+        path_nodes: ids(&[1]),
+        subgraph: g.induce(&ids(&[0, 1, 4])),
+        ..right.clone()
+    };
+    assert_eq!(
+        check_community(&g, &q, &wrong),
+        Err(CertificationError::MissingCoreNode {
+            core: right.core,
+            node: NodeId(3)
+        })
+    );
+}
+
+/// The conduit gadget over every ordered weight triple from `{0.1 … 0.9}`,
+/// `Rmax` being what the chain folds to from the center. In `f64`, the
+/// fold from the keyword node comes out larger in 121 triples, which made
+/// node 1 a conduit no pinned set holds; as `Weight`s the two folds are one
+/// sum, and the whole chain is the community every way.
+#[test]
+fn conduit_gadget_agrees_every_way_on_every_weight_triple() {
     let tenths = || (1..10).map(|k| f64::from(k) / 10.0);
-    let mut conduits = 0;
+    let w = Weight::new;
+    let (mut float_conduits, mut conduits) = (0, 0);
     for a in tenths() {
         for b in tenths() {
             for d in tenths() {
                 let rmax = (a + b) + d;
+                float_conduits += usize::from((d + b) + a > rmax);
+                conduits += usize::from((w(d) + w(b)) + w(a) > w(rmax));
                 let g = conduit_gadget(a, b, d, rmax);
-                let (c, keep) = conduit_answers(&g, rmax);
-                assert_eq!(keep, c.nodes(), "keep set at ({a}, {b}, {d})");
-                if (d + b) + a > rmax {
-                    conduits += 1;
-                    assert!(c.nodes().contains(&NodeId(3)), "lost 3 at ({a}, {b}, {d})");
-                    assert!(!c.nodes().contains(&NodeId(1)));
-                }
+                let answers = answers_every_way(&g, &CONDUIT_KEYWORDS, w(rmax));
+                let chain = ids(&[0, 1, 2, 3, 4, 5]);
+                assert_eq!(answers[0].1, chain, "members at ({a}, {b}, {d})");
             }
         }
     }
-    assert_eq!(conduits, 121);
+    assert_eq!((float_conduits, conduits), (121, 0));
 }

@@ -278,10 +278,10 @@ fn max_distance_cost_agrees_with_oracle() {
 
 /// The boundary-weight rung: the sink-bounded forward sweep of
 /// `GetCommunity()` on graphs built to break it. Multigraphs over weights
-/// `{0, 0.1, 0.2, 0.3, 0.4}` — tenths do not add associatively — with
-/// parallel edges and a zero-weight cycle, under radii that are tenths or
-/// sums of tenths as one fold order realises them, so path sums land on
-/// `Rmax` exactly, one ulp above and one ulp below. Every community of
+/// `{0, 0.1, 0.2, 0.3, 0.4}` with parallel edges and a zero-weight cycle,
+/// under radii that are tenths or sums of tenths as one `f64` fold order
+/// realises them — which `Weight::new` rounds back to the tenth — so path
+/// sums land on `Rmax` exactly. Every community of
 /// COMM-all and COMM-k certifies against the unpruned oracle sweep of
 /// `comm_core::verify`, on the default kernel and on the heap reference.
 #[test]
@@ -293,6 +293,9 @@ fn boundary_weight_communities_certify() {
         (0.4 + 0.3) + 0.2, // 0.8999999999999999
     ];
     const { assert!(REALISED[0] > 0.3 && REALISED[1] > 0.6 && REALISED[2] < 0.9) };
+    for (realised, tenth) in REALISED.into_iter().zip([0.3, 0.6, 0.9]) {
+        assert_eq!(Weight::new(realised), Weight::new(tenth));
+    }
     let mut certified = 0;
     SplitMix64::for_each_case(4 * CASES, |rng| {
         let n = 4 + rng.index(9);
@@ -343,11 +346,11 @@ fn boundary_weight_communities_certify() {
 }
 
 /// The projection rung (Sec. VI), over graphs with zero-weight edges and
-/// weights whose sums round, a node carrying two keywords, `rmax == R` and
+/// fractional weights, a node carrying two keywords, `rmax == R` and
 /// `rmax < R`, and queries over a prefix of a larger index:
 /// (i) `G_P` is `G_D` induced on the kept nodes, edge for edge;
 /// (ii) COMM-all on `G_P`, lifted, is COMM-all on `G_D` — same cores in
-/// the same order with the same cost bits — certifies against `G_D` and
+/// the same order with the same costs and members — certifies against `G_D` and
 /// agrees with the naive oracle;
 /// (iii) every stored run is a fresh reverse sweep's settle stream;
 /// (iv) the kept set grows with `rmax`;
@@ -415,7 +418,11 @@ fn projection_preserves_results() {
         let ranked = |cs: &[Community]| -> Vec<(Core, Weight)> {
             cs.iter().map(|c| (c.core.clone(), c.cost)).collect()
         };
+        let members = |cs: &[Community]| -> Vec<Vec<NodeId>> {
+            cs.iter().map(|c| c.nodes().to_vec()).collect()
+        };
         assert_eq!(ranked(&lifted), ranked(&full));
+        assert_eq!(members(&lifted), members(&full));
         check_enumeration(&g, &spec, &lifted).unwrap();
         let mut sorted = ranked(&lifted);
         sorted.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));

@@ -1,6 +1,6 @@
 //! Where cached datasets live on disk.
 //!
-//! Paper-scale generation takes ~a minute; mapping a CGPH v2 container
+//! Paper-scale generation takes ~a minute; mapping a CGPH v3 container
 //! ([`comm_graph::Container`]: the database graph, the keyword → node-set
 //! map and an opaque blob, by convention a serialized projection index)
 //! back in is near-instant. The two load paths that cache — the bench

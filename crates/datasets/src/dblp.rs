@@ -286,6 +286,7 @@ fn sample_poisson(rng: &mut SplitMix64, mean: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comm_graph::Weight;
     use comm_rdb::TableId;
 
     fn small() -> DblpConfig {
@@ -360,7 +361,7 @@ mod tests {
         let d = generate_dblp(&DblpConfig::default().scaled(0.02));
         for (_, v, w) in d.graph.graph.edges().take(500) {
             let expect = (1.0 + d.graph.graph.in_degree(v) as f64).log2();
-            assert!((w.get() - expect).abs() < 1e-12);
+            assert_eq!(w, Weight::new(expect));
         }
     }
 }

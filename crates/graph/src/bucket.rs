@@ -4,15 +4,13 @@
 //!
 //! The heap kernel pops `Reverse<(Weight, NodeId)>` entries: every pop
 //! returns the least `(dist, node)` entry *currently queued* —
-//! `Weight`'s `total_cmp` order on distances, node id as the tie-break.
+//! `Weight`'s integer order on distances, node id as the tie-break.
 //! [`BucketQueue`] makes the same choice at every pop, not merely some
 //! valid Dijkstra choice:
 //!
-//! * every entry is keyed by `bucket_of(d) = ⌊d · delta_inv⌋`, which is
-//!   monotone in `d` (multiplication by a positive finite constant and
-//!   `floor` are both monotone under IEEE-754 round-to-nearest), so equal
-//!   distances always share a bucket and a smaller distance never lands in
-//!   a later bucket;
+//! * every entry is keyed by `bucket_of(d) = d.units() >> shift`, which is
+//!   monotone in `d`, so equal distances always share a bucket and a
+//!   smaller distance never lands in a later bucket;
 //! * the queue drains bucket `base` through a **mini binary heap** holding
 //!   that bucket's entries, popping them in exact `(dist, node)` order;
 //! * Dijkstra's invariant (no relaxation produces a distance below the
@@ -28,12 +26,12 @@
 //! kernels see the same pushes and pop the same sequence, element for
 //! element. That is all the contract needs, and all that holds in
 //! general: the sequence as a whole is sorted by `(dist, node)` only when
-//! every relaxation makes progress (`fl(d + w) > d`). A zero-weight or
-//! absorbed edge pushes an entry *at* the distance being settled, and its
+//! every edge weight is positive. A zero-weight edge pushes an entry *at*
+//! the distance being settled, and its
 //! node id may be smaller than one already popped there — seeds `{2, 4}`
 //! and an edge `4 → 1` of weight zero pop `(0, 2), (0, 4), (0, 1)`, on
 //! both kernels alike (`DijkstraEngine::run` says what follows from the
-//! sorted case). The bucket width `delta` affects only how much work the
+//! sorted case). The bucket width affects only how much work the
 //! mini heap sees: a wider bucket means more comparisons, a narrower one
 //! more empty-bucket skips. Correctness needs no tuning.
 //!
@@ -143,9 +141,10 @@ impl BucketQueue {
 mod tests {
     use super::*;
 
-    fn plan(delta: f64, buckets: usize) -> BucketPlan {
+    /// `buckets` buckets of `width` rounded down to a power of two units.
+    fn plan(width: f64, buckets: usize) -> BucketPlan {
         BucketPlan {
-            delta_inv: delta.recip(),
+            shift: Weight::new(width).units().ilog2(),
             buckets,
         }
     }
@@ -202,8 +201,8 @@ mod tests {
     fn entries_past_the_last_bucket_clamp_exactly() {
         let mut q = BucketQueue::default();
         q.begin(&plan(1.0, 3));
-        // Buckets cover [0,3); distances beyond clamp into bucket 2 and
-        // still pop in exact order via the mini heap.
+        // Buckets cover [0, 3 · 2²⁹ units) ≈ [0, 1.6); distances beyond
+        // clamp into bucket 2 and still pop in exact order via the mini heap.
         for (d, v) in [(10.0, 1), (2.5, 2), (7.0, 3), (0.5, 4)] {
             q.push(Weight::new(d), NodeId(v));
         }

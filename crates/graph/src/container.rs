@@ -1,4 +1,4 @@
-//! CGPH v2: a sectioned, checksummed, mmap-ready on-disk container.
+//! CGPH v3: a sectioned, checksummed, mmap-ready on-disk container.
 //!
 //! The container stores the **built CSR arrays** (forward and reverse
 //! offsets/targets/weights) as fixed-width little-endian sections, so a
@@ -12,7 +12,7 @@
 //! # Layout
 //!
 //! ```text
-//! header (40 B):  magic "CGPH" | version=2 u32 | n u64 | m u64
+//! header (40 B):  magic "CGPH" | version=3 u32 | n u64 | m u64
 //!                 | section_count u32 | reserved u32 | toc checksum u64
 //! TOC:            section_count × 32 B: id u32 | reserved u32
 //!                 | offset u64 | len u64 | section checksum u64
@@ -29,7 +29,7 @@
 //!
 //! A load verifies, in order: header magic/version, TOC checksum, TOC
 //! geometry, every section's 64-bit word-FNV checksum, CSR structure (offsets
-//! monotone from 0 to `m`, targets `< n`, weights finite and ≥ 0, runs
+//! monotone from 0 to `m`, targets `< n`, weights `< Weight::INFINITY`, runs
 //! sorted — the linear subset of [`Graph::validate`]; the `O(m log m)`
 //! transpose comparison is left to `verify`-feature tests), and the
 //! keyword map's contract (lowercase keys, strictly increasing in-range
@@ -40,9 +40,11 @@
 //!
 //! # Versions
 //!
-//! v2 is the only format read or written. The v1 edge-list format (same
-//! magic, `version = 1`) is rejected by its version field; caches
-//! regenerate over any file that fails to load.
+//! v3 is the only format read or written: weight sections hold `u64`
+//! counts of `10⁻⁹` units ([`Weight::units`]). v2 (the same layout with
+//! `f64` weights) and the v1 edge-list format (same magic, `version = 1`)
+//! are rejected by their version field; caches regenerate over any file
+//! that fails to load.
 
 use crate::csr::{Csr, Graph, NodeId};
 use crate::io::{atomic_write, PREALLOC_CAP};
@@ -57,7 +59,7 @@ use std::sync::Arc;
 
 const MAGIC: [u8; 4] = *b"CGPH";
 /// Container format version.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 const HEADER_BYTES: usize = 40;
 const TOC_ENTRY_BYTES: usize = 32;
 /// Hard cap on the section count a header may claim.
@@ -208,13 +210,13 @@ fn id_section(vals: &[NodeId]) -> Vec<u8> {
 fn weight_section(vals: &[Weight]) -> Vec<u8> {
     let mut out = Vec::with_capacity(vals.len() * 8);
     for v in vals {
-        out.extend_from_slice(&v.get().to_le_bytes());
+        out.extend_from_slice(&v.units().to_le_bytes());
     }
     out
 }
 
 /// Writes `graph` (and optionally a keyword map and an extra payload) to
-/// `w` in the CGPH v2 container format.
+/// `w` in the CGPH v3 container format.
 fn write_container<'a, W: Write>(
     w: &mut W,
     graph: &Graph,
@@ -341,7 +343,7 @@ fn parse_toc(bytes: &[u8]) -> io::Result<(u64, u64, Vec<Section>)> {
     let version = read_u32(bytes, 4);
     if version != VERSION {
         return Err(bad(format!(
-            "unsupported CGPH version {version} (container reader supports v2)"
+            "unsupported CGPH version {version} (container reader supports v3)"
         )));
     }
     if bytes.len() < HEADER_BYTES {
@@ -502,7 +504,7 @@ fn load_half(
     Ok(csr)
 }
 
-/// Loads a v2 container by `mmap` (zero-copy on unix; aligned heap read
+/// Loads a v3 container by `mmap` (zero-copy on unix; aligned heap read
 /// elsewhere), validating checksums and structure. See the module docs
 /// for the full validation list.
 pub fn load_container(path: impl AsRef<Path>) -> io::Result<Container> {

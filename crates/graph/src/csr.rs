@@ -80,7 +80,7 @@ impl Direction {
 /// Array fields are `pub(crate)` so `crate::verify` can inspect (and, in
 /// tests, corrupt) them without widening the public API. Each array is a
 /// [`Storage`]: an owned `Vec` when built in memory, or a zero-copy view
-/// into a mapped CGPH v2 container (see [`crate::container`]).
+/// into a mapped CGPH v3 container (see [`crate::container`]).
 ///
 /// [`DijkstraEngine::run_rows_guarded`]: crate::DijkstraEngine::run_rows_guarded
 #[derive(Clone, Default)]
@@ -114,8 +114,8 @@ impl Csr {
     /// sweep or a [`transpose`](Self::transpose) indexes by: `offsets`
     /// non-empty, starting at 0, monotone and closing on the target count;
     /// targets below the row count; rows sorted by `(target, weight)`;
-    /// weights finite and non-negative. This is the entry point for arrays
-    /// decoded from untrusted bytes.
+    /// weights finite. This is the entry point for arrays decoded from
+    /// untrusted bytes.
     pub fn from_parts(
         offsets: Vec<u32>,
         targets: Vec<NodeId>,
@@ -199,9 +199,8 @@ impl Csr {
 
     /// The smallest weight, zeros included, or `None` when there is no
     /// edge; shares [`min_positive_weight`](Self::min_positive_weight)'s
-    /// cached scan. A sweep of radius `r` over these rows makes progress
-    /// at every relaxation — `fl(d + w) > d` for every `d ≤ r` — when this
-    /// exceeds `r · 2⁻⁵²`, an ulp of `r`.
+    /// cached scan. A sweep over these rows makes progress at every
+    /// relaxation — `d + w > d` — when this is positive.
     pub fn min_weight(&self) -> Option<Weight> {
         let (w, _) = self.min_weights();
         w.is_finite().then_some(w)

@@ -56,9 +56,8 @@ pub struct Settled {
 /// same pushes — the bit-identical contract between kernels rests on
 /// that, and on nothing about the whole pop sequence. The sequence is
 /// globally sorted only when every relaxation makes progress (see
-/// [`DijkstraEngine::run`]): a zero-weight or absorbed edge pushes an
-/// entry at the distance being settled, possibly below a node id already
-/// popped at it.
+/// [`DijkstraEngine::run`]): a zero-weight edge pushes an entry at the
+/// distance being settled, possibly below a node id already popped at it.
 trait Frontier {
     fn push(&mut self, d: Weight, v: NodeId);
     fn pop(&mut self) -> Option<(Weight, NodeId)>;
@@ -197,14 +196,13 @@ impl DijkstraEngine {
     /// the source of the first relaxation that offered it its final
     /// distance, which is deterministic for a fixed graph and seed set.
     ///
-    /// When every relaxation makes progress — `fl(d + w) > d` for every
-    /// settled `d`, which [`Csr::min_weight`] `> radius · 2⁻⁵²` ensures —
-    /// the pop sequence is globally sorted by `(dist, node)`, so that
+    /// When every relaxation makes progress — `d + w > d`, which a positive
+    /// [`Csr::min_weight`] ensures — the pop sequence is globally sorted
+    /// by `(dist, node)`, so that
     /// first relaxation comes from the optimal predecessor `p*` of least
     /// `(dist(p), p)` and `source(u) = source(p*)`: a function of the seed
-    /// set, not of the queue's history. Across an edge that makes no
-    /// progress (weight zero, or absorbed into `d`) neither holds: the
-    /// entry it pushes can sort below one already popped.
+    /// set, not of the queue's history. Across a zero-weight edge neither
+    /// holds: the entry it pushes can sort below one already popped.
     ///
     /// Returns the number of settled nodes.
     #[expect(

@@ -15,19 +15,19 @@
 //!   reference kernel the equivalence tests compare against;
 //! * [`Kernel::Bucket`] — the bucket queue, **bit-identical** to the heap
 //!   kernel by construction (see [`crate::bucket`] for the tie-break
-//!   argument); falls back to the heap when no valid bucket width exists
-//!   (untruncated sweep, zero radius with no positive weight). This is
+//!   argument); falls back to the heap for an untruncated sweep. This is
 //!   the default everywhere: results never depend on the choice, only the
 //!   constant factor does.
 //!
-//! The bucket width `delta` derives from the graph's minimum positive
+//! The bucket width derives from the graph's minimum positive
 //! edge weight (the finest ring that can matter), narrowed by
 //! [`BUCKET_REFINE`] so the in-bucket heaps stay small — measured on the
 //! sampled-DBLP and 1M-torus sweeps, `w_min / 16` beats both `w_min`
-//! (mini-heaps too big) and `w_min / 64` (no further gain) — and widened
-//! so the bucket count stays below [`MAX_BUCKETS`] for very large
-//! `Rmax / w_min` ratios. Correctness is independent of `delta` — a
-//! wider bucket only moves more entries into the exact in-bucket heap.
+//! (mini-heaps too big) and `w_min / 64` (no further gain) — rounded down
+//! to a power of two of `Weight` units, so a bucket index is one shift,
+//! and widened so the bucket count stays within [`MAX_BUCKETS`] for very
+//! large `Rmax / w_min` ratios. Correctness is independent of the width —
+//! a wider bucket only moves more entries into the exact in-bucket heap.
 
 use crate::weight::Weight;
 
@@ -37,7 +37,7 @@ pub const MAX_BUCKETS: usize = 1 << 16;
 
 /// How many buckets each minimum-edge-weight "ring" is split into; see
 /// the module docs for the measured tuning.
-pub const BUCKET_REFINE: f64 = 16.0;
+pub const BUCKET_REFINE: u64 = 16;
 
 /// Which priority-queue kernel a [`DijkstraEngine`](crate::DijkstraEngine)
 /// runs its sweeps on. Both kernels produce bit-identical results; the
@@ -55,7 +55,7 @@ pub enum Kernel {
 impl Kernel {
     /// Resolves the kernel for one sweep: the bucket width is derived from
     /// `radius` and `w_min`, the swept adjacency's minimum positive edge
-    /// weight, and the heap is chosen when no valid width exists.
+    /// weight, and the heap is chosen when the radius is infinite.
     pub(crate) fn resolve(self, w_min: Option<Weight>, radius: Weight) -> ResolvedKernel {
         if self == Kernel::Heap {
             return ResolvedKernel::Heap;
@@ -74,59 +74,48 @@ pub(crate) enum ResolvedKernel {
     Bucket(BucketPlan),
 }
 
-/// The bucket geometry for one sweep: `1/delta` plus the bucket count
-/// implied by the radius. (The `Default` is an empty zero-bucket plan so
-/// an idle [`crate::bucket::BucketQueue`] can hold one.)
+/// The bucket geometry for one sweep: a power-of-two bucket width in
+/// `Weight` units plus the bucket count implied by the radius. (The
+/// `Default` is an empty zero-bucket plan so an idle
+/// [`crate::bucket::BucketQueue`] can hold one.)
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct BucketPlan {
-    /// Reciprocal bucket width; a distance `d` lands in bucket
-    /// `⌊d · delta_inv⌋`.
-    pub(crate) delta_inv: f64,
+    /// `log2` of the bucket width: a distance `d` lands in bucket
+    /// `d.units() >> shift`.
+    pub(crate) shift: u32,
     /// Number of buckets needed for distances in `[0, radius]`.
     pub(crate) buckets: usize,
 }
 
 impl BucketPlan {
-    /// Derives the bucket width for a sweep truncated at `radius`:
-    /// `delta = max(w_min⁺ / BUCKET_REFINE, radius / MAX_BUCKETS)` where
-    /// `w_min⁺` is the adjacency's minimum positive edge weight. Returns
-    /// `None` when buckets cannot be sized (untruncated sweep, or a
-    /// degenerate width).
+    /// Derives the bucket width for a sweep truncated at `radius`: the
+    /// largest power of two ≤ `w_min⁺ / BUCKET_REFINE`, where `w_min⁺` is
+    /// the adjacency's minimum positive edge weight, widened until the
+    /// bucket count is at most `MAX_BUCKETS + 1`. Returns `None` for an
+    /// untruncated sweep.
     pub(crate) fn for_sweep(w_min: Option<Weight>, radius: Weight) -> Option<BucketPlan> {
         if !radius.is_finite() {
             return None;
         }
-        let r = radius.get();
-        let w_min = w_min.map_or(0.0, Weight::get);
-        let delta = (w_min / BUCKET_REFINE).max(r / MAX_BUCKETS as f64);
-        if !(delta.is_finite() && delta > 0.0) {
-            // radius == 0 with no positive edge weight: every reachable
-            // distance is exactly 0, one bucket suffices.
-            return if r == 0.0 {
-                Some(BucketPlan {
-                    delta_inv: 1.0,
-                    buckets: 1,
-                })
-            } else {
-                None
-            };
-        }
-        let delta_inv = delta.recip();
-        if !delta_inv.is_finite() {
-            return None;
-        }
-        // +2: one for the ⌊r/delta⌋ bucket itself, one of slack for the
-        // float rounding of `r * delta_inv` right at the boundary.
-        let buckets = ((r * delta_inv) as usize).min(MAX_BUCKETS) + 2;
-        Some(BucketPlan { delta_inv, buckets })
+        let r = radius.units();
+        let fine = (w_min.map_or(0, Weight::units) / BUCKET_REFINE)
+            .max(1)
+            .ilog2();
+        let coarse = r
+            .div_ceil(MAX_BUCKETS as u64)
+            .next_power_of_two()
+            .trailing_zeros();
+        let shift = fine.max(coarse);
+        // `r >> shift ≤ MAX_BUCKETS`, so the cast cannot truncate.
+        let buckets = (r >> shift) as usize + 1;
+        Some(BucketPlan { shift, buckets })
     }
 
-    /// The bucket a distance `d ∈ [0, radius]` lands in. Monotone in `d`
-    /// (IEEE multiplication by a positive constant and `floor` both are),
+    /// The bucket a distance `d ∈ [0, radius]` lands in; monotone in `d`,
     /// which is all the exactness argument in [`crate::bucket`] needs.
     #[inline]
     pub(crate) fn bucket_of(&self, d: Weight) -> usize {
-        (d.get() * self.delta_inv) as usize
+        (d.units() >> self.shift) as usize
     }
 }
 
@@ -166,18 +155,20 @@ mod tests {
     fn plan_uses_min_positive_weight() {
         let g = graph_from_edges(3, &[(0, 1, 0.0), (1, 2, 2.0)]);
         let plan = BucketPlan::for_sweep(g.min_positive_weight(), Weight::new(8.0)).unwrap();
-        // delta = 2.0 / BUCKET_REFINE = 0.125 → buckets ⌊8/0.125⌋ + 2.
-        assert_eq!(plan.buckets, 66);
-        assert_eq!(plan.bucket_of(Weight::new(3.9)), 31);
-        assert_eq!(plan.bucket_of(Weight::new(4.0)), 32);
+        // 2.0 / BUCKET_REFINE = 1.25e8 units → width 2²⁶ units, so
+        // buckets ⌊8e9 / 2²⁶⌋ + 1.
+        assert_eq!(plan.shift, 26);
+        assert_eq!(plan.buckets, 120);
+        assert_eq!(plan.bucket_of(Weight::new(3.9)), 58);
+        assert_eq!(plan.bucket_of(Weight::new(4.0)), 59);
     }
 
     #[test]
     fn plan_caps_bucket_count() {
-        // Tiny weights and a huge radius: delta widens to radius/MAX.
+        // Tiny weights and a huge radius: the width widens to radius/MAX.
         let g = graph_from_edges(2, &[(0, 1, 1e-9)]);
         let plan = BucketPlan::for_sweep(g.min_positive_weight(), Weight::new(1e6)).unwrap();
-        assert!(plan.buckets <= MAX_BUCKETS + 2);
+        assert!(plan.buckets <= MAX_BUCKETS + 1);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * [`Csr`]: one direction of that adjacency — what a sweep reads, what
 //!   the projection index stores, and the row filter-copy
 //!   ([`Csr::induce`]) behind [`Graph::induce`] and `GraphProjection`;
-//! * [`Weight`]: totally ordered non-negative edge weights (the paper uses
-//!   `w_e((u,v)) = log2(1 + N_in(v))`);
+//! * [`Weight`]: fixed-point non-negative edge and path weights, exact
+//!   under addition (the paper uses `w_e((u,v)) = log2(1 + N_in(v))`);
 //! * [`DijkstraEngine`]: reusable radius-bounded multi-source Dijkstra, the
 //!   workhorse behind `Neighbor()`, `GetCommunity()` and `GraphProjection`
 //!   — one settle loop, which the two forward sweeps run under an

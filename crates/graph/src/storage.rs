@@ -1,7 +1,7 @@
 //! Backing storage for CSR arrays: owned heap vectors or zero-copy views
 //! into a memory-mapped container file.
 //!
-//! The CGPH v2 container (see [`crate::container`]) lays the built CSR
+//! The CGPH v3 container (see [`crate::container`]) lays the built CSR
 //! arrays out as fixed-width little-endian sections so a warm load is one
 //! `mmap` plus validation — no parsing, no `GraphBuilder` re-sort. To let
 //! `Dijkstra`, `NeighborSets`, and the engine pool run unchanged on mapped
@@ -19,7 +19,7 @@
 //!
 //! 1. reinterpreting a validated byte range of a region as `&[T]` for a
 //!    sealed set of [`Pod`] element types (`u32`, `NodeId`, `Weight`) that
-//!    are `#[repr(transparent)]` over `u32`/`f64`: fixed size, alignment
+//!    are `#[repr(transparent)]` over `u32`/`u64`: fixed size, alignment
 //!    ≤ 8, no padding, and every bit pattern inhabits the type (semantic
 //!    checks — finite weights, in-range ids — happen at load, on top of
 //!    this type-level soundness);
@@ -49,7 +49,7 @@ mod sealed {
 /// Element types that may be viewed directly inside a mapped byte region.
 ///
 /// Sealed: implemented exactly for `u32`, [`NodeId`] (`repr(transparent)`
-/// over `u32`), and [`Weight`] (`repr(transparent)` over `f64`). All three
+/// over `u32`), and [`Weight`] (`repr(transparent)` over `u64`). All three
 /// have no padding, alignment ≤ 8, and are inhabited by every bit pattern,
 /// which is what makes the reinterpret in [`Storage::deref`] sound.
 pub trait Pod: sealed::Sealed + Copy + 'static {}
@@ -396,8 +396,8 @@ mod tests {
     #[test]
     fn mapped_storage_views_weights_and_node_ids() {
         let mut bytes = vec![0u8; 8]; // one alignment pad word
-        bytes.extend_from_slice(&2.5f64.to_le_bytes());
-        bytes.extend_from_slice(&0.0f64.to_le_bytes());
+        bytes.extend_from_slice(&2_500_000_000u64.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
         let r = region_of(&bytes);
         let w: Storage<Weight> = Storage::mapped(Arc::clone(&r), 8, 2).unwrap();
         assert_eq!(&*w, &[Weight::new(2.5), Weight::ZERO]);

@@ -2,7 +2,7 @@
 //!
 //! [`Graph::validate`] re-derives every representation invariant the rest of
 //! the workspace silently relies on — well-formed offset arrays, sorted
-//! adjacency runs, finite non-negative weights, and exact transpose
+//! adjacency runs, finite weights, and exact transpose
 //! agreement between the forward and reverse CSR halves. It runs in
 //! `O(m log m)` and is wired into [`GraphBuilder::build`](crate::GraphBuilder::build)
 //! under `debug_assertions` or the `verify` feature, so corrupt graphs fail
@@ -176,7 +176,7 @@ pub(crate) fn validate_csr(
                     n,
                 });
             }
-            if !w.get().is_finite() || w.get() < 0.0 {
+            if !w.is_finite() {
                 return Err(GraphInvariantError::InvalidWeight {
                     dir,
                     node,
@@ -196,10 +196,10 @@ pub(crate) fn validate_csr(
     Ok(())
 }
 
-/// Flattens a CSR half into canonical `(u, v, weight-bits)` triples, with
+/// Flattens a CSR half into canonical `(u, v, weight)` triples, with
 /// the reverse half's edges flipped back to forward orientation so the two
 /// halves become directly comparable.
-fn edge_multiset(csr: &Csr, n: usize, flip: bool) -> Vec<(u32, u32, u64)> {
+fn edge_multiset(csr: &Csr, n: usize, flip: bool) -> Vec<(u32, u32, Weight)> {
     let mut out = Vec::with_capacity(csr.targets.len());
     for u in 0..n {
         let lo = csr.offsets[u] as usize;
@@ -207,7 +207,7 @@ fn edge_multiset(csr: &Csr, n: usize, flip: bool) -> Vec<(u32, u32, u64)> {
         let uid = try_index_to_u32(u).unwrap_or(u32::MAX);
         for (&t, &w) in csr.targets[lo..hi].iter().zip(&csr.weights[lo..hi]) {
             let (a, b) = if flip { (t.0, uid) } else { (uid, t.0) };
-            out.push((a, b, w.get().to_bits()));
+            out.push((a, b, w));
         }
     }
     out.sort_unstable();
@@ -223,11 +223,11 @@ impl Graph {
     ///    monotone, and end at the edge count;
     /// 3. `targets`/`weights` lengths agree with the offsets and with `m`;
     /// 4. every target lies in `0..n`;
-    /// 5. every weight is finite and non-negative;
+    /// 5. every weight is finite;
     /// 6. every adjacency run is sorted by `(target, weight)` (parallel
     ///    edges are legal and kept);
     /// 7. the reverse half is *exactly* the transpose of the forward half
-    ///    (same edge multiset, weights compared bit-for-bit).
+    ///    (same edge multiset, weights compared exactly).
     ///
     /// Runs in `O(m log m)`; returns the first violation found.
     pub fn validate(&self) -> Result<(), GraphInvariantError> {
@@ -243,9 +243,7 @@ impl Graph {
             let (ru, rv, rw) = *b;
             return Err(GraphInvariantError::TransposeMismatch {
                 detail: format!(
-                    "forward has (v{fu}, v{fv}, w={}) where reverse implies (v{ru}, v{rv}, w={})",
-                    f64::from_bits(fw),
-                    f64::from_bits(rw)
+                    "forward has (v{fu}, v{fv}, w={fw}) where reverse implies (v{ru}, v{rv}, w={rw})"
                 ),
             });
         }

@@ -190,7 +190,8 @@ impl DatabaseGraph {
 
     /// Certifies the materialized graph against its construction contract:
     /// CSR invariants hold, every edge weight matches `scheme` (recomputed
-    /// from the graph's own in-degrees for [`WeightScheme::LogInDegree`]),
+    /// from the graph's own in-degrees for [`WeightScheme::LogInDegree`],
+    /// and rounded to the unit as [`Weight::new`] rounds it),
     /// provenance covers the nodes one-to-one, and every keyword posting
     /// list is sorted and deduplicated.
     pub fn validate_weights(&self, scheme: WeightScheme) -> Result<(), WeightCertificationError> {
@@ -206,7 +207,7 @@ impl DatabaseGraph {
                 WeightScheme::LogInDegree => (1.0 + self.graph.in_degree(v) as f64).log2(),
                 WeightScheme::Uniform(w) => w,
             };
-            if w.get() != expected {
+            if Weight::try_new(expected) != Some(w) {
                 return Err(WeightCertificationError::WrongEdgeWeight {
                     from: u,
                     to: v,
@@ -409,7 +410,7 @@ mod tests {
         // Every edge weight equals log2(1 + in_degree(target)).
         for (_, v, w) in g.graph.edges() {
             let expect = (1.0 + g.graph.in_degree(v) as f64).log2();
-            assert!((w.get() - expect).abs() < 1e-12);
+            assert_eq!(w, Weight::new(expect));
         }
         // Authors connected to papers through Write tuples within 2 hops.
         let kate = g.keyword_nodes("kate")[0];

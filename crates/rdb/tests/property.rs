@@ -2,7 +2,7 @@
 //! enforcement, tokenizer/index agreement, and graph materialization
 //! invariants. Each property runs over [`CASES`] seeded random inputs.
 
-use comm_graph::SplitMix64;
+use comm_graph::{SplitMix64, Weight};
 use comm_rdb::{
     tokenize, ColumnDef, ColumnId, ColumnType, Database, DatabaseGraph, EdgeMode, FullTextIndex,
     TableSchema, Value, WeightScheme,
@@ -196,7 +196,7 @@ fn materialization_invariants() {
         assert_eq!(dg.graph.edge_count(), 4 * links.len());
         for (_, v, w) in dg.graph.edges() {
             let expect = (1.0 + dg.graph.in_degree(v) as f64).log2();
-            assert!((w.get() - expect).abs() < 1e-12);
+            assert_eq!(w, Weight::new(expect));
         }
         for node in dg.graph.nodes() {
             assert_eq!(dg.node_of(dg.tuple_of(node)), Some(node));

@@ -1,4 +1,4 @@
-//! Saves the synthetic torus engine's graph + vocabulary as a CGPH v2
+//! Saves the synthetic torus engine's graph + vocabulary as a CGPH v3
 //! container, so the CI warm-start lane can restart the daemon against it
 //! (`comm-explore serve --graph PATH`) without rebuilding anything:
 //!

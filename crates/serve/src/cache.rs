@@ -25,6 +25,7 @@
 //! *is* storing the recomputation.
 
 use comm_core::{Community, KeywordRun, ProjectionIndex};
+use comm_graph::Weight;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -130,25 +131,25 @@ impl<K: Eq + Clone, V: Clone> Lru<K, V> {
 }
 
 /// Key of the projection-index cache: the *set* of keywords (sorted,
-/// deduplicated, lowercased) plus the index radius bits. Requests that
-/// differ only in keyword order or `k` share one index.
+/// deduplicated, lowercased) plus the index radius. Requests that differ
+/// only in keyword order or `k` share one index.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct IndexKey {
     /// Sorted, deduplicated, lowercased keywords.
     pub keywords: Vec<String>,
-    /// The index radius as raw bits.
-    pub radius_bits: u64,
+    /// The index radius.
+    pub radius: Weight,
 }
 
 impl IndexKey {
     /// Normalizes a request's keywords into a cache key.
-    pub fn new(keywords: &[String], radius_bits: u64) -> IndexKey {
+    pub fn new(keywords: &[String], radius: Weight) -> IndexKey {
         let mut kws: Vec<String> = keywords.iter().map(|k| k.to_lowercase()).collect();
         kws.sort_unstable();
         kws.dedup();
         IndexKey {
             keywords: kws,
-            radius_bits,
+            radius,
         }
     }
 }
@@ -160,18 +161,19 @@ impl IndexKey {
 pub struct AnswerKey {
     /// Lowercased keywords in request order.
     pub keywords: Vec<String>,
-    /// `Rmax` as raw bits.
-    pub rmax_bits: u64,
+    /// `Rmax` as the query runs it: two wire radii that round to one
+    /// [`Weight`] are one query, and share an entry.
+    pub rmax: Weight,
     /// The `k` of top-k.
     pub k: u32,
 }
 
 impl AnswerKey {
     /// Normalizes a request into an answer-cache key.
-    pub fn new(keywords: &[String], rmax: f64, k: u32) -> AnswerKey {
+    pub fn new(keywords: &[String], rmax: Weight, k: u32) -> AnswerKey {
         AnswerKey {
             keywords: keywords.iter().map(|k| k.to_lowercase()).collect(),
-            rmax_bits: rmax.to_bits(),
+            rmax,
             k,
         }
     }
@@ -265,19 +267,21 @@ mod tests {
 
     #[test]
     fn index_key_normalizes_order_case_and_duplicates() {
-        let a = IndexKey::new(&["Bob".into(), "alice".into(), "BOB".into()], 42);
-        let b = IndexKey::new(&["alice".into(), "bob".into()], 42);
+        let r = Weight::new;
+        let a = IndexKey::new(&["Bob".into(), "alice".into(), "BOB".into()], r(4.2));
+        let b = IndexKey::new(&["alice".into(), "bob".into()], r(4.2));
         assert_eq!(a, b);
-        let c = IndexKey::new(&["alice".into(), "bob".into()], 43);
+        let c = IndexKey::new(&["alice".into(), "bob".into()], r(4.3));
         assert_ne!(a, c);
     }
 
     #[test]
     fn answer_key_is_order_sensitive() {
-        let ab = AnswerKey::new(&["a".into(), "b".into()], 5.0, 3);
-        let ba = AnswerKey::new(&["b".into(), "a".into()], 5.0, 3);
+        let five = Weight::new(5.0);
+        let ab = AnswerKey::new(&["a".into(), "b".into()], five, 3);
+        let ba = AnswerKey::new(&["b".into(), "a".into()], five, 3);
         assert_ne!(ab, ba, "cores are position-wise; order is significant");
-        let ab2 = AnswerKey::new(&["A".into(), "B".into()], 5.0, 3);
+        let ab2 = AnswerKey::new(&["A".into(), "B".into()], five, 3);
         assert_eq!(ab, ab2, "case is not significant");
     }
 }

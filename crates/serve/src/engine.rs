@@ -126,7 +126,7 @@ impl QueryEngine {
         })
     }
 
-    /// Builds an engine straight from a CGPH v2 container on disk: the
+    /// Builds an engine straight from a CGPH v3 container on disk: the
     /// CSR arrays are memory-mapped and served in place (zero-copy on
     /// unix — daemon startup is O(1) in the graph size) and the
     /// container's keyword map becomes the vocabulary. This is the warm
@@ -191,7 +191,7 @@ impl QueryEngine {
     /// hit, or an index assembled from the keywords' runs — each a
     /// run-cache hit or a guarded sweep — and inserted only on success.
     fn index_for(&self, keywords: &[String], guard: &RunGuard) -> Result<CachedIndex, QueryError> {
-        let key = IndexKey::new(keywords, self.index_radius.get().to_bits());
+        let key = IndexKey::new(keywords, self.index_radius);
         if let Some(idx) = lock_cache(&self.indexes).get(&key) {
             return Ok(idx);
         }
@@ -278,7 +278,7 @@ impl QueryEngine {
                 index_radius: self.index_radius.get(),
             });
         }
-        let akey = AnswerKey::new(keywords, rmax, k);
+        let akey = AnswerKey::new(keywords, rmax_w, k);
         if let Some(cached) = lock_cache(&self.answers).get(&akey) {
             return Ok(replay(&cached, guard));
         }

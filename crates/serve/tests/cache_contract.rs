@@ -61,9 +61,9 @@ fn cached_and_uncached_answers_are_bit_identical_and_certified() {
 
     let spec = spec_for(&engine, &keywords, rmax);
     for (x, y) in a.iter().zip(b.iter()) {
-        // Structure: every field, with costs compared as raw bits.
+        // Structure: every field.
         assert_eq!(x.core, y.core);
-        assert_eq!(x.cost.get().to_bits(), y.cost.get().to_bits());
+        assert_eq!(x.cost, y.cost);
         assert_eq!(x.centers, y.centers);
         assert_eq!(x.knodes, y.knodes);
         assert_eq!(x.path_nodes, y.path_nodes);
@@ -117,10 +117,7 @@ fn guard_trip_during_cached_reply_returns_exact_prefix() {
         Outcome::Interrupted { partial, .. } => {
             assert_eq!(partial.len(), 1);
             assert_eq!(partial[0].core, full[0].core);
-            assert_eq!(
-                partial[0].cost.get().to_bits(),
-                full[0].cost.get().to_bits()
-            );
+            assert_eq!(partial[0].cost, full[0].cost);
             check_topk_prefix(&partial, &full).expect("prefix certifies against full answer");
         }
         Outcome::Complete(_) => panic!("budget of 1 must interrupt the replay"),
@@ -140,6 +137,27 @@ fn guard_trip_during_cached_reply_returns_exact_prefix() {
         Outcome::Interrupted { partial, .. } => assert!(partial.is_empty()),
         Outcome::Complete(_) => panic!("zero budget cannot complete"),
     }
+}
+
+#[test]
+fn radii_that_round_to_one_weight_share_an_answer() {
+    // Two wire radii one `Weight` apart by less than half a unit are one
+    // query: the second is an answer-cache hit, byte for byte the first.
+    let engine = engine();
+    let keywords = kws(&["alpha", "beta"]);
+    let (rmax, nudged): (f64, f64) = (4.0, 4.0 + 1e-12);
+    assert_ne!(rmax.to_bits(), nudged.to_bits());
+    assert_eq!(Weight::new(rmax), Weight::new(nudged));
+    let first = engine.answer(&keywords, rmax, 5, &RunGuard::unlimited());
+    let second = engine.answer(&keywords, nudged, 5, &RunGuard::unlimited());
+    let (first, second) = (first.unwrap().into_value(), second.unwrap().into_value());
+    assert_eq!(engine.cache_stats().2, 1, "the nudged radius hits");
+    assert_eq!(wire(&first), wire(&second));
+    // A benchmark-style sweep of radii `5.0 + 0.0005·i` stays 4 000 keys.
+    let keys: std::collections::HashSet<Weight> = (0..4000)
+        .map(|i| Weight::new(5.0 + 0.0005 * f64::from(i)))
+        .collect();
+    assert_eq!(keys.len(), 4000);
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Warm-start contract: an engine loaded from a CGPH v2 container must be
+//! Warm-start contract: an engine loaded from a CGPH v3 container must be
 //! indistinguishable — bit for bit — from the engine whose state was saved.
 
 use comm_graph::container::save_container;

@@ -1,4 +1,4 @@
-//! Persistence certification: graphs loaded from CGPH v2 containers by
+//! Persistence certification: graphs loaded from CGPH v3 containers by
 //! `mmap` must be indistinguishable from their heap-built originals.
 //!
 //! Two guarantees:
@@ -38,12 +38,11 @@ fn unique_dir(line: u32) -> PathBuf {
     dir
 }
 
-/// Everything observable about a community: core, cost (as raw bits, so
-/// the comparison is bit-exact rather than float-approximate), centers,
-/// path nodes, member ids, and subgraph edge count.
+/// Everything observable about a community: core, cost, centers, path
+/// nodes, member ids, and subgraph edge count.
 type Fingerprint = (
     Vec<NodeId>,
-    u64,
+    Weight,
     Vec<NodeId>,
     Vec<NodeId>,
     Vec<NodeId>,
@@ -53,7 +52,7 @@ type Fingerprint = (
 fn fingerprint(c: &Community) -> Fingerprint {
     (
         c.core.0.clone(),
-        c.cost.get().to_bits(),
+        c.cost,
         c.centers.clone(),
         c.path_nodes.clone(),
         c.subgraph.original_ids.clone(),
@@ -78,7 +77,7 @@ fn roundtrip(dir: &std::path::Path, graph: &Graph, keyword_nodes: &[Vec<NodeId>]
             (format!("kw{i}"), nodes)
         })
         .collect();
-    let path = dir.join("graph.v2.cgph");
+    let path = dir.join("graph.v3.cgph");
     save_container(
         &path,
         graph,
@@ -88,7 +87,7 @@ fn roundtrip(dir: &std::path::Path, graph: &Graph, keyword_nodes: &[Vec<NodeId>]
     .expect("save container");
     let c = load_container(&path).expect("load container");
     #[cfg(unix)]
-    assert!(c.graph.is_mapped(), "v2 load must mmap on unix");
+    assert!(c.graph.is_mapped(), "v3 load must mmap on unix");
     for (k, v) in &named {
         assert_eq!(c.keyword_nodes(k), v.as_slice(), "keyword map round-trip");
     }
@@ -132,7 +131,7 @@ fn sampled_dblp_answers_are_bit_identical_on_the_mapped_graph() {
 
     // Persist with the real keyword vocabulary and resolve the query from
     // the *container's* map, so the keyword section is load-bearing.
-    let path = dir.join("dblp.v2.cgph");
+    let path = dir.join("dblp.v3.cgph");
     save_container(&path, &ds.graph.graph, ds.graph.keywords(), None).expect("save container");
     let c = load_container(&path).expect("load container");
     let mapped_nodes: Vec<Vec<NodeId>> = keywords
@@ -174,23 +173,19 @@ fn arb_graph(rng: &mut SplitMix64) -> Graph {
 }
 
 /// The container round trip is lossless: a saved graph loads back with
-/// exactly the original edge triples, weights compared as bits.
+/// exactly the original edge triples.
 #[test]
 fn container_roundtrip_preserves_every_edge_bit_for_bit() {
     let dir = unique_dir(line!());
-    let path = dir.join("g.v2.cgph");
+    let path = dir.join("g.v3.cgph");
     SplitMix64::for_each_case(48, |rng| {
         let g = arb_graph(rng);
         save_container(&path, &g, std::iter::empty::<(&str, &[NodeId])>(), None).expect("save");
         let loaded = load_container(&path).expect("load").graph;
         assert_eq!(loaded.node_count(), g.node_count());
         assert_eq!(loaded.edge_count(), g.edge_count());
-        let bits = |g: &Graph| -> Vec<(NodeId, NodeId, u64)> {
-            g.edges()
-                .map(|(u, v, w)| (u, v, w.get().to_bits()))
-                .collect()
-        };
-        assert_eq!(bits(&g), bits(&loaded));
+        let edges = |g: &Graph| g.edges().collect::<Vec<_>>();
+        assert_eq!(edges(&g), edges(&loaded));
     });
     std::fs::remove_dir_all(&dir).ok();
 }
