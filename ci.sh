@@ -40,15 +40,20 @@ fi
 
 # The projection sweeps on `DijkstraEngine` like everything else: it must
 # not grow a queue of its own, and no new file may start keeping one (the
-# certifier's independent sweep in core/verify.rs stays independent).
-echo "==> one-Dijkstra gate (BinaryHeap stays in its five files, none under projection)"
-if grep -rnE 'BinaryHeap|BucketQueue' crates/core/src/projection.rs crates/core/src/projection; then
+# certifier's independent sweep in core/verify.rs stays independent). The
+# engine itself runs one queue: no second kernel, and no knob to pick one.
+echo "==> one-Dijkstra gate (BinaryHeap stays in its four files, none under projection; no kernel knob)"
+if grep -rn 'BinaryHeap' crates/core/src/projection.rs crates/core/src/projection; then
     echo "the projection sweeps on DijkstraEngine"
     exit 1
 fi
 HEAP_FILES=$(grep -rl --include='*.rs' 'BinaryHeap' crates src | sort | tr '\n' ' ')
-if [ "$HEAP_FILES" != "crates/core/src/comm_k.rs crates/core/src/trees.rs crates/core/src/verify.rs crates/graph/src/bucket.rs crates/graph/src/dijkstra.rs " ]; then
+if [ "$HEAP_FILES" != "crates/core/src/comm_k.rs crates/core/src/trees.rs crates/core/src/verify.rs crates/graph/src/dijkstra.rs " ]; then
     echo "BinaryHeap is named in: $HEAP_FILES"
+    exit 1
+fi
+if grep -rnE --include='*.rs' 'Kernel|with_kernel|BucketQueue|BucketPlan' crates src examples tests; then
+    echo "DijkstraEngine has one queue: sweep on DijkstraEngine::new"
     exit 1
 fi
 

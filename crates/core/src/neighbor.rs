@@ -645,8 +645,8 @@ impl NeighborSets {
     }
 
     /// Asserts dimension `i` is bit-equal, in `dist`, `src` and members,
-    /// to a from-scratch sweep of `seeds` on a table and an engine (the
-    /// heap kernel: the reference one) of its own.
+    /// to a from-scratch sweep of `seeds` on a table and an engine of its
+    /// own.
     pub(crate) fn assert_dim_is_sweep_of(
         &self,
         graph: &Graph,
@@ -656,7 +656,7 @@ impl NeighborSets {
     ) {
         let n = graph.node_count();
         let mut swept = NeighborSets::new(1, n);
-        let mut engine = DijkstraEngine::with_kernel(n, comm_graph::Kernel::Heap);
+        let mut engine = DijkstraEngine::new(n);
         let unlimited = RunGuard::unlimited();
         swept
             .recompute_dim_guarded(graph, &mut engine, 0, seeds, rmax, &unlimited)

@@ -155,8 +155,7 @@ impl Shell<'_> {
     /// The certification rung, run after every refill of every unit test
     /// (and, in `pin_dim`, after every pin, for `{v}`): dimension `i` is
     /// bit-equal, in `dist`, `src` and members, to a sweep of `S_i` from
-    /// scratch on a table and an engine of its own (the heap kernel: the
-    /// reference one, and the cheap one to construct).
+    /// scratch on a table and an engine of its own.
     #[cfg(test)]
     fn assert_certified(&self, i: usize) {
         let excluded = &self.excluded[i];

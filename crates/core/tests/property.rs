@@ -11,9 +11,7 @@ use comm_core::{
     EnginePool, InterruptReason, LawlerK, Outcome, Parallelism, ProjectionIndex, QueryError,
     QuerySpec, RunGuard,
 };
-use comm_graph::{
-    DijkstraEngine, Direction, Graph, GraphBuilder, Kernel, NodeId, SplitMix64, Weight,
-};
+use comm_graph::{DijkstraEngine, Direction, Graph, GraphBuilder, NodeId, SplitMix64, Weight};
 
 const CASES: u64 = 96;
 
@@ -283,7 +281,8 @@ fn max_distance_cost_agrees_with_oracle() {
 /// realises them — which `Weight::new` rounds back to the tenth — so path
 /// sums land on `Rmax` exactly. Every community of
 /// COMM-all and COMM-k certifies against the unpruned oracle sweep of
-/// `comm_core::verify`, on the default kernel and on the heap reference.
+/// `comm_core::verify`, and a fresh engine's `GetCommunity()` rebuilds
+/// each one's members.
 #[test]
 fn boundary_weight_communities_certify() {
     const WEIGHTS: [f64; 5] = [0.0, 0.1, 0.2, 0.3, 0.4];
@@ -330,7 +329,7 @@ fn boundary_weight_communities_certify() {
         check_enumeration(&g, &spec, &ranked).unwrap();
         check_ranking(&ranked).unwrap();
         assert_eq!(ranked.len(), all.len());
-        let mut heap = DijkstraEngine::with_kernel(n, Kernel::Heap);
+        let mut heap = DijkstraEngine::new(n);
         let guard = RunGuard::unlimited();
         for c in &all {
             let on_heap =

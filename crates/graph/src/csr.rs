@@ -88,12 +88,11 @@ pub struct Csr {
     pub(crate) offsets: Storage<u32>,
     pub(crate) targets: Storage<NodeId>,
     pub(crate) weights: Storage<Weight>,
-    /// Lazily computed `(minimum weight, minimum positive weight)`, each
-    /// `INFINITY` when there is none. The bucket Dijkstra kernel sizes its
-    /// distance buckets from the second; the first says whether every
-    /// relaxation makes progress. `OnceLock` so the `O(m)` scan happens at
-    /// most once per half and concurrent sweeps can share it.
-    min_w: OnceLock<(Weight, Weight)>,
+    /// Lazily computed minimum weight, `None` when there is no edge: it
+    /// says whether every relaxation makes progress. `OnceLock` so the
+    /// `O(m)` scan happens at most once per half and concurrent sweeps can
+    /// share it.
+    min_w: OnceLock<Option<Weight>>,
 }
 
 impl Csr {
@@ -176,34 +175,14 @@ impl Csr {
             + self.weights.len() * std::mem::size_of::<Weight>()
     }
 
-    /// One `O(m)` scan for both minima, cached.
-    fn min_weights(&self) -> (Weight, Weight) {
-        *self.min_w.get_or_init(|| {
-            let mut min = (Weight::INFINITY, Weight::INFINITY);
-            for &w in self.weights.iter() {
-                min.0 = min.0.min(w);
-                if w > Weight::ZERO {
-                    min.1 = min.1.min(w);
-                }
-            }
-            min
-        })
-    }
-
-    /// The smallest strictly positive weight, or `None` when there is
-    /// none. Computed once by an `O(m)` scan and cached.
-    pub fn min_positive_weight(&self) -> Option<Weight> {
-        let (_, w) = self.min_weights();
-        w.is_finite().then_some(w)
-    }
-
     /// The smallest weight, zeros included, or `None` when there is no
-    /// edge; shares [`min_positive_weight`](Self::min_positive_weight)'s
-    /// cached scan. A sweep over these rows makes progress at every
-    /// relaxation — `d + w > d` — when this is positive.
+    /// edge. Computed once by an `O(m)` scan and cached. A sweep over these
+    /// rows makes progress at every relaxation — `d + w > d` — when this is
+    /// positive.
     pub fn min_weight(&self) -> Option<Weight> {
-        let (w, _) = self.min_weights();
-        w.is_finite().then_some(w)
+        *self
+            .min_w
+            .get_or_init(|| self.weights.iter().copied().min())
     }
 
     /// The rows of `nodes`, restricted to targets `local` maps, in the ids
@@ -435,14 +414,6 @@ impl Graph {
         self.fwd.byte_size() + self.rev.byte_size()
     }
 
-    /// The smallest strictly positive edge weight, or `None` when the
-    /// graph has no positively weighted edge. Both adjacency halves store
-    /// the same multiset of weights, so the forward half's cached scan
-    /// answers for sweeps in either direction.
-    pub fn min_positive_weight(&self) -> Option<Weight> {
-        self.fwd.min_positive_weight()
-    }
-
     /// Whether the CSR arrays are zero-copy views into a mapped container
     /// file (true after [`crate::container::load_container`] on a host
     /// where `mmap` is available) rather than owned heap vectors.
@@ -536,13 +507,6 @@ impl GraphBuilder {
     /// Number of nodes declared so far.
     pub fn node_count(&self) -> usize {
         self.n
-    }
-
-    /// Adds a fresh node and returns its id.
-    pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(index_to_u32(self.n));
-        self.n += 1;
-        id
     }
 
     /// Adds the directed edge `(u, v)` with weight `w`.
@@ -831,7 +795,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ok.node_count(), 2);
-        assert_eq!(ok.min_positive_weight(), Some(w(1.0)));
         assert_eq!(ok.min_weight(), Some(w(0.0)));
         assert_eq!(Csr::default().min_weight(), None);
         let bad = [
@@ -851,17 +814,6 @@ mod tests {
         for (i, r) in bad.into_iter().enumerate() {
             assert!(r.is_err(), "malformed half {i} was accepted");
         }
-    }
-
-    #[test]
-    fn add_node_grows() {
-        let mut b = GraphBuilder::new(0);
-        let a = b.add_node();
-        let c = b.add_node();
-        b.add_edge(a, c, Weight::new(1.0));
-        let g = b.build();
-        assert_eq!(g.node_count(), 2);
-        assert_eq!(g.edge_count(), 1);
     }
 
     #[test]

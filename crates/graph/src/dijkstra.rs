@@ -22,14 +22,12 @@
 //! `O(n_reached · log n_reached + m_reached)` with no per-run allocation
 //! beyond queue growth.
 //!
-//! Two priority-queue kernels sit behind the same API, selected by
-//! [`Kernel`]: the classic lazy-deletion binary heap, and a radius-aware
-//! bucket queue ([`crate::bucket`]) that is bit-identical by construction.
+//! The queue is one lazy-deletion binary heap of `(dist, node)` entries,
+//! behind one settle loop ([`DijkstraEngine::run_rows_labelled_guarded`]
+//! is the general form every other entry point reduces to).
 
-use crate::bucket::BucketQueue;
 use crate::csr::{Csr, Direction, Graph, NodeId};
 use crate::guard::{InterruptReason, RunGuard};
-use crate::kernel::{Kernel, ResolvedKernel};
 use crate::weight::Weight;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -51,42 +49,6 @@ pub struct Settled {
     pub parent: NodeId,
 }
 
-/// The priority queues pluggable under one sweep loop. Both pop the least
-/// `(dist, node)` entry *currently queued*, and the sweep shows both the
-/// same pushes — the bit-identical contract between kernels rests on
-/// that, and on nothing about the whole pop sequence. The sequence is
-/// globally sorted only when every relaxation makes progress (see
-/// [`DijkstraEngine::run`]): a zero-weight edge pushes an entry at the
-/// distance being settled, possibly below a node id already popped at it.
-trait Frontier {
-    fn push(&mut self, d: Weight, v: NodeId);
-    fn pop(&mut self) -> Option<(Weight, NodeId)>;
-}
-
-impl Frontier for BinaryHeap<Reverse<(Weight, NodeId)>> {
-    #[inline]
-    fn push(&mut self, d: Weight, v: NodeId) {
-        BinaryHeap::push(self, Reverse((d, v)));
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(Weight, NodeId)> {
-        BinaryHeap::pop(self).map(|Reverse(e)| e)
-    }
-}
-
-impl Frontier for BucketQueue {
-    #[inline]
-    fn push(&mut self, d: Weight, v: NodeId) {
-        BucketQueue::push(self, d, v);
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(Weight, NodeId)> {
-        BucketQueue::pop(self)
-    }
-}
-
 /// Reusable Dijkstra state for one graph size.
 pub struct DijkstraEngine {
     dist: Vec<Weight>,
@@ -96,21 +58,18 @@ pub struct DijkstraEngine {
     /// Indices written since the last reset; the next sweep restores
     /// exactly these entries instead of stamping epochs per node.
     touched: Vec<u32>,
+    /// Each pop is the least `(dist, node)` entry *currently queued*. The
+    /// pop sequence is globally sorted only when every relaxation makes
+    /// progress (see [`run`](Self::run)): a zero-weight edge pushes an
+    /// entry at the distance being settled, possibly below a node id
+    /// already popped at it. Entries left by an interrupted sweep are
+    /// cleared by the next one.
     heap: BinaryHeap<Reverse<(Weight, NodeId)>>,
-    bucket: BucketQueue,
-    kernel: Kernel,
 }
 
 impl DijkstraEngine {
-    /// Creates an engine for graphs with up to `n` nodes, on the default
-    /// [`Kernel`].
+    /// Creates an engine for graphs with up to `n` nodes.
     pub fn new(n: usize) -> DijkstraEngine {
-        DijkstraEngine::with_kernel(n, Kernel::default())
-    }
-
-    /// Creates an engine with an explicit queue kernel ([`Kernel::Heap`]
-    /// is the reference the equivalence tests compare against).
-    pub fn with_kernel(n: usize, kernel: Kernel) -> DijkstraEngine {
         DijkstraEngine {
             dist: vec![Weight::INFINITY; n],
             source: vec![NO_SOURCE; n],
@@ -118,14 +77,7 @@ impl DijkstraEngine {
             settled: vec![false; n],
             touched: Vec::new(),
             heap: BinaryHeap::new(),
-            bucket: BucketQueue::default(),
-            kernel,
         }
-    }
-
-    /// The queue kernel sweeps run on.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
     }
 
     /// The node capacity the scratch arrays are sized for.
@@ -133,8 +85,8 @@ impl DijkstraEngine {
         self.dist.len()
     }
 
-    /// Resident scratch bytes across the SoA arrays and both queues —
-    /// what a guarded sweep charges to its byte budget on growth.
+    /// Resident scratch bytes across the SoA arrays and the queue — what a
+    /// guarded sweep charges to its byte budget on growth.
     pub fn scratch_bytes(&self) -> usize {
         use std::mem::size_of;
         self.dist.capacity() * size_of::<Weight>()
@@ -143,7 +95,6 @@ impl DijkstraEngine {
             + self.settled.capacity()
             + self.touched.capacity() * size_of::<u32>()
             + self.heap.capacity() * size_of::<Reverse<(Weight, NodeId)>>()
-            + self.bucket.retained_bytes()
     }
 
     /// Grows the engine to accommodate `n` nodes (no-op if large enough).
@@ -237,10 +188,9 @@ impl DijkstraEngine {
         guard: &RunGuard,
         visit: F,
     ) -> Result<usize, InterruptReason> {
-        let w_min = graph.min_positive_weight();
         let admit = |_, _| true;
         let seeds = seeds.into_iter().map(at_zero);
-        self.run_rows(graph.rows(dir), w_min, seeds, radius, guard, admit, visit)
+        self.sweep(graph.rows(dir), seeds, radius, guard, admit, visit)
     }
 
     /// [`run_guarded`](Self::run_guarded) over a single adjacency half,
@@ -264,9 +214,8 @@ impl DijkstraEngine {
         admit: impl FnMut(NodeId, Weight) -> bool,
         visit: F,
     ) -> Result<usize, InterruptReason> {
-        let w_min = rows.min_positive_weight();
         let seeds = seeds.into_iter().map(at_zero);
-        self.run_rows(rows, w_min, seeds, radius, guard, admit, visit)
+        self.sweep(rows, seeds, radius, guard, admit, visit)
     }
 
     /// [`run_rows_guarded`](Self::run_rows_guarded) from seeds that carry
@@ -285,20 +234,13 @@ impl DijkstraEngine {
         admit: impl FnMut(NodeId, Weight) -> bool,
         visit: F,
     ) -> Result<usize, InterruptReason> {
-        let w_min = rows.min_positive_weight();
-        self.run_rows(rows, w_min, seeds, radius, guard, admit, visit)
+        self.sweep(rows, seeds, radius, guard, admit, visit)
     }
 
-    /// The one sweep behind every entry point. `w_min` (the adjacency's
-    /// minimum positive weight) only sizes the bucket kernel's buckets.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "private: the public signatures plus the one derived w_min"
-    )]
-    fn run_rows<F: FnMut(Settled)>(
+    /// The one sweep and settle loop behind every entry point.
+    fn sweep<F: FnMut(Settled)>(
         &mut self,
         rows: &Csr,
-        w_min: Option<Weight>,
         seeds: impl IntoIterator<Item = (NodeId, Weight, NodeId)>,
         radius: Weight,
         guard: &RunGuard,
@@ -309,53 +251,14 @@ impl DijkstraEngine {
             guard.check_bytes(self.scratch_bytes())?;
         }
         self.reset_scratch();
-        match self.kernel.resolve(w_min, radius) {
-            ResolvedKernel::Heap => {
-                // The queue is taken out of `self` for the duration of the
-                // sweep so the sweep loop can borrow scratch mutably; it is
-                // restored (drained) even on the interrupt path. After a
-                // panicking `visit` the field holds a fresh empty queue.
-                let mut queue = std::mem::take(&mut self.heap);
-                queue.clear();
-                for (seed, d, source) in seeds {
-                    if self.relax(seed, d, source, seed) {
-                        Frontier::push(&mut queue, d, seed);
-                    }
-                }
-                let out = self.sweep(rows, radius, guard, &mut queue, &mut admit, &mut visit);
-                queue.clear();
-                self.heap = queue;
-                out
-            }
-            ResolvedKernel::Bucket(plan) => {
-                let mut queue = std::mem::take(&mut self.bucket);
-                queue.clear();
-                queue.begin(&plan);
-                for (seed, d, source) in seeds {
-                    if self.relax(seed, d, source, seed) {
-                        Frontier::push(&mut queue, d, seed);
-                    }
-                }
-                let out = self.sweep(rows, radius, guard, &mut queue, &mut admit, &mut visit);
-                queue.clear();
-                self.bucket = queue;
-                out
+        self.heap.clear();
+        for (seed, d, source) in seeds {
+            if self.relax(seed, d, source, seed) {
+                self.heap.push(Reverse((d, seed)));
             }
         }
-    }
-
-    /// The kernel-generic settle loop shared by both queues.
-    fn sweep<Q: Frontier, F: FnMut(Settled)>(
-        &mut self,
-        rows: &Csr,
-        radius: Weight,
-        guard: &RunGuard,
-        queue: &mut Q,
-        admit: &mut impl FnMut(NodeId, Weight) -> bool,
-        visit: &mut F,
-    ) -> Result<usize, InterruptReason> {
         let mut settled_count = 0;
-        while let Some((d, u)) = queue.pop() {
+        while let Some(Reverse((d, u))) = self.heap.pop() {
             let i = u.index();
             if self.settled[i] || d > self.dist[i] {
                 continue; // lazily deleted entry
@@ -373,7 +276,7 @@ impl DijkstraEngine {
             for (v, w) in rows.neighbors(u) {
                 let nd = d + w;
                 if nd <= radius && admit(v, nd) && self.relax(v, nd, source, u) {
-                    queue.push(nd, v);
+                    self.heap.push(Reverse((nd, v)));
                 }
             }
         }
@@ -624,20 +527,18 @@ mod tests {
     fn sweeping_one_half_is_the_graph_sweep_in_that_direction() {
         let g = graph_from_edges(5, &[(0, 1, 1.5), (1, 2, 0.5), (2, 3, 2.0), (0, 4, 0.0)]);
         let guard = RunGuard::unlimited();
-        for kernel in [Kernel::Heap, Kernel::Bucket] {
-            let mut eng = DijkstraEngine::with_kernel(5, kernel);
-            for (dir, seed) in [(Direction::Forward, 0), (Direction::Reverse, 3)] {
-                for radius in [Weight::new(2.0), Weight::INFINITY] {
-                    let mut on_graph = Vec::new();
-                    eng.run(&g, dir, [NodeId(seed)], radius, |s| on_graph.push(s));
-                    let mut on_rows = Vec::new();
-                    let all = |_, _| true;
-                    eng.run_rows_guarded(g.rows(dir), [NodeId(seed)], radius, &guard, all, |s| {
-                        on_rows.push(s)
-                    })
-                    .unwrap();
-                    assert_eq!(on_rows, on_graph);
-                }
+        let mut eng = DijkstraEngine::new(5);
+        for (dir, seed) in [(Direction::Forward, 0), (Direction::Reverse, 3)] {
+            for radius in [Weight::new(2.0), Weight::INFINITY] {
+                let mut on_graph = Vec::new();
+                eng.run(&g, dir, [NodeId(seed)], radius, |s| on_graph.push(s));
+                let mut on_rows = Vec::new();
+                let all = |_, _| true;
+                eng.run_rows_guarded(g.rows(dir), [NodeId(seed)], radius, &guard, all, |s| {
+                    on_rows.push(s)
+                })
+                .unwrap();
+                assert_eq!(on_rows, on_graph);
             }
         }
     }
@@ -656,7 +557,7 @@ mod tests {
         assert_eq!(count, 0);
     }
 
-    /// Collects the full settle trace of one sweep under a given kernel.
+    /// Collects the full settle trace of one forward sweep.
     fn trace(
         eng: &mut DijkstraEngine,
         g: &Graph,
@@ -668,67 +569,6 @@ mod tests {
             out.push(s)
         });
         out
-    }
-
-    #[test]
-    fn bucket_kernel_is_bit_identical_to_heap() {
-        let g = graph_from_edges(
-            7,
-            &[
-                (0, 1, 1.0),
-                (0, 2, 1.0), // tie: 1 and 2 both at dist 1
-                (1, 3, 0.5),
-                (2, 3, 0.5), // tie through two parents
-                (3, 4, 0.0), // zero-weight edge within a bucket
-                (4, 5, 2.25),
-                (1, 6, 3.75),
-            ],
-        );
-        let mut heap_eng = DijkstraEngine::with_kernel(7, Kernel::Heap);
-        let mut bucket_eng = DijkstraEngine::with_kernel(7, Kernel::Bucket);
-        for radius in [0.0, 1.0, 1.5, 4.0, 100.0] {
-            let r = Weight::new(radius);
-            let seeds = [NodeId(0), NodeId(2)];
-            assert_eq!(
-                trace(&mut heap_eng, &g, &seeds, r),
-                trace(&mut bucket_eng, &g, &seeds, r),
-                "kernels diverged at radius {radius}"
-            );
-        }
-    }
-
-    #[test]
-    fn bucket_kernel_interruption_prefix_matches_heap() {
-        let g = line();
-        let mut heap_eng = DijkstraEngine::with_kernel(4, Kernel::Heap);
-        let mut bucket_eng = DijkstraEngine::with_kernel(4, Kernel::Bucket);
-        let r = Weight::new(10.0);
-        let full = trace(&mut heap_eng, &g, &[NodeId(0)], r);
-        for budget in 0..full.len() as u64 {
-            let guard = RunGuard::new().with_settled_budget(budget);
-            let mut part = Vec::new();
-            let err = bucket_eng
-                .run_guarded(&g, Direction::Forward, [NodeId(0)], r, &guard, |s| {
-                    part.push(s)
-                })
-                .unwrap_err();
-            assert_eq!(err, InterruptReason::SettledBudgetExhausted);
-            assert_eq!(part, full[..budget as usize]);
-        }
-    }
-
-    #[test]
-    fn default_kernel_matches_heap_on_truncated_and_open_sweeps() {
-        let g = graph_from_edges(5, &[(0, 1, 1.5), (1, 2, 0.5), (2, 3, 2.0), (0, 4, 0.0)]);
-        let mut default_eng = DijkstraEngine::new(5);
-        let mut heap_eng = DijkstraEngine::with_kernel(5, Kernel::Heap);
-        for radius in [Weight::new(2.0), Weight::INFINITY] {
-            assert_eq!(
-                trace(&mut default_eng, &g, &[NodeId(0)], radius),
-                trace(&mut heap_eng, &g, &[NodeId(0)], radius),
-            );
-        }
-        assert_eq!(default_eng.kernel(), Kernel::Bucket);
     }
 
     /// The settle trace of one filtered forward sweep over `g`'s rows.
@@ -752,31 +592,29 @@ mod tests {
         // 1 is refused whatever it is offered; 3 hangs off it.
         let g = graph_from_edges(4, &[(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 1, 0.5)]);
         let guard = RunGuard::new();
-        for kernel in [Kernel::Heap, Kernel::Bucket] {
-            let mut eng = DijkstraEngine::with_kernel(4, kernel);
-            let mut asked = Vec::new();
-            let r = Weight::new(10.0);
-            let (trace, swept) = filtered(&mut eng, &g, &[NodeId(0)], r, &guard, |v, nd| {
-                asked.push((v, nd));
-                v != NodeId(1)
-            });
-            // A queue entry for 1 would have been popped and settled: no
-            // scratch write and no push happened for it, twice over.
-            let nodes: Vec<u32> = trace.iter().map(|s| s.node.0).collect();
-            assert_eq!(nodes, vec![0, 2]);
-            assert_eq!(swept, Ok(2));
-            assert_eq!(eng.touched, vec![0, 2]);
-            assert_eq!(eng.dist[1], Weight::INFINITY);
-            assert!(!eng.settled[1]);
-            // Asked once per in-radius relaxation, seeds excluded.
-            let w = Weight::new;
-            let expect = vec![
-                (NodeId(1), w(1.0)),
-                (NodeId(2), w(1.0)),
-                (NodeId(1), w(1.5)),
-            ];
-            assert_eq!(asked, expect);
-        }
+        let mut eng = DijkstraEngine::new(4);
+        let mut asked = Vec::new();
+        let r = Weight::new(10.0);
+        let (trace, swept) = filtered(&mut eng, &g, &[NodeId(0)], r, &guard, |v, nd| {
+            asked.push((v, nd));
+            v != NodeId(1)
+        });
+        // A queue entry for 1 would have been popped and settled: no
+        // scratch write and no push happened for it, twice over.
+        let nodes: Vec<u32> = trace.iter().map(|s| s.node.0).collect();
+        assert_eq!(nodes, vec![0, 2]);
+        assert_eq!(swept, Ok(2));
+        assert_eq!(eng.touched, vec![0, 2]);
+        assert_eq!(eng.dist[1], Weight::INFINITY);
+        assert!(!eng.settled[1]);
+        // Asked once per in-radius relaxation, seeds excluded.
+        let w = Weight::new;
+        let expect = vec![
+            (NodeId(1), w(1.0)),
+            (NodeId(2), w(1.0)),
+            (NodeId(1), w(1.5)),
+        ];
+        assert_eq!(asked, expect);
     }
 
     #[test]
@@ -785,15 +623,13 @@ mod tests {
         let g = graph_from_edges(3, &[(0, 1, 1.0), (0, 2, 5.0), (1, 2, 1.0)]);
         let near = |v: NodeId, nd: Weight| v != NodeId(2) || nd < Weight::new(3.0);
         let guard = RunGuard::unlimited();
-        for kernel in [Kernel::Heap, Kernel::Bucket] {
-            let mut eng = DijkstraEngine::with_kernel(3, kernel);
-            let r = Weight::new(10.0);
-            let (trace, _) = filtered(&mut eng, &g, &[NodeId(0)], r, &guard, near);
-            assert_eq!(trace.len(), 3);
-            assert_eq!(trace[2].node, NodeId(2));
-            assert_eq!(trace[2].dist, Weight::new(2.0));
-            assert_eq!(trace[2].parent, NodeId(1));
-        }
+        let mut eng = DijkstraEngine::new(3);
+        let r = Weight::new(10.0);
+        let (trace, _) = filtered(&mut eng, &g, &[NodeId(0)], r, &guard, near);
+        assert_eq!(trace.len(), 3);
+        assert_eq!(trace[2].node, NodeId(2));
+        assert_eq!(trace[2].dist, Weight::new(2.0));
+        assert_eq!(trace[2].parent, NodeId(1));
     }
 
     #[test]
@@ -840,20 +676,17 @@ mod tests {
     }
 
     #[test]
-    fn kernels_settle_identically_under_a_filter() {
+    fn a_filtered_sweep_settles_a_subset_none_closer() {
         let g = filter_graph();
         let guard = RunGuard::unlimited();
-        let mut heap_eng = DijkstraEngine::with_kernel(8, Kernel::Heap);
-        let mut bucket_eng = DijkstraEngine::with_kernel(8, Kernel::Bucket);
+        let mut eng = DijkstraEngine::new(8);
         let seeds = [NodeId(0)];
         for radius in [0.0, 1.0, 1.5, 4.0, 100.0] {
             let r = Weight::new(radius);
-            let (on_heap, _) = filtered(&mut heap_eng, &g, &seeds, r, &guard, even_or_near);
-            let (on_bucket, _) = filtered(&mut bucket_eng, &g, &seeds, r, &guard, even_or_near);
-            assert_eq!(on_heap, on_bucket, "kernels diverged at radius {radius}");
+            let (on_filter, _) = filtered(&mut eng, &g, &seeds, r, &guard, even_or_near);
             // A subset of the unfiltered sweep, no node any closer.
-            let open = trace(&mut heap_eng, &g, &seeds, r);
-            for s in &on_heap {
+            let open = trace(&mut eng, &g, &seeds, r);
+            for s in &on_filter {
                 let o = open.iter().find(|o| o.node == s.node).unwrap();
                 assert!(o.dist <= s.dist, "{:?} got closer under a filter", s.node);
             }
@@ -861,7 +694,7 @@ mod tests {
         // At full radius the filter bites: 3 only enters through the tie
         // at 1.5 > 1.25, so it and the odd nodes behind 4 are cut off.
         let (cut, _) = filtered(
-            &mut heap_eng,
+            &mut eng,
             &g,
             &seeds,
             Weight::new(100.0),
@@ -877,25 +710,23 @@ mod tests {
         let g = filter_graph();
         let r = Weight::new(100.0);
         let seeds = [NodeId(0)];
-        for kernel in [Kernel::Heap, Kernel::Bucket] {
-            let mut eng = DijkstraEngine::with_kernel(8, kernel);
-            let (full, _) = filtered(
-                &mut eng,
-                &g,
-                &seeds,
-                r,
-                &RunGuard::unlimited(),
-                even_or_near,
-            );
-            for budget in 0..full.len() as u64 {
-                let guard = RunGuard::new().with_settled_budget(budget);
-                let (part, swept) = filtered(&mut eng, &g, &seeds, r, &guard, even_or_near);
-                assert_eq!(swept, Err(InterruptReason::SettledBudgetExhausted));
-                assert_eq!(part, full[..budget as usize]);
-                // Reusable, and for an unfiltered sweep too.
-                let d = eng.distances(&g, Direction::Forward, NodeId(0));
-                assert_eq!(d[7], Weight::new(4.0));
-            }
+        let mut eng = DijkstraEngine::new(8);
+        let (full, _) = filtered(
+            &mut eng,
+            &g,
+            &seeds,
+            r,
+            &RunGuard::unlimited(),
+            even_or_near,
+        );
+        for budget in 0..full.len() as u64 {
+            let guard = RunGuard::new().with_settled_budget(budget);
+            let (part, swept) = filtered(&mut eng, &g, &seeds, r, &guard, even_or_near);
+            assert_eq!(swept, Err(InterruptReason::SettledBudgetExhausted));
+            assert_eq!(part, full[..budget as usize]);
+            // Reusable, and for an unfiltered sweep too.
+            let d = eng.distances(&g, Direction::Forward, NodeId(0));
+            assert_eq!(d[7], Weight::new(4.0));
         }
     }
 
@@ -906,28 +737,26 @@ mod tests {
     }
 
     #[test]
-    fn a_zero_weight_edge_breaks_the_global_pop_order_on_both_kernels() {
-        // What holds in general: each pop is the least entry queued, and
-        // both kernels agree. `(0, 1)` is pushed after `(0, 2)` and `(0, 4)`
-        // have left, so the sequence is not sorted and node 3 goes to the
-        // seed popped first, not to its least optimal predecessor.
+    fn a_zero_weight_edge_breaks_the_global_pop_order() {
+        // What holds in general: each pop is the least entry queued.
+        // `(0, 1)` is pushed after `(0, 2)` and `(0, 4)` have left, so the
+        // sequence is not sorted and node 3 goes to the seed popped first,
+        // not to its least optimal predecessor.
         let g = order_gadget(0.0);
         let seeds = [NodeId(2), NodeId(4)];
-        for kernel in [Kernel::Heap, Kernel::Bucket] {
-            let mut eng = DijkstraEngine::with_kernel(5, kernel);
-            let t = trace(&mut eng, &g, &seeds, Weight::new(0.3));
-            let order: Vec<u32> = t.iter().map(|s| s.node.0).collect();
-            assert_eq!(order, vec![2, 4, 1, 3], "{kernel:?}");
-            assert_eq!(t[3].source, NodeId(2), "{kernel:?}");
-        }
+        let mut eng = DijkstraEngine::new(5);
+        let t = trace(&mut eng, &g, &seeds, Weight::new(0.3));
+        let order: Vec<u32> = t.iter().map(|s| s.node.0).collect();
+        assert_eq!(order, vec![2, 4, 1, 3]);
+        assert_eq!(t[3].source, NodeId(2));
     }
 
     #[test]
     fn progress_makes_the_pop_order_global_and_the_source_a_function_of_the_seeds() {
         // Tie-heavy positive weights: every relaxation makes progress, so
-        // on both kernels the trace is sorted by `(dist, node)` and every
-        // settled node inherits the source of its optimal predecessor of
-        // least `(dist, node)`.
+        // the trace is sorted by `(dist, node)` and every settled node
+        // inherits the source of its optimal predecessor of least
+        // `(dist, node)`.
         use crate::rng::SplitMix64;
         let mut ties = 0;
         SplitMix64::for_each_case(400, |rng| {
@@ -943,10 +772,7 @@ mod tests {
                 .map(|_| NodeId(rng.index(n) as u32))
                 .collect();
             let r = Weight::new(0.2 + 0.1 * rng.index(8) as f64);
-            let mut heap_eng = DijkstraEngine::with_kernel(n, Kernel::Heap);
-            let mut bucket_eng = DijkstraEngine::with_kernel(n, Kernel::Bucket);
-            let t = trace(&mut heap_eng, &g, &seeds, r);
-            assert_eq!(t, trace(&mut bucket_eng, &g, &seeds, r));
+            let t = trace(&mut DijkstraEngine::new(n), &g, &seeds, r);
             assert!(t
                 .windows(2)
                 .all(|p| (p[0].dist, p[0].node) < (p[1].dist, p[1].node)));
@@ -977,26 +803,24 @@ mod tests {
             (NodeId(1), w(4.0), NodeId(9)),
             (NodeId(3), Weight::ZERO, NodeId(3)),
         ];
-        for kernel in [Kernel::Heap, Kernel::Bucket] {
-            let mut eng = DijkstraEngine::with_kernel(4, kernel);
-            let mut asked = Vec::new();
-            let mut t = Vec::new();
-            let swept = eng.run_rows_labelled_guarded(
-                g.rows(Direction::Forward),
-                labels,
-                w(3.0),
-                &RunGuard::unlimited(),
-                |v, _| {
-                    asked.push(v);
-                    true
-                },
-                |s| t.push((s.node.0, s.dist, s.source.0, s.parent.0)),
-            );
-            assert_eq!(swept, Ok(3));
-            assert_eq!(t, [(3, w(0.0), 3, 3), (1, w(1.0), 0, 1), (2, w(3.0), 0, 1)]);
-            // Labelled seeds are never asked, like ordinary ones.
-            assert_eq!(asked, [NodeId(2)]);
-        }
+        let mut eng = DijkstraEngine::new(4);
+        let mut asked = Vec::new();
+        let mut t = Vec::new();
+        let swept = eng.run_rows_labelled_guarded(
+            g.rows(Direction::Forward),
+            labels,
+            w(3.0),
+            &RunGuard::unlimited(),
+            |v, _| {
+                asked.push(v);
+                true
+            },
+            |s| t.push((s.node.0, s.dist, s.source.0, s.parent.0)),
+        );
+        assert_eq!(swept, Ok(3));
+        assert_eq!(t, [(3, w(0.0), 3, 3), (1, w(1.0), 0, 1), (2, w(3.0), 0, 1)]);
+        // Labelled seeds are never asked, like ordinary ones.
+        assert_eq!(asked, [NodeId(2)]);
     }
 
     #[test]

@@ -298,13 +298,6 @@ impl RunGuard {
         }
     }
 
-    /// Whether the cancel flag is raised.
-    pub fn is_cancelled(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.cancel.load(Ordering::Relaxed))
-    }
-
     /// Total guard checks so far (0 for unlimited guards).
     pub fn checks(&self) -> u64 {
         self.inner
@@ -437,7 +430,6 @@ mod tests {
         g.check().unwrap();
         flag.store(true, Ordering::Relaxed);
         assert_eq!(g.check(), Err(InterruptReason::Cancelled));
-        assert!(g.is_cancelled());
     }
 
     #[test]
@@ -520,7 +512,7 @@ mod tests {
             Err(InterruptReason::CandidateBudgetExhausted)
         );
         g.cancel();
-        assert!(h.is_cancelled());
+        assert_eq!(h.check(), Err(InterruptReason::Cancelled));
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   under addition (the paper uses `w_e((u,v)) = log2(1 + N_in(v))`);
 //! * [`DijkstraEngine`]: reusable radius-bounded multi-source Dijkstra, the
 //!   workhorse behind `Neighbor()`, `GetCommunity()` and `GraphProjection`
-//!   — one settle loop, which the two forward sweeps run under an
-//!   admission predicate ([`DijkstraEngine::run_rows_guarded`]);
+//!   — one binary heap and one settle loop, which the two forward sweeps
+//!   run under an admission predicate
+//!   ([`DijkstraEngine::run_rows_guarded`]);
 //! * [`RunGuard`]: cooperative execution governor (cancellation, deadlines,
 //!   work/memory budgets) threaded through every sweep and enumeration;
 //! * [`EnginePool`] / [`Parallelism`]: a free list of engine scratch
@@ -57,13 +58,11 @@
     )
 )]
 
-mod bucket;
 pub mod container;
 mod csr;
 mod dijkstra;
 pub mod guard;
 pub mod io;
-pub mod kernel;
 pub mod parallel;
 pub mod pool;
 pub mod reference;
@@ -76,7 +75,6 @@ pub use container::{load_container, save_container, Container};
 pub use csr::{graph_from_edges, Csr, Direction, Graph, GraphBuilder, InducedGraph, NodeId};
 pub use dijkstra::{shortest_distances, DijkstraEngine, Settled};
 pub use guard::{InterruptReason, Outcome, RunGuard};
-pub use kernel::Kernel;
 pub use parallel::Parallelism;
 pub use pool::{EnginePool, PooledEngine};
 pub use rng::SplitMix64;

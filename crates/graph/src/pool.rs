@@ -12,14 +12,8 @@
 //! scratch at the start of every sweep — at a cost independent of their
 //! capacity — so a recycled engine never observes stale state from a
 //! previous sweep, whatever graph that one ran on.
-//!
-//! A pool builds all of its engines on one [`Kernel`], fixed at
-//! construction: the default everywhere, [`Kernel::Heap`] only where an
-//! equivalence test wants the reference kernel
-//! ([`with_kernel`](EnginePool::with_kernel)).
 
 use crate::dijkstra::DijkstraEngine;
-use crate::kernel::Kernel;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -47,24 +41,16 @@ const POOL_CAP: usize = 64;
 /// ```
 pub struct EnginePool {
     free: Mutex<Vec<DijkstraEngine>>,
-    /// The queue kernel every engine of this pool is built on.
-    kernel: Kernel,
     /// Times the free list was recovered after a panicking thread
     /// poisoned its mutex.
     poison_recoveries: AtomicUsize,
 }
 
 impl EnginePool {
-    /// Creates an empty pool on the default [`Kernel`].
+    /// Creates an empty pool.
     pub fn new() -> EnginePool {
-        EnginePool::with_kernel(Kernel::default())
-    }
-
-    /// Creates an empty pool whose engines run on `kernel`.
-    pub fn with_kernel(kernel: Kernel) -> EnginePool {
         EnginePool {
             free: Mutex::new(Vec::new()),
-            kernel,
             poison_recoveries: AtomicUsize::new(0),
         }
     }
@@ -103,7 +89,7 @@ impl EnginePool {
     pub fn acquire(&self, n: usize) -> PooledEngine<'_> {
         let parked = self.lock_free().pop();
         // Built or grown outside the lock, and before the hand-out.
-        let mut engine = parked.unwrap_or_else(|| DijkstraEngine::with_kernel(n, self.kernel));
+        let mut engine = parked.unwrap_or_else(|| DijkstraEngine::new(n));
         engine.ensure_capacity(n);
         PooledEngine {
             pool: self,
@@ -222,37 +208,30 @@ mod tests {
             .flat_map(|u| [(u + 1, u, 1.0 + f64::from(u % 3)), ((u * 7) % 41, u, 2.5)])
             .collect();
         let large = graph_from_edges(41, &large_edges);
-        for kernel in [Kernel::Heap, Kernel::Bucket] {
-            let pool = EnginePool::with_kernel(kernel);
-            let fresh = |g: &Graph, r: Weight| {
-                settle_stream(
-                    &mut DijkstraEngine::with_kernel(g.node_count(), kernel),
-                    g,
-                    r,
-                )
-            };
-            for radius in [Weight::new(4.0), Weight::INFINITY] {
-                let on_small = settle_stream(&mut pool.acquire(small.node_count()), &small, radius);
-                assert_eq!(on_small, fresh(&small, radius));
-                assert_eq!(pool.pooled_engines(), 1);
-                // The same engine, grown at checkout, sweeps the larger graph…
-                let mut recycled = pool.acquire(large.node_count());
-                assert_eq!(pool.pooled_engines(), 0);
-                assert!(recycled.capacity() >= large.node_count());
-                assert!(
-                    !recycled.ensure_capacity(large.node_count()),
-                    "grown before hand-out"
-                );
-                assert_eq!(
-                    settle_stream(&mut recycled, &large, radius),
-                    fresh(&large, radius),
-                    "{kernel:?}, radius {radius}"
-                );
-                drop(recycled);
-                // …and, oversized now, the small one again.
-                let again = settle_stream(&mut pool.acquire(small.node_count()), &small, radius);
-                assert_eq!(again, on_small);
-            }
+        let pool = EnginePool::new();
+        let fresh =
+            |g: &Graph, r: Weight| settle_stream(&mut DijkstraEngine::new(g.node_count()), g, r);
+        for radius in [Weight::new(4.0), Weight::INFINITY] {
+            let on_small = settle_stream(&mut pool.acquire(small.node_count()), &small, radius);
+            assert_eq!(on_small, fresh(&small, radius));
+            assert_eq!(pool.pooled_engines(), 1);
+            // The same engine, grown at checkout, sweeps the larger graph…
+            let mut recycled = pool.acquire(large.node_count());
+            assert_eq!(pool.pooled_engines(), 0);
+            assert!(recycled.capacity() >= large.node_count());
+            assert!(
+                !recycled.ensure_capacity(large.node_count()),
+                "grown before hand-out"
+            );
+            assert_eq!(
+                settle_stream(&mut recycled, &large, radius),
+                fresh(&large, radius),
+                "radius {radius}"
+            );
+            drop(recycled);
+            // …and, oversized now, the small one again.
+            let again = settle_stream(&mut pool.acquire(small.node_count()), &small, radius);
+            assert_eq!(again, on_small);
         }
     }
 
@@ -320,14 +299,5 @@ mod tests {
         // panicking thread was holding.
         assert_eq!(pool.pooled_engines(), 0);
         assert_eq!(pool.poison_recoveries(), 1);
-    }
-
-    #[test]
-    fn acquired_engines_carry_the_pool_kernel() {
-        let pool = EnginePool::with_kernel(Kernel::Heap);
-        assert_eq!(pool.acquire(8).kernel(), Kernel::Heap);
-        // A recycled engine was built by the same pool, on the same kernel.
-        assert_eq!(pool.acquire(8).kernel(), Kernel::Heap);
-        assert_eq!(EnginePool::new().acquire(8).kernel(), Kernel::Bucket);
     }
 }

@@ -1,10 +1,11 @@
-//! Property tests for the graph substrate: both Dijkstra engines against
-//! the Floyd–Warshall oracle, truncation semantics, and induced subgraphs.
-//! Each property runs over [`CASES`] seeded random graphs.
+//! Property tests for the graph substrate: the Dijkstra engine, from plain
+//! and from labelled seeds, against the Floyd–Warshall oracle, truncation
+//! semantics, and induced subgraphs. Each property runs over [`CASES`]
+//! seeded random graphs.
 
 use comm_graph::reference::all_pairs_shortest;
 use comm_graph::{
-    graph_from_edges, DijkstraEngine, Direction, Graph, Kernel, NodeId, SplitMix64, Weight,
+    graph_from_edges, DijkstraEngine, Direction, Graph, NodeId, RunGuard, SplitMix64, Weight,
 };
 
 const CASES: u64 = 128;
@@ -28,17 +29,6 @@ fn random_graph(rng: &mut SplitMix64) -> Graph {
     graph_from_edges(n, &edges)
 }
 
-/// The first `1..4` multiples of 7 mod `n`, sorted and distinct.
-fn spread_seeds(rng: &mut SplitMix64, n: usize) -> Vec<NodeId> {
-    let seed_count = 1 + rng.index(3);
-    let mut seeds: Vec<NodeId> = (0..seed_count.min(n))
-        .map(|i| NodeId((i * 7 % n) as u32))
-        .collect();
-    seeds.sort_unstable();
-    seeds.dedup();
-    seeds
-}
-
 #[test]
 fn binary_dijkstra_matches_floyd_warshall() {
     SplitMix64::for_each_case(CASES, |rng| {
@@ -57,28 +47,82 @@ fn binary_dijkstra_matches_floyd_warshall() {
     });
 }
 
+/// A sweep resumed from labels `(node, dist, source)` — the form the
+/// `Neighbor()` repair stands on — is Dijkstra from a virtual source with
+/// an edge of weight `dist` to each labelled node: it settles exactly the
+/// nodes whose `min over labels (dist + FW[node][v])` is within the radius,
+/// at that distance, and each one's parent chain ends at a label that
+/// carries its source.
 #[test]
-fn bucket_kernel_equals_heap_kernel() {
+fn labelled_seed_sweeps_match_floyd_warshall() {
     SplitMix64::for_each_case(CASES, |rng| {
         let (n, mut edges) = random_edges(rng);
-        let seeds = spread_seeds(rng, n);
-        let radius = below(rng, 30);
-        // Optionally shrink every weight to a quarter so distances land
-        // off the integer grid and stress the bucket-boundary rounding.
+        // Half the cases shrink every weight to a quarter, so distances
+        // land off the integer grid; zero weights stay in either way.
         let scale = if rng.index(2) == 0 { 0.25 } else { 1.0 };
         edges.iter_mut().for_each(|e| e.2 *= scale);
         let g = graph_from_edges(n, &edges);
+        let dir = if rng.index(2) == 0 {
+            Direction::Forward
+        } else {
+            Direction::Reverse
+        };
+        let oracle = all_pairs_shortest(&g, dir);
+        let radius = below(rng, 20);
         let r = Weight::new(f64::from(radius) * scale);
-        let mut heap = DijkstraEngine::with_kernel(g.node_count(), Kernel::Heap);
-        let mut bucket = DijkstraEngine::with_kernel(g.node_count(), Kernel::Bucket);
-        for dir in [Direction::Forward, Direction::Reverse] {
-            let mut a = Vec::new();
-            heap.run(&g, dir, seeds.iter().copied(), r, |s| a.push(s));
-            let mut b = Vec::new();
-            bucket.run(&g, dir, seeds.iter().copied(), r, |s| b.push(s));
-            // The whole settle stream — node, dist, source, AND parent —
-            // must be bit-identical, not merely the distance table.
-            assert_eq!(&a, &b);
+        let labels: Vec<(NodeId, Weight, NodeId)> = (0..1 + rng.index(5))
+            .map(|_| {
+                let d = Weight::new(f64::from(below(rng, radius as usize + 1)) * scale);
+                (NodeId(below(rng, n)), d, NodeId(below(rng, 2 * n)))
+            })
+            .collect();
+        let mut settled = vec![None; n];
+        let mut engine = DijkstraEngine::new(n);
+        let all = |_, _| true;
+        let guard = RunGuard::unlimited();
+        let swept = engine.run_rows_labelled_guarded(
+            g.rows(dir),
+            labels.iter().copied(),
+            r,
+            &guard,
+            all,
+            |s| {
+                assert!(
+                    settled[s.node.index()].is_none(),
+                    "{} settled twice",
+                    s.node
+                );
+                settled[s.node.index()] = Some(s);
+            },
+        );
+        assert_eq!(swept, Ok(settled.iter().flatten().count()));
+        for v in g.nodes() {
+            let best = labels
+                .iter()
+                .map(|&(u, d, _)| d + oracle[u.index()][v.index()])
+                .min()
+                .unwrap_or(Weight::INFINITY);
+            let Some(s) = settled[v.index()] else {
+                assert!(best > r, "{v} within the radius at {best:?} was missed");
+                continue;
+            };
+            assert_eq!(s.dist, best, "dist of {v}");
+            assert!(s.dist <= r);
+            // Follow parents to a node that is its own parent: a label.
+            let mut end = s;
+            for _ in 0..n {
+                if end.parent == end.node {
+                    break;
+                }
+                end = settled[end.parent.index()].expect("a parent is settled");
+            }
+            assert_eq!(end.parent, end.node, "the parent chain of {v} cycles");
+            assert!(
+                labels.contains(&(end.node, end.dist, s.source)),
+                "{v}'s chain ends at {} without a label of source {}",
+                end.node,
+                s.source
+            );
         }
     });
 }

@@ -16,9 +16,12 @@
 //! kept site carries an `#[expect(.., reason = "..")]`, which the compiler
 //! reports when it goes stale. `narrowing_cast` did not follow it to clippy
 //! because `clippy::cast_possible_truncation` is a different check: it
-//! reports 14 sites in those crates against this rule's 2, the other 12
-//! being `f64 → usize` bucket/index math, where this rule polices only
-//! integer narrowing of ids and offsets (and `x64 as usize`).
+//! reports 13 sites in those crates against this rule's 2 (one shared).
+//! Ten of the others are `f64 → usize` scale math in the dataset and load
+//! generators, one is `Weight::try_new`'s range-checked `f64 → u64`, and
+//! one is `SplitMix64::index`'s `u64 → usize` of a draw below a `usize`.
+//! This rule polices only integer narrowing of ids and offsets (and
+//! `x64 as usize`).
 
 use crate::analyze::FileModel;
 use crate::ast::TokKind;
