@@ -17,8 +17,10 @@
 //! `O(l · (n log n + m))`, the paper's Theorem IV.1 — using `O(l·n + m)`
 //! space. The subspace calls repair the `Neighbor(V_i)` the shell keeps
 //! (see [`crate::shell`]): the at most `l` that exclude a node re-sweep
-//! the excluded seeds' cells, the `l − 1` that reset `S_i ← V_i` are
-//! copies, so the sweep budget per answer is `l` first pins plus `l` cell
+//! the excluded seeds' cells — unless that dimension was asked for that
+//! exclusion set before, and then the patch the first re-sweep settled is
+//! copied — and the `l − 1` that reset `S_i ← V_i` are copies, so the
+//! sweep budget per answer is `l` first pins plus `l` first cell
 //! re-sweeps.
 
 use crate::error::QueryError;
@@ -282,10 +284,12 @@ mod tests {
         // Consecutive cores agree below the dimension `i` the search
         // succeeded at, and those dimensions are still pinned: the next
         // community pins l − i dimensions, not l, and of those only a seed
-        // never pinned before sweeps (the others are copies). Together with
-        // the l − i cell re-sweeps of the search (l when it fails, after
-        // the last community; resetting a dimension to `V_i` is a copy)
-        // that fixes the sweep count exactly.
+        // never pinned before sweeps (the others are copies). The search
+        // repairs the l − i dimensions it excludes a node from (l when it
+        // fails, after the last community; resetting a dimension to `V_i`
+        // is a copy), and of those only an exclusion set `(j, X)` never
+        // repaired before re-sweeps (the others copy its patch). Replaying
+        // the pins and the exclusion lists fixes the sweep count exactly.
         let g = fig4_graph();
         let mut it = CommAll::try_new(&g, &fig4_spec(FIG4_RMAX)).unwrap();
         let cores: Vec<Core> = it.by_ref().map(|c| c.core).collect();
@@ -293,18 +297,40 @@ mod tests {
         let mut pinned = Set::new();
         let mut first_pins =
             |core: &Core, from: usize| (from..l).filter(|&j| pinned.insert(core.get(j))).count();
+        // `Dfs::expand` from dimension l − 1 down to `i`: exclude the
+        // current core's node, repair, and reset every dimension the
+        // search moves below.
+        let mut excluded: Vec<Set<NodeId>> = vec![Set::new(); l];
+        let mut repaired = Set::new();
+        let mut search = |current: &Core, i: usize| {
+            let resweeps = (i..l).rev().filter(|&j| {
+                excluded[j].insert(current.get(j));
+                let first = repaired.insert((j, excluded[j].clone()));
+                if j > i {
+                    excluded[j].clear();
+                }
+                first
+            });
+            let resweeps = resweeps.count();
+            (resweeps, (l - i) - resweeps)
+        };
         let mut expect = l + first_pins(&cores[0], 0); // the initial sweeps
-        let (mut shared, mut copied) = (0, 0);
+        let (mut shared, mut copied, mut patched) = (0, 0, 0);
         for pair in cores.windows(2) {
             let i = (0..l).find(|&i| pair[0].get(i) != pair[1].get(i)).unwrap();
+            let (resweeps, repeats) = search(&pair[0], i);
             let swept = first_pins(&pair[1], i);
-            expect += swept + (l - i);
+            expect += swept + resweeps;
             shared += i;
             copied += (l - i) - swept;
+            patched += repeats;
         }
-        expect += l;
+        let (resweeps, repeats) = search(&cores[cores.len() - 1], 0);
+        expect += resweeps;
+        patched += repeats;
         assert!(shared > 0, "no consecutive fig. 4 cores share a prefix");
         assert!(copied > 0, "no fig. 4 pin is a copy");
+        assert!(patched > 0, "no fig. 4 repair is a copy");
         assert_eq!(it.neighbor_sweeps(), expect);
     }
 }

@@ -12,11 +12,13 @@
 //! The sweep budget of one answer whose tuple was created at dimension
 //! `pos`: one single-source sweep per seed of its core never pinned
 //! before (at most `l`; a seed pinned before is copied from the shell's
-//! memo), then `l − pos` re-sweeps of the *cells* a child takes out of
-//! the `Neighbor(V_i)` the shell keeps (see [`crate::shell`]) — the nodes
-//! whose nearest seed was excluded, a sixth of a neighbourhood on the
-//! dense benchmark graph. Putting a dimension back is a copy: no restore
-//! sweep exists.
+//! memo), then at most `l − pos` re-sweeps of the *cells* a child takes
+//! out of the `Neighbor(V_i)` the shell keeps (see [`crate::shell`]) — the
+//! nodes whose nearest seed was excluded, a sixth of a neighbourhood on
+//! the dense benchmark graph. Only a child whose exclusion set `X` in its
+//! dimension was never repaired before sweeps; cores share keyword nodes,
+//! so most children repeat one and copy the patch its first re-sweep
+//! settled. Putting a dimension back is a copy: no restore sweep exists.
 //!
 //! # Deviation from Algorithm 5
 //!
@@ -142,9 +144,11 @@ impl Frontier for CanList {
     /// it (lines 16–18); each child then patches a single dimension and
     /// puts it back — except the last child, whose dimension the next
     /// `next()` re-pins anyway. Both refills repair the `Neighbor(V_i)`
-    /// the shell keeps: the patch re-sweeps the excluded seeds' cells,
-    /// putting back is a copy. At most `l` pin sweeps (first pins only)
-    /// plus `l − pos` cell re-sweeps: `O(l)` sweeps per answer.
+    /// the shell keeps: the patch re-sweeps the excluded seeds' cells the
+    /// first time its `(i, X)` is asked and is copied after that, putting
+    /// back is a copy. At most `l` pin sweeps (first pins only) plus
+    /// `l − pos` cell re-sweeps (first repairs only): `O(l)` sweeps per
+    /// answer.
     fn expand(&mut self, shell: &mut Shell<'_>, g_core: &Core) -> Result<(), InterruptReason> {
         // Preparation (lines 19–23).
         let (g_idx, g_pos) = self.restore_subspace(shell);

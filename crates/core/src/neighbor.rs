@@ -22,10 +22,12 @@
 //! `Neighbor(V_i − X)` from a *base* — `Neighbor(V_i)` kept as a sparse
 //! snapshot grouped by `src` — by copying every node whose `src ∉ X` and
 //! re-sweeping only the cells of `X`, from one boundary seed per cell
-//! node; with `X = ∅` nothing is swept at all. DESIGN.md "Repairing
-//! `Neighbor()`" has the lemma that makes the copy bit-equal to a sweep,
-//! the hypothesis `keep_base` asks the graph for, and the bound on the
-//! memo.
+//! node, the first time that `X` is asked of the base; every later time
+//! the base's patch memo holds what that re-sweep settled, and it is
+//! copied too. With `X = ∅` nothing is swept at all. Every copy goes
+//! through one loop, `copy_cells`. DESIGN.md "Repairing `Neighbor()`" has
+//! the lemma that makes the copy bit-equal to a sweep, the hypothesis
+//! `keep_base` asks the graph for, and the bounds on both memos.
 
 use crate::error::QueryError;
 use crate::types::{Core, CostFn};
@@ -33,8 +35,10 @@ use comm_graph::{
     DijkstraEngine, Direction, EnginePool, Graph, InterruptReason, NodeId, Parallelism, RunGuard,
     Weight,
 };
+use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 const NO_SRC: u32 = u32::MAX;
 
@@ -53,7 +57,8 @@ pub struct BestCore {
     pub center: NodeId,
 }
 
-/// One node of a kept `Neighbor(V_i)` or of a memoised pin: 16 bytes.
+/// One node of a kept `Neighbor(V_i)`, of a memoised pin or of a memoised
+/// patch: 16 bytes.
 #[derive(Clone, Copy)]
 struct Reached {
     src: u32,
@@ -71,6 +76,49 @@ struct Base {
     /// from the base on the cells of `X` only. `None` when it holds
     /// anything else: a pin, a from-scratch sweep, a tripped fill.
     live: Option<Vec<NodeId>>,
+    /// The patch memo: for each `X ≠ ∅` whose cells a completed repair
+    /// re-swept, the nodes that re-sweep settled into the table, in settle
+    /// order — a function of `reached`, `X` and `rmax` alone, since a
+    /// repair retracts first and copies the same retained cells. At most
+    /// one entry per distinct `X`, each no larger than `X`'s cells.
+    patches: Memo<Box<[NodeId]>>,
+}
+
+/// Settle streams memoised by key, with the bytes they hold counted as
+/// they are added: the hash table's slots at its capacity, each key's
+/// heap-held ids and 16 bytes per memoised node. Entries are never
+/// replaced or removed; the memo is dropped whole.
+struct Memo<K> {
+    map: HashMap<K, Box<[Reached]>>,
+    bytes: usize,
+}
+
+impl<K: Hash + Eq> Memo<K> {
+    fn new() -> Self {
+        Memo {
+            map: HashMap::new(),
+            bytes: 0,
+        }
+    }
+
+    fn get<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<&[Reached]>
+    where
+        K: Borrow<Q>,
+    {
+        self.map.get(key).map(|nodes| &**nodes)
+    }
+
+    /// Memoises `nodes` under a key not memoised yet, whose heap part
+    /// holds `key_ids` ids.
+    fn insert(&mut self, key: K, key_ids: usize, nodes: Box<[Reached]>) {
+        let slots = self.map.capacity();
+        self.bytes +=
+            key_ids * std::mem::size_of::<NodeId>() + nodes.len() * std::mem::size_of::<Reached>();
+        let replaced = self.map.insert(key, nodes);
+        debug_assert!(replaced.is_none(), "a memo entry is written once");
+        let grown = self.map.capacity() - slots;
+        self.bytes += grown * std::mem::size_of::<(K, Box<[Reached]>)>();
+    }
 }
 
 impl Base {
@@ -108,7 +156,7 @@ pub struct NeighborSets {
     /// The pin memo, once [`keep_base`](Self::keep_base) has switched it
     /// on: `Neighbor({c})` for every seed `c` swept so far, as its settle
     /// stream (a single-source sweep gives every node `src = c`).
-    pins: Option<HashMap<u32, Box<[Reached]>>>,
+    pins: Option<Memo<u32>>,
     /// How many `Neighbor()` sweeps have run — the unit the paper's
     /// `O(c(l))` vs `O(l·c(l))` comparison counts. A refill or a pin that
     /// copies and settles nothing is not one.
@@ -197,14 +245,45 @@ impl NeighborSets {
         if let Some(base) = &mut self.base[i] {
             base.live = None;
         }
-        let mut members = std::mem::take(&mut self.members[i]);
-        for &u in &members {
-            self.dist[i * self.n + u as usize] = Weight::INFINITY;
-            self.src[i * self.n + u as usize] = NO_SRC;
+        let dim = i * self.n..(i + 1) * self.n;
+        let (dist, src) = (&mut self.dist[dim.clone()], &mut self.src[dim]);
+        let members = &mut self.members[i];
+        for &u in members.iter() {
+            dist[u as usize] = Weight::INFINITY;
+            src[u as usize] = NO_SRC;
             self.count[u as usize] -= 1;
         }
         members.clear();
-        self.members[i] = members;
+    }
+
+    /// Writes `cells` into dimension `i`, in order; a node the dimension
+    /// did not hold joins its member list and its count. The one copy
+    /// loop: a memoised pin, a base's cells and a memoised patch all come
+    /// in through it, and each caller consults the guard per call.
+    fn copy_cells(&mut self, i: usize, cells: &[Reached]) {
+        let dim = i * self.n..(i + 1) * self.n;
+        let (dist, src) = (&mut self.dist[dim.clone()], &mut self.src[dim]);
+        let members = &mut self.members[i];
+        for r in cells {
+            let at = r.node as usize;
+            if !dist[at].is_finite() {
+                members.push(r.node);
+                self.count[at] += 1;
+            }
+            dist[at] = r.dist;
+            src[at] = r.src;
+        }
+    }
+
+    /// The nodes of dimension `i` listed in `nodes`, as it holds them.
+    fn held(&self, i: usize, nodes: &[u32]) -> Box<[Reached]> {
+        let (dist, src) = (&self.dist[i * self.n..], &self.src[i * self.n..]);
+        let reached = |&node: &u32| Reached {
+            src: src[node as usize],
+            node,
+            dist: dist[node as usize],
+        };
+        nodes.iter().map(reached).collect()
     }
 
     /// Recomputes dimension `i` as `Neighbor(G_D, seeds, rmax)`:
@@ -275,13 +354,7 @@ impl NeighborSets {
         } else {
             let swept = self.recompute_dim_guarded(graph, engine, i, [c], rmax, guard);
             if swept.is_ok() {
-                let dist = &self.dist[i * self.n..];
-                let stream = self.members[i].iter().map(|&node| Reached {
-                    src: c.0,
-                    node,
-                    dist: dist[node as usize],
-                });
-                pins.insert(c.0, stream.collect());
+                pins.insert(c.0, 0, self.held(i, &self.members[i]));
             }
             swept
         };
@@ -298,16 +371,15 @@ impl NeighborSets {
     ) -> Result<(), InterruptReason> {
         self.retract(i);
         guard.check()?;
-        for &r in memoised {
-            self.copy_in(i, r);
-        }
+        self.copy_cells(i, memoised);
         Ok(())
     }
 
     /// Keeps what dimension `i` holds — `Neighbor(V_i, rmax)`, just swept —
     /// as the base [`refill_guarded`](Self::refill_guarded) copies and
     /// repairs from: 16 bytes per reached node, charged by
-    /// [`byte_size`](Self::byte_size). From the first call on, pins are
+    /// [`byte_size`](Self::byte_size), with an empty patch memo that its
+    /// repairs fill. From the first call on, pins are
     /// memoised too ([`pin_guarded`](Self::pin_guarded)), whatever the
     /// graph: a single-source sweep is a function of its seed.
     ///
@@ -318,24 +390,17 @@ impl NeighborSets {
     /// `Neighbor()`" has the five-node graph on which it is not). The
     /// paper's weights are `log2(1 + N_in) ≥ 1`.
     pub(crate) fn keep_base(&mut self, graph: &Graph, i: usize) {
-        self.pins.get_or_insert_with(HashMap::new);
+        self.pins.get_or_insert_with(Memo::new);
         let swept_rows = graph.rows(Direction::Reverse);
         if swept_rows.min_weight() == Some(Weight::ZERO) {
             return;
         }
-        let (dist, src) = (&self.dist[i * self.n..], &self.src[i * self.n..]);
-        let mut reached: Vec<Reached> = self.members[i]
-            .iter()
-            .map(|&node| Reached {
-                src: src[node as usize],
-                node,
-                dist: dist[node as usize],
-            })
-            .collect();
+        let mut reached = self.held(i, &self.members[i]).into_vec();
         reached.sort_unstable_by_key(|r| (r.src, r.node));
         self.base[i] = Some(Base {
             reached,
             live: Some(Vec::new()),
+            patches: Memo::new(),
         });
     }
 
@@ -346,12 +411,14 @@ impl NeighborSets {
     ///
     /// With a base, every node whose `src` in `Neighbor(V_i)` is not in
     /// `X` is copied, and only the cells of `X` are re-swept, from the
-    /// labels of the copied nodes they have an edge to; `X = ∅` sweeps
-    /// nothing, and when the dimension still holds a table repaired from
-    /// this base only the cells that differ are written back. The guard
-    /// is consulted per cell copied and per node settled; on interruption
-    /// the dimension holds a consistent partial table, as after an
-    /// interrupted sweep, and is no longer taken for a repaired one.
+    /// labels of the copied nodes they have an edge to — the first time
+    /// `X` is asked of this base; after that what the re-sweep settled is
+    /// copied from the base's patch memo. `X = ∅` sweeps nothing, and when
+    /// the dimension still holds a table repaired from this base only the
+    /// cells that differ are written back. The guard is consulted per cell
+    /// copied, per patch copied and per node settled; on interruption the
+    /// dimension holds a consistent partial table, as after an interrupted
+    /// sweep, and is no longer taken for a repaired one.
     #[expect(
         clippy::too_many_arguments,
         reason = "recompute_dim_guarded's arguments, the seeds as V_i and X"
@@ -374,24 +441,11 @@ impl NeighborSets {
         // `live` stays `None` after a trip.
         let filled = match base.live.take() {
             Some(repaired) if excluded.is_empty() => self.write_back(&base, &repaired, i, guard),
-            _ => self.repair(graph, engine, &base, excluded, i, rmax, guard),
+            _ => self.repair(graph, engine, &mut base, excluded, i, rmax, guard),
         };
         base.live = filled.is_ok().then(|| excluded.to_vec());
         self.base[i] = Some(base);
         filled
-    }
-
-    /// Writes `r` into dimension `i`; a node the dimension did not hold
-    /// joins its member list and its count.
-    #[inline]
-    fn copy_in(&mut self, i: usize, r: Reached) {
-        let at = i * self.n + r.node as usize;
-        if !self.dist[at].is_finite() {
-            self.members[i].push(r.node);
-            self.count[r.node as usize] += 1;
-        }
-        self.dist[at] = r.dist;
-        self.src[at] = r.src;
     }
 
     /// `Neighbor(V_i)` over a dimension holding `Neighbor(V_i − repaired)`:
@@ -406,17 +460,16 @@ impl NeighborSets {
     ) -> Result<(), InterruptReason> {
         for &x in repaired {
             guard.check()?;
-            for &r in base.cell(x) {
-                self.copy_in(i, r);
-            }
+            self.copy_cells(i, base.cell(x));
         }
         Ok(())
     }
 
     /// `Neighbor(V_i − excluded)` over a dimension holding anything: the
-    /// base's other cells copied, the excluded ones re-swept. Every node
-    /// written joins the member list and its count as it is written,
-    /// whether or not the guard lets the fill finish.
+    /// base's other cells copied, the excluded ones re-swept — or, when a
+    /// completed repair already re-swept them, their memoised patch
+    /// copied. Every node written joins the member list and its count as
+    /// it is written, whether or not the guard lets the fill finish.
     #[expect(
         clippy::too_many_arguments,
         reason = "private: refill_guarded's arguments with the base resolved"
@@ -425,7 +478,7 @@ impl NeighborSets {
         &mut self,
         graph: &Graph,
         engine: &mut DijkstraEngine,
-        base: &Base,
+        base: &mut Base,
         excluded: &[NodeId],
         i: usize,
         rmax: Weight,
@@ -438,13 +491,17 @@ impl NeighborSets {
                 continue;
             }
             guard.check()?;
-            for &r in cell {
-                self.copy_in(i, r);
-            }
+            self.copy_cells(i, cell);
         }
         if excluded.is_empty() {
             return Ok(());
         }
+        if let Some(patch) = base.patches.get(excluded) {
+            guard.check()?;
+            self.copy_cells(i, patch);
+            return Ok(());
+        }
+        let patched_from = self.members[i].len();
         // Re-sweep the excluded cells. A cell node's predecessors are
         // other cell nodes and the copied nodes it has an edge to. Of the
         // copied ones only the best offer, the least `(dist(p) + w,
@@ -486,7 +543,11 @@ impl NeighborSets {
             },
         );
         self.members[i] = members;
-        swept.map(|_| ())
+        swept?;
+        // One entry per distinct `X`, charged by `byte_size`.
+        let patch = self.held(i, &self.members[i][patched_from..]);
+        base.patches.insert(excluded.into(), excluded.len(), patch);
+        Ok(())
     }
 
     /// Benchmark-facing shim, kept only because the frozen `benchmark/`
@@ -573,16 +634,21 @@ impl NeighborSets {
     /// Logical bytes held — the paper's `O(l·n)` table, the counters, the
     /// member lists (at most `n` ids per dimension; charged at their
     /// allocated capacity), the kept bases (16 bytes per node
-    /// `Neighbor(V_i)` reached, no second dense table) and the pin memo
-    /// (16 bytes per memoised node).
+    /// `Neighbor(V_i)` reached, no second dense table), and the pin memo
+    /// and the bases' patch memos (see [`Memo`]). `O(l)`: the memos keep
+    /// their own count.
     pub fn byte_size(&self) -> usize {
         let member_ids: usize = self.members.iter().map(Vec::capacity).sum();
-        let kept: usize = self.base.iter().flatten().map(|b| b.reached.len()).sum();
-        let memoised: usize = self.pins.iter().flatten().map(|(_, s)| s.len()).sum();
+        let bases = self.base.iter().flatten();
+        let kept: usize = bases.clone().map(|b| b.reached.len()).sum();
+        let patches: usize = bases.map(|b| b.patches.bytes).sum();
+        let pins = self.pins.as_ref().map_or(0, |pins| pins.bytes);
         self.dist.len() * std::mem::size_of::<Weight>()
             + (self.src.len() + member_ids) * std::mem::size_of::<u32>()
             + self.count.len()
-            + (kept + memoised) * std::mem::size_of::<Reached>()
+            + kept * std::mem::size_of::<Reached>()
+            + patches
+            + pins
     }
 }
 
@@ -626,7 +692,8 @@ impl NeighborSets {
         self.base[i].as_ref()?.live.as_deref()
     }
 
-    /// Drops every kept base: from here on every refill is a sweep.
+    /// Drops every kept base, and its patch memo with it: from here on
+    /// every refill is a sweep.
     pub(crate) fn forget_bases(&mut self) {
         self.base.fill_with(|| None);
     }
@@ -890,13 +957,28 @@ mod tests {
         }
         let kept = ns.byte_size();
         assert_eq!(kept, swept + settled * 16);
-        // So is a memoised pin, once, whichever dimensions it lands in.
+        // So is a memoised pin, once, whichever dimensions it lands in,
+        // plus its map's slots: a `(u32, Box<[Reached]>)` each, 24 bytes,
+        // at the map's capacity.
         let (r, unlimited) = (Weight::new(8.0), RunGuard::unlimited());
         for i in [0, 1, 0] {
             ns.pin_guarded(&g, &mut eng, i, NodeId(4), r, &unlimited)
                 .unwrap();
         }
-        assert_eq!(ns.byte_size(), kept + ns.neighbor_set(0).len() * 16);
+        let pin_slots = ns.pins.as_ref().unwrap().map.capacity() * 24;
+        let pinned = kept + pin_slots + ns.neighbor_set(0).len() * 16;
+        assert_eq!(ns.byte_size(), pinned);
+        // A memoised patch: 16 bytes per node its re-sweep settled, 4 per
+        // id of its key `X`, and a `(Box<[NodeId]>, Box<[Reached]>)` slot
+        // of 32 bytes at its base's map capacity. A repair shrinks the
+        // dimension, so its member list keeps its capacity.
+        let v = &v_sets()[2];
+        let x = [v[1], v[2]];
+        ns.refill_guarded(&g, &mut eng, 2, v, &x, r, &unlimited)
+            .unwrap();
+        let patches = &ns.base[2].as_ref().unwrap().patches.map;
+        let patch = patches[&x[..]].len() * 16 + x.len() * 4;
+        assert_eq!(ns.byte_size(), pinned + patches.capacity() * 32 + patch);
     }
 
     /// [`build`] with every `Neighbor(V_i)` kept as a base.
@@ -931,9 +1013,10 @@ mod tests {
         use comm_graph::SplitMix64;
         let r = Weight::new(8.0);
         let unlimited = RunGuard::unlimited();
-        let (mut copies, mut repairs) = (0, 0);
+        let (mut copies, mut repairs, mut patched) = (0, 0, 0);
         SplitMix64::for_each_case(200, |rng| {
             let (g, mut ns, mut eng) = build_kept(8.0);
+            let mut swept = std::collections::HashSet::new();
             for _ in 0..12 {
                 let i = rng.index(3);
                 let v = &v_sets()[i];
@@ -947,15 +1030,21 @@ mod tests {
                 let before = ns.sweeps();
                 ns.refill_guarded(&g, &mut eng, i, v, &excluded, r, &unlimited)
                     .unwrap();
-                assert_eq!(ns.sweeps() - before, usize::from(!excluded.is_empty()));
+                // Only the first repair of each `(i, X ≠ ∅)` sweeps.
+                let first = !excluded.is_empty() && swept.insert((i, excluded.clone()));
+                assert_eq!(ns.sweeps() - before, usize::from(first));
                 assert_eq!(ns.repaired_from(i), Some(&excluded[..]));
                 assert_is_sweep_of(&ns, &g, i, (v, &excluded), r);
                 ns.assert_history_free();
                 copies += usize::from(excluded.is_empty());
-                repairs += usize::from(!excluded.is_empty());
+                repairs += usize::from(first);
+                patched += usize::from(!excluded.is_empty() && !first);
             }
         });
-        assert!(copies >= 300 && repairs >= 300, "{copies} / {repairs}");
+        assert!(
+            copies >= 300 && repairs >= 300 && patched >= 150,
+            "{copies} / {repairs} / {patched}"
+        );
     }
 
     #[test]
@@ -1116,9 +1205,10 @@ mod tests {
         // The same contract for every trip point of a refill from the
         // base — inside the copy of the retained cells, inside the cell
         // re-sweep (boundary seeds are settled nodes like any other),
-        // inside a write-back: counts and member list describe what
-        // `dist` holds, and the dimension is no longer taken for a
-        // repaired table, so the next refill rebuilds it whole and right.
+        // inside a write-back, at a patch copy: counts and member list
+        // describe what `dist` holds, and the dimension is no longer taken
+        // for a repaired table, so the next refill rebuilds it whole and
+        // right.
         let (g, spec) = crate::testing::dense_scenario();
         let (l, r) = (spec.l(), spec.rmax);
         let unlimited = RunGuard::unlimited();
@@ -1132,32 +1222,44 @@ mod tests {
             }
             (ns, eng)
         };
-        let mut in_sweeps = 0;
+        let (mut in_sweeps, mut in_patches) = (0, 0);
         for (i, v) in v_sets.iter().enumerate() {
-            // What the dimension holds — a pin or a repair — and the refill.
+            // What the dimension was filled with — pins and repairs, in
+            // order — and the refill. A repair primed before it memoises
+            // its `X`, so the refill of the last two copies a patch.
             let moves = [
-                (Err(v[0]), vec![v[0]]),
-                (Err(v[1]), vec![]),
-                (Ok(vec![v[2], v[5]]), vec![]),
-                (Ok(vec![v[2], v[5]]), vec![v[3]]),
-                (Err(v[4]), vec![v[1], v[4], v[6]]),
+                (vec![Err(v[0])], vec![v[0]]),
+                (vec![Err(v[1])], vec![]),
+                (vec![Ok(vec![v[2], v[5]])], vec![]),
+                (vec![Ok(vec![v[2], v[5]])], vec![v[3]]),
+                (vec![Err(v[4])], vec![v[1], v[4], v[6]]),
+                (vec![Ok(vec![v[3]]), Err(v[0])], vec![v[3]]),
+                (vec![Ok(vec![v[1], v[6]])], vec![v[1], v[6]]),
             ];
-            for (holds, excluded) in moves {
+            for (fills, excluded) in moves {
+                let memoised = fills.contains(&Ok(excluded.clone()));
                 let primed = || {
                     let (mut ns, mut eng) = swept_and_kept();
-                    match &holds {
-                        Err(pin) => ns.refill(&g, &mut eng, i, [*pin], r),
-                        Ok(x) => ns
-                            .refill_guarded(&g, &mut eng, i, v, x, r, &unlimited)
-                            .unwrap(),
+                    for fill in &fills {
+                        match fill {
+                            Err(pin) => ns.refill(&g, &mut eng, i, [*pin], r),
+                            Ok(x) => ns
+                                .refill_guarded(&g, &mut eng, i, v, x, r, &unlimited)
+                                .unwrap(),
+                        }
                     }
                     (ns, eng)
                 };
                 let (mut ns, mut eng) = primed();
                 let counter = RunGuard::new();
+                let before = ns.sweeps();
                 ns.refill_guarded(&g, &mut eng, i, v, &excluded, r, &counter)
                     .unwrap();
                 assert!(counter.checks() > 0);
+                // A memoised patch is one copy: no node settles.
+                assert_eq!(memoised, ns.sweeps() == before && !excluded.is_empty());
+                assert_eq!(memoised, counter.settled() == 0 && !excluded.is_empty());
+                in_patches += usize::from(memoised);
                 // The re-sweep runs last and consults the guard once per
                 // node it settles, so each of those is one trip point
                 // inside it (the engine is already sized: no byte check).
@@ -1180,6 +1282,78 @@ mod tests {
             in_sweeps >= 100,
             "{in_sweeps} trip points inside cell re-sweeps"
         );
+        assert_eq!(in_patches, 2 * v_sets.len());
+    }
+
+    #[test]
+    fn a_repair_is_swept_once_per_exclusion_set_then_copied() {
+        // The dense scenario's `V_1` in two dimensions, each with its own
+        // base (on Fig. 4 no cell is ever re-reached: every patch is empty).
+        let (g, spec) = crate::testing::dense_scenario();
+        let (v, r) = (&sorted(&spec.keyword_nodes[0]), spec.rmax);
+        let unlimited = RunGuard::unlimited();
+        let mut eng = DijkstraEngine::new(g.node_count());
+        let mut ns = NeighborSets::new(2, g.node_count());
+        for i in 0..2 {
+            ns.refill(&g, &mut eng, i, v.iter().copied(), r);
+            ns.keep_base(&g, i);
+        }
+        let mut repair = |ns: &mut NeighborSets, i: usize, x: &[NodeId], guard: &RunGuard| {
+            let before = ns.sweeps();
+            let filled = ns.refill_guarded(&g, &mut eng, i, v, x, r, guard);
+            (filled, ns.sweeps() - before)
+        };
+        let patches =
+            |ns: &NeighborSets, i: usize| ns.base[i].as_ref().unwrap().patches.map.clone();
+        // The first repair of `(0, X)` is one sweep, and memoises what it
+        // settled at 16 bytes a node, 4 per id of `X` and a 32-byte slot.
+        let x = vec![v[1], v[3]];
+        let bytes = ns.byte_size();
+        assert_eq!(repair(&mut ns, 0, &x, &unlimited), (Ok(()), 1));
+        let patch = patches(&ns, 0)[&x[..]].len();
+        assert!(patch > 0);
+        let slots = patches(&ns, 0).capacity() * 32;
+        assert_eq!(ns.byte_size(), bytes + slots + x.len() * 4 + patch * 16);
+        // A repeat, over a table holding anything, sweeps nothing and is
+        // bit-equal to the first, member order included.
+        let swept = (ns.dist.clone(), ns.src.clone(), ns.members[0].clone());
+        for other in [vec![], vec![v[0]], x.clone()] {
+            repair(&mut ns, 0, &other, &unlimited).0.unwrap();
+            assert_eq!(repair(&mut ns, 0, &x, &unlimited), (Ok(()), 0));
+            assert_is_sweep_of(&ns, &g, 0, (v, &x), r);
+            ns.assert_history_free();
+            let copied = (ns.dist.clone(), ns.src.clone(), ns.members[0].clone());
+            assert!(copied == swept, "after {other:?}");
+        }
+        // The same `X` in another dimension is another entry: one sweep.
+        assert_eq!(repair(&mut ns, 1, &x, &unlimited), (Ok(()), 1));
+        assert_eq!(repair(&mut ns, 1, &x, &unlimited), (Ok(()), 0));
+        assert_eq!(ns.neighbor_set(0), ns.neighbor_set(1));
+        assert_eq!((patches(&ns, 0).len(), patches(&ns, 1).len()), (2, 1));
+        // A re-sweep the guard stops is not memoised: the next repair of
+        // that `X` sweeps again. A settled budget of 0 lets every cell
+        // copy through and trips at the re-sweep's first settle.
+        let y = vec![v[2]];
+        let tripping = RunGuard::new().with_settled_budget(0);
+        let (tripped, sweeps) = repair(&mut ns, 1, &y, &tripping);
+        assert_eq!(tripped, Err(InterruptReason::SettledBudgetExhausted));
+        assert_eq!(sweeps, 1);
+        ns.assert_history_free();
+        assert_eq!(ns.repaired_from(1), None);
+        assert!(!patches(&ns, 1).contains_key(&y[..]));
+        assert_eq!(repair(&mut ns, 1, &y, &unlimited), (Ok(()), 1));
+        assert_is_sweep_of(&ns, &g, 1, (v, &y), r);
+        // A trip at a patch copy — the last check of a repeat — leaves a
+        // consistent table that is not taken for a repaired one.
+        let counter = RunGuard::new();
+        assert_eq!(repair(&mut ns, 0, &x, &counter), (Ok(()), 0));
+        let tripping = RunGuard::new().with_trip_after(counter.checks() - 1);
+        let (tripped, sweeps) = repair(&mut ns, 0, &x, &tripping);
+        assert_eq!((tripped, sweeps), (Err(InterruptReason::Injected), 0));
+        ns.assert_history_free();
+        assert_eq!(ns.repaired_from(0), None);
+        assert_eq!(repair(&mut ns, 0, &x, &unlimited), (Ok(()), 0));
+        assert_is_sweep_of(&ns, &g, 0, (v, &x), r);
     }
 
     fn sorted(set: &[NodeId]) -> Vec<NodeId> {

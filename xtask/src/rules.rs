@@ -183,8 +183,10 @@ fn preceding_ident(masked: &str, pos: usize) -> &str {
 /// same bar as serial loops: a fan-out without a shared guard cannot be
 /// cancelled mid-batch. So is any fn, private ones included, that loops
 /// over the cells of a kept `Neighbor(V_i)` base or over a memoised pin's
-/// settle stream: a copy or a cell repair fills a dimension like a sweep
-/// does, without a settle loop to consult the guard for it.
+/// settle stream, or calls `copy_cells(`, the one loop that copies a pin,
+/// a cell or a memoised patch into a dimension: a copy or a cell repair
+/// fills a dimension like a sweep does, without a settle loop to consult
+/// the guard for it.
 fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
     const SUGGESTION: &str = "accept `&RunGuard` (or delegate to a `*_guarded` variant) so the \
          execution governor can interrupt the loop";
@@ -200,8 +202,10 @@ fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
     ];
     const PAR_MARKS: [&str; 4] = ["thread::scope", ".spawn(", ".map_init(", "par.map("];
     // `Base::cells()` / `Base::cell(x)` and a `memoised` pin's settle
-    // stream in `crates/core/src/neighbor.rs`.
+    // stream in `crates/core/src/neighbor.rs`, looped over; and the copy
+    // loop itself, which holds no guard: its callers consult one per call.
     const FILL_MARKS: [&str; 3] = [".cells()", ".cell(", "memoised"];
+    const FILL_CALLS: [&str; 1] = ["copy_cells("];
     let ast = &fm.ast;
     for f in &ast.fns {
         let Some((open, close)) = f.body else {
@@ -217,9 +221,9 @@ fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
                 marks.iter().any(|m| t.contains(m))
             })
         };
-        let fills = looping(&FILL_MARKS);
-        let loops = f.is_pub && looping(&LOOP_MARKS);
         let body = ast.span_text(open, close);
+        let fills = looping(&FILL_MARKS) || FILL_CALLS.iter().any(|m| body.contains(m));
+        let loops = f.is_pub && looping(&LOOP_MARKS);
         let fans_out = f.is_pub && PAR_MARKS.iter().any(|m| body.contains(m));
         if !loops && !fans_out && !fills {
             continue;
@@ -514,6 +518,20 @@ mod tests {
         assert!(out[0].message.contains("fn copy_pin"));
         let asked = "fn copy_pin(&mut self, memoised: &[Reached], i: usize, guard: &RunGuard) -> Result<(), InterruptReason> {\n    self.retract(i);\n    guard.check()?;\n    for &r in memoised {\n        self.copy_in(i, r);\n    }\n    Ok(())\n}\n";
         assert!(live(asked, true).is_empty());
+    }
+
+    #[test]
+    fn seeded_unguarded_patch_copy_fails() {
+        let copy = "fn copy_patch(&mut self, base: &Base, x: &[NodeId], i: usize) {\n    if let Some(patch) = base.patches.get(x) {\n        self.copy_cells(i, patch);\n    }\n}\n";
+        let out = live(copy, true);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].rule, GUARD_COVERAGE);
+        assert!(out[0].message.contains("fn copy_patch"));
+        let asked = "fn copy_patch(&mut self, base: &Base, x: &[NodeId], i: usize, guard: &RunGuard) -> Result<(), InterruptReason> {\n    if let Some(patch) = base.patches.get(x) {\n        guard.check()?;\n        self.copy_cells(i, patch);\n    }\n    Ok(())\n}\n";
+        assert!(live(asked, true).is_empty());
+        // The copy loop itself is not a caller: its callers hold the guard.
+        let the_loop = "fn copy_cells(&mut self, i: usize, cells: &[Reached]) {\n    for r in cells {\n        self.write(i, r);\n    }\n}\n";
+        assert!(live(the_loop, true).is_empty());
     }
 
     #[test]
