@@ -41,8 +41,8 @@
 
 // `deny`, not `forbid`: `storage.rs` is the single module allowed to opt
 // back in (`#![allow(unsafe_code)]`) for the mmap FFI and the Pod slice
-// reinterpret; `cargo xtask lint` (rule `unsafe_confined`) enforces that
-// no other file in the workspace's library crates contains `unsafe`.
+// reinterpret; `cargo xtask check` (row `unsafe_confined`) fails if any
+// other file in the workspace opts back in.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 // No panics in library code (tests may): a site that keeps one says why

@@ -13,9 +13,9 @@
 //!
 //! This is the **only** module in the crate (and the workspace's library
 //! crates) allowed to contain `unsafe` — the crate root carries
-//! `#![deny(unsafe_code)]` and `cargo xtask lint` (rule
-//! `unsafe_confined`) fails if `unsafe` appears anywhere else. The two
-//! uses are:
+//! `#![deny(unsafe_code)]`, the other library roots forbid it, and
+//! `cargo xtask check` (row `unsafe_confined`) fails if any other file
+//! opts back in. The two uses are:
 //!
 //! 1. reinterpreting a validated byte range of a region as `&[T]` for a
 //!    sealed set of [`Pod`] element types (`u32`, `NodeId`, `Weight`) that

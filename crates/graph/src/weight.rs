@@ -100,8 +100,8 @@ impl Weight {
 /// Node ids, CSR offsets, and row ids are `u32` by design (flat-vector
 /// indexing at DBLP scale); every `usize → u32` narrowing in the workspace
 /// funnels through here or [`index_to_u32`] so the truncation check lives in
-/// exactly one audited place (enforced by `cargo xtask lint`,
-/// rule `narrowing_cast`).
+/// exactly one audited place (enforced by `cargo xtask check`,
+/// row `narrowing_cast`).
 #[inline]
 pub fn try_index_to_u32(i: usize) -> Option<u32> {
     u32::try_from(i).ok()

@@ -25,6 +25,7 @@
 //! The crate is std-only beyond the in-repo engine crates, so the daemon
 //! and its chaos tests build with no registry access.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // No panics in library code (tests may): a site that keeps one says why
 // in an `#[expect(clippy::…, reason = "…")]`, which turns stale by itself.

@@ -10,7 +10,8 @@
 //! does not, and a per-iteration charge in an outer loop bounds its inner
 //! loops too (the Dijkstra settle/relax pattern).
 
-use super::{push, FileModel, UNBOUNDED_ALLOC};
+use super::{FileModel, UNBOUNDED_ALLOC};
+use crate::rules::push;
 use std::path::Path;
 
 /// Growth calls that extend a collection.

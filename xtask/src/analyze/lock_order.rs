@@ -22,8 +22,9 @@
 //!   wire-I/O call (`write_frame`/`read_frame`/`accept`/...) — latency
 //!   hazards in the serve path.
 
-use super::{push, FileModel, LOCK_BLOCKING, LOCK_ORDER};
+use super::{FileModel, LOCK_BLOCKING, LOCK_ORDER};
 use crate::ast::{Ast, Call, TokKind};
+use crate::rules::push;
 use crate::rules::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -53,20 +54,13 @@ const BLOCKING_IO: [&str; 9] = [
     "flush",
 ];
 
-/// Which lock (or which parameter's lock) a guard-returning helper locks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum GuardSource {
-    Lock(String),
-    Param(usize),
-}
-
 /// Per-function summary, computed to a fixed point across the workspace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct FnSummary {
     /// Lock ids this fn may acquire (and release) during a call.
     acquires: BTreeSet<String>,
     /// When the fn returns a guard, the lock that guard holds.
-    returns_guard: Option<GuardSource>,
+    returns_guard: Option<Target>,
 }
 
 /// A lock-order edge with provenance.
@@ -100,6 +94,7 @@ struct FnCtx<'a> {
     local_types: BTreeMap<String, String>,
 }
 
+/// A lock a call acquires: a known lock, or the lock passed as a parameter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Target {
     Lock(String),
@@ -380,24 +375,15 @@ impl<'a> Model<'a> {
         let ctx = self.fn_ctx(fi, fx);
         let returns_guard_ty = f.ret.contains("Guard");
         let mut acquires = BTreeSet::new();
-        let mut first_source: Option<GuardSource> = None;
+        let mut first_source: Option<Target> = None;
         for call in fm.ast.calls_in(open + 1, close) {
             for ev in self.call_events(&ctx, &fm.ast, &call) {
-                match ev {
-                    Target::Lock(id) => {
-                        if returns_guard_ty && first_source.is_none() {
-                            first_source = Some(GuardSource::Lock(id));
-                        } else {
-                            acquires.insert(id);
-                        }
-                    }
-                    Target::ParamLock(k) => {
-                        if returns_guard_ty && first_source.is_none() {
-                            first_source = Some(GuardSource::Param(k));
-                        }
-                        // A param lock used-but-not-returned cannot be
-                        // named from here; call sites resolve it.
-                    }
+                if returns_guard_ty && first_source.is_none() {
+                    first_source = Some(ev);
+                } else if let Target::Lock(id) = ev {
+                    // A param lock used-but-not-returned cannot be named
+                    // from here; call sites resolve it.
+                    acquires.insert(id);
                 }
             }
             // Transitive acquisitions through callees.
@@ -426,8 +412,8 @@ impl<'a> Model<'a> {
         if let Some(s) = self.callee_summary(ctx, ast, call) {
             if let Some(src) = &s.returns_guard {
                 match src {
-                    GuardSource::Lock(id) => out.push(Target::Lock(id.clone())),
-                    GuardSource::Param(k) => {
+                    Target::Lock(id) => out.push(Target::Lock(id.clone())),
+                    Target::ParamLock(k) => {
                         if let Some(chain) = arg_chain(ast, call, *k) {
                             if let Some(t) = self.resolve_chain(ctx, &chain) {
                                 out.push(t);
@@ -835,10 +821,7 @@ fn arg_chain(ast: &Ast, call: &Call, k: usize) -> Option<Vec<String>> {
     if ast.toks.get(open).map(|t| t.kind) != Some(TokKind::Open('(')) {
         return None;
     }
-    let close = *ast.partner.get(open)?;
-    if close == usize::MAX {
-        return None;
-    }
+    let close = (*ast.partner.get(open)?)?;
     // Split args at level-0 commas.
     let mut args: Vec<(usize, usize)> = Vec::new();
     let mut seg = open + 1;
@@ -853,10 +836,9 @@ fn arg_chain(ast: &Ast, call: &Call, k: usize) -> Option<Vec<String>> {
             continue;
         }
         if let TokKind::Open(_) = ast.toks[m].kind {
-            let p = ast.partner[m];
-            if p == usize::MAX || p > close {
+            let Some(p) = ast.partner[m].filter(|&p| p <= close) else {
                 break;
-            }
+            };
             m = p + 1;
             continue;
         }
@@ -882,10 +864,9 @@ fn arg_chain(ast: &Ast, call: &Call, k: usize) -> Option<Vec<String>> {
             TokKind::Punct('.') => j += 1,
             TokKind::Punct(':') if ast.is_punct(j + 1, ':') => j += 2,
             TokKind::Open(_) => {
-                let p = ast.partner[j];
-                if p == usize::MAX || p >= hi {
+                let Some(p) = ast.partner[j].filter(|&p| p < hi) else {
                     break;
-                }
+                };
                 j = p + 1;
             }
             _ => break,

@@ -1,8 +1,5 @@
-//! `cargo xtask analyze` — the concurrency-discipline analysis pass.
-//!
-//! Where `lint` works line-by-line on masked text, `analyze` parses every
-//! file into a token tree ([`crate::ast`]) and runs whole-workspace
-//! structural rules:
+//! The concurrency-discipline analyzers: whole-workspace structural rules
+//! over every file's token tree ([`crate::ast`]):
 //!
 //! * [`lock_order`] — the lock-order graph: cycles ([`LOCK_ORDER`]) and
 //!   guards held across pool checkout / wire I/O ([`LOCK_BLOCKING`]);
@@ -11,7 +8,7 @@
 //! * [`protocol`] — encode/decode symmetry for every wire-protocol
 //!   variant and kind/status constant ([`PROTOCOL_SYMMETRY`]).
 //!
-//! Findings share the `lint` plumbing (`Finding`, waivers, test-line
+//! Findings go through [`crate::rules::push`] (waivers, test-line
 //! exemption), so `// xtask-allow: lock_order — reason` works the same way
 //! as for the lint rules.
 
@@ -65,26 +62,4 @@ pub fn analyze(files: &[FileModel]) -> Vec<Finding> {
     }
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out
-}
-
-/// Shared push helper: drops test-line findings, flags waived ones.
-pub(crate) fn push(
-    f: &SourceFile,
-    out: &mut Vec<Finding>,
-    rule: &'static str,
-    line: usize,
-    message: String,
-    suggestion: &str,
-) {
-    if f.is_test_line(line) {
-        return;
-    }
-    out.push(Finding {
-        file: f.path.clone(),
-        line,
-        rule,
-        message,
-        suggestion: suggestion.to_string(),
-        waived: f.is_waived(rule, line),
-    });
 }

@@ -12,7 +12,8 @@
 //!   and every `STATUS_*` constant by both response codecs — a kind that
 //!   is encoded but never decoded is a silent protocol fork.
 
-use super::{push, FileModel, PROTOCOL_SYMMETRY};
+use super::{FileModel, PROTOCOL_SYMMETRY};
+use crate::rules::push;
 use std::path::Path;
 
 /// The codec pairs the rule enforces.

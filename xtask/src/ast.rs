@@ -49,8 +49,6 @@ pub struct FnItem {
     pub is_pub: bool,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
-    /// Token index of the `fn` keyword.
-    pub fn_tok: usize,
     /// Token range `[sig_start, body_open)` covering qualifiers + signature.
     pub sig: (usize, usize),
     /// Parameters as `(name, type text)`; `self` params use the name `self`.
@@ -87,6 +85,8 @@ pub struct StructItem {
 pub struct EnumItem {
     /// Enum name.
     pub name: String,
+    /// Whether the item is `pub` (a bare `pub`, not `pub(crate)`).
+    pub is_pub: bool,
     /// 1-based line of the `enum` keyword.
     pub line: usize,
     /// `(line, variant_name)` pairs.
@@ -121,9 +121,9 @@ pub struct Ast {
     pub src: String,
     /// Tokens in source order.
     pub toks: Vec<Tok>,
-    /// For bracket tokens, the index of the matching partner
-    /// (`usize::MAX` for unmatched or non-bracket tokens).
-    pub partner: Vec<usize>,
+    /// For bracket tokens, the index of the matching partner (`None` for
+    /// unmatched or non-bracket tokens).
+    pub partner: Vec<Option<usize>>,
     /// Function items (all visibilities, including nested in impls).
     pub fns: Vec<FnItem>,
     /// Struct items with named fields.
@@ -258,8 +258,8 @@ impl Ast {
             // Skip over trailing groups: `foo(...)`, `xs[i]`.
             let mut e = elem_end;
             while let TokKind::Close(_) = self.toks[e].kind {
-                let open = self.partner[e];
-                if open == usize::MAX || open == 0 {
+                let open = self.partner[e].unwrap_or(0);
+                if open == 0 {
                     chain.reverse();
                     return chain;
                 }
@@ -301,10 +301,7 @@ impl Ast {
                         break;
                     }
                     TokKind::Open(_) => {
-                        let p = self.partner[j];
-                        if p == usize::MAX {
-                            break;
-                        }
+                        let Some(p) = self.partner[j] else { break };
                         j = p + 1;
                     }
                     TokKind::Punct(';') | TokKind::Close(_) => break,
@@ -312,8 +309,7 @@ impl Ast {
                 }
             }
             if let Some(open) = open {
-                let close = self.partner[open];
-                if close != usize::MAX {
+                if let Some(close) = self.partner[open] {
                     out.push((i, close));
                 }
             }
@@ -349,10 +345,9 @@ impl Ast {
                     }
                 }
                 TokKind::Open(_) => {
-                    let p = self.partner[j];
-                    if p == usize::MAX {
+                    let Some(p) = self.partner[j] else {
                         return j + 1;
-                    }
+                    };
                     j = p;
                 }
                 TokKind::Punct(';') => return j,
@@ -401,15 +396,6 @@ impl Ast {
             }
             i += 1;
         }
-        // Attach impl context now that all spans are known.
-        let tys: Vec<Option<String>> = self
-            .fns
-            .iter()
-            .map(|f| self.impl_ty_at(f.fn_tok).map(str::to_string))
-            .collect();
-        for (f, ty) in self.fns.iter_mut().zip(tys) {
-            f.impl_ty = ty;
-        }
     }
 
     /// Parses an impl header at the `impl` keyword; returns its span.
@@ -422,13 +408,9 @@ impl Ast {
         while j < self.toks.len() {
             match self.toks[j].kind {
                 TokKind::Open('{') => {
-                    let close = self.partner[j];
-                    if close == usize::MAX {
-                        return None;
-                    }
                     return Some(ImplSpan {
+                        close: self.partner[j]?,
                         open: j,
-                        close,
                         ty: ty.unwrap_or_default(),
                     });
                 }
@@ -438,11 +420,7 @@ impl Ast {
                     continue;
                 }
                 TokKind::Open(_) => {
-                    let p = self.partner[j];
-                    if p == usize::MAX {
-                        return None;
-                    }
-                    j = p + 1;
+                    j = self.partner[j]? + 1;
                     continue;
                 }
                 TokKind::Ident => {
@@ -504,8 +482,8 @@ impl Ast {
                 },
                 TokKind::Close(')') => {
                     // `pub(crate)` — jump over the group.
-                    let open = self.partner[prev];
-                    if open == usize::MAX || open == 0 {
+                    let open = self.partner[prev].unwrap_or(0);
+                    if open == 0 {
                         break;
                     }
                     sig_start = open;
@@ -523,10 +501,7 @@ impl Ast {
             return None;
         }
         let params_open = j;
-        let params_close = self.partner[j];
-        if params_close == usize::MAX {
-            return None;
-        }
+        let params_close = self.partner[j]?;
         let params = self.parse_params(params_open, params_close);
         // Find the body `{` (or `;` for trait signatures), arrow-aware.
         let mut k = params_close + 1;
@@ -535,11 +510,7 @@ impl Ast {
         while k < self.toks.len() {
             match self.toks[k].kind {
                 TokKind::Open('{') => {
-                    let close = self.partner[k];
-                    if close == usize::MAX {
-                        return None;
-                    }
-                    body = Some((k, close));
+                    body = Some((k, self.partner[k]?));
                     break;
                 }
                 TokKind::Punct(';') | TokKind::Close(_) => break,
@@ -548,11 +519,7 @@ impl Ast {
                     continue;
                 }
                 TokKind::Open(_) => {
-                    let p = self.partner[k];
-                    if p == usize::MAX {
-                        return None;
-                    }
-                    k = p + 1;
+                    k = self.partner[k]? + 1;
                     continue;
                 }
                 TokKind::Punct('>') if arrow_at.is_none() && k > 0 && self.is_punct(k - 1, '-') => {
@@ -585,12 +552,12 @@ impl Ast {
             line: self.line(sf, i),
             name,
             is_pub,
-            fn_tok: i,
             sig: (sig_start, sig_end),
             params,
             ret,
             body,
-            impl_ty: None,
+            // Enclosing impls are pushed before their bodies are walked.
+            impl_ty: self.impl_ty_at(i).map(str::to_string),
         })
     }
 
@@ -614,10 +581,9 @@ impl Ast {
             }
             match self.toks[m].kind {
                 TokKind::Open(_) => {
-                    let p = self.partner[m];
-                    if p == usize::MAX || p > close {
+                    let Some(p) = self.partner[m].filter(|&p| p <= close) else {
                         break;
-                    }
+                    };
                     m = p + 1;
                 }
                 TokKind::Punct('<') => {
@@ -645,10 +611,9 @@ impl Ast {
         while m < hi {
             match self.toks[m].kind {
                 TokKind::Open(_) => {
-                    let p = self.partner[m];
-                    if p == usize::MAX || p >= hi {
+                    let Some(p) = self.partner[m].filter(|&p| p < hi) else {
                         break;
-                    }
+                    };
                     m = p + 1;
                     continue;
                 }
@@ -713,8 +678,7 @@ impl Ast {
                 }
                 TokKind::Open('(') => {
                     // Tuple struct: no named fields.
-                    let p = self.partner[j];
-                    let next = if p == usize::MAX { j + 1 } else { p + 1 };
+                    let next = self.partner[j].unwrap_or(j) + 1;
                     return Some((
                         StructItem {
                             name,
@@ -740,10 +704,7 @@ impl Ast {
             }
         }
         let open = open?;
-        let close = self.partner[open];
-        if close == usize::MAX {
-            return None;
-        }
+        let close = self.partner[open]?;
         let mut fields = Vec::new();
         let mut k = open + 1;
         while k < close {
@@ -751,19 +712,13 @@ impl Ast {
                 TokKind::Punct('#')
                     if self.toks.get(k + 1).map(|t| t.kind) == Some(TokKind::Open('[')) =>
                 {
-                    let p = self.partner[k + 1];
-                    if p == usize::MAX {
-                        break;
-                    }
+                    let Some(p) = self.partner[k + 1] else { break };
                     k = p + 1;
                 }
                 TokKind::Ident if self.text(k) == "pub" => {
                     k += 1;
                     if self.toks.get(k).map(|t| t.kind) == Some(TokKind::Open('(')) {
-                        let p = self.partner[k];
-                        if p == usize::MAX {
-                            break;
-                        }
+                        let Some(p) = self.partner[k] else { break };
                         k = p + 1;
                     }
                 }
@@ -775,10 +730,9 @@ impl Ast {
                     while m < close {
                         match self.toks[m].kind {
                             TokKind::Open(_) => {
-                                let p = self.partner[m];
-                                if p == usize::MAX || p > close {
+                                let Some(p) = self.partner[m].filter(|&p| p <= close) else {
                                     break;
-                                }
+                                };
                                 m = p + 1;
                                 continue;
                             }
@@ -818,10 +772,7 @@ impl Ast {
             j += 1;
         }
         let open = j;
-        let close = *self.partner.get(open)?;
-        if close == usize::MAX {
-            return None;
-        }
+        let close = (*self.partner.get(open)?)?;
         let mut variants = Vec::new();
         let mut k = open + 1;
         while k < close {
@@ -829,10 +780,7 @@ impl Ast {
                 TokKind::Punct('#')
                     if self.toks.get(k + 1).map(|t| t.kind) == Some(TokKind::Open('[')) =>
                 {
-                    let p = self.partner[k + 1];
-                    if p == usize::MAX {
-                        break;
-                    }
+                    let Some(p) = self.partner[k + 1] else { break };
                     k = p + 1;
                 }
                 TokKind::Ident => {
@@ -845,10 +793,9 @@ impl Ast {
                     while m < close {
                         match self.toks[m].kind {
                             TokKind::Open(_) => {
-                                let p = self.partner[m];
-                                if p == usize::MAX || p > close {
+                                let Some(p) = self.partner[m].filter(|&p| p <= close) else {
                                     break;
-                                }
+                                };
                                 m = p + 1;
                                 continue;
                             }
@@ -864,6 +811,7 @@ impl Ast {
         Some((
             EnumItem {
                 name,
+                is_pub: i > 0 && self.ident(i - 1) == Some("pub"),
                 line,
                 variants,
             },
@@ -928,8 +876,8 @@ fn tokenize(src: &str) -> Vec<Tok> {
     toks
 }
 
-fn match_brackets(toks: &[Tok]) -> Vec<usize> {
-    let mut partner = vec![usize::MAX; toks.len()];
+fn match_brackets(toks: &[Tok]) -> Vec<Option<usize>> {
+    let mut partner = vec![None; toks.len()];
     let mut stack: Vec<(char, usize)> = Vec::new();
     for (i, t) in toks.iter().enumerate() {
         match t.kind {
@@ -942,8 +890,8 @@ fn match_brackets(toks: &[Tok]) -> Vec<usize> {
                 };
                 if let Some(pos) = stack.iter().rposition(|&(o, _)| o == want) {
                     let (_, open) = stack.remove(pos);
-                    partner[open] = i;
-                    partner[i] = open;
+                    partner[open] = Some(i);
+                    partner[i] = Some(open);
                 }
             }
             _ => {}

@@ -1,7 +1,8 @@
 //! A minimal Rust source model for the lint rules.
 //!
 //! This is deliberately not a full parser. Rules only need three facts about
-//! a source file, all computable with a small hand-rolled lexer:
+//! a source file besides its text, all computable with a small hand-rolled
+//! lexer:
 //!
 //! 1. a *masked* view of the text where comment and string-literal interiors
 //!    are blanked out (so ` as u32` inside a doc comment never matches);
@@ -11,7 +12,6 @@
 //! The masked view preserves byte offsets and line boundaries exactly, so
 //! rule matches report real source positions.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 /// Waiver comment marker: `// xtask-allow: rule_id — reason`.
@@ -25,8 +25,10 @@ pub const ALLOW_FILE_MARKER: &str = "xtask-allow-file:";
 
 /// One source file plus the derived views the rules consume.
 pub struct SourceFile {
-    /// Path as reported in diagnostics (repo-relative where possible).
+    /// Path as reported in diagnostics (repo-relative).
     pub path: PathBuf,
+    /// The text as written.
+    pub text: String,
     /// Text with comment and string interiors replaced by spaces.
     pub masked: String,
     /// Byte offset of the start of each line (first entry is 0).
@@ -34,11 +36,7 @@ pub struct SourceFile {
     /// `test_lines[i]` is true when 1-based line `i + 1` is inside a
     /// `#[cfg(test)]` item.
     pub test_lines: Vec<bool>,
-    /// `(line, rule_id)` pairs for line-scoped waivers.
-    pub waivers: BTreeSet<(usize, String)>,
-    /// Rule ids waived for the whole file.
-    pub file_waivers: BTreeSet<String>,
-    /// Every waiver comment occurrence, for stale-waiver auditing.
+    /// Every waiver comment occurrence.
     pub waiver_sites: Vec<WaiverSite>,
 }
 
@@ -59,14 +57,13 @@ impl SourceFile {
         let masked = mask(&text);
         let line_starts = line_starts(&text);
         let test_lines = test_lines(&masked, &line_starts);
-        let (waivers, file_waivers, waiver_sites) = collect_waivers(&text, &line_starts);
+        let waiver_sites = collect_waivers(&text, &line_starts);
         SourceFile {
             path,
+            text,
             masked,
             line_starts,
             test_lines,
-            waivers,
-            file_waivers,
             waiver_sites,
         }
     }
@@ -86,22 +83,15 @@ impl SourceFile {
 
     /// Whether a finding of `rule` at 1-based `line` is waived.
     pub fn is_waived(&self, rule: &str, line: usize) -> bool {
-        if self.file_waivers.contains(rule) {
-            return true;
-        }
-        self.waivers.contains(&(line, rule.to_string()))
-            || (line > 1 && self.waivers.contains(&(line - 1, rule.to_string())))
+        self.waiver_sites.iter().any(|w| w.covers(rule, line))
     }
+}
 
-    /// The masked text of 1-based `line` (without the trailing newline).
-    pub fn masked_line(&self, line: usize) -> &str {
-        let lo = self.line_starts[line - 1];
-        let hi = self
-            .line_starts
-            .get(line)
-            .copied()
-            .unwrap_or(self.masked.len());
-        self.masked[lo..hi].trim_end_matches('\n')
+impl WaiverSite {
+    /// Whether this waiver covers a finding of `rule` at 1-based `line`:
+    /// a line waiver covers its own line and the next, a file waiver all.
+    pub fn covers(&self, rule: &str, line: usize) -> bool {
+        self.rule == rule && (self.file_level || line == self.line || line == self.line + 1)
     }
 }
 
@@ -313,37 +303,27 @@ fn test_lines(masked: &str, line_starts: &[usize]) -> Vec<bool> {
     flags
 }
 
-fn collect_waivers(
-    text: &str,
-    line_starts: &[usize],
-) -> (BTreeSet<(usize, String)>, BTreeSet<String>, Vec<WaiverSite>) {
-    let mut line_waivers = BTreeSet::new();
-    let mut file_waivers = BTreeSet::new();
+fn collect_waivers(text: &str, line_starts: &[usize]) -> Vec<WaiverSite> {
     let mut sites = Vec::new();
     for (idx, start) in line_starts.iter().enumerate() {
         let end = line_starts.get(idx + 1).copied().unwrap_or(text.len());
         let line = &text[*start..end];
-        if let Some(pos) = line.find(ALLOW_FILE_MARKER) {
-            for rule in parse_rule_list(&line[pos + ALLOW_FILE_MARKER.len()..]) {
-                sites.push(WaiverSite {
-                    line: idx + 1,
-                    rule: rule.clone(),
-                    file_level: true,
-                });
-                file_waivers.insert(rule);
-            }
-        } else if let Some(pos) = line.find(ALLOW_MARKER) {
-            for rule in parse_rule_list(&line[pos + ALLOW_MARKER.len()..]) {
-                sites.push(WaiverSite {
-                    line: idx + 1,
-                    rule: rule.clone(),
-                    file_level: false,
-                });
-                line_waivers.insert((idx + 1, rule));
-            }
+        let (rest, file_level) = match line.find(ALLOW_FILE_MARKER) {
+            Some(pos) => (&line[pos + ALLOW_FILE_MARKER.len()..], true),
+            None => match line.find(ALLOW_MARKER) {
+                Some(pos) => (&line[pos + ALLOW_MARKER.len()..], false),
+                None => continue,
+            },
+        };
+        for rule in parse_rule_list(rest) {
+            sites.push(WaiverSite {
+                line: idx + 1,
+                rule,
+                file_level,
+            });
         }
     }
-    (line_waivers, file_waivers, sites)
+    sites
 }
 
 /// Parses `rule_a, rule_b — free-form reason` into the rule ids.
@@ -360,15 +340,6 @@ fn parse_rule_list(rest: &str) -> Vec<String> {
         .filter(|s| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'))
         .map(str::to_string)
         .collect()
-}
-
-/// Whether the byte at `pos` could continue an identifier (used for
-/// token-boundary matching).
-pub fn ident_at(masked: &str, pos: usize) -> bool {
-    masked
-        .as_bytes()
-        .get(pos)
-        .is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_')
 }
 
 #[cfg(test)]
