@@ -136,7 +136,7 @@ lane_concurrency() {
     echo "==> wire-protocol property tests"
     cargo test -q --release --test protocol_roundtrip
 
-    echo "==> ThreadSanitizer (serve lib + parallel equivalence)"
+    echo "==> ThreadSanitizer (serve lib + concurrent queries on one engine)"
     local sysroot
     if ! sysroot=$(rustc +nightly --print sysroot 2>/dev/null) \
         || ! test -d "$sysroot/lib/rustlib/src/rust/library"; then
@@ -150,7 +150,7 @@ lane_concurrency() {
     CARGO_NET_OFFLINE=false RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -q --release -Zbuild-std --target "$host" -p comm-serve --lib
     CARGO_NET_OFFLINE=false RUSTFLAGS="-Zsanitizer=thread" \
-        cargo +nightly test -q --release -Zbuild-std --target "$host" --test parallel_equivalence
+        cargo +nightly test -q --release -Zbuild-std --target "$host" -p comm-serve --test cache_contract concurrent_
 }
 
 # Undefined-behavior detection on the index-heavy graph substrate. (There

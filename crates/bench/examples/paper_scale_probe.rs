@@ -6,7 +6,7 @@ use comm_core::{
 };
 use comm_datasets::workload::{query_keywords, DBLP_GRID, DBLP_KEYWORD_GROUPS};
 use comm_datasets::{generate_dblp, DblpConfig};
-use comm_graph::{EnginePool, NodeId, Parallelism, Weight};
+use comm_graph::{EnginePool, NodeId, Weight};
 use std::time::Instant;
 
 fn main() -> Result<(), QueryError> {
@@ -32,13 +32,12 @@ fn main() -> Result<(), QueryError> {
         .collect();
     let t0 = Instant::now();
     let guard = RunGuard::unlimited();
-    let idx = ProjectionIndex::build_par_guarded(
+    let idx = ProjectionIndex::build_guarded(
         &ds.graph.graph,
         entries,
         Weight::new(*grid.rmax.last().unwrap()),
         &guard,
         &EnginePool::new(),
-        Parallelism::serial(),
     )?;
     println!(
         "[index] built in {:?}, {:.1} MB",

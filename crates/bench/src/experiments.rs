@@ -491,13 +491,12 @@ pub fn ablation_density(scale: Scale, caps: Caps) -> Table {
             .map(|&kw| (kw, ds.graph.keyword_nodes(kw)))
             .collect();
         let guard = RunGuard::unlimited();
-        let idx = comm_core::ProjectionIndex::build_par_guarded(
+        let idx = comm_core::ProjectionIndex::build_guarded(
             &ds.graph.graph,
             entries,
             Weight::new(drmax),
             &guard,
             &comm_graph::EnginePool::new(),
-            comm_graph::Parallelism::serial(),
         )
         .expect("an unlimited guard never trips");
         let Ok(pq) = idx.try_project(&kws, Weight::new(drmax), &guard) else {

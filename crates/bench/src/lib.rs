@@ -6,10 +6,8 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod parallel;
 pub mod setup;
 pub mod table;
 
-pub use parallel::{BatchQuery, BatchReport, BatchRunner};
 pub use setup::{IndexSource, Prepared, Scale};
 pub use table::Table;

@@ -15,7 +15,7 @@ use comm_datasets::workload::{
     IMDB_KEYWORD_GROUPS,
 };
 use comm_datasets::{generate_dblp, generate_imdb, DblpConfig, GeneratedDataset, ImdbConfig};
-use comm_graph::{load_container, save_container, EnginePool, NodeId, Parallelism, Weight};
+use comm_graph::{load_container, save_container, EnginePool, NodeId, Weight};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -161,13 +161,12 @@ impl Prepared {
                     .map(|&kw| (kw, dataset.graph.keyword_nodes(kw)))
             })
             .collect();
-        let index = ProjectionIndex::build_par_guarded(
+        let index = ProjectionIndex::build_guarded(
             &dataset.graph.graph,
             entries.iter().copied(),
             rmax,
             &RunGuard::unlimited(),
             &EnginePool::new(),
-            Parallelism::serial(),
         )
         .expect("an unlimited guard never trips");
         let index_build = t0.elapsed();

@@ -35,7 +35,6 @@ options:
   --graph PATH          serve a saved CGPH container (its keyword map
                         becomes the vocabulary; --side is ignored)
   --side N              torus side; the graph has N*N nodes (default 16)
-  --threads N           engine worker threads (default 2)
   --max-inflight N      queries executing concurrently (default 2)
   --max-queue N         admission queue depth beyond that (default 8)
   --deadline-ms MS      normal-priority deadline (default 2000)
@@ -76,7 +75,6 @@ struct ServeOptions {
     addr: String,
     graph: Option<String>,
     side: usize,
-    threads: usize,
     max_inflight: usize,
     max_queue: usize,
     deadline_ms: u64,
@@ -90,7 +88,6 @@ fn parse_serve(args: &[String]) -> Result<Option<ServeOptions>, String> {
         addr: "127.0.0.1:7654".to_owned(),
         graph: None,
         side: 16,
-        threads: 2,
         max_inflight: 2,
         max_queue: 8,
         deadline_ms: 2_000,
@@ -110,7 +107,6 @@ fn parse_serve(args: &[String]) -> Result<Option<ServeOptions>, String> {
             "--addr" => opts.addr = value("--addr")?,
             "--graph" => opts.graph = Some(value("--graph")?),
             "--side" => opts.side = parse_num(&value("--side")?, "--side")?,
-            "--threads" => opts.threads = parse_num(&value("--threads")?, "--threads")?,
             "--max-inflight" => {
                 opts.max_inflight = parse_num(&value("--max-inflight")?, "--max-inflight")?;
             }
@@ -177,10 +173,7 @@ pub fn run_serve(args: &[String], cancel: Arc<AtomicBool>) -> i32 {
         }
     };
 
-    let cfg = EngineConfig {
-        parallelism: comm_graph::Parallelism::new(opts.threads),
-        ..EngineConfig::default()
-    };
+    let cfg = EngineConfig::default();
     let engine = match &opts.graph {
         Some(path) => match comm_serve::QueryEngine::from_container(path, cfg) {
             Ok(e) => Arc::new(e),

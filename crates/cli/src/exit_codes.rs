@@ -1,5 +1,5 @@
-//! The process exit-code contract, shared by every non-interactive
-//! entry point (`batch`, `serve`, `client`).
+//! The process exit-code contract, shared by the non-interactive entry
+//! points (`serve`, `client`).
 //!
 //! Scripts and CI lanes branch on these, so they are part of the public
 //! interface — change them only with a changelog entry:

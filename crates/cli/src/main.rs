@@ -13,14 +13,9 @@
 //! Ctrl-C during a query flips the session's cancel flag: the in-flight
 //! enumeration unwinds through its `RunGuard` and the REPL keeps going.
 //!
-//! A non-interactive batch mode runs a concurrent benchmark workload:
-//!
-//! ```bash
-//! cargo run --release -p comm-cli --bin comm-explore -- batch --quick --threads 4
-//! ```
-//!
-//! `serve` runs the resident query daemon and `client` talks to it; both
-//! follow the exit-code contract in [`exit_codes`]:
+//! `serve` runs the resident query daemon — the one way to run many
+//! queries at once, each on its own connection thread — and `client`
+//! talks to it; both follow the exit-code contract in [`exit_codes`]:
 //!
 //! ```bash
 //! cargo run --release -p comm-cli --bin comm-explore -- serve --addr 127.0.0.1:0
@@ -30,7 +25,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod commands;
 mod daemon;
 mod exit_codes;
@@ -84,11 +78,6 @@ fn main() {
     // The one read of `COMM_BENCH_CACHE`; everything below takes the value.
     let cache = cache_dir();
     match argv.first().map(String::as_str) {
-        Some("batch") => {
-            let cancel = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-            sigint::install(std::sync::Arc::clone(&cancel));
-            std::process::exit(batch::run(&argv[1..], cancel, cache.as_deref()));
-        }
         Some("serve") => {
             let cancel = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
             sigint::install(std::sync::Arc::clone(&cancel));

@@ -11,9 +11,7 @@ use comm_core::{CommK, CostFn, ProjectionIndex, QuerySpec, RunGuard};
 use comm_datasets::cache::bundle_path;
 use comm_datasets::stats::dataset_stats;
 use comm_datasets::{generate_dblp, generate_imdb, DblpConfig, GeneratedDataset, ImdbConfig};
-use comm_graph::{
-    load_container, save_container, Container, EnginePool, NodeId, Parallelism, Weight,
-};
+use comm_graph::{load_container, save_container, Container, EnginePool, NodeId, Weight};
 use comm_rdb::ColumnId;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -219,13 +217,12 @@ impl Session {
             .iter()
             .map(|kw| (kw.as_str(), ds.keyword_nodes(kw)))
             .collect();
-        let index = ProjectionIndex::build_par_guarded(
+        let index = ProjectionIndex::build_guarded(
             ds.graph(),
             entries,
             Weight::new(rmax),
             &guard,
             &self.pool,
-            Parallelism::serial(),
         )
         .map_err(|r| format!("query interrupted while indexing ({r})"))?;
         let refs: Vec<&str> = keywords.iter().map(String::as_str).collect();
@@ -307,7 +304,8 @@ impl Session {
     pub fn trees(&self, n: usize) -> Result<String, String> {
         let ds = self.dataset.as_ref().ok_or("no dataset loaded")?;
         let q = self.current.as_ref().ok_or("no active query")?;
-        let trees = topk_trees(&q.graph, &q.spec, n);
+        let trees = topk_trees(&q.graph, &q.spec, n, &self.guard())
+            .map_err(|r| format!("trees interrupted ({r})"))?;
         let mut out = format!(
             "top-{} connected trees (prior-art result shape):\n",
             trees.len()

@@ -84,7 +84,7 @@ mod tests {
     use crate::trees::topk_trees;
     use crate::QuerySpec;
     use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
-    use comm_graph::Weight;
+    use comm_graph::{RunGuard, Weight};
 
     fn r5() -> Community {
         let g = fig4_graph();
@@ -110,7 +110,9 @@ mod tests {
     fn tree_dot_structure() {
         let g = fig4_graph();
         let spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-        let tree = topk_trees(&g, &spec, 1).remove(0);
+        let tree = topk_trees(&g, &spec, 1, &RunGuard::unlimited())
+            .unwrap()
+            .remove(0);
         let dot = tree_to_dot(&tree, |n| format!("{n}"));
         assert!(dot.starts_with("digraph tree {"));
         assert!(dot.contains("root v7"));

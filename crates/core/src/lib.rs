@@ -35,17 +35,17 @@
 //! byte accounting and the exact-prefix rule are the same code for all
 //! three.
 //!
-//! # Parallel execution
+//! # One query, one thread
 //!
-//! A single query's enumeration is sequential — each subspace depends on
-//! the previous one, and every neighbor-table dimension is filled on the
-//! enumerator's own engine, by [`NeighborSets::recompute_dim_guarded`], by
-//! a copy of a pin it swept before or by a repair of what it swept. What fans out across a [`Parallelism`] thread pool, borrowing
-//! Dijkstra scratch state from the caller's [`EnginePool`], is index
-//! construction ([`ProjectionIndex::build_par_guarded`], one
-//! [`KeywordRun::sweep`] task per keyword); it honors the shared [`RunGuard`] and produces bit-identical
-//! results for every thread count, [`Parallelism::serial`] being the
-//! one-worker case of the same code.
+//! A query is sequential. Each subspace depends on the previous one, and
+//! every neighbor-table dimension is filled on the enumerator's own
+//! engine, by [`NeighborSets::recompute_dim_guarded`], by a copy of a pin
+//! it swept before or by a repair of what it swept. Index construction
+//! ([`ProjectionIndex::build_guarded`]) sweeps its keywords one after
+//! another, [`KeywordRun::sweep`] each, on one engine borrowed from the
+//! caller's [`EnginePool`]. Concurrency is across queries: a serving
+//! layer runs each on its own thread, sharing the pool and the guard
+//! vocabulary ([`RunGuard`] clones share one trip flag).
 //!
 //! # Quickstart
 //! ```
@@ -106,9 +106,9 @@ pub use verify::{
     check_community, check_enumeration, check_ranking, check_topk_prefix, CertificationError,
 };
 
-// Re-export the guard and parallelism vocabulary so downstream users need
-// only this crate.
-pub use comm_graph::{EnginePool, InterruptReason, Outcome, Parallelism, PooledEngine, RunGuard};
+// Re-export the guard and pool vocabulary so downstream users need only
+// this crate.
+pub use comm_graph::{EnginePool, InterruptReason, Outcome, PooledEngine, RunGuard};
 
 /// Unguarded one-liners over the survivors and a seeded dense scenario,
 /// for this crate's unit tests.

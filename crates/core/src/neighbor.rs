@@ -551,7 +551,7 @@ impl NeighborSets {
     }
 
     /// Benchmark-facing shim, kept only because the frozen `benchmark/`
-    /// names it (ROADMAP item 1 debt): one engine from `pool`, then
+    /// names it: one engine from `pool`, then
     /// [`recompute_dim_guarded`](Self::recompute_dim_guarded) per
     /// dimension, in order — the loop every enumerator starts with. `par`
     /// is ignored. `seeds.len()` must equal `l`.
@@ -1384,27 +1384,18 @@ mod tests {
         let r = Weight::new(8.0);
         let seeds = v_sets();
         let (_, dim_loop, _) = build(8.0);
-        // `par` is ignored: any value lands on the same table.
-        for threads in [1usize, 4] {
-            let mut shim = NeighborSets::new(3, g.node_count());
-            shim.recompute_all_guarded(
-                &g,
-                &pool,
-                &seeds,
-                r,
-                &RunGuard::unlimited(),
-                Parallelism::new(threads),
-            )
+        let mut shim = NeighborSets::new(3, g.node_count());
+        let unlimited = RunGuard::unlimited();
+        shim.recompute_all_guarded(&g, &pool, &seeds, r, &unlimited, Parallelism::serial())
             .unwrap();
-            assert_eq!(shim.dist, dim_loop.dist, "dist, threads={threads}");
-            assert_eq!(shim.src, dim_loop.src, "src, threads={threads}");
-            assert_eq!(shim.count, dim_loop.count, "count, threads={threads}");
-            assert_eq!(shim.sweeps(), dim_loop.sweeps());
-            assert_eq!(
-                shim.best_core_with(CostFn::SumDistances),
-                dim_loop.best_core_with(CostFn::SumDistances)
-            );
-        }
+        assert_eq!(shim.dist, dim_loop.dist, "dist");
+        assert_eq!(shim.src, dim_loop.src, "src");
+        assert_eq!(shim.count, dim_loop.count, "count");
+        assert_eq!(shim.sweeps(), dim_loop.sweeps());
+        assert_eq!(
+            shim.best_core_with(CostFn::SumDistances),
+            dim_loop.best_core_with(CostFn::SumDistances)
+        );
         // One engine served every dimension and is parked again.
         assert_eq!(pool.pooled_engines(), 1);
     }

@@ -406,10 +406,10 @@ mod tests {
 
     #[test]
     fn totals_do_not_drift_over_long_enumerations() {
-        // ROADMAP item 1's drift rung: hundreds of pins, exclusions and
-        // restores over fractional weights, on all three frontiers —
-        // counts exact, member lists exact and `sum()` equal to its fold
-        // after every `next()`.
+        // The drift rung (DESIGN.md "Key algorithmic decisions"): hundreds
+        // of pins, exclusions and restores over fractional weights, on all
+        // three frontiers — counts exact, member lists exact and `sum()`
+        // equal to its fold after every `next()`.
         assert!(drift_free_run::<CanList>() >= 300);
         assert!(drift_free_run::<Dfs>() >= 300);
         assert!(drift_free_run::<FromScratch>() >= 300);

@@ -16,8 +16,9 @@
 //! [`trees_subsumed_by_community`] makes checkable.
 
 use crate::types::{Community, Core, QuerySpec};
-use comm_graph::{DijkstraEngine, Direction, Graph, NodeId, Weight};
+use comm_graph::{DijkstraEngine, Direction, Graph, InterruptReason, NodeId, RunGuard, Weight};
 use std::collections::{BinaryHeap, HashMap};
+use std::mem::{size_of, size_of_val};
 
 /// One minimal connected tree answer.
 #[derive(Clone, Debug, PartialEq)]
@@ -61,7 +62,12 @@ struct Forest {
 
 const NONE: u32 = u32::MAX;
 
-fn grow_forest(graph: &Graph, spec: &QuerySpec, engine: &mut DijkstraEngine) -> Forest {
+fn grow_forest(
+    graph: &Graph,
+    spec: &QuerySpec,
+    engine: &mut DijkstraEngine,
+    guard: &RunGuard,
+) -> Result<Forest, InterruptReason> {
     let n = graph.node_count();
     let l = spec.l();
     let mut forest = Forest {
@@ -78,11 +84,12 @@ fn grow_forest(graph: &Graph, spec: &QuerySpec, engine: &mut DijkstraEngine) -> 
         let dist = &mut forest.dist[i];
         let next = &mut forest.next[i];
         let target = &mut forest.target[i];
-        engine.run(
+        engine.run_guarded(
             graph,
             Direction::Reverse,
             v_i.iter().copied(),
             spec.rmax,
+            guard,
             |s| {
                 let u = s.node;
                 dist[u.index()] = s.dist;
@@ -91,9 +98,9 @@ fn grow_forest(graph: &Graph, spec: &QuerySpec, engine: &mut DijkstraEngine) -> 
                     next[u.index()] = s.parent.0;
                 }
             },
-        );
+        )?;
     }
-    forest
+    Ok(forest)
 }
 
 /// Enumerates the top-k minimal connected trees of an l-keyword query:
@@ -101,20 +108,30 @@ fn grow_forest(graph: &Graph, spec: &QuerySpec, engine: &mut DijkstraEngine) -> 
 /// total weight (ties by root id then core). Every node that reaches all
 /// keywords within `Rmax` roots exactly one tree here (its shortest-path
 /// tree); this is the classic distinct-root semantics of BANKS.
-// xtask-allow: guard_coverage — BANKS-style baseline for result comparison; guard threading tracked in ROADMAP
-pub fn topk_trees(graph: &Graph, spec: &QuerySpec, k: usize) -> Vec<TreeAnswer> {
+///
+/// The `l` forest sweeps run under `guard`. A forest has no useful
+/// prefix — a root is ranked only once every sweep has reached it — so a
+/// trip returns the bare reason.
+pub fn topk_trees(
+    graph: &Graph,
+    spec: &QuerySpec,
+    k: usize,
+    guard: &RunGuard,
+) -> Result<Vec<TreeAnswer>, InterruptReason> {
     let n = graph.node_count();
     let l = spec.l();
     if spec.has_empty_keyword() || k == 0 || l == 0 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let mut engine = DijkstraEngine::new(n);
-    let forest = grow_forest(graph, spec, &mut engine);
+    let forest = grow_forest(graph, spec, &mut engine, guard)?;
 
-    // Rank roots by total distance with a bounded max-heap of size k.
+    // Rank roots by total distance with a bounded max-heap of size k. The
+    // heap and then the trees are charged to the guard's byte budget.
     let mut heap: BinaryHeap<(Weight, NodeId)> = BinaryHeap::new();
     for u in graph.nodes() {
         if (0..l).all(|i| forest.dist[i][u.index()].is_finite()) {
+            guard.check_bytes(heap.len() * size_of::<(Weight, NodeId)>())?;
             let total: Weight = (0..l).map(|i| forest.dist[i][u.index()]).sum();
             heap.push((total, u));
             if heap.len() > k {
@@ -125,33 +142,35 @@ pub fn topk_trees(graph: &Graph, spec: &QuerySpec, k: usize) -> Vec<TreeAnswer> 
     let mut picked: Vec<(Weight, NodeId)> = heap.into_vec();
     picked.sort_unstable();
 
-    picked
-        .into_iter()
-        .map(|(weight, root)| {
-            let mut edges: HashMap<(NodeId, NodeId), Weight> = HashMap::new();
-            let mut core = Vec::with_capacity(l);
-            for i in 0..l {
-                let mut u = root;
-                while forest.dist[i][u.index()] > Weight::ZERO {
-                    let v = NodeId(forest.next[i][u.index()]);
-                    let (du, dv) = (forest.dist[i][u.index()], forest.dist[i][v.index()]);
-                    let w = Weight::from_units(du.units().saturating_sub(dv.units()));
-                    edges.insert((u, v), w);
-                    u = v;
-                }
-                core.push(NodeId(forest.target[i][root.index()]));
+    let mut trees = Vec::with_capacity(picked.len());
+    let mut bytes = 0;
+    for (weight, root) in picked {
+        guard.check_bytes(bytes)?;
+        let mut edges: HashMap<(NodeId, NodeId), Weight> = HashMap::new();
+        let mut core = Vec::with_capacity(l);
+        for i in 0..l {
+            let mut u = root;
+            while forest.dist[i][u.index()] > Weight::ZERO {
+                let v = NodeId(forest.next[i][u.index()]);
+                let (du, dv) = (forest.dist[i][u.index()], forest.dist[i][v.index()]);
+                let w = Weight::from_units(du.units().saturating_sub(dv.units()));
+                edges.insert((u, v), w);
+                u = v;
             }
-            let mut edges: Vec<(NodeId, NodeId, Weight)> =
-                edges.into_iter().map(|((u, v), w)| (u, v, w)).collect();
-            edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
-            TreeAnswer {
-                root,
-                core: Core(core),
-                weight,
-                edges,
-            }
-        })
-        .collect()
+            core.push(NodeId(forest.target[i][root.index()]));
+        }
+        let mut edges: Vec<(NodeId, NodeId, Weight)> =
+            edges.into_iter().map(|((u, v), w)| (u, v, w)).collect();
+        edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        bytes += size_of_val(edges.as_slice()) + size_of_val(core.as_slice());
+        trees.push(TreeAnswer {
+            root,
+            core: Core(core),
+            weight,
+            edges,
+        });
+    }
+    Ok(trees)
 }
 
 /// The paper's subsumption claim, checkable: every tree answer whose core
@@ -180,13 +199,17 @@ mod tests {
         fig1_graph, fig1_keyword_nodes, fig4_graph, fig4_keyword_nodes, FIG4_RMAX,
     };
 
+    fn top(g: &Graph, spec: &QuerySpec, k: usize) -> Vec<TreeAnswer> {
+        topk_trees(g, spec, k, &RunGuard::unlimited()).unwrap()
+    }
+
     #[test]
     fn fig1_trees_include_t1_and_t3() {
         // The Kate/Smith query: paper1 roots the weight-3 tree T1
         // (John Smith —1— paper1 —2— Kate Green); paper2 roots T3.
         let g = fig1_graph();
         let spec = QuerySpec::new(fig1_keyword_nodes(), Weight::new(6.0));
-        let trees = topk_trees(&g, &spec, 10);
+        let trees = top(&g, &spec, 10);
         assert!(!trees.is_empty());
         // Paper1 is node 3, Paper2 is node 4 (Fig1Node ordering).
         let p1 = trees.iter().find(|t| t.root == NodeId(3)).expect("T1");
@@ -206,7 +229,7 @@ mod tests {
         // minimize Σ dist(center/root, knode).
         let g = fig4_graph();
         let spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-        let trees = topk_trees(&g, &spec, 5);
+        let trees = top(&g, &spec, 5);
         assert_eq!(trees[0].weight, Weight::new(7.0));
         assert_eq!(trees[0].root, NodeId(7));
         assert_eq!(trees[0].core, Core(vec![NodeId(4), NodeId(8), NodeId(6)]));
@@ -216,7 +239,7 @@ mod tests {
     fn tree_paths_are_shortest_paths() {
         let g = fig4_graph();
         let spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-        for t in topk_trees(&g, &spec, 20) {
+        for t in top(&g, &spec, 20) {
             // The per-keyword path weights sum to the tree weight only if
             // paths are disjoint; but each path's length must equal the
             // true shortest distance.
@@ -237,7 +260,7 @@ mod tests {
         let g = fig1_graph();
         let spec = QuerySpec::new(fig1_keyword_nodes(), Weight::new(6.0));
         let communities = collect_top_k(&g, &spec, 10);
-        let trees = topk_trees(&g, &spec, 50);
+        let trees = top(&g, &spec, 50);
         let mut subsumed_total = 0;
         for c in &communities {
             subsumed_total += trees_subsumed_by_community(c, &trees).len();
@@ -252,10 +275,10 @@ mod tests {
     fn k_bounds_and_empty_cases() {
         let g = fig4_graph();
         let spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-        assert_eq!(topk_trees(&g, &spec, 0).len(), 0);
-        assert_eq!(topk_trees(&g, &spec, 3).len(), 3);
+        assert_eq!(top(&g, &spec, 0).len(), 0);
+        assert_eq!(top(&g, &spec, 3).len(), 3);
         let empty = QuerySpec::new(vec![vec![], vec![NodeId(1)]], Weight::new(5.0));
-        assert!(topk_trees(&g, &empty, 5).is_empty());
+        assert!(top(&g, &empty, 5).is_empty());
     }
 
     #[test]
@@ -264,7 +287,7 @@ mod tests {
         // outnumber communities for the same query.
         let g = fig4_graph();
         let spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
-        let trees = topk_trees(&g, &spec, 1000);
+        let trees = top(&g, &spec, 1000);
         let communities = collect_top_k(&g, &spec, 1000);
         assert!(trees.len() > communities.len());
     }

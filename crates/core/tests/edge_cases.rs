@@ -6,10 +6,10 @@ use comm_core::trees::topk_trees;
 use comm_core::verify::{check_community, CertificationError};
 use comm_core::{
     bu_all_guarded, bu_topk_guarded, comm_k_guarded, comm_k_on_index, td_all_guarded,
-    td_topk_guarded, BaselineRun, CommAll, CommK, Community, Core, CostFn, Outcome, ProjectedQuery,
-    ProjectionIndex, QueryError, QuerySpec, RunGuard,
+    td_topk_guarded, BaselineRun, CommAll, CommK, Community, Core, CostFn, InterruptReason,
+    Outcome, ProjectedQuery, ProjectionIndex, QueryError, QuerySpec, RunGuard,
 };
-use comm_graph::{graph_from_edges, EnginePool, Graph, GraphBuilder, NodeId, Parallelism, Weight};
+use comm_graph::{graph_from_edges, EnginePool, Graph, GraphBuilder, NodeId, Weight};
 
 fn collect_all(g: &Graph, q: &QuerySpec) -> Vec<Community> {
     CommAll::try_new(g, q).unwrap().collect()
@@ -26,13 +26,12 @@ fn unguarded(out: Result<Outcome<BaselineRun>, QueryError>) -> BaselineRun {
 /// Indexes `kws` at `radius` and projects the query over all of them.
 fn project(g: &Graph, kws: &[(&str, &[NodeId])], radius: f64) -> (ProjectionIndex, ProjectedQuery) {
     let guard = RunGuard::unlimited();
-    let idx = ProjectionIndex::build_par_guarded(
+    let idx = ProjectionIndex::build_guarded(
         g,
         kws.iter().copied(),
         Weight::new(radius),
         &guard,
         &EnginePool::new(),
-        Parallelism::serial(),
     )
     .unwrap();
     let names: Vec<&str> = kws.iter().map(|&(kw, _)| kw).collect();
@@ -265,9 +264,35 @@ fn trees_respect_radius() {
     let g = graph_from_edges(3, &[(0, 1, 4.0), (1, 2, 4.0)]);
     // Root 0 reaches keyword node 2 at distance 8.
     let q8 = spec(&[&[2]], 8.0);
-    assert!(topk_trees(&g, &q8, 10).iter().any(|t| t.root == NodeId(0)));
+    assert!(topk_trees(&g, &q8, 10, &RunGuard::unlimited())
+        .unwrap()
+        .iter()
+        .any(|t| t.root == NodeId(0)));
     let q7 = spec(&[&[2]], 7.0);
-    assert!(!topk_trees(&g, &q7, 10).iter().any(|t| t.root == NodeId(0)));
+    assert!(!topk_trees(&g, &q7, 10, &RunGuard::unlimited())
+        .unwrap()
+        .iter()
+        .any(|t| t.root == NodeId(0)));
+}
+
+#[test]
+fn trees_return_the_reason_when_the_guard_trips() {
+    let g = graph_from_edges(3, &[(0, 1, 4.0), (1, 2, 4.0)]);
+    let q = spec(&[&[2], &[0]], 8.0);
+    assert_eq!(
+        topk_trees(&g, &q, 10, &RunGuard::unlimited()).map(|t| t.len()),
+        Ok(1)
+    );
+    // The first forest sweep settles three nodes: a budget of one trips it.
+    let starved = RunGuard::new().with_settled_budget(1);
+    let err = topk_trees(&g, &q, 10, &starved);
+    assert_eq!(err, Err(InterruptReason::SettledBudgetExhausted));
+    let cancelled = RunGuard::new();
+    cancelled.cancel();
+    assert_eq!(
+        topk_trees(&g, &q, 10, &cancelled),
+        Err(InterruptReason::Cancelled)
+    );
 }
 
 #[test]
@@ -277,7 +302,7 @@ fn trees_handle_zero_weight_edges() {
     // witness re-scans). 0 --0--> 1 --5--> 2(keyword).
     let g = graph_from_edges(3, &[(0, 1, 0.0), (1, 2, 5.0)]);
     let q = spec(&[&[2]], 6.0);
-    let trees = topk_trees(&g, &q, 10);
+    let trees = topk_trees(&g, &q, 10, &RunGuard::unlimited()).unwrap();
     let t0 = trees.iter().find(|t| t.root == NodeId(0)).expect("root 0");
     assert_eq!(t0.weight, Weight::new(5.0));
     assert_eq!(t0.nodes(), vec![NodeId(0), NodeId(1), NodeId(2)]);
@@ -391,15 +416,9 @@ fn answers_every_way(
         out
     };
     let guard = RunGuard::unlimited;
-    let idx = ProjectionIndex::build_par_guarded(
-        g,
-        kws.iter().copied(),
-        rmax,
-        &guard(),
-        &EnginePool::new(),
-        Parallelism::serial(),
-    )
-    .unwrap();
+    let idx =
+        ProjectionIndex::build_guarded(g, kws.iter().copied(), rmax, &guard(), &EnginePool::new())
+            .unwrap();
     let names: Vec<&str> = kws.iter().map(|&(kw, _)| kw).collect();
     let cost = CostFn::SumDistances;
     let indexed = comm_k_on_index(&idx, &names, rmax, 100, cost, guard()).unwrap();

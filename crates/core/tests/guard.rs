@@ -14,7 +14,7 @@ use comm_core::{
     Outcome, ProjectionIndex, QueryError, QuerySpec, RunGuard,
 };
 use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
-use comm_graph::{DijkstraEngine, EnginePool, Graph, Parallelism, Weight};
+use comm_graph::{DijkstraEngine, EnginePool, Graph, Weight};
 
 fn fig4() -> (Graph, QuerySpec) {
     (
@@ -191,14 +191,7 @@ fn projection_survives_every_trip_point() {
     let labels = ["a", "b", "c"];
     sweep("projection", |guard| {
         let entries = labels.iter().zip(&kw).map(|(&s, ns)| (s, ns.as_slice()));
-        let built = ProjectionIndex::build_par_guarded(
-            &g,
-            entries,
-            rmax,
-            &guard,
-            &EnginePool::new(),
-            Parallelism::serial(),
-        );
+        let built = ProjectionIndex::build_guarded(&g, entries, rmax, &guard, &EnginePool::new());
         match built {
             Err(r) => (Vec::new(), Some(r)),
             Ok(idx) => match idx.try_project(&labels, rmax, &guard) {

@@ -8,8 +8,8 @@ use comm_core::verify::{check_community, check_enumeration, check_ranking};
 use comm_core::{
     bu_all_guarded, bu_topk_guarded, comm_all_guarded, comm_k_guarded, get_community_guarded,
     td_all_guarded, td_topk_guarded, BaselineRun, CommAll, CommK, Community, Core, CostFn,
-    EnginePool, InterruptReason, LawlerK, Outcome, Parallelism, ProjectionIndex, QueryError,
-    QuerySpec, RunGuard,
+    EnginePool, InterruptReason, LawlerK, Outcome, ProjectionIndex, QueryError, QuerySpec,
+    RunGuard,
 };
 use comm_graph::{DijkstraEngine, Direction, Graph, GraphBuilder, NodeId, SplitMix64, Weight};
 
@@ -377,13 +377,12 @@ fn projection_preserves_results() {
         let rmax = Weight::new(0.5 * f64::from(below(rng, 9)));
         let radius = rmax + Weight::new(0.5 * f64::from(below(rng, 3)));
         let names: Vec<String> = (0..sets.len()).map(|i| format!("kw{i}")).collect();
-        let idx = ProjectionIndex::build_par_guarded(
+        let idx = ProjectionIndex::build_guarded(
             &g,
             names.iter().zip(&sets).map(|(n, v)| (n.as_str(), &v[..])),
             radius,
             &RunGuard::unlimited(),
             &EnginePool::new(),
-            Parallelism::serial(),
         )
         .unwrap();
 
@@ -529,20 +528,17 @@ fn shared_guard_trip_interrupts_every_inflight_query() {
         let batch = 2 + rng.index(4);
         let flag = RunGuard::new().cancel_flag();
         flag.store(true, std::sync::atomic::Ordering::SeqCst);
-        let tasks: Vec<_> = (0..batch)
-            .map(|_| {
-                let (g, spec, flag) = (&g, &spec, &flag);
-                move || {
-                    comm_k_guarded(
-                        g,
-                        spec,
-                        usize::MAX,
-                        RunGuard::new().with_cancel_flag(std::sync::Arc::clone(flag)),
-                    )
-                }
-            })
-            .collect();
-        for out in Parallelism::new(4).map(tasks) {
+        let outs: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..batch)
+                .map(|_| {
+                    let guard = RunGuard::new().with_cancel_flag(std::sync::Arc::clone(&flag));
+                    let (g, spec) = (&g, &spec);
+                    s.spawn(move || comm_k_guarded(g, spec, usize::MAX, guard))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for out in outs {
             match out.unwrap() {
                 Outcome::Interrupted { reason, partial } => {
                     assert_eq!(reason, InterruptReason::Cancelled);

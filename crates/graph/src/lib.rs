@@ -18,10 +18,8 @@
 //!   ([`DijkstraEngine::run_rows_guarded`]);
 //! * [`RunGuard`]: cooperative execution governor (cancellation, deadlines,
 //!   work/memory budgets) threaded through every sweep and enumeration;
-//! * [`EnginePool`] / [`Parallelism`]: a free list of engine scratch
-//!   states (one pool per query engine, passed by reference) plus a
-//!   deterministic fork–join executor, the substrate for the per-keyword
-//!   index build in `comm-core` and the batch driver in `comm-bench`;
+//! * [`EnginePool`]: a free list of engine scratch states, one pool per
+//!   query engine, passed by reference;
 //! * [`InducedGraph`]: induced-subgraph extraction with id mapping;
 //! * [`SplitMix64`]: the one seeded PRNG behind the dataset generators and
 //!   the property loops in the test tree;
@@ -63,7 +61,6 @@ mod csr;
 mod dijkstra;
 pub mod guard;
 pub mod io;
-pub mod parallel;
 pub mod pool;
 pub mod reference;
 pub mod rng;
@@ -75,8 +72,7 @@ pub use container::{load_container, save_container, Container};
 pub use csr::{graph_from_edges, Csr, Direction, Graph, GraphBuilder, InducedGraph, NodeId};
 pub use dijkstra::{shortest_distances, DijkstraEngine, Settled};
 pub use guard::{InterruptReason, Outcome, RunGuard};
-pub use parallel::Parallelism;
-pub use pool::{EnginePool, PooledEngine};
+pub use pool::{EnginePool, Parallelism, PooledEngine};
 pub use rng::SplitMix64;
 pub use verify::GraphInvariantError;
 pub use weight::Weight;

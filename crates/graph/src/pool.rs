@@ -1,9 +1,9 @@
 //! A pool of reusable [`DijkstraEngine`] scratch states.
 //!
 //! Every sweep in the paper needs `O(n)` scratch arrays. A single-threaded
-//! caller amortizes that by owning one engine; concurrent sweeps (the
-//! per-keyword index build, a daemon's handler threads) would either share
-//! a lock or allocate per call. [`EnginePool`] removes both costs. A pool
+//! caller amortizes that by owning one engine; concurrent sweeps (a
+//! daemon's handler threads) would either share a lock or allocate per
+//! call. [`EnginePool`] removes both costs. A pool
 //! belongs to whoever serves one graph — a query engine, a session, a
 //! bench set-up — and is passed by reference. Engines are parked in one
 //! free list: [`acquire`](EnginePool::acquire) pops any of them (or builds
@@ -75,9 +75,9 @@ impl EnginePool {
     }
 
     /// A process-wide pool. Nothing in the workspace borrows from it — a
-    /// library must not share scratch between unrelated engines — and CI
-    /// greps that it stays so; it survives only because the frozen
-    /// `benchmark/` names it (ROADMAP item 1 debt).
+    /// library must not share scratch between unrelated engines — and the
+    /// `benchmark_shims` gate row keeps it so; it survives only because
+    /// the frozen `benchmark/` names it.
     #[doc(hidden)]
     pub fn global() -> &'static EnginePool {
         static GLOBAL: OnceLock<EnginePool> = OnceLock::new();
@@ -137,6 +137,22 @@ impl EnginePool {
 impl Default for EnginePool {
     fn default() -> EnginePool {
         EnginePool::new()
+    }
+}
+
+/// A placeholder argument: a query runs on one thread. It survives, like
+/// [`EnginePool::global`], only because the frozen `benchmark/` passes
+/// `Parallelism::serial()` to two shims
+/// (`ProjectionIndex::build_par_guarded` and
+/// `NeighborSets::recompute_all_guarded`), which ignore it.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct Parallelism;
+
+impl Parallelism {
+    /// The only value there is.
+    pub fn serial() -> Parallelism {
+        Parallelism
     }
 }
 

@@ -18,13 +18,7 @@ use std::time::Duration;
 fn engine() -> Arc<QueryEngine> {
     // 16×16 torus: heavy enough that deadlines and budgets bite, small
     // enough that the run stays in seconds on one CPU.
-    let built = comm_serve::synthetic_engine(
-        16,
-        EngineConfig {
-            parallelism: comm_graph::Parallelism::new(2),
-            ..EngineConfig::default()
-        },
-    );
+    let built = comm_serve::synthetic_engine(16, EngineConfig::default());
     match built {
         Ok(e) => Arc::new(e),
         Err(e) => panic!("synthetic engine failed to build: {e}"),

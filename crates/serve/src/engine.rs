@@ -37,7 +37,7 @@ use crate::cache::{AnswerKey, CachedAnswer, CachedIndex, CachedRun, IndexKey, Lr
 use crate::protocol::CommunitySummary;
 use comm_core::{comm_k_on_index, Community, CostFn, KeywordRun, ProjectionIndex, QueryError};
 use comm_graph::weight::index_to_u32;
-use comm_graph::{EnginePool, Graph, Outcome, Parallelism, PooledEngine, RunGuard, Weight};
+use comm_graph::{EnginePool, Graph, Outcome, RunGuard, Weight};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Engine tunables.
@@ -57,11 +57,6 @@ pub struct EngineConfig {
     pub run_cache_bytes: usize,
     /// Ranking cost function.
     pub cost: CostFn,
-    /// Fan-out for an index-cache miss: the sweeps of the keywords the
-    /// run cache does not hold, one task each, borrowing engines from the
-    /// [`QueryEngine`]'s own [`EnginePool`]. Keywords already resident and
-    /// index assembly are not fanned out.
-    pub parallelism: Parallelism,
 }
 
 impl Default for EngineConfig {
@@ -72,7 +67,6 @@ impl Default for EngineConfig {
             answer_cache_cap: 256,
             run_cache_bytes: 32 << 20,
             cost: CostFn::SumDistances,
-            parallelism: Parallelism::serial(),
         }
     }
 }
@@ -83,7 +77,6 @@ pub struct QueryEngine {
     vocab: Vocabulary,
     index_radius: Weight,
     cost: CostFn,
-    parallelism: Parallelism,
     /// Dijkstra scratch for keyword sweeps, private to this engine.
     pool: EnginePool,
     indexes: Mutex<Lru<IndexKey, CachedIndex>>,
@@ -118,7 +111,6 @@ impl QueryEngine {
             vocab,
             index_radius,
             cost: cfg.cost,
-            parallelism: cfg.parallelism,
             pool: EnginePool::new(),
             indexes: Mutex::new(Lru::new(cfg.index_cache_cap)),
             runs: Mutex::new(Lru::weighted(cfg.run_cache_bytes, |run| run.byte_size())),
@@ -211,38 +203,28 @@ impl QueryEngine {
             key.keywords.iter().map(|kw| cache.get(kw)).collect()
         };
         // Sweep what is missing OUTSIDE every cache lock (sweeps are the
-        // expensive part). There is no single-flight: two requests missing
-        // one keyword may both sweep it and the later insert refreshes the
-        // earlier — a concurrent duplicate build is wasted work, never
-        // wrong. The sweeps borrow scratch from this engine's own pool, so
-        // a poisoned pool is recovered by — and counted against — the
-        // daemon that owns it.
+        // expensive part), one keyword after another on one engine, checked
+        // out only if a keyword is missing. There is no single-flight: two
+        // requests missing one keyword may both sweep it and the later
+        // insert refreshes the earlier — a concurrent duplicate build is
+        // wasted work, never wrong. The sweeps borrow scratch from this
+        // engine's own pool, so a poisoned pool is recovered by — and
+        // counted against — the daemon that owns it. A completed run is
+        // cached at once: if a later sweep trips, the retry needs it.
         let (graph, radius) = (&self.graph, self.index_radius);
-        let missing = (0..runs.len()).filter(|&i| runs[i].is_none());
-        let tasks: Vec<_> = missing
-            .map(|i| {
-                let v_w = v_ws[i];
-                move |engine: &mut PooledEngine<'_>| {
-                    KeywordRun::sweep(graph, engine, v_w, radius, guard).map(|run| (i, run))
-                }
-            })
-            .collect();
-        let n = graph.node_count();
-        let mut tripped = None;
-        for swept in self.parallelism.map_init(|| self.pool.acquire(n), tasks) {
-            match swept {
-                Ok((i, run)) => {
-                    let run: CachedRun = Arc::new(run);
-                    // xtask-allow: unbounded_alloc — one insert per request keyword into a byte-capped LRU
-                    lock_cache(&self.runs).insert(key.keywords[i].clone(), Arc::clone(&run));
-                    runs[i] = Some(run);
-                }
-                Err(reason) => tripped = tripped.or(Some(reason)),
+        let mut engine = None;
+        for (i, run) in runs.iter_mut().enumerate() {
+            if run.is_some() {
+                continue;
             }
+            let engine = engine.get_or_insert_with(|| self.pool.acquire(graph.node_count()));
+            let swept = KeywordRun::sweep(graph, engine, v_ws[i], radius, guard)
+                .map_err(QueryError::Interrupted)?;
+            let swept: CachedRun = Arc::new(swept);
+            lock_cache(&self.runs).insert(key.keywords[i].clone(), Arc::clone(&swept));
+            *run = Some(swept);
         }
-        if let Some(reason) = tripped {
-            return Err(QueryError::Interrupted(reason));
-        }
+        drop(engine);
         let handles = key.keywords.iter().cloned().zip(runs.into_iter().flatten());
         let built = ProjectionIndex::from_runs(graph, handles, radius, guard)
             .map_err(QueryError::Interrupted)?;

@@ -4,7 +4,7 @@
 //! and [`number`] (integers through `to_string`), containers through
 //! [`object`] and [`array`], which take already-rendered values and lay
 //! them out one per line. Used by [`LoadReport`](crate::LoadReport) here
-//! and by `comm-bench`'s `Table` and `BatchReport`.
+//! and by `comm-bench`'s `Table`.
 
 use std::fmt::Write as _;
 

@@ -9,7 +9,9 @@
 //!    `ProjectionIndex` or a half-swept `KeywordRun` in a cache;
 //! 4. an index assembled from cached keyword runs answers bit for bit
 //!    what a fresh engine answers, whatever the run cache held, evicted
-//!    or refused.
+//!    or refused;
+//! 5. so does one engine shared by concurrent queries, which find runs,
+//!    indexes and answers while other threads fill them.
 
 use comm_core::{
     check_community, check_ranking, check_topk_prefix, Community, KeywordRun, QueryError, QuerySpec,
@@ -367,4 +369,49 @@ fn a_run_cache_too_small_for_two_runs_holds_one_and_changes_no_answer() {
             "the last query hit the index cache"
         );
     }
+}
+
+#[test]
+fn concurrent_queries_on_one_engine_answer_like_fresh_engines() {
+    let cfg = EngineConfig::default();
+    // Overlapping sets at three (Rmax, k) pairs: every keyword is shared
+    // by two sets or more, and one set is asked at two k.
+    let queries: Vec<(Vec<String>, f64, u32)> = [
+        (&["alpha", "beta"][..], 4.0, 5),
+        (&["beta", "gamma"], 4.0, 5),
+        (&["alpha", "gamma", "delta"], 4.0, 8),
+        (&["gamma", "alpha"], 3.0, 5),
+        (&["beta", "alpha"], 4.0, 3),
+        (&["delta", "beta"], 4.0, 5),
+    ]
+    .into_iter()
+    .map(|(set, rmax, k)| (kws(set), rmax, k))
+    .collect();
+    let expected: Vec<Vec<u8>> = queries
+        .iter()
+        .map(|(set, rmax, k)| fresh_answer(&cfg, set, *rmax, *k).0)
+        .collect();
+    let shared = comm_serve::synthetic_engine(8, cfg).expect("synthetic engine builds");
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            let (shared, queries, expected) = (&shared, &queries, &expected);
+            s.spawn(move || {
+                // Each thread walks the list from its own offset, three
+                // times: first sightings race, later ones hit.
+                for step in 0..3 * queries.len() {
+                    let q = (step + 2 * t) % queries.len();
+                    let (set, rmax, k) = &queries[q];
+                    let out = shared
+                        .answer(set, *rmax, *k, &RunGuard::unlimited())
+                        .expect("answers");
+                    assert!(out.is_complete());
+                    let got = wire(out.value());
+                    assert!(got == expected[q], "thread {t}: {set:?} at {rmax}, k={k}");
+                }
+            });
+        }
+    });
+    let (_, _, runs, _) = shared.run_cache_stats();
+    assert_eq!(runs, 4, "one run per keyword");
+    assert_eq!(shared.cache_sizes(), (5, 6), "five sets, six answers");
 }

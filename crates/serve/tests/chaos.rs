@@ -17,14 +17,7 @@ use std::time::Duration;
 
 fn small_engine() -> Arc<QueryEngine> {
     Arc::new(
-        comm_serve::synthetic_engine(
-            8,
-            EngineConfig {
-                parallelism: comm_graph::Parallelism::new(2),
-                ..EngineConfig::default()
-            },
-        )
-        .expect("synthetic engine builds"),
+        comm_serve::synthetic_engine(8, EngineConfig::default()).expect("synthetic engine builds"),
     )
 }
 

@@ -13,7 +13,7 @@
 //! ```
 
 use communities::datasets::{generate_dblp, DblpConfig};
-use communities::graph::{EnginePool, Parallelism, Weight};
+use communities::graph::{EnginePool, Weight};
 use communities::rdb::{ColumnId, TableId};
 use communities::search::{CommK, ProjectionIndex, QueryError, QuerySpec, RunGuard};
 
@@ -54,13 +54,12 @@ fn main() -> Result<(), QueryError> {
         .map(|&kw| (kw, ds.graph.keyword_nodes(kw)))
         .collect();
     let guard = RunGuard::unlimited();
-    let index = ProjectionIndex::build_par_guarded(
+    let index = ProjectionIndex::build_guarded(
         &ds.graph.graph,
         entries,
         Weight::new(8.0),
         &guard,
         &EnginePool::new(),
-        Parallelism::serial(),
     )?;
     let pq = index.try_project(&keywords, Weight::new(rmax), &guard)?;
     println!(

@@ -11,7 +11,7 @@
 //! ```
 
 use communities::datasets::{generate_imdb, ImdbConfig};
-use communities::graph::{EnginePool, NodeId, Parallelism, Weight};
+use communities::graph::{EnginePool, NodeId, Weight};
 use communities::search::{
     bu_topk_guarded, td_topk_guarded, CommK, ProjectionIndex, QueryError, QuerySpec, RunGuard,
 };
@@ -35,13 +35,12 @@ fn main() -> Result<(), QueryError> {
         .map(|&kw| (kw, ds.graph.keyword_nodes(kw)))
         .collect();
     let guard = RunGuard::unlimited();
-    let index = ProjectionIndex::build_par_guarded(
+    let index = ProjectionIndex::build_guarded(
         &ds.graph.graph,
         entries,
         Weight::new(13.0),
         &guard,
         &EnginePool::new(),
-        Parallelism::serial(),
     )?;
     let pq = index.try_project(&keywords, Weight::new(rmax), &guard)?;
     let g = &pq.projected.graph;

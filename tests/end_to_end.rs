@@ -3,7 +3,7 @@
 
 use communities::datasets::workload::{query_keywords, DBLP_KEYWORD_GROUPS, IMDB_KEYWORD_GROUPS};
 use communities::datasets::{generate_dblp, generate_imdb, DblpConfig, ImdbConfig};
-use communities::graph::{EnginePool, Graph, NodeId, Parallelism, Weight};
+use communities::graph::{EnginePool, Graph, NodeId, Weight};
 use communities::search::{
     bu_all_guarded, bu_topk_guarded, td_all_guarded, td_topk_guarded, BaselineRun, CommAll, CommK,
     Community, Outcome, ProjectedQuery, ProjectionIndex, QueryError, QuerySpec, RunGuard,
@@ -27,13 +27,12 @@ fn project(
 ) -> ProjectedQuery {
     let guard = RunGuard::unlimited();
     let entries = keywords.iter().map(|&kw| (kw, ds.graph.keyword_nodes(kw)));
-    ProjectionIndex::build_par_guarded(
+    ProjectionIndex::build_guarded(
         &ds.graph.graph,
         entries,
         Weight::new(radius),
         &guard,
         &EnginePool::new(),
-        Parallelism::serial(),
     )
     .unwrap()
     .try_project(keywords, Weight::new(rmax), &guard)

@@ -65,9 +65,12 @@ pub struct Row {
 /// The gates, in the order `cargo xtask check` reports them.
 #[rustfmt::skip]
 pub const ROWS: [Row; 16] = [
-    Row { name: "pool_global", needles: &["EnginePool::global()"], roots: CODE, text: Raw(&[]),
-        place: Only(&["crates/graph/src/pool.rs"]),
-        reason: "the process-global pool survives only for the frozen benchmark/: use an engine-owned or local EnginePool" },
+    Row { name: "benchmark_shims", roots: CODE, text: Raw(&[]),
+        needles: &["EnginePool::global()", "Parallelism", "build_par_guarded", "recompute_all_guarded"],
+        place: Only(&["crates/graph/src/pool.rs", "crates/graph/src/lib.rs", "crates/core/src/projection.rs",
+                      "crates/core/src/neighbor.rs"]),
+        reason: "these survive only for the frozen benchmark/: use an engine-owned or local EnginePool, \
+                 ProjectionIndex::build_guarded, or NeighborSets::recompute_dim_guarded per dimension" },
     Row { name: "env_cache_dir", needles: &["cache_dir()"], roots: CODE, text: Raw(&[]),
         place: Only(&["crates/cli/src/main.rs", "crates/bench/src/bin/repro.rs", "crates/datasets/src/cache.rs"]),
         reason: "configuration travels as a value: take the cache directory as an Option<&Path>" },
@@ -96,9 +99,6 @@ pub const ROWS: [Row; 16] = [
     Row { name: "repin_from_scratch", needles: &["recompute_dim_guarded("], roots: ENUMERATORS, text: Raw(&["//"]),
         place: InFn("crates/core/src/shell.rs", "repin_dim"),
         reason: "pin through Shell::pin_dim (NeighborSets::pin_guarded); only the Lawler ablation sweeps from scratch" },
-    Row { name: "serve_build_path", needles: &["build_par_guarded"], roots: &["crates/serve/src"], text: Raw(&[]),
-        place: Only(&[]),
-        reason: "the daemon assembles indexes from cached runs (QueryEngine::index_for)" },
     Row { name: "one_keyword_sweep", needles: &["run_guarded("], roots: &["crates/core/src/projection.rs"],
         text: Raw(&[]), place: Lines(1),
         reason: "a keyword is swept in one place, KeywordRun::sweep" },
@@ -112,6 +112,9 @@ pub const ROWS: [Row; 16] = [
     Row { name: "narrowing_cast", roots: &LIBRARIES, text: Code, place: Only(&[]),
         needles: &[" as u8\\b", " as u16\\b", " as u32\\b", " as i8\\b", " as i16\\b", " as i32\\b", "64\\w* as usize\\b"],
         reason: "use the checked conversions in graph::weight (index_to_u32 / try_index_to_u32) or T::try_from(..)" },
+    Row { name: "roadmap_refs", needles: &["ROADMAP item", "ROADMAP \\d", "\\bitem \\d"],
+        roots: &["crates", "src", "examples", "tests", "DESIGN.md"], text: Raw(&[]), place: Only(&[]),
+        reason: "re-anchors renumber ROADMAP items: cite a DESIGN.md section, a test name or the frozen benchmark/" },
     Row { name: "workflow_runs_lanes", needles: &["grep", "awk"], roots: &[".github/workflows/ci.yml"],
         text: Raw(&[]), place: Only(&[]),
         reason: "a source check lives in ci.sh or cargo xtask check; a job runs ./ci.sh LANE" },
@@ -218,9 +221,10 @@ fn enclosing_fn(text: &str, line: usize) -> Option<&str> {
 }
 
 /// Whether `pat` occurs in `line`. A pattern is literal text, except that
-/// `\b` matches a word boundary and `\w*` a run of identifier characters
-/// (ASCII letters, digits and `_`): `\bulp\b` is the word `ulp`, and
-/// `64\w* as usize` an identifier holding `64` cast to `usize`.
+/// `\b` matches a word boundary, `\d` one ASCII digit and `\w*` a run of
+/// identifier characters (ASCII letters, digits and `_`): `\bulp\b` is
+/// the word `ulp`, `item \d` an item number, and `64\w* as usize` an
+/// identifier holding `64` cast to `usize`.
 fn occurs(line: &str, pat: &str) -> bool {
     (0..=line.len()).any(|i| matches_at(line.as_bytes(), i, pat.as_bytes()))
 }
@@ -233,6 +237,7 @@ fn matches_at(h: &[u8], i: usize, p: &[u8]) -> bool {
     match p {
         [] => true,
         [b'\\', b'b', rest @ ..] => (i > 0 && word(i - 1)) != word(i) && matches_at(h, i, rest),
+        [b'\\', b'd', rest @ ..] => h.get(i).is_some_and(u8::is_ascii_digit) && matches_at(h, i + 1, rest),
         [b'\\', b'w', b'*', rest @ ..] => (i..=h.len())
             .take_while(|&j| j == i || word(j - 1))
             .any(|j| matches_at(h, j, rest)),
@@ -250,8 +255,9 @@ mod tests {
     /// second must pass every row.
     #[rustfmt::skip]
     const SAMPLES: [(&str, &str, &str, &str); 16] = [
-        ("pool_global", "crates/core/src/projection.rs",
-            "let pool = EnginePool::global();\n", "let pool = EnginePool::new();\n"),
+        ("benchmark_shims", "crates/serve/src/engine.rs",
+            "let index = ProjectionIndex::build_par_guarded(g, ks, r, guard, pool, Parallelism::serial())?;\n",
+            "let index = ProjectionIndex::build_guarded(g, ks, r, guard, &EnginePool::new())?;\n"),
         ("env_cache_dir", "crates/core/src/lib.rs", "let dir = cache_dir();\n", "let dir: Option<&Path> = None;\n"),
         ("env_var", "tests/guard.rs", "let v = std::env::var(\"X\");\n", "let v = std::env::args();\n"),
         ("heap_projection", "crates/core/src/projection/cpix.rs",
@@ -268,9 +274,6 @@ mod tests {
         ("repin_from_scratch", "crates/core/src/shell.rs",
             "fn pin_dim(&mut self) {\n    self.sets.recompute_dim_guarded(i, g)?;\n}\n",
             "pub fn repin_dim(&mut self) {\n    self.sets.recompute_dim_guarded(i, g)?;\n}\n"),
-        ("serve_build_path", "crates/serve/src/engine.rs",
-            "let index = ProjectionIndex::build_par_guarded(g, ks, guard)?;\n",
-            "let index = ProjectionIndex::from_runs(g, runs)?;\n"),
         ("one_keyword_sweep", "crates/core/src/projection.rs",
             "engine.run_guarded(g, seeds, r, guard)?;\n", "engine.run_rows_guarded(rows, seeds, r, guard, admit, visit)?;\n"),
         ("exact_weight", "crates/graph/src/weight.rs", "let close = (a - b).abs() < 4.0 * f64::EPSILON;\n",
@@ -280,6 +283,8 @@ mod tests {
         ("narrowing_cast", "crates/core/src/shell.rs",
             "let i = n as u32;\n",
             "let i = n as u64;\nlet s = \"n as u32\";\nlet j = n as usize;\n#[cfg(test)]\nmod t {\n    const I: u32 = N as u32;\n}\n"),
+        ("roadmap_refs", "DESIGN.md",
+            "Persisting runs is ROADMAP item 3(ii).\n", "Persisting runs: see \"Keyword runs\" and the ROADMAP.\n"),
         ("workflow_runs_lanes", ".github/workflows/ci.yml",
             "      - run: grep -rn BinaryHeap crates\n", "      - run: ./ci.sh gates\n"),
     ];
@@ -361,6 +366,8 @@ mod tests {
         let (ulp, n64) = ("\\bulp\\b", "64\\w* as usize\\b");
         assert!(occurs("ulp", ulp) && occurs("one ulp.", ulp) && !occurs("ulps populp ulp_x", ulp));
         assert!(occurs("n64 as usize;", n64) && occurs("len_u64_total as usize", n64));
+        assert!(occurs("see item 12(ii)", "\\bitem \\d") && !occurs("an item, 3 of them", "\\bitem \\d"));
+        assert!(!occurs("subitem 1", "\\bitem \\d") && !occurs("item x", "item \\d"));
         assert!(!occurs("f(n64) as usize", n64) && !occurs("n64 as usize_t", n64));
     }
 

@@ -119,7 +119,7 @@ fn guard_coverage(fm: &FileModel, out: &mut Vec<Finding>) {
         ".accept(",
         "read_frame(",
     ];
-    const PAR_MARKS: [&str; 4] = ["thread::scope", ".spawn(", ".map_init(", "par.map("];
+    const PAR_MARKS: [&str; 2] = ["thread::scope", ".spawn("];
     // `Base::cells()` / `Base::cell(x)` and a `memoised` pin's settle
     // stream in `crates/core/src/neighbor.rs`, looped over; and the copy
     // loop itself, which holds no guard: its callers consult one per call.
@@ -257,7 +257,8 @@ mod tests {
     const SEEDED: [(&str, &str); 11] = [
         ("pub fn scan(g: &Graph) -> usize {\n    let mut c = 0;\n    for u in g.nodes() {\n        c += u.index();\n    }\n    c\n}\n",
             "loops over graph nodes"),
-        ("pub fn sweep(g: &Graph) -> Vec<u64> {\n    let tasks = make_tasks(g);\n    par.map(tasks)\n}\n", "fans work out"),
+        ("pub fn sweep(g: &Graph) -> u64 {\n    let h = std::thread::Builder::new().spawn(move || work(g));\n    h.join()\n}\n",
+            "fans work out"),
         ("pub fn sweep(g: &Graph) {\n    std::thread::scope(|s| {\n        s.spawn(|| work(g));\n    });\n}\n", "fans work out"),
         // A fill is governed even when private.
         ("fn write_back(&mut self, base: &Base, xs: &[NodeId]) {\n    for &x in xs {\n        for &r in base.cell(x) {\n            self.copy_in(r);\n        }\n    }\n}\n",
@@ -281,8 +282,8 @@ mod tests {
         "pub fn scan(g: &Graph, guard: &RunGuard) -> usize {\n    let mut c = 0;\n    for u in g.nodes() {\n        guard.note_settled(1);\n        c += u.index();\n    }\n    c\n}\n",
         // A delegating wrapper.
         "pub fn scan(g: &Graph) -> usize {\n    for u in g.nodes() {\n        let _ = u;\n    }\n    scan_guarded(g, &RunGuard::noop())\n}\n",
-        "pub fn sweep_guarded(g: &Graph, guard: &RunGuard) -> Vec<u64> {\n    let tasks = make_tasks(g, guard);\n    par.map(tasks)\n}\n",
-        "pub fn build(g: &Graph, guard: &RunGuard) -> Vec<u64> {\n    par.map_init(|| scratch(), make_tasks(g, guard))\n}\n",
+        "pub fn sweep_guarded(g: &Graph, guard: &RunGuard) {\n    std::thread::scope(|s| {\n        s.spawn(|| work(g, guard));\n    });\n}\n",
+        "pub fn sweep(g: &Graph, cancel: RunGuard) -> u64 {\n    let h = std::thread::Builder::new().spawn(move || work(g, &cancel));\n    h.join()\n}\n",
         "fn repair(&mut self, base: &Base, guard: &RunGuard) -> Result<(), InterruptReason> {\n    for cell in base.cells() {\n        guard.check()?;\n        self.copy(cell);\n    }\n    Ok(())\n}\n",
         // Looking one cell up outside a loop is not a fill.
         "fn owns(base: &Base, x: NodeId) -> usize {\n    base.cell(x).len()\n}\n",
