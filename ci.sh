@@ -93,8 +93,10 @@ serve_start() {
 # armed): chaos_load exits non-zero unless every request terminated
 # Complete / certified-Interrupted / explicit-Overloaded with zero protocol
 # errors. Then a daemon + client round trip checking the documented exit
-# codes, and a warm start: persist the engine as a CGPH v3 container,
-# restart the daemon against it (no rebuild) and query it.
+# codes and "+50 more" (k = 200 after top-150 resumes, and its reply
+# starts with the top-150 one), and a warm start: persist the engine as a
+# CGPH v3 container, restart the daemon against it (no rebuild) and query
+# it.
 lane_serve() {
     TMP=$(mktemp -d)
     PID=
@@ -106,14 +108,22 @@ lane_serve() {
     echo "==> daemon + client round trip"
     cargo build --quiet --release -p comm-cli
     BIN=target/release/comm-explore
-    serve_start smoke --side 8
+    serve_start smoke --side 12
     "$BIN" client --addr "$ADDR" ping
     "$BIN" client --addr "$ADDR" query alpha beta >/dev/null
     if "$BIN" client --addr "$ADDR" query alpha no-such-keyword >/dev/null 2>&1; then
         echo "bad keyword must exit non-zero"
         exit 1
     fi
-    "$BIN" client --addr "$ADDR" stats
+    echo "==> \"+50 more\": top-150, then k = 200 resumes the parked enumeration"
+    "$BIN" client --addr "$ADDR" query alpha beta --rmax 5 --k 150 >"$TMP/top150.txt"
+    "$BIN" client --addr "$ADDR" query alpha beta --rmax 5 --k 200 >"$TMP/top200.txt"
+    test "$(wc -l <"$TMP/top150.txt")" -eq 150 || { echo "top-150 came back short"; exit 1; }
+    head -n 150 "$TMP/top200.txt" | cmp -s - "$TMP/top150.txt" \
+        || { echo "k = 200 does not start with the top-150 reply"; exit 1; }
+    "$BIN" client --addr "$ADDR" stats | tee "$TMP/stats.txt"
+    awk '$1 == "answer_cache_resumes" { n = $2 } END { exit !(n >= 1) }' "$TMP/stats.txt" \
+        || { echo "k = 200 did not resume the top-150 entry"; exit 1; }
     "$BIN" client --addr "$ADDR" shutdown >/dev/null
     wait "$PID"
 

@@ -1,13 +1,12 @@
 //! REPL session state: the loaded dataset and the active query.
 //!
 //! The session owns the generated dataset and the current query's
-//! projected graph. `more` continues the (deterministic) ranked
-//! enumeration past the session's high-water mark; because enumeration on
-//! a projected graph is milliseconds, the session re-enumerates the
-//! prefix rather than holding a borrowing iterator across commands.
+//! parked `COMM-k` ([`ParkedTopK`]: the projected graph and the can-list
+//! it stopped at). `more` resumes it, paying only for the communities it
+//! adds — the paper's "+50 more" (Fig. 12), not a recompute of the prefix.
 
 use comm_core::trees::topk_trees;
-use comm_core::{CommK, CostFn, ProjectionIndex, QuerySpec, RunGuard};
+use comm_core::{CommK, CostFn, Outcome, ParkedTopK, ProjectionIndex, RunGuard};
 use comm_datasets::cache::bundle_path;
 use comm_datasets::stats::dataset_stats;
 use comm_datasets::{generate_dblp, generate_imdb, DblpConfig, GeneratedDataset, ImdbConfig};
@@ -58,7 +57,7 @@ impl LoadedData {
 pub struct Session {
     dataset: Option<LoadedData>,
     default_rmax: f64,
-    /// The current query's projected graph and spec (owned).
+    /// The current query, parked between commands.
     current: Option<ActiveQuery>,
     /// Per-query wall-clock deadline (the `timeout` command).
     timeout: Option<Duration>,
@@ -73,10 +72,11 @@ pub struct Session {
 
 struct ActiveQuery {
     keywords: Vec<String>,
-    graph: comm_graph::Graph,
-    original_ids: Vec<NodeId>,
-    spec: QuerySpec,
-    emitted: usize,
+    /// The enumeration as the last complete `query`/`more` left it.
+    parked: ParkedTopK,
+    /// Communities printed so far: more than `parked` emitted when an
+    /// interrupted `more` printed its exact prefix.
+    shown: usize,
 }
 
 impl Default for Session {
@@ -226,28 +226,27 @@ impl Session {
         )
         .map_err(|r| format!("query interrupted while indexing ({r})"))?;
         let refs: Vec<&str> = keywords.iter().map(String::as_str).collect();
-        let pq = index
-            .try_project(&refs, Weight::new(rmax), &guard)
+        let cost = if max_cost {
+            CostFn::MaxDistance
+        } else {
+            CostFn::SumDistances
+        };
+        let parked = ParkedTopK::project(&index, &refs, Weight::new(rmax), cost, &guard)
             .map_err(|e| format!("projection failed: {e}"))?;
-        let mut spec = QuerySpec::new(pq.spec.keyword_nodes.clone(), pq.spec.rmax);
-        if max_cost {
-            spec = spec.with_cost(CostFn::MaxDistance);
-        }
-        self.current = Some(ActiveQuery {
-            keywords: keywords.to_vec(),
-            graph: pq.projected.graph.clone(),
-            original_ids: pq.projected.original_ids.clone(),
-            spec,
-            emitted: 0,
-        });
+        let pq = parked.query();
         let mut out = format!(
             "projected graph: {} nodes ({:.3}% of G_D); index: |U| = {} nodes, {} row edges, {} bytes\n",
             pq.projected.graph.node_count(),
-            100.0 * index.projection_ratio(&pq),
+            100.0 * index.projection_ratio(pq),
             index.reach_node_count(),
             index.row_edge_count(),
             index.byte_size()
         );
+        self.current = Some(ActiveQuery {
+            keywords: keywords.to_vec(),
+            parked,
+            shown: 0,
+        });
         out.push_str(&self.more_with(k, guard)?);
         Ok(out)
     }
@@ -261,35 +260,40 @@ impl Session {
     fn more_with(&mut self, n: usize, guard: RunGuard) -> Result<String, String> {
         let ds = self.dataset.as_ref().ok_or("no dataset loaded")?;
         let q = self.current.as_mut().ok_or("no active query")?;
-        // CommK is resumable but borrows the graph; to keep the session
-        // simple we re-enumerate up to the high-water mark (communities are
-        // deterministic), which is still fast on projected graphs.
-        let mut it = CommK::try_new(&q.graph, &q.spec)
-            .map_err(|e| e.to_string())?
-            .with_guard(guard);
-        let mut skipped = 0;
-        while skipped < q.emitted && it.next().is_some() {
-            skipped += 1;
+        // Resume a clone, so an interrupted `more` — or one that ran out
+        // of communities — keeps the last parked state; the communities
+        // it printed already are emitted again and skipped.
+        let behind = q.shown - q.parked.emitted();
+        let (more, parked) = q
+            .parked
+            .clone()
+            .resume(behind + n, 0, guard)
+            .map_err(|e| e.to_string())?;
+        if let Some(parked) = parked {
+            q.parked = parked;
         }
+        let (communities, interrupted) = match more {
+            Outcome::Complete(cs) => (cs, None),
+            Outcome::Interrupted { reason, partial } => (partial, Some(reason)),
+        };
         let mut out = String::new();
         let mut got = 0;
-        for c in it.by_ref().take(n) {
+        for c in communities.into_iter().skip(behind) {
             got += 1;
-            q.emitted += 1;
+            q.shown += 1;
             let _ = writeln!(
                 out,
                 "#{} cost {:.2} — {} centers, {} nodes",
-                q.emitted,
+                q.shown,
                 c.cost.get(),
                 c.centers.len(),
                 c.node_count()
             );
-            for (kw, &local) in q.keywords.iter().zip(&c.core.0) {
-                let orig = q.original_ids[local.index()];
-                let _ = writeln!(out, "    {kw}: {}", ds.describe(orig));
+            for (kw, &node) in q.keywords.iter().zip(&c.core.0) {
+                let _ = writeln!(out, "    {kw}: {}", ds.describe(node));
             }
         }
-        if let Some(reason) = it.interrupted() {
+        if let Some(reason) = interrupted {
             let _ = writeln!(
                 out,
                 "(interrupted: {reason} — results so far shown; 'more' retries under a fresh deadline)"
@@ -303,15 +307,20 @@ impl Session {
     /// Shows the top-n connected-tree answers for the active query.
     pub fn trees(&self, n: usize) -> Result<String, String> {
         let ds = self.dataset.as_ref().ok_or("no dataset loaded")?;
-        let q = self.current.as_ref().ok_or("no active query")?;
-        let trees = topk_trees(&q.graph, &q.spec, n, &self.guard())
+        let pq = self
+            .current
+            .as_ref()
+            .ok_or("no active query")?
+            .parked
+            .query();
+        let trees = topk_trees(&pq.projected.graph, &pq.spec, n, &self.guard())
             .map_err(|r| format!("trees interrupted ({r})"))?;
         let mut out = format!(
             "top-{} connected trees (prior-art result shape):\n",
             trees.len()
         );
         for (i, t) in trees.iter().enumerate() {
-            let root = q.original_ids[t.root.index()];
+            let root = pq.projected.to_original(t.root);
             let _ = writeln!(
                 out,
                 "T{} weight {:.2}, root {} — {} edges",
@@ -328,8 +337,13 @@ impl Session {
     /// active query as GraphViz DOT; writes to `path` or returns the text.
     pub fn dot(&self, rank: usize, path: Option<&str>) -> Result<String, String> {
         let ds = self.dataset.as_ref().ok_or("no dataset loaded")?;
-        let q = self.current.as_ref().ok_or("no active query")?;
-        let mut it = CommK::try_new(&q.graph, &q.spec)
+        let pq = self
+            .current
+            .as_ref()
+            .ok_or("no active query")?
+            .parked
+            .query();
+        let mut it = CommK::try_new(&pq.projected.graph, &pq.spec)
             .map_err(|e| e.to_string())?
             .with_guard(self.guard());
         let community = it.nth(rank - 1).ok_or_else(|| match it.interrupted() {
@@ -337,7 +351,7 @@ impl Session {
             None => format!("the query has fewer than {rank} communities"),
         })?;
         let dot = comm_core::dot::community_to_dot(&community, |local| {
-            ds.describe(q.original_ids[local.index()])
+            ds.describe(pq.projected.to_original(local))
         });
         match path {
             Some(p) => {
@@ -455,6 +469,29 @@ mod tests {
         // more continues the numbering.
         let more = s.more(2).unwrap();
         assert!(more.contains("#4") || more.contains("exhausted"), "{more}");
+    }
+
+    #[test]
+    fn an_interrupted_more_keeps_the_parked_state_and_the_numbering() {
+        let keywords = ["database".to_string(), "support".to_string()];
+        let oneshot = loaded().query(&keywords, None, 5, false).unwrap();
+        let mut s = loaded();
+        let mut out = s.query(&keywords, None, 2, false).unwrap();
+        // Two more pass, then a trip.
+        let budget = RunGuard::new().with_candidate_budget(2);
+        let cut = s.more_with(3, budget).unwrap();
+        assert!(cut.contains("#4 cost") && !cut.contains("#5"), "{cut}");
+        assert!(cut.contains("interrupted"), "{cut}");
+        let q = s.current.as_ref().unwrap();
+        assert_eq!((q.parked.emitted(), q.shown), (2, 4));
+        for line in cut.lines().filter(|l| !l.contains("interrupted")) {
+            out.push_str(line);
+            out.push('\n');
+        }
+        out.push_str(&s.more(1).unwrap());
+        assert_eq!(out, oneshot);
+        let q = s.current.as_ref().unwrap();
+        assert_eq!((q.parked.emitted(), q.shown), (5, 5));
     }
 
     #[test]

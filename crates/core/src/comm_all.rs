@@ -96,7 +96,7 @@ pub fn comm_all_guarded(
 ) -> Result<Outcome<Vec<Community>>, QueryError> {
     Ok(CommAll::try_new(graph, spec)?
         .with_guard(guard)
-        .into_outcome(usize::MAX))
+        .drain(usize::MAX))
 }
 
 #[cfg(test)]

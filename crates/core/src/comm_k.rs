@@ -84,8 +84,9 @@ struct CanTuple {
 
 /// `COMM-k`'s frontier: the can-list plus the min-heap ordering its live
 /// candidates. [`LawlerK`](crate::LawlerK) keeps the same structure
-/// and differs only in how it solves each child subspace.
-#[derive(Default)]
+/// and differs only in how it solves each child subspace. Cloning it
+/// clones the whole resume state of a parked `COMM-k`.
+#[derive(Clone, Default)]
 pub struct CanList {
     tuples: Vec<CanTuple>,
     /// Min-heap over `(cost, can-list index)`; the index doubles as a
@@ -197,9 +198,7 @@ pub fn comm_k_guarded(
     k: usize,
     guard: RunGuard,
 ) -> Result<Outcome<Vec<Community>>, QueryError> {
-    Ok(CommK::try_new(graph, spec)?
-        .with_guard(guard)
-        .into_outcome(k))
+    Ok(CommK::try_new(graph, spec)?.with_guard(guard).drain(k))
 }
 
 #[cfg(test)]

@@ -99,7 +99,7 @@ pub use error::QueryError;
 pub use get_community::get_community_guarded;
 pub use lawler::LawlerK;
 pub use neighbor::{BestCore, NeighborSets, MAX_KEYWORDS};
-pub use projection::{comm_k_on_index, KeywordRun, ProjectedQuery, ProjectionIndex};
+pub use projection::{comm_k_on_index, KeywordRun, ParkedTopK, ProjectedQuery, ProjectionIndex};
 pub use shell::Enumerator;
 pub use types::{Community, Core, CostFn, QuerySpec};
 pub use verify::{

@@ -28,9 +28,11 @@
 //! has the bit-equality arguments; the projection property tests pin
 //! them).
 
-use crate::comm_k::comm_k_guarded;
+use crate::comm_k::CanList;
 use crate::error::{validate_radius, QueryError};
+use crate::shell::Parked;
 use crate::types::{Community, Core, CostFn, QuerySpec};
+use crate::CommK;
 use comm_graph::weight::index_to_u32;
 use comm_graph::{
     Csr, DijkstraEngine, Direction, EnginePool, Graph, InducedGraph, InterruptReason, NodeId,
@@ -235,12 +237,8 @@ impl ProjectedQuery {
 
 /// Cache-aware top-k entry point: projects the query through a (possibly
 /// cached) [`ProjectionIndex`], runs `COMM-k` on the projected graph under
-/// `guard`, and lifts the answers back to original graph ids.
-///
-/// This is the single execution path behind the serving layer's cached and
-/// uncached answers — both roads go through the same index → projection →
-/// enumeration → lift pipeline, which is what makes the cached-vs-uncached
-/// bit-identical contract structural rather than coincidental.
+/// `guard`, and lifts the answers back to original graph ids — a
+/// [`ParkedTopK::project`] resumed once from its empty frontier.
 ///
 /// `guard` governs the whole query: projection and enumeration share its
 /// deadline, budgets, and cancel flag. A trip during projection returns
@@ -256,10 +254,107 @@ pub fn comm_k_on_index(
     cost: CostFn,
     guard: RunGuard,
 ) -> Result<Outcome<Vec<Community>>, QueryError> {
-    let pq = index.try_project(keywords, rmax, &guard)?;
-    let spec = pq.spec.clone().with_cost(cost);
-    let out = comm_k_guarded(&pq.projected.graph, &spec, k, guard)?;
-    Ok(out.map(|cs| cs.into_iter().map(|c| pq.lift(c)).collect()))
+    let parked = ParkedTopK::project(index, keywords, rmax, cost, &guard)?;
+    Ok(parked.resume(k, 0, guard)?.0)
+}
+
+/// A `COMM-k` enumeration of one projected query, parked between calls:
+/// the projected graph and spec it runs on, and the can-list it stopped
+/// at — no neighbor table, memo or engine.
+///
+/// This is the single execution path behind the serving layer's answers:
+/// a fresh query is a resume from the empty frontier
+/// [`project`](Self::project) returns, and "+50 more" is a resume from the
+/// frontier the previous call left, so a resumed answer and a one-shot
+/// answer are the same enumeration, bit for bit. Cloning is cheap in the
+/// graph (shared) and linear in the can-list.
+#[derive(Clone)]
+pub struct ParkedTopK {
+    query: Arc<ProjectedQuery>,
+    state: Parked<CanList>,
+}
+
+impl ParkedTopK {
+    /// Projects the query through `index` under `guard` (see
+    /// [`comm_k_on_index`]) and parks an enumeration of it that has not
+    /// started: no sweep runs until the first [`resume`](Self::resume).
+    pub fn project(
+        index: &ProjectionIndex,
+        keywords: &[&str],
+        rmax: Weight,
+        cost: CostFn,
+        guard: &RunGuard,
+    ) -> Result<ParkedTopK, QueryError> {
+        let mut pq = index.try_project(keywords, rmax, guard)?;
+        pq.spec.cost = cost;
+        Ok(ParkedTopK {
+            query: Arc::new(pq),
+            state: Parked::default(),
+        })
+    }
+
+    /// The projected query the enumeration runs on (its spec carries the
+    /// cost function).
+    pub fn query(&self) -> &ProjectedQuery {
+        &self.query
+    }
+
+    /// Communities emitted before parking.
+    pub fn emitted(&self) -> usize {
+        self.state.emitted()
+    }
+
+    /// Logical bytes held: the projected graph with its id map, the local
+    /// keyword sets and the can-list.
+    pub fn byte_size(&self) -> usize {
+        let pq = &*self.query;
+        let ids = pq.projected.original_ids.len()
+            + pq.spec.keyword_nodes.iter().map(Vec::len).sum::<usize>();
+        pq.projected.graph.byte_size() + ids * size_of::<NodeId>() + self.state.byte_size()
+    }
+
+    /// Emits up to `k` more communities under `guard`, lifted to original
+    /// ids, then reads up to `ahead` more on the same enumerator — no base
+    /// is swept again — and parks again. The parked state comes back while
+    /// the enumeration has more to give: it is `None` once the ranking ran
+    /// out, and after a trip in the first `k`, which returns their exact
+    /// prefix (the caller resumes from a clone it kept). A trip in the
+    /// read-ahead drops it: the first `k` come back complete, with the
+    /// state they were parked at.
+    pub fn resume(
+        self,
+        k: usize,
+        ahead: usize,
+        guard: RunGuard,
+    ) -> Result<(Outcome<Vec<Community>>, Option<ParkedTopK>), QueryError> {
+        let ParkedTopK { query, state } = self;
+        let (parked, out) = {
+            let mut it =
+                CommK::resume(&query.projected.graph, &query.spec, state)?.with_guard(guard);
+            let mut out = it.drain(k);
+            let mut parked = None;
+            if let Outcome::Complete(first) = &mut out {
+                if first.len() == k {
+                    let at_k = if ahead > 0 { it.snapshot() } else { None };
+                    parked = match it.drain(ahead) {
+                        Outcome::Complete(more) if more.len() < ahead => {
+                            first.extend(more);
+                            None
+                        }
+                        Outcome::Complete(more) => {
+                            first.extend(more);
+                            it.park()
+                        }
+                        Outcome::Interrupted { .. } => at_k,
+                    };
+                }
+            }
+            (parked, out)
+        };
+        let out = out.map(|cs| cs.into_iter().map(|c| query.lift(c)).collect());
+        let parked = parked.map(|state| ParkedTopK { query, state });
+        Ok((out, parked))
+    }
 }
 
 impl ProjectionIndex {
@@ -834,6 +929,47 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, QueryError::Interrupted(_)));
+    }
+
+    #[test]
+    fn a_read_ahead_goes_past_k_and_a_trip_in_it_keeps_the_first_k() {
+        let (_, idx) = index(8.0);
+        let (rmax, cost) = (Weight::new(FIG4_RMAX), CostFn::SumDistances);
+        let unlimited = RunGuard::unlimited;
+        let parked = ParkedTopK::project(&idx, &["a", "b", "c"], rmax, cost, &unlimited());
+        let parked = parked.unwrap();
+        let ranked = |out: Outcome<Vec<Community>>| -> Vec<(Core, Weight)> {
+            out.into_value()
+                .into_iter()
+                .map(|c| (c.core, c.cost))
+                .collect()
+        };
+        let all = ranked(parked.clone().resume(60, 0, unlimited()).unwrap().0);
+        assert_eq!(all.len(), 5);
+        // Two, then two more on the same run, parked after four.
+        let (out, at4) = parked.clone().resume(2, 2, unlimited()).unwrap();
+        assert_eq!(ranked(out), all[..4]);
+        let at4 = at4.expect("one community is left");
+        assert_eq!(at4.emitted(), 4);
+        assert_eq!(ranked(at4.resume(60, 0, unlimited()).unwrap().0), all[4..]);
+        // A read-ahead past the end: the whole ranking, nothing to park.
+        let (out, end) = parked.clone().resume(2, 60, unlimited()).unwrap();
+        assert_eq!(ranked(out), all);
+        assert!(end.is_none());
+        // A trip in the read-ahead: the first two, complete, parked at two.
+        let budget = RunGuard::new().with_candidate_budget(3);
+        let (out, at2) = parked.clone().resume(2, 2, budget).unwrap();
+        assert!(out.is_complete());
+        assert_eq!(ranked(out), all[..2]);
+        let at2 = at2.expect("parked at k");
+        assert_eq!(at2.emitted(), 2);
+        assert_eq!(ranked(at2.resume(60, 0, unlimited()).unwrap().0), all[2..]);
+        // A trip in the first k: its exact prefix, nothing parked.
+        let budget = RunGuard::new().with_candidate_budget(1);
+        let (out, none) = parked.resume(2, 2, budget).unwrap();
+        assert!(!out.is_complete());
+        assert_eq!(ranked(out), all[..1]);
+        assert!(none.is_none());
     }
 
     /// The index of a set, swept keyword by keyword in another order on

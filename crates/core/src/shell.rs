@@ -29,6 +29,17 @@
 //! `X` re-swept the first time, and putting a dimension back to
 //! `S_i = V_i` sweeps nothing. A dimension is never filled here: all three
 //! fills live in `neighbor.rs`.
+//!
+//! **Parking.** [`Enumerator::park`] keeps only what the frontier holds and
+//! how far it got ([`Parked`]); the shell — table, kept bases, pin and
+//! patch memos, engine — is dropped. [`Enumerator::resume`] builds a fresh
+//! shell over the same graph and spec, and its first `next()` re-sweeps the
+//! `l` bases (`start()` without the seed) before it pins the popped core.
+//! Nothing else carries over, and nothing else needs to: every `next()`
+//! pins every dimension before it reads the table, and every refill is
+//! bit-equal to a sweep of `S_i`, so the table a resumed `expand` reads is
+//! the one the unparked run would have read. A fresh enumerator is a
+//! resume from `Parked::default()`.
 
 use crate::error::QueryError;
 use crate::get_community::community_of_pinned;
@@ -78,6 +89,7 @@ pub struct Shell<'g> {
     guard: RunGuard,
     emitted: usize,
     peak_bytes: usize,
+    /// Whether this shell swept its `l` bases yet.
     started: bool,
     /// Set once the guard trips; the iterator then yields `None` forever.
     interrupted: Option<InterruptReason>,
@@ -130,6 +142,19 @@ impl Shell<'_> {
     /// Pins every dimension to `core`'s node.
     fn pin(&mut self, core: &Core) -> Result<(), InterruptReason> {
         (0..self.l()).try_for_each(|i| self.pin_dim(i, core.get(i)))
+    }
+
+    /// The `l` initial `Neighbor(V_i, Rmax)` sweeps, each kept for
+    /// `expand`'s refills to repair when `keep` says so.
+    fn sweep_bases(&mut self, keep: bool) -> Result<(), InterruptReason> {
+        self.started = true;
+        for i in 0..self.l() {
+            self.recompute_from_s(i)?;
+            if keep {
+                self.ns.keep_base(self.graph, i);
+            }
+        }
+        Ok(())
     }
 
     /// Recomputes dimension `i` as `Neighbor(S_i, Rmax)`: repaired from
@@ -230,12 +255,49 @@ impl Shell<'_> {
 pub struct Enumerator<'g, F> {
     shell: Shell<'g>,
     pub(crate) frontier: F,
+    /// Whether `frontier` received the best core of the whole space.
+    seeded: bool,
+}
+
+/// A parked enumeration: its frontier and how far it got, and nothing of
+/// the shell (see the module docs). Resume it with [`Enumerator::resume`]
+/// over the graph and spec it was parked from.
+#[derive(Clone, Default)]
+pub(crate) struct Parked<F> {
+    frontier: F,
+    emitted: usize,
+    seeded: bool,
+}
+
+impl<F: Frontier> Parked<F> {
+    /// Communities emitted before parking.
+    pub(crate) fn emitted(&self) -> usize {
+        self.emitted
+    }
+
+    /// Logical bytes held: the frontier's.
+    pub(crate) fn byte_size(&self) -> usize {
+        self.frontier.byte_size()
+    }
 }
 
 impl<'g, F: Frontier> Enumerator<'g, F> {
     /// Validates `spec` against `graph` and prepares the enumeration; no
     /// sweep runs until the first `next()`.
     pub fn try_new(graph: &'g Graph, spec: &QuerySpec) -> Result<Self, QueryError> {
+        Self::resume(graph, spec, Parked::default())
+    }
+
+    /// Goes on with an enumeration of `spec` on `graph` that
+    /// [`park`](Self::park) left as `parked`: the next community is the
+    /// one the unparked enumeration would have emitted next, bit for bit.
+    /// The first `next()` re-sweeps the `l` bases first. `graph` and
+    /// `spec` must be the ones the enumeration was parked from.
+    pub(crate) fn resume(
+        graph: &'g Graph,
+        spec: &QuerySpec,
+        parked: Parked<F>,
+    ) -> Result<Self, QueryError> {
         spec.validate_for(graph)?;
         // `QuerySpec`'s fields are public: re-establish sorted, distinct
         // `V_i` rather than trust the caller.
@@ -255,12 +317,37 @@ impl<'g, F: Frontier> Enumerator<'g, F> {
                 ns: NeighborSets::try_new(spec.l(), graph.node_count())?,
                 engine: DijkstraEngine::new(graph.node_count()),
                 guard: RunGuard::unlimited(),
-                emitted: 0,
+                emitted: parked.emitted,
                 peak_bytes: 0,
                 started: false,
                 interrupted: None,
             },
-            frontier: F::default(),
+            frontier: parked.frontier,
+            seeded: parked.seeded,
+        })
+    }
+
+    /// Parks the enumeration: drops the shell and keeps the frontier.
+    /// `None` once the guard tripped — a trip can land mid-`expand`, so
+    /// the frontier of an interrupted run is not a state to go on from.
+    pub(crate) fn park(self) -> Option<Parked<F>> {
+        self.shell.interrupted.is_none().then_some(Parked {
+            frontier: self.frontier,
+            emitted: self.shell.emitted,
+            seeded: self.seeded,
+        })
+    }
+
+    /// The state [`park`](Self::park) would keep now, cloned, with the
+    /// enumeration left running: `None` once the guard tripped.
+    pub(crate) fn snapshot(&self) -> Option<Parked<F>>
+    where
+        F: Clone,
+    {
+        self.shell.interrupted.is_none().then(|| Parked {
+            frontier: self.frontier.clone(),
+            emitted: self.shell.emitted,
+            seeded: self.seeded,
         })
     }
 
@@ -299,10 +386,10 @@ impl<'g, F: Frontier> Enumerator<'g, F> {
         self.shell.ns.sweeps()
     }
 
-    /// Drains up to `k` communities into the `Outcome` the `*_guarded`
+    /// Emits up to `k` more communities as the `Outcome` the `*_guarded`
     /// entry points return: an interrupted run carries the exact prefix
     /// emitted before the trip.
-    pub(crate) fn into_outcome(mut self, k: usize) -> Outcome<Vec<Community>> {
+    pub(crate) fn drain(&mut self, k: usize) -> Outcome<Vec<Community>> {
         let out: Vec<Community> = self.by_ref().take(k).collect();
         match self.interrupted() {
             None => Outcome::Complete(out),
@@ -317,23 +404,19 @@ impl<'g, F: Frontier> Enumerator<'g, F> {
     /// `BestCore()` (lines 1–5 of Algorithm 1, 1–6 of Algorithm 5). Each
     /// swept `Neighbor(V_i)` is kept for `expand`'s refills to repair.
     fn start(&mut self) -> Result<(), InterruptReason> {
-        let shell = &mut self.shell;
-        shell.started = true;
-        for i in 0..shell.l() {
-            shell.recompute_from_s(i)?;
-            if F::KEEPS_BASE {
-                shell.ns.keep_base(shell.graph, i);
-            }
-        }
-        if let Some(best) = shell.best_core() {
+        self.shell.sweep_bases(F::KEEPS_BASE)?;
+        if let Some(best) = self.shell.best_core() {
             self.frontier.seed(best);
         }
-        shell.track_memory(self.frontier.byte_size())
+        self.seeded = true;
+        self.shell.track_memory(self.frontier.byte_size())
     }
 
-    /// One emission: pop, govern, pin, materialise, subdivide.
+    /// One emission: pop, govern, pin, materialise, subdivide. A resumed
+    /// enumerator sweeps its bases after the pop, so a drained frontier
+    /// costs no sweep.
     fn step(&mut self) -> Result<Option<Community>, InterruptReason> {
-        if !self.shell.started {
+        if !self.seeded {
             self.start()?;
         }
         let Some(core) = self.frontier.pop() else {
@@ -342,6 +425,9 @@ impl<'g, F: Frontier> Enumerator<'g, F> {
         // Candidate budget k ⇒ exactly k communities emitted.
         self.shell.guard.note_candidate()?;
         let shell = &mut self.shell;
+        if !shell.started {
+            shell.sweep_bases(F::KEEPS_BASE)?;
+        }
         // A trip while pinning or materialising ends the output before
         // this community.
         shell.pin(&core)?;
@@ -643,6 +729,134 @@ mod tests {
             assert!(started::<Dfs>(&g, &spec).shell.ns.keeps_base(0));
             assert!(!started::<FromScratch>(&g, &spec).shell.ns.keeps_base(0));
         }
+    }
+
+    /// Everything a community carries, its edges included.
+    type Whole = (
+        Core,
+        Weight,
+        Vec<NodeId>,
+        Vec<NodeId>,
+        Vec<NodeId>,
+        Vec<NodeId>,
+        Vec<(NodeId, NodeId, Weight)>,
+    );
+
+    fn whole(c: Community) -> Whole {
+        let edges = c.subgraph.graph.edges().collect();
+        let ids = c.subgraph.original_ids;
+        (
+            c.core,
+            c.cost,
+            c.centers,
+            c.knodes,
+            c.path_nodes,
+            ids,
+            edges,
+        )
+    }
+
+    /// Parks a top-`k` `COMM-k` run of `spec` after every `j ≤ k` — a
+    /// [`snapshot`](Enumerator::snapshot) of the live run, as a read-ahead
+    /// parks — and resumes each on a fresh shell; then parks and resumes
+    /// one run after every community. Every run must equal the one-shot
+    /// run, field for field. Returns the one-shot length.
+    fn resumes_like_oneshot(g: &Graph, spec: &QuerySpec, k: usize) -> usize {
+        let mut it = Enumerator::<CanList>::try_new(g, spec).unwrap();
+        let (mut oneshot, mut parks) = (Vec::new(), vec![Parked::default()]);
+        while oneshot.len() < k {
+            let Some(c) = it.next() else { break };
+            oneshot.push(whole(c));
+            parks.push(it.snapshot().expect("nothing tripped"));
+        }
+        for (j, parked) in parks.into_iter().enumerate() {
+            assert_eq!(parked.emitted(), j);
+            let it = Enumerator::resume(g, spec, parked).unwrap();
+            let tail: Vec<Whole> = it.take(k - j).map(whole).collect();
+            assert!(
+                tail[..] == oneshot[j..],
+                "parked after {j} of {}",
+                oneshot.len()
+            );
+        }
+        let (mut chained, mut parked) = (Vec::new(), Parked::<CanList>::default());
+        while chained.len() < k {
+            let mut it = Enumerator::resume(g, spec, parked).unwrap();
+            let Some(c) = it.next() else { break };
+            chained.push(whole(c));
+            parked = it.park().expect("nothing tripped");
+        }
+        assert!(chained == oneshot, "parked after every community");
+        oneshot.len()
+    }
+
+    #[test]
+    fn a_resumed_enumeration_equals_the_oneshot_one_at_every_split() {
+        use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
+        let fig4 = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
+        assert_eq!(resumes_like_oneshot(&fig4_graph(), &fig4, 60), 5);
+        let (g, spec) = dense_scenario();
+        assert_eq!(resumes_like_oneshot(&g, &spec, 60), 60);
+    }
+
+    /// [`resumes_like_oneshot`] over 1 000 random queries with edge
+    /// weights from `weights`; returns how many kept a base.
+    fn random_family_resumes(weights: &[f64]) -> usize {
+        let mut kept = 0;
+        SplitMix64::for_each_case(1_000, |rng| {
+            let (g, spec) = random_query(rng, weights);
+            kept += usize::from(started::<CanList>(&g, &spec).shell.ns.keeps_base(0));
+            resumes_like_oneshot(&g, &spec, 60);
+        });
+        kept
+    }
+
+    #[test]
+    fn resumes_equal_oneshot_runs_on_tie_heavy_graphs() {
+        // A base is kept, and every resumed refill repairs it (and is
+        // certified as it happens).
+        assert_eq!(random_family_resumes(&[0.1, 0.2, 0.3, 0.5]), 1_000);
+    }
+
+    #[test]
+    fn resumes_equal_oneshot_runs_without_a_base() {
+        // Zero weights mixed in: mostly no base is kept, and a resumed
+        // enumeration refills by the fallback sweeps.
+        let kept = random_family_resumes(&[0.0, 0.1, 0.2, 0.3, 0.5]);
+        assert!(kept <= 200, "{kept} of 1000 kept a base");
+    }
+
+    #[test]
+    fn a_trip_in_the_rebase_sweeps_keeps_the_exact_prefix() {
+        let (g, spec) = dense_scenario();
+        let oneshot: Vec<Whole> = Enumerator::<CanList>::try_new(&g, &spec)
+            .unwrap()
+            .take(12)
+            .map(whole)
+            .collect();
+        let mut it = Enumerator::<CanList>::try_new(&g, &spec).unwrap();
+        let mut got: Vec<Whole> = it.by_ref().take(10).map(whole).collect();
+        let parked = it.park().unwrap();
+        // The candidate is counted, then the first base sweep trips: one
+        // sweep begun, no pin, nothing emitted.
+        let guard = RunGuard::new().with_settled_budget(1);
+        let mut tripped = Enumerator::resume(&g, &spec, parked.clone())
+            .unwrap()
+            .with_guard(guard.clone());
+        assert!(tripped.next().is_none());
+        assert_eq!(
+            tripped.interrupted(),
+            Some(InterruptReason::SettledBudgetExhausted)
+        );
+        assert_eq!((guard.candidates(), tripped.neighbor_sweeps()), (1, 1));
+        assert_eq!(tripped.emitted(), 10);
+        assert!(tripped.drain(5).value().is_empty());
+        assert!(tripped.snapshot().is_none(), "a tripped run does not park");
+        assert!(tripped.park().is_none());
+        // The prefix stands, and the state parked before the trip resumes.
+        let it = Enumerator::resume(&g, &spec, parked).unwrap();
+        got.extend(it.take(2).map(whole));
+        assert!(got == oneshot);
     }
 
     #[test]

@@ -198,6 +198,18 @@ impl Community {
     pub fn edge_count(&self) -> usize {
         self.subgraph.graph.edge_count()
     }
+
+    /// Logical size in bytes: the struct, its node lists and its subgraph.
+    pub fn byte_size(&self) -> usize {
+        let ids = self.centers.len()
+            + self.knodes.len()
+            + self.path_nodes.len()
+            + self.subgraph.original_ids.len();
+        std::mem::size_of::<Community>()
+            + self.core.byte_size()
+            + ids * std::mem::size_of::<NodeId>()
+            + self.subgraph.graph.byte_size()
+    }
 }
 
 #[cfg(test)]

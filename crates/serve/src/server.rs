@@ -612,6 +612,7 @@ fn snapshot(shared: &Shared) -> Vec<(String, u64)> {
     let (ih, im, ah, am) = shared.engine.cache_stats();
     let (index_entries, answer_entries) = shared.engine.cache_sizes();
     let (rh, rm, run_entries, run_bytes) = shared.engine.run_cache_stats();
+    let (resumes, answer_bytes) = shared.engine.answer_cache_stats();
     let (chaos_disc, chaos_delay, chaos_poison) = shared.chaos.stats();
     let pool = shared.engine.pool();
     let pooled = pool.pooled_engines();
@@ -642,6 +643,7 @@ fn snapshot(shared: &Shared) -> Vec<(String, u64)> {
         ("index_cache_misses".to_string(), im),
         ("answer_cache_hits".to_string(), ah),
         ("answer_cache_misses".to_string(), am),
+        ("answer_cache_resumes".to_string(), resumes),
         ("run_cache_hits".to_string(), rh),
         ("run_cache_misses".to_string(), rm),
         ("chaos_disconnects".to_string(), chaos_disc),
@@ -651,6 +653,7 @@ fn snapshot(shared: &Shared) -> Vec<(String, u64)> {
     for (name, value) in [
         ("index_cache_entries", index_entries),
         ("answer_cache_entries", answer_entries),
+        ("answer_cache_bytes", answer_bytes),
         ("run_cache_entries", run_entries),
         ("run_cache_bytes", run_bytes),
         ("pooled_engines", pooled),

@@ -11,7 +11,11 @@
 //!    what a fresh engine answers, whatever the run cache held, evicted
 //!    or refused;
 //! 5. so does one engine shared by concurrent queries, which find runs,
-//!    indexes and answers while other threads fill them.
+//!    indexes and answers while other threads fill them;
+//! 6. one answer entry serves every `k` of a `(keywords, Rmax)`: a smaller
+//!    `k` is a slice, a larger one resumes the parked enumeration to the
+//!    bytes a fresh engine sends, and neither a tripped resume nor a
+//!    concurrent one ever shortens the entry.
 
 use comm_core::{
     check_community, check_ranking, check_topk_prefix, Community, KeywordRun, QueryError, QuerySpec,
@@ -353,7 +357,9 @@ fn a_run_cache_too_small_for_two_runs_holds_one_and_changes_no_answer() {
             (kws(&["beta", "gamma"]), 5),
             (kws(&["alpha", "gamma"]), 5),
             // An index hit: the index outlived the runs it was built from.
-            (kws(&["alpha", "beta"]), 4),
+            // (Reordered: the same order would be a slice of the first
+            // answer and never reach the index cache.)
+            (kws(&["beta", "alpha"]), 4),
         ] {
             let out = small
                 .answer(&set, 4.0, k, &RunGuard::unlimited())
@@ -414,4 +420,222 @@ fn concurrent_queries_on_one_engine_answer_like_fresh_engines() {
     let (_, _, runs, _) = shared.run_cache_stats();
     assert_eq!(runs, 4, "one run per keyword");
     assert_eq!(shared.cache_sizes(), (5, 6), "five sets, six answers");
+}
+
+/// `(answer hits, answer misses, resumes)` of `engine` so far.
+fn answer_counts(engine: &QueryEngine) -> (u64, u64, u64) {
+    let (_, _, hits, misses) = engine.cache_stats();
+    (hits, misses, engine.answer_cache_stats().0)
+}
+
+#[test]
+fn a_smaller_k_after_a_larger_one_is_a_slice() {
+    let engine = engine();
+    let keywords = kws(&["alpha", "beta"]);
+    let top8 = engine
+        .answer(&keywords, 4.0, 8, &RunGuard::unlimited())
+        .unwrap();
+    assert_eq!(top8.value().len(), 8);
+    let bytes = engine.answer_cache_stats().1;
+    for k in [0, 3, 8] {
+        let guard = RunGuard::new();
+        let out = engine.answer(&keywords, 4.0, k, &guard).unwrap();
+        assert_eq!(wire(out.value()), wire(&top8.value()[..k as usize]));
+        assert_eq!(
+            wire(out.value()),
+            fresh_answer(&EngineConfig::default(), &keywords, 4.0, k).0
+        );
+        assert_eq!(guard.settled(), 0, "a slice sweeps nothing");
+    }
+    assert_eq!(answer_counts(&engine), (3, 1, 0));
+    assert_eq!(engine.cache_sizes().1, 1, "one entry for every k");
+    assert_eq!(engine.answer_cache_stats().1, bytes);
+}
+
+#[test]
+fn a_larger_k_after_a_smaller_one_resumes_to_the_fresh_bytes() {
+    let cfg = EngineConfig::default();
+    let engine = engine();
+    let keywords = kws(&["alpha", "beta"]);
+    let mut served = 0;
+    for k in [2, 5, 8] {
+        let guard = RunGuard::new();
+        let out = engine.answer(&keywords, 4.0, k, &guard).unwrap();
+        assert!(out.is_complete());
+        let (fresh_bytes, fresh_settled) = fresh_answer(&cfg, &keywords, 4.0, k);
+        assert_eq!(wire(out.value()), fresh_bytes, "k = {k}");
+        if served > 0 {
+            assert!(
+                guard.settled() < fresh_settled,
+                "k = {k} resumed, not recomputed"
+            );
+        }
+        served = k;
+    }
+    assert_eq!(answer_counts(&engine), (0, 3, 2));
+    // Every reply certifies on the full graph.
+    let top8 = engine
+        .answer(&keywords, 4.0, 8, &RunGuard::unlimited())
+        .unwrap();
+    let spec = spec_for(&engine, &keywords, 4.0);
+    for c in top8.value() {
+        check_community(engine.graph(), &spec, c).expect("resumed answer certifies");
+    }
+    check_ranking(top8.value()).expect("ranked");
+}
+
+#[test]
+fn a_tripped_resume_replies_with_the_exact_prefix_and_leaves_the_entry() {
+    let keywords = kws(&["alpha", "beta"]);
+    let full = engine().answer(&keywords, 4.0, 8, &RunGuard::unlimited());
+    let full = full.unwrap().into_value();
+    let engine = engine();
+    engine
+        .answer(&keywords, 4.0, 3, &RunGuard::unlimited())
+        .unwrap();
+    let bytes = engine.answer_cache_stats().1;
+    // The guard checks a slice of the three makes: a trip after two more
+    // lands in the resume, past the prefix.
+    let slice = RunGuard::new();
+    engine.answer(&keywords, 4.0, 3, &slice).unwrap();
+    // A candidate budget cuts inside the replayed prefix and inside the
+    // resumed tail, where a run from scratch would cut.
+    for (guard, cut) in [
+        (RunGuard::new().with_candidate_budget(2), 2),
+        (RunGuard::new().with_candidate_budget(5), 5),
+        (RunGuard::new().with_trip_after(slice.checks() + 2), 3),
+        (RunGuard::new().with_settled_budget(1), 3),
+    ] {
+        match engine.answer(&keywords, 4.0, 8, &guard).unwrap() {
+            Outcome::Interrupted { partial, .. } => {
+                assert_eq!(wire(&partial), wire(&full[..cut]), "cut at {cut}");
+            }
+            Outcome::Complete(_) => panic!("the guard must trip"),
+        }
+        assert_eq!(
+            engine.answer_cache_stats().1,
+            bytes,
+            "the entry is unchanged"
+        );
+    }
+    // Still three long: k = 3 is a slice, k = 4 a resume.
+    let before = answer_counts(&engine);
+    engine
+        .answer(&keywords, 4.0, 3, &RunGuard::unlimited())
+        .unwrap();
+    let out = engine
+        .answer(&keywords, 4.0, 4, &RunGuard::unlimited())
+        .unwrap();
+    assert_eq!(wire(out.value()), wire(&full[..4]));
+    let after = answer_counts(&engine);
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+        (1, 1, 1)
+    );
+}
+
+#[test]
+fn concurrent_extensions_of_one_entry_never_shorten_it() {
+    let cfg = EngineConfig::default();
+    let keywords = kws(&["alpha", "beta"]);
+    let ks = [2u32, 4, 6, 8];
+    let expected: Vec<Vec<u8>> = ks
+        .iter()
+        .map(|&k| fresh_answer(&cfg, &keywords, 4.0, k).0)
+        .collect();
+    for round in 0..4 {
+        let shared = comm_serve::synthetic_engine(8, cfg.clone()).unwrap();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (shared, keywords, expected) = (&shared, &keywords, &expected);
+                s.spawn(move || {
+                    // Each thread asks every k, from its own offset; the
+                    // one entry only ever grows.
+                    let mut seen = 0;
+                    for step in 0..ks.len() {
+                        let i = (step + t + round) % ks.len();
+                        let out = shared.answer(keywords, 4.0, ks[i], &RunGuard::unlimited());
+                        assert!(
+                            wire(out.unwrap().value()) == expected[i],
+                            "thread {t}, k = {}",
+                            ks[i]
+                        );
+                        let bytes = shared.answer_cache_stats().1;
+                        assert!(bytes >= seen, "thread {t}: the entry shrank");
+                        seen = bytes;
+                    }
+                });
+            }
+        });
+        // The entry holds the longest prefix any thread completed.
+        let before = answer_counts(&shared);
+        shared
+            .answer(&keywords, 4.0, 8, &RunGuard::unlimited())
+            .unwrap();
+        let after = answer_counts(&shared);
+        assert_eq!(
+            after.0,
+            before.0 + 1,
+            "k = 8 is a slice after round {round}"
+        );
+        assert_eq!(shared.cache_sizes().1, 1);
+    }
+}
+
+#[test]
+fn k_zero_then_k_five_resumes_an_unstarted_entry() {
+    let engine = engine();
+    let keywords = kws(&["alpha", "beta"]);
+    let guard = RunGuard::new();
+    let none = engine.answer(&keywords, 4.0, 0, &guard).unwrap();
+    assert!(none.is_complete() && none.value().is_empty());
+    assert_eq!(engine.cache_sizes().1, 1, "the projection is parked");
+    let out = engine
+        .answer(&keywords, 4.0, 5, &RunGuard::unlimited())
+        .unwrap();
+    assert_eq!(
+        wire(out.value()),
+        fresh_answer(&EngineConfig::default(), &keywords, 4.0, 5).0
+    );
+    assert_eq!(answer_counts(&engine), (0, 2, 1));
+}
+
+#[test]
+fn a_keyword_set_resumed_before_reads_ahead_at_a_new_radius() {
+    let cfg = EngineConfig::default();
+    let engine = engine();
+    let keywords = kws(&["alpha", "beta"]);
+    let delta = |before: (u64, u64, u64), after: (u64, u64, u64)| {
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2)
+    };
+    for k in [2, 6] {
+        engine
+            .answer(&keywords, 4.0, k, &RunGuard::unlimited())
+            .unwrap();
+    }
+    // The set was resumed to 6: a first answer at another radius runs on
+    // to 6 and parks there, so k = 6 is then a slice.
+    let out = engine.answer(&keywords, 4.5, 2, &RunGuard::new()).unwrap();
+    assert_eq!(wire(out.value()), fresh_answer(&cfg, &keywords, 4.5, 2).0);
+    let before = answer_counts(&engine);
+    let guard = RunGuard::new();
+    let out = engine.answer(&keywords, 4.5, 6, &guard).unwrap();
+    assert_eq!(wire(out.value()), fresh_answer(&cfg, &keywords, 4.5, 6).0);
+    assert_eq!(guard.settled(), 0, "a slice sweeps nothing");
+    assert_eq!(delta(before, answer_counts(&engine)), (1, 0, 0));
+    // A trip in the read-ahead still replies complete and caches the
+    // first k: k = 2 is then a slice and k = 3 a resume.
+    let budget = RunGuard::new().with_candidate_budget(3);
+    let out = engine.answer(&keywords, 5.0, 2, &budget).unwrap();
+    assert!(out.is_complete());
+    assert_eq!(wire(out.value()), fresh_answer(&cfg, &keywords, 5.0, 2).0);
+    let before = answer_counts(&engine);
+    engine
+        .answer(&keywords, 5.0, 2, &RunGuard::unlimited())
+        .unwrap();
+    let out = engine
+        .answer(&keywords, 5.0, 3, &RunGuard::unlimited())
+        .unwrap();
+    assert_eq!(wire(out.value()), fresh_answer(&cfg, &keywords, 5.0, 3).0);
+    assert_eq!(delta(before, answer_counts(&engine)), (1, 1, 1));
 }

@@ -92,6 +92,42 @@ fn plain_round_trip_ping_query_stats() {
     handle.shutdown();
 }
 
+/// The communities of a `Complete` reply.
+fn complete(resp: Response) -> Vec<comm_serve::CommunitySummary> {
+    match resp {
+        Response::Complete { communities, .. } => communities,
+        other => panic!("expected complete, got {other:?}"),
+    }
+}
+
+#[test]
+fn stats_tell_slices_from_resumes() {
+    let (handle, addr) = start(AdmissionConfig::default(), ChaosConfig::default());
+    let mut client = Client::new(addr, fast_client());
+    let mut ask = |k| {
+        complete(
+            client
+                .query(&["alpha", "beta"], 4.0, k, Priority::Normal)
+                .unwrap(),
+        )
+    };
+    let top3 = ask(3);
+    // "+2 more": the entry's can-list is resumed, and the reply starts
+    // with the three communities already sent.
+    let top5 = ask(5);
+    assert_eq!(top5.len(), 5);
+    assert_eq!(top5[..3], top3[..]);
+    // A smaller k is a slice.
+    assert_eq!(ask(2)[..], top3[..2]);
+    let stats = client.stats_snapshot().expect("stats");
+    assert_eq!(counter(&stats, "answer_cache_entries"), 1);
+    assert_eq!(counter(&stats, "answer_cache_resumes"), 1);
+    assert_eq!(counter(&stats, "answer_cache_hits"), 1);
+    assert_eq!(counter(&stats, "answer_cache_misses"), 2);
+    assert!(counter(&stats, "answer_cache_bytes") > 0);
+    handle.shutdown();
+}
+
 #[test]
 fn unknown_keyword_gets_an_error_reply_not_a_hang() {
     let (handle, addr) = start(AdmissionConfig::default(), ChaosConfig::default());

@@ -120,13 +120,67 @@ pub const ROWS: [Row; 16] = [
         reason: "a source check lives in ci.sh or cargo xtask check; a job runs ./ci.sh LANE" },
 ];
 
-/// Runs every row over `files` (paths repo-relative).
+/// The rule id of the one check that is not a needle row: a test DESIGN.md
+/// names must exist.
+pub const CITED_TESTS: &str = "cited_tests";
+
+/// Runs every row, and the cited-tests check, over `files` (paths
+/// repo-relative).
 pub fn check(files: &[&SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for row in &ROWS {
         row.check(files, &mut out);
     }
+    cited_tests(files, &mut out);
     out
+}
+
+/// DESIGN.md names a test by its fn name in backticks, and a test name is
+/// a sentence: a backticked snake_case identifier of four words or more
+/// is one. Each must have a `fn` of that name in a `.rs` file below
+/// [`CODE`], or the text pins a test that was renamed or deleted.
+fn cited_tests(files: &[&SourceFile], out: &mut Vec<Finding>) {
+    let rust = files
+        .iter()
+        .filter(|f| under(&f.path, CODE) && f.path.extension().is_some_and(|e| e == "rs"));
+    let defined: std::collections::HashSet<&str> = rust
+        .flat_map(|f| f.text.split("fn ").skip(1))
+        .map(|after| {
+            after
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .next()
+                .unwrap_or("")
+        })
+        .collect();
+    let Some(design) = files.iter().find(|f| f.path == Path::new("DESIGN.md")) else {
+        return;
+    };
+    for (i, line) in design.text.lines().enumerate() {
+        for name in line
+            .split('`')
+            .skip(1)
+            .step_by(2)
+            .filter(|t| is_test_name(t))
+        {
+            if !defined.contains(name) {
+                let message = format!("`{name}` names no fn in the tree");
+                let reason =
+                    "cite the test by its current name, or drop the citation with the test";
+                out.push(Finding::new(design, CITED_TESTS, i + 1, message, reason));
+            }
+        }
+    }
+}
+
+/// A snake_case identifier of four words or more.
+fn is_test_name(t: &str) -> bool {
+    let words: Vec<&str> = t.split('_').collect();
+    let word = |w: &&str| {
+        !w.is_empty()
+            && w.bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit())
+    };
+    words.len() >= 4 && words.iter().all(word) && t.starts_with(|c: char| c.is_ascii_lowercase())
 }
 
 fn under(path: &Path, roots: &[&str]) -> bool {
@@ -237,7 +291,9 @@ fn matches_at(h: &[u8], i: usize, p: &[u8]) -> bool {
     match p {
         [] => true,
         [b'\\', b'b', rest @ ..] => (i > 0 && word(i - 1)) != word(i) && matches_at(h, i, rest),
-        [b'\\', b'd', rest @ ..] => h.get(i).is_some_and(u8::is_ascii_digit) && matches_at(h, i + 1, rest),
+        [b'\\', b'd', rest @ ..] => {
+            h.get(i).is_some_and(u8::is_ascii_digit) && matches_at(h, i + 1, rest)
+        }
         [b'\\', b'w', b'*', rest @ ..] => (i..=h.len())
             .take_while(|&j| j == i || word(j - 1))
             .any(|j| matches_at(h, j, rest)),
@@ -356,6 +412,33 @@ mod tests {
     }
 
     #[test]
+    fn a_cited_test_needs_a_fn_of_its_name() {
+        let design = "Pinned by `a_resumed_run_equals_the_oneshot_run` and `sweep_ns_per_settled`; see `c_i`.\n";
+        let test = "#[test]\nfn a_resumed_run_equals_the_oneshot_run() {}\n";
+        let tree = |rs: &str, text: &str| {
+            let files = [
+                SourceFile::from_text("DESIGN.md".into(), design.into()),
+                SourceFile::from_text(rs.into(), text.into()),
+            ];
+            check(&files.iter().collect::<Vec<_>>())
+                .into_iter()
+                .filter(|f| f.rule == CITED_TESTS)
+                .map(|f| f.message)
+                .collect::<Vec<_>>()
+        };
+        let metric = "`sweep_ns_per_settled` names no fn in the tree";
+        assert_eq!(tree("tests/resume.rs", test), [metric]);
+        // Seeded violations: the test renamed, or outside the tree.
+        let renamed = test.replace("oneshot", "one_shot");
+        let gone = "`a_resumed_run_equals_the_oneshot_run` names no fn in the tree";
+        assert_eq!(tree("tests/resume.rs", &renamed), [gone, metric]);
+        assert_eq!(tree("xtask/src/resume.rs", test), [gone, metric]);
+        assert_eq!(tree("tests/resume.md", test), [gone, metric]);
+        assert!(is_test_name("table1_ranking_in_order") && !is_test_name("table1_ranking"));
+        assert!(!is_test_name("graph.dijkstra.sweep_ns_per_settled") && !is_test_name("a__b_c_d"));
+    }
+
+    #[test]
     fn a_waiver_names_a_row() {
         let waived = "// xtask-allow: narrowing_cast — discriminants fit u32\nlet i = d as u32;\n";
         assert!(fired("crates/core/src/shell.rs", waived).is_empty());
@@ -366,7 +449,10 @@ mod tests {
         let (ulp, n64) = ("\\bulp\\b", "64\\w* as usize\\b");
         assert!(occurs("ulp", ulp) && occurs("one ulp.", ulp) && !occurs("ulps populp ulp_x", ulp));
         assert!(occurs("n64 as usize;", n64) && occurs("len_u64_total as usize", n64));
-        assert!(occurs("see item 12(ii)", "\\bitem \\d") && !occurs("an item, 3 of them", "\\bitem \\d"));
+        assert!(
+            occurs("see item 12(ii)", "\\bitem \\d")
+                && !occurs("an item, 3 of them", "\\bitem \\d")
+        );
         assert!(!occurs("subitem 1", "\\bitem \\d") && !occurs("item x", "item \\d"));
         assert!(!occurs("f(n64) as usize", n64) && !occurs("n64 as usize_t", n64));
     }

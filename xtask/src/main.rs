@@ -242,6 +242,7 @@ mod tests {
             analyze::LOCK_BLOCKING,
             analyze::UNBOUNDED_ALLOC,
             analyze::PROTOCOL_SYMMETRY,
+            gates::CITED_TESTS,
         ]);
         assert_eq!(listed, run);
     }
