@@ -23,8 +23,9 @@ missing() {
 }
 
 # Source checks: every package is a path package, then `cargo xtask
-# check` (lint rules, concurrency analyzers, gate rows, stale waivers) and
-# its self-tests, rustfmt and clippy.
+# check` (lint rules, the allocation analyzer, gate rows, stale waivers)
+# and its self-tests, rustfmt and clippy. The leaf-lock rule is checked
+# by the tests of the `test` lane (debug and `--features verify`).
 lane_gates() {
     echo "==> registry-free gate (every package is a path package)"
     for manifest in Cargo.toml xtask/Cargo.toml; do
@@ -135,7 +136,7 @@ lane_serve() {
     wait "$PID"
 }
 
-# The dynamic complement to the concurrency analyzers: the exhaustive
+# Beyond the leaf-lock check every test run makes: the exhaustive
 # admission-gate interleaving model and the wire-protocol property tests
 # run on stable; ThreadSanitizer (nightly + rust-src) re-runs the
 # thread-heavy suites with data-race detection armed.

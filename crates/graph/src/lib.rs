@@ -20,6 +20,8 @@
 //!   work/memory budgets) threaded through every sweep and enumeration;
 //! * [`EnginePool`]: a free list of engine scratch states, one pool per
 //!   query engine, passed by reference;
+//! * [`sync::Leaf`]: the workspace's one lock, which no thread holds
+//!   together with another (checked under `debug_assertions` / `verify`);
 //! * [`InducedGraph`]: induced-subgraph extraction with id mapping;
 //! * [`SplitMix64`]: the one seeded PRNG behind the dataset generators and
 //!   the property loops in the test tree;
@@ -65,6 +67,7 @@ pub mod pool;
 pub mod reference;
 pub mod rng;
 pub mod storage;
+pub mod sync;
 pub mod verify;
 pub mod weight;
 

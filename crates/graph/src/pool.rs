@@ -14,15 +14,16 @@
 //! previous sweep, whatever graph that one ran on.
 
 use crate::dijkstra::DijkstraEngine;
+use crate::sync::{Leaf, LeafGuard};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 
 /// Engines released beyond this many parked ones are dropped instead of
 /// pooled, bounding the pool's memory. More engines than this are only
 /// ever out at once when more sweeps than this run concurrently.
 const POOL_CAP: usize = 64;
 
-/// A free list of [`DijkstraEngine`]s behind one mutex.
+/// A free list of [`DijkstraEngine`]s behind one [`Leaf`] lock.
 ///
 /// A pool serves one graph, so its callers ask for one size; an engine
 /// that last swept a smaller graph is grown at checkout, before it is
@@ -40,9 +41,9 @@ const POOL_CAP: usize = 64;
 /// assert_eq!(pool.pooled_engines(), 1); // parked again after the call
 /// ```
 pub struct EnginePool {
-    free: Mutex<Vec<DijkstraEngine>>,
+    free: Leaf<Vec<DijkstraEngine>>,
     /// Times the free list was recovered after a panicking thread
-    /// poisoned its mutex.
+    /// poisoned its lock.
     poison_recoveries: AtomicUsize,
 }
 
@@ -50,28 +51,22 @@ impl EnginePool {
     /// Creates an empty pool.
     pub fn new() -> EnginePool {
         EnginePool {
-            free: Mutex::new(Vec::new()),
+            free: Leaf::new(Vec::new()),
             poison_recoveries: AtomicUsize::new(0),
         }
     }
 
     /// Locks the free list, recovering it if a panicking thread poisoned
-    /// the mutex. Recovery discards the parked engines — an unwinding
+    /// the lock. Recovery discards the parked engines — an unwinding
     /// thread may have left one mid-sweep with stale scratch for the sweep
-    /// it never finished — and clears the poison flag so the pool parks
+    /// it never finished — and the poison is cleared so the pool parks
     /// engines again instead of degrading forever. A shared pool must
     /// never propagate an unrelated thread's panic to its callers.
-    fn lock_free(&self) -> MutexGuard<'_, Vec<DijkstraEngine>> {
-        match self.free.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                let mut g = poisoned.into_inner();
-                g.clear();
-                self.free.clear_poison();
-                self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-                g
-            }
-        }
+    fn lock_free(&self) -> LeafGuard<'_, Vec<DijkstraEngine>> {
+        self.free.lock_recovering(|free| {
+            free.clear();
+            self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
+        })
     }
 
     /// A process-wide pool. Nothing in the workspace borrows from it — a
@@ -85,7 +80,8 @@ impl EnginePool {
     }
 
     /// Borrows an engine with room for graphs of `n` nodes. The engine
-    /// returns to the pool when the guard drops.
+    /// returns to the pool when the guard drops. Both lock the free list,
+    /// so neither may happen under another [`Leaf`] guard.
     pub fn acquire(&self, n: usize) -> PooledEngine<'_> {
         let parked = self.lock_free().pop();
         // Built or grown outside the lock, and before the hand-out.

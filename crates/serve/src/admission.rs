@@ -15,9 +15,10 @@
 //! rather than continuous: step boundaries make the degraded behavior
 //! predictable and testable.
 
+use comm_graph::sync::{Leaf, LeafGuard};
 use comm_graph::RunGuard;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::protocol::Priority;
@@ -52,7 +53,7 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Occupancy of the gate, guarded by one mutex.
+/// Occupancy of the gate, behind one [`Leaf`] lock.
 #[derive(Debug, Default)]
 struct GateState {
     inflight: usize,
@@ -73,8 +74,8 @@ pub enum Admission<'g> {
 /// A bounded admission gate shared by every connection handler.
 pub struct AdmissionGate {
     cfg: AdmissionConfig,
-    state: Mutex<GateState>,
-    freed: Condvar,
+    /// Waited on for a freed slot; a dropped [`Permit`] notifies one waiter.
+    state: Leaf<GateState>,
     admitted: AtomicU64,
     shed: AtomicU64,
     /// Raised on shutdown: every guard built by this gate is cancelled.
@@ -87,8 +88,7 @@ impl AdmissionGate {
     pub fn new(cfg: AdmissionConfig, shutdown: Arc<AtomicBool>) -> AdmissionGate {
         AdmissionGate {
             cfg,
-            state: Mutex::new(GateState::default()),
-            freed: Condvar::new(),
+            state: Leaf::new(GateState::default()),
             admitted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             shutdown,
@@ -108,66 +108,48 @@ impl AdmissionGate {
         )
     }
 
-    /// Locks the gate state, recovering from a poisoned mutex: the state
-    /// is two counters whose invariants are restored by the RAII permits,
-    /// so an unwinding handler must not wedge the whole daemon.
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, GateState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    /// Locks the gate state. A poisoned lock is taken as it is: the
+    /// state is two counters whose invariants are restored by the RAII
+    /// permits, so an unwinding handler must not wedge the whole daemon.
+    fn lock_state(&self) -> LeafGuard<'_, GateState> {
+        self.state.lock()
     }
 
     /// Requests admission, blocking up to `queue_wait` for an in-flight
     /// slot. Returns [`Admission::Shed`] when the wait queue is full or
-    /// the wait times out.
+    /// the wait times out. It locks the gate, so it may not be called
+    /// under another [`Leaf`] guard.
     pub fn admit(&self) -> Admission<'_> {
         let mut st = self.lock_state();
-        if st.inflight < self.cfg.max_inflight && st.queued == 0 {
-            // Fast path: a free slot and nobody queued ahead of us.
-            st.inflight += 1;
-            drop(st);
-            self.admitted.fetch_add(1, Ordering::Relaxed);
-            return Admission::Admitted(Permit { gate: self });
-        }
-        if st.queued >= self.cfg.max_queue {
-            drop(st);
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            return Admission::Shed {
-                retry_after: self.cfg.retry_after,
-            };
-        }
-        st.queued += 1;
-        let mut remaining = self.cfg.queue_wait;
-        while st.inflight >= self.cfg.max_inflight {
-            if remaining.is_zero() {
-                st.queued -= 1;
+        // Fast path: a free slot and nobody queued ahead of us.
+        let free = st.inflight < self.cfg.max_inflight && st.queued == 0;
+        if !free {
+            if st.queued >= self.cfg.max_queue {
                 drop(st);
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                return Admission::Shed {
-                    retry_after: self.cfg.retry_after,
-                };
+                return self.shed_one();
             }
-            let started = std::time::Instant::now();
-            let (guard_back, timeout) = match self.freed.wait_timeout(st, remaining) {
-                Ok((g, t)) => (g, t.timed_out()),
-                Err(poisoned) => {
-                    let (g, t) = poisoned.into_inner();
-                    (g, t.timed_out())
-                }
-            };
-            st = guard_back;
-            if timeout {
-                remaining = Duration::ZERO;
-            } else {
-                remaining = remaining.saturating_sub(started.elapsed());
+            st.queued += 1;
+            let max_inflight = self.cfg.max_inflight;
+            let (back, timed_out) =
+                st.wait_while_for(self.cfg.queue_wait, |st| st.inflight >= max_inflight);
+            st = back;
+            st.queued -= 1;
+            if timed_out {
+                drop(st);
+                return self.shed_one();
             }
         }
-        st.queued -= 1;
         st.inflight += 1;
         drop(st);
         self.admitted.fetch_add(1, Ordering::Relaxed);
         Admission::Admitted(Permit { gate: self })
+    }
+
+    fn shed_one(&self) -> Admission<'_> {
+        self.shed.fetch_add(1, Ordering::Relaxed);
+        Admission::Shed {
+            retry_after: self.cfg.retry_after,
+        }
     }
 
     /// The current degradation ladder level derived from queue pressure:
@@ -219,7 +201,7 @@ impl Drop for Permit<'_> {
         let mut st = self.gate.lock_state();
         st.inflight = st.inflight.saturating_sub(1);
         drop(st);
-        self.gate.freed.notify_one();
+        self.gate.state.notify_one();
     }
 }
 

@@ -64,10 +64,11 @@ use crate::cache::{
 };
 use crate::protocol::CommunitySummary;
 use comm_core::{Community, CostFn, KeywordRun, ParkedTopK, ProjectionIndex, QueryError};
+use comm_graph::sync::Leaf;
 use comm_graph::weight::index_to_u32;
 use comm_graph::{EnginePool, Graph, Outcome, RunGuard, Weight};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Engine tunables.
 #[derive(Clone, Debug)]
@@ -115,23 +116,17 @@ pub struct QueryEngine {
     cost: CostFn,
     /// Dijkstra scratch for keyword sweeps, private to this engine.
     pool: EnginePool,
-    indexes: Mutex<Lru<IndexKey, CachedIndex>>,
-    /// Lowercased keyword → its run. Never held across a sweep, nor while
-    /// taking another cache's lock.
-    runs: Mutex<Lru<String, CachedRun>>,
-    answers: Mutex<Lru<AnswerKey, CachedAnswer>>,
+    /// The three caches are [`Leaf`] locks: none is held across a sweep,
+    /// a checkout or another cache's lock. A poisoned cache is taken as
+    /// it is — it holds only fully built `Arc`s (insertion happens after
+    /// construction succeeds), so an unwinding thread cannot leave it
+    /// half-written.
+    indexes: Leaf<Lru<IndexKey, CachedIndex>>,
+    /// Lowercased keyword → its run.
+    runs: Leaf<Lru<String, CachedRun>>,
+    answers: Leaf<Lru<AnswerKey, CachedAnswer>>,
     /// Answer lookups that found an entry too short and resumed it.
     resumes: AtomicU64,
-}
-
-/// Recovers a cache lock from a poisoned mutex: the caches hold only
-/// fully built `Arc`s (insertion happens after construction succeeds), so
-/// the state is consistent even if an unwinding thread held the lock.
-fn lock_cache<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 impl QueryEngine {
@@ -150,9 +145,9 @@ impl QueryEngine {
             index_radius,
             cost: cfg.cost,
             pool: EnginePool::new(),
-            indexes: Mutex::new(Lru::new(cfg.index_cache_cap)),
-            runs: Mutex::new(Lru::weighted(cfg.run_cache_bytes, |run| run.byte_size())),
-            answers: Mutex::new(Lru::weighted(cfg.answer_cache_bytes, |e| e.byte_size())),
+            indexes: Leaf::new(Lru::new(cfg.index_cache_cap)),
+            runs: Leaf::new(Lru::weighted(cfg.run_cache_bytes, |run| run.byte_size())),
+            answers: Leaf::new(Lru::weighted(cfg.answer_cache_bytes, |e| e.byte_size())),
             resumes: AtomicU64::new(0),
         })
     }
@@ -197,18 +192,18 @@ impl QueryEngine {
     /// `(index hits, index misses, answer hits, answer misses)`. An answer
     /// slice is a hit; a resume, like a lookup that found nothing, a miss.
     pub fn cache_stats(&self) -> (u64, u64, u64, u64) {
-        let (ih, im) = lock_cache(&self.indexes).stats();
-        let (ah, am) = lock_cache(&self.answers).stats();
+        let (ih, im) = self.indexes.lock().stats();
+        let (ah, am) = self.answers.lock().stats();
         (ih, im, ah, am)
     }
 
     /// `(cached indexes, cached answers)` — entry counts, for tests and
     /// the stats reply.
     pub fn cache_sizes(&self) -> (usize, usize) {
-        (
-            lock_cache(&self.indexes).len(),
-            lock_cache(&self.answers).len(),
-        )
+        // One statement each: two temporaries of one tail expression
+        // would hold both guards at once.
+        let indexes = self.indexes.lock().len();
+        (indexes, self.answers.lock().len())
     }
 
     /// `(resumes, cached answer bytes)`: how many answer misses found an
@@ -216,13 +211,13 @@ impl QueryEngine {
     /// weight.
     pub fn answer_cache_stats(&self) -> (u64, usize) {
         let resumes = self.resumes.load(Ordering::Relaxed);
-        (resumes, lock_cache(&self.answers).weight())
+        (resumes, self.answers.lock().weight())
     }
 
     /// `(hits, misses, cached runs, cached run bytes)` of the keyword-run
     /// cache. One index-cache miss makes one lookup per distinct keyword.
     pub fn run_cache_stats(&self) -> (u64, u64, usize, usize) {
-        let runs = lock_cache(&self.runs);
+        let runs = self.runs.lock();
         let (hits, misses) = runs.stats();
         (hits, misses, runs.len(), runs.weight())
     }
@@ -232,7 +227,7 @@ impl QueryEngine {
     /// run-cache hit or a guarded sweep — and inserted only on success.
     fn index_for(&self, keywords: &[String], guard: &RunGuard) -> Result<CachedIndex, QueryError> {
         let key = IndexKey::new(keywords, self.index_radius);
-        if let Some(idx) = lock_cache(&self.indexes).get(&key) {
+        if let Some(idx) = self.indexes.lock().get(&key) {
             return Ok(idx);
         }
         // Resolve the vocabulary before sweeping: an unknown keyword is a
@@ -247,7 +242,7 @@ impl QueryEngine {
             v_ws.push(nodes.as_slice());
         }
         let mut runs: Vec<Option<CachedRun>> = {
-            let mut cache = lock_cache(&self.runs);
+            let mut cache = self.runs.lock();
             key.keywords.iter().map(|kw| cache.get(kw)).collect()
         };
         // Sweep what is missing OUTSIDE every cache lock (sweeps are the
@@ -269,7 +264,9 @@ impl QueryEngine {
             let swept = KeywordRun::sweep(graph, engine, v_ws[i], radius, guard)
                 .map_err(QueryError::Interrupted)?;
             let swept: CachedRun = Arc::new(swept);
-            lock_cache(&self.runs).insert(key.keywords[i].clone(), Arc::clone(&swept));
+            self.runs
+                .lock()
+                .insert(key.keywords[i].clone(), Arc::clone(&swept));
             *run = Some(swept);
         }
         drop(engine);
@@ -277,7 +274,7 @@ impl QueryEngine {
         let built = ProjectionIndex::from_runs(graph, handles, radius, guard)
             .map_err(QueryError::Interrupted)?;
         let idx: CachedIndex = Arc::new(IndexEntry::new(built));
-        lock_cache(&self.indexes).insert(key, Arc::clone(&idx));
+        self.indexes.lock().insert(key, Arc::clone(&idx));
         Ok(idx)
     }
 
@@ -285,7 +282,8 @@ impl QueryEngine {
     /// still cached, and returns how far the resume should run.
     fn note_resume(&self, keywords: &[String], k: usize) -> usize {
         let key = IndexKey::new(keywords, self.index_radius);
-        lock_cache(&self.indexes)
+        self.indexes
+            .lock()
             .peek(&key)
             .map_or(k, |idx| idx.note_resume(k))
     }
@@ -320,7 +318,7 @@ impl QueryEngine {
         let k = usize::try_from(k).unwrap_or(usize::MAX);
         let akey = AnswerKey::new(keywords, rmax_w);
         let found = {
-            let mut answers = lock_cache(&self.answers);
+            let mut answers = self.answers.lock();
             answers.get_if(&akey, |e| e.covers(k))
         };
         let (prefix, parked, depth): (&[Community], ParkedTopK, usize) = match &found {
@@ -355,7 +353,7 @@ impl QueryEngine {
                     prefix: out,
                     parked,
                 };
-                let mut answers = lock_cache(&self.answers);
+                let mut answers = self.answers.lock();
                 if answers.peek(&akey).is_none_or(|old| entry.extends(old)) {
                     answers.insert(akey, Arc::new(entry));
                 }

@@ -51,6 +51,9 @@ pub mod protocol;
 pub mod server;
 pub mod workload;
 
+#[cfg(all(test, any(debug_assertions, feature = "verify")))]
+mod leaf_rule;
+
 pub use admission::{Admission, AdmissionConfig, AdmissionGate, Permit};
 pub use cache::{AnswerKey, IndexKey, Lru};
 pub use chaos::{ChaosConfig, ChaosState};

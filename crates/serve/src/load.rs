@@ -19,7 +19,6 @@ use crate::protocol::Response;
 use crate::workload::QueryMix;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Load-generator settings.
@@ -207,78 +206,19 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> LoadReport {
         return LoadReport::default();
     }
     let tally = Tally::default();
-    let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(cfg.requests));
     let next = AtomicUsize::new(0);
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..cfg.connections {
-            scope.spawn(|| {
-                let mut client = Client::new(addr, cfg.client.clone());
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cfg.requests {
-                        break;
-                    }
-                    // Open-loop release time for request i.
-                    let due = cfg
-                        .interarrival
-                        .saturating_mul(u32::try_from(i).unwrap_or(u32::MAX));
-                    let elapsed = start.elapsed();
-                    if due > elapsed {
-                        std::thread::sleep(due - elapsed);
-                    }
-                    let seq = u64::try_from(i).unwrap_or(u64::MAX) + 1;
-                    if cfg.slow_client_every.is_some_and(|n| n > 0 && seq % n == 0) {
-                        tally.slow_clients.fetch_add(1, Ordering::Relaxed);
-                        if slow_client_probe(addr, cfg) {
-                            tally.slow_disconnected.fetch_add(1, Ordering::Relaxed);
-                        }
-                        continue;
-                    }
-                    let q = &cfg.mix[i % cfg.mix.len()];
-                    let kw: Vec<&str> = q.keywords.iter().map(String::as_str).collect();
-                    let t0 = Instant::now();
-                    let outcome = client.query(&kw, q.rmax, q.k, q.priority);
-                    let ms = t0.elapsed().as_secs_f64() * 1e3;
-                    match outcome {
-                        Ok(Response::Complete { .. }) => {
-                            tally.complete.fetch_add(1, Ordering::Relaxed);
-                            if let Ok(mut l) = latencies.lock() {
-                                l.push(ms);
-                            }
-                        }
-                        Ok(Response::Interrupted { .. }) => {
-                            tally.degraded.fetch_add(1, Ordering::Relaxed);
-                            if let Ok(mut l) = latencies.lock() {
-                                l.push(ms);
-                            }
-                        }
-                        Ok(Response::Error { .. }) => {
-                            tally.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(_) => {
-                            // Pong/Stats/ShuttingDown in reply to a query:
-                            // a protocol violation.
-                            tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(ClientError::Overloaded { .. }) => {
-                            tally.overloaded.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(ClientError::Io(_)) => {
-                            tally.transport_failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(ClientError::Protocol(_) | ClientError::IdMismatch { .. }) => {
-                            tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                let (attempts, _) = client.stats();
-                tally.attempts.fetch_add(attempts, Ordering::Relaxed);
-            });
-        }
+    // Each worker keeps its own samples; they are joined after the run.
+    let lat: Vec<f64> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..cfg.connections)
+            .map(|_| scope.spawn(|| worker(addr, cfg, &tally, &next, start)))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
     let wall = start.elapsed();
-    let lat = latencies.into_inner().unwrap_or_else(|p| p.into_inner());
     let slow = tally.slow_clients.load(Ordering::Relaxed);
     LoadReport {
         sent: u64::try_from(cfg.requests).unwrap_or(u64::MAX) - slow,
@@ -294,6 +234,77 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> LoadReport {
         latency_ms: LatencySummary::from_latencies(lat),
         wall_ms: u64::try_from(wall.as_millis()).unwrap_or(u64::MAX),
     }
+}
+
+/// One connection of [`run_load`]: takes request numbers from `next`
+/// until `cfg.requests` are out, folds outcomes into `tally`, and returns
+/// the latencies of the answered ones.
+fn worker(
+    addr: SocketAddr,
+    cfg: &LoadConfig,
+    tally: &Tally,
+    next: &AtomicUsize,
+    start: Instant,
+) -> Vec<f64> {
+    let mut latencies = Vec::new();
+    let mut client = Client::new(addr, cfg.client.clone());
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= cfg.requests {
+            break;
+        }
+        // Open-loop release time for request i.
+        let due = cfg
+            .interarrival
+            .saturating_mul(u32::try_from(i).unwrap_or(u32::MAX));
+        let elapsed = start.elapsed();
+        if due > elapsed {
+            std::thread::sleep(due - elapsed);
+        }
+        let seq = u64::try_from(i).unwrap_or(u64::MAX) + 1;
+        if cfg.slow_client_every.is_some_and(|n| n > 0 && seq % n == 0) {
+            tally.slow_clients.fetch_add(1, Ordering::Relaxed);
+            if slow_client_probe(addr, cfg) {
+                tally.slow_disconnected.fetch_add(1, Ordering::Relaxed);
+            }
+            continue;
+        }
+        let q = &cfg.mix[i % cfg.mix.len()];
+        let kw: Vec<&str> = q.keywords.iter().map(String::as_str).collect();
+        let t0 = Instant::now();
+        let outcome = client.query(&kw, q.rmax, q.k, q.priority);
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        match outcome {
+            Ok(Response::Complete { .. }) => {
+                tally.complete.fetch_add(1, Ordering::Relaxed);
+                latencies.push(ms);
+            }
+            Ok(Response::Interrupted { .. }) => {
+                tally.degraded.fetch_add(1, Ordering::Relaxed);
+                latencies.push(ms);
+            }
+            Ok(Response::Error { .. }) => {
+                tally.errors.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(_) => {
+                // Pong/Stats/ShuttingDown in reply to a query:
+                // a protocol violation.
+                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(ClientError::Overloaded { .. }) => {
+                tally.overloaded.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(ClientError::Io(_)) => {
+                tally.transport_failures.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(ClientError::Protocol(_) | ClientError::IdMismatch { .. }) => {
+                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+    let (attempts, _) = client.stats();
+    tally.attempts.fetch_add(attempts, Ordering::Relaxed);
+    latencies
 }
 
 /// Opens a connection, writes half a frame header, stalls, and reports

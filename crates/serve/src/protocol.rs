@@ -375,6 +375,7 @@ impl<'a> Cursor<'a> {
 
 /// Writes one frame (length prefix + payload) and flushes.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
+    comm_graph::sync::assert_unlocked();
     let len =
         u32::try_from(payload.len()).map_err(|_| ProtocolError::FieldTooLong(payload.len()))?;
     if len > MAX_FRAME_BYTES {
@@ -389,6 +390,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolErr
 /// Reads one frame payload, enforcing the [`MAX_FRAME_BYTES`] cap before
 /// allocating.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtocolError> {
+    comm_graph::sync::assert_unlocked();
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf);

@@ -27,14 +27,18 @@ use crate::protocol::{
     MAX_FRAME_BYTES,
 };
 use comm_core::QueryError;
+use comm_graph::sync::{self, Leaf, LeafGuard};
 use comm_graph::Outcome;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+// The unit tests below time `DedupeMap::begin`'s deadline.
+#[cfg(test)]
+use std::time::Instant;
 
 /// Daemon tunables.
 #[derive(Clone, Debug)]
@@ -98,8 +102,9 @@ struct DedupeState {
 
 /// The idempotency table: request id → recorded reply.
 struct DedupeMap {
-    state: Mutex<DedupeState>,
-    completed: Condvar,
+    /// Waited on by a retry of a pending id; `complete` and `abort`
+    /// notify every waiter.
+    state: Leaf<DedupeState>,
     capacity: usize,
 }
 
@@ -114,45 +119,31 @@ enum Begin {
 impl DedupeMap {
     fn new(capacity: usize) -> DedupeMap {
         DedupeMap {
-            state: Mutex::new(DedupeState::default()),
-            completed: Condvar::new(),
+            state: Leaf::new(DedupeState::default()),
             capacity: capacity.max(1),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, DedupeState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    fn lock(&self) -> LeafGuard<'_, DedupeState> {
+        self.state.lock()
     }
 
     /// Claims `id` for execution, or returns the recorded reply. A
     /// concurrent in-flight execution of the same id is awaited (bounded);
     /// if it neither completes nor aborts in time, the caller re-executes
     /// — safe because the engine is deterministic and side-effect free.
+    /// Completions of *other* ids wake this wait too, so the cap is a
+    /// deadline, not a count of wake-ups.
     fn begin(&self, id: u64, wait_cap: Duration) -> Begin {
-        let deadline = Instant::now() + wait_cap;
-        let mut st = self.lock();
-        loop {
-            match st.entries.get(&id) {
-                None => {
-                    st.entries.insert(id, DedupeEntry::Pending);
-                    return Begin::Execute;
-                }
-                Some(DedupeEntry::Done(bytes)) => return Begin::Replay(Arc::clone(bytes)),
-                Some(DedupeEntry::Pending) => {
-                    // Completions of *other* ids wake this wait too, so
-                    // the cap is a deadline, not a count of wake-ups.
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Begin::Execute;
-                    }
-                    st = match self.completed.wait_timeout(st, left) {
-                        Ok((g, _)) => g,
-                        Err(poisoned) => poisoned.into_inner().0,
-                    };
-                }
+        let pending =
+            |st: &mut DedupeState| matches!(st.entries.get(&id), Some(DedupeEntry::Pending));
+        let (mut st, _) = self.lock().wait_while_for(wait_cap, pending);
+        match st.entries.get(&id) {
+            Some(DedupeEntry::Done(bytes)) => Begin::Replay(Arc::clone(bytes)),
+            // Never seen, aborted, or still pending past the cap.
+            _ => {
+                st.entries.insert(id, DedupeEntry::Pending);
+                Begin::Execute
             }
         }
     }
@@ -175,7 +166,7 @@ impl DedupeMap {
             }
         }
         drop(st);
-        self.completed.notify_all();
+        self.state.notify_all();
     }
 
     /// Forgets a claimed-but-not-executed id (shed path), so a retry
@@ -186,7 +177,7 @@ impl DedupeMap {
             st.entries.remove(&id);
         }
         drop(st);
-        self.completed.notify_all();
+        self.state.notify_all();
     }
 }
 
@@ -273,6 +264,7 @@ pub fn spawn(engine: Arc<QueryEngine>, cfg: ServerConfig) -> io::Result<ServerHa
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.guard_cancel.load(Ordering::Relaxed) {
+        sync::assert_unlocked();
         match listener.accept() {
             Ok((stream, _peer)) => {
                 shared.counters.connections.fetch_add(1, Ordering::Relaxed);
@@ -308,6 +300,7 @@ fn read_request_frame(
     stream: &mut TcpStream,
     shared: &Shared,
 ) -> Result<Option<Vec<u8>>, ProtocolError> {
+    sync::assert_unlocked();
     let mut header = [0u8; 4];
     let mut filled = 0usize;
     while filled < header.len() {

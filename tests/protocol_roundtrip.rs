@@ -9,6 +9,12 @@
 //! 2. **Hostile-input safety** — truncated and corrupted payloads are
 //!    rejected with a `ProtocolError`, never a panic, and the framing
 //!    layer refuses oversized length prefixes before allocating.
+//!
+//! Both are only as good as the generators, so every `Request` and
+//! `Response` variant must be drawn (the exhaustive `variant_of` makes a
+//! new variant a compile error here). A kind or status constant used on
+//! one side of the codec only then fails the round trip, and one used on
+//! neither side fails clippy's `dead_code`.
 
 use communities::graph::SplitMix64;
 use communities::serve::protocol::{
@@ -63,9 +69,52 @@ fn arb_f64_bits(rng: &mut SplitMix64) -> f64 {
     })
 }
 
+/// A wire message's variant as a number below `COUNT`. The `match` in
+/// each impl is exhaustive, so a new variant does not compile until it is
+/// numbered here, and [`every_variant_is_drawn`] then fails until the
+/// generator draws it: a variant the properties never see cannot slip in.
+trait Variant {
+    const COUNT: usize;
+    fn variant_of(&self) -> usize;
+}
+
+impl Variant for Request {
+    const COUNT: usize = 4;
+    fn variant_of(&self) -> usize {
+        match self {
+            Request::Query { .. } => 0,
+            Request::Ping { .. } => 1,
+            Request::Stats { .. } => 2,
+            Request::Shutdown { .. } => 3,
+        }
+    }
+}
+
+impl Variant for Response {
+    const COUNT: usize = 7;
+    fn variant_of(&self) -> usize {
+        match self {
+            Response::Complete { .. } => 0,
+            Response::Interrupted { .. } => 1,
+            Response::Overloaded { .. } => 2,
+            Response::Error { .. } => 3,
+            Response::Pong { .. } => 4,
+            Response::Stats { .. } => 5,
+            Response::ShuttingDown { .. } => 6,
+        }
+    }
+}
+
+/// Asserts that `arb` draws every variant of `T` within [`CASES`].
+fn every_variant_is_drawn<T: Variant>(arb: fn(&mut SplitMix64) -> T) {
+    let mut drawn = vec![false; T::COUNT];
+    SplitMix64::for_each_case(CASES, |rng| drawn[arb(rng).variant_of()] = true);
+    assert_eq!(drawn, vec![true; T::COUNT], "variants drawn within CASES");
+}
+
 fn arb_request(rng: &mut SplitMix64) -> Request {
     let id = rng.next_u64();
-    match rng.index(4) {
+    match rng.index(Request::COUNT) {
         0 => Request::Query {
             id,
             priority: [Priority::Low, Priority::Normal, Priority::High][rng.index(3)],
@@ -91,7 +140,7 @@ fn arb_summary(rng: &mut SplitMix64) -> CommunitySummary {
 
 fn arb_response(rng: &mut SplitMix64) -> Response {
     let id = rng.next_u64();
-    match rng.index(7) {
+    match rng.index(Response::COUNT) {
         0 => Response::Complete {
             id,
             communities: arb_vec(rng, 3, arb_summary),
@@ -116,6 +165,12 @@ fn arb_response(rng: &mut SplitMix64) -> Response {
         },
         _ => Response::ShuttingDown { id },
     }
+}
+
+#[test]
+fn every_request_and_response_variant_is_generated() {
+    every_variant_is_drawn(arb_request);
+    every_variant_is_drawn(arb_response);
 }
 
 #[test]

@@ -64,7 +64,7 @@ pub struct Row {
 
 /// The gates, in the order `cargo xtask check` reports them.
 #[rustfmt::skip]
-pub const ROWS: [Row; 16] = [
+pub const ROWS: [Row; 17] = [
     Row { name: "benchmark_shims", roots: CODE, text: Raw(&[]),
         needles: &["EnginePool::global()", "Parallelism", "build_par_guarded", "recompute_all_guarded"],
         place: Only(&["crates/graph/src/pool.rs", "crates/graph/src/lib.rs", "crates/core/src/projection.rs",
@@ -115,6 +115,10 @@ pub const ROWS: [Row; 16] = [
     Row { name: "roadmap_refs", needles: &["ROADMAP item", "ROADMAP \\d", "\\bitem \\d"],
         roots: &["crates", "src", "examples", "tests", "DESIGN.md"], text: Raw(&[]), place: Only(&[]),
         reason: "re-anchors renumber ROADMAP items: cite a DESIGN.md section, a test name or the frozen benchmark/" },
+    Row { name: "leaf_locks", needles: &["Mutex", "RwLock", "Condvar"], roots: CODE, text: Code,
+        place: Only(&["crates/graph/src/sync.rs"]),
+        reason: "every lock is a comm_graph::sync::Leaf, which no thread holds together with another: \
+                 hold its guard for one statement or a short block, then lock the next" },
     Row { name: "workflow_runs_lanes", needles: &["grep", "awk"], roots: &[".github/workflows/ci.yml"],
         text: Raw(&[]), place: Only(&[]),
         reason: "a source check lives in ci.sh or cargo xtask check; a job runs ./ci.sh LANE" },
@@ -310,7 +314,7 @@ mod tests {
     /// the tree [`fired`] builds, the first must fail the row and the
     /// second must pass every row.
     #[rustfmt::skip]
-    const SAMPLES: [(&str, &str, &str, &str); 16] = [
+    const SAMPLES: [(&str, &str, &str, &str); 17] = [
         ("benchmark_shims", "crates/serve/src/engine.rs",
             "let index = ProjectionIndex::build_par_guarded(g, ks, r, guard, pool, Parallelism::serial())?;\n",
             "let index = ProjectionIndex::build_guarded(g, ks, r, guard, &EnginePool::new())?;\n"),
@@ -341,6 +345,10 @@ mod tests {
             "let i = n as u64;\nlet s = \"n as u32\";\nlet j = n as usize;\n#[cfg(test)]\nmod t {\n    const I: u32 = N as u32;\n}\n"),
         ("roadmap_refs", "DESIGN.md",
             "Persisting runs is ROADMAP item 3(ii).\n", "Persisting runs: see \"Keyword runs\" and the ROADMAP.\n"),
+        ("leaf_locks", "crates/serve/src/engine.rs",
+            "use std::sync::{Arc, Mutex};\nanswers: Mutex<Lru<AnswerKey, CachedAnswer>>,\n",
+            "answers: Leaf<Lru<AnswerKey, CachedAnswer>>,\n// the one Mutex is in sync.rs\n\
+             #[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n}\n"),
         ("workflow_runs_lanes", ".github/workflows/ci.yml",
             "      - run: grep -rn BinaryHeap crates\n", "      - run: ./ci.sh gates\n"),
     ];

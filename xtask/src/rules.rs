@@ -19,6 +19,7 @@
 //! `main.rs`. `narrowing_cast` is a gate row too ([`crate::gates`]).
 
 use crate::analyze::FileModel;
+use crate::ast::TokKind;
 use crate::scan::SourceFile;
 use std::path::PathBuf;
 
@@ -185,13 +186,14 @@ fn display_match(fm: &FileModel, out: &mut Vec<Finding>) {
         if !e.is_pub || !e.name.ends_with("Error") {
             continue;
         }
-        // The impl block that follows `Display for Name`.
+        // The impl body: the first block after `Display for Name`.
         let body = f
             .masked
             .find(&format!("Display for {}", e.name))
             .and_then(|at| {
-                let imp = ast.impls.iter().find(|s| ast.toks[s.open].start > at)?;
-                Some(ast.span_text(imp.open, imp.close))
+                let open = (0..ast.toks.len())
+                    .find(|&i| ast.toks[i].start > at && ast.toks[i].kind == TokKind::Open('{'))?;
+                Some(ast.span_text(open, ast.partner[open]?))
             });
         let Some(body) = body else {
             let message = format!("`{}` has no `Display` impl in this file", e.name);
