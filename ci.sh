@@ -23,9 +23,12 @@ missing() {
 }
 
 # Source checks: every package is a path package, then `cargo xtask
-# check` (lint rules, the allocation analyzer, gate rows, stale waivers)
-# and its self-tests, rustfmt and clippy. The leaf-lock rule is checked
-# by the tests of the `test` lane (debug and `--features verify`).
+# check` (gate rows, the error-enum check, cited tests, stale waivers)
+# and its self-tests, rustfmt, and clippy over the workspace and over
+# xtask, which sits outside it. What the source checks leave to the
+# tests runs in the `test` lane: the leaf-lock rule (debug and
+# `--features verify`), the byte budget against a counting allocator
+# (tests/heap_budget.rs) and the trip ladder.
 lane_gates() {
     echo "==> registry-free gate (every package is a path package)"
     for manifest in Cargo.toml xtask/Cargo.toml; do
@@ -48,6 +51,7 @@ lane_gates() {
 
     echo "==> cargo clippy (-D warnings)"
     cargo clippy --workspace --all-targets -- -D warnings
+    cargo clippy --manifest-path xtask/Cargo.toml --all-targets -- -D warnings
 }
 
 lane_test() {

@@ -97,28 +97,37 @@ fn cross_product(
     Ok(true)
 }
 
-/// Runs the bottom-up expansion, building `u.V_i` for every node.
-/// Returns `(per_node_sets, bytes_held)`.
+/// Runs the bottom-up expansion, building `u.V_i` for every node. `bytes`
+/// holds what the caller keeps on entry and, on return — tripped or not —
+/// that plus the per-node skeleton and the reach entries.
 fn bottom_up_expand(
     graph: &Graph,
     spec: &QuerySpec,
     engine: &mut DijkstraEngine,
+    bytes: &mut usize,
     guard: &RunGuard,
-) -> Result<(Vec<ReachSets>, usize), InterruptReason> {
+) -> Result<Vec<ReachSets>, InterruptReason> {
     let n = graph.node_count();
     let l = spec.l();
+    // One `ReachSets` of `l` empty lists per node, charged before it is
+    // allocated: `O(l·n)` before the first entry.
+    let held = *bytes + n * (size_of::<ReachSets>() + l * size_of::<Vec<(NodeId, Weight)>>());
+    *bytes = held;
+    guard.check_bytes(held)?;
     let mut sets: Vec<ReachSets> = vec![vec![Vec::new(); l]; n];
     let mut entries = 0usize;
     for (i, v_i) in spec.keyword_nodes.iter().enumerate() {
         for &v in v_i {
-            engine.run_guarded(graph, Direction::Reverse, [v], spec.rmax, guard, |s| {
+            let swept = engine.run_guarded(graph, Direction::Reverse, [v], spec.rmax, guard, |s| {
                 sets[s.node.index()][i].push((v, s.dist));
                 entries += 1;
-            })?;
-            guard.check_bytes(entries * PAIR_BYTES)?;
+            });
+            *bytes = held + entries * PAIR_BYTES;
+            swept?;
+            guard.check_bytes(*bytes)?;
         }
     }
-    Ok((sets, entries * PAIR_BYTES))
+    Ok(sets)
 }
 
 /// Per-center forward expansion used by the top-down variants: collects
@@ -137,7 +146,6 @@ fn top_down_reach(
     engine.run_guarded(graph, Direction::Forward, [u], spec.rmax, guard, |s| {
         if let Some(dims) = membership.get(&s.node) {
             for &i in dims {
-                // xtask-allow: unbounded_alloc — run_guarded charges per settled node; l sets
                 sets[i as usize].push((s.node, s.dist));
             }
         }
@@ -169,26 +177,29 @@ enum Expander {
 }
 
 /// Streams every candidate core of every center to `offer` until it
-/// declines (`Ok(false)`) or the guard trips. Returns the peak bytes of
-/// expansion state and how the stream ended: `Ok(true)` exhausted,
-/// `Ok(false)` declined, `Err` tripped.
+/// declines (`Ok(false)`) or the guard trips. `held` is what the sink
+/// keeps throughout (its neighbor table), charged with every expansion
+/// charge. Returns the peak bytes of `held` plus expansion state and how
+/// the stream ended: `Ok(true)` exhausted, `Ok(false)` declined, `Err`
+/// tripped.
 fn expand(
     expander: Expander,
     graph: &Graph,
     spec: &QuerySpec,
     engine: &mut DijkstraEngine,
+    held: usize,
     guard: &RunGuard,
     mut offer: impl FnMut(&mut DijkstraEngine, Core, Weight) -> Result<bool, InterruptReason>,
 ) -> (usize, Result<bool, InterruptReason>) {
-    let mut bytes = 0usize;
+    let mut bytes = held;
     let mut stream = || -> Result<bool, InterruptReason> {
+        guard.check_bytes(held)?;
         if spec.has_empty_keyword() {
             return Ok(true);
         }
         match expander {
             Expander::BottomUp => {
-                let (sets, held) = bottom_up_expand(graph, spec, engine, guard)?;
-                bytes = held;
+                let sets = bottom_up_expand(graph, spec, engine, &mut bytes, guard)?;
                 for per_center in &sets {
                     if per_center.iter().any(Vec::is_empty) {
                         continue;
@@ -205,7 +216,8 @@ fn expand(
                     else {
                         continue;
                     };
-                    bytes = bytes.max(sets.iter().map(|s| s.len() * PAIR_BYTES).sum());
+                    let reach: usize = sets.iter().map(|s| s.len() * PAIR_BYTES).sum();
+                    bytes = bytes.max(held + reach);
                     if !cross_product(&sets, spec.cost, |c, w| offer(engine, c, w))? {
                         return Ok(false);
                     }
@@ -269,6 +281,7 @@ fn enumerate_all(
         graph,
         spec,
         &mut engine,
+        table.byte_size(),
         guard,
         |engine, core, _| {
             stats.candidates += 1;
@@ -310,6 +323,7 @@ fn rank_topk(
             graph,
             spec,
             &mut engine,
+            0,
             guard,
             |_, core, cost| {
                 stats.candidates += 1;
@@ -337,15 +351,18 @@ fn rank_topk(
         ranked.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
         ranked.truncate(k);
         let mut table = NeighborSets::try_new(spec.l(), graph.node_count())?;
-        for (core, _) in ranked {
-            match materialize(graph, spec, &mut engine, &mut table, &core, guard) {
-                Ok(c) => communities.push(c),
-                Err(reason) => {
-                    stats.completed = false;
-                    stats.interrupted = Some(reason);
-                    break;
-                }
+        let held = table.byte_size() + ranked.len() * (spec.l() * 4 + 8 + 32);
+        stats.peak_bytes = stats.peak_bytes.max(held);
+        let materialized = guard.check_bytes(held).and_then(|()| {
+            for (core, _) in ranked {
+                let c = materialize(graph, spec, &mut engine, &mut table, &core, guard)?;
+                communities.push(c);
             }
+            Ok(())
+        });
+        if let Err(reason) = materialized {
+            stats.completed = false;
+            stats.interrupted = Some(reason);
         }
     }
     stats.communities = communities.len();

@@ -12,8 +12,6 @@ use crate::types::Community;
 use comm_graph::NodeId;
 use std::fmt::Write as _;
 
-// xtask-allow-file: guard_coverage — DOT rendering walks an already-materialized answer, not the graph
-
 fn escape(label: &str) -> String {
     label.replace('\\', "\\\\").replace('"', "\\\"")
 }

@@ -1,4 +1,3 @@
-// xtask-allow-file: guard_coverage — brute-force oracles exist to cross-check the real engines in tests
 //! The naive nested-loop enumerator of Sec. III: check every combination of
 //! `V_1 × … × V_l` (`O(n^l)`), keeping those that admit a center.
 //!

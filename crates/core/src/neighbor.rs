@@ -1354,6 +1354,12 @@ mod tests {
         assert_eq!(ns.repaired_from(0), None);
         assert_eq!(repair(&mut ns, 0, &x, &unlimited), (Ok(()), 0));
         assert_is_sweep_of(&ns, &g, 0, (v, &x), r);
+        // A repeat that excludes every cell copies its patch alone, and
+        // consults the guard for it all the same.
+        assert_eq!(repair(&mut ns, 0, v, &unlimited), (Ok(()), 1));
+        let tripping = RunGuard::new().with_trip_after(0);
+        let tripped = repair(&mut ns, 0, v, &tripping);
+        assert_eq!(tripped, (Err(InterruptReason::Injected), 0));
     }
 
     fn sorted(set: &[NodeId]) -> Vec<NodeId> {

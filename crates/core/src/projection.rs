@@ -430,7 +430,6 @@ impl ProjectionIndex {
                 run.node_count == n && run.radius == radius,
                 "run of {kw:?} was swept over another graph or radius"
             );
-            // xtask-allow: unbounded_alloc — one handle per keyword; each run was guard-governed
             by_keyword.insert(kw.to_lowercase(), run);
         }
 
@@ -545,7 +544,6 @@ impl ProjectionIndex {
         }
         let mut entries: Vec<&KeywordEntry> = Vec::with_capacity(keywords.len());
         for kw in keywords {
-            // xtask-allow: unbounded_alloc — bounded by keywords.len()
             entries.push(
                 self.entries
                     .get(&kw.to_lowercase())

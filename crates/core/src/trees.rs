@@ -62,6 +62,11 @@ struct Forest {
 
 const NONE: u32 = u32::MAX;
 
+/// Bytes of a [`Forest`]'s three `l × n` arrays.
+fn forest_bytes(l: usize, n: usize) -> usize {
+    l * n * (size_of::<Weight>() + 2 * size_of::<u32>())
+}
+
 fn grow_forest(
     graph: &Graph,
     spec: &QuerySpec,
@@ -70,6 +75,7 @@ fn grow_forest(
 ) -> Result<Forest, InterruptReason> {
     let n = graph.node_count();
     let l = spec.l();
+    guard.check_bytes(forest_bytes(l, n))?;
     let mut forest = Forest {
         dist: vec![vec![Weight::INFINITY; n]; l],
         next: vec![vec![NONE; n]; l],
@@ -127,11 +133,13 @@ pub fn topk_trees(
     let forest = grow_forest(graph, spec, &mut engine, guard)?;
 
     // Rank roots by total distance with a bounded max-heap of size k. The
-    // heap and then the trees are charged to the guard's byte budget.
+    // heap and then the trees are charged to the guard's byte budget, on
+    // top of the forest.
+    let held = forest_bytes(l, n);
     let mut heap: BinaryHeap<(Weight, NodeId)> = BinaryHeap::new();
     for u in graph.nodes() {
         if (0..l).all(|i| forest.dist[i][u.index()].is_finite()) {
-            guard.check_bytes(heap.len() * size_of::<(Weight, NodeId)>())?;
+            guard.check_bytes(held + heap.len() * size_of::<(Weight, NodeId)>())?;
             let total: Weight = (0..l).map(|i| forest.dist[i][u.index()]).sum();
             heap.push((total, u));
             if heap.len() > k {
@@ -143,7 +151,7 @@ pub fn topk_trees(
     picked.sort_unstable();
 
     let mut trees = Vec::with_capacity(picked.len());
-    let mut bytes = 0;
+    let mut bytes = held;
     for (weight, root) in picked {
         guard.check_bytes(bytes)?;
         let mut edges: HashMap<(NodeId, NodeId), Weight> = HashMap::new();

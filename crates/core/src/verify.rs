@@ -252,7 +252,6 @@ fn truncated_dijkstra(
     for &s in sources {
         if Weight::ZERO < dist[s.index()] {
             dist[s.index()] = Weight::ZERO;
-            // xtask-allow: unbounded_alloc — seeding pass, bounded by sources.len()
             heap.push(Reverse((Weight::ZERO, s)));
         }
     }
@@ -339,7 +338,6 @@ fn check_community_guarded(
         if !dists.iter().all(|d| d[u].is_finite()) {
             continue;
         }
-        // xtask-allow: unbounded_alloc — bounded by n; one candidate center per node
         centers.push(NodeId(index_to_u32(u)));
         let agg = spec.cost.combine(sweep_of.iter().map(|&k| dists[k][u]));
         if agg < cost {

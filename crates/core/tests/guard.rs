@@ -8,6 +8,7 @@
 //! prefix of the complete output. `N = C` must reproduce the complete
 //! run. Cancel-flag and pre-expired-deadline paths get their own tests.
 
+use comm_core::trees::topk_trees;
 use comm_core::{
     bu_all_guarded, bu_topk_guarded, comm_all_guarded, comm_k_guarded, get_community_guarded,
     td_all_guarded, td_topk_guarded, CommAll, CommK, Community, CostFn, InterruptReason, LawlerK,
@@ -181,6 +182,41 @@ fn get_community_survives_every_trip_point() {
             Err(r) => (Vec::new(), Some(r)),
         }
     });
+}
+
+#[test]
+fn topk_trees_survives_every_trip_point() {
+    let (g, spec) = fig4();
+    sweep("topk_trees", |guard| {
+        match topk_trees(&g, &spec, 4, &guard) {
+            Ok(trees) => {
+                let fp = trees.iter().map(|t| format!("{:?}@{}", t.core, t.weight));
+                (fp.collect(), None)
+            }
+            Err(r) => (Vec::new(), Some(r)),
+        }
+    });
+}
+
+/// Besides once per settled node, `topk_trees` consults its guard once
+/// per root it ranks and once per tree it builds, so a deadline or a
+/// cancel stops either loop, not only the sweeps.
+#[test]
+fn topk_trees_consults_the_guard_per_root_and_per_tree() {
+    let (g, spec) = fig4();
+    let roots = topk_trees(&g, &spec, usize::MAX, &RunGuard::unlimited())
+        .unwrap()
+        .len();
+    assert!(roots >= 2, "fig4 has {roots} roots");
+    for k in [1, roots] {
+        let counter = RunGuard::new();
+        let trees = topk_trees(&g, &spec, k, &counter).unwrap().len();
+        let per_unit = counter.checks() - counter.settled();
+        assert!(
+            per_unit >= (roots + trees) as u64,
+            "k = {k}: {per_unit} checks"
+        );
+    }
 }
 
 #[test]

@@ -238,7 +238,6 @@ impl QueryEngine {
                 .vocab
                 .get(kw)
                 .ok_or_else(|| QueryError::UnknownKeyword(kw.clone()))?;
-            // xtask-allow: unbounded_alloc — bounded by the validated request keyword count
             v_ws.push(nodes.as_slice());
         }
         let mut runs: Vec<Option<CachedRun>> = {
@@ -396,5 +395,70 @@ pub fn summarize(c: &Community) -> CommunitySummary {
         centers: c.centers.iter().map(|n| n.0).collect(),
         node_count: index_to_u32(c.node_count()),
         edge_count: index_to_u32(c.edge_count()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::synthetic_engine;
+    use comm_graph::InterruptReason;
+
+    fn fingerprint(cs: &[Community]) -> Vec<String> {
+        cs.iter()
+            .map(|c| format!("{:?}@{}", c.core, c.cost))
+            .collect()
+    }
+
+    /// The three paths of `answer`, tripped at every guard check: a first
+    /// request computes, one past a cached prefix resumes it, one within
+    /// it slices it. Each trip, on a fresh engine that cached the same
+    /// prefix first, is a bare interrupt (before enumeration) or an exact
+    /// prefix of the untripped reply, and an unguarded retry on that engine
+    /// then answers in full: a trip leaves nothing half-built in a cache.
+    #[test]
+    fn every_answer_path_survives_every_trip_point() {
+        let (words, k) = (["alpha".to_string(), "beta".to_string()], 6);
+        let answer = |e: &QueryEngine, k, guard: &RunGuard| e.answer(&words, 4.0, k, guard);
+        for (name, cached) in [("compute", 0), ("resume", 3), ("slice", 9)] {
+            let warmed = || {
+                let engine = synthetic_engine(8, EngineConfig::default()).unwrap();
+                if cached > 0 {
+                    assert!(answer(&engine, cached, &RunGuard::new())
+                        .unwrap()
+                        .is_complete());
+                }
+                engine
+            };
+            let counter = RunGuard::new();
+            let full = answer(&warmed(), k, &counter).unwrap();
+            assert!(full.is_complete(), "{name}: the unlimited run completes");
+            let (full, checks) = (fingerprint(full.value()), counter.checks());
+            assert!(
+                full.len() == 6 && checks > 0,
+                "{name}: {} answers, {checks} checks",
+                full.len()
+            );
+            let stride = (checks / 500).max(1);
+            for n in (0..=checks).filter(|n| *n < 64 || n % stride == 0 || *n + 4 > checks) {
+                let engine = warmed();
+                let at = format!("{name}: trip_after({n}) of {checks}");
+                match answer(&engine, k, &RunGuard::new().with_trip_after(n)) {
+                    Ok(Outcome::Complete(out)) => {
+                        assert!(n == checks && fingerprint(&out) == full, "{at}")
+                    }
+                    Ok(Outcome::Interrupted { reason, partial }) => {
+                        assert_eq!(reason, InterruptReason::Injected, "{at}");
+                        assert_eq!(fingerprint(&partial), full[..partial.len()], "{at}");
+                    }
+                    Err(QueryError::Interrupted(reason)) => {
+                        assert_eq!(reason, InterruptReason::Injected, "{at}")
+                    }
+                    Err(e) => panic!("{at} failed for a non-guard reason: {e}"),
+                }
+                let retry = answer(&engine, k, &RunGuard::new()).unwrap();
+                assert_eq!(fingerprint(retry.value()), full, "{at}: the retry");
+            }
+        }
     }
 }

@@ -200,7 +200,6 @@ struct Tally {
 /// `start + i × interarrival`; a worker that falls behind fires
 /// immediately (open loop: lateness accumulates pressure on the server,
 /// not gaps in the schedule).
-// xtask-allow: guard_coverage — client-side driver; execution is governed by the server's RunGuards
 pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> LoadReport {
     if cfg.mix.is_empty() || cfg.requests == 0 || cfg.connections == 0 {
         return LoadReport::default();

@@ -688,6 +688,37 @@ mod tests {
         }
     }
 
+    /// Shutdown is one flag that the accept loop and every idle
+    /// connection's frame pump poll: it returns with a client connected
+    /// and silent, instead of waiting for that client to leave.
+    #[test]
+    fn shutdown_returns_promptly_with_an_idle_client_connected() {
+        let engine = Arc::new(crate::synthetic_engine(4, crate::EngineConfig::default()).unwrap());
+        let io_timeout = Duration::from_millis(100);
+        let handle = spawn(
+            engine,
+            ServerConfig {
+                io_timeout,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let idle = TcpStream::connect(handle.addr()).unwrap();
+        // Until the accept loop has handed the client to a handler.
+        while counter(&handle.counters(), "connections") == 0 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let (done, stopped) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            handle.shutdown();
+            done.send(())
+        });
+        let stopped = stopped.recv_timeout(Duration::from_secs(10));
+        drop(idle);
+        assert!(stopped.is_ok(), "shutdown still waits after 10 s");
+        stopper.join().unwrap().unwrap();
+    }
+
     #[test]
     fn oversized_reply_is_recorded_and_sent_as_an_error() {
         // ~4.2 M centres encode past the 16 MiB frame cap.

@@ -4,20 +4,22 @@
 //! A row names its needles (alternatives, see [`occurs`]), the files it
 //! reads (`roots`: every file below a directory), which text of those
 //! files it reads ([`Text`]: raw text, comments included, unless it says
-//! otherwise) and where a match may or must be ([`Place`]). Row findings
-//! share the rules' waiver syntax and the stale-waiver audit.
+//! otherwise) and where a match may or must be ([`Place`]). Beside the
+//! rows, two cross-file checks: [`ERROR_ENUMS`] and [`CITED_TESTS`]. Every
+//! finding takes the `xtask-allow` waiver syntax and the stale-waiver
+//! audit.
 
-use crate::rules::Finding;
 use crate::scan::SourceFile;
+use crate::Finding;
 use std::path::{Path, PathBuf};
 use Place::*;
 use Text::*;
 
 const CODE: &[&str] = &["crates", "src", "examples", "tests"];
 
-/// The five library crates' sources, which the lint rules and the
-/// analyzers read too (the same five whose roots deny clippy's panic-family
-/// lints; the cli and bench binaries may panic at the top level).
+/// The five library crates' sources, which the error-enum check reads (the
+/// same five whose roots deny clippy's panic-family lints; the cli and
+/// bench binaries may panic at the top level).
 #[rustfmt::skip]
 pub const LIBRARIES: [&str; 5] =
     ["crates/graph/src", "crates/core/src", "crates/rdb/src", "crates/datasets/src", "crates/serve/src"];
@@ -33,7 +35,7 @@ enum Text {
     /// Raw lines above the first column-0 `#[cfg(test)]`.
     AboveTests,
     /// Code only: comment and string interiors blanked, `#[cfg(test)]`
-    /// items skipped, as the lint rules read it.
+    /// items skipped.
     Code,
 }
 
@@ -106,7 +108,7 @@ pub const ROWS: [Row; 17] = [
         roots: &["crates/graph/src", "crates/core/src"], text: AboveTests, place: Only(&[]),
         reason: "weights are fixed-point: compare them exactly" },
     Row { name: "unsafe_confined", needles: &["allow(unsafe_code", "expect(unsafe_code"], roots: CODE, text: Code,
-        place: Only(&["crates/graph/src/storage.rs", "crates/cli/src/main.rs"]),
+        place: Only(&["crates/graph/src/storage.rs", "crates/cli/src/main.rs", "tests/heap_budget.rs"]),
         reason: "the other crate roots forbid or deny unsafe_code: express the operation safely, or move it into \
                  crates/graph/src/storage.rs with a SAFETY comment" },
     Row { name: "narrowing_cast", roots: &LIBRARIES, text: Code, place: Only(&[]),
@@ -124,19 +126,56 @@ pub const ROWS: [Row; 17] = [
         reason: "a source check lives in ci.sh or cargo xtask check; a job runs ./ci.sh LANE" },
 ];
 
-/// The rule id of the one check that is not a needle row: a test DESIGN.md
-/// names must exist.
+/// The rule id of the check that a library error enum is a
+/// `std::error::Error` with a wildcard-free `Display`.
+pub const ERROR_ENUMS: &str = "error_enums";
+/// The rule id of the check that a test DESIGN.md names exists.
 pub const CITED_TESTS: &str = "cited_tests";
 
-/// Runs every row, and the cited-tests check, over `files` (paths
+/// Runs every row and the two cross-file checks over `files` (paths
 /// repo-relative).
 pub fn check(files: &[&SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for row in &ROWS {
         row.check(files, &mut out);
     }
+    error_enums(files, &mut out);
     cited_tests(files, &mut out);
     out
+}
+
+/// Each `pub enum NameError` of [`LIBRARIES`] has `impl std::error::Error
+/// for NameError` in its file, so the compiler demands its `Display`; the
+/// file's `Display for NameError` impl (up to the next column-0 `}`)
+/// holds no `_ =>` arm, so its `match` names every variant and a new
+/// variant is a compile error (E0004) until `Display` says what it means.
+fn error_enums(files: &[&SourceFile], out: &mut Vec<Finding>) {
+    let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    for &f in files.iter().filter(|f| under(&f.path, &LIBRARIES)) {
+        let code = &f.masked;
+        for (i, line) in code.lines().enumerate() {
+            let rest = line.trim_start().strip_prefix("pub enum ").unwrap_or("");
+            let name = &rest[..rest.find(|c| !word(c)).unwrap_or(rest.len())];
+            if !name.ends_with("Error") || f.is_test_line(i + 1) {
+                continue;
+            }
+            let mut flag = |line, message: String, help| {
+                out.push(Finding::new(f, ERROR_ENUMS, line, message, help));
+            };
+            if !code.contains(&format!("impl std::error::Error for {name} ")) {
+                let message = format!("`{name}` is not a `std::error::Error`");
+                flag(i + 1, message, "add `impl std::error::Error for NAME {}`");
+            }
+            let display = code.find(&format!("Display for {name} "));
+            let at = display.unwrap_or(code.len());
+            let body = code[at..].lines().take_while(|l| *l != "}").enumerate();
+            for (j, _) in body.filter(|(_, l)| l.contains("_ =>")) {
+                let message = format!("a `_ =>` arm in `Display for {name}` hides new variants");
+                let line = code[..at].lines().count() + j;
+                flag(line, message, "match every variant by name");
+            }
+        }
+    }
 }
 
 /// DESIGN.md names a test by its fn name in backticks, and a test name is
@@ -444,6 +483,39 @@ mod tests {
         assert_eq!(tree("tests/resume.md", test), [gone, metric]);
         assert!(is_test_name("table1_ranking_in_order") && !is_test_name("table1_ranking"));
         assert!(!is_test_name("graph.dijkstra.sweep_ns_per_settled") && !is_test_name("a__b_c_d"));
+    }
+
+    #[test]
+    fn an_error_enum_is_an_error_with_a_wildcard_free_display() {
+        let impl_error = "impl std::error::Error for DemoError {}\n";
+        let display = "impl fmt::Display for DemoError {\n    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {\n        \
+                       match self {\n            DemoError::Lost => write!(f, \"lost\"),\n            ARM\n        }\n    }\n}\n";
+        let named = display.replace("ARM", "DemoError::Found => write!(f, \"found\"),");
+        let wild = display.replace("ARM", "_ => write!(f, \"other\"),");
+        let file = |parts: &[&str]| {
+            format!(
+                "pub enum DemoError {{\n    Lost,\n    Found,\n}}\n{}",
+                parts.concat()
+            )
+        };
+        let error_enums = |path: &str, text: &str| {
+            let f = SourceFile::from_text(path.into(), text.into());
+            let rules = check(&[&f]).into_iter().filter(|f| f.rule == ERROR_ENUMS);
+            rules.map(|f| f.line).collect::<Vec<_>>()
+        };
+        let lib = "crates/core/src/demo.rs";
+        assert!(error_enums(lib, &file(&[&named, impl_error])).is_empty());
+        // Seeded violations: no `impl Error` (line 1), a wildcard arm (line 9).
+        assert_eq!(error_enums(lib, &file(&[&named])), [1]);
+        assert_eq!(error_enums(lib, &file(&[&wild, impl_error])), [9]);
+        // Not a library file, not `pub`, not an `*Error`, or test code.
+        assert!(error_enums("crates/cli/src/demo.rs", &file(&[])).is_empty());
+        assert!(
+            error_enums(lib, "pub(crate) enum DemoError {}\npub enum Direction {}\n").is_empty()
+        );
+        assert!(
+            error_enums(lib, "#[cfg(test)]\nmod t {\n    pub enum DemoError {}\n}\n").is_empty()
+        );
     }
 
     #[test]

@@ -1,32 +1,74 @@
 //! `cargo xtask check` — the repo's source checks, run in one pass:
 //!
-//! * the lint rules ([`rules`]: `guard_coverage`, `display_match`) and the
-//!   allocation analyzer ([`analyze`]: `unbounded_alloc`) over the five
-//!   library crates;
 //! * the gate rows ([`gates`]), structural rules over `crates`, `src`,
 //!   `examples`, `tests` and the CI workflow (`leaf_locks` among them:
 //!   every lock is a `comm_graph::sync::Leaf`, whose nesting check runs
 //!   in the tests, not here);
+//! * two cross-file checks beside them: every `pub enum *Error` of the
+//!   five library crates implements `std::error::Error` and matches its
+//!   variants in `Display` without a wildcard (`error_enums`), and every
+//!   test DESIGN.md names exists (`cited_tests`);
 //! * the stale-waiver audit: an `xtask-allow` comment that no longer
 //!   suppresses a finding of its rule is itself a finding (`stale_waiver`).
+//!
+//! What the compiler, clippy or a test already checks is not here: a
+//! missing `Display` arm is a compile error, the byte budget is measured
+//! against the real heap (`tests/heap_budget.rs`) and every guarded loop
+//! is tripped at every check (`crates/core/tests/guard.rs`).
 //!
 //! It exits non-zero when any unwaived finding remains. Diagnostics are
 //! `file:line: error[xtask::rule]: message`, then a `help:` line.
 //!
-//! The rules and the waiver convention are documented in DESIGN.md
+//! The checks and the waiver convention are documented in DESIGN.md
 //! ("Verification & static analysis" and "Concurrency discipline").
 
-mod analyze;
-mod ast;
 mod gates;
-mod rules;
 mod scan;
 
-use analyze::FileModel;
-use rules::Finding;
 use scan::SourceFile;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// Rule id for waiver comments that no longer suppress anything.
+const STALE_WAIVER: &str = "stale_waiver";
+
+/// One finding of a check.
+#[derive(Debug, Clone)]
+pub struct Finding {
+    /// File the finding is in.
+    pub file: PathBuf,
+    /// 1-based line.
+    pub line: usize,
+    /// Stable rule id (a gate row or a cross-file check).
+    pub rule: &'static str,
+    /// What was found.
+    pub message: String,
+    /// How to fix it.
+    pub suggestion: String,
+    /// True when an `xtask-allow` waiver covers the finding.
+    pub waived: bool,
+}
+
+impl Finding {
+    /// A finding of `rule` at 1-based `line` of `f`, waived when an
+    /// `xtask-allow` comment there names the rule.
+    pub fn new(
+        f: &SourceFile,
+        rule: &'static str,
+        line: usize,
+        message: String,
+        suggestion: &str,
+    ) -> Finding {
+        Finding {
+            file: f.path.clone(),
+            line,
+            rule,
+            message,
+            suggestion: suggestion.to_string(),
+            waived: f.is_waived(rule, line),
+        }
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -61,8 +103,7 @@ fn check() -> ExitCode {
     }
     paths.sort();
     paths.dedup();
-    let mut models: Vec<FileModel> = Vec::new();
-    let mut others: Vec<SourceFile> = Vec::new();
+    let mut files: Vec<SourceFile> = Vec::new();
     for path in paths {
         let text = match std::fs::read(&path) {
             Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
@@ -75,15 +116,10 @@ fn check() -> ExitCode {
             .strip_prefix(&root)
             .map(Path::to_path_buf)
             .unwrap_or(path);
-        let library = gates::LIBRARIES.iter().any(|l| path.starts_with(l));
-        if library && path.extension().is_some_and(|e| e == "rs") {
-            models.push(FileModel::parse(path, text));
-        } else {
-            others.push(SourceFile::from_text(path, text));
-        }
+        files.push(SourceFile::from_text(path, text));
     }
 
-    let findings = run(&models, &others);
+    let findings = run(&files);
     let (waived, live): (Vec<&Finding>, Vec<&Finding>) = findings.iter().partition(|f| f.waived);
     for f in &live {
         println!(
@@ -97,7 +133,7 @@ fn check() -> ExitCode {
     }
     eprintln!(
         "xtask check: {} file(s), {} violation(s), {} waiver(s)",
-        models.len() + others.len(),
+        files.len(),
         live.len(),
         waived.len()
     );
@@ -108,28 +144,13 @@ fn check() -> ExitCode {
     }
 }
 
-/// Every finding over the library files (`models`) and the other files
-/// the gate rows read, the stale-waiver audit's included.
-fn run(models: &[FileModel], others: &[SourceFile]) -> Vec<Finding> {
-    let mut findings: Vec<Finding> = Vec::new();
-    for fm in models {
-        findings.extend(rules::check_file(fm, guard_scope(&fm.source.path)));
-    }
-    findings.extend(analyze::analyze(models));
-    let sources: Vec<&SourceFile> = models.iter().map(|m| &m.source).chain(others).collect();
-    findings.extend(gates::check(&sources));
+/// Every finding over `files`, the stale-waiver audit's included.
+fn run(files: &[SourceFile]) -> Vec<Finding> {
+    let sources: Vec<&SourceFile> = files.iter().collect();
+    let mut findings = gates::check(&sources);
     let stale = stale_waiver_findings(&sources, &findings);
     findings.extend(stale);
     findings
-}
-
-/// guard_coverage applies where ungoverned loops could run unbounded work:
-/// the enumeration algorithms (core) and the daemon's request loops (serve).
-fn guard_scope(display: &Path) -> bool {
-    display.components().any(|c| c.as_os_str() == "crates")
-        && display
-            .components()
-            .any(|c| c.as_os_str() == "core" || c.as_os_str() == "serve")
 }
 
 /// Flags every waiver comment that no finding (waived or not) credits.
@@ -144,7 +165,7 @@ fn stale_waiver_findings(files: &[&SourceFile], findings: &[Finding]) -> Vec<Fin
                 out.push(Finding {
                     file: f.path.clone(),
                     line: site.line,
-                    rule: rules::STALE_WAIVER,
+                    rule: STALE_WAIVER,
                     message: format!("stale waiver: `{}` no longer fires here", site.rule),
                     suggestion: "delete the waiver comment (or move it next to the line \
                                  that still needs it)"
@@ -176,12 +197,13 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
-    /// The unwaived findings in `models` (not the rows' findings about
-    /// the files a one-file tree lacks).
-    fn live(models: &[FileModel]) -> Vec<&'static str> {
-        run(models, &[])
+    /// The unwaived rule ids reported in a one-file tree at `path` (not
+    /// the rows' findings about the files that tree lacks).
+    fn live(path: &str, text: &str) -> Vec<&'static str> {
+        let file = SourceFile::from_text(PathBuf::from(path), text.to_string());
+        run(std::slice::from_ref(&file))
             .into_iter()
-            .filter(|f| !f.waived && models.iter().any(|m| m.source.path == f.file))
+            .filter(|f| !f.waived && f.file == file.path)
             .map(|f| f.rule)
             .collect()
     }
@@ -191,38 +213,34 @@ mod tests {
         assert!(repo_root().join("Cargo.toml").exists());
     }
 
-    /// End-to-end self-test: one pass reports a seeded rule violation and
-    /// a seeded row violation in the same file, and accepts the fixed file.
+    /// End-to-end self-test: one pass reports two seeded row violations
+    /// and a seeded error-enum violation in the same file, and accepts the
+    /// fixed file.
     #[test]
     fn check_fails_on_seeded_violations() {
-        let seeded =
-            "pub fn scan(g: &Graph) -> u32 {\n    for u in g.nodes() {}\n    n as u32\n}\n";
-        let fm = FileModel::parse(PathBuf::from("crates/core/src/x.rs"), seeded.to_string());
-        assert_eq!(live(&[fm]), ["guard_coverage", "narrowing_cast"]);
+        let seeded = "pub enum ScanError {\n    Lost,\n}\npub fn scan(n: usize) -> u32 {\n    \
+                      let lock = std::sync::Mutex::new(0);\n    n as u32\n}\n";
+        let path = "crates/core/src/x.rs";
+        assert_eq!(
+            live(path, seeded),
+            ["narrowing_cast", "leaf_locks", "error_enums"]
+        );
 
-        let fixed = "pub fn scan(g: &Graph, guard: &RunGuard) -> Option<u32> {\n    for u in g.nodes() {}\n    u32::try_from(n).ok()\n}\n";
-        let fm = FileModel::parse(PathBuf::from("crates/core/src/x.rs"), fixed.to_string());
-        assert!(live(&[fm]).is_empty());
-    }
-
-    #[test]
-    fn guard_scope_selects_core_and_serve() {
-        assert!(guard_scope(Path::new("crates/core/src/comm_k.rs")));
-        assert!(guard_scope(Path::new("crates/serve/src/server.rs")));
-        assert!(!guard_scope(Path::new("crates/graph/src/csr.rs")));
+        let fixed = "pub enum ScanError {\n    Lost,\n}\nimpl std::error::Error for ScanError {}\n\
+                     pub fn scan(n: usize) -> Option<u32> {\n    let lock = Leaf::new(0);\n    \
+                     u32::try_from(n).ok()\n}\n";
+        assert!(live(path, fixed).is_empty());
     }
 
     #[test]
     fn stale_waiver_flagged_and_credited() {
         // A waiver with nothing to suppress is stale; one that covers a
         // live violation is credited.
-        let stale = "// xtask-allow: display_match — leftover\nfn ok() {}\n";
-        let fm = FileModel::parse(PathBuf::from("crates/x/src/a.rs"), stale.to_string());
-        assert_eq!(live(&[fm]), [rules::STALE_WAIVER]);
+        let stale = "// xtask-allow: narrowing_cast — leftover\nfn ok() {}\n";
+        assert_eq!(live("crates/core/src/a.rs", stale), [STALE_WAIVER]);
 
-        let used = "// xtask-allow: display_match — audited\npub enum GapError {\n    Oops,\n}\n";
-        let fm = FileModel::parse(PathBuf::from("crates/x/src/b.rs"), used.to_string());
-        assert!(live(&[fm]).is_empty());
+        let used = "// xtask-allow: narrowing_cast — audited\nlet i = n as u32;\n";
+        assert!(live("crates/core/src/b.rs", used).is_empty());
     }
 
     /// DESIGN.md's table of checks names exactly the rule ids and row
@@ -235,13 +253,7 @@ mod tests {
             .filter_map(|l| l.strip_prefix("| `xtask::")?.split('`').next())
             .collect();
         let mut run: BTreeSet<&str> = gates::ROWS.iter().map(|r| r.name).collect();
-        run.extend([
-            rules::GUARD_COVERAGE,
-            rules::DISPLAY_MATCH,
-            rules::STALE_WAIVER,
-            analyze::UNBOUNDED_ALLOC,
-            gates::CITED_TESTS,
-        ]);
+        run.extend([STALE_WAIVER, gates::ERROR_ENUMS, gates::CITED_TESTS]);
         assert_eq!(listed, run);
     }
 }

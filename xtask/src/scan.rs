@@ -1,8 +1,8 @@
-//! A minimal Rust source model for the lint rules.
+//! A minimal Rust source model for the checks.
 //!
-//! This is deliberately not a full parser. Rules only need three facts about
-//! a source file besides its text, all computable with a small hand-rolled
-//! lexer:
+//! This is deliberately not a parser. The checks only need three facts
+//! about a source file besides its text, all computable with a small
+//! hand-rolled lexer:
 //!
 //! 1. a *masked* view of the text where comment and string-literal interiors
 //!    are blanked out (so ` as u32` inside a doc comment never matches);
@@ -10,7 +10,7 @@
 //! 3. which lines carry `xtask-allow` waiver comments.
 //!
 //! The masked view preserves byte offsets and line boundaries exactly, so
-//! rule matches report real source positions.
+//! matches report real source positions.
 
 use std::path::PathBuf;
 
@@ -20,10 +20,7 @@ use std::path::PathBuf;
 /// the line directly below it (so it can sit above the offending statement).
 pub const ALLOW_MARKER: &str = "xtask-allow:";
 
-/// File-wide waiver marker: `// xtask-allow-file: rule_id — reason`.
-pub const ALLOW_FILE_MARKER: &str = "xtask-allow-file:";
-
-/// One source file plus the derived views the rules consume.
+/// One source file plus the derived views the checks consume.
 pub struct SourceFile {
     /// Path as reported in diagnostics (repo-relative).
     pub path: PathBuf,
@@ -31,8 +28,6 @@ pub struct SourceFile {
     pub text: String,
     /// Text with comment and string interiors replaced by spaces.
     pub masked: String,
-    /// Byte offset of the start of each line (first entry is 0).
-    pub line_starts: Vec<usize>,
     /// `test_lines[i]` is true when 1-based line `i + 1` is inside a
     /// `#[cfg(test)]` item.
     pub test_lines: Vec<bool>,
@@ -47,8 +42,6 @@ pub struct WaiverSite {
     pub line: usize,
     /// The rule id it waives.
     pub rule: String,
-    /// True for `xtask-allow-file` (whole-file) waivers.
-    pub file_level: bool,
 }
 
 impl SourceFile {
@@ -57,22 +50,13 @@ impl SourceFile {
         let masked = mask(&text);
         let line_starts = line_starts(&text);
         let test_lines = test_lines(&masked, &line_starts);
-        let waiver_sites = collect_waivers(&text, &line_starts);
+        let waiver_sites = collect_waivers(&text);
         SourceFile {
             path,
             text,
             masked,
-            line_starts,
             test_lines,
             waiver_sites,
-        }
-    }
-
-    /// 1-based line number of a byte offset.
-    pub fn line_of(&self, offset: usize) -> usize {
-        match self.line_starts.binary_search(&offset) {
-            Ok(i) => i + 1,
-            Err(i) => i,
         }
     }
 
@@ -89,9 +73,9 @@ impl SourceFile {
 
 impl WaiverSite {
     /// Whether this waiver covers a finding of `rule` at 1-based `line`:
-    /// a line waiver covers its own line and the next, a file waiver all.
+    /// its own line or the next.
     pub fn covers(&self, rule: &str, line: usize) -> bool {
-        self.rule == rule && (self.file_level || line == self.line || line == self.line + 1)
+        self.rule == rule && (line == self.line || line == self.line + 1)
     }
 }
 
@@ -303,24 +287,14 @@ fn test_lines(masked: &str, line_starts: &[usize]) -> Vec<bool> {
     flags
 }
 
-fn collect_waivers(text: &str, line_starts: &[usize]) -> Vec<WaiverSite> {
+fn collect_waivers(text: &str) -> Vec<WaiverSite> {
     let mut sites = Vec::new();
-    for (idx, start) in line_starts.iter().enumerate() {
-        let end = line_starts.get(idx + 1).copied().unwrap_or(text.len());
-        let line = &text[*start..end];
-        let (rest, file_level) = match line.find(ALLOW_FILE_MARKER) {
-            Some(pos) => (&line[pos + ALLOW_FILE_MARKER.len()..], true),
-            None => match line.find(ALLOW_MARKER) {
-                Some(pos) => (&line[pos + ALLOW_MARKER.len()..], false),
-                None => continue,
-            },
+    for (i, line) in text.lines().enumerate() {
+        let Some(pos) = line.find(ALLOW_MARKER) else {
+            continue;
         };
-        for rule in parse_rule_list(rest) {
-            sites.push(WaiverSite {
-                line: idx + 1,
-                rule,
-                file_level,
-            });
+        for rule in parse_rule_list(&line[pos + ALLOW_MARKER.len()..]) {
+            sites.push(WaiverSite { line: i + 1, rule });
         }
     }
     sites
@@ -392,29 +366,13 @@ mod tests {
         assert!(f.is_waived("narrowing_cast", 1));
         assert!(f.is_waived("narrowing_cast", 2));
         assert!(!f.is_waived("narrowing_cast", 3));
-        assert!(!f.is_waived("guard_coverage", 2));
-    }
-
-    #[test]
-    fn file_waiver_applies_everywhere() {
-        let src = "// xtask-allow-file: guard_coverage — enumeration driver\nfn f() {}\n";
-        let f = file(src);
-        assert!(f.is_waived("guard_coverage", 2));
-        assert!(!f.is_waived("narrowing_cast", 2));
+        assert!(!f.is_waived("leaf_locks", 2));
     }
 
     #[test]
     fn waiver_parses_multiple_rules() {
-        let f = file("// xtask-allow: unbounded_alloc, narrowing_cast — both fine\nlet x = 1;\n");
-        assert!(f.is_waived("unbounded_alloc", 2));
+        let f = file("// xtask-allow: leaf_locks, narrowing_cast — both fine\nlet x = 1;\n");
+        assert!(f.is_waived("leaf_locks", 2));
         assert!(f.is_waived("narrowing_cast", 2));
-    }
-
-    #[test]
-    fn line_of_maps_offsets() {
-        let f = file("a\nbb\nccc\n");
-        assert_eq!(f.line_of(0), 1);
-        assert_eq!(f.line_of(2), 2);
-        assert_eq!(f.line_of(5), 3);
     }
 }
