@@ -25,6 +25,7 @@ use crate::types::{Community, Core, CostFn, QuerySpec};
 use comm_graph::{
     DijkstraEngine, Direction, Graph, InterruptReason, NodeId, Outcome, RunGuard, Weight,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// Per-center reach lists: `sets[i]` holds the `(keyword_node, dist)`
@@ -179,9 +180,10 @@ enum Expander {
 /// Streams every candidate core of every center to `offer` until it
 /// declines (`Ok(false)`) or the guard trips. `held` is what the sink
 /// keeps throughout (its neighbor table), charged with every expansion
-/// charge. Returns the peak bytes of `held` plus expansion state and how
-/// the stream ended: `Ok(true)` exhausted, `Ok(false)` declined, `Err`
-/// tripped.
+/// charge; `offer` is also told `held` plus the expansion state live at
+/// the offer, for charging what the sink grows by. Returns the peak bytes
+/// of `held` plus expansion state and how the stream ended: `Ok(true)`
+/// exhausted, `Ok(false)` declined, `Err` tripped.
 fn expand(
     expander: Expander,
     graph: &Graph,
@@ -189,7 +191,7 @@ fn expand(
     engine: &mut DijkstraEngine,
     held: usize,
     guard: &RunGuard,
-    mut offer: impl FnMut(&mut DijkstraEngine, Core, Weight) -> Result<bool, InterruptReason>,
+    mut offer: impl FnMut(&mut DijkstraEngine, usize, Core, Weight) -> Result<bool, InterruptReason>,
 ) -> (usize, Result<bool, InterruptReason>) {
     let mut bytes = held;
     let mut stream = || -> Result<bool, InterruptReason> {
@@ -204,7 +206,7 @@ fn expand(
                     if per_center.iter().any(Vec::is_empty) {
                         continue;
                     }
-                    if !cross_product(per_center, spec.cost, |c, w| offer(engine, c, w))? {
+                    if !cross_product(per_center, spec.cost, |c, w| offer(engine, bytes, c, w))? {
                         return Ok(false);
                     }
                 }
@@ -216,9 +218,9 @@ fn expand(
                     else {
                         continue;
                     };
-                    let reach: usize = sets.iter().map(|s| s.len() * PAIR_BYTES).sum();
-                    bytes = bytes.max(held + reach);
-                    if !cross_product(&sets, spec.cost, |c, w| offer(engine, c, w))? {
+                    let live = held + sets.iter().map(|s| s.len() * PAIR_BYTES).sum::<usize>();
+                    bytes = bytes.max(live);
+                    if !cross_product(&sets, spec.cost, |c, w| offer(engine, live, c, w))? {
                         return Ok(false);
                     }
                 }
@@ -275,6 +277,7 @@ fn enumerate_all(
     let mut table = NeighborSets::try_new(spec.l(), graph.node_count())?;
     let mut stats = BaselineStats::default();
     let mut pool: HashSet<Core> = HashSet::new();
+    let pooled = spec.l() * 4 + 32;
     let mut communities = Vec::new();
     let (bytes, ended) = expand(
         expander,
@@ -283,10 +286,12 @@ fn enumerate_all(
         &mut engine,
         table.byte_size(),
         guard,
-        |engine, core, _| {
+        |engine, live, core, _| {
             stats.candidates += 1;
             guard.note_candidate()?;
-            if pool.insert(core.clone()) {
+            if !pool.contains(&core) {
+                guard.check_bytes(live + (pool.len() + 1) * pooled)?;
+                pool.insert(core.clone());
                 communities.push(materialize(graph, spec, engine, &mut table, &core, guard)?);
             } else {
                 stats.duplicates += 1;
@@ -297,7 +302,7 @@ fn enumerate_all(
     stats.completed = ended == Ok(true);
     stats.interrupted = ended.err();
     stats.communities = communities.len();
-    stats.peak_bytes = bytes + pool.len() * (spec.l() * 4 + 32);
+    stats.peak_bytes = bytes + pool.len() * pooled;
     Ok(wrap_run(BaselineRun { communities, stats }))
 }
 
@@ -315,6 +320,7 @@ fn rank_topk(
     let mut engine = DijkstraEngine::new(graph.node_count());
     let mut stats = BaselineStats::default();
     let mut best_cost: HashMap<Core, Weight> = HashMap::new();
+    let ranked_entry = spec.l() * 4 + 8 + 32;
     let (bytes, ended) = if k == 0 {
         (0, Ok(true))
     } else {
@@ -325,25 +331,29 @@ fn rank_topk(
             &mut engine,
             0,
             guard,
-            |_, core, cost| {
+            |_, live, core, cost| {
                 stats.candidates += 1;
                 guard.note_candidate()?;
-                best_cost
-                    .entry(core)
-                    .and_modify(|c| {
+                let len = best_cost.len();
+                match best_cost.entry(core) {
+                    Entry::Occupied(mut best) => {
                         stats.duplicates += 1;
-                        if cost < *c {
-                            *c = cost;
+                        if cost < *best.get() {
+                            best.insert(cost);
                         }
-                    })
-                    .or_insert(cost);
+                    }
+                    Entry::Vacant(slot) => {
+                        guard.check_bytes(live + (len + 1) * ranked_entry)?;
+                        slot.insert(cost);
+                    }
+                }
                 Ok(candidate_budget.is_none_or(|b| stats.candidates < b))
             },
         )
     };
     stats.completed = ended == Ok(true);
     stats.interrupted = ended.err();
-    stats.peak_bytes = bytes + best_cost.len() * (spec.l() * 4 + 8 + 32);
+    stats.peak_bytes = bytes + best_cost.len() * ranked_entry;
     let mut communities: Vec<Community> = Vec::new();
     // An aborted ranking would be wrong; it reports the abort instead.
     if stats.completed {
@@ -351,7 +361,7 @@ fn rank_topk(
         ranked.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
         ranked.truncate(k);
         let mut table = NeighborSets::try_new(spec.l(), graph.node_count())?;
-        let held = table.byte_size() + ranked.len() * (spec.l() * 4 + 8 + 32);
+        let held = table.byte_size() + ranked.len() * ranked_entry;
         stats.peak_bytes = stats.peak_bytes.max(held);
         let materialized = guard.check_bytes(held).and_then(|()| {
             for (core, _) in ranked {

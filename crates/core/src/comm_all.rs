@@ -170,11 +170,11 @@ mod tests {
         let g = fig4_graph();
         let small: Set<Core> = collect_all(&g, &fig4_spec(6.0))
             .into_iter()
-            .map(|c| c.core)
+            .map(|c| c.core.clone())
             .collect();
         let large: Set<Core> = collect_all(&g, &fig4_spec(10.0))
             .into_iter()
-            .map(|c| c.core)
+            .map(|c| c.core.clone())
             .collect();
         assert!(small.is_subset(&large));
         assert!(small.len() < large.len() || small == large);
@@ -292,7 +292,7 @@ mod tests {
         // the pins and the exclusion lists fixes the sweep count exactly.
         let g = fig4_graph();
         let mut it = CommAll::try_new(&g, &fig4_spec(FIG4_RMAX)).unwrap();
-        let cores: Vec<Core> = it.by_ref().map(|c| c.core).collect();
+        let cores: Vec<Core> = it.by_ref().map(|c| c.core.clone()).collect();
         let l = 3;
         let mut pinned = Set::new();
         let mut first_pins =

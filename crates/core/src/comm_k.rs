@@ -265,11 +265,11 @@ mod tests {
         let spec = fig4_spec(FIG4_RMAX);
         // Take 2, then 2 more — must equal taking 4 at once.
         let mut it = CommK::try_new(&g, &spec).unwrap();
-        let mut resumed: Vec<Core> = it.by_ref().take(2).map(|c| c.core).collect();
-        resumed.extend(it.by_ref().take(2).map(|c| c.core));
+        let mut resumed: Vec<Core> = it.by_ref().take(2).map(|c| c.core.clone()).collect();
+        resumed.extend(it.by_ref().take(2).map(|c| c.core.clone()));
         let oneshot: Vec<Core> = collect_top_k(&g, &spec, 4)
             .into_iter()
-            .map(|c| c.core)
+            .map(|c| c.core.clone())
             .collect();
         assert_eq!(resumed, oneshot);
     }
@@ -282,7 +282,7 @@ mod tests {
             let expect = naive_all_cores(&g, &spec);
             let got: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
                 .unwrap()
-                .map(|c| (c.core, c.cost))
+                .map(|c| (c.core.clone(), c.cost))
                 .collect();
             // Same multiset of cores…
             let mut a: Vec<_> = got.iter().map(|(c, _)| c.clone()).collect();
@@ -330,7 +330,7 @@ mod tests {
         let spec = QuerySpec::new(vec![vec![NodeId(4), NodeId(13)]], Weight::new(8.0));
         let all: Vec<_> = CommK::try_new(&g, &spec).unwrap().collect();
         assert!(all.iter().all(|c| c.cost == Weight::ZERO));
-        let order: Vec<Core> = all.into_iter().map(|c| c.core).collect();
+        let order: Vec<Core> = all.into_iter().map(|c| c.core.clone()).collect();
         assert_eq!(order, [Core(vec![NodeId(4)]), Core(vec![NodeId(13)])]);
     }
 
@@ -361,7 +361,10 @@ mod tests {
     fn candidate_budget_yields_ranked_prefix() {
         let g = fig4_graph();
         let spec = fig4_spec(FIG4_RMAX);
-        let full: Vec<Core> = CommK::try_new(&g, &spec).unwrap().map(|c| c.core).collect();
+        let full: Vec<Core> = CommK::try_new(&g, &spec)
+            .unwrap()
+            .map(|c| c.core.clone())
+            .collect();
         for b in 0..full.len() {
             let guard = RunGuard::new().with_candidate_budget(b as u64);
             let out = comm_k_guarded(&g, &spec, 10, guard).unwrap();
@@ -369,7 +372,11 @@ mod tests {
                 out.reason(),
                 Some(InterruptReason::CandidateBudgetExhausted)
             );
-            let got: Vec<Core> = out.into_value().into_iter().map(|c| c.core).collect();
+            let got: Vec<Core> = out
+                .into_value()
+                .into_iter()
+                .map(|c| c.core.clone())
+                .collect();
             assert_eq!(got, full[..b], "budget {b}");
         }
     }

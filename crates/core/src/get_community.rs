@@ -31,7 +31,7 @@
 //! sweep settled twenty nodes for every one it could keep.
 
 use crate::neighbor::NeighborSets;
-use crate::types::{Community, Core, CostFn};
+use crate::types::{Community, CommunityBody, Core, CostFn};
 use comm_graph::{DijkstraEngine, Direction, Graph, InterruptReason, RunGuard, Weight};
 
 /// Materializes the community uniquely determined by `core` under
@@ -131,14 +131,14 @@ pub(crate) fn community_of_pinned(
         .filter(|u| centers.binary_search(u).is_err() && knodes.binary_search(u).is_err())
         .collect();
 
-    Ok(Some(Community {
+    Ok(Some(Community::new(CommunityBody {
         core: core.clone(),
         cost,
         centers,
         knodes,
         path_nodes,
         subgraph,
-    }))
+    })))
 }
 
 #[cfg(test)]

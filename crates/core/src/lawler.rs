@@ -94,11 +94,11 @@ mod tests {
         for (g, spec) in [(fig4_graph(), fig4_spec()), dense_scenario()] {
             let ours: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
                 .unwrap()
-                .map(|c| (c.core, c.cost))
+                .map(|c| (c.core.clone(), c.cost))
                 .collect();
             let lawler: Vec<(Core, Weight)> = LawlerK::try_new(&g, &spec)
                 .unwrap()
-                .map(|c| (c.core, c.cost))
+                .map(|c| (c.core.clone(), c.cost))
                 .collect();
             assert!(ours.len() >= 5);
             assert_eq!(ours, lawler);
@@ -146,7 +146,7 @@ mod tests {
             }
             let mut ranked: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
                 .unwrap()
-                .map(|c| (c.core, c.cost))
+                .map(|c| (c.core.clone(), c.cost))
                 .collect();
             ranked.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
             assert_eq!(ranked, crate::naive::naive_all_cores(&g, &spec));
@@ -192,11 +192,14 @@ mod tests {
     fn guarded_prefix_matches_comm_k() {
         let g = fig4_graph();
         let spec = fig4_spec();
-        let full: Vec<Core> = CommK::try_new(&g, &spec).unwrap().map(|c| c.core).collect();
+        let full: Vec<Core> = CommK::try_new(&g, &spec)
+            .unwrap()
+            .map(|c| c.core.clone())
+            .collect();
         for b in 0..full.len() {
             let guard = RunGuard::new().with_candidate_budget(b as u64);
             let mut it = LawlerK::try_new(&g, &spec).unwrap().with_guard(guard);
-            let got: Vec<Core> = it.by_ref().map(|c| c.core).collect();
+            let got: Vec<Core> = it.by_ref().map(|c| c.core.clone()).collect();
             assert_eq!(got, full[..b], "budget {b}");
             assert_eq!(
                 it.interrupted(),

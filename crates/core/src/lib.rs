@@ -101,7 +101,7 @@ pub use lawler::LawlerK;
 pub use neighbor::{BestCore, NeighborSets, MAX_KEYWORDS};
 pub use projection::{comm_k_on_index, KeywordRun, ParkedTopK, ProjectedQuery, ProjectionIndex};
 pub use shell::Enumerator;
-pub use types::{Community, Core, CostFn, QuerySpec};
+pub use types::{Community, CommunityBody, Core, CostFn, QuerySpec};
 pub use verify::{
     check_community, check_enumeration, check_ranking, check_topk_prefix, CertificationError,
 };

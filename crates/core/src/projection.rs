@@ -31,7 +31,7 @@
 use crate::comm_k::CanList;
 use crate::error::{validate_radius, QueryError};
 use crate::shell::Parked;
-use crate::types::{Community, Core, CostFn, QuerySpec};
+use crate::types::{Community, CostFn, QuerySpec};
 use crate::CommK;
 use comm_graph::weight::index_to_u32;
 use comm_graph::{
@@ -46,6 +46,9 @@ mod cpix;
 
 /// Run entries scanned between two guard consultations.
 const SCAN_STRIDE: usize = 1024;
+
+/// The first allocation of a keyword run, in entries.
+const MIN_RUN: usize = 256;
 
 /// One keyword's share of the index, independent of which other keywords
 /// it is queried with: `V_w` and the *distance run* of `Neighbor(V_w, R)`
@@ -69,9 +72,10 @@ pub struct KeywordRun {
 impl KeywordRun {
     /// Sweeps one keyword: `V_w` (sorted, deduplicated) plus the settle
     /// stream of the reverse sweep bounded by `radius`. `guard` is
-    /// consulted per settled node; a run has no useful partial form, so a
-    /// trip returns the bare reason. This is the only place the
-    /// projection sweeps `G_D`.
+    /// consulted per settled node, and its byte budget before each growth
+    /// of the run; a run has no useful partial form, so a trip returns
+    /// the bare reason. This is the only place the projection sweeps
+    /// `G_D`.
     pub fn sweep(
         graph: &Graph,
         engine: &mut DijkstraEngine,
@@ -79,17 +83,51 @@ impl KeywordRun {
         radius: Weight,
         guard: &RunGuard,
     ) -> Result<KeywordRun, InterruptReason> {
+        KeywordRun::sweep_holding(graph, engine, v_w, radius, guard, 0)
+    }
+
+    /// [`sweep`](Self::sweep) for a caller that already holds `held`
+    /// bytes: every growth of the run is charged with `held` through
+    /// `check_bytes` before it is allocated. The run doubles, so that is
+    /// `O(log n)` checks a sweep. A byte trip stops the growth, not the
+    /// sweep: the rest of it settles and stores nothing.
+    fn sweep_holding(
+        graph: &Graph,
+        engine: &mut DijkstraEngine,
+        v_w: &[NodeId],
+        radius: Weight,
+        guard: &RunGuard,
+        held: usize,
+    ) -> Result<KeywordRun, InterruptReason> {
         let mut nodes: Vec<NodeId> = v_w.to_vec();
         nodes.sort_unstable();
         nodes.dedup();
+        let within = |bytes: usize| guard.check_bytes(held + bytes);
         let (mut reach_ids, mut reach_dist) = (Vec::new(), Vec::new());
+        let mut tripped = Ok(());
         let seeds = nodes.iter().copied();
         engine.run_guarded(graph, Direction::Reverse, seeds, radius, guard, |s| {
+            if tripped.is_err() {
+                return;
+            }
+            if reach_ids.len() == reach_ids.capacity() {
+                let grown = (2 * reach_ids.len()).max(MIN_RUN);
+                tripped = within(entry_bytes(nodes.len(), grown));
+                if tripped.is_err() {
+                    return;
+                }
+                reach_ids.reserve_exact(grown - reach_ids.len());
+                reach_dist.reserve_exact(grown - reach_dist.len());
+            }
             reach_ids.push(s.node);
             reach_dist.push(s.dist);
         })?;
-        // A run outlives the query that swept it: hold no growth slack
-        // (the two shared slices are exact-size copies already).
+        tripped?;
+        // A run outlives the query that swept it: hold no growth slack.
+        // The distances are copied into their shared slice, so the copy
+        // is charged beside the vectors first.
+        let copy = reach_dist.len() * size_of::<Weight>();
+        within(entry_bytes(nodes.len(), reach_ids.capacity()) + copy)?;
         reach_ids.shrink_to_fit();
         Ok(KeywordRun {
             radius,
@@ -219,19 +257,17 @@ impl ProjectedQuery {
     /// structurally unchanged — only its id mapping is rewritten — and all
     /// sorted node lists stay sorted because the projection's local ids
     /// are assigned in ascending original-id order.
-    pub fn lift(&self, c: Community) -> Community {
-        let m = |v: NodeId| self.projected.to_original(v);
-        Community {
-            core: Core(c.core.0.iter().map(|&v| m(v)).collect()),
-            cost: c.cost,
-            centers: c.centers.iter().map(|&v| m(v)).collect(),
-            knodes: c.knodes.iter().map(|&v| m(v)).collect(),
-            path_nodes: c.path_nodes.iter().map(|&v| m(v)).collect(),
-            subgraph: InducedGraph {
-                graph: c.subgraph.graph,
-                original_ids: c.subgraph.original_ids.iter().map(|&v| m(v)).collect(),
-            },
-        }
+    pub fn lift(&self, mut c: Community) -> Community {
+        let m = |v: &mut NodeId| *v = self.projected.to_original(*v);
+        // Freshly emitted, so no one else holds the body: the ids are
+        // rewritten in place.
+        let body = c.unshared_mut();
+        body.core.0.iter_mut().for_each(m);
+        body.centers.iter_mut().for_each(m);
+        body.knodes.iter_mut().for_each(m);
+        body.path_nodes.iter_mut().for_each(m);
+        body.subgraph.original_ids.iter_mut().for_each(m);
+        c
     }
 }
 
@@ -373,12 +409,13 @@ impl ProjectionIndex {
         guard: &RunGuard,
         pool: &EnginePool,
     ) -> Result<ProjectionIndex, InterruptReason> {
-        let mut engine = None;
+        let (mut engine, mut held) = (None, 0);
         let runs = keywords
             .into_iter()
             .map(|(kw, v_w)| {
                 let engine = engine.get_or_insert_with(|| pool.acquire(graph.node_count()));
-                let run = KeywordRun::sweep(graph, engine, v_w, radius, guard)?;
+                let run = KeywordRun::sweep_holding(graph, engine, v_w, radius, guard, held)?;
+                held += run.byte_size();
                 Ok((kw.to_string(), Arc::new(run)))
             })
             .collect::<Result<Vec<_>, InterruptReason>>()?;
@@ -412,7 +449,7 @@ impl ProjectionIndex {
     /// `V_w` and the distances are shared with the runs, not copied.
     /// `guard` is consulted per 1024 run entries of the marking pass; the
     /// set, the relabelled runs and the copied rows are charged to its
-    /// byte budget.
+    /// byte budget before they are allocated.
     ///
     /// # Panics
     /// If a run was swept over a graph of another size or at another
@@ -445,6 +482,16 @@ impl ProjectionIndex {
             }
         }
         let nodes = reached.seal();
+        // `U`'s rows and the relabelled runs are charged before they are
+        // copied, the rows at what the copy reserves.
+        let reach: usize = by_keyword.values().map(|r| r.reach_ids.len()).sum();
+        let held =
+            run_bytes + RankedSet::bytes_for(n) + (reach + nodes.len()) * size_of::<NodeId>();
+        let rows = graph.rows(Direction::Forward).induce_charged(
+            &nodes,
+            |v| reached.rank(v),
+            |rows| guard.check_bytes(held + rows),
+        )?;
         let entries = by_keyword
             .into_iter()
             .map(|(kw, run)| {
@@ -459,18 +506,13 @@ impl ProjectionIndex {
                 (kw, entry)
             })
             .collect();
-        let rows = graph
-            .rows(Direction::Forward)
-            .induce(&nodes, |v| reached.rank(v));
-        let index = ProjectionIndex {
+        Ok(ProjectionIndex {
             radius,
             node_count: n,
             nodes,
             rows,
             entries,
-        };
-        guard.check_bytes(index.byte_size() + RankedSet::bytes_for(n))?;
-        Ok(index)
+        })
     }
 
     /// The maximum `Rmax` this index supports.
@@ -648,6 +690,7 @@ impl ProjectionIndex {
 mod tests {
     use super::*;
     use crate::testing::{collect_all, collect_top_k};
+    use crate::types::Core;
     use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
     use std::collections::BTreeSet;
 
@@ -939,7 +982,7 @@ mod tests {
         let ranked = |out: Outcome<Vec<Community>>| -> Vec<(Core, Weight)> {
             out.into_value()
                 .into_iter()
-                .map(|c| (c.core, c.cost))
+                .map(|c| (c.core.clone(), c.cost))
                 .collect()
         };
         let all = ranked(parked.clone().resume(60, 0, unlimited()).unwrap().0);

@@ -304,7 +304,7 @@ mod tests {
         Ok(out
             .into_value()
             .into_iter()
-            .map(|c| (c.core, c.cost))
+            .map(|c| (c.core.clone(), c.cost))
             .collect())
     }
 

@@ -465,6 +465,7 @@ mod tests {
     use crate::comm_k::CanList;
     use crate::lawler::FromScratch;
     use crate::testing::dense_scenario;
+    use crate::types::CommunityBody;
     use comm_graph::weight::index_to_u32;
     use comm_graph::{GraphBuilder, SplitMix64};
 
@@ -478,7 +479,7 @@ mod tests {
         let mut emitted = Vec::new();
         while let Some(c) = it.next() {
             it.shell.ns.assert_history_free();
-            emitted.push((c.core, c.cost));
+            emitted.push((c.core.clone(), c.cost));
         }
         (emitted, it.neighbor_sweeps())
     }
@@ -743,6 +744,7 @@ mod tests {
     );
 
     fn whole(c: Community) -> Whole {
+        let c = CommunityBody::clone(&c);
         let edges = c.subgraph.graph.edges().collect();
         let ids = c.subgraph.original_ids;
         (

@@ -4,6 +4,8 @@ use crate::error::{validate_nodes, validate_radius, QueryError};
 use crate::neighbor::MAX_KEYWORDS;
 use comm_graph::{Graph, InducedGraph, NodeId, Weight};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// The community cost function.
 ///
@@ -165,8 +167,18 @@ impl fmt::Debug for Core {
 
 /// A fully materialized community `R(V, E)` (Definition 2.1): the induced
 /// subgraph over knodes ∪ cnodes ∪ pnodes, plus its cost and role breakdown.
-#[derive(Clone, Debug)]
-pub struct Community {
+///
+/// A community is immutable once built, so it is a handle to one shared
+/// [`CommunityBody`]: a clone copies a pointer, never the node lists or
+/// the subgraph, and the fields read through `Deref` (`c.cost`, `c.core`).
+/// An answer cache's slice, a resume's replay of its prefix and a cache
+/// fill all share the bodies the enumeration built.
+#[derive(Clone)]
+pub struct Community(Arc<CommunityBody>);
+
+/// What a [`Community`] holds.
+#[derive(Clone)]
+pub struct CommunityBody {
     /// The core `C` that uniquely determines this community.
     pub core: Core,
     /// `cost(R)`: minimum over centers of the total shortest-path weight
@@ -184,6 +196,18 @@ pub struct Community {
 }
 
 impl Community {
+    /// Publishes a built body.
+    pub fn new(body: CommunityBody) -> Community {
+        Community(Arc::new(body))
+    }
+
+    /// The body of a community no one else holds yet, for the one rewrite
+    /// a freshly emitted community gets (projection-local ids lifted to
+    /// original ones). A shared body is copied first.
+    pub(crate) fn unshared_mut(&mut self) -> &mut CommunityBody {
+        Arc::make_mut(&mut self.0)
+    }
+
     /// All community nodes (original graph ids), sorted.
     pub fn nodes(&self) -> &[NodeId] {
         &self.subgraph.original_ids
@@ -199,16 +223,44 @@ impl Community {
         self.subgraph.graph.edge_count()
     }
 
-    /// Logical size in bytes: the struct, its node lists and its subgraph.
+    /// Logical size in bytes: the body, its node lists and its subgraph,
+    /// however many handles (cache entries, replies) share them.
     pub fn byte_size(&self) -> usize {
         let ids = self.centers.len()
             + self.knodes.len()
             + self.path_nodes.len()
             + self.subgraph.original_ids.len();
-        std::mem::size_of::<Community>()
+        std::mem::size_of::<CommunityBody>()
             + self.core.byte_size()
             + ids * std::mem::size_of::<NodeId>()
             + self.subgraph.graph.byte_size()
+    }
+}
+
+impl Deref for Community {
+    type Target = CommunityBody;
+
+    fn deref(&self) -> &CommunityBody {
+        &self.0
+    }
+}
+
+impl fmt::Debug for Community {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Debug for CommunityBody {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Community")
+            .field("core", &self.core)
+            .field("cost", &self.cost)
+            .field("centers", &self.centers)
+            .field("knodes", &self.knodes)
+            .field("path_nodes", &self.path_nodes)
+            .field("subgraph", &self.subgraph)
+            .finish()
     }
 }
 
@@ -291,6 +343,19 @@ mod tests {
         assert_eq!(c.get(1), NodeId(8));
         assert!(!c.is_empty());
         assert_eq!(c.byte_size(), 12);
+    }
+
+    #[test]
+    fn a_clone_shares_its_body() {
+        use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
+        let spec = QuerySpec::new(fig4_keyword_nodes(), Weight::new(FIG4_RMAX));
+        let c = crate::testing::collect_top_k(&fig4_graph(), &spec, 1).remove(0);
+        let d = c.clone();
+        assert!(std::ptr::eq(c.nodes(), d.nodes()));
+        assert_eq!(c.byte_size(), d.byte_size());
+        assert_eq!(size_of::<Community>(), size_of::<usize>());
+        // Printed as the struct it holds.
+        assert!(format!("{d:?}").starts_with("Community { core: [v"));
     }
 
     #[test]

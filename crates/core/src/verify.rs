@@ -533,7 +533,7 @@ mod tests {
         let g = fig4_graph();
         let spec = fig4_spec();
         let mut c = collect_all(&g, &spec).remove(0);
-        c.cost += Weight::new(1.0);
+        c.unshared_mut().cost += Weight::new(1.0);
         assert!(matches!(
             check_community(&g, &spec, &c),
             Err(CertificationError::CostMismatch { .. })
@@ -545,7 +545,7 @@ mod tests {
         let g = fig4_graph();
         let spec = fig4_spec();
         let mut c = collect_all(&g, &spec).remove(0);
-        c.centers.pop();
+        c.unshared_mut().centers.pop();
         assert!(matches!(
             check_community(&g, &spec, &c),
             Err(CertificationError::CentersMismatch { .. })
@@ -557,7 +557,7 @@ mod tests {
         let g = fig4_graph();
         let spec = fig4_spec();
         let mut c = collect_all(&g, &spec).remove(0);
-        c.knodes.push(NodeId(0));
+        c.unshared_mut().knodes.push(NodeId(0));
         assert!(matches!(
             check_community(&g, &spec, &c),
             Err(CertificationError::WrongKnodes { .. })
@@ -574,7 +574,7 @@ mod tests {
             .find(|c| !c.path_nodes.is_empty())
             .expect("paper example has a community with path nodes")
             .clone();
-        c.path_nodes.clear();
+        c.unshared_mut().path_nodes.clear();
         assert!(matches!(
             check_community(&g, &spec, &c),
             Err(CertificationError::PathNodesMismatch { .. })
@@ -587,7 +587,7 @@ mod tests {
         let spec = fig4_spec();
         let mut c = collect_all(&g, &spec).remove(0);
         // v1 carries no keyword in the fig. 4 assignment.
-        c.core.0[0] = NodeId(1);
+        c.unshared_mut().core.0[0] = NodeId(1);
         assert!(matches!(
             check_community(&g, &spec, &c),
             Err(CertificationError::KnodeOutsideKeywordSet { .. })
@@ -625,7 +625,7 @@ mod tests {
         let spec = fig4_spec();
         let all = collect_all(&g, &spec);
         let mut topk = collect_top_k(&g, &spec, 1);
-        topk[0].cost += Weight::new(0.5);
+        topk[0].unshared_mut().cost += Weight::new(0.5);
         assert!(matches!(
             check_topk_prefix(&topk, &all),
             Err(CertificationError::TopKNotPrefix { index: 0, .. })

@@ -6,8 +6,8 @@ use comm_core::trees::topk_trees;
 use comm_core::verify::{check_community, CertificationError};
 use comm_core::{
     bu_all_guarded, bu_topk_guarded, comm_k_guarded, comm_k_on_index, td_all_guarded,
-    td_topk_guarded, BaselineRun, CommAll, CommK, Community, Core, CostFn, InterruptReason,
-    Outcome, ProjectedQuery, ProjectionIndex, QueryError, QuerySpec, RunGuard,
+    td_topk_guarded, BaselineRun, CommAll, CommK, Community, CommunityBody, Core, CostFn,
+    InterruptReason, Outcome, ProjectedQuery, ProjectionIndex, QueryError, QuerySpec, RunGuard,
 };
 use comm_graph::{graph_from_edges, EnginePool, Graph, GraphBuilder, NodeId, Weight};
 
@@ -238,16 +238,19 @@ fn all_engines_agree_on_a_dense_clique() {
     }
     let g = b.build();
     let q = spec(&[&[0, 1], &[2, 3], &[4]], 2.0);
-    let pd: Vec<Core> = collect_all(&g, &q).into_iter().map(|c| c.core).collect();
+    let pd: Vec<Core> = collect_all(&g, &q)
+        .into_iter()
+        .map(|c| c.core.clone())
+        .collect();
     let bu: Vec<Core> = unguarded(bu_all_guarded(&g, &q, None, RunGuard::unlimited()))
         .communities
         .into_iter()
-        .map(|c| c.core)
+        .map(|c| c.core.clone())
         .collect();
     let td: Vec<Core> = unguarded(td_all_guarded(&g, &q, None, RunGuard::unlimited()))
         .communities
         .into_iter()
-        .map(|c| c.core)
+        .map(|c| c.core.clone())
         .collect();
     let norm = |mut v: Vec<Core>| {
         v.sort();
@@ -351,15 +354,21 @@ fn community_iterator_count_is_stable_across_runs() {
     let q = spec(&[&[0, 3], &[1, 4], &[2, 5]], 9.0);
     let a: Vec<(Core, Weight)> = CommK::try_new(&g, &q)
         .unwrap()
-        .map(|c| (c.core, c.cost))
+        .map(|c| (c.core.clone(), c.cost))
         .collect();
     let b: Vec<(Core, Weight)> = CommK::try_new(&g, &q)
         .unwrap()
-        .map(|c| (c.core, c.cost))
+        .map(|c| (c.core.clone(), c.cost))
         .collect();
     assert_eq!(a, b);
-    let c: Vec<Core> = collect_all(&g, &q).into_iter().map(|c| c.core).collect();
-    let d: Vec<Core> = collect_all(&g, &q).into_iter().map(|c| c.core).collect();
+    let c: Vec<Core> = collect_all(&g, &q)
+        .into_iter()
+        .map(|c| c.core.clone())
+        .collect();
+    let d: Vec<Core> = collect_all(&g, &q)
+        .into_iter()
+        .map(|c| c.core.clone())
+        .collect();
     assert_eq!(c, d);
 }
 
@@ -455,12 +464,12 @@ fn a_community_without_its_keyword_node_is_rejected() {
     // The mirror gadget's old wrong answer, `{0, 1, 4}`, built by hand.
     let g = mirror_gadget();
     let q = spec(&[&[3], &[4]], 0.6);
-    let right = collect_all(&g, &q).remove(0);
-    let wrong = Community {
+    let right = CommunityBody::clone(&collect_all(&g, &q).remove(0));
+    let wrong = Community::new(CommunityBody {
         path_nodes: ids(&[1]),
         subgraph: g.induce(&ids(&[0, 1, 4])),
         ..right.clone()
-    };
+    });
     assert_eq!(
         check_community(&g, &q, &wrong),
         Err(CertificationError::MissingCoreNode {

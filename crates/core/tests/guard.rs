@@ -15,7 +15,7 @@ use comm_core::{
     Outcome, ProjectionIndex, QueryError, QuerySpec, RunGuard,
 };
 use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
-use comm_graph::{DijkstraEngine, EnginePool, Graph, Weight};
+use comm_graph::{DijkstraEngine, EnginePool, Graph, GraphBuilder, NodeId, Weight};
 
 fn fig4() -> (Graph, QuerySpec) {
     (
@@ -159,6 +159,51 @@ fn baselines_survive_every_trip_point() {
     });
 }
 
+/// A complete digraph on 24 nodes and three keywords of eight nodes each:
+/// every node centers every one of the 512 cores, so a baseline's
+/// candidate map (top-k) or duplicate pool (all) outweighs its expansion.
+fn candidate_heavy() -> (Graph, QuerySpec) {
+    let mut b = GraphBuilder::new(24);
+    for u in 0..24 {
+        for v in (0..24).filter(|&v| v != u) {
+            b.add_edge(NodeId(u), NodeId(v), Weight::new(1.0));
+        }
+    }
+    let sets = (0..3)
+        .map(|i| (8 * i..8 * i + 8).map(NodeId).collect())
+        .collect();
+    (b.build(), QuerySpec::new(sets, Weight::new(1.0)))
+}
+
+/// A byte budget one below a baseline's charged peak, on a graph where the
+/// sink's map is most of that peak, trips all four: the map and the pool
+/// are charged key by key as they grow, not after the expansion ends.
+#[test]
+fn a_budget_below_the_candidate_map_trips_every_baseline() {
+    let (g, spec) = candidate_heavy();
+    let run = |name: &str, guard| {
+        let out = match name {
+            "bu_all" => bu_all_guarded(&g, &spec, None, guard),
+            "td_all" => td_all_guarded(&g, &spec, None, guard),
+            "bu_topk" => bu_topk_guarded(&g, &spec, 3, None, guard),
+            _ => td_topk_guarded(&g, &spec, 3, None, guard),
+        };
+        out.unwrap()
+    };
+    for name in ["bu_all", "td_all", "bu_topk", "td_topk"] {
+        let full = run(name, RunGuard::new());
+        assert!(full.is_complete(), "{name}: the unbudgeted run completes");
+        let peak = full.value().stats.peak_bytes;
+        let out = run(name, RunGuard::new().with_byte_budget(peak - 1));
+        assert_eq!(
+            out.reason(),
+            Some(InterruptReason::MemoryBudgetExhausted),
+            "{name}: a budget of {} B under a {peak} B peak",
+            peak - 1
+        );
+    }
+}
+
 #[test]
 fn get_community_survives_every_trip_point() {
     let (g, spec) = fig4();
@@ -166,7 +211,8 @@ fn get_community_survives_every_trip_point() {
         .unwrap()
         .next()
         .expect("fig4 has communities")
-        .core;
+        .core
+        .clone();
     sweep("get_community", |guard| {
         let mut engine = DijkstraEngine::new(g.node_count());
         match get_community_guarded(

@@ -92,7 +92,10 @@ fn check_partial_invariants(communities: &[Community]) {
 fn comm_all_equals_naive() {
     for_each_scenario(|_rng, g, spec| {
         let expect = sorted_cores(naive_all_cores(&g, &spec).into_iter().map(|(c, _)| c));
-        let got_list: Vec<Core> = collect_all(&g, &spec).into_iter().map(|c| c.core).collect();
+        let got_list: Vec<Core> = collect_all(&g, &spec)
+            .into_iter()
+            .map(|c| c.core.clone())
+            .collect();
         let deduped = {
             let mut v = got_list.clone();
             v.sort();
@@ -113,7 +116,7 @@ fn comm_k_equals_naive_in_rank_order() {
         let expect = naive_all_cores(&g, &spec);
         let got: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
             .unwrap()
-            .map(|c| (c.core, c.cost))
+            .map(|c| (c.core.clone(), c.cost))
             .collect();
         assert_eq!(got.len(), expect.len());
         // Cost sequence identical (ties may order differently, so compare
@@ -132,10 +135,13 @@ fn comm_k_equals_naive_in_rank_order() {
 fn comm_k_resume_invariance() {
     for_each_scenario(|rng, g, spec| {
         let split = rng.index(6);
-        let oneshot: Vec<Core> = CommK::try_new(&g, &spec).unwrap().map(|c| c.core).collect();
+        let oneshot: Vec<Core> = CommK::try_new(&g, &spec)
+            .unwrap()
+            .map(|c| c.core.clone())
+            .collect();
         let mut it = CommK::try_new(&g, &spec).unwrap();
-        let mut resumed: Vec<Core> = it.by_ref().take(split).map(|c| c.core).collect();
-        resumed.extend(it.map(|c| c.core));
+        let mut resumed: Vec<Core> = it.by_ref().take(split).map(|c| c.core.clone()).collect();
+        resumed.extend(it.map(|c| c.core.clone()));
         assert_eq!(resumed, oneshot);
     });
 }
@@ -184,13 +190,13 @@ fn baselines_equal_naive() {
             unguarded(bu_all_guarded(&g, &spec, None, RunGuard::unlimited()))
                 .communities
                 .into_iter()
-                .map(|c| c.core),
+                .map(|c| c.core.clone()),
         );
         let td = sorted_cores(
             unguarded(td_all_guarded(&g, &spec, None, RunGuard::unlimited()))
                 .communities
                 .into_iter()
-                .map(|c| c.core),
+                .map(|c| c.core.clone()),
         );
         assert_eq!(&bu, &expect, "bottom-up disagrees with oracle");
         assert_eq!(&td, &expect, "top-down disagrees with oracle");
@@ -229,11 +235,11 @@ fn lawler_equals_comm_k() {
     for_each_scenario(|_rng, g, spec| {
         let ours: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
             .unwrap()
-            .map(|c| (c.core, c.cost))
+            .map(|c| (c.core.clone(), c.cost))
             .collect();
         let lawler: Vec<(Core, Weight)> = LawlerK::try_new(&g, &spec)
             .unwrap()
-            .map(|c| (c.core, c.cost))
+            .map(|c| (c.core.clone(), c.cost))
             .collect();
         assert_eq!(ours, lawler);
     });
@@ -248,7 +254,7 @@ fn max_distance_cost_agrees_with_oracle() {
         let expect = naive_all_cores(&g, &spec);
         let got: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
             .unwrap()
-            .map(|c| (c.core, c.cost))
+            .map(|c| (c.core.clone(), c.cost))
             .collect();
         assert_eq!(got.len(), expect.len());
         let costs_got: Vec<Weight> = got.iter().map(|&(_, w)| w).collect();
@@ -455,7 +461,7 @@ fn guarded_comm_all_is_prefix_of_unguarded() {
         let trip = rng.below(600);
         let full: Vec<(Core, Weight)> = collect_all(&g, &spec)
             .into_iter()
-            .map(|c| (c.core, c.cost))
+            .map(|c| (c.core.clone(), c.cost))
             .collect();
         let out = comm_all_guarded(&g, &spec, RunGuard::new().with_trip_after(trip)).unwrap();
         let (partial, interrupted) = match out {
@@ -485,7 +491,7 @@ fn guarded_comm_k_is_ranked_prefix_of_unguarded() {
         let trip = rng.below(600);
         let full: Vec<(Core, Weight)> = CommK::try_new(&g, &spec)
             .unwrap()
-            .map(|c| (c.core, c.cost))
+            .map(|c| (c.core.clone(), c.cost))
             .collect();
         let out =
             comm_k_guarded(&g, &spec, usize::MAX, RunGuard::new().with_trip_after(trip)).unwrap();
@@ -509,7 +515,7 @@ fn radius_monotonicity() {
         let small = sorted_cores(naive_all_cores(&g, &spec).into_iter().map(|(c, _)| c));
         let mut bigger = spec.clone();
         bigger.rmax = spec.rmax + Weight::from(3u32);
-        let large = sorted_cores(collect_all(&g, &bigger).into_iter().map(|c| c.core));
+        let large = sorted_cores(collect_all(&g, &bigger).into_iter().map(|c| c.core.clone()));
         for c in &small {
             assert!(
                 large.binary_search(c).is_ok(),

@@ -8,6 +8,7 @@
 use crate::storage::Storage;
 use crate::verify::{validate_csr, GraphInvariantError};
 use crate::weight::{index_to_u32, Weight};
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -197,10 +198,24 @@ impl Csr {
     /// parallel edges included: the result is the forward half of the
     /// subgraph induced by `nodes`.
     pub fn induce(&self, nodes: &[NodeId], local: impl Fn(NodeId) -> Option<NodeId>) -> Csr {
+        let Ok(rows) = self.induce_charged(nodes, local, |_| Ok::<(), Infallible>(()));
+        rows
+    }
+
+    /// [`induce`](Self::induce), first telling `charge` the bytes the copy
+    /// reserves, so that a caller can refuse them before they exist.
+    pub fn induce_charged<E>(
+        &self,
+        nodes: &[NodeId],
+        local: impl Fn(NodeId) -> Option<NodeId>,
+        charge: impl FnOnce(usize) -> Result<(), E>,
+    ) -> Result<Csr, E> {
         // Reserved for every edge leaving `nodes` and trimmed afterwards:
         // the copy never regrows, and the (often cached) result holds no
         // slack.
-        let bound = nodes.iter().map(|&u| self.degree(u)).sum();
+        let bound: usize = nodes.iter().map(|&u| self.degree(u)).sum();
+        let edge = std::mem::size_of::<NodeId>() + std::mem::size_of::<Weight>();
+        charge((nodes.len() + 1) * std::mem::size_of::<u32>() + bound * edge)?;
         let mut offsets = Vec::with_capacity(nodes.len() + 1);
         let mut targets = Vec::with_capacity(bound);
         let mut weights = Vec::with_capacity(bound);
@@ -216,7 +231,7 @@ impl Csr {
         }
         targets.shrink_to_fit();
         weights.shrink_to_fit();
-        Csr::new(offsets.into(), targets.into(), weights.into())
+        Ok(Csr::new(offsets.into(), targets.into(), weights.into()))
     }
 
     /// The transposed half: row `v` of the result lists `(u, w)` for every

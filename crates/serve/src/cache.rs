@@ -12,7 +12,11 @@
 //! enumerations over the set read ahead to.
 //!
 //! All three hold `Arc`s, so a hit never copies the cached structure and
-//! an eviction never invalidates an in-flight reader. Insertion is
+//! an eviction never invalidates an in-flight reader. That holds inside
+//! an answer entry too: a [`Community`] is a handle to one immutable,
+//! `Arc`'d body, so a slice copies one pointer per community, and the
+//! entry, its replies and the enumeration that filled it share the same
+//! node lists and subgraphs. Insertion is
 //! *guarded*: sweeps, index assembly and enumeration run under the
 //! request's [`RunGuard`](comm_graph::RunGuard), and a trip returns
 //! **before** the interrupted piece touches a cache — a half-swept run, a
@@ -369,7 +373,7 @@ mod tests {
     /// An entry of `len` copies of one community of a two-node graph,
     /// parked unless `exhausted`.
     fn entry(len: usize, exhausted: bool) -> AnswerEntry {
-        use comm_core::{Core, CostFn};
+        use comm_core::{CommunityBody, Core, CostFn};
         use comm_graph::{EnginePool, GraphBuilder, NodeId, RunGuard};
         let mut b = GraphBuilder::new(2);
         b.add_edge(NodeId(0), NodeId(1), Weight::new(1.0));
@@ -385,14 +389,14 @@ mod tests {
         let index = built.unwrap();
         let one = Weight::new(1.0);
         let parked = ParkedTopK::project(&index, &["a"], one, CostFn::SumDistances, &guard);
-        let c = Community {
+        let c = Community::new(CommunityBody {
             core: Core(vec![NodeId(0)]),
             cost: Weight::ZERO,
             centers: vec![NodeId(0)],
             knodes: vec![NodeId(0)],
             path_nodes: Vec::new(),
             subgraph: g.induce(&[NodeId(0)]),
-        };
+        });
         AnswerEntry {
             prefix: vec![c; len],
             parked: (!exhausted).then(|| parked.unwrap()),

@@ -373,7 +373,9 @@ impl<'a> Cursor<'a> {
 
 // ---- framing -----------------------------------------------------------
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame (length prefix + payload) and flushes. Prefix and
+/// payload go out as one buffer: one `write` and, on a `TCP_NODELAY`
+/// socket, one segment, not two.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
     comm_graph::sync::assert_unlocked();
     let len =
@@ -381,8 +383,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolErr
     if len > MAX_FRAME_BYTES {
         return Err(ProtocolError::FrameTooLarge(len));
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }

@@ -72,7 +72,7 @@ fn dblp_projection_equals_full_graph_query() {
     let full_spec = spec_for(&ds, &keywords, 6.0);
     let full: BTreeSet<Vec<NodeId>> = collect_all(&ds.graph.graph, &full_spec)
         .into_iter()
-        .map(|c| c.core.0)
+        .map(|c| c.core.0.clone())
         .collect();
     let projected: BTreeSet<Vec<NodeId>> = collect_all(&pq.projected.graph, &pq.spec)
         .into_iter()
@@ -130,17 +130,17 @@ fn imdb_all_enumerators_agree_on_core_sets() {
 
     let pd: BTreeSet<_> = collect_all(g, &pq.spec)
         .into_iter()
-        .map(|c| c.core)
+        .map(|c| c.core.clone())
         .collect();
     let bu: BTreeSet<_> = unguarded(bu_all_guarded(g, &pq.spec, None, RunGuard::unlimited()))
         .communities
         .into_iter()
-        .map(|c| c.core)
+        .map(|c| c.core.clone())
         .collect();
     let td: BTreeSet<_> = unguarded(td_all_guarded(g, &pq.spec, None, RunGuard::unlimited()))
         .communities
         .into_iter()
-        .map(|c| c.core)
+        .map(|c| c.core.clone())
         .collect();
     assert_eq!(pd, bu);
     assert_eq!(pd, td);
@@ -154,12 +154,12 @@ fn interactive_resume_equals_oneshot_on_generated_data() {
     let oneshot: Vec<_> = CommK::try_new(&ds.graph.graph, &spec)
         .unwrap()
         .take(30)
-        .map(|c| c.core)
+        .map(|c| c.core.clone())
         .collect();
     let mut it = CommK::try_new(&ds.graph.graph, &spec).unwrap();
-    let mut paged: Vec<_> = it.by_ref().take(10).map(|c| c.core).collect();
-    paged.extend(it.by_ref().take(10).map(|c| c.core));
-    paged.extend(it.by_ref().take(10).map(|c| c.core));
+    let mut paged: Vec<_> = it.by_ref().take(10).map(|c| c.core.clone()).collect();
+    paged.extend(it.by_ref().take(10).map(|c| c.core.clone()));
+    paged.extend(it.by_ref().take(10).map(|c| c.core.clone()));
     assert_eq!(paged, oneshot);
 }
 

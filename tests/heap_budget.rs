@@ -38,12 +38,13 @@ use communities::graph::{
 use communities::search::trees::topk_trees;
 use communities::search::{
     bu_all_guarded, bu_topk_guarded, td_all_guarded, td_topk_guarded, BaselineRun, CommAll, CommK,
-    LawlerK, Outcome, ProjectionIndex, QueryError, QuerySpec, RunGuard,
+    Community, KeywordRun, LawlerK, Outcome, ProjectionIndex, QueryError, QuerySpec, RunGuard,
 };
-use communities::serve::{EngineConfig, QueryEngine};
+use communities::serve::{synthetic_engine, EngineConfig, QueryEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::mem::size_of;
 use std::sync::mpsc;
 
 thread_local! {
@@ -265,6 +266,89 @@ fn budgets_and_charges_bound_the_real_heap() {
             }
         }
     });
+}
+
+/// Property (a) for a tripped index build too: `build_guarded` charges
+/// each growth of a keyword's run, with the runs already swept, before it
+/// allocates it, so a build the budget stops held no more than the budget
+/// allows either. Twelve keywords, so that the runs together outweigh the
+/// engine's scratch `S`.
+#[test]
+fn a_tripped_index_build_holds_what_its_budget_allows() {
+    SplitMix64::for_each_case(6, |rng| {
+        let n = 300 + rng.index(7_700);
+        let (g, _) = corpus_case(rng, n);
+        let id = |rng: &mut SplitMix64| NodeId(u32::try_from(rng.index(n)).unwrap());
+        let sets: Vec<(String, Vec<NodeId>)> = (0..12)
+            .map(|i| (format!("w{i}"), (0..8).map(|_| id(rng)).collect()))
+            .collect();
+        let keywords = || sets.iter().map(|(w, v)| (w.as_str(), v.as_slice()));
+        let build = |guard: RunGuard| {
+            let pool = EnginePool::new();
+            ProjectionIndex::build_guarded(&g, keywords(), Weight::new(RMAX), &guard, &pool).is_ok()
+        };
+        let scratch = DijkstraEngine::new(n).scratch_bytes();
+        let (_, peak) = measure(|| build(RunGuard::new()));
+        for _ in 0..6 {
+            let b = rng.index(peak + 1);
+            let (complete, held) = measure(|| build(RunGuard::new().with_byte_budget(b)));
+            assert!(
+                held <= bound(b, scratch),
+                "build_guarded at n = {n}, budget {b} B, complete {complete}, \
+                 S {scratch} B: held {held} B"
+            );
+        }
+    });
+}
+
+/// A keyword's run is charged before each growth, so a sweep its budget
+/// stops held about that budget of run, not the whole run. The engine
+/// sweeps once unbudgeted first: its scratch and heap are warm, and only
+/// the run's own bytes are measured.
+#[test]
+fn a_tripped_sweep_holds_its_budget_not_its_run() {
+    SplitMix64::for_each_case(3, |rng| {
+        let n = 4_000 + rng.index(4_000);
+        let (g, spec) = corpus_case(rng, n);
+        // All 24 keyword nodes at twice the radius: a run of most of the graph.
+        let v_w: Vec<NodeId> = spec.keyword_nodes.concat();
+        let (v_w, r) = (&v_w, Weight::new(2.0 * RMAX));
+        let mut engine = DijkstraEngine::new(n);
+        let mut sweep = |guard| KeywordRun::sweep(&g, &mut engine, v_w, r, &guard);
+        let whole = sweep(RunGuard::new()).unwrap().byte_size();
+        let b = whole / 4;
+        let (out, held) = measure(|| sweep(RunGuard::new().with_byte_budget(b)).is_ok());
+        assert!(
+            !out && b > 4096,
+            "n = {n}: a {whole} B run under a {b} B budget"
+        );
+        assert!(
+            held <= 2 * b + 4096,
+            "n = {n}: held {held} B of a {whole} B run under a {b} B budget"
+        );
+    });
+}
+
+/// A slice of a warm answer entry shares the entry's communities: it
+/// allocates the reply's handles, `k · size_of::<Community>()` bytes, and
+/// a small constant for the keys, whatever the communities weigh.
+#[test]
+fn a_slice_copies_handles_not_communities() {
+    let engine = synthetic_engine(16, EngineConfig::default()).unwrap();
+    let words = ["alpha", "beta"].map(String::from);
+    let answer = |k: u32| engine.answer(&words, 5.0, k, &RunGuard::new()).unwrap();
+    let warm = answer(250);
+    assert_eq!(warm.value().len(), 250, "the entry holds 250 communities");
+    let weight: usize = warm.value().iter().map(Community::byte_size).sum();
+    for k in [50, 250] {
+        let (out, held) = measure(|| answer(k));
+        assert!(out.is_complete() && out.value().len() == k as usize);
+        let handles = k as usize * size_of::<Community>();
+        assert!(
+            held <= handles + 4096,
+            "a slice to k = {k} held {held} B: {handles} B of handles, {weight} B of communities"
+        );
+    }
 }
 
 /// The counters are per thread: what a sibling thread allocates, holds
