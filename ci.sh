@@ -72,11 +72,25 @@ lane_test() {
 }
 
 # The end-to-end ledger's own tests, then one smoke round of every
-# workload (answers are verified inside the command).
+# workload (answers are verified inside the command), then every figure
+# of `repro` at quick scale in a temp directory (it asserts that the
+# enumerators agree; ≈ 1 s).
 lane_bench() {
     echo "==> benchmark lane (benchmark/ tests + smoke run)"
     cargo test -q --release --manifest-path benchmark/Cargo.toml
     cargo run --quiet --release --manifest-path benchmark/Cargo.toml -- run --smoke
+
+    echo "==> repro --quick all"
+    local root tmp
+    root=$PWD
+    tmp=$(mktemp -d)
+    if ! (cd "$tmp" && cargo run --quiet --release --manifest-path "$root/Cargo.toml" \
+        -p comm-bench --bin repro -- --quick all >/dev/null); then
+        rm -rf "$tmp"
+        echo "repro --quick all failed"
+        exit 1
+    fi
+    rm -rf "$tmp"
 }
 
 # Starts `comm-explore serve --addr 127.0.0.1:0 ARGS...` logging to

@@ -676,7 +676,7 @@ mod tests {
 
     #[test]
     fn quick_comm_all_figure_runs() {
-        let p = Prepared::imdb(Scale::Quick, None);
+        let p = Prepared::imdb(Scale::Quick);
         let caps = Caps::for_scale(Scale::Quick);
         let tables = comm_all_figure(&p, caps, "fig9");
         assert_eq!(tables.len(), 3);
@@ -686,7 +686,7 @@ mod tests {
 
     #[test]
     fn quick_interactive_and_index() {
-        let p = Prepared::dblp(Scale::Quick, None);
+        let p = Prepared::dblp(Scale::Quick);
         let caps = Caps::for_scale(Scale::Quick);
         let t = interactive_figure(&p, caps);
         assert_eq!(t.rows.len(), p.grid.k.len());
@@ -694,9 +694,34 @@ mod tests {
         assert_eq!(idx.rows.len(), 1);
     }
 
+    /// Sec. III-A's claim: sharing the `l` dimensions' sweeps saves
+    /// `Neighbor()` sweeps at every `l`, and saves more as `l` grows.
+    #[test]
+    fn lawler_sweeps_more_than_pdk_and_more_so_as_l_grows() {
+        for p in [Prepared::imdb(Scale::Quick), Prepared::dblp(Scale::Quick)] {
+            let t = ablation_lawler(&p, Caps::for_scale(Scale::Quick));
+            let col = |name: &str| t.header.iter().position(|h| h == name).unwrap();
+            let (pd, lawler) = (col("PDk sweeps"), col("Lawler sweeps"));
+            let sweeps = |row: &[String], c: usize| row[c].parse::<f64>().unwrap();
+            let ratio = |l: &str| {
+                let row = t.rows.iter().find(|r| r[0] == l).expect("l is on the grid");
+                sweeps(row, lawler) / sweeps(row, pd)
+            };
+            for row in &t.rows {
+                assert!(sweeps(row, lawler) > sweeps(row, pd), "{}: {row:?}", p.name);
+            }
+            let (at2, at6) = (ratio("2"), ratio("6"));
+            assert!(
+                at6 > at2,
+                "{}: ratio {at2:.2} at l = 2, {at6:.2} at l = 6",
+                p.name
+            );
+        }
+    }
+
     #[test]
     fn quick_projection_ablation() {
-        let p = Prepared::dblp(Scale::Quick, None);
+        let p = Prepared::dblp(Scale::Quick);
         let t = ablation_projection(&p);
         assert_eq!(t.rows.len(), 2);
     }

@@ -9,5 +9,5 @@ pub mod experiments;
 pub mod setup;
 pub mod table;
 
-pub use setup::{IndexSource, Prepared, Scale};
+pub use setup::{Prepared, Scale};
 pub use table::Table;

@@ -264,7 +264,9 @@ fn wrap_run(run: BaselineRun) -> Outcome<BaselineRun> {
 }
 
 /// The `all` sink: a pool of already-output cores keeps the stream
-/// duplication-free, and every new core is materialized at once.
+/// duplication-free, and every new core is materialized at once. Each
+/// community is held to the end of the run, so it is charged with the
+/// expansion, the pool and the communities before it.
 fn enumerate_all(
     expander: Expander,
     graph: &Graph,
@@ -278,7 +280,7 @@ fn enumerate_all(
     let mut stats = BaselineStats::default();
     let mut pool: HashSet<Core> = HashSet::new();
     let pooled = spec.l() * 4 + 32;
-    let mut communities = Vec::new();
+    let (mut communities, mut answers) = (Vec::new(), 0);
     let (bytes, ended) = expand(
         expander,
         graph,
@@ -290,9 +292,12 @@ fn enumerate_all(
             stats.candidates += 1;
             guard.note_candidate()?;
             if !pool.contains(&core) {
-                guard.check_bytes(live + (pool.len() + 1) * pooled)?;
+                guard.check_bytes(live + (pool.len() + 1) * pooled + answers)?;
                 pool.insert(core.clone());
-                communities.push(materialize(graph, spec, engine, &mut table, &core, guard)?);
+                let c = materialize(graph, spec, engine, &mut table, &core, guard)?;
+                guard.check_bytes(live + pool.len() * pooled + answers + c.byte_size())?;
+                answers += c.byte_size();
+                communities.push(c);
             } else {
                 stats.duplicates += 1;
             }
@@ -302,7 +307,7 @@ fn enumerate_all(
     stats.completed = ended == Ok(true);
     stats.interrupted = ended.err();
     stats.communities = communities.len();
-    stats.peak_bytes = bytes + pool.len() * pooled;
+    stats.peak_bytes = bytes + pool.len() * pooled + answers;
     Ok(wrap_run(BaselineRun { communities, stats }))
 }
 

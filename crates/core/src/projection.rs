@@ -42,8 +42,6 @@ use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::Arc;
 
-mod cpix;
-
 /// Run entries scanned between two guard consultations.
 const SCAN_STRIDE: usize = 1024;
 
@@ -692,9 +690,10 @@ mod tests {
     use crate::testing::{collect_all, collect_top_k};
     use crate::types::Core;
     use comm_datasets::paper_example::{fig4_graph, fig4_keyword_nodes, FIG4_RMAX};
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::fmt::Debug;
 
-    pub(super) fn index(radius: f64) -> (Graph, ProjectionIndex) {
+    fn index(radius: f64) -> (Graph, ProjectionIndex) {
         let g = fig4_graph();
         let kn = fig4_keyword_nodes();
         let kws = [
@@ -713,6 +712,19 @@ mod tests {
     ) -> Result<ProjectionIndex, InterruptReason> {
         let (r, guard) = (Weight::new(radius), RunGuard::unlimited());
         ProjectionIndex::build_guarded(g, kws, r, &guard, &EnginePool::new())
+    }
+
+    /// What an index holds: the radius, `|V(G_D)|`, `U`, the three row
+    /// arrays, and each keyword's `V_w` and run, keywords in order. Two
+    /// indexes with equal fields answer every query alike.
+    fn fields(idx: &ProjectionIndex) -> impl PartialEq + Debug + '_ {
+        let rows = (idx.rows.offsets(), idx.rows.targets(), idx.rows.weights());
+        let entries: BTreeMap<&str, _> = idx
+            .entries
+            .iter()
+            .map(|(kw, e)| (kw.as_str(), (&*e.nodes, &e.reach_ids[..], &*e.reach_dist)))
+            .collect();
+        (idx.radius, idx.node_count, &idx.nodes[..], rows, entries)
     }
 
     fn project(idx: &ProjectionIndex, keywords: &[&str], rmax: f64) -> ProjectedQuery {
@@ -1015,8 +1027,8 @@ mod tests {
 
     /// The index of a set, swept keyword by keyword in another order on
     /// another engine and handed to the assembly in a third, has the
-    /// one-shot build's bytes: the encoding covers `U`, the rows, `V_w`
-    /// and the runs. On the paper's example and on a sampled DBLP.
+    /// one-shot build's fields: `U`, the rows, `V_w` and the runs. On the
+    /// paper's example and on a sampled DBLP.
     #[test]
     fn index_bytes_do_not_depend_on_sweep_order() {
         let (r, guard) = (Weight::new(8.0), RunGuard::unlimited());
@@ -1036,7 +1048,7 @@ mod tests {
             assert_eq!(assembled.keyword_count(), kws.len());
             assert_eq!(assembled.byte_size(), one_shot.byte_size());
             let names: Vec<&str> = kws.iter().map(|&(kw, _)| kw).collect();
-            assert!(assembled.encode() == one_shot.encode(), "{names:?}");
+            assert!(fields(&assembled) == fields(&one_shot), "{names:?}");
         };
         let (g, kn) = (fig4_graph(), fig4_keyword_nodes());
         check(&g, &[("a", &kn[0]), ("b", &kn[1]), ("c", &kn[2])]);
@@ -1075,7 +1087,7 @@ mod tests {
                 .map(|&p| (names[p], kn[p].as_slice()))
                 .collect();
             let built = build(&g, kws.iter().copied(), 8.0).unwrap();
-            assert_eq!(assembled.encode(), built.encode(), "{picks:?}");
+            assert_eq!(fields(&assembled), fields(&built), "{picks:?}");
             // V_w and the distances are the run's own arrays, not copies.
             for p in picks {
                 let (kw, run) = &runs[p];
@@ -1137,7 +1149,8 @@ mod tests {
             &pool,
             Parallelism::serial(),
         );
-        assert!(shim.unwrap().encode() == build(&g, kws, 8.0).unwrap().encode());
+        let built = build(&g, kws, 8.0).unwrap();
+        assert!(fields(&shim.unwrap()) == fields(&built));
         assert_eq!(pool.pooled_engines(), 1, "one engine served both builds");
     }
 }

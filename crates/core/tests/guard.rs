@@ -204,6 +204,40 @@ fn a_budget_below_the_candidate_map_trips_every_baseline() {
     }
 }
 
+/// BUall and TDall hold every community they materialize to the end of
+/// the run, and on this graph those answers are most of the charged peak:
+/// a budget above the expansion and the pool, below the answers, trips
+/// both, because each community is charged before it is kept.
+#[test]
+fn a_budget_below_the_held_answers_trips_bu_all_and_td_all() {
+    let (g, spec) = candidate_heavy();
+    for name in ["bu_all", "td_all"] {
+        let run = |guard| {
+            let out = match name {
+                "bu_all" => bu_all_guarded(&g, &spec, None, guard),
+                _ => td_all_guarded(&g, &spec, None, guard),
+            };
+            out.unwrap()
+        };
+        let full = run(RunGuard::new());
+        assert!(full.is_complete(), "{name}: the unbudgeted run completes");
+        let done = full.value();
+        let held: usize = done.communities.iter().map(Community::byte_size).sum();
+        let peak = done.stats.peak_bytes;
+        assert!(
+            2 * held > peak,
+            "{name}: {held} B of answers in a {peak} B peak"
+        );
+        let budget = peak - held / 2;
+        let out = run(RunGuard::new().with_byte_budget(budget));
+        assert_eq!(
+            out.reason(),
+            Some(InterruptReason::MemoryBudgetExhausted),
+            "{name}: a budget of {budget} B under a {peak} B peak holding {held} B of answers"
+        );
+    }
+}
+
 #[test]
 fn get_community_survives_every_trip_point() {
     let (g, spec) = fig4();

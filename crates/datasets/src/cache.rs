@@ -1,14 +1,13 @@
 //! Where cached datasets live on disk.
 //!
 //! Paper-scale generation takes ~a minute; mapping a CGPH v3 container
-//! ([`comm_graph::Container`]: the database graph, the keyword → node-set
-//! map and an opaque blob, by convention a serialized projection index)
-//! back in is near-instant. The two load paths that cache — the bench
-//! set-up and the CLI session — save and load containers themselves with
+//! ([`comm_graph::Container`]: the database graph and the keyword →
+//! node-set map) back in is near-instant. The load path that caches — the
+//! CLI session — saves and loads containers itself with
 //! [`comm_graph::save_container`] / [`comm_graph::load_container`]; this
-//! module only says *where*: a directory the binary's `main` reads from
-//! the environment once ([`cache_dir`]) and hands down as a value, and one
-//! file per configuration key in it ([`bundle_path`]). No directory means
+//! module only says *where*: a directory `comm-explore`'s `main` reads
+//! from the environment once ([`cache_dir`]) and hands down as a value,
+//! and one file per configuration key in it ([`bundle_path`]). No directory means
 //! no caching: every load generates from scratch. A file that fails to
 //! load (corrupt, stale, a legacy `CBDL` bundle) is regenerated over.
 

@@ -4,10 +4,9 @@
 //! offsets/targets/weights) as fixed-width little-endian sections, so a
 //! warm load is one `mmap` plus linear validation: zero parsing, zero
 //! rebuilding, and the arrays are used in place ([`crate::storage`]). The
-//! keyword → nodes map (the paper's `invertedN`) and an opaque *extra*
-//! payload (`comm-core`'s serialized projection indexes) ride in the same
-//! file, which is what lets the serving daemon restart without touching
-//! the relational layer.
+//! keyword → nodes map (the paper's `invertedN`) and an optional opaque
+//! *extra* payload ride in the same file, which is what lets the serving
+//! daemon restart without touching the relational layer.
 //!
 //! # Layout
 //!
@@ -35,8 +34,7 @@
 //! keyword map's contract (lowercase keys, strictly increasing in-range
 //! node ids). Header counts are claims, never trusted for allocation:
 //! every variable-length read is bounded by the actual section bytes
-//! first, and speculative preallocation is capped by
-//! [`PREALLOC_CAP`](crate::io::PREALLOC_CAP).
+//! first, and speculative preallocation is capped by [`PREALLOC_CAP`].
 //!
 //! # Versions
 //!
@@ -47,13 +45,12 @@
 //! that fails to load.
 
 use crate::csr::{Csr, Graph, NodeId};
-use crate::io::{atomic_write, PREALLOC_CAP};
 use crate::storage::{MapRegion, Storage};
 use crate::verify::validate_csr;
 use crate::weight::{try_index_to_u32, try_u64_to_usize, Weight};
 use crate::Direction;
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -75,6 +72,12 @@ const SEC_REV_WEIGHTS: u32 = 6;
 const SEC_KEYWORDS: u32 = 7;
 const SEC_EXTRA: u32 = 8;
 
+/// Upper bound on speculative preallocation from header counts. Larger
+/// (legitimate) inputs still load fine — collections just grow as records
+/// actually arrive instead of trusting the header up front — so a hostile
+/// count can never reserve more than ~16 MiB before real bytes back it.
+const PREALLOC_CAP: usize = 1 << 20;
+
 /// The container checksum: FNV-1a-style mixing over 8-byte little-endian
 /// words in four independent lanes (folded together at the end), with
 /// trailing words and bytes folded serially. The byte-serial FNV loop
@@ -84,9 +87,8 @@ const SEC_EXTRA: u32 = 8;
 /// memory-bound. Tiny, dependency-free, and plenty for corruption
 /// detection (integrity, not authentication). Every step is a bijection
 /// of the running state, so a change confined to one word always changes
-/// the sum. Public so blobs that travel in the *extra* section (`comm-core`'s
-/// projection index) seal themselves with the same function.
-pub fn checksum64(bytes: &[u8]) -> u64 {
+/// the sum.
+fn checksum64(bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     const SEED: u64 = 0xcbf2_9ce4_8422_2325;
     let word = |c: &[u8]| {
@@ -126,7 +128,7 @@ fn bad(msg: impl Into<String>) -> io::Error {
 
 /// Everything a warm start needs, as loaded from one container file: the
 /// graph (zero-copy when mapped), the keyword → sorted-node map, and the
-/// opaque extra payload (serialized projection indexes, by convention).
+/// opaque extra payload.
 #[derive(Debug)]
 pub struct Container {
     /// The database graph, CSR arrays viewing the mapped region.
@@ -301,6 +303,38 @@ pub fn save_container<'a>(
     atomic_write(path, |w| {
         write_container(w, graph, entries.iter().copied(), extra)
     })
+}
+
+/// Writes a file atomically: the payload goes to a unique temp file in the
+/// same directory, is flushed and `fsync`ed, and only then renamed over
+/// `path`. A crash (or guard trip) mid-write therefore leaves any previous
+/// file at `path` untouched — never a half-written hybrid — and the temp
+/// file is removed on error.
+fn atomic_write(
+    path: impl AsRef<Path>,
+    write_fn: impl FnOnce(&mut BufWriter<std::fs::File>) -> io::Result<()>,
+) -> io::Result<()> {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let path = path.as_ref();
+    let mut tmp_name = path.as_os_str().to_owned();
+    tmp_name.push(format!(
+        ".tmp.{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = std::path::PathBuf::from(tmp_name);
+    let result = (|| {
+        let mut w = BufWriter::new(std::fs::File::create(&tmp)?);
+        write_fn(&mut w)?;
+        w.flush()?;
+        w.get_ref().sync_all()?;
+        std::fs::rename(&tmp, path)
+    })();
+    if result.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    result
 }
 
 /// One parsed TOC entry.

@@ -6,7 +6,6 @@
 //! from keyword nodes" (Algorithm 2's virtual sink `t`).
 
 use crate::storage::Storage;
-use crate::verify::{validate_csr, GraphInvariantError};
 use crate::weight::{index_to_u32, Weight};
 use std::convert::Infallible;
 use std::fmt;
@@ -108,23 +107,6 @@ impl Csr {
             weights,
             min_w: OnceLock::new(),
         }
-    }
-
-    /// Assembles a square half from raw arrays, checking everything a
-    /// sweep or a [`transpose`](Self::transpose) indexes by: `offsets`
-    /// non-empty, starting at 0, monotone and closing on the target count;
-    /// targets below the row count; rows sorted by `(target, weight)`;
-    /// weights finite. This is the entry point for arrays decoded from
-    /// untrusted bytes.
-    pub fn from_parts(
-        offsets: Vec<u32>,
-        targets: Vec<NodeId>,
-        weights: Vec<Weight>,
-    ) -> Result<Csr, GraphInvariantError> {
-        let (n, m) = (offsets.len().saturating_sub(1), targets.len());
-        let csr = Csr::new(offsets.into(), targets.into(), weights.into());
-        validate_csr(&csr, Direction::Forward, n, m)?;
-        Ok(csr)
     }
 
     /// Number of rows.
@@ -553,28 +535,6 @@ impl GraphBuilder {
     pub fn build(self) -> Graph {
         Graph::from_rows(Csr::from_edges(self.n, &self.edges))
     }
-
-    /// Finalizes the CSR representation with *node weights* folded into
-    /// the edges: every edge `(u, v)` gains `node_weights[v]`, so a path's
-    /// distance includes the weight of every node it enters (all nodes
-    /// except the start). This is the standard reduction behind the
-    /// paper's footnote "our approach can support node weights".
-    ///
-    /// # Panics
-    /// If `node_weights.len() != n`.
-    pub fn build_with_node_weights(mut self, node_weights: &[Weight]) -> Graph {
-        assert_eq!(
-            node_weights.len(),
-            self.n,
-            "need one weight per node ({} nodes, {} weights)",
-            self.n,
-            node_weights.len()
-        );
-        for (_, v, w) in &mut self.edges {
-            *w += node_weights[v.index()];
-        }
-        self.build()
-    }
 }
 
 /// Builds a graph directly from an edge list (convenience for tests and
@@ -644,6 +604,10 @@ mod tests {
         let g = graph_from_edges(2, &[(0, 1, 5.0), (0, 1, 3.0)]);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.edge_weight(NodeId(0), NodeId(1)), Some(Weight::new(3.0)));
+        assert_eq!(
+            g.rows(Direction::Forward).min_weight(),
+            Some(Weight::new(3.0))
+        );
     }
 
     #[test]
@@ -801,37 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_rejects_what_a_sweep_would_index_out_of() {
-        let w = |x: f64| Weight::new(x);
-        let ok = Csr::from_parts(
-            vec![0, 1, 2],
-            vec![NodeId(1), NodeId(0)],
-            vec![w(1.0), w(0.0)],
-        )
-        .unwrap();
-        assert_eq!(ok.node_count(), 2);
-        assert_eq!(ok.min_weight(), Some(w(0.0)));
-        assert_eq!(Csr::default().min_weight(), None);
-        let bad = [
-            // No offsets at all; offsets not starting at 0; decreasing;
-            // not closing on the target count.
-            Csr::from_parts(vec![], vec![], vec![]),
-            Csr::from_parts(vec![1, 1], vec![NodeId(0)], vec![w(1.0)]),
-            Csr::from_parts(vec![0, 2, 1], vec![NodeId(0)], vec![w(1.0)]),
-            Csr::from_parts(vec![0, 1, 1], vec![NodeId(0), NodeId(1)], vec![w(1.0); 2]),
-            // Target out of range, unsorted row, weight count mismatch,
-            // infinite weight.
-            Csr::from_parts(vec![0, 1], vec![NodeId(1)], vec![w(1.0)]),
-            Csr::from_parts(vec![0, 2, 2], vec![NodeId(1), NodeId(0)], vec![w(1.0); 2]),
-            Csr::from_parts(vec![0, 1], vec![NodeId(0)], vec![]),
-            Csr::from_parts(vec![0, 1], vec![NodeId(0)], vec![Weight::INFINITY]),
-        ];
-        for (i, r) in bad.into_iter().enumerate() {
-            assert!(r.is_err(), "malformed half {i} was accepted");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
         let mut b = GraphBuilder::new(1);
@@ -844,32 +777,12 @@ mod tests {
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.nodes().count(), 0);
+        assert_eq!(Csr::default().min_weight(), None);
     }
 
     #[test]
     fn byte_size_positive() {
         assert!(diamond().byte_size() > 0);
-    }
-
-    #[test]
-    fn node_weights_fold_into_edges() {
-        // 0 -1-> 1 -1-> 2 with node weights [5, 10, 20]:
-        // dist(0, 2) = (1 + 10) + (1 + 20) = 32; the start's weight is free.
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(NodeId(0), NodeId(1), Weight::new(1.0));
-        b.add_edge(NodeId(1), NodeId(2), Weight::new(1.0));
-        let g =
-            b.build_with_node_weights(&[Weight::new(5.0), Weight::new(10.0), Weight::new(20.0)]);
-        assert_eq!(g.edge_weight(NodeId(0), NodeId(1)), Some(Weight::new(11.0)));
-        let d = crate::dijkstra::shortest_distances(&g, Direction::Forward, NodeId(0));
-        assert_eq!(d[2], Weight::new(32.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per node")]
-    fn node_weights_length_checked() {
-        let b = GraphBuilder::new(2);
-        let _ = b.build_with_node_weights(&[Weight::ZERO]);
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub mod container;
 mod csr;
 mod dijkstra;
 pub mod guard;
-pub mod io;
 pub mod pool;
 pub mod reference;
 pub mod rng;

@@ -54,14 +54,6 @@ impl Value {
         }
     }
 
-    /// The float payload, if any.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Whether the value is `Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
@@ -120,7 +112,6 @@ mod tests {
     fn accessors() {
         assert_eq!(Value::Int(3).as_int(), Some(3));
         assert_eq!(Value::Text("t".into()).as_text(), Some("t"));
-        assert_eq!(Value::Float(1.5).as_float(), Some(1.5));
         assert_eq!(Value::Null.as_int(), None);
         assert!(Value::Null.is_null());
     }

@@ -259,14 +259,6 @@ impl From<io::Error> for ProtocolError {
     }
 }
 
-impl ProtocolError {
-    /// Whether this error came from the transport (retryable) rather than
-    /// from malformed bytes (not retryable).
-    pub fn is_transport(&self) -> bool {
-        matches!(self, ProtocolError::Io(_))
-    }
-}
-
 // ---- primitive encoding ------------------------------------------------
 
 fn put_u16(buf: &mut Vec<u8>, v: u16) {

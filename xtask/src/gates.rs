@@ -74,13 +74,13 @@ pub const ROWS: [Row; 17] = [
         reason: "these survive only for the frozen benchmark/: use an engine-owned or local EnginePool, \
                  ProjectionIndex::build_guarded, or NeighborSets::recompute_dim_guarded per dimension" },
     Row { name: "env_cache_dir", needles: &["cache_dir()"], roots: CODE, text: Raw(&[]),
-        place: Only(&["crates/cli/src/main.rs", "crates/bench/src/bin/repro.rs", "crates/datasets/src/cache.rs"]),
+        place: Only(&["crates/cli/src/main.rs", "crates/datasets/src/cache.rs"]),
         reason: "configuration travels as a value: take the cache directory as an Option<&Path>" },
     Row { name: "env_var", needles: &["env::var"], roots: CODE, text: Raw(&[]),
         place: Only(&["crates/datasets/src/cache.rs"]),
         reason: "read the environment in fn main, through comm_datasets::cache" },
     Row { name: "heap_projection", needles: &["BinaryHeap"],
-        roots: &["crates/core/src/projection.rs", "crates/core/src/projection"], text: Raw(&[]), place: Only(&[]),
+        roots: &["crates/core/src/projection.rs"], text: Raw(&[]), place: Only(&[]),
         reason: "the projection sweeps on DijkstraEngine" },
     Row { name: "heap_files", needles: &["BinaryHeap"], roots: &["crates", "src"], text: Raw(&[]),
         place: Exactly(&["crates/core/src/comm_k.rs", "crates/core/src/trees.rs", "crates/core/src/verify.rs",
@@ -359,7 +359,7 @@ mod tests {
             "let index = ProjectionIndex::build_guarded(g, ks, r, guard, &EnginePool::new())?;\n"),
         ("env_cache_dir", "crates/core/src/lib.rs", "let dir = cache_dir();\n", "let dir: Option<&Path> = None;\n"),
         ("env_var", "tests/guard.rs", "let v = std::env::var(\"X\");\n", "let v = std::env::args();\n"),
-        ("heap_projection", "crates/core/src/projection/cpix.rs",
+        ("heap_projection", "crates/core/src/projection.rs",
             "use std::collections::BinaryHeap;\n", "use std::collections::BTreeMap;\n"),
         ("heap_files", "crates/core/src/get_community.rs",
             "use std::collections::BinaryHeap;\n", "use std::collections::HashMap;\n"),
