@@ -113,9 +113,9 @@ serve_start() {
 # Complete / certified-Interrupted / explicit-Overloaded with zero protocol
 # errors. Then a daemon + client round trip checking the documented exit
 # codes and "+50 more" (k = 200 after top-150 resumes, and its reply
-# starts with the top-150 one), and a warm start: persist the engine as a
-# CGPH v3 container, restart the daemon against it (no rebuild) and query
-# it.
+# starts with the top-150 one), a scripted `comm-explore` shell session,
+# and a warm start: persist the engine as a CGPH v3 container, restart
+# the daemon against it (no rebuild) and query it.
 lane_serve() {
     TMP=$(mktemp -d)
     PID=
@@ -145,6 +145,17 @@ lane_serve() {
         || { echo "k = 200 did not resume the top-150 entry"; exit 1; }
     "$BIN" client --addr "$ADDR" shutdown >/dev/null
     wait "$PID"
+
+    echo "==> scripted shell: query, more, a shared keyword, trees, dot, a wider radius and the max cost"
+    printf '%s\n' 'load dblp 0.3' 'query database support k=3' 'more 2' \
+        'query database optimization k=1' 'trees 2' 'dot 1' \
+        'query database support rmax=7 cost=max k=2' quit \
+        | env -u COMM_BENCH_CACHE "$BIN" >"$TMP/shell.txt"
+    if grep -q '^error:' "$TMP/shell.txt" || ! grep -q '^#5 cost' "$TMP/shell.txt"; then
+        cat "$TMP/shell.txt"
+        echo "the scripted shell session failed"
+        exit 1
+    fi
 
     echo "==> warm start (save container, serve from it, query)"
     cargo run --quiet --release -p comm-serve --example warm_bundle -- 8 "$TMP/warm.cgph"

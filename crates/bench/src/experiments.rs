@@ -189,10 +189,12 @@ pub fn comm_all_figure(p: &Prepared, caps: Caps, fig: &str) -> Vec<Table> {
                 fmt_bytes(td.mem),
             ]);
         }
-        t.note(format!(
-            "all three algorithms truncated identically at the first {} communities",
-            caps.all_cap
-        ));
+        let cap = caps.all_cap.to_string();
+        if t.rows.iter().any(|row| row[1] == cap) {
+            t.note(format!(
+                "all three algorithms truncated identically at the first {cap} communities"
+            ));
+        }
         tables.push(t);
     }
     tables
@@ -682,6 +684,33 @@ mod tests {
         assert_eq!(tables.len(), 3);
         // KWF sweep has 5 rows, l sweep 5, rmax sweep 5.
         assert!(tables.iter().all(|t| t.rows.len() == 5));
+        // The truncation note stands under a table only if a cell reached
+        // the cap: every IMDB table has one, no DBLP table does.
+        let truncated = |t: &Table| t.notes.iter().any(|n| n.contains("truncated"));
+        assert!(tables.iter().all(truncated));
+        let dblp = comm_all_figure(&Prepared::dblp(Scale::Quick), caps, "fig11");
+        assert!(!dblp.iter().any(truncated), "{:?}", dblp[0].rows);
+    }
+
+    /// Fig. 11(d): PDall's peak memory falls as `l` grows. The table
+    /// reports logical bytes, so the comparison is deterministic.
+    #[test]
+    fn pdall_memory_shrinks_as_l_grows_on_dblp() {
+        let p = Prepared::dblp(Scale::Quick);
+        let tables = comm_all_figure(&p, Caps::for_scale(Scale::Quick), "fig11");
+        let t = tables.iter().find(|t| t.header[0] == "l").unwrap();
+        let mem = t.header.iter().position(|h| h == "PDall mem").unwrap();
+        let bytes = |l: &str| {
+            let row = t.rows.iter().find(|r| r[0] == l).expect("l is on the grid");
+            let (value, unit) = row[mem].split_once(' ').unwrap();
+            let scale = match unit {
+                "B" => 1.0,
+                "KB" => 1024.0,
+                _ => 1024.0 * 1024.0,
+            };
+            value.parse::<f64>().unwrap() * scale
+        };
+        assert!(bytes("6") < bytes("2"), "{:?}", t.rows);
     }
 
     #[test]

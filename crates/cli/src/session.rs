@@ -1,88 +1,93 @@
-//! REPL session state: the loaded dataset and the active query.
+//! REPL session state: the loaded dataset, the engines that answer over
+//! it, and the active query.
 //!
-//! The session owns the generated dataset and the current query's
-//! parked `COMM-k` ([`ParkedTopK`]: the projected graph and the can-list
-//! it stopped at). `more` resumes it, paying only for the communities it
-//! adds — the paper's "+50 more" (Fig. 12), not a recompute of the prefix.
+//! The session is a [`QueryEngine`] client, as the daemon's connections
+//! are: `query` asks for the first `k`, and `more n` for the first
+//! `shown + n`, which the engine serves by resuming the enumeration its
+//! answer cache parked — the paper's "+50 more" (Fig. 12). One engine at
+//! the dataset's default radius answers every query up to that radius,
+//! under either cost; a query beyond it gets an engine of its own radius
+//! over the same graph and keyword map, kept until a query needs another.
 
 use comm_core::trees::topk_trees;
-use comm_core::{CommK, CostFn, Outcome, ParkedTopK, ProjectionIndex, RunGuard};
+use comm_core::{CommK, CostFn, Outcome, ProjectedQuery, QueryError, RunGuard};
 use comm_datasets::cache::bundle_path;
 use comm_datasets::stats::dataset_stats;
 use comm_datasets::{generate_dblp, generate_imdb, DblpConfig, GeneratedDataset, ImdbConfig};
-use comm_graph::{load_container, save_container, Container, EnginePool, NodeId, Weight};
+use comm_graph::{load_container, save_container, NodeId, Weight};
 use comm_rdb::ColumnId;
+use comm_serve::{EngineConfig, QueryEngine};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What the session serves queries from: a full generated dataset (graph
-/// and relational database, so answers carry tuple labels), or a warm
-/// container mapped back from the cache directory — the database is not
-/// persisted, so labels degrade to node ids, but loading skips generation
-/// entirely.
-enum LoadedData {
-    Full(GeneratedDataset),
-    Warm { name: String, container: Container },
+/// A loaded dataset and the engines that answer over its graph and
+/// keyword map.
+struct Loaded {
+    name: String,
+    /// The generated dataset, for tuple labels and statistics (its keyword
+    /// map moved into the engine): `None` on a warm container mapped back
+    /// from the cache directory, whose database is not persisted, so
+    /// labels degrade to node ids.
+    generated: Option<GeneratedDataset>,
+    /// Answers every query up to the dataset's default radius.
+    engine: QueryEngine,
+    /// Answers queries at its own radius, above the default.
+    wide: Option<QueryEngine>,
 }
 
-impl LoadedData {
-    fn graph(&self) -> &comm_graph::Graph {
-        match self {
-            LoadedData::Full(ds) => &ds.graph.graph,
-            LoadedData::Warm { container, .. } => &container.graph,
-        }
-    }
-
-    fn keyword_nodes(&self, kw: &str) -> &[NodeId] {
-        match self {
-            LoadedData::Full(ds) => ds.graph.keyword_nodes(kw),
-            LoadedData::Warm { container, .. } => container.keyword_nodes(kw),
-        }
+impl Loaded {
+    /// The engine for a query at `rmax`: the default one up to its radius,
+    /// else the wide one, built anew unless it has exactly that radius.
+    fn engine_for(&mut self, rmax: f64) -> Result<&QueryEngine, String> {
+        let Some(r) = Weight::try_new(rmax).filter(|&r| r > self.engine.index_radius()) else {
+            return Ok(&self.engine);
+        };
+        let wide = match self.wide.take() {
+            Some(wide) if wide.index_radius() == r => wide,
+            _ => self.engine.sibling(config(rmax)).map_err(failed)?,
+        };
+        Ok(self.wide.insert(wide))
     }
 
     /// A human label for a graph node: the owning tuple when the database
     /// is resident, the bare node id on a warm container.
     fn describe(&self, node: NodeId) -> String {
-        match self {
-            LoadedData::Full(ds) => describe_static(ds, node),
-            LoadedData::Warm { .. } => format!("node#{}", node.0),
+        let Some(ds) = &self.generated else {
+            return format!("node#{}", node.0);
+        };
+        let tref = ds.graph.tuple_of(node);
+        let table = ds.db.table(tref.table);
+        let name = &table.schema().name;
+        match name.as_str() {
+            "Author" | "Users" => format!("{name}({})", table.cell(tref.row, ColumnId(1))),
+            "Paper" | "Movies" => format!("{name}(\"{}\")", table.cell(tref.row, ColumnId(1))),
+            other => format!("{other}#{}", tref.row.0),
         }
     }
 }
 
 /// A loaded dataset plus the state of the current query.
 pub struct Session {
-    dataset: Option<LoadedData>,
-    default_rmax: f64,
-    /// The current query, parked between commands.
+    dataset: Option<Loaded>,
     current: Option<ActiveQuery>,
     /// Per-query wall-clock deadline (the `timeout` command).
     timeout: Option<Duration>,
     /// Cancel flag shared with the Ctrl-C handler: aborts the query that
     /// is currently running while keeping the session alive.
     cancel: Arc<AtomicBool>,
-    /// Dijkstra scratch for the index sweeps, parked between queries: an
-    /// `O(|V(G_D)|)` engine is built once per session, not once per
-    /// `query`.
-    pool: EnginePool,
 }
 
 struct ActiveQuery {
     keywords: Vec<String>,
-    /// The enumeration as the last complete `query`/`more` left it.
-    parked: ParkedTopK,
-    /// Communities printed so far: more than `parked` emitted when an
-    /// interrupted `more` printed its exact prefix.
+    rmax: f64,
+    cost: CostFn,
+    /// The graph the query enumerates, for `trees` and `dot`.
+    projected: Arc<ProjectedQuery>,
+    /// Communities printed so far.
     shown: usize,
-}
-
-impl Default for Session {
-    fn default() -> Self {
-        Session::new()
-    }
 }
 
 impl Session {
@@ -90,11 +95,9 @@ impl Session {
     pub fn new() -> Session {
         Session {
             dataset: None,
-            default_rmax: 6.0,
             current: None,
             timeout: None,
             cancel: Arc::new(AtomicBool::new(false)),
-            pool: EnginePool::new(),
         }
     }
 
@@ -119,46 +122,51 @@ impl Session {
                 ))
             }
         };
-        let key = format!("{which}-s{scale}-session");
-        if let Some(dir) = cache {
-            if let Ok(container) = load_container(bundle_path(dir, &key)) {
-                let line = format!(
-                    "loaded {which} from warm cache: graph {} nodes / {} edges (default rmax {rmax}; tuple labels unavailable)",
-                    container.graph.node_count(),
-                    container.graph.edge_count(),
-                );
-                self.dataset = Some(LoadedData::Warm {
-                    name: which.to_owned(),
-                    container,
-                });
-                self.default_rmax = rmax;
-                self.current = None;
-                return Ok(line);
-            }
-        }
-        let ds = match which {
-            "dblp" => generate_dblp(&DblpConfig::default().scaled(scale)),
-            _ => generate_imdb(&ImdbConfig::default().scaled(scale)),
-        };
-        if let Some(dir) = cache {
-            // Prime the warm cache best-effort: the session works the same
-            // whether or not the container reached disk.
-            if std::fs::create_dir_all(dir).is_ok() {
-                let path = bundle_path(dir, &key);
-                save_container(path, &ds.graph.graph, ds.graph.keywords(), None).ok();
-            }
-        }
-        let line = format!(
-            "loaded {}: {} tuples, graph {} nodes / {} edges (default rmax {})",
-            ds.name,
-            ds.db.tuple_count(),
-            ds.graph.graph.node_count(),
-            ds.graph.graph.edge_count(),
-            rmax
-        );
-        self.dataset = Some(LoadedData::Full(ds));
-        self.default_rmax = rmax;
         self.current = None;
+        let key = format!("{which}-s{scale}-session");
+        let warm = cache.and_then(|dir| load_container(bundle_path(dir, &key)).ok());
+        let (line, graph, vocab, generated) = match warm {
+            Some(c) => (
+                format!(
+                    "loaded {which} from warm cache: graph {} nodes / {} edges (default rmax {rmax}; tuple labels unavailable)",
+                    c.graph.node_count(),
+                    c.graph.edge_count(),
+                ),
+                c.graph,
+                c.keyword_nodes,
+                None,
+            ),
+            None => {
+                let mut ds = match which {
+                    "dblp" => generate_dblp(&DblpConfig::default().scaled(scale)),
+                    _ => generate_imdb(&ImdbConfig::default().scaled(scale)),
+                };
+                if let Some(dir) = cache {
+                    // Prime the warm cache best-effort: the session works
+                    // the same whether or not the container reached disk.
+                    if std::fs::create_dir_all(dir).is_ok() {
+                        let path = bundle_path(dir, &key);
+                        save_container(path, &ds.graph.graph, ds.graph.keywords(), None).ok();
+                    }
+                }
+                let line = format!(
+                    "loaded {}: {} tuples, graph {} nodes / {} edges (default rmax {})",
+                    ds.name,
+                    ds.db.tuple_count(),
+                    ds.graph.graph.node_count(),
+                    ds.graph.graph.edge_count(),
+                    rmax
+                );
+                let vocab = std::mem::take(&mut ds.graph.keyword_nodes);
+                (line, ds.graph.graph.clone(), vocab, Some(ds))
+            }
+        };
+        self.dataset = Some(Loaded {
+            name: which.to_owned(),
+            generated,
+            engine: QueryEngine::new(graph, vocab, config(rmax)).map_err(failed)?,
+            wide: None,
+        });
         Ok(line)
     }
 
@@ -197,89 +205,73 @@ impl Session {
         k: usize,
         max_cost: bool,
     ) -> Result<String, String> {
+        // One guard covers the whole query — sweeps, projection and
+        // enumeration share the deadline and the Ctrl-C flag.
+        let guard = self.guard();
         let ds = self
             .dataset
-            .as_ref()
+            .as_mut()
             .ok_or("no dataset — try 'load dblp'")?;
-        let rmax = rmax.unwrap_or(self.default_rmax);
+        let rmax = rmax.unwrap_or(ds.engine.index_radius().get());
         for kw in keywords {
-            if ds.keyword_nodes(kw).is_empty() {
+            if ds.engine.keyword_nodes(kw).is_none() {
                 return Err(format!(
                     "keyword {kw:?} matches nothing (benchmark keywords: see Tables III/V, e.g. 'database', 'star')"
                 ));
             }
         }
-        // Project the query subgraph (Sec. VI). One guard covers the whole
-        // query — index build, projection, and enumeration share the
-        // deadline and the Ctrl-C flag.
-        let guard = self.guard();
-        let entries: Vec<(&str, &[NodeId])> = keywords
-            .iter()
-            .map(|kw| (kw.as_str(), ds.keyword_nodes(kw)))
-            .collect();
-        let index = ProjectionIndex::build_guarded(
-            ds.graph(),
-            entries,
-            Weight::new(rmax),
-            &guard,
-            &self.pool,
-        )
-        .map_err(|r| format!("query interrupted while indexing ({r})"))?;
-        let refs: Vec<&str> = keywords.iter().map(String::as_str).collect();
         let cost = if max_cost {
             CostFn::MaxDistance
         } else {
             CostFn::SumDistances
         };
-        let parked = ParkedTopK::project(&index, &refs, Weight::new(rmax), cost, &guard)
-            .map_err(|e| format!("projection failed: {e}"))?;
-        let pq = parked.query();
+        // A query that fails from here on leaves none active: the engine
+        // the last one ran on may be gone.
+        self.current = None;
+        let engine = ds.engine_for(rmax)?;
+        // Projected once: the engine parks the projection, and the answer
+        // resumes it.
+        let projected = engine
+            .project(keywords, rmax, cost, &guard)
+            .map_err(failed)?;
+        let (hits, misses, runs, bytes) = engine.run_cache_stats();
         let mut out = format!(
-            "projected graph: {} nodes ({:.3}% of G_D); index: |U| = {} nodes, {} row edges, {} bytes\n",
-            pq.projected.graph.node_count(),
-            100.0 * index.projection_ratio(pq),
-            index.reach_node_count(),
-            index.row_edge_count(),
-            index.byte_size()
+            "projected graph: {} nodes ({:.3}% of G_D); run cache: {runs} runs, {bytes} bytes (hits {hits}, misses {misses})\n",
+            projected.projected.graph.node_count(),
+            100.0 * projected.projected.graph.node_count() as f64 / engine.graph().node_count() as f64,
         );
         self.current = Some(ActiveQuery {
             keywords: keywords.to_vec(),
-            parked,
+            rmax,
+            cost,
+            projected,
             shown: 0,
         });
         out.push_str(&self.more_with(k, guard)?);
         Ok(out)
     }
 
-    /// Streams `n` more communities of the active query.
+    /// Continues the active query with `n` more communities.
     pub fn more(&mut self, n: usize) -> Result<String, String> {
         let guard = self.guard();
         self.more_with(n, guard)
     }
 
+    /// Asks the query's engine for the first `shown + n` communities and
+    /// prints those past `shown`: a slice or a resume of its cached entry.
     fn more_with(&mut self, n: usize, guard: RunGuard) -> Result<String, String> {
-        let ds = self.dataset.as_ref().ok_or("no dataset loaded")?;
+        let ds = self.dataset.as_mut().ok_or("no dataset loaded")?;
         let q = self.current.as_mut().ok_or("no active query")?;
-        // Resume a clone, so an interrupted `more` — or one that ran out
-        // of communities — keeps the last parked state; the communities
-        // it printed already are emitted again and skipped.
-        let behind = q.shown - q.parked.emitted();
-        let (more, parked) = q
-            .parked
-            .clone()
-            .resume(behind + n, 0, guard)
-            .map_err(|e| e.to_string())?;
-        if let Some(parked) = parked {
-            q.parked = parked;
-        }
-        let (communities, interrupted) = match more {
+        let k = u32::try_from(q.shown.saturating_add(n)).unwrap_or(u32::MAX);
+        let engine = ds.engine_for(q.rmax)?;
+        let answer = engine.answer_ranked(&q.keywords, q.rmax, k, q.cost, &guard);
+        let (communities, interrupted) = match answer.map_err(failed)? {
             Outcome::Complete(cs) => (cs, None),
             Outcome::Interrupted { reason, partial } => (partial, Some(reason)),
         };
         let mut out = String::new();
-        let mut got = 0;
-        for c in communities.into_iter().skip(behind) {
-            got += 1;
+        let fresh = communities.get(q.shown..).unwrap_or_default();
+        for c in fresh {
             q.shown += 1;
             let _ = writeln!(
                 out,
@@ -298,7 +290,7 @@ impl Session {
                 out,
                 "(interrupted: {reason} — results so far shown; 'more' retries under a fresh deadline)"
             );
-        } else if got == 0 {
+        } else if fresh.is_empty() {
             out.push_str("(enumeration exhausted — no more communities)\n");
         }
         Ok(out)
@@ -307,12 +299,7 @@ impl Session {
     /// Shows the top-n connected-tree answers for the active query.
     pub fn trees(&self, n: usize) -> Result<String, String> {
         let ds = self.dataset.as_ref().ok_or("no dataset loaded")?;
-        let pq = self
-            .current
-            .as_ref()
-            .ok_or("no active query")?
-            .parked
-            .query();
+        let pq = &self.current.as_ref().ok_or("no active query")?.projected;
         let trees = topk_trees(&pq.projected.graph, &pq.spec, n, &self.guard())
             .map_err(|r| format!("trees interrupted ({r})"))?;
         let mut out = format!(
@@ -337,12 +324,7 @@ impl Session {
     /// active query as GraphViz DOT; writes to `path` or returns the text.
     pub fn dot(&self, rank: usize, path: Option<&str>) -> Result<String, String> {
         let ds = self.dataset.as_ref().ok_or("no dataset loaded")?;
-        let pq = self
-            .current
-            .as_ref()
-            .ok_or("no active query")?
-            .parked
-            .query();
+        let pq = &self.current.as_ref().ok_or("no active query")?.projected;
         let mut it = CommK::try_new(&pq.projected.graph, &pq.spec)
             .map_err(|e| e.to_string())?
             .with_guard(self.guard());
@@ -368,9 +350,10 @@ impl Session {
     /// Dataset statistics. Tuple-level statistics need the relational
     /// database, so a warm container reports graph-level numbers only.
     pub fn stats(&self) -> Result<String, String> {
-        match self.dataset.as_ref().ok_or("no dataset loaded")? {
-            LoadedData::Full(ds) => {
-                let s = dataset_stats(ds, &[]);
+        let ds = self.dataset.as_ref().ok_or("no dataset loaded")?;
+        match &ds.generated {
+            Some(generated) => {
+                let s = dataset_stats(generated, &[]);
                 Ok(format!(
                     "{}: {} tuples, {} edges, density {:.2}, max degree {}, top-1% degree share {:.1}%",
                     s.name,
@@ -381,37 +364,43 @@ impl Session {
                     100.0 * s.degrees.top1_share
                 ))
             }
-            LoadedData::Warm { name, container } => Ok(format!(
+            None => Ok(format!(
                 "{} (warm bundle): graph {} nodes / {} edges, {} keywords (tuple statistics need a generated dataset)",
-                name,
-                container.graph.node_count(),
-                container.graph.edge_count(),
-                container.keyword_nodes.len()
+                ds.name,
+                ds.engine.graph().node_count(),
+                ds.engine.graph().edge_count(),
+                ds.engine.vocabulary().len()
             )),
         }
     }
+}
 
-    /// Whether a dataset is loaded (used by the unit tests).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn has_dataset(&self) -> bool {
-        self.dataset.is_some()
+/// The session's engine configuration: the defaults, at `index_radius`.
+fn config(index_radius: f64) -> EngineConfig {
+    EngineConfig {
+        index_radius,
+        ..EngineConfig::default()
     }
 }
 
-fn describe_static(ds: &GeneratedDataset, node: NodeId) -> String {
-    let tref = ds.graph.tuple_of(node);
-    let table = ds.db.table(tref.table);
-    let name = &table.schema().name;
-    match name.as_str() {
-        "Author" | "Users" => format!("{name}({})", table.cell(tref.row, ColumnId(1))),
-        "Paper" | "Movies" => format!("{name}(\"{}\")", table.cell(tref.row, ColumnId(1))),
-        other => format!("{other}#{}", tref.row.0),
+/// An engine error as the shell prints it.
+fn failed(e: QueryError) -> String {
+    match e {
+        QueryError::Interrupted(r) => format!("query interrupted ({r})"),
+        e => e.to_string(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Session {
+        /// Whether a dataset is loaded.
+        pub fn has_dataset(&self) -> bool {
+            self.dataset.is_some()
+        }
+    }
 
     fn loaded() -> Session {
         let mut s = Session::new();
@@ -477,32 +466,104 @@ mod tests {
         let oneshot = loaded().query(&keywords, None, 5, false).unwrap();
         let mut s = loaded();
         let mut out = s.query(&keywords, None, 2, false).unwrap();
-        // Two more pass, then a trip.
-        let budget = RunGuard::new().with_candidate_budget(2);
+        // The two cached communities are replayed, two more pass, then a
+        // trip.
+        let budget = RunGuard::new().with_candidate_budget(4);
         let cut = s.more_with(3, budget).unwrap();
         assert!(cut.contains("#4 cost") && !cut.contains("#5"), "{cut}");
         assert!(cut.contains("interrupted"), "{cut}");
-        let q = s.current.as_ref().unwrap();
-        assert_eq!((q.parked.emitted(), q.shown), (2, 4));
+        assert_eq!(s.current.as_ref().unwrap().shown, 4);
         for line in cut.lines().filter(|l| !l.contains("interrupted")) {
             out.push_str(line);
             out.push('\n');
         }
         out.push_str(&s.more(1).unwrap());
         assert_eq!(out, oneshot);
-        let q = s.current.as_ref().unwrap();
-        assert_eq!((q.parked.emitted(), q.shown), (5, 5));
+        assert_eq!(s.current.as_ref().unwrap().shown, 5);
+    }
+
+    /// `more` resumes the engine's cached entry while the entry fits the
+    /// answer cache. An entry heavier than the whole cache is not kept, so
+    /// the `more` after it enumerates from rank 1 again, on the cached
+    /// index, and prints what a resume would have printed.
+    #[test]
+    fn more_resumes_while_its_entry_fits_the_answer_cache() {
+        let words = ["database".to_string(), "optimization".to_string()];
+        let oneshot = loaded().query(&words, None, 7, false).unwrap();
+        let weight_at_4 = {
+            let mut s = loaded();
+            s.query(&words, None, 4, false).unwrap();
+            s.dataset.as_ref().unwrap().engine.answer_cache_stats().1
+        };
+        let mut s = loaded();
+        let ds = s.dataset.as_mut().unwrap();
+        let cfg = EngineConfig {
+            index_radius: 6.0,
+            answer_cache_bytes: weight_at_4,
+            ..EngineConfig::default()
+        };
+        ds.engine = ds.engine.sibling(cfg).unwrap();
+        // (resumes, index-cache hits, cached answers)
+        let stats = |s: &Session| {
+            let e = &s.dataset.as_ref().unwrap().engine;
+            (
+                e.answer_cache_stats().0,
+                e.cache_stats().0,
+                e.cache_sizes().1,
+            )
+        };
+        let mut out = s.query(&words, None, 2, false).unwrap();
+        assert_eq!(stats(&s), (1, 0, 1), "the answer resumed the projection");
+        out.push_str(&s.more(2).unwrap());
+        assert_eq!(stats(&s), (2, 0, 1), "the first four fit");
+        out.push_str(&s.more(2).unwrap());
+        assert_eq!(stats(&s), (3, 0, 0), "six do not");
+        out.push_str(&s.more(1).unwrap());
+        let (resumes, index_hits, _) = stats(&s);
+        assert_eq!(
+            (resumes, index_hits),
+            (3, 1),
+            "rank 1 again, on the cached index"
+        );
+        assert_eq!(out, oneshot);
     }
 
     #[test]
     fn queries_sweep_on_one_parked_engine() {
         let mut s = loaded();
-        assert_eq!(s.pool.pooled_engines(), 0);
-        s.query(&["database".into(), "support".into()], None, 1, false)
+        fn ds(s: &Session) -> &Loaded {
+            s.dataset.as_ref().unwrap()
+        }
+        let runs = |s: &Session| {
+            let (hits, misses, runs, _) = ds(s).engine.run_cache_stats();
+            (hits, misses, runs)
+        };
+        let words = |w: &[&str]| -> Vec<String> { w.iter().map(|w| w.to_string()).collect() };
+        assert_eq!(ds(&s).engine.pool().pooled_engines(), 0);
+        let first = s.query(&words(&["database", "support"]), None, 3, false);
+        let first = first.unwrap();
+        s.query(&words(&["database", "optimization"]), None, 1, false)
             .unwrap();
-        s.query(&["database".into(), "optimization".into()], None, 1, false)
+        // `database` was swept once: the second query swept only
+        // `optimization`.
+        assert_eq!(runs(&s), (1, 3, 3));
+        assert_eq!(ds(&s).engine.pool().pooled_engines(), 1);
+        // The other cost ranks on the same engine, from the cached index.
+        s.query(&words(&["database", "support"]), None, 2, true)
             .unwrap();
-        assert_eq!(s.pool.pooled_engines(), 1);
+        assert_eq!(runs(&s), (1, 3, 3));
+        let index_hits = |s: &Session| ds(s).engine.cache_stats().0;
+        assert_eq!(index_hits(&s), 1);
+        // A wider radius gets an engine of its own; the default one keeps
+        // its radius and caches, and answers the first query as it did.
+        s.query(&words(&["database"]), Some(7.0), 1, false).unwrap();
+        let wide = ds(&s).wide.as_ref().map(QueryEngine::index_radius);
+        assert_eq!(wide, Some(Weight::new(7.0)));
+        let again = s.query(&words(&["database", "support"]), None, 3, false);
+        let again = again.unwrap();
+        assert!(first.lines().skip(1).eq(again.lines().skip(1)), "{again}");
+        assert_eq!((runs(&s), index_hits(&s)), ((1, 3, 3), 1));
+        assert_eq!(ds(&s).engine.index_radius(), Weight::new(6.0));
     }
 
     #[test]
@@ -553,7 +614,7 @@ mod tests {
     fn describe_resolves_tables() {
         let s = loaded();
         let ds = s.dataset.as_ref().unwrap();
-        let node = ds.keyword_nodes("database")[0];
+        let node = ds.engine.keyword_nodes("database").unwrap()[0];
         let d = ds.describe(node);
         assert!(d.starts_with("Paper("), "{d}");
     }

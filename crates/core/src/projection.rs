@@ -328,14 +328,9 @@ impl ParkedTopK {
     }
 
     /// The projected query the enumeration runs on (its spec carries the
-    /// cost function).
-    pub fn query(&self) -> &ProjectedQuery {
+    /// cost function), shared with every clone of the enumeration.
+    pub fn query(&self) -> &Arc<ProjectedQuery> {
         &self.query
-    }
-
-    /// Communities emitted before parking.
-    pub fn emitted(&self) -> usize {
-        self.state.emitted()
     }
 
     /// Logical bytes held: the projected graph with its id map, the local
@@ -1003,7 +998,7 @@ mod tests {
         let (out, at4) = parked.clone().resume(2, 2, unlimited()).unwrap();
         assert_eq!(ranked(out), all[..4]);
         let at4 = at4.expect("one community is left");
-        assert_eq!(at4.emitted(), 4);
+        assert_eq!(at4.state.emitted, 4);
         assert_eq!(ranked(at4.resume(60, 0, unlimited()).unwrap().0), all[4..]);
         // A read-ahead past the end: the whole ranking, nothing to park.
         let (out, end) = parked.clone().resume(2, 60, unlimited()).unwrap();
@@ -1015,7 +1010,7 @@ mod tests {
         assert!(out.is_complete());
         assert_eq!(ranked(out), all[..2]);
         let at2 = at2.expect("parked at k");
-        assert_eq!(at2.emitted(), 2);
+        assert_eq!(at2.state.emitted, 2);
         assert_eq!(ranked(at2.resume(60, 0, unlimited()).unwrap().0), all[2..]);
         // A trip in the first k: its exact prefix, nothing parked.
         let budget = RunGuard::new().with_candidate_budget(1);

@@ -265,16 +265,12 @@ pub struct Enumerator<'g, F> {
 #[derive(Clone, Default)]
 pub(crate) struct Parked<F> {
     frontier: F,
-    emitted: usize,
+    /// Communities emitted before parking.
+    pub(crate) emitted: usize,
     seeded: bool,
 }
 
 impl<F: Frontier> Parked<F> {
-    /// Communities emitted before parking.
-    pub(crate) fn emitted(&self) -> usize {
-        self.emitted
-    }
-
     /// Logical bytes held: the frontier's.
     pub(crate) fn byte_size(&self) -> usize {
         self.frontier.byte_size()
@@ -772,7 +768,7 @@ mod tests {
             parks.push(it.snapshot().expect("nothing tripped"));
         }
         for (j, parked) in parks.into_iter().enumerate() {
-            assert_eq!(parked.emitted(), j);
+            assert_eq!(parked.emitted, j);
             let it = Enumerator::resume(g, spec, parked).unwrap();
             let tail: Vec<Whole> = it.take(k - j).map(whole).collect();
             assert!(

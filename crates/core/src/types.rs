@@ -15,7 +15,7 @@ use std::sync::Arc;
 /// baselines accept any variant here; ordering, completeness, and
 /// duplication-freeness are preserved (the Lawler argument only needs the
 /// per-center aggregate to be monotone in the per-keyword distances).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum CostFn {
     /// `min_u Σ_i dist(u, c_i)` — the paper's default.
     #[default]

@@ -44,7 +44,7 @@
 //! are rejected by their version field; caches regenerate over any file
 //! that fails to load.
 
-use crate::csr::{Csr, Graph, NodeId};
+use crate::csr::{Csr, Graph, Halves, NodeId};
 use crate::storage::{MapRegion, Storage};
 use crate::verify::validate_csr;
 use crate::weight::{try_index_to_u32, try_u64_to_usize, Weight};
@@ -235,12 +235,12 @@ fn write_container<'a, W: Write>(
     let entries = normalize_keywords(n, keywords)?;
 
     let mut sections: Vec<(u32, Vec<u8>)> = vec![
-        (SEC_FWD_OFFSETS, u32_section(&graph.fwd.offsets)),
-        (SEC_FWD_TARGETS, id_section(&graph.fwd.targets)),
-        (SEC_FWD_WEIGHTS, weight_section(&graph.fwd.weights)),
-        (SEC_REV_OFFSETS, u32_section(&graph.rev.offsets)),
-        (SEC_REV_TARGETS, id_section(&graph.rev.targets)),
-        (SEC_REV_WEIGHTS, weight_section(&graph.rev.weights)),
+        (SEC_FWD_OFFSETS, u32_section(&graph.halves.fwd.offsets)),
+        (SEC_FWD_TARGETS, id_section(&graph.halves.fwd.targets)),
+        (SEC_FWD_WEIGHTS, weight_section(&graph.halves.fwd.weights)),
+        (SEC_REV_OFFSETS, u32_section(&graph.halves.rev.offsets)),
+        (SEC_REV_TARGETS, id_section(&graph.halves.rev.targets)),
+        (SEC_REV_WEIGHTS, weight_section(&graph.halves.rev.weights)),
     ];
     if !entries.is_empty() {
         sections.push((SEC_KEYWORDS, encode_keywords(&entries)?));
@@ -586,7 +586,11 @@ pub fn load_container(path: impl AsRef<Path>) -> io::Result<Container> {
     };
     let extra = find(SEC_EXTRA).map(|s| region.bytes()[s.offset..s.offset + s.len].to_vec());
     Ok(Container {
-        graph: Graph { n, m, fwd, rev },
+        graph: Graph {
+            n,
+            m,
+            halves: Arc::new(Halves { fwd, rev }),
+        },
         keyword_nodes,
         extra,
     })

@@ -9,7 +9,7 @@ use crate::storage::Storage;
 use crate::weight::{index_to_u32, Weight};
 use std::convert::Infallible;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a node (tuple) in a database graph.
 ///
@@ -290,6 +290,13 @@ impl Csr {
 pub struct Graph {
     pub(crate) n: usize,
     pub(crate) m: usize,
+    pub(crate) halves: Arc<Halves>,
+}
+
+/// A graph's forward and reverse adjacency, shared by its clones (a
+/// write goes through `Arc::make_mut`, which copies them first).
+#[derive(Clone, Default)]
+pub(crate) struct Halves {
     pub(crate) fwd: Csr,
     pub(crate) rev: Csr,
 }
@@ -305,8 +312,10 @@ impl Graph {
         let g = Graph {
             n: fwd.node_count(),
             m: fwd.edge_count(),
-            rev: fwd.transpose(),
-            fwd,
+            halves: Arc::new(Halves {
+                rev: fwd.transpose(),
+                fwd,
+            }),
         };
         #[cfg(any(debug_assertions, feature = "verify"))]
         g.assert_valid();
@@ -317,8 +326,8 @@ impl Graph {
     #[inline]
     pub fn rows(&self, dir: Direction) -> &Csr {
         match dir {
-            Direction::Forward => &self.fwd,
-            Direction::Reverse => &self.rev,
+            Direction::Forward => &self.halves.fwd,
+            Direction::Reverse => &self.halves.rev,
         }
     }
 
@@ -353,36 +362,37 @@ impl Graph {
     /// Out-neighbors of `u` (edges `(u, v)`), sorted by target id.
     #[inline]
     pub fn out_neighbors(&self, u: NodeId) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
-        self.fwd.neighbors(u)
+        self.halves.fwd.neighbors(u)
     }
 
     /// In-neighbors of `v` (edges `(u, v)` seen from `v`), sorted by source id.
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
-        self.rev.neighbors(v)
+        self.halves.rev.neighbors(v)
     }
 
     /// Out-degree of `u`.
     #[inline]
     pub fn out_degree(&self, u: NodeId) -> usize {
-        self.fwd.degree(u)
+        self.halves.fwd.degree(u)
     }
 
     /// In-degree of `u` (the `N_in(v)` of the paper's weight function).
     #[inline]
     pub fn in_degree(&self, u: NodeId) -> usize {
-        self.rev.degree(u)
+        self.halves.rev.degree(u)
     }
 
     /// The weight of edge `(u, v)`, if present. With parallel edges the
     /// smallest weight is returned.
     pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<Weight> {
-        let lo = self.fwd.offsets[u.index()] as usize;
-        let hi = self.fwd.offsets[u.index() + 1] as usize;
-        let run = &self.fwd.targets[lo..hi];
+        let fwd = &self.halves.fwd;
+        let lo = fwd.offsets[u.index()] as usize;
+        let hi = fwd.offsets[u.index() + 1] as usize;
+        let run = &fwd.targets[lo..hi];
         let first = run.partition_point(|&t| t < v);
         let mut best: Option<Weight> = None;
-        for (t, &w) in run[first..].iter().zip(&self.fwd.weights[lo + first..hi]) {
+        for (t, &w) in run[first..].iter().zip(&fwd.weights[lo + first..hi]) {
             if *t != v {
                 break;
             }
@@ -405,17 +415,18 @@ impl Graph {
             .flat_map(move |u| self.out_neighbors(u).map(move |(v, w)| (u, v, w)))
     }
 
-    /// Estimated resident size of the CSR arrays in bytes (used by the
-    /// benchmark memory accounting).
+    /// Estimated resident size in bytes of the CSR arrays and the halves
+    /// that hold them — an allocation of their own (used by the benchmark
+    /// memory accounting and the answer cache's byte cap).
     pub fn byte_size(&self) -> usize {
-        self.fwd.byte_size() + self.rev.byte_size()
+        std::mem::size_of::<Halves>() + self.halves.fwd.byte_size() + self.halves.rev.byte_size()
     }
 
     /// Whether the CSR arrays are zero-copy views into a mapped container
     /// file (true after [`crate::container::load_container`] on a host
     /// where `mmap` is available) rather than owned heap vectors.
     pub fn is_mapped(&self) -> bool {
-        self.fwd.offsets.is_mapped()
+        self.halves.fwd.offsets.is_mapped()
     }
 
     /// Extracts the subgraph induced by `nodes` (original ids), renumbering
@@ -430,7 +441,7 @@ impl Graph {
         sorted.dedup();
         // No O(n) relabel table: this runs once per emitted community, on
         // node sets far smaller than the graph.
-        let fwd = self.fwd.induce(&sorted, |v| {
+        let fwd = self.halves.fwd.induce(&sorted, |v| {
             let i = sorted.binary_search(&v).ok()?;
             Some(NodeId(index_to_u32(i)))
         });

@@ -233,6 +233,7 @@ impl std::fmt::Debug for MapRegion {
     }
 }
 
+#[derive(Clone)]
 enum Repr<T: Pod> {
     Owned(Vec<T>),
     Mapped {
@@ -244,6 +245,7 @@ enum Repr<T: Pod> {
 
 /// A CSR array: an owned `Vec<T>` or a zero-copy `&[T]` view into a shared
 /// [`MapRegion`]. Derefs to `&[T]`, so algorithms are oblivious to which.
+#[derive(Clone)]
 pub struct Storage<T: Pod>(Repr<T>);
 
 impl<T: Pod> Storage<T> {
@@ -338,23 +340,6 @@ impl<T: Pod> Default for Storage<T> {
     }
 }
 
-impl<T: Pod> Clone for Storage<T> {
-    fn clone(&self) -> Storage<T> {
-        match &self.0 {
-            Repr::Owned(v) => Storage(Repr::Owned(v.clone())),
-            Repr::Mapped {
-                region,
-                byte_offset,
-                len,
-            } => Storage(Repr::Mapped {
-                region: Arc::clone(region),
-                byte_offset: *byte_offset,
-                len: *len,
-            }),
-        }
-    }
-}
-
 impl<T: Pod> From<Vec<T>> for Storage<T> {
     fn from(v: Vec<T>) -> Storage<T> {
         Storage(Repr::Owned(v))
@@ -429,6 +414,13 @@ mod tests {
         let mut o: Storage<u32> = vec![5u32].into();
         o.to_mut().push(6);
         assert_eq!(&*o, &[5, 6]);
+        // A graph's clone shares its arrays; writing one copies them first.
+        let g = crate::graph_from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]);
+        let mut c = g.clone();
+        assert!(std::ptr::eq(g.halves.fwd.targets(), c.halves.fwd.targets()));
+        Arc::make_mut(&mut c.halves).fwd.targets.to_mut()[0] = NodeId(2);
+        assert_eq!(g.halves.fwd.targets(), &[NodeId(1), NodeId(2)]);
+        assert_eq!(c.halves.fwd.targets(), &[NodeId(2), NodeId(2)]);
     }
 
     #[test]

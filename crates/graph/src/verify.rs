@@ -234,10 +234,10 @@ impl Graph {
         if try_index_to_u32(self.n).is_none() {
             return Err(GraphInvariantError::NodeCountOverflow { n: self.n });
         }
-        validate_csr(&self.fwd, Direction::Forward, self.n, self.m)?;
-        validate_csr(&self.rev, Direction::Reverse, self.n, self.m)?;
-        let fwd = edge_multiset(&self.fwd, self.n, false);
-        let rev = edge_multiset(&self.rev, self.n, true);
+        validate_csr(&self.halves.fwd, Direction::Forward, self.n, self.m)?;
+        validate_csr(&self.halves.rev, Direction::Reverse, self.n, self.m)?;
+        let fwd = edge_multiset(&self.halves.fwd, self.n, false);
+        let rev = edge_multiset(&self.halves.rev, self.n, true);
         if let Some((a, b)) = fwd.iter().zip(&rev).find(|(a, b)| a != b) {
             let (fu, fv, fw) = *a;
             let (ru, rv, rw) = *b;
@@ -267,6 +267,7 @@ impl Graph {
 mod tests {
     use super::*;
     use crate::csr::graph_from_edges;
+    use std::sync::Arc;
 
     fn sample() -> Graph {
         graph_from_edges(
@@ -290,7 +291,7 @@ mod tests {
     #[test]
     fn corrupted_offsets_are_diagnosed() {
         let mut g = sample();
-        g.fwd.offsets.to_mut()[0] = 1;
+        Arc::make_mut(&mut g.halves).fwd.offsets.to_mut()[0] = 1;
         assert!(matches!(
             g.validate(),
             Err(GraphInvariantError::MalformedOffsets {
@@ -300,7 +301,7 @@ mod tests {
         ));
 
         let mut g = sample();
-        g.rev.offsets.to_mut().pop();
+        Arc::make_mut(&mut g.halves).rev.offsets.to_mut().pop();
         let err = g.validate().unwrap_err();
         assert!(matches!(
             err,
@@ -313,8 +314,8 @@ mod tests {
 
         // A decreasing offset pair.
         let mut g = sample();
-        let bumped = g.fwd.offsets[2] + 1;
-        g.fwd.offsets.to_mut()[1] = bumped;
+        let bumped = g.halves.fwd.offsets[2] + 1;
+        Arc::make_mut(&mut g.halves).fwd.offsets.to_mut()[1] = bumped;
         let err = g.validate().unwrap_err();
         assert!(err.to_string().contains("decrease"));
     }
@@ -322,7 +323,7 @@ mod tests {
     #[test]
     fn edge_array_mismatch_is_diagnosed() {
         let mut g = sample();
-        g.fwd.weights.to_mut().pop();
+        Arc::make_mut(&mut g.halves).fwd.weights.to_mut().pop();
         assert!(matches!(
             g.validate(),
             Err(GraphInvariantError::EdgeArrayMismatch {
@@ -343,7 +344,7 @@ mod tests {
     #[test]
     fn out_of_range_target_is_diagnosed() {
         let mut g = sample();
-        g.fwd.targets.to_mut()[0] = NodeId(99);
+        Arc::make_mut(&mut g.halves).fwd.targets.to_mut()[0] = NodeId(99);
         assert_eq!(
             g.validate(),
             Err(GraphInvariantError::TargetOutOfRange {
@@ -361,7 +362,7 @@ mod tests {
         // Node 0's forward run is [(1, 0.5), (1, 1.0), (2, 4.0)]; swapping
         // the first two breaks (target, weight) order without changing the
         // transpose multiset.
-        g.fwd.weights.to_mut().swap(0, 1);
+        Arc::make_mut(&mut g.halves).fwd.weights.to_mut().swap(0, 1);
         assert_eq!(
             g.validate(),
             Err(GraphInvariantError::UnsortedAdjacency {
@@ -374,8 +375,8 @@ mod tests {
     #[test]
     fn infinite_weight_is_diagnosed() {
         let mut g = sample();
-        let last = g.rev.weights.len() - 1;
-        g.rev.weights.to_mut()[last] = Weight::INFINITY;
+        let last = g.halves.rev.weights.len() - 1;
+        Arc::make_mut(&mut g.halves).rev.weights.to_mut()[last] = Weight::INFINITY;
         // Caught per-half before the transpose comparison runs.
         assert!(matches!(
             g.validate(),
@@ -391,8 +392,8 @@ mod tests {
         // Swap two targets in the same run so per-half checks still pass
         // (run stays sorted) but the reverse half no longer transposes.
         let mut g = graph_from_edges(4, &[(0, 1, 1.0), (0, 2, 1.0), (3, 1, 1.0)]);
-        g.fwd.targets.to_mut()[1] = NodeId(3);
-        g.fwd.targets.to_mut().sort();
+        Arc::make_mut(&mut g.halves).fwd.targets.to_mut()[1] = NodeId(3);
+        Arc::make_mut(&mut g.halves).fwd.targets.to_mut().sort();
         let err = g.validate().unwrap_err();
         assert!(matches!(err, GraphInvariantError::TransposeMismatch { .. }));
         assert!(err.to_string().contains("disagree"));
@@ -413,7 +414,7 @@ mod tests {
     #[should_panic(expected = "graph invariant violated")]
     fn assert_valid_panics_on_corruption() {
         let mut g = sample();
-        g.fwd.targets.to_mut()[0] = NodeId(99);
+        Arc::make_mut(&mut g.halves).fwd.targets.to_mut()[0] = NodeId(99);
         g.assert_valid();
     }
 }

@@ -101,7 +101,8 @@ pub struct DatabaseGraph {
     /// `provenance[node.index()]` is the tuple behind each node.
     pub provenance: Vec<TupleRef>,
     node_of: HashMap<TupleRef, NodeId>,
-    keyword_nodes: HashMap<String, Vec<NodeId>>,
+    /// Lowercased keyword → the sorted nodes whose tuples contain it.
+    pub keyword_nodes: HashMap<String, Vec<NodeId>>,
 }
 
 impl DatabaseGraph {

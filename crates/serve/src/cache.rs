@@ -1,7 +1,6 @@
 //! Guarded caches: an LRU of [`ProjectionIndex`]es keyed by keyword set,
 //! under it a byte-capped LRU of [`KeywordRun`]s keyed by keyword, and a
-//! byte-capped answer cache keyed by `(keywords, Rmax)` (the cost function
-//! is fixed per engine, so it is not part of the key; neither is `k`).
+//! byte-capped answer cache keyed by `(keywords, Rmax, cost)` (not by `k`).
 //!
 //! An answer entry ([`AnswerEntry`]) holds the longest complete ranked
 //! prefix computed for its key and the parked `COMM-k` that produced it
@@ -37,7 +36,7 @@
 //! (which is itself a resume, from the empty frontier), and the engine is
 //! deterministic, so storing the value *is* storing the recomputation.
 
-use comm_core::{Community, KeywordRun, ParkedTopK, ProjectionIndex};
+use comm_core::{Community, CostFn, KeywordRun, ParkedTopK, ProjectionIndex};
 use comm_graph::Weight;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -191,14 +190,17 @@ pub struct AnswerKey {
     /// `Rmax` as the query runs it: two wire radii that round to one
     /// [`Weight`] are one query, and share an entry.
     pub rmax: Weight,
+    /// The cost the ranking is by.
+    pub cost: CostFn,
 }
 
 impl AnswerKey {
     /// Normalizes a request into an answer-cache key.
-    pub fn new(keywords: &[String], rmax: Weight) -> AnswerKey {
+    pub fn new(keywords: &[String], rmax: Weight, cost: CostFn) -> AnswerKey {
         AnswerKey {
             keywords: keywords.iter().map(|k| k.to_lowercase()).collect(),
             rmax,
+            cost,
         }
     }
 }
@@ -373,7 +375,7 @@ mod tests {
     /// An entry of `len` copies of one community of a two-node graph,
     /// parked unless `exhausted`.
     fn entry(len: usize, exhausted: bool) -> AnswerEntry {
-        use comm_core::{CommunityBody, Core, CostFn};
+        use comm_core::{CommunityBody, Core};
         use comm_graph::{EnginePool, GraphBuilder, NodeId, RunGuard};
         let mut b = GraphBuilder::new(2);
         b.add_edge(NodeId(0), NodeId(1), Weight::new(1.0));
@@ -431,11 +433,13 @@ mod tests {
 
     #[test]
     fn answer_key_is_order_sensitive() {
-        let five = Weight::new(5.0);
-        let ab = AnswerKey::new(&["a".into(), "b".into()], five);
-        let ba = AnswerKey::new(&["b".into(), "a".into()], five);
+        let (five, sum) = (Weight::new(5.0), CostFn::SumDistances);
+        let ab = AnswerKey::new(&["a".into(), "b".into()], five, sum);
+        let ba = AnswerKey::new(&["b".into(), "a".into()], five, sum);
         assert_ne!(ab, ba, "cores are position-wise; order is significant");
-        let ab2 = AnswerKey::new(&["A".into(), "B".into()], five);
+        let ab2 = AnswerKey::new(&["A".into(), "B".into()], five, sum);
         assert_eq!(ab, ab2, "case is not significant");
+        let max = AnswerKey::new(&["a".into(), "b".into()], five, CostFn::MaxDistance);
+        assert_ne!(ab, max, "the cost ranks differently");
     }
 }

@@ -2,14 +2,15 @@
 //! and the three guarded caches, behind a single [`answer`] entry point.
 //!
 //! **One entry per query, every `k` a prefix.** The answer cache is keyed
-//! by `(keywords, Rmax)`. An entry holds the longest complete ranked
+//! by `(keywords, Rmax, cost)`. An entry holds the longest complete ranked
 //! prefix computed for the key and the parked `COMM-k` that produced it
 //! ([`ParkedTopK`]: the projected graph and the can-list, no neighbor
 //! table). A request for `k ≤ len` — or any `k` once the enumeration is
 //! exhausted — is a *slice*; one for `k > len` *resumes* the parked
 //! can-list, paying only for the communities past `len` (the paper's
 //! "+50 more", Fig. 12). With no entry the engine projects and resumes
-//! from the empty frontier: one path for all three.
+//! from the empty frontier: one path for all three, also after
+//! [`project`](QueryEngine::project) parked an entry with no community.
 //!
 //! **Read-ahead.** A resume records its `k` on the keyword set's cached
 //! index ([`IndexEntry`]). Every later enumeration over that set — a first
@@ -63,7 +64,9 @@ use crate::cache::{
     Vocabulary,
 };
 use crate::protocol::CommunitySummary;
-use comm_core::{Community, CostFn, KeywordRun, ParkedTopK, ProjectionIndex, QueryError};
+use comm_core::{
+    Community, CostFn, KeywordRun, ParkedTopK, ProjectedQuery, ProjectionIndex, QueryError,
+};
 use comm_graph::sync::Leaf;
 use comm_graph::weight::index_to_u32;
 use comm_graph::{EnginePool, Graph, Outcome, RunGuard, Weight};
@@ -92,8 +95,6 @@ pub struct EngineConfig {
     /// 400K-node bibliographic benchmark graph, so the default holds
     /// several hundred keywords.
     pub run_cache_bytes: usize,
-    /// Ranking cost function.
-    pub cost: CostFn,
 }
 
 impl Default for EngineConfig {
@@ -103,7 +104,6 @@ impl Default for EngineConfig {
             index_cache_cap: 8,
             answer_cache_bytes: 24 << 20,
             run_cache_bytes: 32 << 20,
-            cost: CostFn::SumDistances,
         }
     }
 }
@@ -111,9 +111,8 @@ impl Default for EngineConfig {
 /// The resident engine shared by every connection handler.
 pub struct QueryEngine {
     graph: Graph,
-    vocab: Vocabulary,
+    vocab: Arc<Vocabulary>,
     index_radius: Weight,
-    cost: CostFn,
     /// Dijkstra scratch for keyword sweeps, private to this engine.
     pool: EnginePool,
     /// The three caches are [`Leaf`] locks: none is held across a sweep,
@@ -141,9 +140,8 @@ impl QueryEngine {
             Weight::try_new(cfg.index_radius).ok_or(QueryError::InvalidRadius(cfg.index_radius))?;
         Ok(QueryEngine {
             graph,
-            vocab,
+            vocab: Arc::new(vocab),
             index_radius,
-            cost: cfg.cost,
             pool: EnginePool::new(),
             indexes: Leaf::new(Lru::new(cfg.index_cache_cap)),
             runs: Leaf::new(Lru::weighted(cfg.run_cache_bytes, |run| run.byte_size())),
@@ -167,9 +165,22 @@ impl QueryEngine {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))
     }
 
+    /// An engine over this one's graph and vocabulary, shared rather than
+    /// copied, with `cfg` and caches of its own.
+    pub fn sibling(&self, cfg: EngineConfig) -> Result<QueryEngine, QueryError> {
+        let mut engine = QueryEngine::new(self.graph.clone(), Vocabulary::new(), cfg)?;
+        engine.vocab = Arc::clone(&self.vocab);
+        Ok(engine)
+    }
+
     /// The served graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
+    }
+
+    /// The keyword → node-set vocabulary.
+    pub fn vocabulary(&self) -> &Vocabulary {
+        &self.vocab
     }
 
     /// The engine's own Dijkstra scratch pool: what keyword sweeps borrow
@@ -277,33 +288,8 @@ impl QueryEngine {
         Ok(idx)
     }
 
-    /// Records a resume to `k` on the keyword set's cached index, if it is
-    /// still cached, and returns how far the resume should run.
-    fn note_resume(&self, keywords: &[String], k: usize) -> usize {
-        let key = IndexKey::new(keywords, self.index_radius);
-        self.indexes
-            .lock()
-            .peek(&key)
-            .map_or(k, |idx| idx.note_resume(k))
-    }
-
-    /// Answers a top-k community query under `guard`.
-    ///
-    /// * `Ok(Outcome::Complete)` — the full answer (a slice of the cached
-    ///   prefix, or computed — resumed or from scratch — and then cached);
-    /// * `Ok(Outcome::Interrupted)` — a certified exact ranked prefix
-    ///   (guard tripped during enumeration or cached replay);
-    /// * `Err(QueryError::Interrupted)` — the guard tripped during
-    ///   projection/index build, where no partial result exists;
-    /// * other `Err`s — the request is invalid (unknown keyword, radius
-    ///   beyond the index, …).
-    pub fn answer(
-        &self,
-        keywords: &[String],
-        rmax: f64,
-        k: u32,
-        guard: &RunGuard,
-    ) -> Result<Outcome<Vec<Community>>, QueryError> {
+    /// The answer-cache key of a query, or why the query is invalid.
+    fn key(&self, keywords: &[String], rmax: f64, cost: CostFn) -> Result<AnswerKey, QueryError> {
         if keywords.is_empty() {
             return Err(QueryError::NoKeywords);
         }
@@ -314,8 +300,88 @@ impl QueryEngine {
                 index_radius: self.index_radius.get(),
             });
         }
+        Ok(AnswerKey::new(keywords, rmax_w, cost))
+    }
+
+    /// Projects a query through its keyword set's index and parks an
+    /// enumeration of it that has not started, with the index's read-ahead
+    /// depth.
+    fn park(&self, akey: &AnswerKey, guard: &RunGuard) -> Result<(ParkedTopK, usize), QueryError> {
+        let index = self.index_for(&akey.keywords, guard)?;
+        let kw_refs: Vec<&str> = akey.keywords.iter().map(String::as_str).collect();
+        let parked = ParkedTopK::project(&index.index, &kw_refs, akey.rmax, akey.cost, guard)?;
+        Ok((parked, index.depth()))
+    }
+
+    /// The projected query [`answer_ranked`](Self::answer_ranked)
+    /// enumerates, for callers that need the projected graph itself: the
+    /// cached entry's, or a projection that is then cached as an entry
+    /// with no community yet — the answer that follows resumes it rather
+    /// than projecting again.
+    pub fn project(
+        &self,
+        keywords: &[String],
+        rmax: f64,
+        cost: CostFn,
+        guard: &RunGuard,
+    ) -> Result<Arc<ProjectedQuery>, QueryError> {
+        let akey = self.key(keywords, rmax, cost)?;
+        let entry = self.answers.lock().peek(&akey).cloned();
+        if let Some(parked) = entry.as_ref().and_then(|e| e.parked.as_ref()) {
+            return Ok(Arc::clone(parked.query()));
+        }
+        let (parked, _) = self.park(&akey, guard)?;
+        let query = Arc::clone(parked.query());
+        let mut answers = self.answers.lock();
+        if answers.peek(&akey).is_none() {
+            let prefix = Vec::new();
+            let parked = Some(parked);
+            answers.insert(akey, Arc::new(AnswerEntry { prefix, parked }));
+        }
+        Ok(query)
+    }
+
+    /// Records a resume to `k` on the keyword set's cached index, if it is
+    /// still cached, and returns how far the resume should run.
+    fn note_resume(&self, keywords: &[String], k: usize) -> usize {
+        let key = IndexKey::new(keywords, self.index_radius);
+        self.indexes
+            .lock()
+            .peek(&key)
+            .map_or(k, |idx| idx.note_resume(k))
+    }
+
+    /// [`answer_ranked`](Self::answer_ranked) by the sum of distances.
+    pub fn answer(
+        &self,
+        keywords: &[String],
+        rmax: f64,
+        k: u32,
+        guard: &RunGuard,
+    ) -> Result<Outcome<Vec<Community>>, QueryError> {
+        self.answer_ranked(keywords, rmax, k, CostFn::SumDistances, guard)
+    }
+
+    /// Answers a top-k community query ranked by `cost` under `guard`.
+    ///
+    /// * `Ok(Outcome::Complete)` — the full answer (a slice of the cached
+    ///   prefix, or computed — resumed or from scratch — and then cached);
+    /// * `Ok(Outcome::Interrupted)` — a certified exact ranked prefix
+    ///   (guard tripped during enumeration or cached replay);
+    /// * `Err(QueryError::Interrupted)` — the guard tripped during
+    ///   projection/index build, where no partial result exists;
+    /// * other `Err`s — the request is invalid (unknown keyword, radius
+    ///   beyond the index, …).
+    pub fn answer_ranked(
+        &self,
+        keywords: &[String],
+        rmax: f64,
+        k: u32,
+        cost: CostFn,
+        guard: &RunGuard,
+    ) -> Result<Outcome<Vec<Community>>, QueryError> {
+        let akey = self.key(keywords, rmax, cost)?;
         let k = usize::try_from(k).unwrap_or(usize::MAX);
-        let akey = AnswerKey::new(keywords, rmax_w);
         let found = {
             let mut answers = self.answers.lock();
             answers.get_if(&akey, |e| e.covers(k))
@@ -330,10 +396,8 @@ impl QueryEngine {
                 _ => return Ok(replay(&entry.prefix[..k.min(entry.prefix.len())], guard)),
             },
             None => {
-                let index = self.index_for(keywords, guard)?;
-                let kw_refs: Vec<&str> = akey.keywords.iter().map(String::as_str).collect();
-                let fresh = ParkedTopK::project(&index.index, &kw_refs, rmax_w, self.cost, guard)?;
-                (&[], fresh, index.depth())
+                let (fresh, depth) = self.park(&akey, guard)?;
+                (&[], fresh, depth)
             }
         };
         // The prefix goes through the guard first, so a candidate budget
